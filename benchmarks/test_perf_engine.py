@@ -50,7 +50,7 @@ COMPOSITE_QUERIES = [
     # Selective scan with ORDER BY / LIMIT.
     "SELECT id FROM events WHERE score >= 900 ORDER BY score DESC LIMIT 10",
     # Join against the dimension table.
-    "SELECT * FROM events JOIN kinds ON events.kind = kinds.kind",
+    "SELECT * FROM kinds JOIN events ON kinds.kind = events.kind",
 ]
 
 
@@ -118,7 +118,7 @@ class TestEnginePipelineMicrobench:
         # aggregates skip the statistics pass), then charged against the
         # composite as if every one of its queries paid it.
         metadata_statements = [
-            parse("SELECT * FROM events JOIN kinds ON events.kind = kinds.kind"),
+            parse("SELECT * FROM kinds JOIN events ON kinds.kind = events.kind"),
             parse("SELECT COUNT(*), SUM(score) FROM events WHERE score < 500"),
         ]
         compile_loops = 50

@@ -71,13 +71,12 @@ class SelectLeakage:
         CompactNode tightens its output.
         """
         select = plan.find(SelectNode)
-        if not isinstance(select, SelectNode) or select.algorithm is None:
-            raise PlannerError("plan has no concrete selection to simulate")
+        if not isinstance(select, SelectNode):
+            raise PlannerError("plan has no selection to simulate")
         compact = any(
             isinstance(node, CompactNode) and node.source is select
             for node in plan.root.walk()
         )
-        assert select.input_rows is not None and select.output_rows is not None
         return cls(
             input_capacity=select.input_rows,
             output_size=select.output_rows,

@@ -13,13 +13,11 @@ layers on top of it:
 * :class:`PlanRunner` — a structural walk of the plan tree that invokes
   the existing batched operators.  The only "logic" here is mechanical:
   resolve a node's materialized source, call the operator the node names
-  with the sizes the node carries, free intermediates.  Two node fields
-  arrive *deferred* from compilation (a selection over a join output, and
-  a grouped aggregate's observed output size); the runner refines them by
-  calling back into ``planner.compile`` — the decision still lives there —
-  and substitutes the refined nodes into the final plan attached to the
-  result, so ``QueryResult.plans`` is always derived from one concrete
-  :class:`QueryPlan`.
+  with the sizes the node carries, free intermediates.  The compiled plan
+  is the executed plan; the one thing the runner adds is a grouped
+  aggregate's *observed* output size, recorded into the final plan attached
+  to the result, so ``QueryResult.plans`` is always derived from one
+  concrete :class:`QueryPlan`.
 
 The module-level :func:`run_select_algorithm` / :func:`run_join_algorithm`
 are the enum → operator dispatch tables (no decisions; the legacy
@@ -29,6 +27,8 @@ are the enum → operator dispatch tables (no decisions; the legacy
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from typing import Sequence
 
 from ..enclave.errors import ObliviousMemoryError, PlannerError, QueryError
 from ..operators.aggregate import aggregate, group_by_aggregate
@@ -56,9 +56,6 @@ from ..planner.compile import (
     SelectNode,
     SortNode,
     compile_statement,
-    plan_selection_node,
-    plan_sort_node,
-    refine,
 )
 from ..planner.plan import JoinAlgorithm, SelectAlgorithm
 from ..storage.flat import FlatStorage
@@ -113,12 +110,15 @@ def run_join_algorithm(
     oblivious_memory_bytes: int,
     compact_output: bool = False,
     output_name: str | None = None,
+    predicate: Predicate | None = None,
+    columns: Sequence[str] | None = None,
 ) -> FlatStorage:
     """Invoke one Section 4.3 join operator with planned sizes.
 
     ``output_name`` pre-names the hash join's output region (the sharded
     join path); the sort-merge joins build their output through scratch
-    tables and ignore it.
+    tables and ignore it.  ``predicate`` / ``columns`` are the WHERE and
+    column list every join fuses into its emit.
     """
     if algorithm is JoinAlgorithm.HASH:
         return hash_join(
@@ -129,6 +129,8 @@ def run_join_algorithm(
             oblivious_memory_bytes,
             compact_output=compact_output,
             output_name=output_name,
+            predicate=predicate,
+            columns=columns,
         )
     if algorithm is JoinAlgorithm.OPAQUE:
         return opaque_join(
@@ -138,10 +140,18 @@ def run_join_algorithm(
             right_column,
             oblivious_memory_bytes,
             compact_output=compact_output,
+            predicate=predicate,
+            columns=columns,
         )
     if algorithm is JoinAlgorithm.ZERO_OM:
         return zero_om_join(
-            left, right, left_column, right_column, compact_output=compact_output
+            left,
+            right,
+            left_column,
+            right_column,
+            compact_output=compact_output,
+            predicate=predicate,
+            columns=columns,
         )
     raise PlannerError(f"unknown join algorithm {algorithm}")
 
@@ -159,51 +169,59 @@ class PlanRunner:
         rng: random.Random | None = None,
         shards: int = 1,
     ) -> None:
+        # ``allow_continuous`` and ``shards`` steer compilation only; the
+        # runner plans nothing, so it has no use for them.
         self._padding = padding
-        self._allow_continuous = allow_continuous
         self._rng = rng if rng is not None else random.Random()
-        self._shards = max(1, shards)
 
     # -- entry ----------------------------------------------------------
     def run(self, compiled: CompiledQuery) -> QueryResult:
         """Execute a compiled SELECT; returns the result with its final
-        (refined) plan attached."""
+        plan attached."""
         statement = compiled.statement
         assert isinstance(statement, SelectStatement)
         root = compiled.plan.root
         if isinstance(root, GroupByNode):
-            result, final_root = self._run_group_by(root, statement, compiled)
+            result, root = self._run_group_by(root, statement, compiled)
         elif isinstance(root, AggregateNode):
-            result, final_root = self._run_aggregate(root, statement, compiled)
+            result = self._run_aggregate(root, statement, compiled)
         else:
-            result, final_root = self._run_selection_shape(
-                root, statement, compiled
-            )
-        result.plan = refine_plan(compiled.plan, final_root)
+            result = self._run_selection_shape(root, statement, compiled)
+        result.plan = replace(compiled.plan, root=root)
         result.plans = result.plan.physical_plans()
         return result
 
     # -- sources --------------------------------------------------------
+    @staticmethod
+    def _shape_where(statement: SelectStatement) -> Predicate:
+        """The WHERE an aggregate or group-by still has to apply: a join
+        source has already applied it at its emit."""
+        if statement.join is not None or statement.where is None:
+            return TruePredicate()
+        return statement.where
+
     def _materialize(
         self, node: PlanNode, statement: SelectStatement, compiled: CompiledQuery
-    ) -> tuple[FlatStorage, bool, PlanNode]:
-        """(storage, caller_owns_it, refined_node) for any source subtree."""
+    ) -> tuple[FlatStorage, bool]:
+        """(storage, caller_owns_it) for any source subtree."""
         if isinstance(node, (ScanNode, IndexLookupNode)):
-            storage, owned = compiled.take(node)
-            return storage, owned, node
+            return compiled.take(node)
         if isinstance(node, JoinNode):
-            return (*self._run_join(node, compiled, compact_output=False), node)
+            return self._run_join(node, statement, compiled, compact_output=False)
         if isinstance(node, CompactNode) and isinstance(node.source, JoinNode):
-            storage, owned = self._run_join(
-                node.source, compiled, compact_output=True
+            return self._run_join(
+                node.source, statement, compiled, compact_output=True
             )
-            return storage, owned, node
         if isinstance(node, (SelectNode, CompactNode)):
             return self._run_selection(node, statement, compiled)
         raise QueryError(f"cannot materialize plan node {node.kind!r}")
 
     def _run_join(
-        self, node: JoinNode, compiled: CompiledQuery, compact_output: bool
+        self,
+        node: JoinNode,
+        statement: SelectStatement,
+        compiled: CompiledQuery,
+        compact_output: bool,
     ) -> tuple[FlatStorage, bool]:
         left, left_owned = compiled.take(node.left)
         right, right_owned = compiled.take(node.right)
@@ -216,6 +234,8 @@ class PlanRunner:
                 node.algorithm,
                 node.oblivious_bytes,
                 compact_output=compact_output,
+                predicate=statement.where,
+                columns=node.columns,
             )
         finally:
             if left_owned:
@@ -230,67 +250,25 @@ class PlanRunner:
         node: PlanNode,
         statement: SelectStatement,
         compiled: CompiledQuery,
-    ) -> tuple[FlatStorage, bool, PlanNode]:
+    ) -> tuple[FlatStorage, bool]:
         """Execute a Select / Compact(Select) subtree."""
         compact = isinstance(node, CompactNode)
         select = node.source if compact else node
         assert isinstance(select, SelectNode)
-        where = statement.where or TruePredicate()
-
-        source, owned, final_source = self._materialize(
-            select.source, statement, compiled
-        )
+        source, owned = compiled.take(select.source)
         try:
-            if select.algorithm is None:
-                # Deferred: the source is a join output that only now
-                # exists.  The decision is still planner code.
-                planned = plan_selection_node(
-                    final_source,
-                    source,
-                    where,
-                    padding=self._padding,
-                    allow_continuous=self._allow_continuous,
-                    shards=self._shards,
-                )
-                return (*self._execute_selection(planned, source, where), planned)
-            if select.padded:
-                final = refine(
-                    select, source=final_source, input_rows=source.capacity
-                )
-                output, out_owned = self._execute_selection(final, source, where)
-                return output, out_owned, final
-            final_select = refine(select, source=final_source)
-            final: PlanNode = (
-                refine(node, source=final_select) if compact else final_select
+            output = run_select_algorithm(
+                source,
+                statement.where or TruePredicate(),
+                select.algorithm,
+                select.output_rows,
+                buffer_rows=select.buffer_rows,
+                rng=self._rng,
+                compact_output=compact,
             )
-            output, out_owned = self._execute_selection(final, source, where)
-            return output, out_owned, final
         finally:
             if owned:
                 source.free()
-
-    def _execute_selection(
-        self, node: PlanNode, source: FlatStorage, where: Predicate
-    ) -> tuple[FlatStorage, bool]:
-        compact = isinstance(node, CompactNode)
-        select = node.source if compact else node
-        assert isinstance(select, SelectNode)
-        assert select.algorithm is not None and select.output_rows is not None
-        output = run_select_algorithm(
-            source,
-            where,
-            select.algorithm,
-            select.output_rows,
-            buffer_rows=select.buffer_rows,
-            rng=self._rng,
-            compact_output=compact,
-        )
-        if select.padded and self._padding is not None:
-            try:
-                self._padding.check_fits(output.used_rows)
-            except BaseException:
-                output.free()  # an over-full padded result is an expected error
-                raise
         return output, True
 
     def _run_selection_shape(
@@ -298,23 +276,20 @@ class PlanRunner:
         root: PlanNode,
         statement: SelectStatement,
         compiled: CompiledQuery,
-    ) -> tuple[QueryResult, PlanNode]:
-        """Plain selection, optionally topped by Sort, then LIMIT and the
-        in-enclave projection."""
+    ) -> QueryResult:
+        """Plain selection (or filtering join), optionally topped by Sort,
+        then LIMIT and the in-enclave projection."""
         sort = root if isinstance(root, SortNode) else None
-        selection = sort.source if sort is not None else root
-        output, _, final_selection = self._materialize(
-            selection, statement, compiled
+        output, _ = self._materialize(
+            sort.source if sort is not None else root, statement, compiled
         )
         try:
+            if self._padding is not None:
+                # An over-full padded result is an expected error.
+                self._padding.check_fits(output.used_rows)
             schema = output.schema
             names = list(schema.column_names())
-            if sort is not None:
-                rows, final_sort = self._run_sort(sort, final_selection, output)
-                final_root: PlanNode = final_sort
-            else:
-                rows = output.rows()
-                final_root = final_selection
+            rows = self._run_sort(sort, output) if sort is not None else output.rows()
         finally:
             output.free()
         if compiled.plan.limit is not None:
@@ -323,31 +298,15 @@ class PlanRunner:
             indexes = [schema.column_index(name) for name in statement.columns]
             rows = [tuple(row[i] for i in indexes) for row in rows]
             names = list(statement.columns)
-        result = QueryResult(rows=rows, column_names=names, affected=len(rows))
-        return result, final_root
+        return QueryResult(rows=rows, column_names=names, affected=len(rows))
 
-    def _run_sort(
-        self, sort: SortNode, final_selection: PlanNode, output: FlatStorage
-    ) -> tuple[list[Row], SortNode]:
+    def _run_sort(self, node: SortNode, output: FlatStorage) -> list[Row]:
         """ORDER BY over a selection's output table.
 
         The in-enclave/bitonic decision was made at compile time from
-        public sizes (or is refined here, by planner code, for deferred
-        join-source selections).  Either way the trace depends only on
-        sizes and the public ORDER BY clause.
+        public sizes, so the trace depends only on sizes and the public
+        ORDER BY clause.
         """
-        node = sort
-        if node.rows is None or node.in_enclave is None:
-            node = plan_sort_node(
-                final_selection,
-                output.enclave,
-                output.schema.row_size,
-                output.capacity,
-                sort.order_by,
-                sort.descending,
-            )
-        else:
-            node = refine(node, source=final_selection)
         schema = output.schema
         order_index = schema.column_index(node.order_by)
         if node.in_enclave:
@@ -375,7 +334,7 @@ class PlanRunner:
             scratch.free()
         if node.descending:
             rows.reverse()
-        return rows, node
+        return rows
 
     # -- aggregates -----------------------------------------------------
     def _run_aggregate(
@@ -383,24 +342,19 @@ class PlanRunner:
         node: AggregateNode,
         statement: SelectStatement,
         compiled: CompiledQuery,
-    ) -> tuple[QueryResult, PlanNode]:
-        where = statement.where or TruePredicate()
-        source, owned, final_source = self._materialize(
-            node.source, statement, compiled
-        )
+    ) -> QueryResult:
+        source, owned = self._materialize(node.source, statement, compiled)
         try:
-            values = aggregate(source, list(statement.aggregates), predicate=where)
-            final = refine(
-                node, source=final_source, input_rows=source.capacity
+            values = aggregate(
+                source,
+                list(statement.aggregates),
+                predicate=self._shape_where(statement),
             )
         finally:
             if owned:
                 source.free()
         names = [spec.label() for spec in statement.aggregates]
-        return (
-            QueryResult(rows=[tuple(values)], column_names=names, affected=1),
-            final,
-        )
+        return QueryResult(rows=[tuple(values)], column_names=names, affected=1)
 
     def _run_group_by(
         self,
@@ -408,25 +362,18 @@ class PlanRunner:
         statement: SelectStatement,
         compiled: CompiledQuery,
     ) -> tuple[QueryResult, PlanNode]:
-        where = statement.where or TruePredicate()
-        source, owned, final_source = self._materialize(
-            node.source, statement, compiled
-        )
+        source, owned = self._materialize(node.source, statement, compiled)
         try:
             output_groups = self._padding.pad_groups if self._padding else None
             output = group_by_aggregate(
                 source,
                 node.group_column,
                 list(statement.aggregates),
-                predicate=where,
+                predicate=self._shape_where(statement),
                 output_groups=output_groups,
             )
-            final = refine(
-                node,
-                source=final_source,
-                input_rows=source.capacity,
-                output_rows=output.capacity,
-            )
+            # The one observed (not planned) size: recorded, leaked either way.
+            final = replace(node, output_rows=output.capacity)
         finally:
             if owned:
                 source.free()
@@ -454,19 +401,6 @@ class PlanRunner:
             QueryResult(rows=rows, column_names=names, affected=len(rows)),
             final,
         )
-
-
-def refine_plan(plan: QueryPlan, final_root: PlanNode) -> QueryPlan:
-    """The plan with runtime-refined nodes substituted in."""
-    if final_root is plan.root:
-        return plan
-    return QueryPlan(
-        root=final_root,
-        statement_kind=plan.statement_kind,
-        tables=plan.tables,
-        columns=plan.columns,
-        limit=plan.limit,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -18,18 +18,30 @@ Three algorithms over flat tables, as in Figure 3:
   optional in-enclave cutover once subproblems fit in (non-oblivious)
   enclave memory.
 
-For the sort-merge joins T1 must be the primary-key side: every T2 row
-matches at most one T1 row, so the merged output has at most one row per
-scanned row and a uniform one-write-per-row pattern suffices.
+T1 must be the primary-key side: every T2 row matches at most one T1 row,
+so the output has at most one row per probed or scanned row and a uniform
+one-write-per-row pattern suffices.  A T1 that repeats a join key is
+rejected with a :class:`QueryError` once the operator's passes are done.
+
+Every algorithm materialises a joined row at exactly one place (the hash
+join's probe, the sort-merge joins' merge scan).  ``predicate`` and
+``columns`` fuse the statement's WHERE and column list into that emit: a
+pair that matches on the key but fails the predicate is written as the
+same dummy frame a key miss is, and a surviving pair is framed with only
+``columns`` — same passes, same slot count, narrower blocks, and a trace
+that no longer depends on how many pairs the WHERE keeps.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 from ..enclave.errors import QueryError
 from ..oblivious.compact import materialize_prefix, oblivious_compact
 from ..storage.flat import FlatStorage
 from ..storage.rows import frame_dummy, frame_row_validated, framed_size, unframe_rows
 from ..storage.schema import Column, Row, Schema, Value, int_column
+from .predicate import Predicate
 from .sort import bitonic_sort, external_oblivious_sort, padded_scratch
 
 
@@ -60,36 +72,69 @@ def _neutral_value(column: Column) -> Value:
     return 0
 
 
-def _compact_join_output(output: FlatStorage, bound: int) -> FlatStorage:
-    """Tighten a join output to its public foreign-key bound.
+def _emitter(
+    out_schema: Schema,
+    predicate: Predicate | None,
+    columns: Sequence[str] | None,
+) -> tuple[Schema, Callable[[Row], bytes | None]]:
+    """The emitted schema and the joined-row → output-frame function.
 
-    Every join here is a foreign-key join (T1 is the primary side), so the
-    result holds at most |T2| real rows — a bound derived purely from the
-    input sizes.  The sparse output (one slot per probe or per scanned
-    union row, mostly dummies) is compacted in place with the
-    order-preserving oblivious compaction network and its first ``bound``
-    slots are materialised into a tight table, so downstream operators scan
-    |T2| blocks instead of the probe- or scratch-sized structure.  Trace: a
-    pure function of the (public) capacities.
-
-    If the left side was not actually a primary key (duplicate join keys
-    split across hash chunks can each match), the output may exceed the
-    bound; truncating would silently drop join rows, so that is rejected —
-    the same contract-violation treatment as the sort-merge joins'
-    primary-side requirement.
+    The one place a joined row is filtered, projected and framed: ``emit``
+    returns ``None`` for a row ``predicate`` (compiled against the full
+    joined schema) rejects — the caller writes the dummy frame it writes
+    for a key miss — and otherwise the row projected to ``columns`` and
+    framed.  ``None`` / ``None`` emits every pair in the full joined schema.
     """
-    bound = max(1, min(bound, output.capacity))
-    matched = output.used_rows
-    if matched > bound:
+    schema = out_schema if columns is None else out_schema.project(columns)
+    keep = None if predicate is None else predicate.compile(out_schema)
+    indexes = (
+        None
+        if columns is None
+        else [out_schema.column_index(name) for name in columns]
+    )
+
+    def emit(row: Row) -> bytes | None:
+        if keep is not None and not keep(row):
+            return None
+        if indexes is not None:
+            row = [row[index] for index in indexes]
+        return frame_row_validated(schema, row)
+
+    return schema, emit
+
+
+def _finish_join(
+    output: FlatStorage,
+    table2: FlatStorage,
+    compact_output: bool,
+    repeated_key_column: str | None,
+) -> FlatStorage:
+    """Common tail: optional tightening, then the primary-key contract.
+
+    ``compact_output`` tightens the sparse output (one slot per probe or
+    per scanned union row, mostly dummies) to the public foreign-key bound
+    |T2|: compacted in place with the order-preserving oblivious compaction
+    network, first |T2| slots materialised into a tight table, so
+    downstream operators scan |T2| blocks instead of the probe- or
+    scratch-sized structure.  Trace: a pure function of the capacities.
+
+    A T1 that repeated a join key would have lost rows, so it is rejected —
+    only here, after every pass has run, so the failed join's trace is the
+    successful one's — and the output region is freed.
+    """
+    if compact_output:
+        bound = max(1, min(table2.capacity, output.capacity))
+        oblivious_compact(output)
+        tight = materialize_prefix(output, bound)
+        output.free()
+        output = tight
+    if repeated_key_column is not None:
+        output.free()
         raise QueryError(
-            f"join produced {matched} rows, above the |T2| foreign-key "
-            f"bound {bound}: compact_output requires a primary-key left "
-            "side"
+            f"join column {repeated_key_column!r} repeats a key on the left "
+            "side: the left table of a join must be the primary-key side"
         )
-    oblivious_compact(output)
-    tight = materialize_prefix(output, bound)
-    output.free()
-    return tight
+    return output
 
 
 def hash_join(
@@ -100,6 +145,8 @@ def hash_join(
     oblivious_memory_bytes: int,
     compact_output: bool = False,
     output_name: str | None = None,
+    predicate: Predicate | None = None,
+    columns: Sequence[str] | None = None,
 ) -> FlatStorage:
     """Oblivious hash join (Figure 3 "Hash Join").
 
@@ -110,12 +157,15 @@ def hash_join(
     planner path enables it; direct callers keep the raw shape).
     ``output_name`` names the output region explicitly — the sharded join
     pre-allocates per-shard output names so shard trace recorders can be
-    attached before the join runs.
+    attached before the join runs.  ``predicate`` / ``columns`` are fused
+    into the probe's emit (see the module docstring).
     """
     enclave = table1.enclave
     key1 = table1.schema.column_index(column1)
     key2 = table2.schema.column_index(column2)
-    out_schema = joined_schema(table1.schema, table2.schema)
+    out_schema, emit = _emitter(
+        joined_schema(table1.schema, table2.schema), predicate, columns
+    )
 
     row_bytes = framed_size(table1.schema) + 16  # row + hash-table entry slack
     chunk_rows = max(1, oblivious_memory_bytes // row_bytes)
@@ -127,25 +177,35 @@ def hash_join(
     dummy = frame_dummy(out_schema)
     schema2 = table2.schema
     matched = 0
+    # Keys of every chunk so far (not only the resident one), so a repeat is
+    # caught wherever the chunk boundary falls.  Enclave-private bookkeeping
+    # for the primary-key contract; it never influences an access.
+    seen_keys: set[Value] = set()
+    repeated = False
     with enclave.oblivious_buffer(min(chunk_rows, table1.capacity) * row_bytes):
         for chunk in range(num_chunks):
             start = chunk * chunk_rows
             stop = min(start + chunk_rows, table1.capacity)
-            hash_table: dict[Value, Row] = {}
             # Chunk build: one batched range read of T1 (same contiguous
             # R start .. R stop-1 pattern as the per-block loop) decoded in
             # a single precompiled codec pass.
-            for row in unframe_rows(
-                table1.schema, table1.read_range_framed(start, stop - start)
-            ):
-                if row is not None:
-                    hash_table[row[key1]] = row
+            rows1 = [
+                row
+                for row in unframe_rows(
+                    table1.schema, table1.read_range_framed(start, stop - start)
+                )
+                if row is not None
+            ]
+            hash_table = {row[key1]: row for row in rows1}
+            if len(hash_table) < len(rows1) or not seen_keys.isdisjoint(hash_table):
+                repeated = True
+            seen_keys.update(hash_table)
 
             # Chunk probe: stream T2 against the enclave hash table through
             # the interleaved exchange — R T2[i], W output[base+i] per probe,
             # the per-row loop's exact two-region trace, with the crypto and
             # bookkeeping batched.  One output frame per probe regardless of
-            # match (real joined row or dummy), so the pattern stays a pure
+            # match (real emitted row or dummy), so the pattern stays a pure
             # function of the input sizes.
             base = chunk * table2.capacity
 
@@ -154,11 +214,12 @@ def hash_join(
                 out = []
                 for row2 in unframe_rows(schema2, frames):
                     row1 = hash_table.get(row2[key2]) if row2 is not None else None
-                    if row1 is not None:
-                        out.append(frame_row_validated(out_schema, row1 + row2))
-                        matched += 1
-                    else:
+                    frame = None if row1 is None else emit(row1 + row2)
+                    if frame is None:
                         out.append(dummy)
+                    else:
+                        out.append(frame)
+                        matched += 1
                 return out
 
             table2.interleave_to(
@@ -167,9 +228,9 @@ def hash_join(
                 probe,
             )
     output._used = matched
-    if compact_output:
-        return _compact_join_output(output, table2.capacity)
-    return output
+    return _finish_join(
+        output, table2, compact_output, column1 if repeated else None
+    )
 
 
 def _union_scratch(
@@ -177,7 +238,7 @@ def _union_scratch(
     table2: FlatStorage,
     column1: str,
     column2: str,
-) -> tuple[FlatStorage, Schema, int, int]:
+) -> tuple[FlatStorage, int, int]:
     """Copy both tables into one tagged scratch table, padded to a power of
     two.
 
@@ -225,23 +286,25 @@ def _union_scratch(
     copy_side(table2, lambda row: (1,) + left_neutral + row, table1.capacity)
     key1_index = 1 + table1.schema.column_index(column1)
     key2_index = 1 + left_width + table2.schema.column_index(column2)
-    return scratch, out_schema, key1_index, key2_index
+    return scratch, key1_index, key2_index
 
 
 def _merge_scan(
     scratch: FlatStorage,
     out_schema: Schema,
+    emit: Callable[[Row], bytes | None],
     key1_index: int,
     key2_index: int,
     left_width: int,
-) -> FlatStorage:
+) -> tuple[FlatStorage, bool]:
     """Linear merge over the sorted union: one output write per scanned row.
 
     Keeps the last-seen primary row in the enclave; a foreign row whose key
-    matches it emits the joined row, anything else emits a dummy.  Runs as
-    one interleaved-exchange pass — R scratch[i], W output[i] per row, the
-    per-row loop's trace — with the last-seen primary carried across chunks
-    inside the enclave.
+    matches it emits the joined row (``out_schema`` / ``emit`` come from
+    :func:`_emitter`), anything else emits a dummy.  Runs as one interleaved-exchange pass —
+    R scratch[i], W output[i] per row, the per-row loop's trace — with the
+    last-seen primary carried across chunks inside the enclave.  Also
+    reports whether two primary rows shared a key (they sort adjacent).
     """
     enclave = scratch.enclave
     output = FlatStorage(enclave, out_schema, scratch.capacity)
@@ -249,33 +312,38 @@ def _merge_scan(
     dummy = frame_dummy(out_schema)
     current_primary: Row | None = None
     matched = 0
+    repeated = False
 
     def merge(offset: int, frames: list[bytes]) -> list[bytes]:
-        nonlocal current_primary, matched
+        nonlocal current_primary, matched, repeated
         out = []
         for row in unframe_rows(scratch_schema, frames):
-            emit: Row | None = None
+            frame: bytes | None = None
             if row is not None:
-                tag = row[0]
-                if tag == 0:
-                    current_primary = row[1 : 1 + left_width]
-                else:
+                if row[0] == 0:
                     if (
                         current_primary is not None
-                        and row[key2_index] == current_primary[key1_index - 1]
+                        and row[key1_index] == current_primary[key1_index - 1]
                     ):
-                        emit = current_primary + row[1 + left_width :]
-                        matched += 1
-            out.append(
-                dummy if emit is None else frame_row_validated(out_schema, emit)
-            )
+                        repeated = True
+                    current_primary = row[1 : 1 + left_width]
+                elif (
+                    current_primary is not None
+                    and row[key2_index] == current_primary[key1_index - 1]
+                ):
+                    frame = emit(current_primary + row[1 + left_width :])
+            if frame is None:
+                out.append(dummy)
+            else:
+                out.append(frame)
+                matched += 1
         return out
 
     scratch.interleave_to(
         output, [(index, index) for index in range(scratch.capacity)], merge
     )
     output._used = matched
-    return output
+    return output, repeated
 
 
 def opaque_join(
@@ -285,6 +353,8 @@ def opaque_join(
     column2: str,
     oblivious_memory_bytes: int,
     compact_output: bool = False,
+    predicate: Predicate | None = None,
+    columns: Sequence[str] | None = None,
 ) -> FlatStorage:
     """Opaque's sort-merge foreign-key join (Figure 3 "Opaque Join").
 
@@ -292,9 +362,13 @@ def opaque_join(
     oblivious memory merged by a chunk-level bitonic network, then merged in
     one scan.  O((N+M)·log²((N+M)/S)) block accesses.
     ``compact_output=True`` tightens the scratch-sized merge output to the
-    foreign-key bound |T2| via the oblivious compaction network.
+    foreign-key bound |T2| via the oblivious compaction network;
+    ``predicate`` / ``columns`` are fused into the merge scan's emit.
     """
-    scratch, out_schema, key1_index, key2_index = _union_scratch(
+    out_schema, emit = _emitter(
+        joined_schema(table1.schema, table2.schema), predicate, columns
+    )
+    scratch, key1_index, key2_index = _union_scratch(
         table1, table2, column1, column2
     )
     left_width = len(table1.schema)
@@ -308,11 +382,13 @@ def opaque_join(
     chunk_rows = max(1, oblivious_memory_bytes // (2 * row_bytes))
     chunk_rows = _largest_dividing_chunk(scratch.capacity, chunk_rows)
     external_oblivious_sort(scratch, sort_key, chunk_rows)
-    output = _merge_scan(scratch, out_schema, key1_index, key2_index, left_width)
+    output, repeated = _merge_scan(
+        scratch, out_schema, emit, key1_index, key2_index, left_width
+    )
     scratch.free()
-    if compact_output:
-        return _compact_join_output(output, table2.capacity)
-    return output
+    return _finish_join(
+        output, table2, compact_output, column1 if repeated else None
+    )
 
 
 def zero_om_join(
@@ -322,6 +398,8 @@ def zero_om_join(
     column2: str,
     enclave_rows: int = 1,
     compact_output: bool = False,
+    predicate: Predicate | None = None,
+    columns: Sequence[str] | None = None,
 ) -> FlatStorage:
     """The 0-OM join: bitonic-sorted union, no oblivious memory required.
 
@@ -329,9 +407,13 @@ def zero_om_join(
     optimisation that lets the algorithm speed up with plain enclave memory
     without affecting obliviousness).  O((N+M)·log²(N+M)).
     ``compact_output=True`` tightens the output to the foreign-key bound
-    |T2| via the oblivious compaction network.
+    |T2| via the oblivious compaction network; ``predicate`` / ``columns``
+    are fused into the merge scan's emit.
     """
-    scratch, out_schema, key1_index, key2_index = _union_scratch(
+    out_schema, emit = _emitter(
+        joined_schema(table1.schema, table2.schema), predicate, columns
+    )
+    scratch, key1_index, key2_index = _union_scratch(
         table1, table2, column1, column2
     )
     left_width = len(table1.schema)
@@ -342,11 +424,13 @@ def zero_om_join(
         return (key_column1.sort_key(key), row[0])
 
     bitonic_sort(scratch, sort_key, enclave_rows=enclave_rows)
-    output = _merge_scan(scratch, out_schema, key1_index, key2_index, left_width)
+    output, repeated = _merge_scan(
+        scratch, out_schema, emit, key1_index, key2_index, left_width
+    )
     scratch.free()
-    if compact_output:
-        return _compact_join_output(output, table2.capacity)
-    return output
+    return _finish_join(
+        output, table2, compact_output, column1 if repeated else None
+    )
 
 
 def _largest_dividing_chunk(capacity: int, at_most: int) -> int:

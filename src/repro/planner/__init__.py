@@ -14,8 +14,6 @@ from .compile import (
     SortNode,
     WriteNode,
     compile_statement,
-    plan_selection_node,
-    plan_sort_node,
     selection_output_capacity,
 )
 from .join_planner import (
@@ -60,8 +58,6 @@ __all__ = [
     "execute_select",
     "plan_join",
     "plan_select",
-    "plan_selection_node",
-    "plan_sort_node",
     "scan_statistics",
     "selection_output_capacity",
 ]

@@ -28,26 +28,28 @@ hashable IR:
   visible accesses is unchanged: compile immediately precedes run and
   their concatenated trace equals the old interleaved executor's.
 
-Two decisions are *data-dependent in a public way* and therefore refined
-at run time **by this module's functions** (never by executor branches):
-a selection whose source is a join output plans its algorithm only once
-the join output exists (:func:`plan_selection_node` — the same statistics
-scan the paper's planner runs), and a grouped aggregate's observed output
-size is recorded after execution.  The runner substitutes the refined
-nodes into the final plan it attaches to the result.
+Every decision is made here, at compile time.  A join consumes the
+statement's WHERE and the columns the rest of the plan reads at its emit
+(:class:`JoinNode` ``filtered`` / ``columns``), so no selection runs over a
+join output and nothing about a join statement's plan waits for data.  One
+field is *observed* rather than decided: a grouped aggregate's output size,
+which the runner records into the final plan after execution.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from ..enclave.errors import QueryError
+from ..operators.join import joined_schema
 from ..operators.predicate import Interval, Predicate, TruePredicate
 from ..operators.select import materialize_index_range
+from ..operators.sort import padded_scratch
 from ..storage.flat import FlatStorage
+from ..storage.schema import Schema
 from ..storage.table import Table
 from .join_planner import JoinDecision, plan_join
 from .plan import AccessMethod, JoinAlgorithm, PhysicalPlan, SelectAlgorithm
@@ -78,7 +80,11 @@ class PlanNode:
         """One-line rendering used by :meth:`QueryPlan.describe`."""
         parts = [self.kind]
         for key, value in self.public_fields().items():
-            parts.append(f"{key}={'?' if value is None else value}")
+            if value is None:
+                value = "?"
+            elif isinstance(value, tuple):
+                value = f"({', '.join(value)})"
+            parts.append(f"{key}={value}")
         return " ".join(parts)
 
     def to_dict(self) -> dict[str, object]:
@@ -167,19 +173,17 @@ class IndexLookupNode(PlanNode):
 
 @dataclass(frozen=True)
 class SelectNode(PlanNode):
-    """One Section 4.1 selection over ``source``.
+    """One Section 4.1 selection over ``source`` (a scan or index segment;
+    a join applies the WHERE itself).
 
-    ``algorithm is None`` marks a *deferred* selection: the source is a
-    join output that does not exist at compile time, so the algorithm is
-    chosen by :func:`plan_selection_node` (still this module) once the
-    runner materializes it.  ``padded`` records Section 7.1 padding mode:
-    fixed Hash algorithm at the padded output size, no statistics pass.
+    ``padded`` records Section 7.1 padding mode: fixed Hash algorithm at
+    the padded output size, no statistics pass.
     """
 
     source: PlanNode
-    algorithm: SelectAlgorithm | None
-    input_rows: int | None
-    output_rows: int | None
+    algorithm: SelectAlgorithm
+    input_rows: int
+    output_rows: int
     buffer_rows: int = 0
     padded: bool = False
 
@@ -190,7 +194,7 @@ class SelectNode(PlanNode):
 
     def public_fields(self) -> dict[str, object]:
         return {
-            "algorithm": self.algorithm.value if self.algorithm else None,
+            "algorithm": self.algorithm.value,
             "input_rows": self.input_rows,
             "output_rows": self.output_rows,
             "buffer_rows": self.buffer_rows,
@@ -200,27 +204,22 @@ class SelectNode(PlanNode):
     def _access_method(self) -> AccessMethod:
         if isinstance(self.source, ScanNode):
             return self.source.access_method
-        if isinstance(self.source, IndexLookupNode):
-            return AccessMethod.INDEX_RANGE
-        return AccessMethod.FLAT_SCAN  # join outputs are flat scratches
+        return AccessMethod.INDEX_RANGE  # an IndexLookupNode segment
 
     def physical_plan(self) -> PhysicalPlan | None:
         return PhysicalPlan(
             operator="select",
             access_method=self._access_method(),
             select_algorithm=self.algorithm,
-            sizes=_sizes(
-                input=self.input_rows,
-                output=self.output_rows,
-                buffer_rows=self.buffer_rows,
-            ),
+            sizes={
+                "input": self.input_rows,
+                "output": self.output_rows,
+                "buffer_rows": self.buffer_rows,
+            },
         )
 
-    def output_capacity(self) -> int | None:
+    def output_capacity(self) -> int:
         """Capacity of the output structure, a function of public sizes."""
-        if self.algorithm is None or self.input_rows is None:
-            return None
-        assert self.output_rows is not None
         if self.algorithm is SelectAlgorithm.LARGE:
             return self.input_rows
         if self.algorithm is SelectAlgorithm.HASH:
@@ -260,7 +259,16 @@ class CompactNode(PlanNode):
 
 @dataclass(frozen=True)
 class JoinNode(PlanNode):
-    """One Section 4.3 join; sizes are the two flat-view capacities."""
+    """One Section 4.3 join; sizes are the two flat-view capacities.
+
+    The join consumes the statement's WHERE and column list at the place
+    it emits a joined row: ``filtered`` says a WHERE is applied there (its
+    constants stay on the statement), ``columns`` names the emitted columns
+    — the ones the rest of the plan reads, in joined-schema order.  Both
+    come off the public query text, and the output keeps one slot per
+    probed / scanned row whatever the WHERE keeps, so the join's trace is
+    a function of this node's fields alone.
+    """
 
     left: PlanNode
     right: PlanNode
@@ -271,6 +279,8 @@ class JoinNode(PlanNode):
     t2: int
     oblivious_rows: int
     oblivious_bytes: int
+    filtered: bool
+    columns: tuple[str, ...]
     shards: int = 1
 
     kind = "join"
@@ -286,10 +296,20 @@ class JoinNode(PlanNode):
             "t2": self.t2,
             "oblivious_rows": self.oblivious_rows,
             "oblivious_bytes": self.oblivious_bytes,
+            "filtered": self.filtered,
+            "columns": self.columns,
         }
         if self.shards > 1:
             fields["shards"] = self.shards
         return fields
+
+    @property
+    def output_rows(self) -> int:
+        """Slots in the (uncompacted) output structure: one per probe of
+        each hash chunk, or one per row of the padded sort-merge union."""
+        if self.algorithm is JoinAlgorithm.HASH:
+            return -(-self.t1 // self.oblivious_rows) * self.t2
+        return padded_scratch(self.t1 + self.t2)
 
     def physical_plan(self) -> PhysicalPlan | None:
         return PhysicalPlan(
@@ -309,7 +329,7 @@ class AggregateNode(PlanNode):
     """Fused select+aggregate over the whole input (no GROUP BY)."""
 
     source: PlanNode
-    input_rows: int | None
+    input_rows: int
     labels: tuple[str, ...]
 
     kind = "aggregate"
@@ -321,7 +341,7 @@ class AggregateNode(PlanNode):
         return {"labels": list(self.labels), "input_rows": self.input_rows}
 
     def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(operator="aggregate", sizes=_sizes(input=self.input_rows))
+        return PhysicalPlan(operator="aggregate", sizes={"input": self.input_rows})
 
 
 @dataclass(frozen=True)
@@ -333,7 +353,7 @@ class GroupByNode(PlanNode):
     source: PlanNode
     group_column: str
     labels: tuple[str, ...]
-    input_rows: int | None
+    input_rows: int
     output_rows: int | None
 
     kind = "group_by"
@@ -358,20 +378,19 @@ class GroupByNode(PlanNode):
 
 @dataclass(frozen=True)
 class SortNode(PlanNode):
-    """ORDER BY over a selection's output table.
+    """ORDER BY over a selection's (or compacted join's) output table.
 
     ``in_enclave`` is the compile-time decision between sorting decrypted
     rows inside the enclave (result fits the oblivious-memory budget;
     invisible to the adversary) and the padded bitonic network (visible,
-    but a pure function of ``rows``).  Deferred (None) fields are refined
-    by :func:`plan_sort_node` once a join-source selection materializes.
+    but a pure function of ``rows``).
     """
 
     source: PlanNode
     order_by: str
     descending: bool
-    rows: int | None
-    in_enclave: bool | None
+    rows: int
+    in_enclave: bool
 
     kind = "sort"
 
@@ -389,10 +408,7 @@ class SortNode(PlanNode):
     def physical_plan(self) -> PhysicalPlan | None:
         return PhysicalPlan(
             operator="order_by",
-            sizes=_sizes(
-                rows=self.rows,
-                in_enclave=None if self.in_enclave is None else int(self.in_enclave),
-            ),
+            sizes={"rows": self.rows, "in_enclave": int(self.in_enclave)},
         )
 
 
@@ -532,82 +548,14 @@ class CompiledQuery:
 
 
 # ----------------------------------------------------------------------
-# Decision helpers (shared by compile-time and run-time refinement)
+# Decision helpers
 # ----------------------------------------------------------------------
-def plan_selection_node(
-    source_node: PlanNode,
-    storage: FlatStorage,
-    predicate: Predicate,
-    *,
-    padding: PaddingConfig | None = None,
-    allow_continuous: bool = True,
-    shards: int = 1,
-) -> PlanNode:
-    """Choose the selection subtree over a materialized source.
-
-    Padding mode (Section 7.1) skips the statistics pass and fixes the
-    Hash algorithm at the padded size (raw chain table, no compaction).
-    Otherwise this runs the planner's statistics scan and cost model
-    (:func:`~repro.planner.select_planner.plan_select`); the planner path
-    compacts Hash outputs, reified as a :class:`CompactNode` wrap.
-    """
-    if padding is not None:
-        return SelectNode(
-            source=source_node,
-            algorithm=SelectAlgorithm.HASH,
-            input_rows=storage.capacity,
-            output_rows=padding.pad_rows,
-            buffer_rows=0,
-            padded=True,
-        )
-    decision: SelectDecision = plan_select(
-        storage, predicate, allow_continuous=allow_continuous, shards=shards
-    )
-    node = SelectNode(
-        source=source_node,
-        algorithm=decision.algorithm,
-        input_rows=decision.stats.input_capacity,
-        output_rows=decision.stats.matching_rows,
-        buffer_rows=(
-            decision.buffer_rows
-            if decision.algorithm is SelectAlgorithm.SMALL
-            else 0
-        ),
-    )
-    if decision.algorithm is SelectAlgorithm.HASH:
-        return CompactNode(source=node, bound=max(1, decision.stats.matching_rows))
-    return node
-
-
-def selection_output_capacity(node: PlanNode) -> int | None:
+def selection_output_capacity(node: PlanNode) -> int:
     """Output-structure capacity of a selection subtree (public sizes)."""
     if isinstance(node, CompactNode):
         return node.bound
-    if isinstance(node, SelectNode):
-        return node.output_capacity()
-    return None
-
-
-def plan_sort_node(
-    source_node: PlanNode,
-    enclave,
-    row_size: int,
-    capacity: int,
-    order_by: str,
-    descending: bool,
-) -> SortNode:
-    """Decide where ORDER BY runs: inside the enclave when the decrypted
-    result fits the oblivious-memory budget, else the padded bitonic
-    network over untrusted scratch.  Both inputs are public."""
-    result_bytes = capacity * (row_size + 1)
-    in_enclave = result_bytes <= enclave.oblivious.free_bytes
-    return SortNode(
-        source=source_node,
-        order_by=order_by,
-        descending=descending,
-        rows=capacity,
-        in_enclave=in_enclave,
-    )
+    assert isinstance(node, SelectNode)
+    return node.output_capacity()
 
 
 # ----------------------------------------------------------------------
@@ -680,10 +628,11 @@ class _Compiler:
         )
         try:
             if statement.join is not None:
-                source = self._compile_join(statement, table, compiled)
+                source, schema = self._compile_join(statement, table, compiled)
             else:
                 source = self._compile_scan_source(table, statement, compiled)
-            root = self._compile_shape(statement, table, source, compiled)
+                schema = table.schema
+            root = self._compile_shape(statement, table, schema, source, compiled)
         except BaseException:
             compiled.free()
             raise
@@ -703,11 +652,12 @@ class _Compiler:
         self,
         statement: SelectStatement,
         table: Table,
+        schema: Schema,
         source: PlanNode,
         compiled: CompiledQuery,
     ) -> PlanNode:
-        """Group-by / fused-aggregate / plain-selection shape over a source."""
-        input_rows = self._source_rows(source, compiled)
+        """Group-by / fused-aggregate / plain-selection shape over a source
+        whose rows have ``schema``."""
         if statement.group_by is not None:
             labels = (statement.group_by,) + tuple(
                 spec.label() for spec in statement.aggregates
@@ -716,34 +666,29 @@ class _Compiler:
                 source=source,
                 group_column=statement.group_by,
                 labels=labels,
-                input_rows=input_rows,
+                input_rows=self._source_rows(source),
                 output_rows=self._padding.pad_groups if self._padding else None,
             )
         if statement.aggregates:
             return AggregateNode(
                 source=source,
-                input_rows=input_rows,
+                input_rows=self._source_rows(source),
                 labels=tuple(spec.label() for spec in statement.aggregates),
             )
         selection = self._compile_selection(statement, source, compiled)
         if statement.order_by is None:
             return selection
+        # Decide where ORDER BY runs: inside the enclave when the decrypted
+        # result fits the oblivious-memory budget, else the padded bitonic
+        # network over untrusted scratch.  Both inputs are public.
         capacity = selection_output_capacity(selection)
-        if capacity is None:  # join source: refined by the runner
-            return SortNode(
-                source=selection,
-                order_by=statement.order_by,
-                descending=statement.descending,
-                rows=None,
-                in_enclave=None,
-            )
-        return plan_sort_node(
-            selection,
-            table.enclave,
-            table.schema.row_size,
-            capacity,
-            statement.order_by,
-            statement.descending,
+        result_bytes = capacity * (schema.row_size + 1)
+        return SortNode(
+            source=selection,
+            order_by=statement.order_by,
+            descending=statement.descending,
+            rows=capacity,
+            in_enclave=result_bytes <= table.enclave.oblivious.free_bytes,
         )
 
     def _compile_selection(
@@ -752,42 +697,59 @@ class _Compiler:
         source: PlanNode,
         compiled: CompiledQuery,
     ) -> PlanNode:
-        where = statement.where or TruePredicate()
-        binding = compiled.bindings.get(id(source))
-        if binding is None:
-            # Join output: does not exist yet.  Padding mode still fixes
-            # the algorithm now (no statistics pass to defer); otherwise
-            # the runner refines via plan_selection_node.
-            if self._padding is not None:
-                return SelectNode(
-                    source=source,
-                    algorithm=SelectAlgorithm.HASH,
-                    input_rows=None,
-                    output_rows=self._padding.pad_rows,
-                    buffer_rows=0,
-                    padded=True,
-                )
+        """The selection subtree over a materialized source.
+
+        A join already applies the WHERE at its emit, so it *is* the
+        selection.  Padding mode (Section 7.1) skips the statistics pass
+        and fixes the Hash algorithm at the padded size (raw chain table,
+        no compaction).  Otherwise this runs the planner's statistics scan
+        and cost model (:func:`~repro.planner.select_planner.plan_select`);
+        the planner path compacts Hash outputs, reified as a
+        :class:`CompactNode` wrap.
+        """
+        if statement.join is not None:
+            return source
+        storage = compiled.bindings[id(source)].storage
+        if self._padding is not None:
             return SelectNode(
                 source=source,
-                algorithm=None,
-                input_rows=None,
-                output_rows=None,
+                algorithm=SelectAlgorithm.HASH,
+                input_rows=storage.capacity,
+                output_rows=self._padding.pad_rows,
+                buffer_rows=0,
+                padded=True,
             )
-        return plan_selection_node(
-            source,
-            binding.storage,
-            where,
-            padding=self._padding,
+        decision: SelectDecision = plan_select(
+            storage,
+            statement.where or TruePredicate(),
             allow_continuous=self._allow_continuous,
             shards=self._shards,
         )
+        node = SelectNode(
+            source=source,
+            algorithm=decision.algorithm,
+            input_rows=decision.stats.input_capacity,
+            output_rows=decision.stats.matching_rows,
+            buffer_rows=(
+                decision.buffer_rows
+                if decision.algorithm is SelectAlgorithm.SMALL
+                else 0
+            ),
+        )
+        if decision.algorithm is SelectAlgorithm.HASH:
+            return CompactNode(source=node, bound=max(1, decision.stats.matching_rows))
+        return node
 
-    def _source_rows(self, source: PlanNode, compiled: CompiledQuery) -> int | None:
+    @staticmethod
+    def _source_rows(source: PlanNode) -> int:
         if isinstance(source, ScanNode):
             return source.rows
         if isinstance(source, IndexLookupNode):
             return source.segment_rows
-        return None  # join output: observed at run time
+        if isinstance(source, CompactNode):
+            return source.bound
+        assert isinstance(source, JoinNode)
+        return source.output_rows
 
     # -- sources --------------------------------------------------------
     def _index_interval(
@@ -849,7 +811,8 @@ class _Compiler:
         statement: SelectStatement,
         left_table: Table,
         compiled: CompiledQuery,
-    ) -> PlanNode:
+    ) -> tuple[PlanNode, Schema]:
+        """The join subtree and the schema of the rows it emits."""
         assert statement.join is not None
         right_table = self._table(statement.join.right_table)
         left = self._flat_view_node(left_table, compiled)
@@ -859,6 +822,26 @@ class _Compiler:
         decision: JoinDecision = plan_join(
             left_storage, right_storage, shards=self._shards
         )
+        # The columns the rest of the plan reads, off the query text alone:
+        # select list, GROUP BY column, aggregate arguments, and the ORDER BY
+        # column of a plain selection (a grouped ORDER BY names an output
+        # label).  ``SELECT *`` reads everything; a bare ``COUNT(*)`` reads
+        # nothing, so it carries the left join key.
+        joined = joined_schema(left_storage.schema, right_storage.schema)
+        if statement.columns or statement.aggregates:
+            needed = {*statement.columns, statement.group_by}
+            needed.update(spec.column for spec in statement.aggregates)
+            if not statement.aggregates:
+                needed.add(statement.order_by)
+            needed.discard(None)
+            for name in sorted(needed):
+                joined.column_index(name)  # SchemaError on an unknown column
+            columns = tuple(
+                name for name in joined.column_names() if name in needed
+            ) or (statement.join.left_column,)
+        else:
+            columns = tuple(joined.column_names())
+        emitted = joined.project(columns)
         node = JoinNode(
             left=left,
             right=right,
@@ -869,6 +852,8 @@ class _Compiler:
             t2=right_storage.capacity,
             oblivious_rows=decision.plan.sizes["oblivious_rows"],
             oblivious_bytes=decision.oblivious_memory_bytes,
+            filtered=statement.where is not None,
+            columns=columns,
             shards=self._shards,
         )
         # Tighten to the |T2| foreign-key bound via the oblivious
@@ -879,10 +864,5 @@ class _Compiler:
         # the output exactly once, so compacting first would be a net
         # loss there.
         if statement.order_by is not None:
-            return CompactNode(source=node, bound=right_storage.capacity)
-        return node
-
-
-def refine(node: PlanNode, **changes: object) -> PlanNode:
-    """``dataclasses.replace`` re-exported for runner-side refinement."""
-    return replace(node, **changes)
+            return CompactNode(source=node, bound=right_storage.capacity), emitted
+        return node, emitted

@@ -127,12 +127,18 @@ class TestExplain:
 
     def test_explain_matches_execution_cache_key(self, db: ObliDB) -> None:
         """The compiled plan is the leaked value: explaining and running
-        the same non-join query must produce identical QueryPlans."""
-        sql = "SELECT * FROM t WHERE v < 40"
-        explained = db.explain(sql)
-        executed = db.sql(sql).plan
-        assert executed is not None
-        assert explained.cache_key == executed.cache_key
+        the same query — a join included, now that nothing about its plan
+        waits for the join output — must produce identical QueryPlans."""
+        db.sql("CREATE TABLE u (k INT, w INT) CAPACITY 8")
+        db.sql("INSERT INTO u VALUES (1, 5)")
+        for sql in (
+            "SELECT * FROM t WHERE v < 40",
+            "SELECT v, w FROM t JOIN u ON t.k = u.k WHERE w > 1 ORDER BY v",
+        ):
+            explained = db.explain(sql)
+            executed = db.sql(sql).plan
+            assert executed is not None
+            assert explained.cache_key == executed.cache_key
 
     def test_explain_index_point_query(self, db: ObliDB) -> None:
         plan = db.explain("SELECT * FROM t WHERE k = 3")
@@ -143,6 +149,8 @@ class TestExplain:
         db.sql("INSERT INTO u VALUES (1)")
         plans = db.explain("SELECT * FROM t JOIN u ON t.k = u.k").physical_plans()
         assert any(p.operator == "join" and p.join_algorithm is not None for p in plans)
+        filtered = db.explain("SELECT * FROM t JOIN u ON t.k = u.k WHERE v > 3")
+        assert not any(p.operator == "select" for p in filtered.physical_plans())
 
     def test_explain_writes(self, db: ObliDB) -> None:
         for sql, operator in [
@@ -181,6 +189,21 @@ class TestExplainSQL:
         assert "select" in text and "scan" in text
         assert result.plan is not None
         assert result.plan.describe() == text
+
+    def test_explain_sql_renders_the_fused_join(self, db: ObliDB) -> None:
+        """The join line carries the WHERE (as a flag — constants stay on
+        the statement) and the emitted columns; no select node sits above."""
+        db.sql("CREATE TABLE sales (sid INT, k INT, region INT, amount INT) CAPACITY 16")
+        result = db.sql(
+            "EXPLAIN SELECT region, amount FROM t JOIN sales ON t.k = sales.k"
+            " WHERE sales.amount < 70 AND t.v > 10"
+        )
+        lines = [row[0] for row in result.rows]
+        assert lines[0] == "plan[select] tables=t,sales columns=region,amount"
+        assert lines[1].startswith("`-- join algorithm=hash on=k=k t1=64 t2=16 ")
+        assert lines[1].endswith(" filtered=True columns=(region, amount)")
+        assert [line.split()[1] for line in lines[2:]] == ["scan", "scan"]
+        assert "70" not in "\n".join(lines)
 
     def test_explain_sql_does_not_execute(self, db: ObliDB) -> None:
         before = db.sql("SELECT COUNT(*) FROM t").scalar()

@@ -6,8 +6,15 @@ import random
 
 import pytest
 
-from repro.enclave import Enclave, QueryError
-from repro.operators import hash_join, joined_schema, opaque_join, zero_om_join
+from repro.enclave import Enclave, QueryError, SchemaError
+from repro.operators import (
+    And,
+    Comparison,
+    hash_join,
+    joined_schema,
+    opaque_join,
+    zero_om_join,
+)
 from repro.storage import FlatStorage, Schema, int_column, str_column
 
 PRIMARY_SCHEMA = Schema([int_column("pk"), str_column("name", 8)])
@@ -180,24 +187,6 @@ class TestCompactJoinOutput:
         assert out.used_rows == len(expected)
         out.free()
 
-    def test_non_fk_overflow_rejected_not_truncated(self) -> None:
-        """Duplicate T1 keys split across hash chunks can exceed the |T2|
-        bound; compaction must refuse loudly rather than drop join rows."""
-        from repro.enclave import QueryError as _QueryError
-
-        enclave = Enclave(cipher="null", keep_trace_events=False)
-        primary = FlatStorage(enclave, PRIMARY_SCHEMA, 4)
-        foreign = FlatStorage(enclave, FOREIGN_SCHEMA, 2)
-        for i in range(4):
-            primary.fast_insert((5, f"dup{i}"))  # same key in every chunk
-        for j in range(2):
-            foreign.fast_insert((5, j))
-        # 1-row chunks: each of the 4 chunks matches both foreign rows.
-        raw = hash_join(primary, foreign, "pk", "fk", 1)
-        assert raw.used_rows > foreign.capacity
-        with pytest.raises(_QueryError, match="foreign-key bound"):
-            hash_join(primary, foreign, "pk", "fk", 1, compact_output=True)
-
     def test_trace_is_data_independent(self) -> None:
         """All-match and no-match joins leave identical compacted traces."""
         traces = []
@@ -215,3 +204,158 @@ class TestCompactJoinOutput:
             ).free()
             traces.append(enclave.trace)
         assert traces[0].matches(traces[1])
+
+
+class TestRepeatedLeftKeyRejected:
+    """T1 is the primary-key side.  A left table that repeats a join key
+    used to lose rows silently (the hash build and the merge scan each kept
+    only the last duplicate); every algorithm now raises, naming the
+    column, once its passes are done."""
+
+    JOINS = [
+        (hash_join, {"oblivious_memory_bytes": 1 << 20}),  # repeat inside a chunk
+        (hash_join, {"oblivious_memory_bytes": 1}),  # 1-row chunks: across chunks
+        (opaque_join, {"oblivious_memory_bytes": 1 << 12}),
+        (zero_om_join, {}),
+    ]
+
+    @pytest.mark.parametrize("join,kwargs", JOINS)
+    @pytest.mark.parametrize("compact_output", [False, True])
+    def test_raises_after_the_full_trace_and_frees_output(
+        self, join, kwargs, compact_output: bool
+    ) -> None:
+        digests = []
+        for left_keys in ([1, 2, 3, 4], [1, 2, 2, 4]):
+            enclave = Enclave(cipher="null", keep_trace_events=True)
+            primary = FlatStorage(enclave, PRIMARY_SCHEMA, 4)
+            foreign = FlatStorage(enclave, FOREIGN_SCHEMA, 8)
+            for position, key in enumerate(left_keys):
+                primary.fast_insert((key, f"p{position}"))
+            for j in range(6):
+                foreign.fast_insert((1 + j % 4, j))
+            regions = enclave.untrusted.region_names()
+            enclave.trace.clear()
+            if len(set(left_keys)) == len(left_keys):
+                join(
+                    primary, foreign, "pk", "fk", compact_output=compact_output, **kwargs
+                ).free()
+            else:
+                with pytest.raises(QueryError, match="'pk' repeats a key"):
+                    join(
+                        primary,
+                        foreign,
+                        "pk",
+                        "fk",
+                        compact_output=compact_output,
+                        **kwargs,
+                    )
+            digests.append(enclave.trace.digest())
+            assert enclave.untrusted.region_names() == regions  # nothing left behind
+        assert digests[0] == digests[1]  # the failure is not visible in the trace
+
+    def test_repeat_among_dummies_and_unmatched_keys_still_raises(self) -> None:
+        """The contract is about T1 alone: no T2 row needs to hit the repeat."""
+        enclave = Enclave(cipher="null", keep_trace_events=False)
+        primary = FlatStorage(enclave, PRIMARY_SCHEMA, 8)
+        foreign = FlatStorage(enclave, FOREIGN_SCHEMA, 4)
+        for row in [(7, "a"), (3, "b"), (7, "c")]:
+            primary.fast_insert(row)
+        foreign.fast_insert((3, 0))
+        for join, kwargs in self.JOINS:
+            with pytest.raises(QueryError, match="'pk'"):
+                join(primary, foreign, "pk", "fk", **kwargs)
+
+
+class TestFusedEmit:
+    """``predicate`` / ``columns``: WHERE and the column list applied where a
+    joined row is first materialised."""
+
+    JOINS = TestRepeatedLeftKeyRejected.JOINS
+
+    @pytest.mark.parametrize("join,kwargs", JOINS)
+    def test_filters_and_projects(self, tables, join, kwargs) -> None:
+        primary, foreign, expected = tables
+        out = join(
+            primary,
+            foreign,
+            "pk",
+            "fk",
+            predicate=And(Comparison("amount", ">=", 110), Comparison("pk", "<", 9)),
+            columns=("name", "amount"),
+            **kwargs,
+        )
+        assert out.schema.column_names() == ["name", "amount"]
+        want = sorted(
+            (name, amount)
+            for (pk, name, _, amount) in expected
+            if amount >= 110 and pk < 9
+        )
+        assert sorted(out.rows()) == want
+        assert out.used_rows == len(want)
+        out.free()
+
+    @pytest.mark.parametrize("join,kwargs", JOINS)
+    def test_shape_and_trace_independent_of_selectivity(self, join, kwargs) -> None:
+        """A pair the predicate rejects is written as the dummy a key miss
+        is: same slots, same trace, whatever the WHERE keeps."""
+        seen = []
+        for threshold in (0, 112, 10_000):  # keeps all / about half / none
+            enclave = Enclave(cipher="null", keep_trace_events=True)
+            primary = FlatStorage(enclave, PRIMARY_SCHEMA, 8)
+            foreign = FlatStorage(enclave, FOREIGN_SCHEMA, 16)
+            for i in range(8):
+                primary.fast_insert((i, f"p{i}"))
+            for j in range(16):
+                foreign.fast_insert((j % 8, 100 + j))
+            enclave.trace.clear()
+            before = enclave.cost_snapshot()
+            out = join(
+                primary,
+                foreign,
+                "pk",
+                "fk",
+                predicate=Comparison("amount", ">=", threshold),
+                columns=("amount",),
+                **kwargs,
+            )
+            seen.append(
+                (
+                    enclave.trace.digest(),
+                    enclave.cost.delta_since(before).snapshot(),
+                    out.capacity,
+                )
+            )
+            out.free()
+        assert seen[0] == seen[1] == seen[2]
+
+    def test_defaults_are_the_unfused_bytes(self, tables) -> None:
+        primary, foreign, _ = tables
+        plain = hash_join(primary, foreign, "pk", "fk", 1 << 20)
+        explicit = hash_join(
+            primary,
+            foreign,
+            "pk",
+            "fk",
+            1 << 20,
+            columns=joined_schema(PRIMARY_SCHEMA, FOREIGN_SCHEMA).column_names(),
+        )
+        assert plain.schema == explicit.schema
+        assert list(plain.scan_framed()) == list(explicit.scan_framed())
+
+    def test_unknown_column_rejected_before_any_allocation(self, tables) -> None:
+        primary, foreign, _ = tables
+        enclave = primary.enclave
+        regions = enclave.untrusted.region_names()
+        for join, kwargs in self.JOINS:
+            with pytest.raises(SchemaError):
+                join(primary, foreign, "pk", "fk", columns=("ghost",), **kwargs)
+            with pytest.raises(SchemaError):
+                join(
+                    primary,
+                    foreign,
+                    "pk",
+                    "fk",
+                    predicate=Comparison("ghost", "=", 1),
+                    **kwargs,
+                )
+        assert enclave.untrusted.region_names() == regions

@@ -166,6 +166,122 @@ class TestScanSourceDecisions:
 
 
 # ----------------------------------------------------------------------
+# The fused join: plan snapshot and plan fidelity
+# ----------------------------------------------------------------------
+FUSED_JOIN_SQL = (
+    "SELECT region, amount FROM users JOIN visits ON users.uid = visits.uid"
+    " WHERE visits.day < 3"
+)
+
+
+def fused_join_db(oblivious_memory_bytes: int = 1 << 20) -> ObliDB:
+    db = ObliDB(cipher="null", seed=7, oblivious_memory_bytes=oblivious_memory_bytes)
+    db.sql("CREATE TABLE users (uid INT, region INT, pad STR(24)) CAPACITY 8")
+    db.sql("CREATE TABLE visits (vid INT, uid INT, day INT, amount INT) CAPACITY 32")
+    db.insert_many("users", [(u, u % 3, "x") for u in range(8)], fast=True)
+    db.insert_many(
+        "visits", [(v, v % 8, v % 5, 10 * v) for v in range(30)], fast=True
+    )
+    return db
+
+
+class TestFusedJoinPlan:
+    def test_plan_snapshot(self) -> None:
+        """The join carries the WHERE and the select list; nothing sits
+        above it, and nothing about the plan waits for the join's output."""
+        plan = fused_join_db().explain(FUSED_JOIN_SQL)
+        assert plan.describe() == "\n".join(
+            [
+                "plan[select] tables=users,visits columns=region,amount",
+                "`-- join algorithm=hash on=uid=uid t1=8 t2=32 oblivious_rows=18396"
+                " oblivious_bytes=1048576 filtered=True columns=(region, amount)",
+                "    |-- scan table=users access_method=flat_scan rows=8",
+                "    `-- scan table=visits access_method=flat_scan rows=32",
+            ]
+        )
+        assert plan.find(SelectNode) is None
+
+    def test_columns_are_what_the_rest_of_the_plan_reads(self) -> None:
+        db = fused_join_db()
+        tail = "FROM users JOIN visits ON users.uid = visits.uid"
+
+        def join_of(sql: str) -> JoinNode:
+            return db.explain(sql).find(JoinNode)
+
+        everything = ("uid", "region", "pad", "vid", "r_uid", "day", "amount")
+        assert join_of(f"SELECT * {tail}").columns == everything
+        assert not join_of(f"SELECT * {tail}").filtered
+        # ORDER BY on a column outside the select list, in joined-schema order
+        assert join_of(f"SELECT amount {tail} ORDER BY region").columns == (
+            "region",
+            "amount",
+        )
+        assert join_of(
+            f"SELECT region, SUM(amount) {tail} WHERE day < 2 GROUP BY region"
+            " ORDER BY region"
+        ).columns == ("region", "amount")
+        assert join_of(f"SELECT MAX(day) {tail}").columns == ("day",)
+        # A bare COUNT(*) reads no column: the left join key stands in.
+        assert join_of(f"SELECT COUNT(*) {tail}").columns == ("uid",)
+
+    def test_sort_over_join_is_decided_at_compile_time(self) -> None:
+        """|T2| bound and projected row size are public: no deferred
+        fields, and the executed plan is the compiled plan."""
+        db = fused_join_db()
+        sql = FUSED_JOIN_SQL + " ORDER BY amount DESC LIMIT 4"
+        compiled = db.explain(sql)
+        sort = compiled.find(SortNode)
+        assert isinstance(sort, SortNode)
+        assert (sort.rows, sort.in_enclave) == (32, True)
+        assert isinstance(sort.source, CompactNode) and sort.source.bound == 32
+        count = "SELECT COUNT(*) FROM users JOIN visits ON uid = uid"
+        for statement in (sql, FUSED_JOIN_SQL, count):
+            assert db.sql(statement).plan.cache_key == db.explain(statement).cache_key
+
+    def test_unknown_column_rejected_at_compile_time(self) -> None:
+        from repro.enclave import SchemaError
+
+        db = fused_join_db()
+        regions = db.enclave.untrusted.region_names()
+        tail = "FROM users JOIN visits ON users.uid = visits.uid"
+        for sql in (
+            f"SELECT ghost {tail}",
+            f"SELECT region {tail} ORDER BY ghost",
+            f"SELECT region {tail} WHERE ghost = 1",
+        ):
+            with pytest.raises(SchemaError, match="ghost"):
+                db.sql(sql)
+        assert db.enclave.untrusted.region_names() == regions
+
+    @pytest.mark.parametrize("oblivious_memory_bytes", [1 << 20, 300])
+    def test_hash_join_cost_is_the_nodes_closed_form(
+        self, oblivious_memory_bytes: int, monkeypatch
+    ) -> None:
+        """Plan fidelity: the measured ``CostModel`` delta of a fused
+        hash-join statement equals the closed form in the node's public
+        fields — the planner prices what the runner executes."""
+        import functools
+
+        from repro.planner import compile as plan_compiler
+
+        monkeypatch.setattr(
+            plan_compiler,
+            "plan_join",
+            functools.partial(plan_join, force=JoinAlgorithm.HASH),
+        )
+        result = fused_join_db(oblivious_memory_bytes).sql(FUSED_JOIN_SQL)
+        join = result.plan.find(JoinNode)
+        chunks = -(-join.t1 // join.oblivious_rows)
+        assert chunks == (1 if oblivious_memory_bytes == 1 << 20 else 2)
+        assert join.output_rows == chunks * join.t2
+        # reads: build (T1 once), probe (T2 per chunk), result read-back;
+        # writes: the output's allocation pass, then one frame per probe.
+        assert result.cost["untrusted_reads"] == join.t1 + 2 * chunks * join.t2
+        assert result.cost["untrusted_writes"] == 2 * chunks * join.t2
+        assert len(result.rows) == 18  # day in {0, 1, 2}
+
+
+# ----------------------------------------------------------------------
 # Cost-model boundaries
 # ----------------------------------------------------------------------
 SCHEMA = Schema([int_column("id"), int_column("payload")])

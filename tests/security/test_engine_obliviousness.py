@@ -10,7 +10,10 @@ individually oblivious", Section 4).
 
 from __future__ import annotations
 
+import functools
 import random
+
+import pytest
 
 from repro import ObliDB
 from repro.analysis import (
@@ -20,6 +23,8 @@ from repro.analysis import (
     oram_regions_of,
     real_query_trace,
 )
+from repro.planner import JoinAlgorithm, JoinNode, SelectNode, plan_join
+from repro.planner import compile as plan_compiler
 
 SCHEMA_SQL = (
     "CREATE TABLE t (k INT, v INT, s STR(8)) CAPACITY 48 METHOD both KEY k"
@@ -275,3 +280,71 @@ class TestPaddingModeEndToEnd:
             assert len(result.rows) == threshold
             traces.append(trace)
         assert_indistinguishable(traces)
+
+
+class TestFusedJoinLeakage:
+    """A join applies the statement's WHERE and column list where it emits
+    a row, so its trace is a function of (|T1|, |T2|, oblivious memory,
+    emitted row width) and of nothing the WHERE keeps.  Before the fusion a
+    selection ran over the join output and leaked its result size and a
+    SMALL/LARGE/HASH choice, so none of this held."""
+
+    JOIN_SQL = (
+        "SELECT region, amount FROM a JOIN b ON a.id = b.aid WHERE day < 100"
+    )
+
+    @staticmethod
+    def build(days: list[int]) -> ObliDB:
+        """Equal public shape; ``days`` decides what ``day < 100`` keeps."""
+        db = ObliDB(cipher="null", keep_trace_events=True, seed=3)
+        db.sql("CREATE TABLE a (id INT, region INT) CAPACITY 8")
+        db.sql("CREATE TABLE b (bid INT, aid INT, day INT, amount INT) CAPACITY 16")
+        for i in range(8):
+            db.sql(f"INSERT INTO a VALUES ({i}, {i % 3})")
+        for j, day in enumerate(days):
+            db.sql(f"INSERT INTO b VALUES ({j}, {j % 8}, {day}, {10 * j})")
+        return db
+
+    @staticmethod
+    def observe(db: ObliDB, sql: str):
+        db.enclave.trace.clear()
+        result = db.sql(sql)
+        return result, (db.enclave.trace.digest(), result.cost, result.plan.cache_key)
+
+    @pytest.mark.parametrize("algorithm", list(JoinAlgorithm))
+    @pytest.mark.parametrize("tail", ["", " ORDER BY amount DESC LIMIT 3"])
+    def test_where_selectivity_is_invisible(
+        self, algorithm: JoinAlgorithm, tail: str, monkeypatch
+    ) -> None:
+        monkeypatch.setattr(
+            plan_compiler, "plan_join", functools.partial(plan_join, force=algorithm)
+        )
+        selectivities = {
+            0: [100 + j for j in range(16)],
+            8: [j if j % 2 else 100 + j for j in range(16)],
+            16: list(range(16)),
+        }
+        seen = []
+        for expected_rows, days in selectivities.items():
+            result, observed = self.observe(self.build(days), self.JOIN_SQL + tail)
+            join = result.plan.find(JoinNode)
+            assert join.algorithm is algorithm and join.filtered
+            assert result.plan.find(SelectNode) is None
+            assert len(result.rows) == (min(3, expected_rows) if tail else expected_rows)
+            seen.append(observed)
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("algorithm", list(JoinAlgorithm))
+    def test_select_list_of_equal_width_is_invisible(
+        self, algorithm: JoinAlgorithm, monkeypatch
+    ) -> None:
+        monkeypatch.setattr(
+            plan_compiler, "plan_join", functools.partial(plan_join, force=algorithm)
+        )
+        days = [j if j % 2 else 100 + j for j in range(16)]
+        digests = []
+        for columns in ("region, amount", "id, bid"):  # two INTs either way
+            sql = self.JOIN_SQL.replace("region, amount", columns)
+            _, (digest, cost, _) = self.observe(self.build(days), sql)
+            digests.append((digest, cost))
+        assert digests[0] == digests[1]

@@ -171,8 +171,8 @@ class TestJoinObliviousness:
             rng = random.Random(seed)
             left = FlatStorage(enclave, SCHEMA, 8)
             right = FlatStorage(enclave, SCHEMA, 16)
-            for i in range(8):
-                left.fast_insert((rng.randrange(50), i))
+            for i, key in enumerate(rng.sample(range(50), 8)):  # primary side
+                left.fast_insert((key, i))
             for i in range(16):
                 right.fast_insert((rng.randrange(50), i))
             enclave.trace.clear()
