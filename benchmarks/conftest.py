@@ -17,18 +17,63 @@ module and in EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import time
+from pathlib import Path
 from typing import Iterable
 
 from repro.enclave import Enclave
 from repro.storage import FlatStorage, Schema, StorageMethod, Table
 
 #: Smoke mode (``BENCH_SMOKE=1``): the ``test_perf_*`` modules shrink their
-#: workloads ~8x and skip updating the ``BENCH_*.json`` trajectory files.
-#: CI runs them this way on every push so the perf harnesses cannot silently
-#: rot; real measurements use the default full sizes.
+#: workloads ~8x.  CI runs them this way on every push so the perf harnesses
+#: cannot silently rot; real measurements use the default full sizes.
 BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+
+#: Record mode (``BENCH_RECORD=1``, full sizes only): the one switch under
+#: which the ``test_perf_*`` modules rewrite the tracked ``BENCH_*.json``
+#: files and assert wall-clock *ratios* (one timing against another, which
+#: only means something on a quiet host).  A default run records nothing,
+#: so it leaves the working tree clean, and asserts only deterministic
+#: modeled costs and absolute sanity ceilings.
+BENCH_RECORD = not BENCH_SMOKE and os.environ.get("BENCH_RECORD", "") not in ("", "0")
+
+#: Timing repetitions of :func:`best_of`.
+REPEATS = 1 if BENCH_SMOKE else 3
+
+_REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def best_of(fn, repeats: int = REPEATS) -> float:
+    """Minimum wall-clock seconds of ``repeats`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def record_bench(name: str, payload: dict, section: str | None = None) -> None:
+    """Write ``payload`` to ``BENCH_<name>.json`` at the repository root —
+    under ``BENCH_RECORD=1`` only.
+
+    With ``section`` the payload replaces that one key of the existing
+    file and the other keys stay (a module whose tests each record a part).
+    """
+    if not BENCH_RECORD:
+        return
+    path = _REPO_ROOT / f"BENCH_{name}.json"
+    if section is not None:
+        try:
+            existing = json.loads(path.read_text())
+        except (FileNotFoundError, json.JSONDecodeError):
+            existing = {}
+        payload = {**existing, section: payload}
+    payload = {**payload, "host_cores": os.cpu_count()}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def fresh_enclave(oblivious_memory_bytes: int = 1 << 26) -> Enclave:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 from conftest import fresh_enclave, load_flat, print_table
+from repro.engine import run_select_algorithm
 from repro.operators import (
     AggregateFunction,
     AggregateSpec,
@@ -22,7 +23,7 @@ from repro.operators import (
     group_by_aggregate,
     materialize_index_range,
 )
-from repro.planner import execute_select, plan_select
+from repro.planner import plan_select
 from repro.storage import IndexedStorage
 from repro.workloads import WIDE_SCHEMA, wide_rows
 
@@ -54,7 +55,14 @@ def run_sweep() -> dict[str, dict[float, float]]:
 
         snapshot = enclave.cost.snapshot()
         decision = plan_select(flat, predicate)
-        execute_select(flat, predicate, decision).free()
+        run_select_algorithm(
+            flat,
+            predicate,
+            decision.algorithm,
+            decision.stats.matching_rows,
+            buffer_rows=decision.buffer_rows,
+            compact_output=decision.compact_output,
+        ).free()
         results["flat_select"][fraction] = enclave.cost.delta_since(
             snapshot
         ).modeled_time_ms()

@@ -12,11 +12,10 @@ Hash by a healthy multiple.
 
 from __future__ import annotations
 
-import random
-
 from conftest import fresh_enclave, load_flat, print_table
+from repro.engine import run_select_algorithm
 from repro.operators import Comparison
-from repro.planner import SelectAlgorithm, execute_select, plan_select
+from repro.planner import SelectAlgorithm, plan_select
 from repro.workloads import WIDE_SCHEMA, shuffled, wide_rows
 
 ROWS = 2000
@@ -59,7 +58,14 @@ def run_grid() -> tuple[dict, dict]:
                 continue  # not applicable, as the paper's omitted bars
             forced = plan_select(table, predicate, force=algorithm)
             snapshot = enclave.cost.snapshot()
-            execute_select(table, predicate, forced, rng=random.Random(1)).free()
+            run_select_algorithm(
+                table,
+                predicate,
+                forced.algorithm,
+                forced.stats.matching_rows,
+                buffer_rows=forced.buffer_rows,
+                compact_output=forced.compact_output,
+            ).free()
             costs[name][algorithm.value] = enclave.cost.delta_since(
                 snapshot
             ).modeled_time_ms()

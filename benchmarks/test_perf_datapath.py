@@ -5,8 +5,8 @@ seal/open crypto, full oblivious scans, oblivious insert passes, and the
 bitonic sorting network — with the *real* ``AuthenticatedCipher`` and the
 paper's block size: rows encode to ~0.5 KB, matching the 512 B blocks the
 ObliDB evaluation (and our :class:`~repro.enclave.counters.CostWeights`)
-assume.  Results go to ``BENCH_datapath.json`` at the repository root so
-future PRs can track the performance trajectory.
+assume.  Under ``BENCH_RECORD=1`` results go to ``BENCH_datapath.json`` at
+the repository root so future PRs can track the performance trajectory.
 
 The module deliberately uses only APIs that exist in every version of the
 repo (``FlatStorage``, ``rows()``, ``bitonic_sort``, ``cipher.seal/open``),
@@ -18,18 +18,12 @@ batched data path.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 from repro.enclave import Enclave
 from repro.operators.sort import bitonic_sort
 from repro.storage import FlatStorage, Schema
 from repro.storage.schema import float_column, int_column, str_column
 
-from conftest import BENCH_SMOKE, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_datapath.json"
+from conftest import BENCH_SMOKE, REPEATS, best_of, print_table, record_bench
 
 #: ~0.5 KB per framed row (8 + 4*120 + 8 payload bytes + flag), the paper's
 #: block size regime.
@@ -43,11 +37,8 @@ SCHEMA = Schema(
         float_column("score"),
     ]
 )
-REPEATS = 1 if BENCH_SMOKE else 3
-
 # Workload sizes; BENCH_SMOKE=1 (the CI bench-smoke job) shrinks them ~8x
-# and skips the JSON update, so the harness stays exercised without
-# perturbing the recorded trajectory.
+# so the harness stays exercised on every push.
 CRYPTO_BLOCKS = 250 if BENCH_SMOKE else 2000
 SCAN_SIZES = (32, 128) if BENCH_SMOKE else (256, 1024, 4096)
 SORT_SIZES = (32, 128) if BENCH_SMOKE else (256, 1024)
@@ -74,15 +65,6 @@ def _populate(enclave: Enclave, n: int) -> FlatStorage:
     return table
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestDatapathMicrobench:
     def test_datapath_rows_per_second(self) -> None:
         results: dict[str, float] = {}
@@ -99,7 +81,7 @@ class TestDatapathMicrobench:
                 enclave.seal(framed, aad) for aad in aads
             ]
 
-        seal_s = _best_of(seal_pass)
+        seal_s = best_of(seal_pass)
         results["seal_blocks_per_s"] = n_blocks / seal_s
 
         sealed = self._sealed
@@ -108,7 +90,7 @@ class TestDatapathMicrobench:
             for block, aad in zip(sealed, aads):
                 enclave.open(block, aad)
 
-        open_s = _best_of(open_pass)
+        open_s = best_of(open_pass)
         results["open_blocks_per_s"] = n_blocks / open_s
         block_bytes = len(framed)
         table_rows.append([f"seal ({block_bytes} B blocks)", n_blocks, f"{results['seal_blocks_per_s']:,.0f}/s"])
@@ -118,14 +100,14 @@ class TestDatapathMicrobench:
         for n in SCAN_SIZES:
             enclave = _enclave()
             table = _populate(enclave, n)
-            scan_s = _best_of(table.rows)
+            scan_s = best_of(table.rows)
             results[f"scan_{n}_rows_per_s"] = n / scan_s
             table_rows.append([f"full scan n={n}", n, f"{n / scan_s:,.0f} rows/s"])
 
         # --- storage: one oblivious insert pass -----------------------
         enclave = _enclave()
         table = FlatStorage(enclave, SCHEMA, HEADLINE_N)
-        insert_s = _best_of(
+        insert_s = best_of(
             lambda: table.insert((1, "a", "b", "c", "d", 2.0))
         )
         results["oblivious_insert_1k_rows_per_s"] = HEADLINE_N / insert_s
@@ -145,7 +127,7 @@ class TestDatapathMicrobench:
                 table = _populate(enclave, n)
                 bitonic_sort(table, key=lambda row: (row[0],))
 
-            sort_s = _best_of(sort_once)
+            sort_s = best_of(sort_once)
             sort_times[n] = sort_s
             results[f"bitonic_sort_{n}_rows_per_s"] = n / sort_s
             table_rows.append([f"bitonic sort n={n}", n, f"{n / sort_s:,.0f} rows/s"])
@@ -157,7 +139,7 @@ class TestDatapathMicrobench:
             table.rows()
             bitonic_sort(table, key=lambda row: (row[0],))
 
-        headline_s = _best_of(scan_sort_1k)
+        headline_s = best_of(scan_sort_1k)
         results["scan_sort_1k_seconds"] = headline_s
         table_rows.append(
             [f"scan+sort n={HEADLINE_N} (headline)", HEADLINE_N, f"{headline_s:.3f} s"]
@@ -169,22 +151,15 @@ class TestDatapathMicrobench:
             table_rows,
         )
 
-        if BENCH_SMOKE:
-            assert headline_s < 2.0
-            return
-        RESULT_PATH.write_text(
-            json.dumps(
-                {
-                    "benchmark": "datapath",
-                    "cipher": "authenticated",
-                    "schema_row_bytes": SCHEMA.row_size,
-                    "repeats_best_of": REPEATS,
-                    "results": {k: round(v, 3) for k, v in results.items()},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+        record_bench(
+            "datapath",
+            {
+                "benchmark": "datapath",
+                "cipher": "authenticated",
+                "schema_row_bytes": SCHEMA.row_size,
+                "repeats_best_of": REPEATS,
+                "results": {k: round(v, 3) for k, v in results.items()},
+            },
         )
 
         # Sanity floor: the batched data path should comfortably clear the

@@ -8,36 +8,38 @@ Measures the two costs the unified physical-plan IR introduces or removes:
   materialization) is unchanged and dominated by block I/O; the new
   overhead is pure plan construction, measured here by timing
   ``compile_statement`` on selection/join statements against the full
-  composite query time.  Acceptance (asserted): the pure compile-and-
-  dispatch share of the 1k-row select/join composite is ≤ 5%.
+  composite query time.  Acceptance: the pure compile-and-dispatch
+  share of the 1k-row select/join composite is ≤ 5%.
 
 * **Result-cache speedup.**  With ``result_cache_entries`` enabled, a
-  repeated read-only query is answered from enclave memory.  Acceptance
-  (asserted): the cached repeated-query composite is ≥ 10× faster than
-  the same composite uncached.
+  repeated read-only query is answered from enclave memory.  Acceptance:
+  the cached repeated-query composite is ≥ 10× faster than the same
+  composite uncached.
 
-Results go to ``BENCH_engine.json``.  ``BENCH_SMOKE=1`` shrinks the
-workload ~8x and skips the JSON update (the CI bench-smoke job).
+Both acceptances compare one wall-clock timing with another, so they are
+asserted — and ``BENCH_engine.json`` is written — under ``BENCH_RECORD=1``
+only.  ``BENCH_SMOKE=1`` shrinks the workload ~8x (the CI bench-smoke job).
 """
 
 from __future__ import annotations
 
-import json
 import random
-import time
-from pathlib import Path
 
 from repro import ObliDB
 from repro.engine.sql import parse
 from repro.planner import compile_statement
 
-from conftest import BENCH_SMOKE, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
+from conftest import (
+    BENCH_RECORD,
+    BENCH_SMOKE,
+    REPEATS,
+    best_of,
+    print_table,
+    record_bench,
+)
 
 N = 128 if BENCH_SMOKE else 1024
 JOIN_RIGHT = 16 if BENCH_SMOKE else 64
-REPEATS = 1 if BENCH_SMOKE else 3
 CACHED_REPEATS = 4 if BENCH_SMOKE else 20
 
 COMPOSITE_QUERIES = [
@@ -77,15 +79,6 @@ def _build_db(result_cache_entries: int = 0) -> ObliDB:
     return db
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestEnginePipelineMicrobench:
     def test_compile_overhead_and_cached_composite(self) -> None:
         results: dict[str, float] = {}
@@ -98,7 +91,7 @@ class TestEnginePipelineMicrobench:
             for sql in COMPOSITE_QUERIES:
                 db.sql(sql)
 
-        composite_s = _best_of(run_composite)
+        composite_s = best_of(run_composite)
         results["composite_seconds"] = composite_s
         table_rows.append(
             [
@@ -129,7 +122,7 @@ class TestEnginePipelineMicrobench:
                     compiled = compile_statement(db._tables, statement)
                     compiled.free()
 
-        compile_batch_s = _best_of(run_compile_only)
+        compile_batch_s = best_of(run_compile_only)
         compile_per_statement = compile_batch_s / (
             compile_loops * len(metadata_statements)
         )
@@ -161,8 +154,8 @@ class TestEnginePipelineMicrobench:
                 for sql in COMPOSITE_QUERIES:
                     uncached_db.sql(sql)
 
-        cached_s = _best_of(run_cached)
-        uncached_s = _best_of(run_uncached)
+        cached_s = best_of(run_cached)
+        uncached_s = best_of(run_uncached)
         cached_speedup = uncached_s / cached_s
         results["cached_composite_seconds"] = cached_s
         results["uncached_composite_seconds"] = uncached_s
@@ -188,29 +181,23 @@ class TestEnginePipelineMicrobench:
             table_rows,
         )
 
-        if not BENCH_SMOKE:
-            RESULT_PATH.write_text(
-                json.dumps(
-                    {
-                        "benchmark": "engine_pipeline",
-                        "cipher": "authenticated",
-                        "rows": N,
-                        "join_right_rows": JOIN_RIGHT,
-                        "queries": len(COMPOSITE_QUERIES),
-                        "cached_repeats": CACHED_REPEATS,
-                        "repeats_best_of": REPEATS,
-                        "results": {
-                            k: round(v, 6) for k, v in results.items()
-                        },
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        record_bench(
+            "engine",
+            {
+                "benchmark": "engine_pipeline",
+                "cipher": "authenticated",
+                "rows": N,
+                "join_right_rows": JOIN_RIGHT,
+                "queries": len(COMPOSITE_QUERIES),
+                "cached_repeats": CACHED_REPEATS,
+                "repeats_best_of": REPEATS,
+                "results": {k: round(v, 6) for k, v in results.items()},
+            },
+        )
 
         # Acceptance: plan compilation + dispatch must stay in the noise
         # (≤ 5% of the composite), and the cache must repay repeated
         # read-only queries by ≥ 10×.
-        assert compile_share <= 0.05, f"compile share {compile_share:.3f} > 5%"
-        assert cached_speedup >= 10, f"cached speedup {cached_speedup:.1f}x < 10x"
+        if BENCH_RECORD:
+            assert compile_share <= 0.05, f"compile share {compile_share:.3f} > 5%"
+            assert cached_speedup >= 10, f"cached speedup {cached_speedup:.1f}x < 10x"

@@ -5,8 +5,9 @@ untrusted regions — the hash-join probe (R T2 / W output), the sort-merge
 union and merge scans (R source / W scratch, R scratch / W output), and
 ``FlatStorage.copy_to`` — with the *real* ``AuthenticatedCipher`` and the
 paper's ~0.5 KB record regime.  These are the paths PR 3 rides on the
-interleaved-exchange primitive.  Results go to ``BENCH_join.json`` at the
-repository root so future PRs can track the performance trajectory.
+interleaved-exchange primitive.  Under ``BENCH_RECORD=1`` results go to
+``BENCH_join.json`` at the repository root so future PRs can track the
+performance trajectory.
 
 The module deliberately uses only APIs that exist in every version of the
 repo (``FlatStorage``/``fast_insert``/``copy_to``, ``hash_join``,
@@ -20,18 +21,12 @@ commit (a7808bc, per-row loops throughout) on the same machine;
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 from repro.enclave import Enclave
 from repro.operators.join import hash_join, opaque_join
 from repro.storage import FlatStorage, Schema
 from repro.storage.schema import float_column, int_column, str_column
 
-from conftest import BENCH_SMOKE, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_join.json"
+from conftest import BENCH_SMOKE, REPEATS, best_of, print_table, record_bench
 
 #: ~0.5 KB per framed row on each side (the paper's block-size regime);
 #: joined rows and the tagged union scratch are ~1 KB.
@@ -55,10 +50,8 @@ T2_SCHEMA = Schema(
         float_column("amount"),
     ]
 )
-REPEATS = 1 if BENCH_SMOKE else 3
 
-# BENCH_SMOKE=1 (the CI bench-smoke job) shrinks the sides ~8x and skips
-# the JSON update.
+# BENCH_SMOKE=1 (the CI bench-smoke job) shrinks the sides ~8x.
 N = 128 if BENCH_SMOKE else 1024  # rows per side: the 1k×1k acceptance workload
 #: Sized so the hash build and one sort chunk fit: a single probe pass and a
 #: single quicksorted chunk, the configuration Figure 8's right edge uses.
@@ -110,15 +103,6 @@ def _join_tables(enclave: Enclave) -> tuple[FlatStorage, FlatStorage]:
     return t1, t2
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestJoinMicrobench:
     def test_join_datapath_rates(self) -> None:
         results: dict[str, float] = {}
@@ -131,7 +115,7 @@ class TestJoinMicrobench:
         def run_hash_join() -> None:
             hash_join(t1, t2, "id", "fk", OM_BYTES).free()
 
-        hash_s = _best_of(run_hash_join)
+        hash_s = best_of(run_hash_join)
         results["hash_join_1k_seconds"] = hash_s
         results["hash_join_probe_rows_per_s"] = N / hash_s
         table_rows.append(
@@ -142,7 +126,7 @@ class TestJoinMicrobench:
         def run_opaque_join() -> None:
             opaque_join(t1, t2, "id", "fk", OM_BYTES).free()
 
-        merge_s = _best_of(run_opaque_join)
+        merge_s = best_of(run_opaque_join)
         results["opaque_join_1k_seconds"] = merge_s
         results["opaque_join_rows_per_s"] = 2 * N / merge_s
         table_rows.append(
@@ -157,7 +141,7 @@ class TestJoinMicrobench:
         def run_copy_to() -> None:
             t1.copy_to(capacity=N).free()
 
-        copy_s = _best_of(run_copy_to)
+        copy_s = best_of(run_copy_to)
         results["copy_to_rows_per_s"] = N / copy_s
         table_rows.append(
             [f"copy_to n={N}", N, f"{N / copy_s:,.0f} rows/s"]
@@ -176,9 +160,6 @@ class TestJoinMicrobench:
             table_rows,
         )
 
-        if BENCH_SMOKE:
-            assert headline < 10.0
-            return
         payload: dict = {
             "benchmark": "join_datapath",
             "cipher": "authenticated",
@@ -200,7 +181,7 @@ class TestJoinMicrobench:
                 else:
                     speedup[key] = round(results[key] / seed_value, 2)
             payload["speedup"] = speedup
-        RESULT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        record_bench("join", payload)
 
         # Sanity floor only (CI machines vary); the JSON carries the
         # precise numbers and the seed-relative speedups.

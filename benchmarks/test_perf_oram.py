@@ -4,8 +4,8 @@ Measures the indexed storage method's hot paths with the *real*
 ``AuthenticatedCipher`` and the paper's ~0.5 KB record regime: raw Path and
 Ring ORAM access rates, oblivious B+ tree point lookups over both ORAMs
 (the acceptance workload), a leaf-level range scan, and the padded insert
-path.  Results go to ``BENCH_oram.json`` at the repository root so future
-PRs can track the performance trajectory.
+path.  Under ``BENCH_RECORD=1`` results go to ``BENCH_oram.json`` at the
+repository root so future PRs can track the performance trajectory.
 
 The module deliberately uses only APIs that exist in every version of the
 repo (``PathORAM``/``RingORAM`` read/write, ``ObliviousBPlusTree`` with an
@@ -19,19 +19,15 @@ Path-ORAM-backed tree plus one on a Ring-ORAM-backed tree.  The recorded
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 
 from repro.enclave import Enclave
 from repro.oram import PathORAM, RingORAM
 from repro.storage.btree import ObliviousBPlusTree
 from repro.storage.schema import Schema, float_column, int_column, str_column
 
-from conftest import BENCH_SMOKE, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_oram.json"
+from conftest import BENCH_SMOKE, REPEATS, best_of, print_table, record_bench
 
 #: ~0.5 KB per record (the paper's block-size regime); the tree's ORAM
 #: block size is this plus node/record framing.
@@ -45,10 +41,8 @@ SCHEMA = Schema(
         float_column("score"),
     ]
 )
-REPEATS = 1 if BENCH_SMOKE else 3
 
-# BENCH_SMOKE=1 (the CI bench-smoke job) shrinks the workload ~4-8x and
-# skips the JSON update.
+# BENCH_SMOKE=1 (the CI bench-smoke job) shrinks the workload ~4-8x.
 ORAM_BLOCKS = 64 if BENCH_SMOKE else 256
 PROBES = 40 if BENCH_SMOKE else 200
 TREE_CAPACITY = 32 if BENCH_SMOKE else 128
@@ -90,15 +84,6 @@ def _row(i: int) -> tuple:
         "y" * 100,
         float(i) * 0.5,
     )
-
-
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _build_tree(oram_factory=None) -> ObliviousBPlusTree:
@@ -143,7 +128,7 @@ class TestORAMMicrobench:
                 for block in blocks:
                     oram.read(block)
 
-            seconds = _best_of(read_pass)
+            seconds = best_of(read_pass)
             results[f"{label}_oram_reads_per_s"] = probes / seconds
             table_rows.append(
                 [f"{label} ORAM reads (512 B)", probes, f"{probes / seconds:,.0f}/s"]
@@ -182,8 +167,8 @@ class TestORAMMicrobench:
             for key in keys:
                 assert tree.search(key)
 
-        path_lookup_s = _best_of(lambda: lookups(path_tree))
-        ring_lookup_s = _best_of(lambda: lookups(ring_tree))
+        path_lookup_s = best_of(lambda: lookups(path_tree))
+        ring_lookup_s = best_of(lambda: lookups(ring_tree))
         results["path_point_lookups_per_s"] = LOOKUPS / path_lookup_s
         results["ring_point_lookups_per_s"] = LOOKUPS / ring_lookup_s
         headline = path_lookup_s + ring_lookup_s
@@ -199,7 +184,7 @@ class TestORAMMicrobench:
         )
 
         # --- B+ tree range scan ---------------------------------------
-        scan_s = _best_of(
+        scan_s = best_of(
             lambda: path_tree.range_scan(RANGE_LO, RANGE_LO + RANGE_SPAN - 1)
         )
         results["btree_range_scan_rows_per_s"] = RANGE_SPAN / scan_s
@@ -217,9 +202,6 @@ class TestORAMMicrobench:
             table_rows,
         )
 
-        if BENCH_SMOKE:
-            assert headline < 10.0
-            return
         payload: dict = {
             "benchmark": "oram_pipeline",
             "cipher": "authenticated",
@@ -239,7 +221,7 @@ class TestORAMMicrobench:
                 else:
                     speedup[key] = round(results[key] / seed_value, 2)
             payload["speedup"] = speedup
-        RESULT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        record_bench("oram", payload)
 
         # Sanity floor only (CI machines vary); the JSON carries the
         # precise numbers and the seed-relative speedups.

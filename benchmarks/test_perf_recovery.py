@@ -5,33 +5,29 @@ Measures what the durability work costs and what group commit buys:
 * **WAL ingest: per-record vs group commit.**  ``append`` seals and
   commits one record at a time (one ledger-head commit per statement);
   ``append_many`` seals the batch with one keystream pass, stores it as
-  one range write, and commits the head once.  Acceptance (asserted): the
-  group-committed ingest of the full batch beats the per-record loop.
+  one range write, and commits the head once.  Acceptance (asserted when
+  recording — it compares two wall-clock timings): the group-committed
+  ingest of the full batch beats the per-record loop.
 
 * **Crash recovery wall-clock.**  ``ObliDB.recover`` replays a log of
   one CREATE plus N fast inserts into a fresh database, then the
   fsck-style ``verify()`` sweep checks the result.
 
-Results go to ``BENCH_recovery.json``.  ``BENCH_SMOKE=1`` shrinks the
-workload ~8x and skips the JSON update (the CI bench-smoke job).
+Under ``BENCH_RECORD=1`` results go to ``BENCH_recovery.json``.
+``BENCH_SMOKE=1`` shrinks the workload ~8x (the CI bench-smoke job).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro import ObliDB
 from repro.enclave import Enclave
 from repro.engine import WriteAheadLog
 
-from conftest import BENCH_SMOKE, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_recovery.json"
+from conftest import BENCH_RECORD, BENCH_SMOKE, REPEATS, print_table, record_bench
 
 N = 128 if BENCH_SMOKE else 1024
-REPEATS = 1 if BENCH_SMOKE else 3
 
 INSERTS = [f"INSERT INTO t FAST VALUES ({i}, 'v{i}')" for i in range(N)]
 STATEMENTS = [
@@ -121,22 +117,18 @@ class TestRecoveryMicrobench:
             table_rows,
         )
 
-        if not BENCH_SMOKE:
-            RESULT_PATH.write_text(
-                json.dumps(
-                    {
-                        "benchmark": "recovery",
-                        "wal_cipher": "authenticated",
-                        "replay_cipher": "null",
-                        "rows": N,
-                        "repeats_best_of": REPEATS,
-                        "results": {k: round(v, 6) for k, v in results.items()},
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        record_bench(
+            "recovery",
+            {
+                "benchmark": "recovery",
+                "wal_cipher": "authenticated",
+                "replay_cipher": "null",
+                "rows": N,
+                "repeats_best_of": REPEATS,
+                "results": {k: round(v, 6) for k, v in results.items()},
+            },
+        )
 
         # Acceptance: group commit must beat the per-record append loop.
-        assert speedup > 1, f"group commit {speedup:.2f}x not faster"
+        if BENCH_RECORD:
+            assert speedup > 1, f"group commit {speedup:.2f}x not faster"

@@ -12,25 +12,22 @@ total workload executed as sequential loops.  Also recorded: the
 coalescing hit rate (fraction of admitted statements answered by joining
 an in-flight leader) at each client count.
 
-Acceptance (asserted, the ISSUE-8 bar): ≥ 2× sustained qps at 16
-concurrent clients over 16 sequential loops.
+Acceptance (the ISSUE-8 bar; asserted when recording — it compares two
+wall-clock rates): ≥ 2× sustained qps at 16 concurrent clients over 16
+sequential loops.
 
-Results go to ``BENCH_serving.json``.  ``BENCH_SMOKE=1`` shrinks the
-workload and skips the JSON update (the CI bench-smoke job).
+Under ``BENCH_RECORD=1`` results go to ``BENCH_serving.json``.
+``BENCH_SMOKE=1`` shrinks the workload (the CI bench-smoke job).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from pathlib import Path
 
 from repro import ObliDB, ObliDBServer
 
-from conftest import BENCH_SMOKE, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
+from conftest import BENCH_RECORD, BENCH_SMOKE, print_table, record_bench
 
 N = 64 if BENCH_SMOKE else 128
 ROUNDS = 3 if BENCH_SMOKE else 5
@@ -136,33 +133,23 @@ class TestServingThroughput:
             table_rows,
         )
 
-        if not BENCH_SMOKE:
-            RESULT_PATH.write_text(
-                json.dumps(
-                    {
-                        "benchmark": "serving_throughput",
-                        "cipher": "null",
-                        "rows": N,
-                        "rounds_per_client": ROUNDS,
-                        "query_pool": len(QUERY_POOL),
-                        "client_counts": list(CLIENT_COUNTS),
-                        "results": {
-                            k: round(v, 6) for k, v in results.items()
-                        },
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        record_bench(
+            "serving",
+            {
+                "benchmark": "serving_throughput",
+                "cipher": "null",
+                "rows": N,
+                "rounds_per_client": ROUNDS,
+                "query_pool": len(QUERY_POOL),
+                "client_counts": list(CLIENT_COUNTS),
+                "results": {k: round(v, 6) for k, v in results.items()},
+            },
+        )
 
         # Acceptance: coalescing must repay concurrency with a ≥ 2×
-        # sustained-qps win at 16 clients over sequential loops.  The
-        # smoke workload is too small to sustain steady-state coalescing
-        # on a loaded CI box, so it only enforces a direction (> 1.3×);
-        # the committed BENCH_serving.json comes from the full run.
-        floor = 1.3 if BENCH_SMOKE else 2.0
-        assert speedup >= floor, f"16-client speedup {speedup:.2f}x < {floor}x"
+        # sustained-qps win at 16 clients over sequential loops.
+        if BENCH_RECORD:
+            assert speedup >= 2.0, f"16-client speedup {speedup:.2f}x < 2.0x"
         # Sanity: more clients coalesce more.
         assert (
             results["coalescing_hit_rate_16_clients"]

@@ -1,15 +1,15 @@
 """Scaling benchmarks for the sharded parallel execution subsystem.
 
-Three composites, all writing into ``BENCH_shard.json`` at the repository
-root (full runs only; ``BENCH_SMOKE=1`` shrinks workloads and never
-touches the JSON):
+Three composites, each recording its own section of ``BENCH_shard.json``
+at the repository root under ``BENCH_RECORD=1`` (``BENCH_SMOKE=1`` shrinks
+workloads):
 
 * **composite** — partitions one table into W shard regions and runs the
   scan + shuffle + compact composite at W = 1, 2, 4(, 8) workers.
 * **transport_microbench** — round-trips 1k ~0.5 KB sealed blocks through
   a worker process over the legacy pickle pipe and over the shared-memory
-  block transport; the shm path must be ≥ 3× faster (asserted in full
-  runs — the tentpole acceptance of the transport).
+  block transport; the shm path must be ≥ 3× faster (asserted when
+  recording — the tentpole acceptance of the transport).
 * **sharded_join** — the shard-parallel hash join over a co-partitioned
   pair at W = 1, 2, 4 workers, on real worker processes.
 
@@ -26,16 +26,14 @@ Two kinds of numbers:
 * **wall-clock seconds** — recorded honestly for regression tracking,
   with the host core count alongside so a 1-core runner's flat
   wall-clock is not mistaken for a scaling failure.  The measured
-  sharded-join wall speedup is asserted ≥ 1.5× only when the host
-  actually has ≥ 2 cores.
+  sharded-join wall speedup is asserted ≥ 1.5× when recording on a host
+  that actually has ≥ 2 cores.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -52,9 +50,7 @@ from repro.shard import (
 from repro.storage import Schema
 from repro.storage.schema import float_column, int_column, str_column
 
-from conftest import BENCH_SMOKE, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_shard.json"
+from conftest import BENCH_RECORD, BENCH_SMOKE, print_table, record_bench
 
 ROOT_KEY = b"\x5c" * 32
 
@@ -83,27 +79,6 @@ WORKER_COUNTS = (1, 2, 4) if BENCH_SMOKE else (1, 2, 4, 8)
 JOIN_WORKERS = (1, 2, 4)
 TRANSPORT_BLOCKS = 256 if BENCH_SMOKE else 1024
 TRANSPORT_REPS = 3 if BENCH_SMOKE else 12
-
-
-def _update_results(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_shard.json (full runs only)."""
-    try:
-        results = json.loads(RESULT_PATH.read_text())
-        if results.get("benchmark") != "shard_subsystem":
-            results = {}
-    except (FileNotFoundError, json.JSONDecodeError):
-        results = {}
-    results.update(
-        {
-            "benchmark": "shard_subsystem",
-            "cipher": "authenticated",
-            "host_cores": os.cpu_count(),
-            "comparison_basis": "modeled time (critical path = serial part "
-            "+ slowest shard); wall seconds recorded honestly alongside",
-        }
-    )
-    results[section] = payload
-    RESULT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def _row(i: int) -> tuple:
@@ -201,18 +176,18 @@ class TestShardScaling:
             f"(host cores: {os.cpu_count()})"
         )
 
-        if not BENCH_SMOKE:
-            _update_results(
-                "composite",
-                {
-                    "rows": N,
-                    "schema_row_bytes": SCHEMA.row_size,
-                    "partitioner": "hash",
-                    "pool_backend": "inline",
-                    "results": {str(w): m for w, m in by_workers.items()},
-                    "headline_modeled_speedup_at_4_workers": headline,
-                },
-            )
+        record_bench(
+            "shard",
+            {
+                "rows": N,
+                "schema_row_bytes": SCHEMA.row_size,
+                "partitioner": "hash",
+                "pool_backend": "inline",
+                "results": {str(w): m for w, m in by_workers.items()},
+                "headline_modeled_speedup_at_4_workers": headline,
+            },
+            section="composite",
+        )
 
         # Acceptance: near-linear scaling — the 4-worker composite must be
         # at least 2.5x faster than sequential execution of the same work.
@@ -276,21 +251,22 @@ class TestShardTransport:
             ],
         )
 
-        if not BENCH_SMOKE:
-            _update_results(
-                "transport_microbench",
-                {
-                    "task": "echo_blocks",
-                    "blocks": TRANSPORT_BLOCKS,
-                    "payload_bytes": payload_bytes,
-                    "reps": TRANSPORT_REPS,
-                    "pipe_ms": round(best["pipe"] * 1e3, 3),
-                    "shm_ms": round(best["shm"] * 1e3, 3),
-                    "shm_speedup": round(speedup, 2),
-                },
-            )
-            # Tentpole acceptance: the shared-memory transport moves 1k
-            # half-KB sealed blocks at least 3x faster than pickle-over-pipe.
+        record_bench(
+            "shard",
+            {
+                "task": "echo_blocks",
+                "blocks": TRANSPORT_BLOCKS,
+                "payload_bytes": payload_bytes,
+                "reps": TRANSPORT_REPS,
+                "pipe_ms": round(best["pipe"] * 1e3, 3),
+                "shm_ms": round(best["shm"] * 1e3, 3),
+                "shm_speedup": round(speedup, 2),
+            },
+            section="transport_microbench",
+        )
+        # Tentpole acceptance: the shared-memory transport moves 1k
+        # half-KB sealed blocks at least 3x faster than pickle-over-pipe.
+        if BENCH_RECORD:
             assert speedup >= 3.0, f"shm transport speedup {speedup:.2f} < 3.0"
 
 
@@ -366,19 +342,19 @@ class TestShardedJoin:
             f"{wall_speedup:.2f}x (host cores: {cores})"
         )
 
-        if not BENCH_SMOKE:
-            _update_results(
-                "sharded_join",
-                {
-                    "t1_rows": N,
-                    "t2_rows": N // 2,
-                    "partitioner": "hash (join key)",
-                    "pool_backend": "process",
-                    "transport": by_workers[JOIN_WORKERS[-1]]["transport"],
-                    "results": {str(w): m for w, m in by_workers.items()},
-                    "measured_wall_speedup_at_max_workers": wall_speedup,
-                },
-            )
+        record_bench(
+            "shard",
+            {
+                "t1_rows": N,
+                "t2_rows": N // 2,
+                "partitioner": "hash (join key)",
+                "pool_backend": "process",
+                "transport": by_workers[JOIN_WORKERS[-1]]["transport"],
+                "results": {str(w): m for w, m in by_workers.items()},
+                "measured_wall_speedup_at_max_workers": wall_speedup,
+            },
+            section="sharded_join",
+        )
 
         headline = by_workers[4]["modeled_speedup"]
         assert headline >= 2.5, f"4-worker modeled join speedup {headline} < 2.5"
@@ -386,7 +362,7 @@ class TestShardedJoin:
         assert speedups == sorted(speedups)
         # Measured wall-clock only means something with real parallelism on
         # offer; a 1-core runner's flat wall-clock is expected, not a bug.
-        if cores >= 2 and not BENCH_SMOKE:
+        if cores >= 2 and BENCH_RECORD:
             assert wall_speedup >= 1.5, (
                 f"measured wall speedup {wall_speedup:.2f} < 1.5 "
                 f"on a {cores}-core host"

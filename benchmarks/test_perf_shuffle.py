@@ -4,26 +4,23 @@ Measures the two jobs ``repro.oblivious`` takes over from the oblivious
 sorters — destroying order (bucket shuffle vs sorting by a random key) and
 compacting real rows to the front (shift-network compaction vs a
 dummies-last bitonic sort) — with the *real* ``AuthenticatedCipher`` and
-the paper's ~0.5 KB record regime.  Results go to ``BENCH_shuffle.json`` at
-the repository root.
+the paper's ~0.5 KB record regime.  Under ``BENCH_RECORD=1`` results go to
+``BENCH_shuffle.json`` at the repository root.
 
 Unlike the PR 1-3 benchmarks there is no seed baseline: the subsystem is
 new, so the comparator is the *sort-based path it replaces*, measured in
 the same run on the same machine.  The headline acceptance is the
 ``vs_sort`` ratio: the shuffle-based compaction path must beat sort-based
-compaction on the 1k-row composite (asserted below, not just recorded).
+compaction on the 1k-row composite (asserted when recording, not just
+recorded: it compares two wall-clock timings).
 
-``BENCH_SMOKE=1`` shrinks the workload ~8x and skips the JSON update (the
-CI bench-smoke job).
+``BENCH_SMOKE=1`` shrinks the workload ~8x (the CI bench-smoke job).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
-import time
-from pathlib import Path
 
 from repro.enclave import Enclave
 from repro.oblivious import oblivious_compact, oblivious_shuffle
@@ -31,9 +28,14 @@ from repro.operators.sort import bitonic_sort
 from repro.storage import FlatStorage, Schema
 from repro.storage.schema import float_column, int_column, str_column
 
-from conftest import BENCH_SMOKE, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_shuffle.json"
+from conftest import (
+    BENCH_RECORD,
+    BENCH_SMOKE,
+    REPEATS,
+    best_of,
+    print_table,
+    record_bench,
+)
 
 #: ~0.5 KB per framed row (the paper's block-size regime).
 SCHEMA = Schema(
@@ -48,7 +50,6 @@ SCHEMA = Schema(
 )
 
 N = 128 if BENCH_SMOKE else 1024  # power of two: the sorters need it
-REPEATS = 1 if BENCH_SMOKE else 3
 #: Real rows in the compaction workload (the rest of the table is dummies,
 #: scattered — the shape a filter front leaves behind).
 REAL_ROWS = N // 2
@@ -102,15 +103,6 @@ def _random_sort_key(salt: int):
     return key
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestShuffleCompactionMicrobench:
     def test_shuffle_and_compaction_vs_sort(self) -> None:
         results: dict[str, float] = {}
@@ -123,7 +115,7 @@ class TestShuffleCompactionMicrobench:
         def run_shuffle() -> None:
             oblivious_shuffle(table, random.Random(3)).free()
 
-        shuffle_s = _best_of(run_shuffle)
+        shuffle_s = best_of(run_shuffle)
         results["shuffle_seconds"] = shuffle_s
         results["shuffle_rows_per_s"] = N / shuffle_s
         table_rows.append(
@@ -135,7 +127,7 @@ class TestShuffleCompactionMicrobench:
             scratch = _full_table(enclave)
             bitonic_sort(scratch, key=_random_sort_key(7))
 
-        sort_shuffle_s = _best_of(run_sort_shuffle)
+        sort_shuffle_s = best_of(run_sort_shuffle)
         results["sort_shuffle_seconds"] = sort_shuffle_s
         table_rows.append(
             [f"sort by random key n={N}", N, f"{sort_shuffle_s:.3f} s"]
@@ -147,7 +139,7 @@ class TestShuffleCompactionMicrobench:
             sparse = _sparse_table(enclave)
             oblivious_compact(sparse)
 
-        compact_s = _best_of(run_compact)
+        compact_s = best_of(run_compact)
         results["compact_seconds"] = compact_s
         results["compact_rows_per_s"] = N / compact_s
         table_rows.append(
@@ -165,7 +157,7 @@ class TestShuffleCompactionMicrobench:
             # key — the dummies-last lift does all the work.
             bitonic_sort(sparse, key=lambda row: ())
 
-        sort_compact_s = _best_of(run_sort_compact)
+        sort_compact_s = best_of(run_sort_compact)
         results["sort_compact_seconds"] = sort_compact_s
         table_rows.append(
             [f"sort-based compaction n={N}", N, f"{sort_compact_s:.3f} s"]
@@ -197,27 +189,23 @@ class TestShuffleCompactionMicrobench:
         )
         print(f"speedup vs sort-based paths: {vs_sort}")
 
-        if not BENCH_SMOKE:
-            RESULT_PATH.write_text(
-                json.dumps(
-                    {
-                        "benchmark": "shuffle_compaction",
-                        "cipher": "authenticated",
-                        "rows": N,
-                        "real_rows_in_compaction": REAL_ROWS,
-                        "schema_row_bytes": SCHEMA.row_size,
-                        "repeats_best_of": REPEATS,
-                        "results": {k: round(v, 3) for k, v in results.items()},
-                        "vs_sort": vs_sort,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        record_bench(
+            "shuffle",
+            {
+                "benchmark": "shuffle_compaction",
+                "cipher": "authenticated",
+                "rows": N,
+                "real_rows_in_compaction": REAL_ROWS,
+                "schema_row_bytes": SCHEMA.row_size,
+                "repeats_best_of": REPEATS,
+                "results": {k: round(v, 3) for k, v in results.items()},
+                "vs_sort": vs_sort,
+            },
+        )
 
         # Acceptance: the shuffle-based compaction path must beat the
         # sort-based path it replaces — this is the subsystem's reason to
         # exist, so it is asserted, not just recorded.
-        assert compact_s < sort_compact_s
-        assert shuffle_s < sort_shuffle_s
+        if BENCH_RECORD:
+            assert compact_s < sort_compact_s
+            assert shuffle_s < sort_shuffle_s

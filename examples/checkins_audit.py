@@ -82,7 +82,8 @@ def main() -> None:
         "SELECT * FROM checkins WHERE uid = 3172 AND date > '2018-01-01'"
     )
     print(f"ObliDB returns {len(result.rows)} check-ins for user 3172")
-    print("leaked plan:", [plan.describe() for plan in result.plans])
+    print("leaked plan:")
+    print(result.plan.describe())
 
     # Different user, different data — identical observable trace, as long
     # as the leakage (sizes + plan) matches.

@@ -18,6 +18,7 @@ Run:  python examples/padded_medical.py
 import random
 
 from repro import ObliDB, PaddingConfig
+from repro.planner import GroupByNode, SelectNode
 from repro.storage import Schema, int_column, str_column
 
 SCHEMA_SQL = (
@@ -42,7 +43,11 @@ def build(padding: PaddingConfig | None) -> ObliDB:
 
 
 def leaked_output_sizes(result) -> list[int]:
-    return [plan.sizes["output"] for plan in result.plans if "output" in plan.sizes]
+    return [
+        node.output_rows
+        for node in result.plan.root.walk()
+        if isinstance(node, (SelectNode, GroupByNode))
+    ]
 
 
 def main() -> None:

@@ -41,7 +41,8 @@ def main() -> None:
     # Point query: served by the oblivious B+ tree in O(log^2 N) accesses.
     result = db.sql("SELECT * FROM employees WHERE id = 4")
     print("\npoint query  ->", result.rows)
-    print("leaked plan  ->", [plan.describe() for plan in result.plans])
+    print("leaked plan  ->")
+    print(result.plan.describe())
 
     # Range query with a residual predicate on another column.
     result = db.sql(

@@ -60,8 +60,8 @@ def main() -> None:
             result = db.sql(sql)
             timings[label][name] = db.cost_delta(snapshot).modeled_time_ms()
             if label == "oblidb-flat":
-                print(f"{name}: {len(result.rows)} result rows; "
-                      f"plan = {[plan.describe() for plan in result.plans]}")
+                print(f"{name}: {len(result.rows)} result rows; plan =")
+                print(result.plan.describe())
 
     opaque = OpaqueSystem(oblivious_memory_bytes=1 << 21, cipher="null")
     opaque.create_table("rankings", RANKINGS_SCHEMA, ROWS)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import PlannerError
+from ..engine.executor import run_select_algorithm
 from ..operators.predicate import Comparison
 from ..planner.compile import CompactNode, QueryPlan, SelectNode
 from ..planner.plan import SelectAlgorithm
@@ -35,9 +36,8 @@ class SelectLeakage:
 
     ``compact_output`` records whether the plan routed the selection
     through the oblivious-compaction back end (a
-    :class:`~repro.planner.compile.CompactNode` wrap in the IR); ``None``
-    means "the planner path's convention", i.e. compacted exactly for the
-    Hash algorithm.
+    :class:`~repro.planner.compile.CompactNode` wrap in the IR, or
+    :attr:`SelectDecision.compact_output` for a hand-planned selection).
     """
 
     input_capacity: int
@@ -45,12 +45,7 @@ class SelectLeakage:
     algorithm: SelectAlgorithm
     buffer_rows: int
     row_size: int  # schema row width is public (schema S is given to SIM)
-    compact_output: bool | None = None
-
-    def compacts(self) -> bool:
-        if self.compact_output is not None:
-            return self.compact_output
-        return self.algorithm is SelectAlgorithm.HASH
+    compact_output: bool = False
 
     @classmethod
     def from_decision(cls, schema_row_size: int, decision: "SelectDecision") -> "SelectLeakage":
@@ -60,6 +55,7 @@ class SelectLeakage:
             algorithm=decision.algorithm,
             buffer_rows=decision.buffer_rows,
             row_size=schema_row_size,
+            compact_output=decision.compact_output,
         )
 
     @classmethod
@@ -98,10 +94,6 @@ def simulate_select(
     non-Continuous algorithms; Continuous needs contiguity, which is part of
     its leaked choice), forces the leaked algorithm, and records the trace.
     """
-    # Imported here: the engine imports the planner package at load time,
-    # and this module is re-exported through repro.analysis.
-    from ..engine.executor import run_select_algorithm
-
     enclave = Enclave(
         oblivious_memory_bytes=oblivious_memory_bytes,
         cipher="null",
@@ -126,7 +118,7 @@ def simulate_select(
         leakage.algorithm,
         leakage.output_size,
         buffer_rows=leakage.buffer_rows,
-        compact_output=leakage.compacts(),
+        compact_output=leakage.compact_output,
     )
     trace = canonicalize(enclave.trace.events, oram_regions_of(enclave))
     output.free()
@@ -143,13 +135,18 @@ def real_select_trace(
     Includes the statistics scan (re-run here so real and simulated traces
     cover the same operation window), matching :func:`simulate_select`.
     """
-    from ..planner.select_planner import execute_select
-
     enclave = table.enclave
     enclave.trace.clear()
     for index in range(table.capacity):
         table.read_row(index)
-    output = execute_select(table, predicate, decision)
+    output = run_select_algorithm(
+        table,
+        predicate,
+        decision.algorithm,
+        decision.stats.matching_rows,
+        buffer_rows=decision.buffer_rows,
+        compact_output=decision.compact_output,
+    )
     trace = canonicalize(enclave.trace.events, oram_regions_of(enclave))
     output.free()
     return trace

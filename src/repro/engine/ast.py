@@ -156,15 +156,13 @@ class QueryResult:
     ``rows`` are the real result rows (dummies stripped — the client is
     trusted; only untrusted memory sees padded structures).  ``plan`` is
     the compiled :class:`~repro.planner.compile.QueryPlan` — the query's
-    leaked value — and ``plans`` its flattened per-operator view (always
-    derived from ``plan``); ``cost`` the modeled block-access counters
-    consumed.
+    leaked value, and the only plan representation; ``cost`` the modeled
+    block-access counters consumed.
     """
 
     rows: list[tuple[Value, ...]] = field(default_factory=list)
     column_names: list[str] = field(default_factory=list)
     affected: int = 0
-    plans: list = field(default_factory=list)
     cost: dict[str, int] = field(default_factory=dict)
     plan: object | None = None  # QueryPlan (typed loosely: no engine→planner import cycle at runtime)
 

@@ -175,8 +175,10 @@ class ObliDB:
         )
         # ``shards=N`` opts into the parallel execution subsystem: a
         # deterministic worker pool (transparently fanning out every large
-        # seal/open batch), shard-aware planner cost inputs, and the
-        # partition_table / sharded_* surface below.
+        # seal/open batch) and the partition_table / sharded_* surface
+        # below.  SQL statements compile to the same QueryPlan either way:
+        # PlanRunner executes them sequentially, so nothing is priced at a
+        # parallel width.
         self.shard_pool: ShardPool | None = None
         if shards > 0:
             self.shard_pool = ShardPool(
@@ -196,7 +198,6 @@ class ObliDB:
             allow_continuous=allow_continuous,
             rng=self._rng,
             result_cache=self.result_cache,
-            shards=max(1, shards),
             sharded_tables=self._sharded,
         )
         # Optional write-ahead log (the Section 3 durability extension):
@@ -502,7 +503,7 @@ class ObliDB:
     def explain(self, text: str) -> QueryPlan:
         """The compiled :class:`QueryPlan` a statement would leak, without
         executing it.  ``plan.describe()`` renders the tree;
-        ``plan.physical_plans()`` flattens it to per-operator entries."""
+        ``plan.find(NodeType)`` / ``plan.root.walk()`` read its nodes."""
         statement = parse(text)
         if isinstance(statement, ExplainStatement):  # EXPLAIN EXPLAIN via API
             statement = statement.target
@@ -524,7 +525,6 @@ class ObliDB:
             rows=[(line,) for line in plan.describe().splitlines()],
             column_names=["plan"],
             affected=0,
-            plans=plan.physical_plans(),
             plan=plan,
         )
 

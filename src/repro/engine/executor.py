@@ -16,12 +16,13 @@ layers on top of it:
   with the sizes the node carries, free intermediates.  The compiled plan
   is the executed plan; the one thing the runner adds is a grouped
   aggregate's *observed* output size, recorded into the final plan attached
-  to the result, so ``QueryResult.plans`` is always derived from one
-  concrete :class:`QueryPlan`.
+  to the result as ``QueryResult.plan``.
 
 The module-level :func:`run_select_algorithm` / :func:`run_join_algorithm`
-are the enum → operator dispatch tables (no decisions; the legacy
-``execute_select`` / ``execute_join`` planner entry points delegate here).
+are the enum → operator dispatch tables (no decisions).  Code that plans
+one operator by hand — the simulator, the figure benchmarks — calls them
+with the fields of a :class:`~repro.planner.select_planner.SelectDecision`
+or :class:`~repro.planner.join_planner.JoinDecision`.
 """
 
 from __future__ import annotations
@@ -165,12 +166,8 @@ class PlanRunner:
     def __init__(
         self,
         padding: PaddingConfig | None = None,
-        allow_continuous: bool = True,
         rng: random.Random | None = None,
-        shards: int = 1,
     ) -> None:
-        # ``allow_continuous`` and ``shards`` steer compilation only; the
-        # runner plans nothing, so it has no use for them.
         self._padding = padding
         self._rng = rng if rng is not None else random.Random()
 
@@ -188,7 +185,6 @@ class PlanRunner:
         else:
             result = self._run_selection_shape(root, statement, compiled)
         result.plan = replace(compiled.plan, root=root)
-        result.plans = result.plan.physical_plans()
         return result
 
     # -- sources --------------------------------------------------------
@@ -422,7 +418,6 @@ class Executor:
         allow_continuous: bool = True,
         rng: random.Random | None = None,
         result_cache: PlanCache | None = None,
-        shards: int = 1,
         sharded_tables: dict | None = None,
     ) -> None:
         self._tables = tables
@@ -430,11 +425,7 @@ class Executor:
         self._padding = padding
         self._allow_continuous = allow_continuous
         self._cache = result_cache
-        self._shards = max(1, shards)
-        self._runner = PlanRunner(
-            padding=padding, allow_continuous=allow_continuous, rng=rng,
-            shards=self._shards,
-        )
+        self._runner = PlanRunner(padding=padding, rng=rng)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -463,7 +454,6 @@ class Executor:
             statement,
             padding=self._padding,
             allow_continuous=self._allow_continuous,
-            shards=self._shards,
         )
 
     # ------------------------------------------------------------------
@@ -557,7 +547,6 @@ class Executor:
         return QueryResult(
             affected=affected,
             cost=table.enclave.cost.delta_since(start).snapshot(),
-            plans=compiled.plan.physical_plans(),
             plan=compiled.plan,
         )
 

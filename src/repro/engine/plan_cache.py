@@ -88,12 +88,10 @@ class CachedResult:
 
         ``cost`` records the hit itself: no block accesses were consumed.
         """
-        plans = self.plan.physical_plans() if self.plan is not None else []
         return QueryResult(
             rows=list(self.rows),
             column_names=list(self.column_names),
             affected=self.affected,
-            plans=plans,
             cost={"cache_hits": 1},
             plan=self.plan,
         )

@@ -16,17 +16,11 @@ from .compile import (
     compile_statement,
     selection_output_capacity,
 )
-from .join_planner import (
-    JoinDecision,
-    estimate_join_costs,
-    execute_join,
-    plan_join,
-)
-from .plan import AccessMethod, JoinAlgorithm, PhysicalPlan, SelectAlgorithm
+from .join_planner import JoinDecision, estimate_join_costs, plan_join
+from .plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
 from .select_planner import (
     LARGE_SELECTIVITY_THRESHOLD,
     SelectDecision,
-    execute_select,
     plan_select,
 )
 from .stats import SelectionStats, scan_statistics
@@ -42,7 +36,6 @@ __all__ = [
     "JoinDecision",
     "JoinNode",
     "LARGE_SELECTIVITY_THRESHOLD",
-    "PhysicalPlan",
     "PlanNode",
     "QueryPlan",
     "ScanNode",
@@ -54,8 +47,6 @@ __all__ = [
     "WriteNode",
     "compile_statement",
     "estimate_join_costs",
-    "execute_join",
-    "execute_select",
     "plan_join",
     "plan_select",
     "scan_statistics",

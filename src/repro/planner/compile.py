@@ -15,10 +15,10 @@ hashable IR:
 
 * :class:`QueryPlan` — the whole query's plan tree plus statement-level
   public metadata, with a canonical serialization (:meth:`QueryPlan.
-  to_dict`), a stable digest (:attr:`QueryPlan.cache_key`), a rendered
-  tree (:meth:`QueryPlan.describe` — what ``EXPLAIN`` prints), and the
-  flattened per-operator :meth:`QueryPlan.physical_plans` compatibility
-  view consumed by ``QueryResult.plans``.
+  to_dict`), a stable digest (:attr:`QueryPlan.cache_key`) and a rendered
+  tree (:meth:`QueryPlan.describe` — what ``EXPLAIN`` prints).  It is the
+  only plan representation: ``QueryResult.plan`` carries it, and callers
+  read it with :meth:`QueryPlan.find` / ``root.walk()``.
 
 * :func:`compile_statement` — turns a logical :class:`~repro.engine.ast.
   Statement` into a :class:`CompiledQuery`: the plan, plus *bindings* from
@@ -52,7 +52,7 @@ from ..storage.flat import FlatStorage
 from ..storage.schema import Schema
 from ..storage.table import Table
 from .join_planner import JoinDecision, plan_join
-from .plan import AccessMethod, JoinAlgorithm, PhysicalPlan, SelectAlgorithm
+from .plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
 from .select_planner import SelectDecision, plan_select
 
 if TYPE_CHECKING:  # statement types only; engine imports planner at runtime
@@ -95,20 +95,11 @@ class PlanNode:
             "children": [child.to_dict() for child in self.children()],
         }
 
-    def physical_plan(self) -> PhysicalPlan | None:
-        """The per-operator :class:`PhysicalPlan` this node flattens to."""
-        return None
-
     def walk(self) -> Iterator["PlanNode"]:
         """Post-order traversal (children before the node itself)."""
         for child in self.children():
             yield from child.walk()
         yield self
-
-
-def _sizes(**pairs: int | None) -> dict[str, int]:
-    """Drop unknown (None) entries; PhysicalPlan sizes are always ints."""
-    return {key: value for key, value in pairs.items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -133,15 +124,6 @@ class ScanNode(PlanNode):
             "rows": self.rows,
         }
 
-    def physical_plan(self) -> PhysicalPlan | None:
-        if self.access_method is AccessMethod.INDEX_LINEAR:
-            return PhysicalPlan(
-                operator="index_linear_scan",
-                access_method=self.access_method,
-                sizes={"capacity": self.rows},
-            )
-        return None  # a plain flat scan was never a separate leaked entry
-
 
 @dataclass(frozen=True)
 class IndexLookupNode(PlanNode):
@@ -162,13 +144,6 @@ class IndexLookupNode(PlanNode):
             "access_method": AccessMethod.INDEX_RANGE.value,
             "segment_rows": self.segment_rows,
         }
-
-    def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(
-            operator="index_range",
-            access_method=AccessMethod.INDEX_RANGE,
-            sizes={"segment": self.segment_rows},
-        )
 
 
 @dataclass(frozen=True)
@@ -200,23 +175,6 @@ class SelectNode(PlanNode):
             "buffer_rows": self.buffer_rows,
             "padded": self.padded,
         }
-
-    def _access_method(self) -> AccessMethod:
-        if isinstance(self.source, ScanNode):
-            return self.source.access_method
-        return AccessMethod.INDEX_RANGE  # an IndexLookupNode segment
-
-    def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(
-            operator="select",
-            access_method=self._access_method(),
-            select_algorithm=self.algorithm,
-            sizes={
-                "input": self.input_rows,
-                "output": self.output_rows,
-                "buffer_rows": self.buffer_rows,
-            },
-        )
 
     def output_capacity(self) -> int:
         """Capacity of the output structure, a function of public sizes."""
@@ -253,9 +211,6 @@ class CompactNode(PlanNode):
     def public_fields(self) -> dict[str, object]:
         return {"bound": self.bound}
 
-    def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(operator="compact", sizes={"bound": self.bound})
-
 
 @dataclass(frozen=True)
 class JoinNode(PlanNode):
@@ -281,7 +236,6 @@ class JoinNode(PlanNode):
     oblivious_bytes: int
     filtered: bool
     columns: tuple[str, ...]
-    shards: int = 1
 
     kind = "join"
 
@@ -289,7 +243,7 @@ class JoinNode(PlanNode):
         return (self.left, self.right)
 
     def public_fields(self) -> dict[str, object]:
-        fields: dict[str, object] = {
+        return {
             "algorithm": self.algorithm.value,
             "on": f"{self.left_column}={self.right_column}",
             "t1": self.t1,
@@ -299,9 +253,6 @@ class JoinNode(PlanNode):
             "filtered": self.filtered,
             "columns": self.columns,
         }
-        if self.shards > 1:
-            fields["shards"] = self.shards
-        return fields
 
     @property
     def output_rows(self) -> int:
@@ -310,18 +261,6 @@ class JoinNode(PlanNode):
         if self.algorithm is JoinAlgorithm.HASH:
             return -(-self.t1 // self.oblivious_rows) * self.t2
         return padded_scratch(self.t1 + self.t2)
-
-    def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(
-            operator="join",
-            access_method=AccessMethod.FLAT_SCAN,
-            join_algorithm=self.algorithm,
-            sizes={
-                "t1": self.t1,
-                "t2": self.t2,
-                "oblivious_rows": self.oblivious_rows,
-            },
-        )
 
 
 @dataclass(frozen=True)
@@ -339,9 +278,6 @@ class AggregateNode(PlanNode):
 
     def public_fields(self) -> dict[str, object]:
         return {"labels": list(self.labels), "input_rows": self.input_rows}
-
-    def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(operator="aggregate", sizes={"input": self.input_rows})
 
 
 @dataclass(frozen=True)
@@ -368,12 +304,6 @@ class GroupByNode(PlanNode):
             "input_rows": self.input_rows,
             "output_rows": self.output_rows,
         }
-
-    def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(
-            operator="group_by",
-            sizes=_sizes(input=self.input_rows, output=self.output_rows),
-        )
 
 
 @dataclass(frozen=True)
@@ -405,12 +335,6 @@ class SortNode(PlanNode):
             "in_enclave": self.in_enclave,
         }
 
-    def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(
-            operator="order_by",
-            sizes={"rows": self.rows, "in_enclave": int(self.in_enclave)},
-        )
-
 
 @dataclass(frozen=True)
 class WriteNode(PlanNode):
@@ -427,9 +351,6 @@ class WriteNode(PlanNode):
 
     def public_fields(self) -> dict[str, object]:
         return {"operation": self.operation, "table": self.table, "rows": self.rows}
-
-    def physical_plan(self) -> PhysicalPlan | None:
-        return PhysicalPlan(operator=self.operation, sizes={"capacity": self.rows})
 
 
 # ----------------------------------------------------------------------
@@ -490,15 +411,6 @@ class QueryPlan:
 
         render(self.root, "", True)
         return "\n".join(lines)
-
-    def physical_plans(self) -> list[PhysicalPlan]:
-        """Flatten to the per-operator list ``QueryResult.plans`` carries."""
-        plans = []
-        for node in self.root.walk():
-            plan = node.physical_plan()
-            if plan is not None:
-                plans.append(plan)
-        return plans
 
     def find(self, node_type: type) -> PlanNode | None:
         """First node of ``node_type`` in post-order, or None."""
@@ -567,7 +479,6 @@ def compile_statement(
     *,
     padding: PaddingConfig | None = None,
     allow_continuous: bool = True,
-    shards: int = 1,
 ) -> CompiledQuery:
     """Compile one logical statement into a :class:`CompiledQuery`."""
     # Imported lazily: repro.engine imports repro.planner at module load,
@@ -579,7 +490,7 @@ def compile_statement(
         UpdateStatement,
     )
 
-    compiler = _Compiler(tables, padding, allow_continuous, shards)
+    compiler = _Compiler(tables, padding, allow_continuous)
     if isinstance(statement, SelectStatement):
         return compiler.compile_select(statement)
     if isinstance(statement, InsertStatement):
@@ -597,12 +508,10 @@ class _Compiler:
         tables: dict[str, Table],
         padding: PaddingConfig | None,
         allow_continuous: bool,
-        shards: int = 1,
     ) -> None:
         self._tables = tables
         self._padding = padding
         self._allow_continuous = allow_continuous
-        self._shards = max(1, shards)
 
     def _table(self, name: str) -> Table:
         try:
@@ -704,7 +613,8 @@ class _Compiler:
         and fixes the Hash algorithm at the padded size (raw chain table,
         no compaction).  Otherwise this runs the planner's statistics scan
         and cost model (:func:`~repro.planner.select_planner.plan_select`);
-        the planner path compacts Hash outputs, reified as a
+        an output the decision says to compact (:attr:`~repro.planner.
+        select_planner.SelectDecision.compact_output`) is reified as a
         :class:`CompactNode` wrap.
         """
         if statement.join is not None:
@@ -723,7 +633,6 @@ class _Compiler:
             storage,
             statement.where or TruePredicate(),
             allow_continuous=self._allow_continuous,
-            shards=self._shards,
         )
         node = SelectNode(
             source=source,
@@ -736,7 +645,7 @@ class _Compiler:
                 else 0
             ),
         )
-        if decision.algorithm is SelectAlgorithm.HASH:
+        if decision.compact_output:
             return CompactNode(source=node, bound=max(1, decision.stats.matching_rows))
         return node
 
@@ -819,9 +728,7 @@ class _Compiler:
         right = self._flat_view_node(right_table, compiled)
         left_storage = compiled.bindings[id(left)].storage
         right_storage = compiled.bindings[id(right)].storage
-        decision: JoinDecision = plan_join(
-            left_storage, right_storage, shards=self._shards
-        )
+        decision: JoinDecision = plan_join(left_storage, right_storage)
         # The columns the rest of the plan reads, off the query text alone:
         # select list, GROUP BY column, aggregate arguments, and the ORDER BY
         # column of a plain selection (a grouped ORDER BY names an output
@@ -850,11 +757,10 @@ class _Compiler:
             algorithm=decision.algorithm,
             t1=left_storage.capacity,
             t2=right_storage.capacity,
-            oblivious_rows=decision.plan.sizes["oblivious_rows"],
+            oblivious_rows=decision.oblivious_rows,
             oblivious_bytes=decision.oblivious_memory_bytes,
             filtered=statement.where is not None,
             columns=columns,
-            shards=self._shards,
         )
         # Tighten to the |T2| foreign-key bound via the oblivious
         # compaction network when a downstream ORDER BY will sort the

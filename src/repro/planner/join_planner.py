@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..storage.flat import FlatStorage
 from ..storage.rows import framed_size
-from .plan import AccessMethod, PhysicalPlan, JoinAlgorithm
+from .plan import JoinAlgorithm
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class JoinDecision:
 
     algorithm: JoinAlgorithm
     oblivious_memory_bytes: int
-    plan: PhysicalPlan
+    oblivious_rows: int
 
 
 def _log2_sq(x: float) -> float:
@@ -42,25 +42,14 @@ def _log2_sq(x: float) -> float:
 
 
 def estimate_join_costs(
-    n1: int, n2: int, oblivious_rows: int, shards: int = 1
+    n1: int, n2: int, oblivious_rows: int
 ) -> dict[JoinAlgorithm, float]:
-    """Modeled block-access cost of each join algorithm.
-
-    With ``shards > 1`` the hash join runs as W independent per-shard
-    joins over a co-partitioned pair (:func:`repro.shard.partition.
-    sharded_hash_join`), so its critical-path cost uses the per-shard
-    sizes ``ceil(N/W)`` and ``ceil(M/W)``; the sort-merge joins have no
-    sharded form and keep their sequential costs.  ``shards=1`` is
-    exactly the classic formula.
-    """
+    """Modeled block-access cost of each join algorithm."""
     union = max(2, n1 + n2)
     s = max(1, oblivious_rows)
-    w = max(1, shards)
-    n1_part = -(-n1 // w) if w > 1 else n1
-    n2_part = -(-n2 // w) if w > 1 else n2
-    chunks = math.ceil(max(1, n1_part) / s)
+    chunks = math.ceil(max(1, n1) / s)
     return {
-        JoinAlgorithm.HASH: n1_part + chunks * n2_part * 3.0,
+        JoinAlgorithm.HASH: n1 + chunks * n2 * 3.0,
         JoinAlgorithm.OPAQUE: union * _log2_sq(union / s) * 4.0 + 2 * union,
         JoinAlgorithm.ZERO_OM: union * _log2_sq(union) * 2.0 + 2 * union,
     }
@@ -70,14 +59,11 @@ def plan_join(
     table1: FlatStorage,
     table2: FlatStorage,
     force: JoinAlgorithm | None = None,
-    shards: int = 1,
 ) -> JoinDecision:
     """Choose a join algorithm from sizes and the oblivious-memory budget.
 
     Reads only the two tables' recorded sizes — no data access at all, so
     join planning leaks nothing beyond the final algorithm choice.
-    ``shards`` feeds the shard-aware hash cost (see
-    :func:`estimate_join_costs`); it never changes the answer at 1.
     """
     enclave = table1.enclave
     oblivious_bytes = enclave.oblivious.free_bytes
@@ -93,54 +79,14 @@ def plan_join(
     elif oblivious_rows < 2:
         algorithm = JoinAlgorithm.ZERO_OM
     else:
-        costs = estimate_join_costs(n1, n2, oblivious_rows, shards=shards)
+        costs = estimate_join_costs(n1, n2, oblivious_rows)
         # The 0-OM join exists for enclaves with no oblivious memory; with
         # any OM available the Opaque join dominates it (Section 7.2).
         algorithm = min(
             (JoinAlgorithm.HASH, JoinAlgorithm.OPAQUE), key=lambda a: costs[a]
         )
-
-    plan = PhysicalPlan(
-        operator="join",
-        access_method=AccessMethod.FLAT_SCAN,
-        join_algorithm=algorithm,
-        sizes={"t1": n1, "t2": n2, "oblivious_rows": oblivious_rows},
-    )
     return JoinDecision(
-        algorithm=algorithm, oblivious_memory_bytes=oblivious_bytes, plan=plan
-    )
-
-
-def execute_join(
-    table1: FlatStorage,
-    table2: FlatStorage,
-    column1: str,
-    column2: str,
-    decision: JoinDecision,
-    compact_output: bool = False,
-) -> FlatStorage:
-    """Run a :class:`JoinDecision` (compatibility entry point).
-
-    The planner is a pure cost model now; the engine compiles decisions
-    into :class:`~repro.planner.compile.JoinNode`s and dispatches them
-    through :func:`repro.engine.executor.run_join_algorithm`.  This
-    wrapper keeps the historical API for tests and benchmarks.
-
-    ``compact_output=True`` (the engine's query path when a downstream
-    ORDER BY will sort the output) tightens the sparse join output to the
-    public foreign-key bound |T2| through the oblivious compaction
-    network, so downstream scratches and result scans touch |T2| blocks
-    instead of the probe- or scratch-sized structure.
-    """
-    # Imported lazily: the engine imports this module at load time.
-    from ..engine.executor import run_join_algorithm
-
-    return run_join_algorithm(
-        table1,
-        table2,
-        column1,
-        column2,
-        decision.algorithm,
-        decision.oblivious_memory_bytes,
-        compact_output=compact_output,
+        algorithm=algorithm,
+        oblivious_memory_bytes=oblivious_bytes,
+        oblivious_rows=oblivious_rows,
     )

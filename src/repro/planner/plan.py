@@ -1,18 +1,15 @@
-"""Per-operator plan records and the planner's algorithm enums.
+"""The planner's algorithm enums.
 
 Under the security theorem (Appendix A) the simulator is given
 ``OPT(D, Q)``, the planner's operator choices, along with table sizes.
-The *query-level* representation of that leaked value is
+The one representation of that leaked value is
 :class:`~repro.planner.compile.QueryPlan` (a tree of typed nodes with a
-canonical serialization); a :class:`PhysicalPlan` is the flattened
-per-operator view derived from it — benchmarks print it, and
-``QueryResult.plans`` carries it for compatibility.  The enums here name
-the paper's algorithm choices and are shared by both layers.
+canonical serialization); the enums here name the paper's algorithm
+choices its nodes carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -41,31 +38,3 @@ class AccessMethod(Enum):
     INDEX_POINT = "index_point"
     INDEX_RANGE = "index_range"
     INDEX_LINEAR = "index_linear"  # flat-style scan over the raw ORAM
-
-
-@dataclass(frozen=True)
-class PhysicalPlan:
-    """One operator's leaked planning decision.
-
-    ``sizes`` carries the public cardinalities the decision was based on
-    (input capacity, output size, oblivious memory) — all values the threat
-    model already concedes to the adversary.
-    """
-
-    operator: str  # "select" | "join" | "aggregate" | "group_by" | ...
-    access_method: AccessMethod = AccessMethod.FLAT_SCAN
-    select_algorithm: SelectAlgorithm | None = None
-    join_algorithm: JoinAlgorithm | None = None
-    sizes: dict[str, int] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        """Human-readable one-liner for logs and benchmark output."""
-        parts = [self.operator, self.access_method.value]
-        if self.select_algorithm is not None:
-            parts.append(self.select_algorithm.value)
-        if self.join_algorithm is not None:
-            parts.append(self.join_algorithm.value)
-        if self.sizes:
-            sizes = ",".join(f"{key}={value}" for key, value in sorted(self.sizes.items()))
-            parts.append(f"[{sizes}]")
-        return " ".join(parts)

@@ -18,14 +18,13 @@ S = buffer rows in oblivious memory):
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from ..enclave.errors import PlannerError
 from ..operators.predicate import Predicate
 from ..storage.flat import FlatStorage
 from ..storage.rows import framed_size
-from .plan import AccessMethod, PhysicalPlan, SelectAlgorithm
+from .plan import SelectAlgorithm
 from .stats import SelectionStats, scan_statistics
 
 #: Output/input ratio above which the Large algorithm is preferred.
@@ -43,7 +42,14 @@ class SelectDecision:
     algorithm: SelectAlgorithm
     stats: SelectionStats
     buffer_rows: int
-    plan: PhysicalPlan
+
+    @property
+    def compact_output(self) -> bool:
+        """The planner path tightens a Hash selection's chain table to |R|
+        rows through the oblivious-compaction back end, so downstream
+        operators touch |R| blocks instead of 5·|R| (direct ``hash_select``
+        callers keep the paper's raw chain-table shape)."""
+        return self.algorithm is SelectAlgorithm.HASH
 
 
 def plan_select(
@@ -51,18 +57,13 @@ def plan_select(
     predicate: Predicate,
     allow_continuous: bool = True,
     force: SelectAlgorithm | None = None,
-    access_method: AccessMethod = AccessMethod.FLAT_SCAN,
-    shards: int = 1,
 ) -> SelectDecision:
     """Run the statistics pass and choose a SELECT algorithm.
 
     ``allow_continuous=False`` disables the Continuous algorithm (its choice
     leaks result adjacency; Section 7.1 disables it against Opaque).
-    ``force`` overrides the decision, as the paper allows users to do.
-    ``shards`` is the engine's parallel width: scan-shaped cost terms divide
-    across shards (the critical path is the slowest shard's slice), while
-    result-sized terms — buffered output writes — remain serial.  At the
-    default ``shards=1`` every expression reduces to the sequential model.
+    ``force`` overrides the decision, as the paper allows users to do —
+    except Continuous on non-adjacent matches, which cannot run.
     """
     stats = scan_statistics(table, predicate)
     enclave = table.enclave
@@ -70,31 +71,19 @@ def plan_select(
     free_rows = enclave.oblivious.free_bytes // row_bytes
     buffer_rows = max(1, int(free_rows * MAX_SMALL_BUFFER_FRACTION))
 
-    if force is not None:
-        algorithm = force
+    if force is None:
+        algorithm = _choose(stats, buffer_rows, allow_continuous)
+    elif force is SelectAlgorithm.CONTINUOUS and not stats.continuous:
+        raise PlannerError("Continuous algorithm forced on non-adjacent matches")
     else:
-        algorithm = _choose(stats, buffer_rows, allow_continuous, shards)
-
-    plan = PhysicalPlan(
-        operator="select",
-        access_method=access_method,
-        select_algorithm=algorithm,
-        sizes={
-            "input": stats.input_capacity,
-            "output": stats.matching_rows,
-            "buffer_rows": buffer_rows if algorithm is SelectAlgorithm.SMALL else 0,
-        },
-    )
-    return SelectDecision(
-        algorithm=algorithm, stats=stats, buffer_rows=buffer_rows, plan=plan
-    )
+        algorithm = force
+    return SelectDecision(algorithm=algorithm, stats=stats, buffer_rows=buffer_rows)
 
 
 def _choose(
     stats: SelectionStats,
     buffer_rows: int,
     allow_continuous: bool,
-    shards: int = 1,
 ) -> SelectAlgorithm:
     """Threshold-gated cost comparison (Section 5).
 
@@ -102,12 +91,6 @@ def _choose(
     of the table, Continuous only when matches are adjacent (and allowed) —
     and block-access cost expressions pick the cheapest applicable
     algorithm.  Hash and Small are always applicable.
-
-    With ``shards > 1`` the N-proportional scan terms are priced at the
-    per-shard slice ``ceil(N / shards)`` (shards scan concurrently; the
-    modeled cost is the critical path).  The Small algorithm's R-sized
-    output writes stay serial, which is what shifts the decision boundary:
-    sharding makes scan-heavy algorithms relatively cheaper.
     """
     n = stats.input_capacity
     r = stats.matching_rows
@@ -115,53 +98,13 @@ def _choose(
         # Empty output: every algorithm degenerates to one scan; Hash keeps
         # the pattern identical to the general case.
         return SelectAlgorithm.HASH
-    shards = max(1, shards)
-    slice_n = (n + shards - 1) // shards
     passes = (r + buffer_rows - 1) // buffer_rows
     costs: dict[SelectAlgorithm, int] = {
-        SelectAlgorithm.SMALL: slice_n * passes + r,
-        SelectAlgorithm.HASH: 21 * slice_n,
+        SelectAlgorithm.SMALL: n * passes + r,
+        SelectAlgorithm.HASH: 21 * n,
     }
     if stats.continuous and allow_continuous:
-        costs[SelectAlgorithm.CONTINUOUS] = 3 * slice_n
+        costs[SelectAlgorithm.CONTINUOUS] = 3 * n
     if stats.selectivity >= LARGE_SELECTIVITY_THRESHOLD:
-        costs[SelectAlgorithm.LARGE] = 4 * slice_n
+        costs[SelectAlgorithm.LARGE] = 4 * n
     return min(costs, key=lambda algorithm: costs[algorithm])
-
-
-def execute_select(
-    table: FlatStorage,
-    predicate: Predicate,
-    decision: SelectDecision,
-    rng: random.Random | None = None,
-) -> FlatStorage:
-    """Run a :class:`SelectDecision` (compatibility entry point).
-
-    The planner itself no longer executes anything; the engine compiles
-    decisions into :class:`~repro.planner.compile.SelectNode` trees and
-    dispatches them through :func:`repro.engine.executor.
-    run_select_algorithm`.  This wrapper keeps the historical
-    plan-then-execute API for the simulator, tests, and benchmarks,
-    preserving the planner path's behaviours: Continuous is rejected on
-    non-adjacent matches, and Hash outputs are tightened through the
-    oblivious-compaction back end (downstream operators then touch |R|
-    blocks instead of 5·|R|; direct ``hash_select`` callers keep the
-    paper's raw chain-table shape).
-    """
-    # Imported lazily: the engine imports this module at load time.
-    from ..engine.executor import run_select_algorithm
-
-    if (
-        decision.algorithm is SelectAlgorithm.CONTINUOUS
-        and not decision.stats.continuous
-    ):
-        raise PlannerError("Continuous algorithm forced on non-adjacent matches")
-    return run_select_algorithm(
-        table,
-        predicate,
-        decision.algorithm,
-        decision.stats.matching_rows,
-        buffer_rows=decision.buffer_rows,
-        rng=rng,
-        compact_output=decision.algorithm is SelectAlgorithm.HASH,
-    )

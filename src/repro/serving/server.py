@@ -532,7 +532,6 @@ def _copy_result(result: QueryResult) -> QueryResult:
         rows=list(result.rows),
         column_names=list(result.column_names),
         affected=result.affected,
-        plans=list(result.plans),
         cost=dict(result.cost),
         plan=result.plan,
     )

@@ -26,9 +26,10 @@ import random
 from dataclasses import dataclass
 
 from ..enclave.errors import StorageError
+from ..engine.executor import run_select_algorithm
 from ..operators.predicate import And, Comparison
 from ..operators.select import materialize_index_range
-from ..planner.select_planner import execute_select, plan_select
+from ..planner.select_planner import plan_select
 from ..storage.table import Table
 
 #: (point, small, large, insert, delete) percentages per workload.
@@ -73,7 +74,14 @@ def _range_read(table: Table, low: int, high: int) -> None:
         return
     flat = table.require_flat()
     decision = plan_select(flat, predicate)
-    output = execute_select(flat, predicate, decision)
+    output = run_select_algorithm(
+        flat,
+        predicate,
+        decision.algorithm,
+        decision.stats.matching_rows,
+        buffer_rows=decision.buffer_rows,
+        compact_output=decision.compact_output,
+    )
     output.free()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro import ObliDB
 from repro.enclave import QueryError, StorageError
+from repro.planner import IndexLookupNode
 
 
 @pytest.fixture
@@ -50,7 +51,7 @@ class TestSelects:
     def test_point_query_via_index(self, db: ObliDB) -> None:
         result = db.sql("SELECT * FROM emp WHERE id = 7")
         assert result.rows == [(7, "d3", 1070)]
-        assert any(p.operator == "index_range" for p in result.plans)
+        assert result.plan.find(IndexLookupNode) is not None
 
     def test_range_query_via_index(self, db: ObliDB) -> None:
         result = db.sql("SELECT * FROM emp WHERE id >= 5 AND id <= 8")
@@ -59,7 +60,7 @@ class TestSelects:
     def test_non_key_predicate_scans_flat(self, db: ObliDB) -> None:
         result = db.sql("SELECT * FROM emp WHERE dept = 'd1'")
         assert sorted(row[0] for row in result.rows) == [1, 5, 9, 13, 17]
-        assert all(p.operator != "index_range" for p in result.plans)
+        assert result.plan.find(IndexLookupNode) is None
 
     def test_projection(self, db: ObliDB) -> None:
         result = db.sql("SELECT salary, id FROM emp WHERE id = 3")

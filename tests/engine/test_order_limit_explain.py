@@ -7,6 +7,7 @@ import pytest
 from repro import ObliDB
 from repro.enclave import QueryError
 from repro.engine import parse
+from repro.planner import IndexLookupNode, JoinNode, SelectNode, SortNode, WriteNode
 
 
 @pytest.fixture
@@ -98,32 +99,24 @@ class TestOrderByExecution:
             db.sql(f"INSERT INTO big VALUES ({v})")
         result = db.sql("SELECT v FROM big ORDER BY v")
         assert [row[0] for row in result.rows] == sorted(values)
-        assert any(
-            p.operator == "order_by" and p.sizes.get("in_enclave") == 0
-            for p in result.plans
-        )
+        sort = result.plan.find(SortNode)
+        assert sort is not None and not sort.in_enclave
 
 
 class TestExplain:
     def test_explain_select_runs_no_operator(self, db: ObliDB) -> None:
         plan = db.explain("SELECT * FROM t WHERE v = 10")
-        plans = plan.physical_plans()
-        select_plans = [p for p in plans if p.operator == "select"]
-        assert len(select_plans) == 1
-        assert select_plans[0].select_algorithm is not None
-        assert select_plans[0].sizes["output"] == 1
+        selects = [n for n in plan.root.walk() if isinstance(n, SelectNode)]
+        assert len(selects) == 1
+        assert selects[0].algorithm is not None
+        assert selects[0].output_rows == 1
 
     def test_explain_matches_execution_plan(self, db: ObliDB) -> None:
         sql = "SELECT * FROM t WHERE v < 40"
-        explained = db.explain(sql).physical_plans()
-        executed = db.sql(sql).plans
-        explained_algorithms = [
-            p.select_algorithm for p in explained if p.operator == "select"
-        ]
-        executed_algorithms = [
-            p.select_algorithm for p in executed if p.operator == "select"
-        ]
-        assert explained_algorithms == executed_algorithms
+        explained = db.explain(sql).find(SelectNode)
+        executed = db.sql(sql).plan.find(SelectNode)
+        assert explained is not None
+        assert explained.algorithm is executed.algorithm
 
     def test_explain_matches_execution_cache_key(self, db: ObliDB) -> None:
         """The compiled plan is the leaked value: explaining and running
@@ -142,15 +135,15 @@ class TestExplain:
 
     def test_explain_index_point_query(self, db: ObliDB) -> None:
         plan = db.explain("SELECT * FROM t WHERE k = 3")
-        assert any(p.operator == "index_range" for p in plan.physical_plans())
+        assert plan.find(IndexLookupNode) is not None
 
     def test_explain_join(self, db: ObliDB) -> None:
         db.sql("CREATE TABLE u (k INT) CAPACITY 8")
         db.sql("INSERT INTO u VALUES (1)")
-        plans = db.explain("SELECT * FROM t JOIN u ON t.k = u.k").physical_plans()
-        assert any(p.operator == "join" and p.join_algorithm is not None for p in plans)
+        join = db.explain("SELECT * FROM t JOIN u ON t.k = u.k").find(JoinNode)
+        assert join is not None and join.algorithm is not None
         filtered = db.explain("SELECT * FROM t JOIN u ON t.k = u.k WHERE v > 3")
-        assert not any(p.operator == "select" for p in filtered.physical_plans())
+        assert filtered.find(SelectNode) is None
 
     def test_explain_writes(self, db: ObliDB) -> None:
         for sql, operator in [
@@ -160,7 +153,8 @@ class TestExplain:
         ]:
             plan = db.explain(sql)
             assert plan.statement_kind == operator
-            assert plan.physical_plans()[0].operator == operator
+            assert isinstance(plan.root, WriteNode)
+            assert plan.root.operation == operator
 
     def test_explain_does_not_modify(self, db: ObliDB) -> None:
         before = db.sql("SELECT COUNT(*) FROM t").scalar()

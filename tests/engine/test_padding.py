@@ -6,6 +6,7 @@ import pytest
 
 from repro import ObliDB, PaddingConfig
 from repro.enclave import QueryError
+from repro.planner import GroupByNode, IndexLookupNode, SelectAlgorithm, SelectNode
 
 
 @pytest.fixture
@@ -42,26 +43,22 @@ class TestPaddedExecution:
 
     def test_select_always_hash_algorithm(self, padded_db: ObliDB) -> None:
         result = padded_db.sql("SELECT * FROM t WHERE id < 5")
-        select_plans = [p for p in result.plans if p.operator == "select"]
-        assert select_plans and all(
-            p.select_algorithm is not None
-            and p.select_algorithm.value == "hash"
-            for p in select_plans
+        selects = [n for n in result.plan.root.walk() if isinstance(n, SelectNode)]
+        assert selects and all(
+            n.algorithm is SelectAlgorithm.HASH and n.padded for n in selects
         )
 
     def test_output_size_is_padded_constant(self, padded_db: ObliDB) -> None:
         """Different selectivities leak the same padded output size."""
         small = padded_db.sql("SELECT * FROM t WHERE id < 2")
         large = padded_db.sql("SELECT * FROM t WHERE id < 15")
-        small_sizes = [p.sizes.get("output") for p in small.plans if p.operator == "select"]
-        large_sizes = [p.sizes.get("output") for p in large.plans if p.operator == "select"]
-        assert small_sizes == large_sizes == [30]
+        assert small.plan.find(SelectNode).output_rows == 30
+        assert large.plan.find(SelectNode).output_rows == 30
 
     def test_group_output_padded(self, padded_db: ObliDB) -> None:
         result = padded_db.sql("SELECT g, COUNT(*) FROM t GROUP BY g")
         assert sorted(result.rows) == [(0, 7.0), (1, 7.0), (2, 6.0)]
-        group_plans = [p for p in result.plans if p.operator == "group_by"]
-        assert group_plans[0].sizes["output"] == 16
+        assert result.plan.find(GroupByNode).output_rows == 16
 
     def test_overflow_rejected(self) -> None:
         db = ObliDB(
@@ -85,7 +82,7 @@ class TestPaddedExecution:
             db.sql(f"INSERT INTO t VALUES ({i})")
         result = db.sql("SELECT * FROM t WHERE id = 4")
         assert result.rows == [(4,)]
-        assert all(p.operator != "index_range" for p in result.plans)
+        assert result.plan.find(IndexLookupNode) is None
 
     def test_padded_slowdown_is_bounded(self, padded_db: ObliDB) -> None:
         """Padding costs more than the planned path but not absurdly more

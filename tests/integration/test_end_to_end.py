@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import ObliDB, StorageMethod
+from repro.planner import IndexLookupNode
 from repro.storage import Schema, int_column
 from repro.workloads import (
     Q1_SQL,
@@ -47,7 +48,7 @@ class TestBDBEndToEnd:
         )
         assert sorted(result.rows) == expected
         # The selective query must have used the index.
-        assert any(p.operator == "index_range" for p in result.plans)
+        assert result.plan.find(IndexLookupNode) is not None
 
     def test_q2_grouped_aggregation(self, db: ObliDB) -> None:
         result = db.sql(Q2_SQL)

@@ -5,12 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.enclave import Enclave
-from repro.planner import (
-    JoinAlgorithm,
-    estimate_join_costs,
-    execute_join,
-    plan_join,
-)
+from repro.engine import run_join_algorithm
+from repro.planner import JoinAlgorithm, estimate_join_costs, plan_join
 from repro.storage import FlatStorage, Schema, int_column
 
 
@@ -73,7 +69,9 @@ class TestPlanJoin:
         left = load(fast_enclave, 8, 6, 6)
         right = load(fast_enclave, 16, 12, 6)
         decision = plan_join(left, right, force=force)
-        out = execute_join(left, right, "k", "k", decision)
+        out = run_join_algorithm(
+            left, right, "k", "k", decision.algorithm, decision.oblivious_memory_bytes
+        )
         # Every right row matches exactly one left row.
         assert len(out.rows()) == 12
         out.free()

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.enclave import Enclave, PlannerError
+from repro.engine import run_select_algorithm
 from repro.operators import Comparison, Or
-from repro.planner import SelectAlgorithm, execute_select, plan_select
+from repro.planner import SelectAlgorithm, SelectDecision, plan_select
 from repro.storage import FlatStorage, Schema
 from repro.workloads import shuffled, wide_rows
 
@@ -16,6 +17,17 @@ def load(enclave: Enclave, schema: Schema, rows: list) -> FlatStorage:
     for row in rows:
         table.fast_insert(row)
     return table
+
+
+def run_decision(table: FlatStorage, predicate, decision: SelectDecision) -> FlatStorage:
+    return run_select_algorithm(
+        table,
+        predicate,
+        decision.algorithm,
+        decision.stats.matching_rows,
+        buffer_rows=decision.buffer_rows,
+        compact_output=decision.compact_output,
+    )
 
 
 @pytest.fixture
@@ -85,8 +97,8 @@ class TestAlgorithmChoice:
 
     def test_plan_records_leaked_sizes(self, ordered_table: FlatStorage) -> None:
         decision = plan_select(ordered_table, Comparison("id", "<", 10))
-        assert decision.plan.sizes["input"] == 200
-        assert decision.plan.sizes["output"] == 10
+        assert decision.stats.input_capacity == 200
+        assert decision.stats.matching_rows == 10
 
 
 class TestExecuteSelect:
@@ -105,7 +117,7 @@ class TestExecuteSelect:
     ) -> None:
         predicate = Comparison("id", "<", 12)
         decision = plan_select(ordered_table, predicate, force=force)
-        output = execute_select(ordered_table, predicate, decision)
+        output = run_decision(ordered_table, predicate, decision)
         assert sorted(row[0] for row in output.rows()) == list(range(12))
         output.free()
 
@@ -113,11 +125,8 @@ class TestExecuteSelect:
         self, shuffled_table: FlatStorage
     ) -> None:
         predicate = Or(Comparison("id", "=", 0), Comparison("id", "=", 150))
-        decision = plan_select(
-            shuffled_table, predicate, force=SelectAlgorithm.CONTINUOUS
-        )
         with pytest.raises(PlannerError):
-            execute_select(shuffled_table, predicate, decision)
+            plan_select(shuffled_table, predicate, force=SelectAlgorithm.CONTINUOUS)
 
     def test_planner_beats_hash_on_planned_queries(
         self, ordered_table: FlatStorage, fast_enclave: Enclave
@@ -127,11 +136,11 @@ class TestExecuteSelect:
         predicate = Comparison("id", ">=", 10)  # 95% selectivity
         decision = plan_select(ordered_table, predicate)
         before = fast_enclave.cost.block_ios
-        execute_select(ordered_table, predicate, decision)
+        run_decision(ordered_table, predicate, decision)
         planned_cost = fast_enclave.cost.block_ios - before
 
         forced = plan_select(ordered_table, predicate, force=SelectAlgorithm.HASH)
         before = fast_enclave.cost.block_ios
-        execute_select(ordered_table, predicate, forced)
+        run_decision(ordered_table, predicate, forced)
         hash_cost = fast_enclave.cost.block_ios - before
         assert planned_cost * 2 < hash_cost

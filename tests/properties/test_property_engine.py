@@ -9,7 +9,8 @@ from repro import ObliDB
 from repro.analysis import assert_indistinguishable, canonicalize, oram_regions_of
 from repro.enclave import Enclave
 from repro.operators import Comparison
-from repro.planner import plan_select, execute_select
+from repro.engine import run_select_algorithm
+from repro.planner import plan_select
 from repro.storage import FlatStorage, Schema, int_column
 
 
@@ -90,7 +91,14 @@ def test_planned_select_trace_depends_only_on_leakage(data, capacity, matches) -
         decision = plan_select(table, predicate, allow_continuous=False)
         algorithms.append(decision.algorithm)
         enclave.trace.clear()
-        out = execute_select(table, predicate, decision)
+        out = run_select_algorithm(
+            table,
+            predicate,
+            decision.algorithm,
+            decision.stats.matching_rows,
+            buffer_rows=decision.buffer_rows,
+            compact_output=decision.compact_output,
+        )
         traces.append(canonicalize(enclave.trace.events, oram_regions_of(enclave)))
         out.free()
     if algorithms[0] == algorithms[1]:

@@ -107,10 +107,6 @@ class TestPlanCacheThreadSafety:
             cache_key = "k"
             tables = ("t",)
 
-            @staticmethod
-            def physical_plans():
-                return []
-
         plan = _FakePlan()
         epochs = (("t", (1, 0)),)
 

@@ -4,8 +4,8 @@ The correctness contract: partitioning both sides on the join key with
 the same partitioner makes the logical join exactly the union of the
 per-shard joins, and the composed trace is bit-identical to running the
 same per-shard ``hash_join`` calls sequentially.  The planner contract:
-``shards`` scales the hash join's critical-path cost by the per-shard
-input sizes and never changes anything at ``shards=1``.
+an attached shard pool changes no compiled plan — ``PlanRunner`` executes
+SQL statements sequentially, and the planner prices what runs.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from repro import ObliDB
 from repro.enclave.enclave import Enclave
 from repro.enclave.errors import QueryError, StorageError
 from repro.operators.join import hash_join, joined_schema
-from repro.planner.join_planner import estimate_join_costs
-from repro.planner.plan import JoinAlgorithm
+from repro.planner import JoinAlgorithm, JoinNode
 from repro.shard import ShardedTable, ShardSpec, partition_pair, sharded_hash_join
 from repro.storage.flat import FlatStorage
 from repro.storage.schema import Schema, int_column, str_column
@@ -218,29 +217,31 @@ def test_partition_validates_before_logging():
 # ----------------------------------------------------------------------
 # Planner integration
 # ----------------------------------------------------------------------
-def test_shard_cost_identity_at_one():
-    base = estimate_join_costs(1000, 500, 64)
-    assert estimate_join_costs(1000, 500, 64, shards=1) == base
+def test_shard_pool_changes_no_compiled_plan():
+    """``ObliDB(shards=N)`` attaches a pool; SQL statements still run
+    sequentially, so each compiles to the plan ``ObliDB()`` compiles — the
+    plan, not the trace: a pool may group a pass's accesses by shard."""
+    statements = (
+        "SELECT * FROM l WHERE a = 'l3'",  # flat select
+        "SELECT * FROM l WHERE k >= 10 AND k <= 40",  # indexed range select
+        "SELECT a, COUNT(*) FROM l GROUP BY a",
+        "SELECT a, b FROM l JOIN r ON l.k = r.k WHERE b < 'r5'",
+    )
 
-
-def test_shard_cost_scales_hash_only():
-    base = estimate_join_costs(1000, 500, 64)
-    quad = estimate_join_costs(1000, 500, 64, shards=4)
-    assert quad[JoinAlgorithm.HASH] < base[JoinAlgorithm.HASH]
-    # Per-shard sizes 250/125: 250 + ceil(250/64)*125*3
-    assert quad[JoinAlgorithm.HASH] == 250 + 4 * 125 * 3.0
-    assert quad[JoinAlgorithm.OPAQUE] == base[JoinAlgorithm.OPAQUE]
-    assert quad[JoinAlgorithm.ZERO_OM] == base[JoinAlgorithm.ZERO_OM]
-
-
-def test_join_node_exposes_shards_when_parallel():
-    def join_plan(shards):
-        db = ObliDB(shards=shards, shard_backend="inline")
-        db.sql("CREATE TABLE l (k INT, a STR(12)) CAPACITY 64 METHOD flat")
-        db.sql("CREATE TABLE r (k INT, b STR(12)) CAPACITY 64 METHOD flat")
-        plan = db.explain("SELECT * FROM l JOIN r ON l.k = r.k")
+    def run(**shard_options):
+        db = ObliDB(seed=11, **shard_options)
+        db.sql("CREATE TABLE l (k INT, a STR(12)) CAPACITY 64 METHOD both KEY k")
+        db.sql("CREATE TABLE r (k INT, b STR(12)) CAPACITY 256 METHOD flat")
+        db.insert_many("l", [(i, f"l{i % 5}") for i in range(60)])
+        db.insert_many("r", [(i % 60, f"r{i}") for i in range(200)])
+        results = [db.sql(sql) for sql in statements]
         db.close()
-        return plan.describe()
+        return results
 
-    assert "shards=2" in join_plan(2)
-    assert "shards" not in join_plan(0)
+    plain = run()
+    assert plain[3].plan.find(JoinNode).algorithm is JoinAlgorithm.HASH
+    for sql, base, sharded in zip(
+        statements, plain, run(shards=4, shard_backend="inline")
+    ):
+        assert sharded.rows == base.rows, sql
+        assert sharded.plan.cache_key == base.plan.cache_key, sql

@@ -200,69 +200,3 @@ class TestStepOperations:
             ledger.stage_steps([("a", 0), ("b", 0), ("a", 0)])
         with pytest.raises(ObliDBError):
             ledger.stage_at("a", [0, 0])
-
-
-class TestCompatibilityShim:
-    """``repro.storage.integrity`` is a deprecated re-export of
-    ``repro.enclave.integrity``; the shim must keep working until every
-    importer has moved."""
-
-    def test_reexport_is_the_enclave_class(self) -> None:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.enclave.integrity as canonical
-            import repro.storage.integrity as shim
-
-        assert shim.RevisionLedger is canonical.RevisionLedger
-        assert shim.__all__ == ["RevisionLedger"]
-        assert "DEPRECATED" in (shim.__doc__ or "")
-
-    def test_deprecation_warning_emitted_exactly_once(self) -> None:
-        """The shim warns when its module code executes — once per process,
-        since Python caches the module; repeated imports stay silent."""
-        import importlib
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.storage.integrity as shim
-
-        # Re-executing the module (what the first import of a process does)
-        # emits exactly one DeprecationWarning naming the replacement.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(shim)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.enclave.integrity" in str(deprecations[0].message)
-
-        # A subsequent import hits the module cache: no re-execution, no
-        # second warning.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.storage.integrity  # noqa: F401,F811
-
-        assert not caught
-
-    def test_library_modules_do_not_import_the_shim(self) -> None:
-        """In-tree code must import the canonical module: importing the
-        public packages fresh emits no deprecation chatter."""
-        import subprocess
-        import sys
-
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-W",
-                "error::DeprecationWarning",
-                "-c",
-                "import repro, repro.storage, repro.operators, repro.oblivious",
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
