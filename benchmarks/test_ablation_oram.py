@@ -85,8 +85,7 @@ def test_ablation_lazy_write_back(benchmark) -> None:
         index = IndexedStorage(
             enclave, KV_SCHEMA, "key", 300, rng=random.Random(2)
         )
-        for row in kv_rows(200):
-            index.insert(row)
+        index.load(kv_rows(200))
         # Measure actual padded accesses per insert at fixed height.
         height = index.tree.height
         before = enclave.cost.oram_accesses
@@ -128,8 +127,7 @@ def test_ablation_index_linear_scan(benchmark) -> None:
         flat_ms = enclave.cost.delta_since(snapshot).modeled_time_ms()
 
         index = IndexedStorage(enclave, KV_SCHEMA, "key", n, rng=random.Random(4))
-        for row in kv_rows(n):
-            index.insert(row)
+        index.load(kv_rows(n))
         snapshot = enclave.cost.snapshot()
         list(index.linear_scan())
         index_ms = enclave.cost.delta_since(snapshot).modeled_time_ms()

@@ -36,8 +36,7 @@ def build() -> tuple:
     rows = wide_rows(ROWS)
     flat = load_flat(enclave, WIDE_SCHEMA, rows, capacity=ROWS + 16)
     index = IndexedStorage(enclave, WIDE_SCHEMA, "id", ROWS + 128, rng=random.Random(3))
-    for row in rows:
-        index.insert(row)
+    index.load(rows)
     return enclave, flat, index
 
 

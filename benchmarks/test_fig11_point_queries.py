@@ -29,8 +29,7 @@ def run_ladder() -> dict[str, list[float]]:
         index = IndexedStorage(
             enclave, KV_SCHEMA, "key", n + PROBES + 8, rng=random.Random(7)
         )
-        for row in kv_rows(n):
-            index.insert(row)
+        index.load(kv_rows(n))
         rng = random.Random(n)
         probe_keys = [rng.randrange(n) for _ in range(PROBES)]
 

@@ -62,8 +62,7 @@ def _indexed_costs() -> dict[str, list[float]]:
         index = IndexedStorage(
             enclave, KV_SCHEMA, "key", n + 8, rng=random.Random(1)
         )
-        for row in kv_rows(n):
-            index.insert(row)
+        index.load(kv_rows(n))
 
         before = enclave.cost.block_ios
         index.point_lookup(n // 2)
@@ -125,8 +124,7 @@ def test_fig2_space_overhead(benchmark) -> None:
         flat = load_flat(enclave, KV_SCHEMA, kv_rows(n), capacity=n)
         flat_bytes = enclave.untrusted.region(flat.region_name).stored_bytes()
         index = IndexedStorage(enclave, KV_SCHEMA, "key", n, rng=random.Random(1))
-        for row in kv_rows(n):
-            index.insert(row)
+        index.load(kv_rows(n))
         oram = index.oram
         assert isinstance(oram, PathORAM)
         index_bytes = enclave.untrusted.region(oram.region_name).stored_bytes()

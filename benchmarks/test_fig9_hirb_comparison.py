@@ -38,8 +38,7 @@ def run_ladder() -> dict[str, dict[str, list[float]]]:
         oblidb = IndexedStorage(
             enclave, KV_SCHEMA, "key", n + PROBES + 8, rng=random.Random(1)
         )
-        for row in rows:
-            oblidb.insert(row)
+        oblidb.load(rows)
 
         def modeled(fn) -> float:
             snapshot = enclave.cost.snapshot()

@@ -44,6 +44,7 @@ from ..storage.table import StorageMethod, Table
 from .ast import (
     CreateTableStatement,
     ExplainStatement,
+    InsertStatement,
     PartitionStatement,
     QueryResult,
     SelectStatement,
@@ -483,6 +484,10 @@ class ObliDB:
         if self.wal is not None and not isinstance(
             statement, (SelectStatement, ExplainStatement)
         ):
+            if isinstance(statement, InsertStatement):
+                # Validation before logging keeps the log replayable: a row
+                # the engine refuses (schema, capacity) must not be durable.
+                self._executor.check_insert(statement)
             self.wal.append(text)
         return self.execute(statement)
 
@@ -690,6 +695,7 @@ class ObliDB:
         WAL-logged like the SQL path, so typed inserts survive recovery.
         """
         target = self.table(table)
+        (row,) = target.check_insert([row], fast)  # refuse before logging
         if self.wal is not None:
             self.wal.append(_insert_statement_sql(target.name, row))
         target.insert(row, fast=fast)
@@ -701,9 +707,14 @@ class ObliDB:
         (:meth:`~repro.engine.wal.WriteAheadLog.append_many`): every row's
         replay statement is sealed, then the rollback-protected head
         advances once.  The batch is one durable epoch — a crash before the
-        head commit drops all of it, never half an ingest burst.
+        head commit drops all of it, never half an ingest burst.  A batch
+        the table refuses (schema, capacity) is refused before it is
+        logged.  An initial load into an empty index is built bottom-up
+        (see :meth:`Table.insert_many <repro.storage.table.Table.
+        insert_many>`); replay re-inserts it row by row.
         """
         target = self.table(table)
+        rows = target.check_insert(rows, fast)  # refuse before logging
         if self.wal is not None and rows:
             self.wal.append_many(
                 [_insert_statement_sql(target.name, row) for row in rows]

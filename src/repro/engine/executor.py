@@ -448,6 +448,12 @@ class Executor:
                 ) from None
             raise QueryError(f"no table named {name!r}") from None
 
+    def check_insert(self, statement: InsertStatement) -> None:
+        """Raise what running the INSERT would refuse cleanly — unknown
+        table, schema, capacity — touching no storage; the engine runs it
+        before the statement is logged."""
+        self._table(statement.table).check_insert([statement.values], statement.fast)
+
     def _compile(self, statement: Statement) -> CompiledQuery:
         return compile_statement(
             self._tables,

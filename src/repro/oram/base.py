@@ -12,6 +12,7 @@ in oblivious memory) and the :class:`~repro.oram.recursive.RecursivePathORAM`
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Iterable
 
 
 #: Blocks sealed per batched init call: large enough to amortize per-call
@@ -105,6 +106,30 @@ class ORAM(ABC):
         """
         for _ in range(count):
             self.dummy_access()
+
+    def load_blocks(self, blocks: Iterable[tuple[int, bytes]]) -> None:
+        """Store ``(block id, payload)`` pairs for a caller that keeps
+        nothing else in this store (an initial load).
+
+        Afterwards every listed block reads back its payload; what any
+        *other* block reads is unspecified, which leaves a construction
+        free to rebuild its untrusted structure in one pass
+        (:meth:`PathORAM.load_blocks
+        <repro.oram.path_oram.PathORAM.load_blocks>`).  The default is one
+        ordinary :meth:`write` per block: oblivious because every access
+        is, and its length is the public block count.
+        """
+        for block_id, data in blocks:
+            self.write(block_id, data)
+
+    def load_accesses(self, count: int) -> float:
+        """What :meth:`load_blocks` of ``count`` blocks costs, in units of
+        one ordinary access's block transfers.
+
+        A closed form in public sizes, so a caller may choose between a
+        load and per-block accesses without the choice leaking anything.
+        """
+        return count
 
     @property
     def accesses_per_operation(self) -> int:

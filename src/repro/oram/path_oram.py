@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import random
 import struct
+from typing import Iterable
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import ORAMError
@@ -171,18 +172,25 @@ class PathORAM(ORAM):
         self._freed = False
 
         # Initialise every bucket so reads before first write are well formed.
-        self._initialise_buckets(self._pack([]))
+        self._seal_buckets({})
 
-    def _initialise_buckets(self, empty: bytes) -> None:
-        """Seal one empty bucket per tree node, batched in bounded chunks:
-        one ``seal_many`` keystream pass and one contiguous ``write_range``
-        per chunk (trace: W 0..num_buckets-1, exactly the per-bucket init
-        loop's sequence)."""
+    def _seal_buckets(self, contents: dict[int, list[tuple[int, int, bytes]]]) -> None:
+        """Seal every bucket of the tree in index order — ``contents[i]``
+        into bucket ``i``, an empty bucket where ``i`` is absent — batched
+        in bounded chunks: one ``seal_many`` keystream pass and one
+        contiguous ``write_range`` per chunk (trace: W 0..num_buckets-1,
+        exactly the per-bucket loop's sequence, whatever ``contents``
+        holds), at most ``INIT_CHUNK_BLOCKS`` plaintext buckets resident."""
         enclave = self._enclave
+        empty = self._pack([])
         for start in range(0, self._num_buckets, INIT_CHUNK_BLOCKS):
             count = min(INIT_CHUNK_BLOCKS, self._num_buckets - start)
+            plaintexts = [
+                self._pack(contents[index]) if index in contents else empty
+                for index in range(start, start + count)
+            ]
             revisions, aads = self._ledger.stage_range(self._region, start, count)
-            sealed = enclave.seal_many([empty] * count, aads)
+            sealed = enclave.seal_many(plaintexts, aads)
             enclave.untrusted.write_range(self._region, start, sealed)
             self._ledger.commit_range(self._region, start, revisions)
 
@@ -293,11 +301,7 @@ class PathORAM(ORAM):
             if mutate is not None:
                 new_data = mutate(result)
             if new_data is not None:
-                if len(new_data) > block_size:
-                    raise ValueError(
-                        f"payload of {len(new_data)} B exceeds block size "
-                        f"{block_size} B"
-                    )
+                self._check_payload(new_data)
                 stash[block_id] = (new_leaf, new_data)
             self._position[block_id] = new_leaf
         else:
@@ -330,6 +334,12 @@ class PathORAM(ORAM):
             )
         return result
 
+    def _check_payload(self, data: bytes) -> None:
+        if len(data) > self._block_size:
+            raise ValueError(
+                f"payload of {len(data)} B exceeds block size {self._block_size} B"
+            )
+
     def _pack(self, entries: list[tuple[int, int, bytes]]) -> bytes:
         """:func:`_pack_bucket` with the empty-slot tail precomputed."""
         parts: list[bytes] = []
@@ -359,6 +369,57 @@ class PathORAM(ORAM):
     def dummy_access(self) -> None:
         """An access to a random path, indistinguishable from read/write."""
         self._access(None, None)
+
+    # ------------------------------------------------------------------
+    # Initial load: one sealing pass instead of one access per block
+    # ------------------------------------------------------------------
+    def load_blocks(self, blocks: Iterable[tuple[int, bytes]]) -> None:
+        """Rebuild the tree around ``blocks`` in one sealing pass.
+
+        Each block draws a fresh uniform leaf — independent of its id,
+        payload and position in ``blocks`` — and goes into the deepest
+        bucket on its path that still has a free slot, or into the stash
+        when the whole path is full: the Path ORAM invariant, reached
+        without an access.  The plan is made from ids and leaves alone and
+        ``stash_limit`` is enforced before anything is written.  Every
+        bucket is then sealed once, in index order (:meth:`_seal_buckets`),
+        so the adversary sees ``W 0..num_buckets-1`` — a function of the
+        capacity, not of how many blocks were loaded or where they went —
+        and no path is revealed, so no leaf needs remapping.  Blocks not
+        listed are dropped, as :meth:`ORAM.load_blocks` allows.
+        """
+        if self._freed:
+            raise ORAMError("ORAM has been freed")
+        payloads = dict(blocks)
+        for block_id, payload in payloads.items():
+            self.check_block_id(block_id)
+            self._check_payload(payload)
+        leaves = {block_id: self._rng.randrange(self._leaves) for block_id in payloads}
+        leaf_base = self._num_buckets - self._leaves + 1  # 1-based heap index
+        contents: dict[int, list[tuple[int, int, bytes]]] = {}
+        stash: dict[int, tuple[int, bytes]] = {}
+        for block_id, leaf in leaves.items():
+            node = leaf_base + leaf
+            while node and len(contents.setdefault(node - 1, [])) >= self._bucket_size:
+                node >>= 1  # the parent; 0 once the root is full too
+            if node:
+                contents[node - 1].append((block_id, leaf, payloads[block_id]))
+            else:
+                stash[block_id] = (leaf, payloads[block_id])
+        if len(stash) > self._stash_limit:
+            raise ORAMError(
+                f"stash overflow: {len(stash)} blocks exceeds limit "
+                f"{self._stash_limit}"
+            )
+        for block_id, leaf in leaves.items():
+            self._position[block_id] = leaf
+        self._stash = stash
+        self._seal_buckets(contents)
+
+    def load_accesses(self, count: int) -> float:
+        """The sealing pass writes every bucket once whatever ``count``
+        is; an access moves a path twice (read, then write back)."""
+        return self._num_buckets / (2 * self._levels)
 
     # ------------------------------------------------------------------
     # Bulk bucket reads (linear-scan fallback)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from ..operators.predicate import Predicate
 from ..storage.flat import FlatStorage
+from ..storage.rows import unframe_rows
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,9 @@ class SelectionStats:
 def scan_statistics(table: FlatStorage, predicate: Predicate) -> SelectionStats:
     """One uniform read pass computing match count and adjacency.
 
+    Reads the table in batched chunks (trace: ``R 0..capacity-1``, the
+    per-block loop's sequence) and decodes each chunk in one codec pass.
+
     "Adjacent" means the matching rows occupy consecutive *blocks*, i.e. no
     in-use non-matching row sits between two matches (dummy blocks between
     matches do not break continuity: the Continuous algorithm's modular
@@ -47,19 +51,20 @@ def scan_statistics(table: FlatStorage, predicate: Predicate) -> SelectionStats:
     first = -1
     interrupted = False
     broken = False
-    for index in range(table.capacity):
-        row = table.read_row(index)
-        if row is None:
-            continue
-        if matches(row):
-            if interrupted:
-                # A real non-match separated two matches: not continuous.
-                broken = True
-            if first == -1:
-                first = index
-            matching += 1
-        elif matching > 0:
-            interrupted = True
+    schema = table.schema
+    for start, frames in table.scan_framed_chunks():
+        for index, row in enumerate(unframe_rows(schema, frames), start):
+            if row is None:
+                continue
+            if matches(row):
+                if interrupted:
+                    # A real non-match separated two matches: not continuous.
+                    broken = True
+                if first == -1:
+                    first = index
+                matching += 1
+            elif matching > 0:
+                interrupted = True
     return SelectionStats(
         input_capacity=table.capacity,
         matching_rows=matching,

@@ -22,6 +22,14 @@ it from a textbook tree:
   *which* blocks are written; only the count matters, and the count is
   padded.
 
+* **Bottom-up initial load.**  :meth:`ObliviousBPlusTree.bulk_load` builds
+  an *empty* index from a batch in one go: only ``(key, record id)`` pairs
+  are sorted inside the enclave, nodes are packed level by level, and the
+  ORAM stores all blocks through :meth:`~repro.oram.base.ORAM.load_blocks`
+  (for Path ORAM one sealing pass over the bucket tree).  What it shows —
+  the row count and the height that implies — ``n`` padded inserts show
+  too; every later operation meets an ordinary tree.
+
 Data layout: one record per ORAM block (as in the paper's implementation);
 leaf nodes store keys plus record block ids and a next-leaf pointer so range
 scans can walk the leaf level.
@@ -33,7 +41,8 @@ import random
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import ORAMError, StorageError
@@ -72,6 +81,22 @@ class _LeafNode:
 
 
 _Node = _InternalNode | _LeafNode
+
+
+def _packed_sizes(entries: int, full: int, minimum: int) -> list[int]:
+    """Entries per node for one packed level: every node full, except that
+    the last two share theirs evenly when the remainder alone would fall
+    below ``minimum`` — the occupancy :meth:`ObliviousBPlusTree._rebalance`
+    expects of every non-root node.  A level that fits one node is the
+    root, which has no minimum."""
+    count, rest = divmod(entries, full)
+    sizes = [full] * count
+    if rest >= minimum or (rest and not count):
+        sizes.append(rest)
+    elif rest:
+        sizes[-1] = (full + rest + 1) // 2
+        sizes.append((full + rest) // 2)
+    return sizes
 
 
 class ObliviousBPlusTree:
@@ -315,10 +340,12 @@ class ObliviousBPlusTree:
     # ------------------------------------------------------------------
     # Records
     # ------------------------------------------------------------------
+    def _record_payload(self, row: Row) -> bytes:
+        return bytes([_TAG_RECORD]) + frame_row(self.schema, row)
+
     def _write_record(self, row: Row) -> int:
         record_id = self._allocator.allocate()
-        payload = bytes([_TAG_RECORD]) + frame_row(self.schema, row)
-        self._oram.write(record_id, payload)
+        self._oram.write(record_id, self._record_payload(row))
         return record_id
 
     def _read_record(self, record_id: int) -> Row:
@@ -511,6 +538,130 @@ class ObliviousBPlusTree:
         self._insert_into_parent(path, level, promote, right_id)
 
     # ------------------------------------------------------------------
+    # Bottom-up build (initial load)
+    # ------------------------------------------------------------------
+    def _packed_shape(self, rows: int) -> tuple[int, int]:
+        """(node count, height) of the tree :meth:`bulk_load` builds for
+        ``rows`` rows: a closed form in the public row count."""
+        width = -(-rows // self._max_leaf_keys)
+        nodes, height = width, 1
+        while width > 1:
+            width = -(-width // self._order)
+            nodes += width
+            height += 1
+        return nodes, height
+
+    def _directory_bytes(self, rows: int) -> int:
+        """Oblivious memory :meth:`bulk_load` holds while it sorts: one
+        ``(key, record id)`` pair per row."""
+        return rows * (self._key_size + _ID.size)
+
+    def prefers_bulk_load(self, rows: int) -> bool:
+        """Whether ``rows`` rows should go in through :meth:`bulk_load`
+        rather than one padded :meth:`insert` each.
+
+        True when the index is empty, the key directory fits in free
+        oblivious memory, and the store's load moves fewer blocks than
+        ``rows`` worst-case insert bursts would — priced at the height the
+        packed tree has, which the row-by-row tree is never below once all
+        rows are in.  Every input is public (the row count, the capacity
+        and schema behind the ORAM geometry, the enclave's allocations), so
+        the choice tells the adversary nothing the batch size does not; one
+        row into a large empty index stays a padded burst.
+        """
+        if self._count or rows < 1:
+            return False
+        if self._directory_bytes(rows) > self._enclave.oblivious.free_bytes:
+            return False
+        nodes, height = self._packed_shape(rows)
+        return self._oram.load_accesses(rows + nodes) < rows * self._worst_case_insert(
+            height
+        )
+
+    def bulk_load(self, rows: Sequence[Row]) -> None:
+        """Build the tree bottom-up from ``rows``; the index must be empty.
+
+        Record ids are handed out in input order and only ``(key, record
+        id)`` pairs are sorted — inside the enclave, their bytes charged to
+        oblivious memory while the nodes are packed, and stably, so
+        duplicate keys keep input order as right-biased inserts leave them.
+        Leaves and then each internal level are packed full
+        (:func:`_packed_sizes`), and the ORAM takes every block at once
+        (:meth:`~repro.oram.base.ORAM.load_blocks`).  Observable: the
+        store's load of ``len(rows) + nodes`` blocks, a function of the
+        row count and capacity — declared leakage, which ``len(rows)``
+        padded inserts reveal as well — and nothing of keys, values or
+        input order.  An emptiness, capacity or memory refusal is raised
+        before any untrusted write.
+        """
+        if self._count:
+            raise StorageError("bulk load needs an empty index")
+        rows = [self.schema.validate_row(row) for row in rows]
+        if len(rows) > self._capacity:
+            raise StorageError("index is at capacity")
+        if not rows:
+            return
+        directory_bytes = self._directory_bytes(len(rows))
+        self._enclave.oblivious.allocate(directory_bytes)
+        try:
+            blocks, root, height = self._pack_tree(rows)
+        finally:
+            self._enclave.oblivious.release(directory_bytes)
+        try:
+            self._oram.load_blocks(blocks)
+        except BaseException:
+            for block_id, _ in blocks:
+                self._allocator.release(block_id)
+            raise
+        self._root = root
+        self._height = height
+        self._count = len(rows)
+
+    def _pack_tree(self, rows: list[Row]) -> tuple[list[tuple[int, bytes]], int, int]:
+        """Serialise ``rows`` as a packed tree: (blocks, root id, height)."""
+        allocate = self._allocator.allocate
+        blocks: list[tuple[int, bytes]] = []
+        directory: list[tuple[bytes, int]] = []
+        for row in rows:
+            record_id = allocate()
+            blocks.append((record_id, self._record_payload(row)))
+            directory.append((self._row_key(row), record_id))
+        directory.sort(key=itemgetter(0))
+
+        # One (node id, smallest key below it) pair per node of the level.
+        sizes = _packed_sizes(len(directory), self._max_leaf_keys, self._min_leaf_keys)
+        leaf_ids = [allocate() for _ in sizes]
+        level: list[tuple[int, bytes]] = []
+        offset = 0
+        for position, size in enumerate(sizes):
+            entries = directory[offset : offset + size]
+            offset += size
+            leaf = _LeafNode(
+                keys=[key for key, _ in entries],
+                records=[record_id for _, record_id in entries],
+                next_leaf=leaf_ids[position + 1] if position + 1 < len(sizes) else -1,
+            )
+            blocks.append((leaf_ids[position], self._serialize(leaf)))
+            level.append((leaf_ids[position], entries[0][0]))
+        height = 1
+        while len(level) > 1:
+            parents: list[tuple[int, bytes]] = []
+            offset = 0
+            for size in _packed_sizes(len(level), self._order, self._min_children):
+                group = level[offset : offset + size]
+                offset += size
+                node = _InternalNode(
+                    keys=[low for _, low in group[1:]],
+                    children=[child for child, _ in group],
+                )
+                node_id = allocate()
+                blocks.append((node_id, self._serialize(node)))
+                parents.append((node_id, group[0][1]))
+            level = parents
+            height += 1
+        return blocks, level[0][0], height
+
+    # ------------------------------------------------------------------
     # Delete and update
     # ------------------------------------------------------------------
     def delete(self, key_value: object) -> int:
@@ -593,8 +744,7 @@ class ObliviousBPlusTree:
             assert isinstance(leaf, _LeafNode)
             record_id = self._find_forward(leaf, key)
             if record_id >= 0:
-                payload = bytes([_TAG_RECORD]) + frame_row(self.schema, new_row)
-                self._oram.write(record_id, payload)
+                self._oram.write(record_id, self._record_payload(new_row))
                 updated = 1
             self._cache.clear()
             # Pad to a fixed target (descent + walk allowance + record op)

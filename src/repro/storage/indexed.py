@@ -9,7 +9,7 @@ Section 3.2 for analytics on frequently-updated data.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import StorageError
@@ -94,6 +94,21 @@ class IndexedStorage:
     # ------------------------------------------------------------------
     def insert(self, row: Row) -> None:
         self.tree.insert(row)
+
+    def load(self, rows: Sequence[Row]) -> None:
+        """Build the (empty) index bottom-up from ``rows`` in one ORAM load
+        (:meth:`~repro.storage.btree.ObliviousBPlusTree.bulk_load`)."""
+        self.tree.bulk_load(rows)
+
+    def insert_many(self, rows: Sequence[Row]) -> None:
+        """Insert a batch: one bottom-up :meth:`load` when the tree's public
+        rule prefers it (an initial load into an empty index), else one
+        padded insert per row."""
+        if self.tree.prefers_bulk_load(len(rows)):
+            self.load(rows)
+        else:
+            for row in rows:
+                self.insert(row)
 
     def delete_key(self, key: Value) -> int:
         """Delete one row by key; returns 0 or 1."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import threading
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import CapacityError, StorageError
@@ -129,23 +129,34 @@ class Table:
     # Mutations: routed to every maintained representation so both stay
     # consistent (the BOTH method's cost, measured in Figure 12).
     # ------------------------------------------------------------------
-    def _precheck_flat_capacity(self, count: int, fast: bool) -> None:
-        """Raise the capacity error *before* any representation mutates.
+    def check_insert(self, rows: Sequence[Row], fast: bool = False) -> list[Row]:
+        """Validate ``rows`` and run every representation's capacity check;
+        returns the validated rows and mutates nothing.
 
         A clean failure (validation, capacity) leaves the revision epoch
         untouched — nothing changed, cached results stay valid.  Once a
         storage pass has started, any failure instead bumps the epoch
-        conservatively (see the mutation wrappers below).
+        conservatively (see the mutation wrappers below).  The engine runs
+        this before it logs an insert, so a refused batch never reaches the
+        write-ahead log (validation before logging keeps the log
+        replayable).
         """
-        if self.flat is None:
-            return
-        if fast:
-            if self.flat.fast_insert_cursor + count > self.flat.capacity:
-                raise CapacityError(
-                    f"table {self.flat.region_name} is full for fast inserts"
-                )
-        elif self.flat.used_rows + count > self.flat.capacity:
-            raise CapacityError(f"table {self.flat.region_name} is full")
+        validated = [self.schema.validate_row(row) for row in rows]
+        count = len(validated)
+        if self.flat is not None:
+            if fast:
+                if self.flat.fast_insert_cursor + count > self.flat.capacity:
+                    raise CapacityError(
+                        f"table {self.flat.region_name} is full for fast inserts"
+                    )
+            elif self.flat.used_rows + count > self.flat.capacity:
+                raise CapacityError(f"table {self.flat.region_name} is full")
+        if (
+            self.indexed is not None
+            and self.indexed.used_rows + count > self.indexed.capacity
+        ):
+            raise CapacityError(f"index of table {self.name!r} is full")
+        return validated
 
     def insert(self, row: Row, fast: bool = False) -> None:
         """Insert into every representation.
@@ -153,8 +164,7 @@ class Table:
         ``fast=True`` uses flat storage's constant-time append (for tables
         with few deletions, Section 3.1).
         """
-        row = self.schema.validate_row(row)
-        self._precheck_flat_capacity(1, fast)
+        (row,) = self.check_insert([row], fast)
         try:
             if self.flat is not None:
                 if fast:
@@ -172,19 +182,33 @@ class Table:
         self.bump_revision()
 
     def insert_many(self, rows: list[Row], fast: bool = False) -> None:
-        """Bulk insert into every representation, batching the flat side.
+        """Bulk insert into every representation, batching both sides.
 
-        The dual-copy maintenance cost of the BOTH method used to scale as
-        one full oblivious pass *per row* on the flat copy; this batches it
-        to a single pass (:meth:`~repro.storage.flat.FlatStorage.
-        insert_many`) — or one contiguous range write for ``fast=True``
-        (:meth:`~repro.storage.flat.FlatStorage.fast_insert_many`) — while
-        the B+ tree side keeps its per-row padded mutations (each one is a
-        fixed-size ORAM access burst; there is nothing to amortize without
-        changing the leakage).
+        The flat copy takes the batch in a single oblivious pass
+        (:meth:`~repro.storage.flat.FlatStorage.insert_many`) — or one
+        contiguous range write for ``fast=True``
+        (:meth:`~repro.storage.flat.FlatStorage.fast_insert_many`) —
+        instead of one full pass per row.
+
+        The index builds itself bottom-up
+        (:meth:`~repro.storage.indexed.IndexedStorage.load`) when the batch
+        is an initial load: the index is empty, the ``(key, record id)``
+        directory fits in free oblivious memory, and the ORAM's load moves
+        fewer blocks than ``len(rows)`` padded inserts would.  Why that
+        leaks nothing new: (1) the rule reads only public values — the
+        batch size, the index's row count, the capacity and schema that fix
+        the ORAM geometry, the enclave's allocations — so which path ran
+        says no more than the batch size does; (2) the load's trace is a
+        function of the capacity (Path ORAM: every bucket written once, in
+        index order) or of the row count (one write per block on the other
+        stores), where ``len(rows)`` padded bursts already reveal the row
+        count and the height it implies; (3) block leaves are drawn fresh
+        and none is revealed, so every later statement meets an ordinary
+        tree.  Any other batch — a non-empty index, or one row into a large
+        empty one — keeps one padded insert per row, bit for bit.
+        ``fast`` concerns the flat copy only.
         """
-        validated = [self.schema.validate_row(row) for row in rows]
-        self._precheck_flat_capacity(len(validated), fast)
+        validated = self.check_insert(rows, fast)
         try:
             if self.flat is not None:
                 if fast:
@@ -192,8 +216,7 @@ class Table:
                 else:
                     self.flat.insert_many(validated)
             if self.indexed is not None:
-                for row in validated:
-                    self.indexed.insert(row)
+                self.indexed.insert_many(validated)
         except BaseException:
             self.bump_revision()
             raise

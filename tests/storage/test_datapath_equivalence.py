@@ -32,10 +32,12 @@ import random
 import pytest
 
 from repro.enclave import Enclave
+from repro.operators.predicate import Comparison
 from repro.operators.sort import bitonic_sort, external_oblivious_sort
 from repro.oram.path_oram import PathORAM, _pack_bucket, _unpack_bucket
 from repro.oram.recursive import RecursivePathORAM
 from repro.oram.ring_oram import _SLOT_HEADER, RingORAM, _BucketMeta
+from repro.planner.stats import SelectionStats, scan_statistics
 from repro.storage import FlatStorage, Schema
 from repro.storage.rows import frame_row_validated, is_dummy, unframe_row
 from repro.storage.schema import int_column, str_column
@@ -344,6 +346,40 @@ class TestChunkedPassEquivalence:
         assert_traces_match(batched, reference)
         assert sorted(batched.rows()) == sorted(reference.rows())
 
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            Comparison("k", ">=", 4),  # blocks 1 and 3, a dummy between: continuous
+            Comparison("k", "<", 4),  # blocks 0 and 4, real rows between: broken
+            Comparison("k", ">", 100),  # no match
+        ],
+    )
+    def test_chunked_statistics_pass(self, predicate) -> None:
+        """The planner's statistics pass over batched chunks vs. the seed's
+        one ``read_row`` per block: same trace, counters and statistics."""
+        batched, reference = fresh_pair(8, ROWS)
+        for table in (batched, reference):
+            table.write_row(2, None)
+        got = scan_statistics(batched, predicate)
+        matches = predicate.compile(SCHEMA)
+        matched: list[int] = []
+        real: list[int] = []
+        for index in range(reference.capacity):
+            row = reference.read_row(index)
+            if row is not None:
+                real.append(index)
+                if matches(row):
+                    matched.append(index)
+        between = [i for i in real if matched and matched[0] <= i <= matched[-1]]
+        assert got == SelectionStats(
+            input_capacity=8,
+            matching_rows=len(matched),
+            continuous=bool(matched) and between == matched,
+            first_match_index=matched[0] if matched else -1,
+        )
+        assert_traces_match(batched, reference)
+        assert batched.enclave.cost.snapshot() == reference.enclave.cost.snapshot()
+
     def test_chunked_range_write(self) -> None:
         batched, reference = fresh_pair(8, ROWS)
         frames = [frame_row_validated(SCHEMA, (i, "x")) for i in range(7)]
@@ -457,12 +493,15 @@ class ReferencePathORAM(PathORAM):
     the same rng seed as the batched production class, it must stay in
     lockstep: identical traces, payloads, positions, and stash."""
 
-    def _initialise_buckets(self, empty: bytes) -> None:
+    def _seal_buckets(self, contents) -> None:
         enclave, ledger, region = self._enclave, self._ledger, self._region
         for index in range(self._num_buckets):
+            plaintext = _pack_bucket(
+                contents.get(index, []), self._bucket_size, self._block_size
+            )
             revision = ledger.next_revision(region, index)
             aad = ledger.associated_data(region, index, revision)
-            enclave.untrusted.write(region, index, enclave.seal(empty, aad))
+            enclave.untrusted.write(region, index, enclave.seal(plaintext, aad))
             ledger.commit(region, index, revision)
 
     def _access(self, block_id, new_data, mutate=None):
@@ -661,6 +700,10 @@ class TestPathORAMEquivalence:
         assert_enclaves_match(enclave_a, enclave_b)
         # Client state must stay in lockstep too: the vectorized eviction
         # makes exactly the per-level rescan's placements.
+        self._assert_state_matches(batched, reference, enclave_a, enclave_b)
+
+    @staticmethod
+    def _assert_state_matches(batched, reference, enclave_a, enclave_b) -> None:
         assert batched._position == reference._position
         assert batched._stash == reference._stash
         for index in range(batched.num_buckets):
@@ -673,6 +716,24 @@ class TestPathORAMEquivalence:
                 reference._ledger.open_at(reference.region_name, [index])[0],
             )
             assert got == want
+
+    def test_load_blocks_matches_per_bucket_loop(self) -> None:
+        """The chunked sealing pass of ``load_blocks`` vs. one scalar
+        seal + write per bucket: same trace (``W 0..num_buckets-1``), same
+        bucket plaintexts, same position map and stash — then the loaded
+        store keeps serving accesses in lockstep."""
+        batched, reference, enclave_a, enclave_b = self._pair(seed=13)
+        blocks = [(block, bytes([block]) * 9) for block in range(self.CAPACITY - 3)]
+        before = len(enclave_a.trace)
+        batched.load_blocks(blocks)
+        reference.load_blocks(blocks)
+        assert [
+            (e.op, e.index) for e in enclave_a.trace.events[before:]
+        ] == [("W", index) for index in range(batched.num_buckets)]
+        for block, payload in blocks[::5]:
+            assert batched.read(block) == reference.read(block) == payload
+        assert_enclaves_match(enclave_a, enclave_b)
+        self._assert_state_matches(batched, reference, enclave_a, enclave_b)
 
     def test_padding_burst_matches_loop(self) -> None:
         batched, reference, enclave_a, enclave_b = self._pair(seed=3)
