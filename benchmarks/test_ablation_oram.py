@@ -33,7 +33,10 @@ def recursive_vs_flat() -> dict[str, float]:
     rng = random.Random(3)
 
     enclave = fresh_enclave()
-    flat = PathORAM(enclave, ORAM_CAPACITY, 32, rng=random.Random(1))
+    # Appendix B's comparison is between the paper's trees: no treetop.
+    flat = PathORAM(
+        enclave, ORAM_CAPACITY, 32, rng=random.Random(1), treetop_levels=0
+    )
     out["nonrecursive_map_bytes"] = float(
         POSITION_MAP_BYTES_PER_BLOCK * ORAM_CAPACITY
     )
@@ -44,7 +47,8 @@ def recursive_vs_flat() -> dict[str, float]:
 
     enclave2 = fresh_enclave()
     recursive = RecursivePathORAM(
-        enclave2, ORAM_CAPACITY, 32, fanout=16, rng=random.Random(1)
+        enclave2, ORAM_CAPACITY, 32, fanout=16, rng=random.Random(1),
+        treetop_levels=0,
     )
     out["recursive_map_bytes"] = float(
         POSITION_MAP_BYTES_PER_BLOCK * recursive._map.capacity
@@ -83,7 +87,7 @@ def test_ablation_lazy_write_back(benchmark) -> None:
     def measure() -> tuple[float, float]:
         enclave = fresh_enclave()
         index = IndexedStorage(
-            enclave, KV_SCHEMA, "key", 300, rng=random.Random(2)
+            enclave, KV_SCHEMA, "key", 300, rng=random.Random(2), oram_kind="paper"
         )
         index.load(kv_rows(200))
         # Measure actual padded accesses per insert at fixed height.
@@ -126,7 +130,9 @@ def test_ablation_index_linear_scan(benchmark) -> None:
         flat.rows()
         flat_ms = enclave.cost.delta_since(snapshot).modeled_time_ms()
 
-        index = IndexedStorage(enclave, KV_SCHEMA, "key", n, rng=random.Random(4))
+        index = IndexedStorage(
+            enclave, KV_SCHEMA, "key", n, rng=random.Random(4), oram_kind="paper"
+        )
         index.load(kv_rows(n))
         snapshot = enclave.cost.snapshot()
         list(index.linear_scan())

@@ -35,7 +35,9 @@ def build() -> tuple:
     enclave = fresh_enclave()
     rows = wide_rows(ROWS)
     flat = load_flat(enclave, WIDE_SCHEMA, rows, capacity=ROWS + 16)
-    index = IndexedStorage(enclave, WIDE_SCHEMA, "id", ROWS + 128, rng=random.Random(3))
+    index = IndexedStorage(
+        enclave, WIDE_SCHEMA, "id", ROWS + 128, rng=random.Random(3), oram_kind="paper"
+    )
     index.load(rows)
     return enclave, flat, index
 

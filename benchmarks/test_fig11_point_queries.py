@@ -27,7 +27,8 @@ def run_ladder() -> dict[str, list[float]]:
     for n in SIZES:
         enclave = fresh_enclave()
         index = IndexedStorage(
-            enclave, KV_SCHEMA, "key", n + PROBES + 8, rng=random.Random(7)
+            enclave, KV_SCHEMA, "key", n + PROBES + 8, rng=random.Random(7),
+            oram_kind="paper",
         )
         index.load(kv_rows(n))
         rng = random.Random(n)

@@ -60,7 +60,7 @@ def _indexed_costs() -> dict[str, list[float]]:
     for n in SIZES:
         enclave = fresh_enclave()
         index = IndexedStorage(
-            enclave, KV_SCHEMA, "key", n + 8, rng=random.Random(1)
+            enclave, KV_SCHEMA, "key", n + 8, rng=random.Random(1), oram_kind="paper"
         )
         index.load(kv_rows(n))
 
@@ -123,7 +123,9 @@ def test_fig2_space_overhead(benchmark) -> None:
         enclave = fresh_enclave()
         flat = load_flat(enclave, KV_SCHEMA, kv_rows(n), capacity=n)
         flat_bytes = enclave.untrusted.region(flat.region_name).stored_bytes()
-        index = IndexedStorage(enclave, KV_SCHEMA, "key", n, rng=random.Random(1))
+        index = IndexedStorage(
+            enclave, KV_SCHEMA, "key", n, rng=random.Random(1), oram_kind="paper"
+        )
         index.load(kv_rows(n))
         oram = index.oram
         assert isinstance(oram, PathORAM)

@@ -36,7 +36,8 @@ def run_ladder() -> dict[str, dict[str, list[float]]]:
         # ObliDB oblivious index.
         enclave = fresh_enclave()
         oblidb = IndexedStorage(
-            enclave, KV_SCHEMA, "key", n + PROBES + 8, rng=random.Random(1)
+            enclave, KV_SCHEMA, "key", n + PROBES + 8, rng=random.Random(1),
+            oram_kind="paper",
         )
         oblidb.load(rows)
 

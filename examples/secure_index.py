@@ -77,8 +77,13 @@ def main() -> None:
 
     # --- 4. Integrity: the malicious OS cannot tamper undetected -----------
     oram_region = index.oram.region_name  # type: ignore[attr-defined]
-    honest_block = enclave.untrusted.peek(oram_region, 0)
-    enclave.untrusted.tamper(oram_region, 3, honest_block)  # transplant a bucket
+    # The top levels of the bucket tree live inside the enclave; the host
+    # holds (and can forge) only the buckets from this index on.  Transplant
+    # the first of them over the rest of its level.
+    first = (1 << index.oram.treetop_levels) - 1  # type: ignore[attr-defined]
+    honest_block = enclave.untrusted.peek(oram_region, first)
+    for sibling in range(first + 1, 2 * first + 1):
+        enclave.untrusted.tamper(oram_region, sibling, honest_block)
     try:
         for probe in range(20):  # touch enough paths to hit the forged bucket
             index.point_lookup(probe)

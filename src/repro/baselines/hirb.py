@@ -31,6 +31,7 @@ import random
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import ORAMError
+from ..oram.path_oram import paper_path_oram
 from ..storage.btree import ObliviousBPlusTree
 from ..storage.schema import Schema, int_column, str_column
 
@@ -71,6 +72,7 @@ class HIRBMap:
             capacity,
             order=14,  # ~4096-byte nodes at 64 B entries
             rng=rng or random.Random(),
+            oram_factory=paper_path_oram,  # HIRB's client has no treetop
         )
 
     @property

@@ -6,7 +6,9 @@ storing the table in an ORAM and running the textbook operator on top, one
 ORAM operation per row touched.  This module provides that strawman: a
 table whose every row read/write is an individual Path ORAM access, with a
 select that performs one input ORAM read plus one output ORAM operation per
-row (cf. the "Naive" row of Figure 3: O(N log N)).
+row (cf. the "Naive" row of Figure 3: O(N log N)).  Both ORAMs are the
+paper's construction (``treetop_levels=0``): the baseline prices what the
+paper compared against, not this system's cached tree.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ class NaiveORAMTable:
         self.schema = schema
         self._capacity = capacity
         self._oram = PathORAM(
-            enclave, capacity, framed_size(schema), rng=rng or random.Random()
+            enclave,
+            capacity,
+            framed_size(schema),
+            rng=rng or random.Random(),
+            treetop_levels=0,
         )
         self._used = 0
 
@@ -72,6 +78,7 @@ class NaiveORAMTable:
             max(1, len(selected)),
             framed_size(self.schema),
             rng=random.Random(0),
+            treetop_levels=0,
         )
         position = 0
         for row in rows:

@@ -115,6 +115,10 @@ class RetryPolicy:
 
 _DEFAULT_RETRY = RetryPolicy()
 
+#: Region-name prefixes of per-statement scratch (``fresh_region_name``):
+#: none outlives the statement that allocated it.
+_SCRATCH_PREFIXES = ("flat#", "shuffle#", "join#")
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -221,8 +225,9 @@ class ObliDB:
         (Section 3), like deciding whether to build an index.
 
         ``oram_kind`` selects the index's block store: "path" (default),
-        "recursive" (smaller position map, Appendix B), or "ring" (Ring
-        ORAM, the Section 8 upgrade).
+        "paper" (Path ORAM without the treetop cache, as the paper builds
+        it), "recursive" (smaller position map, Appendix B), or "ring"
+        (Ring ORAM, the Section 8 upgrade).
         """
         if name in self._tables:
             raise StorageError(f"table {name!r} already exists")
@@ -433,7 +438,10 @@ class ObliDB:
         retried with bounded backoff per :class:`RetryPolicy`, but only
         while the failed attempt mutated nothing (catalog and every table
         revision unchanged) — a transient mid-mutation surfaces unchanged,
-        since re-execution would double-apply the surviving prefix.
+        since re-execution would double-apply the surviving prefix.  The
+        scratch regions a failed attempt allocated are freed either way:
+        an operator that dies mid-pass has no handle left to free its
+        output through.
         """
         if isinstance(statement, CreateTableStatement):
             return self._create_from_statement(statement)
@@ -445,13 +453,18 @@ class ObliDB:
         if policy is None or policy.attempts <= 1:
             return self._executor.execute(statement)
         backoff = policy.backoff_s
+        untrusted = self.enclave.untrusted
         for attempt in range(policy.attempts):
             epochs = {
                 name: table.revision for name, table in self._tables.items()
             }
+            regions = set(untrusted.region_names())
             try:
                 return self._executor.execute(statement)
             except TransientStorageError:
+                for name in untrusted.region_names():
+                    if name.startswith(_SCRATCH_PREFIXES) and name not in regions:
+                        untrusted.free_region(name)
                 mutated = set(self._tables) != set(epochs) or any(
                     self._tables[name].revision != revision
                     for name, revision in epochs.items()
@@ -660,7 +673,7 @@ class ObliDB:
                         f"WAL holds {dropped} uncommitted trailing record(s)"
                     )
         for region_name in untrusted.region_names():
-            if region_name.startswith(("flat#", "shuffle#", "join#")):
+            if region_name.startswith(_SCRATCH_PREFIXES):
                 issues.append(f"leaked scratch region {region_name}")
         return VerifyReport(
             issues=issues,

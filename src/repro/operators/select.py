@@ -68,6 +68,7 @@ def naive_select(
         capacity=slots,
         block_size=framed_size(table.schema),
         rng=rng or random.Random(),
+        treetop_levels=0,  # Figure 3's baseline is the paper's ORAM
     )
     written = 0
     for index in range(table.capacity):
@@ -333,5 +334,9 @@ def materialize_index_range(
     scratch = FlatStorage(index.enclave, index.schema, max(1, len(rows)))
     # One contiguous range write; the batched path records the same
     # W 0..|T'|-1 sequence as the per-row loop it replaces.
-    scratch.fast_insert_many(rows)
+    try:
+        scratch.fast_insert_many(rows)
+    except Exception:
+        scratch.free()  # the caller never got a handle to free it through
+        raise
     return scratch

@@ -7,6 +7,7 @@ from .path_oram import (
     DEFAULT_STASH_LIMIT,
     POSITION_MAP_BYTES_PER_BLOCK,
     PathORAM,
+    paper_path_oram,
 )
 from .recursive import RecursivePathORAM
 from .ring_oram import RingORAM
@@ -20,4 +21,5 @@ __all__ = [
     "PathORAM",
     "RecursivePathORAM",
     "RingORAM",
+    "paper_path_oram",
 ]

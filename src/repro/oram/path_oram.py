@@ -33,6 +33,31 @@ adversary-visible access sequence is bit-identical to the per-bucket loop
 amortized — enforced by the ORAM cases in
 ``tests/storage/test_datapath_equivalence.py``.
 
+Treetop caching
+---------------
+The top ``k`` levels of the bucket tree (``2^k - 1`` buckets, every access
+crosses all ``k`` of them) are kept as plaintext entries in oblivious memory
+beside the stash, and an access reads, opens, seals and writes only the path
+suffix — levels ``k..L-1``.  ``k`` is a closed form in public sizes
+(:func:`treetop_levels_for`), charged to the oblivious-memory account with
+the stash.  Bucket indices and the region's size do not change (slots
+``0..2^k-2`` are never written) and cached buckets merge into the stash
+root-first exactly where opened ones did, so under one rng the payloads,
+position map, stash and evictions are those of ``k = 0`` and the trace is the
+``k = 0`` trace with every access to an index ``< 2^k - 1`` deleted: still
+one uniform leaf per access, independent of the block touched.
+``treetop_levels=0`` is the paper's construction.
+
+Failure atomicity
+-----------------
+An access commits its enclave state — stash, position map, treetop, ledger
+revisions — only after the whole path is written back, so a failed read or
+open leaves the store exactly as it was and the statement may be retried.
+A transient host failure *inside* the write-back is absorbed here: the
+sealed path is re-issued once (the same ciphertexts to the same slots,
+idempotent), because no caller above can re-run an access whose prefix has
+already landed.
+
 Every sealed bucket is bound to its tree position *and* a per-bucket
 revision number through a :class:`~repro.enclave.integrity.RevisionLedger`,
 so a malicious OS can neither transplant buckets between positions nor
@@ -45,10 +70,10 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..enclave.enclave import Enclave
-from ..enclave.errors import ORAMError
+from ..enclave.errors import ORAMError, TransientStorageError
 from ..enclave.integrity import RevisionLedger
 from .base import INIT_CHUNK_BLOCKS, ORAM, greedy_eviction_placements
 
@@ -64,6 +89,16 @@ DEFAULT_STASH_LIMIT = 256
 _HEADER = struct.Struct("<qqI")  # block_id, leaf, payload length
 
 _EMPTY_HEADER = _HEADER.pack(-1, -1, 0)
+
+
+def treetop_levels_for(levels: int, bucket_bytes: int, budget_bytes: int) -> int:
+    """The treetop rule: the most top levels whose ``2^k - 1`` plaintext
+    buckets fit in ``budget_bytes`` — at most ``levels - 1``, so every
+    access still reads and writes its leaf."""
+    k = 0
+    while k + 1 < levels and ((2 << k) - 1) * bucket_bytes <= budget_bytes:
+        k += 1
+    return k
 
 
 def _pack_bucket(
@@ -118,6 +153,13 @@ class PathORAM(ORAM):
     charge_position_map:
         Whether to charge 8·N bytes of oblivious memory for the position map
         (disabled by the recursive construction, which stores it elsewhere).
+    treetop_levels:
+        Top levels of the bucket tree cached in oblivious memory (module
+        docstring).  ``None`` applies the rule — what fits in as many bytes
+        as the stash reserves (``stash_limit × block_size``) and in the
+        oblivious memory still free, so the cache never turns a
+        construction that fits into one that does not; ``0`` is the
+        paper's construction.
     """
 
     def __init__(
@@ -130,6 +172,7 @@ class PathORAM(ORAM):
         region_name: str | None = None,
         stash_limit: int = DEFAULT_STASH_LIMIT,
         charge_position_map: bool = True,
+        treetop_levels: int | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -152,6 +195,11 @@ class PathORAM(ORAM):
         self._levels = leaves.bit_length()  # root level 0 .. leaf level L
         self._num_buckets = 2 * leaves - 1
         self._empty_slot = _EMPTY_HEADER + b"\x00" * block_size
+        if treetop_levels is not None and not 0 <= treetop_levels < self._levels:
+            raise ValueError(
+                f"treetop_levels must be in 0..{self._levels - 1}, "
+                f"got {treetop_levels}"
+            )
 
         self._region = region_name or enclave.fresh_region_name("oram")
         enclave.untrusted.allocate_region(self._region, self._num_buckets)
@@ -159,31 +207,52 @@ class PathORAM(ORAM):
         # so stale bucket images cannot be replayed (rollback protection).
         self._ledger = RevisionLedger()
 
-        # Client state, charged to oblivious memory.
-        self._posmap_bytes = (
+        # Client state — position map, stash, treetop — charged to
+        # oblivious memory as one reservation.
+        posmap_bytes = (
             POSITION_MAP_BYTES_PER_BLOCK * capacity if charge_position_map else 0
         )
-        self._stash_bytes = stash_limit * block_size
-        enclave.oblivious.allocate(self._posmap_bytes + self._stash_bytes)
+        stash_bytes = stash_limit * block_size
+        bucket_bytes = bucket_size * (_HEADER.size + block_size)
+        if treetop_levels is None:
+            spare = enclave.oblivious.free_bytes - posmap_bytes - stash_bytes
+            treetop_levels = treetop_levels_for(
+                self._levels, bucket_bytes, min(stash_bytes, spare)
+            )
+        self._treetop_levels = treetop_levels
+        cached_buckets = (1 << treetop_levels) - 1
+        self._oblivious_bytes = posmap_bytes + stash_bytes + cached_buckets * bucket_bytes
+        enclave.oblivious.allocate(self._oblivious_bytes)
         self._position: list[int] = [
             self._rng.randrange(self._leaves) for _ in range(capacity)
         ]
         self._stash: dict[int, tuple[int, bytes]] = {}  # id -> (leaf, payload)
+        # Cached bucket i, as stash items: [(id, (leaf, payload)), ...].
+        self._treetop: list[list[tuple[int, tuple[int, bytes]]]] = [
+            [] for _ in range(cached_buckets)
+        ]
         self._freed = False
 
         # Initialise every bucket so reads before first write are well formed.
         self._seal_buckets({})
 
     def _seal_buckets(self, contents: dict[int, list[tuple[int, int, bytes]]]) -> None:
-        """Seal every bucket of the tree in index order — ``contents[i]``
-        into bucket ``i``, an empty bucket where ``i`` is absent — batched
-        in bounded chunks: one ``seal_many`` keystream pass and one
-        contiguous ``write_range`` per chunk (trace: W 0..num_buckets-1,
-        exactly the per-bucket loop's sequence, whatever ``contents``
-        holds), at most ``INIT_CHUNK_BLOCKS`` plaintext buckets resident."""
+        """Fill every bucket of the tree in index order — ``contents[i]``
+        into bucket ``i``, an empty bucket where ``i`` is absent.  The
+        treetop's buckets are set in place; the rest are sealed in bounded
+        chunks: one ``seal_many`` keystream pass and one contiguous
+        ``write_range`` per chunk (trace: W 2^k-1..num_buckets-1, exactly
+        the per-bucket loop's sequence, whatever ``contents`` holds), at
+        most ``INIT_CHUNK_BLOCKS`` plaintext buckets resident."""
         enclave = self._enclave
         empty = self._pack([])
-        for start in range(0, self._num_buckets, INIT_CHUNK_BLOCKS):
+        treetop = self._treetop
+        for index in range(len(treetop)):
+            treetop[index] = [
+                (block_id, (leaf, payload))
+                for block_id, leaf, payload in contents.get(index, ())
+            ]
+        for start in range(len(treetop), self._num_buckets, INIT_CHUNK_BLOCKS):
             count = min(INIT_CHUNK_BLOCKS, self._num_buckets - start)
             plaintexts = [
                 self._pack(contents[index]) if index in contents else empty
@@ -237,9 +306,25 @@ class PathORAM(ORAM):
         return self._levels
 
     @property
+    def treetop_levels(self) -> int:
+        """Top levels held in oblivious memory (``k``; public sizes fix it)."""
+        return self._treetop_levels
+
+    @property
     def stash_size(self) -> int:
         """Current number of blocks in the stash (should stay small)."""
         return len(self._stash)
+
+    def oblivious_memory_bytes(self) -> int:
+        """Oblivious memory this ORAM holds: position map, stash, treetop."""
+        return self._oblivious_bytes
+
+    def resident_blocks(self) -> Iterator[tuple[int, bytes]]:
+        """``(block id, payload)`` of every block held inside the enclave —
+        the stash, then the treetop — which no bucket scan will find."""
+        yield from ((block_id, entry[1]) for block_id, entry in self._stash.items())
+        for bucket in self._treetop:
+            yield from ((block_id, entry[1]) for block_id, entry in bucket)
 
     # ------------------------------------------------------------------
     # Core access
@@ -256,10 +341,12 @@ class PathORAM(ORAM):
         new payload within the same access — a read-modify-write in one
         observable operation, used by the recursive position map.
 
-        The whole path is handled in one batched pipeline: gather →
-        ``open_many`` → stash merge → single-pass greedy eviction →
-        ``seal_many`` → scatter.  Trace: ``R root..leaf, W leaf..root``,
-        identical to the per-bucket loop.
+        The path suffix below the treetop is handled in one batched
+        pipeline: gather → ``open_many`` → stash merge → single-pass greedy
+        eviction → ``seal_many`` → scatter.  Trace: ``R level k..leaf,
+        W leaf..level k``, identical to the per-bucket loop.  ``self`` is
+        not touched until the path is written back (module docstring,
+        *Failure atomicity*).
         """
         if self._freed:
             raise ORAMError("ORAM has been freed")
@@ -274,14 +361,20 @@ class PathORAM(ORAM):
 
         region = self._region
         path = self._path_indices(leaf)
+        cached = path[: self._treetop_levels]
+        suffix = path[self._treetop_levels :]
 
-        # Read the whole path into the stash: one gather, one keystream pass.
-        sealed = enclave.untrusted.read_at(region, path)
-        for index, block in zip(path, sealed):
+        # Read the path into a working stash, root first: the cached levels
+        # from the treetop, the rest in one gather and one keystream pass.
+        sealed = enclave.untrusted.read_at(region, suffix)
+        for index, block in zip(suffix, sealed):
             if block is None:
                 raise ORAMError(f"missing bucket {index} in {region}")
-        plaintexts = enclave.open_many(sealed, self._ledger.open_at(region, path))
-        stash = self._stash
+        plaintexts = enclave.open_many(sealed, self._ledger.open_at(region, suffix))
+        stash = dict(self._stash)
+        treetop = self._treetop
+        for index in cached:
+            stash.update(treetop[index])
         bucket_size = self._bucket_size
         block_size = self._block_size
         for plaintext in plaintexts:
@@ -291,9 +384,11 @@ class PathORAM(ORAM):
                 stash[bid] = (bleaf, payload)
 
         result: bytes | None = None
+        new_leaf = self._rng.randrange(self._leaves)
         if block_id is not None:
-            # Remap to a fresh leaf; serve the read from the stash.
-            new_leaf = self._rng.randrange(self._leaves)
+            # Remap to the fresh leaf; serve the read from the stash.  (A
+            # dummy burns the same draw, so real and dummy accesses consume
+            # randomness identically.)
             if block_id in stash:
                 _, payload = stash[block_id]
                 result = payload
@@ -303,33 +398,44 @@ class PathORAM(ORAM):
             if new_data is not None:
                 self._check_payload(new_data)
                 stash[block_id] = (new_leaf, new_data)
-            self._position[block_id] = new_leaf
-        else:
-            # Dummy: burn one leaf draw so real and dummy accesses consume
-            # randomness identically.
-            self._rng.randrange(self._leaves)
 
         # Greedy eviction, vectorized: one pass over the stash instead of
         # the per-level rescan (see greedy_eviction_placements).
-        placements, self._stash = greedy_eviction_placements(
+        placements, stash = greedy_eviction_placements(
             stash, leaf, self._leaves, self._num_buckets, self._levels, bucket_size
         )
         write_plaintexts = [
             self._pack([(bid, entry[0], entry[1]) for bid, entry in placed])
-            for placed in reversed(placements)
+            for placed in reversed(placements[len(cached) :])
         ]
 
-        # Write the path back leaf→root: one keystream pass, one scatter.
-        write_indices = path[::-1]
+        # Write the suffix back leaf→level k: one keystream pass, one scatter.
+        write_indices = suffix[::-1]
         revisions, aads = self._ledger.stage_at(region, write_indices)
-        enclave.untrusted.write_at(
-            region, write_indices, enclave.seal_many(write_plaintexts, aads)
-        )
+        blocks = enclave.seal_many(write_plaintexts, aads)
+        try:
+            enclave.untrusted.write_at(region, write_indices, blocks)
+        except TransientStorageError as first:
+            # Some prefix landed under revisions nothing has committed, so
+            # a caller that retried would find buckets it cannot open.
+            # Finish here: the same blocks to the same slots.
+            try:
+                enclave.untrusted.write_at(region, write_indices, blocks)
+            except TransientStorageError:
+                raise ORAMError(
+                    f"path write-back to {region} failed twice; the tree is "
+                    "torn and must be rebuilt"
+                ) from first
         self._ledger.commit_at(region, write_indices, revisions)
+        for index, placed in zip(cached, placements):
+            treetop[index] = placed
+        self._stash = stash
+        if block_id is not None:
+            self._position[block_id] = new_leaf
 
-        if len(self._stash) > self._stash_limit:
+        if len(stash) > self._stash_limit:
             raise ORAMError(
-                f"stash overflow: {len(self._stash)} blocks exceeds limit "
+                f"stash overflow: {len(stash)} blocks exceeds limit "
                 f"{self._stash_limit}"
             )
         return result
@@ -382,11 +488,12 @@ class PathORAM(ORAM):
         when the whole path is full: the Path ORAM invariant, reached
         without an access.  The plan is made from ids and leaves alone and
         ``stash_limit`` is enforced before anything is written.  Every
-        bucket is then sealed once, in index order (:meth:`_seal_buckets`),
-        so the adversary sees ``W 0..num_buckets-1`` — a function of the
-        capacity, not of how many blocks were loaded or where they went —
-        and no path is revealed, so no leaf needs remapping.  Blocks not
-        listed are dropped, as :meth:`ORAM.load_blocks` allows.
+        bucket below the treetop is then sealed once, in index order
+        (:meth:`_seal_buckets`), so the adversary sees
+        ``W 2^k-1..num_buckets-1`` — a function of the capacity, not of how
+        many blocks were loaded or where they went — and no path is
+        revealed, so no leaf needs remapping.  Blocks not listed are
+        dropped, as :meth:`ORAM.load_blocks` allows.
         """
         if self._freed:
             raise ORAMError("ORAM has been freed")
@@ -417,9 +524,12 @@ class PathORAM(ORAM):
         self._seal_buckets(contents)
 
     def load_accesses(self, count: int) -> float:
-        """The sealing pass writes every bucket once whatever ``count``
-        is; an access moves a path twice (read, then write back)."""
-        return self._num_buckets / (2 * self._levels)
+        """The sealing pass writes every bucket below the treetop once
+        whatever ``count`` is; an access moves the path's suffix twice
+        (read, then write back)."""
+        return (self._num_buckets - len(self._treetop)) / (
+            2 * (self._levels - self._treetop_levels)
+        )
 
     # ------------------------------------------------------------------
     # Bulk bucket reads (linear-scan fallback)
@@ -427,14 +537,20 @@ class PathORAM(ORAM):
     def scan_buckets(
         self, start: int, count: int
     ) -> list[list[tuple[int, int, bytes]]]:
-        """Open buckets ``[start, start+count)`` to their unpacked entries.
+        """Open the buckets of ``[start, start+count)`` that live in
+        untrusted memory to their unpacked entries; the treetop's blocks
+        are :meth:`resident_blocks`, not read here.
 
         The B+ tree's flat-style linear scan reads the raw tree in index
-        order; this batches that read (trace: ``R start..start+count-1``,
-        exactly the per-bucket loop) and opens all buckets in one keystream
-        pass with their current-revision associated data.
+        order; this batches that read (trace: ``R start..start+count-1``
+        from index ``2^k - 1`` on, exactly the per-bucket loop) and opens
+        all buckets in one keystream pass with their current-revision
+        associated data.
         """
         enclave = self._enclave
+        stop = start + count
+        start = max(start, len(self._treetop))
+        count = max(0, stop - start)
         sealed = enclave.untrusted.read_range(self._region, start, count)
         for offset, block in enumerate(sealed):
             if block is None:
@@ -459,5 +575,14 @@ class PathORAM(ORAM):
             return
         self._enclave.untrusted.free_region(self._region)
         self._ledger.forget_region(self._region)
-        self._enclave.oblivious.release(self._posmap_bytes + self._stash_bytes)
+        self._enclave.oblivious.release(self._oblivious_bytes)
         self._freed = True
+
+
+def paper_path_oram(
+    enclave: Enclave, capacity: int, block_size: int, rng: random.Random
+) -> PathORAM:
+    """Path ORAM exactly as the paper builds it — no treetop — in the
+    B+ tree's ``oram_factory`` shape: what the figure benchmarks and the
+    baselines that model other systems price."""
+    return PathORAM(enclave, capacity, block_size, rng=rng, treetop_levels=0)

@@ -9,7 +9,8 @@ by that factor.  The paper notes one level of recursion suffices in practice
 roughly 2× performance overhead — each data access now needs a map access
 first.  We implement exactly that single level.
 
-Both the data ORAM and the map ORAM are plain :class:`PathORAM` instances,
+Both the data ORAM and the map ORAM are plain :class:`PathORAM` instances
+(each with its own treetop, by the same rule or the same ``treetop_levels``),
 so every logical operation here rides the batched path pipeline twice: the
 map update is a single read-modify-write ORAM access (one gather + one
 ``open_many`` + one ``seal_many`` + one scatter), and the data access is
@@ -43,6 +44,7 @@ class RecursivePathORAM(ORAM):
         block_size: int,
         fanout: int = 16,
         rng: random.Random | None = None,
+        treetop_levels: int | None = None,
     ) -> None:
         if fanout < 2:
             raise ValueError("fanout must be at least 2")
@@ -59,6 +61,7 @@ class RecursivePathORAM(ORAM):
             block_size,
             rng=self._rng,
             charge_position_map=False,
+            treetop_levels=treetop_levels,
         )
         # The data ORAM drew an initial position map on construction; we
         # mirror those leaves into the map ORAM below so both agree.
@@ -69,6 +72,7 @@ class RecursivePathORAM(ORAM):
             block_size=fanout * _LEAF.size,
             rng=self._rng,
             charge_position_map=True,
+            treetop_levels=treetop_levels,
         )
         for map_block in range(map_capacity):
             start = map_block * fanout
@@ -137,5 +141,6 @@ class RecursivePathORAM(ORAM):
         self._freed = True
 
     def oblivious_memory_bytes(self) -> int:
-        """Oblivious memory held by client state (map ORAM's map + stashes)."""
-        return self._map._posmap_bytes + self._map._stash_bytes + self._data._stash_bytes
+        """Oblivious memory held by client state: the map ORAM's position
+        map, and both trees' stashes and treetops."""
+        return self._map.oblivious_memory_bytes() + self._data.oblivious_memory_bytes()

@@ -705,7 +705,11 @@ class _Compiler:
             return node
         index = table.require_index()
         scratch = FlatStorage(table.enclave, table.schema, max(1, index.capacity))
-        scratch.fast_insert_many(list(index.linear_scan()))
+        try:
+            scratch.fast_insert_many(list(index.linear_scan()))
+        except Exception:
+            scratch.free()  # not bound yet: ``compiled.free()`` would miss it
+            raise
         node = ScanNode(
             table=table.name,
             access_method=AccessMethod.INDEX_LINEAR,

@@ -912,14 +912,16 @@ class ObliviousBPlusTree:
         dummies alike as dummy rows.  The paper reports < 2.5× overhead
         versus true flat storage; the overhead here is the ORAM's ~4× space
         times bucket occupancy.  Buckets are gathered and opened in batched
-        chunks (trace: ``R 0..num_buckets-1``, the per-bucket loop's order).
+        chunks (trace: ``R 0..num_buckets-1``, the per-bucket loop's order,
+        less the buckets the ORAM caches inside the enclave).
         """
         if not isinstance(self._oram, PathORAM):
             raise StorageError("linear scan requires a PathORAM-backed index")
         oram = self._oram
         record_tag = bytes([_TAG_RECORD])
-        # Stash blocks live in enclave memory: no untrusted access needed.
-        for block_id, (_, payload) in oram._stash.items():
+        # Stash and treetop blocks live in enclave memory: no untrusted
+        # access needed, and no bucket read below would find them.
+        for block_id, payload in oram.resident_blocks():
             if self._allocator.is_allocated(block_id) and payload[:1] == record_tag:
                 row = unframe_row(self.schema, payload[1:])
                 if row is not None:

@@ -91,7 +91,11 @@ class FlatStorage:
         # already touches uniform, well-formed ciphertexts.  One batched
         # write pass: W 0 .. W capacity-1, as the per-block loop would emit.
         if capacity:
-            self.write_range_framed(0, [frame_dummy(schema)] * capacity)
+            try:
+                self.write_range_framed(0, [frame_dummy(schema)] * capacity)
+            except Exception:
+                self.free()  # no caller holds the half-built table
+                raise
 
     # ------------------------------------------------------------------
     # Properties

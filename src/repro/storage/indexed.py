@@ -14,12 +14,14 @@ from typing import Callable, Iterator, Sequence
 from ..enclave.enclave import Enclave
 from ..enclave.errors import StorageError
 from ..oram.base import ORAM
+from ..oram.path_oram import paper_path_oram
 from ..oram.recursive import RecursivePathORAM
 from ..oram.ring_oram import RingORAM
 from .btree import DEFAULT_ORDER, ObliviousBPlusTree
 from .schema import Row, Schema, Value
 
 _ORAM_FACTORIES = {
+    "paper": paper_path_oram,
     "recursive": lambda enclave, capacity, block_size, rng: RecursivePathORAM(
         enclave, capacity, block_size, rng=rng
     ),
@@ -42,9 +44,12 @@ class IndexedStorage:
         rng: random.Random | None = None,
         oram_kind: str = "path",
     ) -> None:
-        """``oram_kind``: "path" (default), "recursive" (position map in a
-        second ORAM, Appendix B — note the flat-style linear-scan fallback
-        is unavailable), or "ring" (Ring ORAM, Section 8)."""
+        """``oram_kind``: "path" (default: Path ORAM with the treetop in
+        oblivious memory), "paper" (Path ORAM exactly as the paper builds
+        it, no treetop — what the figure benchmarks measure), "recursive"
+        (position map in a second ORAM, Appendix B — note the flat-style
+        linear-scan fallback is unavailable), or "ring" (Ring ORAM,
+        Section 8)."""
         self._enclave = enclave
         self.schema = schema
         self.key_column = key_column

@@ -130,7 +130,7 @@ class TestQueryEdges:
 
 
 class TestOramKindPlumbing:
-    @pytest.mark.parametrize("kind", ["path", "ring", "recursive"])
+    @pytest.mark.parametrize("kind", ["path", "paper", "ring", "recursive"])
     def test_create_table_with_oram_kind(self, kind: str) -> None:
         db = ObliDB(cipher="null", seed=5)
         schema = Schema([int_column("k"), str_column("v", 8)])

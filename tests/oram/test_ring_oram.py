@@ -78,7 +78,8 @@ class TestRingCorrectness:
 
 class TestRingCostProfile:
     def test_online_read_cheaper_than_path(self, fast_enclave: Enclave) -> None:
-        """The headline: Ring's per-access byte traffic undercuts Path's.
+        """The headline: Ring's per-access byte traffic undercuts that of
+        the paper's Path ORAM (no treetop: `2·levels` buckets an access).
 
         Each Path IO moves a Z-slot bucket; each Ring IO moves one slot, so
         bytes = IOs (ring) vs IOs x Z (path)."""
@@ -86,7 +87,9 @@ class TestRingCostProfile:
         ring_enclave = Enclave(oblivious_memory_bytes=1 << 22, cipher="null")
         ring = RingORAM(ring_enclave, capacity, 24, rng=random.Random(1))
         path_enclave = Enclave(oblivious_memory_bytes=1 << 22, cipher="null")
-        path = PathORAM(path_enclave, capacity, 24, rng=random.Random(1))
+        path = PathORAM(
+            path_enclave, capacity, 24, rng=random.Random(1), treetop_levels=0
+        )
         rng = random.Random(2)
         for block in range(capacity):
             ring.write(block, b"x")
@@ -99,6 +102,7 @@ class TestRingCostProfile:
             path.read(block)
         ring_bytes = (ring_enclave.cost.block_ios - ring_before) * 1
         path_bytes = (path_enclave.cost.block_ios - path_before) * 4  # Z slots
+        assert path_bytes == probes * 2 * path.levels * 4
         assert ring_bytes < path_bytes
         # Section 8's "approximately 1.5x" improvement.
         assert path_bytes / ring_bytes >= 1.3

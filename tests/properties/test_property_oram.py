@@ -61,13 +61,24 @@ def test_recursive_oram_equivalent_to_array(ops, seed) -> None:
 @given(
     accesses=st.lists(st.integers(min_value=0, max_value=CAPACITY - 1), max_size=40),
     seed=st.integers(min_value=0, max_value=2**16),
+    treetop_levels=st.sampled_from([None, 0, 1, 2, 3]),
 )
-def test_every_access_touches_constant_buckets(accesses, seed) -> None:
-    """Invariant: each ORAM access makes exactly 2*levels block transfers."""
+def test_every_access_touches_constant_buckets(accesses, seed, treetop_levels) -> None:
+    """Invariant: each ORAM access makes exactly 2*(levels - k) block
+    transfers, k the levels cached in the enclave."""
     enclave = Enclave(oblivious_memory_bytes=1 << 20, cipher="null")
-    oram = PathORAM(enclave, CAPACITY, block_size=8, rng=random.Random(seed))
+    oram = PathORAM(
+        enclave,
+        CAPACITY,
+        block_size=8,
+        rng=random.Random(seed),
+        treetop_levels=treetop_levels,
+    )
+    assert oram.levels == 4
     for block in accesses:
         before = enclave.cost.block_ios
         oram.read(block)
-        assert enclave.cost.block_ios - before == 2 * oram.levels
+        assert enclave.cost.block_ios - before == 2 * (
+            oram.levels - oram.treetop_levels
+        )
     oram.free()

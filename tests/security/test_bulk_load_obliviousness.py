@@ -48,6 +48,11 @@ def index_over(oram_kind: str, capacity: int = 64) -> tuple[Enclave, IndexedStor
     return enclave, index
 
 
+def cached_buckets(oram) -> int:
+    """Buckets of the tree's top ``k`` levels, which live in the enclave."""
+    return (1 << oram.treetop_levels) - 1
+
+
 class TestLoadIsDataIndependent:
     @pytest.mark.parametrize("cipher", ["null", "authenticated"])
     def test_same_trace_and_counters_for_different_data(self, cipher: str) -> None:
@@ -68,7 +73,10 @@ class TestLoadIsDataIndependent:
             for event in db.enclave.trace.events
             if event.region == oram.region_name
         ]
-        assert on_oram == [("W", index) for index in range(oram.num_buckets)]
+        assert oram.treetop_levels == 5  # of 6 levels
+        assert on_oram == [
+            ("W", index) for index in range(cached_buckets(oram), oram.num_buckets)
+        ]
 
     @pytest.mark.parametrize("oram_kind", ["ring", "recursive"])
     def test_default_load_is_data_independent(self, oram_kind: str) -> None:
@@ -96,13 +104,17 @@ class TestLoadIsDataIndependent:
 class TestLoadCostPins:
     """Counts, not clocks."""
 
-    def test_path_oram_load_is_num_buckets_writes_and_no_access(self) -> None:
-        enclave, index = index_over("path")
+    @pytest.mark.parametrize("oram_kind,k", [("path", 5), ("paper", 0)])
+    def test_path_oram_load_is_one_write_per_uncached_bucket_and_no_access(
+        self, oram_kind: str, k: int
+    ) -> None:
+        enclave, index = index_over(oram_kind)
+        assert index.oram.treetop_levels == k
         before = enclave.cost.snapshot()
         index.load(dataset(6))
         delta = enclave.cost.delta_since(before).snapshot()
         assert delta["oram_accesses"] == 0
-        assert delta["untrusted_writes"] == index.oram.num_buckets
+        assert delta["untrusted_writes"] == index.oram.num_buckets - (2**k - 1)
         assert delta["untrusted_reads"] == 0
 
     @pytest.mark.parametrize("oram_kind,factor", [("ring", 1), ("recursive", 2)])
@@ -115,15 +127,24 @@ class TestLoadCostPins:
 
 
 class TestPathChoiceIsPublic:
-    def test_choice_is_a_function_of_row_count_and_capacity(self) -> None:
+    @pytest.mark.parametrize("oram_kind", ["path", "paper"])
+    def test_choice_is_a_function_of_row_count_and_capacity(self, oram_kind) -> None:
         """Same (n, capacity) ⇒ same choice, whatever the rows hold; the
-        rule compares two closed forms in those public numbers."""
+        rule compares two closed forms in those public numbers: the blocks
+        one sealing pass writes, and the blocks ``n`` padded inserts move."""
         choices = set()
         for capacity, n in [(64, 40), (64, 1), (4096, 1), (4096, 3), (4096, 64)]:
-            _, index = index_over("path", capacity)
+            _, index = index_over(oram_kind, capacity)
             tree, oram = index.tree, index.oram
             _, height = tree._packed_shape(n)
-            expected = oram.num_buckets < n * (3 * height + 4) * 2 * oram.levels
+            access_blocks = 2 * (oram.levels - oram.treetop_levels)
+            expected = (
+                oram.num_buckets - cached_buckets(oram)
+                < n * (3 * height + 4) * access_blocks
+            )
+            assert oram.load_accesses(n) * access_blocks == (
+                oram.num_buckets - cached_buckets(oram)
+            )
             assert tree.prefers_bulk_load(n) == expected, (capacity, n)
             choices.add(expected)
         assert choices == {True, False}
@@ -136,7 +157,7 @@ class TestPathChoiceIsPublic:
         index.insert_many([(7, 7, "seven")])
         delta = enclave.cost.delta_since(before).snapshot()
         assert delta["oram_accesses"] == 3 * 1 + 4  # the insert's padding target
-        path_blocks = 7 * index.oram.levels
+        path_blocks = 7 * (index.oram.levels - index.oram.treetop_levels)
         assert delta["untrusted_writes"] == delta["untrusted_reads"] == path_blocks
 
     def test_non_empty_index_takes_the_per_row_path(self) -> None:

@@ -491,11 +491,19 @@ class ReferencePathORAM(PathORAM):
     """The seed's per-bucket Path ORAM: one scalar read/open/seal/write per
     bucket and the O(stash×levels) greedy-eviction rescan.  Constructed with
     the same rng seed as the batched production class, it must stay in
-    lockstep: identical traces, payloads, positions, and stash."""
+    lockstep: identical traces, payloads, positions, and stash.  The top
+    ``treetop_levels`` levels are kept in ``_treetop`` and visited by the
+    same per-bucket loops, without the untrusted read and write."""
 
     def _seal_buckets(self, contents) -> None:
         enclave, ledger, region = self._enclave, self._ledger, self._region
         for index in range(self._num_buckets):
+            if index < len(self._treetop):
+                self._treetop[index] = [
+                    (bid, (bleaf, payload))
+                    for bid, bleaf, payload in contents.get(index, [])
+                ]
+                continue
             plaintext = _pack_bucket(
                 contents.get(index, []), self._bucket_size, self._block_size
             )
@@ -520,6 +528,9 @@ class ReferencePathORAM(PathORAM):
 
         # Read the whole path into the stash, one bucket at a time.
         for index in path:
+            if index < len(self._treetop):
+                self._stash.update(self._treetop[index])
+                continue
             sealed = enclave.untrusted.read(region, index)
             aad = ledger.associated_data(region, index, ledger.current(region, index))
             plaintext = enclave.open(sealed, aad)
@@ -554,6 +565,11 @@ class ReferencePathORAM(PathORAM):
                 if self._ancestor_at_depth(bleaf, depth) == index:
                     placed.append((bid, bleaf, payload))
                     del self._stash[bid]
+            if index < len(self._treetop):
+                self._treetop[index] = [
+                    (bid, (bleaf, payload)) for bid, bleaf, payload in placed
+                ]
+                continue
             plaintext = _pack_bucket(placed, self._bucket_size, self._block_size)
             revision = ledger.next_revision(region, index)
             aad = ledger.associated_data(region, index, revision)
@@ -658,45 +674,69 @@ def assert_enclaves_match(a: Enclave, b: Enclave) -> None:
     assert a.cost.snapshot() == b.cost.snapshot()
 
 
+def _oram_workout(oram, capacity: int, steps: int, seed: int = 99) -> list:
+    """A fixed mix of writes, reads, dummies and read-modify-writes; returns
+    what the reads returned."""
+    rng = random.Random(seed)
+    mutate = lambda payload: (payload or b"")[:7] + b"+"  # noqa: E731
+    returned = []
+    for step in range(steps):
+        block = rng.randrange(capacity)
+        kind = step % 4
+        if kind == 0:
+            oram.write(block, bytes([rng.randrange(256) for _ in range(8)]))
+        elif kind == 1:
+            returned.append(oram.read(block))
+        elif kind == 2:
+            oram.dummy_access()
+        else:
+            oram.update(block, mutate)
+    return returned
+
+
 class TestPathORAMEquivalence:
-    """Batched path pipeline vs. the seed's per-bucket loop."""
+    """Batched path pipeline vs. the seed's per-bucket loop, at every
+    treetop size: ``0`` is the paper's tree, bit-identical to the seed's."""
 
     CAPACITY = 24
+    LEVELS = 4  # 24 blocks at Z = 4: 8 leaves
 
-    def _pair(self, seed: int = 7) -> tuple[PathORAM, PathORAM, Enclave, Enclave]:
+    @pytest.fixture(params=[None, *range(LEVELS)])
+    def k(self, request) -> int | None:
+        return request.param
+
+    def _pair(
+        self, k: int | None, seed: int = 7
+    ) -> tuple[PathORAM, PathORAM, Enclave, Enclave]:
         enclave_a = Enclave(cipher="authenticated", keep_trace_events=True)
         enclave_b = Enclave(cipher="authenticated", keep_trace_events=True)
         batched = PathORAM(
-            enclave_a, self.CAPACITY, block_size=16, rng=random.Random(seed)
+            enclave_a,
+            self.CAPACITY,
+            block_size=16,
+            rng=random.Random(seed),
+            treetop_levels=k,
         )
         reference = ReferencePathORAM(
-            enclave_b, self.CAPACITY, block_size=16, rng=random.Random(seed)
+            enclave_b,
+            self.CAPACITY,
+            block_size=16,
+            rng=random.Random(seed),
+            treetop_levels=k,
         )
+        assert batched.levels == self.LEVELS
+        assert batched.treetop_levels == (self.LEVELS - 1 if k is None else k)
         return batched, reference, enclave_a, enclave_b
 
-    def test_init_trace_matches_per_bucket_loop(self) -> None:
-        _, _, enclave_a, enclave_b = self._pair()
+    def test_init_trace_matches_per_bucket_loop(self, k) -> None:
+        _, _, enclave_a, enclave_b = self._pair(k)
         assert_enclaves_match(enclave_a, enclave_b)
 
-    def test_real_dummy_and_rmw_accesses(self) -> None:
-        batched, reference, enclave_a, enclave_b = self._pair()
-        rng = random.Random(99)
-        mutate = lambda payload: (payload or b"") + b"+"  # noqa: E731
-        for step in range(400):
-            block = rng.randrange(self.CAPACITY)
-            kind = step % 4
-            if kind == 0:
-                payload = bytes([rng.randrange(256) for _ in range(8)])
-                batched.write(block, payload)
-                reference.write(block, payload)
-            elif kind == 1:
-                assert batched.read(block) == reference.read(block)
-            elif kind == 2:
-                batched.dummy_access()
-                reference.dummy_access()
-            else:
-                batched.update(block, mutate)
-                reference.update(block, mutate)
+    def test_real_dummy_and_rmw_accesses(self, k) -> None:
+        batched, reference, enclave_a, enclave_b = self._pair(k)
+        assert _oram_workout(batched, self.CAPACITY, 400) == _oram_workout(
+            reference, self.CAPACITY, 400
+        )
         assert_enclaves_match(enclave_a, enclave_b)
         # Client state must stay in lockstep too: the vectorized eviction
         # makes exactly the per-level rescan's placements.
@@ -706,7 +746,8 @@ class TestPathORAMEquivalence:
     def _assert_state_matches(batched, reference, enclave_a, enclave_b) -> None:
         assert batched._position == reference._position
         assert batched._stash == reference._stash
-        for index in range(batched.num_buckets):
+        assert batched._treetop == reference._treetop
+        for index in range(len(batched._treetop), batched.num_buckets):
             got = enclave_a.open(
                 enclave_a.untrusted.peek(batched.region_name, index),
                 batched._ledger.open_at(batched.region_name, [index])[0],
@@ -717,33 +758,35 @@ class TestPathORAMEquivalence:
             )
             assert got == want
 
-    def test_load_blocks_matches_per_bucket_loop(self) -> None:
+    def test_load_blocks_matches_per_bucket_loop(self, k) -> None:
         """The chunked sealing pass of ``load_blocks`` vs. one scalar
-        seal + write per bucket: same trace (``W 0..num_buckets-1``), same
-        bucket plaintexts, same position map and stash — then the loaded
-        store keeps serving accesses in lockstep."""
-        batched, reference, enclave_a, enclave_b = self._pair(seed=13)
+        seal + write per bucket: same trace (``W 2^k-1..num_buckets-1``),
+        same bucket plaintexts, same position map, stash and treetop — then
+        the loaded store keeps serving accesses in lockstep."""
+        batched, reference, enclave_a, enclave_b = self._pair(k, seed=13)
         blocks = [(block, bytes([block]) * 9) for block in range(self.CAPACITY - 3)]
         before = len(enclave_a.trace)
         batched.load_blocks(blocks)
         reference.load_blocks(blocks)
-        assert [
-            (e.op, e.index) for e in enclave_a.trace.events[before:]
-        ] == [("W", index) for index in range(batched.num_buckets)]
+        assert [(e.op, e.index) for e in enclave_a.trace.events[before:]] == [
+            ("W", index)
+            for index in range(len(batched._treetop), batched.num_buckets)
+        ]
         for block, payload in blocks[::5]:
             assert batched.read(block) == reference.read(block) == payload
         assert_enclaves_match(enclave_a, enclave_b)
         self._assert_state_matches(batched, reference, enclave_a, enclave_b)
 
-    def test_padding_burst_matches_loop(self) -> None:
-        batched, reference, enclave_a, enclave_b = self._pair(seed=3)
+    def test_padding_burst_matches_loop(self, k) -> None:
+        batched, reference, enclave_a, enclave_b = self._pair(k, seed=3)
         batched.dummy_accesses(7)
         for _ in range(7):
             reference.dummy_access()
         assert_enclaves_match(enclave_a, enclave_b)
 
+    @pytest.mark.parametrize("levels", [None, 0, 1])
     def test_recursive_map_rides_batched_access(
-        self, monkeypatch: pytest.MonkeyPatch
+        self, monkeypatch: pytest.MonkeyPatch, levels: int | None
     ) -> None:
         """The recursive position map is routed through the same batched
         access: production vs. per-bucket references for both levels."""
@@ -751,12 +794,12 @@ class TestPathORAMEquivalence:
 
         enclave_a = Enclave(cipher="authenticated", keep_trace_events=True)
         batched = RecursivePathORAM(
-            enclave_a, 16, block_size=12, rng=random.Random(5)
+            enclave_a, 16, block_size=12, rng=random.Random(5), treetop_levels=levels
         )
         enclave_b = Enclave(cipher="authenticated", keep_trace_events=True)
         monkeypatch.setattr(recursive, "PathORAM", ReferencePathORAM)
         reference = RecursivePathORAM(
-            enclave_b, 16, block_size=12, rng=random.Random(5)
+            enclave_b, 16, block_size=12, rng=random.Random(5), treetop_levels=levels
         )
         rng = random.Random(11)
         for step in range(60):
@@ -771,6 +814,111 @@ class TestPathORAMEquivalence:
                 batched.dummy_access()
                 reference.dummy_access()
         assert_enclaves_match(enclave_a, enclave_b)
+
+
+class TestTreetopFilteredTraceLaw:
+    """Same rng ⇒ a tree caching ``k`` levels returns the payloads, holds
+    the position map and stash, and counts the ORAM accesses of the ``k = 0``
+    tree, and its trace is the ``k = 0`` trace with every access to a bucket
+    index ``< 2^k - 1`` deleted — at every entry point."""
+
+    CAPACITY = 96  # 32 leaves, 6 levels
+    LEVELS = 6
+
+    def _run(self, k: int, drive) -> tuple[PathORAM, Enclave, object]:
+        enclave = Enclave(cipher="null", keep_trace_events=True)
+        oram = PathORAM(
+            enclave,
+            self.CAPACITY,
+            block_size=16,
+            rng=random.Random(41),
+            treetop_levels=k,
+        )
+        assert oram.levels == self.LEVELS
+        return oram, enclave, drive(oram)
+
+    @staticmethod
+    def _events(enclave: Enclave, first_index: int = 0) -> list:
+        return [
+            (e.op, e.region, e.index)
+            for e in enclave.trace.events
+            if e.index >= first_index
+        ]
+
+    def _assert_law(self, drive) -> None:
+        paper, paper_enclave, paper_out = self._run(0, drive)
+        for k in range(1, self.LEVELS):
+            cached, enclave, out = self._run(k, drive)
+            assert out == paper_out, k
+            assert cached._position == paper._position, k
+            assert cached._stash == paper._stash, k
+            assert enclave.cost.oram_accesses == paper_enclave.cost.oram_accesses
+            first_uncached = (1 << k) - 1
+            events = self._events(enclave)
+            assert events == self._events(paper_enclave, first_uncached), k
+            assert all(index >= first_uncached for _, _, index in events)
+            assert enclave.cost.block_ios == len(events)
+
+    def test_init(self) -> None:
+        self._assert_law(lambda oram: None)
+
+    def test_real_dummy_and_rmw_accesses(self) -> None:
+        self._assert_law(lambda oram: _oram_workout(oram, self.CAPACITY, 300))
+
+    def test_padding_burst(self) -> None:
+        self._assert_law(lambda oram: oram.dummy_accesses(9))
+
+    def test_load_blocks_then_accesses(self) -> None:
+        def drive(oram: PathORAM) -> list:
+            oram.load_blocks([(block, bytes([block]) * 5) for block in range(0, 90, 2)])
+            return [oram.read(block) for block in range(0, 90, 7)]
+
+        self._assert_law(drive)
+
+    def test_scan_buckets_and_resident_blocks_cover_every_block_once(self) -> None:
+        """Whatever ``k``, the blocks the enclave holds plus the blocks a
+        scan of the whole region finds are the same blocks, each once."""
+
+        def drive(oram: PathORAM) -> list:
+            _oram_workout(oram, self.CAPACITY, 200)
+            scanned = [
+                (block_id, payload)
+                for entries in oram.scan_buckets(0, oram.num_buckets)
+                for block_id, _, payload in entries
+            ]
+            blocks = sorted(scanned + list(oram.resident_blocks()))
+            assert len({block_id for block_id, _ in blocks}) == len(blocks)
+            return blocks
+
+        self._assert_law(drive)
+
+    def test_recursive_map(self) -> None:
+        """Both inner trees cache ``k`` levels; each region's trace is its
+        own ``k = 0`` trace filtered."""
+
+        def run(k: int) -> tuple[Enclave, list]:
+            enclave = Enclave(cipher="null", keep_trace_events=True)
+            oram = RecursivePathORAM(
+                enclave, 256, block_size=12, rng=random.Random(5), treetop_levels=k
+            )
+            rng = random.Random(11)
+            out = []
+            for step in range(90):
+                block = rng.randrange(256)
+                if step % 3 == 0:
+                    oram.write(block, bytes([rng.randrange(256)] * 6))
+                elif step % 3 == 1:
+                    out.append(oram.read(block))
+                else:
+                    oram.dummy_access()
+            return enclave, out
+
+        paper_enclave, paper_out = run(0)
+        for k in (1, 2):  # the map tree has 3 levels
+            enclave, out = run(k)
+            assert out == paper_out
+            assert enclave.cost.oram_accesses == paper_enclave.cost.oram_accesses
+            assert self._events(enclave) == self._events(paper_enclave, (1 << k) - 1)
 
 
 # ---------------------------------------------------------------------------
