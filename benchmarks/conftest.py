@@ -104,6 +104,7 @@ def load_table(
     key_column: str | None,
     capacity: int | None = None,
     seed: int = 1,
+    oram_kind: str = "path",
 ) -> Table:
     rows = list(rows)
     table = Table(
@@ -114,6 +115,7 @@ def load_table(
         method=method,
         key_column=key_column,
         rng=random.Random(seed),
+        oram_kind=oram_kind,
     )
     for row in rows:
         table.insert(row, fast=table.flat is not None)

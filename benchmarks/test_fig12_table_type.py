@@ -35,6 +35,7 @@ def run_grid() -> dict[str, dict[str, float]]:
                 method=method,
                 key_column="key" if method is not StorageMethod.FLAT else None,
                 capacity=ROWS + OPERATIONS + 8,
+                oram_kind="paper",  # the figure compares the paper's index
             )
             report = run_workload(
                 table, workload, operations=OPERATIONS, key_space=ROWS, seed=12

@@ -52,7 +52,14 @@ def build_oblidb(data, method: StorageMethod) -> ObliDB:
         seed=1,
     )
     key = "pageRank" if method is not StorageMethod.FLAT else None
-    db.create_table("rankings", RANKINGS_SCHEMA, ROWS, method=method, key_column=key)
+    db.create_table(
+        "rankings",
+        RANKINGS_SCHEMA,
+        ROWS,
+        method=method,
+        key_column=key,
+        oram_kind="paper",  # the figure compares the paper's index
+    )
     db.create_table("uservisits", USERVISITS_SCHEMA, ROWS, method=StorageMethod.FLAT)
     rankings = db.table("rankings")
     for row in data.rankings:

@@ -22,8 +22,10 @@ from __future__ import annotations
 import random
 import time
 
+from repro import ObliDB
 from repro.enclave import Enclave
 from repro.oram import PathORAM, RingORAM
+from repro.storage import StorageMethod
 from repro.storage.btree import ObliviousBPlusTree
 from repro.storage.schema import Schema, float_column, int_column, str_column
 
@@ -107,6 +109,26 @@ def _ring_factory(enclave, capacity, block_size, rng):
 
 
 class TestORAMMicrobench:
+    def test_point_lookup_access_counts(self) -> None:
+        """Counts, not wall clock, so armed in every run: an indexed point
+        lookup at 1 024 rows is the leaf, the record and two of padding;
+        the paper's tree reads its three interior levels from the ORAM too."""
+        schema = Schema([int_column("id"), str_column("pad", 24)])
+        rows = [(key, f"row-{key}") for key in range(1024)]
+        random.Random(3).shuffle(rows)
+        for oram_kind, accesses in (("path", 4), ("paper", 7)):
+            db = ObliDB(cipher="null", seed=7)
+            db.create_table(
+                "accounts", schema, 1024, method=StorageMethod.BOTH,
+                key_column="id", oram_kind=oram_kind,
+            )
+            db.insert_many("accounts", rows)
+            assert db.table("accounts").indexed.tree.height == 4
+            for key in (0, 511, 1023, 4096):  # hits and a miss cost alike
+                result = db.sql(f"SELECT * FROM accounts WHERE id = {key}")
+                assert len(result.rows) == (key < 1024)
+                assert result.cost["oram_accesses"] == accesses, oram_kind
+
     def test_oram_pipeline_rates(self) -> None:
         results: dict[str, float] = {}
         table_rows: list[list] = []

@@ -73,6 +73,7 @@ class HIRBMap:
             order=14,  # ~4096-byte nodes at 64 B entries
             rng=rng or random.Random(),
             oram_factory=paper_path_oram,  # HIRB's client has no treetop
+            resident_levels=0,  # and walks every level through the vORAM
         )
 
     @property

@@ -534,11 +534,12 @@ class Executor:
                     table,
                     statement.where or TruePredicate(),
                     self._assigner(table, statement),
+                    compiled.key_interval,
                 )
             else:
                 assert isinstance(statement, DeleteStatement)
                 affected = oblivious_delete(
-                    table, statement.where or TruePredicate()
+                    table, statement.where or TruePredicate(), compiled.key_interval
                 )
         except BaseException:
             # Failed-write coherence: if the mutation layer bumped the

@@ -4,11 +4,14 @@ method (Sections 3.1 and 3.2).
 These are thin routing layers: flat tables use the single-pass dummy-write
 algorithms implemented in :class:`~repro.storage.flat.FlatStorage`; indexed
 tables use the padded B+ tree mutations.  A predicate-based update or
-delete against an *index-only* table cannot use the tree unless the
-predicate pins the key column, so it falls back to collecting affected keys
-via the oblivious linear scan and applying per-key padded operations — the
-operation count then equals the number of affected rows, which is the
-leaked "output size" of the statement.
+delete finds the index's affected rows first and then applies one padded
+operation per row — the operation count equals the number of affected rows,
+which is the leaked "output size" of the statement.  When the predicate
+pins the key column to an interval (the compiler's call, recorded on the
+``WriteNode``: the rule ``SELECT`` uses), the candidates come from one
+padded range lookup over that interval, which leaks the segment's size as
+the same ``SELECT`` would; otherwise from the oblivious linear scan of
+every bucket.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable
 from ..enclave.errors import StorageError
 from ..storage.schema import Row, Value
 from ..storage.table import Table
-from .predicate import Predicate
+from .predicate import Interval, Predicate, RowPredicate
 
 
 def oblivious_insert(table: Table, row: Row, fast: bool = False) -> None:
@@ -26,14 +29,31 @@ def oblivious_insert(table: Table, row: Row, fast: bool = False) -> None:
     table.insert(row, fast=fast)
 
 
+def _index_matches(
+    table: Table, matcher: RowPredicate, interval: Interval | None
+) -> list[Row]:
+    """The index's rows that satisfy ``matcher``: out of the key segment
+    ``interval`` bounds (inclusive, so a superset of the matches) when one
+    is given, else out of a linear scan."""
+    assert table.indexed is not None
+    if interval is None:
+        candidates = table.indexed.linear_scan()
+    else:
+        candidates = table.indexed.range_lookup(interval.low, interval.high)
+    return [row for row in candidates if matcher(row)]
+
+
 def oblivious_update(
-    table: Table, predicate: Predicate, assign: Callable[[Row], Row]
+    table: Table,
+    predicate: Predicate,
+    assign: Callable[[Row], Row],
+    interval: Interval | None = None,
 ) -> int:
     """Update all rows matching ``predicate``; returns the count.
 
-    On flat (or BOTH) tables this is one uniform pass.  Index-only tables
-    additionally require the predicate to identify rows by key, which the
-    linear-scan fallback below provides.
+    On flat (or BOTH) tables this is one uniform pass.  The index's rows
+    are found through ``interval`` — the key interval ``predicate``
+    implies, when the plan chose the index range — or by linear scan.
     """
     updated = 0
     if table.flat is not None:
@@ -48,7 +68,7 @@ def oblivious_update(
     if table.indexed is not None:
         matcher = predicate.compile(table.schema)
         key_index = table.schema.column_index(table.indexed.key_column)
-        affected = [row for row in table.indexed.linear_scan() if matcher(row)]
+        affected = _index_matches(table, matcher, interval)
         try:
             for row in affected:
                 new_row = table.schema.validate_row(assign(row))
@@ -66,8 +86,11 @@ def oblivious_update(
     return updated
 
 
-def oblivious_delete(table: Table, predicate: Predicate) -> int:
-    """Delete all rows matching ``predicate``; returns the count."""
+def oblivious_delete(
+    table: Table, predicate: Predicate, interval: Interval | None = None
+) -> int:
+    """Delete all rows matching ``predicate``; returns the count
+    (``interval`` as in :func:`oblivious_update`)."""
     deleted = 0
     if table.flat is not None:
         matcher = predicate.compile(table.schema)
@@ -78,11 +101,10 @@ def oblivious_delete(table: Table, predicate: Predicate) -> int:
             raise
     if table.indexed is not None:
         matcher = predicate.compile(table.schema)
-        affected_keys: list[Value] = []
         key_index = table.schema.column_index(table.indexed.key_column)
-        for row in table.indexed.linear_scan():
-            if matcher(row):
-                affected_keys.append(row[key_index])
+        affected_keys: list[Value] = [
+            row[key_index] for row in _index_matches(table, matcher, interval)
+        ]
         try:
             for key in affected_keys:
                 if not table.indexed.tree.delete(key):

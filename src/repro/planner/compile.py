@@ -338,19 +338,37 @@ class SortNode(PlanNode):
 
 @dataclass(frozen=True)
 class WriteNode(PlanNode):
-    """INSERT / UPDATE / DELETE: one uniform pass, size-only leakage."""
+    """INSERT / UPDATE / DELETE: one uniform pass, size-only leakage.
+
+    ``access_method`` says how an UPDATE / DELETE finds the rows it
+    affects in the table's index: :attr:`AccessMethod.INDEX_RANGE` (one
+    padded range lookup over the key interval the WHERE pins) or
+    :attr:`AccessMethod.INDEX_LINEAR` (every bucket of the ORAM); ``None``
+    when no index is searched (INSERT, a flat-only table).
+    """
 
     operation: str  # "insert" | "update" | "delete"
     table: str
     rows: int
+    access_method: AccessMethod | None = None
 
     kind = "write"
 
     def label(self) -> str:
-        return f"{self.operation} {self.table} capacity={self.rows}"
+        label = f"{self.operation} {self.table} capacity={self.rows}"
+        if self.access_method is not None:
+            label += f" access_method={self.access_method.value}"
+        return label
 
     def public_fields(self) -> dict[str, object]:
-        return {"operation": self.operation, "table": self.table, "rows": self.rows}
+        fields: dict[str, object] = {
+            "operation": self.operation,
+            "table": self.table,
+            "rows": self.rows,
+        }
+        if self.access_method is not None:
+            fields["access_method"] = self.access_method.value
+        return fields
 
 
 # ----------------------------------------------------------------------
@@ -437,12 +455,16 @@ class CompiledQuery:
     materialized (the table's own flat storage, an index-linear scratch,
     or an index-range segment).  The runner *takes* bindings as it
     consumes them; :meth:`free` releases whatever was never consumed
-    (the EXPLAIN path, or an execution error).
+    (the EXPLAIN path, or an execution error).  ``key_interval`` is the
+    index-key interval of a write whose :class:`WriteNode` says
+    ``index_range``: its bounds are the statement's constants, so it rides
+    beside the plan, never in it.
     """
 
     plan: QueryPlan
     statement: Statement
     bindings: dict[int, _Binding] = field(default_factory=dict)
+    key_interval: Interval | None = None
 
     def bind(self, node: PlanNode, storage: FlatStorage, owned: bool) -> None:
         self.bindings[id(node)] = _Binding(storage, owned)
@@ -522,11 +544,22 @@ class _Compiler:
     # -- writes ---------------------------------------------------------
     def compile_write(self, statement, operation: str) -> CompiledQuery:
         table = self._table(statement.table)
-        node = WriteNode(operation=operation, table=table.name, rows=table.capacity)
+        access_method = interval = None
+        if operation != "insert" and table.indexed is not None:
+            interval = self._keyed_interval(table, statement.where)
+            access_method = (
+                AccessMethod.INDEX_LINEAR if interval is None else AccessMethod.INDEX_RANGE
+            )
+        node = WriteNode(
+            operation=operation,
+            table=table.name,
+            rows=table.capacity,
+            access_method=access_method,
+        )
         plan = QueryPlan(
             root=node, statement_kind=operation, tables=(table.name,)
         )
-        return CompiledQuery(plan=plan, statement=statement)
+        return CompiledQuery(plan=plan, statement=statement, key_interval=interval)
 
     # -- selects --------------------------------------------------------
     def compile_select(self, statement: SelectStatement) -> CompiledQuery:
@@ -674,17 +707,23 @@ class _Compiler:
             return None
         return interval
 
+    def _keyed_interval(
+        self, table: Table, where: Predicate | None
+    ) -> Interval | None:
+        """:meth:`_index_interval`, unless padding mode is on: it never uses
+        indexes, whose benefit comes from knowing query selectivity —
+        exactly what padding hides (§7.1)."""
+        if self._padding is not None:
+            return None
+        return self._index_interval(table, where)
+
     def _compile_scan_source(
         self,
         table: Table,
         statement: SelectStatement,
         compiled: CompiledQuery,
     ) -> PlanNode:
-        interval = None
-        if self._padding is None:
-            # Padding mode never uses indexes: their benefit comes from
-            # knowing query selectivity, exactly what padding hides (§7.1).
-            interval = self._index_interval(table, statement.where)
+        interval = self._keyed_interval(table, statement.where)
         if interval is not None:
             index = table.require_index()
             segment = materialize_index_range(index, interval.low, interval.high)

@@ -30,6 +30,19 @@ it from a textbook tree:
   the row count and the height that implies — ``n`` padded inserts show
   too; every later operation meets an ordinary tree.
 
+* **Resident interior.**  The top levels of the tree are kept as
+  deserialised nodes in oblivious memory for the life of the table and never
+  written to the ORAM, so a descent pays an ORAM access only for the
+  ``oram_levels`` levels nearest the leaves.  The boundary is counted from
+  the leaves up — a root split or collapse adds or removes a resident level
+  and moves no node between the enclave and the ORAM — and is a closed form
+  in public sizes (:func:`resident_levels_for`), reserved at construction
+  for the worst-case node count of those levels.  Every padded target below
+  is the paper's formula evaluated at the number of levels still in the
+  ORAM, so the adversary sees the paper's sequence of uniformly random paths
+  with a public number of them removed.  ``resident_levels=0`` is the
+  paper's tree: every node in the ORAM.
+
 Data layout: one record per ORAM block (as in the paper's implementation);
 leaf nodes store keys plus record block ids and a next-leaf pointer so range
 scans can walk the leaf level.
@@ -39,6 +52,7 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -48,7 +62,7 @@ from ..enclave.enclave import Enclave
 from ..enclave.errors import ORAMError, StorageError
 from ..oram.allocator import BlockAllocator
 from ..oram.base import ORAM
-from ..oram.path_oram import PathORAM
+from ..oram.path_oram import DEFAULT_STASH_LIMIT, PathORAM
 from .rows import frame_row, framed_size, unframe_row
 from .schema import Row, Schema
 
@@ -99,6 +113,21 @@ def _packed_sizes(entries: int, full: int, minimum: int) -> list[int]:
     return sizes
 
 
+def resident_levels_for(widths: list[int], node_bytes: int, budget_bytes: int) -> int:
+    """The resident-interior rule: the most top levels of the tallest tree
+    whose worst-case node counts (``widths``, leaf level first) fit in
+    ``budget_bytes`` — at most ``len(widths) - 1``, so the leaves stay in
+    the ORAM."""
+    levels = nodes = 0
+    while (
+        levels + 1 < len(widths)
+        and (nodes + widths[-1 - levels]) * node_bytes <= budget_bytes
+    ):
+        nodes += widths[-1 - levels]
+        levels += 1
+    return levels
+
+
 class ObliviousBPlusTree:
     """B+ tree over Path ORAM with padded, oblivious mutations.
 
@@ -113,6 +142,14 @@ class ObliviousBPlusTree:
         Maximum number of records; determines the ORAM size.
     order:
         Maximum children per internal node (and max keys per leaf + 1).
+    resident_levels:
+        Top levels of the tallest tree ``capacity`` rows can build that are
+        kept in oblivious memory instead of the ORAM (module docstring).
+        ``None`` applies the rule — what fits in as many bytes as a Path
+        ORAM's stash reserves and in the oblivious memory still free once
+        the ORAM has taken its own, so the resident levels never turn a
+        construction that fits into one that does not; ``0`` is the paper's
+        tree.
     """
 
     def __init__(
@@ -125,6 +162,7 @@ class ObliviousBPlusTree:
         rng: random.Random | None = None,
         oram: ORAM | None = None,
         oram_factory=None,
+        resident_levels: int | None = None,
     ) -> None:
         """``oram_factory(enclave, capacity, block_size, rng) -> ORAM`` lets
         callers swap the block store (recursive Path ORAM to shrink the
@@ -145,6 +183,12 @@ class ObliviousBPlusTree:
         self._order = order
         self._capacity = capacity
 
+        widths = self._worst_case_widths()
+        if resident_levels is not None and not 0 <= resident_levels < len(widths):
+            raise ValueError(
+                f"resident_levels must be in 0..{len(widths) - 1}, "
+                f"got {resident_levels}"
+            )
         block_size = self._compute_block_size()
         # Records plus node overhead: leaves hold >= (order-1)//2 records
         # outside transient underflow, so nodes add well under 60 % blocks.
@@ -160,6 +204,31 @@ class ObliviousBPlusTree:
                 enclave, oram_capacity, block_size, rng=rng or random.Random()
             )
         self._allocator = BlockAllocator(self._oram.capacity)
+
+        # Resident interior, charged once for its worst-case node count.
+        if resident_levels is None:
+            resident_levels = resident_levels_for(
+                widths,
+                block_size,
+                min(DEFAULT_STASH_LIMIT * block_size, enclave.oblivious.free_bytes),
+            )
+        self._resident_levels = resident_levels
+        # The boundary: levels this far above the leaves (0), and higher,
+        # are resident.  With none resident it is out of any tree's reach.
+        self._resident_from = (
+            len(widths) - resident_levels if resident_levels else sys.maxsize
+        )
+        self._resident_limit = sum(widths[len(widths) - resident_levels :])
+        self._resident_bytes = self._resident_limit * block_size
+        try:
+            enclave.oblivious.allocate(self._resident_bytes)
+        except BaseException:
+            if oram is None:
+                self._oram.free()
+            raise
+        self._resident: dict[int, _Node] = {}  # ids below -1, never serialised
+        self._next_resident = -2
+
         self._root = -1
         self._height = 0  # number of node levels (leaf-only tree -> 1)
         self._count = 0
@@ -181,6 +250,16 @@ class ObliviousBPlusTree:
     @property
     def _min_children(self) -> int:
         return self._order // 2
+
+    def _worst_case_widths(self) -> list[int]:
+        """Most nodes each level can hold, leaf level first, up to the one
+        root of the tallest tree ``capacity`` rows can build: every
+        non-root node keeps its minimum occupancy, so a level has at most
+        ``entries below // minimum`` nodes."""
+        widths = [max(1, self._capacity // self._min_leaf_keys)]
+        while widths[-1] > 1:
+            widths.append(max(1, widths[-1] // self._min_children))
+        return widths
 
     def _compute_block_size(self) -> int:
         record = 1 + framed_size(self.schema)
@@ -241,6 +320,8 @@ class ObliviousBPlusTree:
     # Node cache (lazy write-back, Section 3.2 optimisation)
     # ------------------------------------------------------------------
     def _load(self, node_id: int) -> _Node:
+        if node_id < 0:
+            return self._resident[node_id]
         node = self._cache.get(node_id)
         if node is not None:
             return node
@@ -251,16 +332,33 @@ class ObliviousBPlusTree:
         self._cache[node_id] = node
         return node
 
-    def _alloc_node(self, node: _Node) -> int:
+    def _alloc_node(self, node: _Node, level: int) -> int:
+        """Give ``node``, ``level`` levels above the leaves, an id: in
+        oblivious memory at or above the boundary, else an ORAM block
+        written at the next flush."""
+        if level >= self._resident_from:
+            if len(self._resident) >= self._resident_limit:
+                raise StorageError(
+                    f"resident interior exceeded its reservation of "
+                    f"{self._resident_limit} nodes"
+                )
+            node_id = self._next_resident
+            self._next_resident -= 1
+            self._resident[node_id] = node
+            return node_id
         node_id = self._allocator.allocate()
         self._cache[node_id] = node
         self._dirty.add(node_id)
         return node_id
 
     def _mark_dirty(self, node_id: int) -> None:
-        self._dirty.add(node_id)
+        if node_id >= 0:  # a resident node is its own latest copy
+            self._dirty.add(node_id)
 
     def _free_node(self, node_id: int) -> None:
+        if node_id < 0:
+            del self._resident[node_id]
+            return
         self._allocator.release(node_id)
         self._cache.pop(node_id, None)
         self._dirty.discard(node_id)
@@ -274,16 +372,23 @@ class ObliviousBPlusTree:
     # ------------------------------------------------------------------
     # Padding (the obliviousness modification of Section 3.2)
     # ------------------------------------------------------------------
+    def _oram_height(self, height: int) -> int:
+        """How many levels of a ``height``-level tree live in the ORAM: the
+        ones nearest the leaves.  Every padding target is evaluated here —
+        resident levels are read, split and merged without an access."""
+        return min(height, self._resident_from)
+
     def _worst_case_insert(self, height: int) -> int:
         """ORAM accesses an insert must appear to make: descent reads,
         record write, every path node plus a split sibling per level, and a
-        possible new root."""
+        possible new root — ``height`` counting ORAM levels only."""
         return 3 * height + 4
 
     def _worst_case_delete(self, height: int) -> int:
         """Descent reads (h), up to two sibling probes per level (2h), and a
         flush of at most two distinct dirty nodes per level plus the root
-        (2h + 1), with slack for the record access."""
+        (2h + 1), with slack for the record access — ``h`` counting ORAM
+        levels only."""
         return 6 * height + 6
 
     def _pad_accesses(self, start_accesses: int, target: int) -> None:
@@ -330,6 +435,27 @@ class ObliviousBPlusTree:
     def oram(self) -> ORAM:
         return self._oram
 
+    @property
+    def resident_levels(self) -> int:
+        """Top levels of the tallest tree held in oblivious memory (public
+        sizes fix it)."""
+        return self._resident_levels
+
+    @property
+    def oram_levels(self) -> int:
+        """ORAM accesses one descent makes: the tree's levels not resident."""
+        return self._oram_height(self._height)
+
+    @property
+    def resident_nodes(self) -> int:
+        """Nodes currently held in oblivious memory."""
+        return len(self._resident)
+
+    def oblivious_memory_bytes(self) -> int:
+        """Oblivious memory the resident levels reserve (the ORAM reports
+        its own)."""
+        return self._resident_bytes
+
     def _key_bytes(self, value: object) -> bytes:
         self._key_col.validate(value)  # type: ignore[arg-type]
         return self._key_col.sort_key(value)  # type: ignore[arg-type]
@@ -363,7 +489,8 @@ class ObliviousBPlusTree:
     def _descend(self, key: bytes, leftmost: bool = False) -> list[tuple[int, int]]:
         """Path of (node_id, child_index_taken) from root to leaf.
 
-        The leaf entry's child index is -1.  Exactly ``height`` ORAM reads.
+        The leaf entry's child index is -1.  Exactly ``oram_levels`` ORAM
+        reads, counting the leaf the caller loads next.
         ``leftmost=True`` steers to the leftmost leaf that may hold ``key``
         (needed by reads when duplicates straddle a split separator equal
         to the key); the default right-biased descent is what inserts use
@@ -391,7 +518,7 @@ class ObliviousBPlusTree:
         the raw count would otherwise leak the key's position within its
         leaf — a subtle ±1-access channel this padding closes)."""
         extra_leaves = results // max(1, self._min_leaf_keys) + 2
-        return self._height + max(1, results) + extra_leaves
+        return self._oram_height(self._height) + max(1, results) + extra_leaves
 
     def search(self, key_value: object) -> list[Row]:
         """All rows whose key equals ``key_value``.
@@ -400,7 +527,7 @@ class ObliviousBPlusTree:
         count (part of the leaked output size) — padded so hits, misses,
         and boundary-straddling matches are indistinguishable.
         """
-        if self._root < 0:
+        if not self._height:
             return []
         start = self._enclave.cost.oram_accesses
         key = self._key_bytes(key_value)
@@ -428,7 +555,7 @@ class ObliviousBPlusTree:
         Walks the leaf level; leaks the size of the scanned segment, which
         the paper counts as an intermediate table size (Section 4.1).
         """
-        if self._root < 0:
+        if not self._height:
             return []
         start = self._enclave.cost.oram_accesses
         low_key = self._key_bytes(low) if low is not None else b"\x00" * self._key_size
@@ -469,10 +596,10 @@ class ObliviousBPlusTree:
         start = self._enclave.cost.oram_accesses
         key = self._row_key(row)
 
-        if self._root < 0:
+        if not self._height:
             record_id = self._write_record(row)
             leaf = _LeafNode(keys=[key], records=[record_id])
-            self._root = self._alloc_node(leaf)
+            self._root = self._alloc_node(leaf, 0)
             self._height = 1
         else:
             record_id = self._write_record(row)
@@ -488,14 +615,16 @@ class ObliviousBPlusTree:
                 self._split_leaf(leaf_id, leaf, path)
         self._count += 1
         self._flush()
-        self._pad_accesses(start, self._worst_case_insert(self._height))
+        self._pad_accesses(
+            start, self._worst_case_insert(self._oram_height(self._height))
+        )
 
     def _split_leaf(self, leaf_id: int, leaf: _LeafNode, path: list[tuple[int, int]]) -> None:
         cut = len(leaf.keys) // 2
         right = _LeafNode(
             keys=leaf.keys[cut:], records=leaf.records[cut:], next_leaf=leaf.next_leaf
         )
-        right_id = self._alloc_node(right)
+        right_id = self._alloc_node(right, 0)
         separator = right.keys[0]
         del leaf.keys[cut:]
         del leaf.records[cut:]
@@ -509,7 +638,7 @@ class ObliviousBPlusTree:
         if level == 0:
             old_root = self._root
             root = _InternalNode(keys=[separator], children=[old_root, new_child])
-            self._root = self._alloc_node(root)
+            self._root = self._alloc_node(root, self._height)
             self._height += 1
             return
         parent_id, child_index = path[level - 1]
@@ -531,7 +660,7 @@ class ObliviousBPlusTree:
         mid = len(node.children) // 2
         promote = node.keys[mid - 1]
         right = _InternalNode(keys=node.keys[mid:], children=node.children[mid:])
-        right_id = self._alloc_node(right)
+        right_id = self._alloc_node(right, len(path) - 1 - level)
         del node.keys[mid - 1 :]
         del node.children[mid:]
         self._mark_dirty(node_id)
@@ -541,13 +670,14 @@ class ObliviousBPlusTree:
     # Bottom-up build (initial load)
     # ------------------------------------------------------------------
     def _packed_shape(self, rows: int) -> tuple[int, int]:
-        """(node count, height) of the tree :meth:`bulk_load` builds for
-        ``rows`` rows: a closed form in the public row count."""
+        """(nodes stored in the ORAM, height) of the tree :meth:`bulk_load`
+        builds for ``rows`` rows: a closed form in the public row count."""
         width = -(-rows // self._max_leaf_keys)
         nodes, height = width, 1
         while width > 1:
             width = -(-width // self._order)
-            nodes += width
+            if height < self._resident_from:
+                nodes += width
             height += 1
         return nodes, height
 
@@ -562,12 +692,13 @@ class ObliviousBPlusTree:
 
         True when the index is empty, the key directory fits in free
         oblivious memory, and the store's load moves fewer blocks than
-        ``rows`` worst-case insert bursts would — priced at the height the
-        packed tree has, which the row-by-row tree is never below once all
-        rows are in.  Every input is public (the row count, the capacity
-        and schema behind the ORAM geometry, the enclave's allocations), so
-        the choice tells the adversary nothing the batch size does not; one
-        row into a large empty index stays a padded burst.
+        ``rows`` worst-case insert bursts would — priced at the ORAM levels
+        of the height the packed tree has, which the row-by-row tree is
+        never below once all rows are in.  Every input is public (the row
+        count, the capacity and schema behind the ORAM geometry, the
+        enclave's allocations), so the choice tells the adversary nothing
+        the batch size does not; one row into a large empty index stays a
+        padded burst.
         """
         if self._count or rows < 1:
             return False
@@ -575,7 +706,7 @@ class ObliviousBPlusTree:
             return False
         nodes, height = self._packed_shape(rows)
         return self._oram.load_accesses(rows + nodes) < rows * self._worst_case_insert(
-            height
+            self._oram_height(height)
         )
 
     def bulk_load(self, rows: Sequence[Row]) -> None:
@@ -586,7 +717,8 @@ class ObliviousBPlusTree:
         oblivious memory while the nodes are packed, and stably, so
         duplicate keys keep input order as right-biased inserts leave them.
         Leaves and then each internal level are packed full
-        (:func:`_packed_sizes`), and the ORAM takes every block at once
+        (:func:`_packed_sizes`), the resident levels stay in oblivious
+        memory, and the ORAM takes every other block at once
         (:meth:`~repro.oram.base.ORAM.load_blocks`).  Observable: the
         store's load of ``len(rows) + nodes`` blocks, a function of the
         row count and capacity — declared leakage, which ``len(rows)``
@@ -612,13 +744,15 @@ class ObliviousBPlusTree:
         except BaseException:
             for block_id, _ in blocks:
                 self._allocator.release(block_id)
+            self._resident.clear()
             raise
         self._root = root
         self._height = height
         self._count = len(rows)
 
     def _pack_tree(self, rows: list[Row]) -> tuple[list[tuple[int, bytes]], int, int]:
-        """Serialise ``rows`` as a packed tree: (blocks, root id, height)."""
+        """Pack ``rows`` as a tree: (ORAM blocks, root id, height); the
+        resident levels' nodes go straight to oblivious memory."""
         allocate = self._allocator.allocate
         blocks: list[tuple[int, bytes]] = []
         directory: list[tuple[bytes, int]] = []
@@ -654,8 +788,11 @@ class ObliviousBPlusTree:
                     keys=[low for _, low in group[1:]],
                     children=[child for child, _ in group],
                 )
-                node_id = allocate()
-                blocks.append((node_id, self._serialize(node)))
+                if height < self._resident_from:
+                    node_id = allocate()
+                    blocks.append((node_id, self._serialize(node)))
+                else:
+                    node_id = self._alloc_node(node, height)
                 parents.append((node_id, group[0][1]))
             level = parents
             height += 1
@@ -682,7 +819,7 @@ class ObliviousBPlusTree:
         start = self._enclave.cost.oram_accesses
         deleted = 0
         walked = 0
-        if self._root >= 0:
+        if self._height:
             key = self._key_bytes(key_value)
             path = self._descend(key, leftmost=True)
             leaf_id = path[-1][0]
@@ -715,7 +852,7 @@ class ObliviousBPlusTree:
                         self._mark_dirty(next_id)
                         self._count -= 1
                         deleted = 1
-        height = max(self._height, 1)
+        height = max(self._oram_height(self._height), 1)
         self._flush()
         # A fixed two-leaf walk allowance covers every unique-key case
         # (separator-equal keys sit at most one leaf right of the leftmost
@@ -730,14 +867,14 @@ class ObliviousBPlusTree:
         """Overwrite the record of the first row with key ``key_value``.
 
         The new row must keep the same key.  Fixed access pattern:
-        ``height`` reads + 1 record write (padded on miss).
+        ``oram_levels`` reads + 1 record write (padded on miss).
         """
         new_row = self.schema.validate_row(new_row)
         key = self._key_bytes(key_value)
         if self._row_key(new_row) != key:
             raise StorageError("update must preserve the index key")
         updated = 0
-        if self._root >= 0:
+        if self._height:
             start = self._enclave.cost.oram_accesses
             path = self._descend(key, leftmost=True)
             leaf = self._load(path[-1][0])
@@ -944,7 +1081,7 @@ class ObliviousBPlusTree:
         Not oblivious on its own (cost reveals leaf count); used by tests
         and by operators that already leak the full-table size.
         """
-        if self._root < 0:
+        if not self._height:
             return
         node_id = self._root
         for _ in range(self._height - 1):
@@ -960,5 +1097,9 @@ class ObliviousBPlusTree:
         self._cache.clear()
 
     def free(self) -> None:
-        """Release the underlying ORAM."""
+        """Release the underlying ORAM and the resident levels' reservation
+        (idempotent, like the ORAM's own)."""
         self._oram.free()
+        self._enclave.oblivious.release(self._resident_bytes)
+        self._resident_bytes = 0
+        self._resident.clear()

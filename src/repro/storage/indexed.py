@@ -44,12 +44,14 @@ class IndexedStorage:
         rng: random.Random | None = None,
         oram_kind: str = "path",
     ) -> None:
-        """``oram_kind``: "path" (default: Path ORAM with the treetop in
-        oblivious memory), "paper" (Path ORAM exactly as the paper builds
-        it, no treetop — what the figure benchmarks measure), "recursive"
-        (position map in a second ORAM, Appendix B — note the flat-style
-        linear-scan fallback is unavailable), or "ring" (Ring ORAM,
-        Section 8)."""
+        """``oram_kind``: "path" (default: Path ORAM with the treetop, and
+        the tree's interior, in oblivious memory), "paper" (Path ORAM and
+        the tree exactly as the paper builds them, no treetop and every
+        node in the ORAM — what the figure benchmarks measure),
+        "recursive" (position map in a second ORAM, Appendix B — note the
+        flat-style linear-scan fallback is unavailable), or "ring" (Ring
+        ORAM, Section 8).  Only "path" spends oblivious memory on the
+        tree: the other kinds are measured against the paper's counts."""
         self._enclave = enclave
         self.schema = schema
         self.key_column = key_column
@@ -65,6 +67,7 @@ class IndexedStorage:
             order=order,
             rng=rng,
             oram_factory=oram_factory,
+            resident_levels=None if oram_kind == "path" else 0,
         )
 
     @property

@@ -15,6 +15,12 @@ make the retry safe, and the sweep below holds them at every access index:
 * the scratch regions a failed attempt allocated are freed before the
   statement is retried.
 
+The B+ tree's resident interior is enclave state like the stash and the
+treetop: a lookup reads it and changes nothing, so a retried ``SELECT`` finds
+it exactly as the failed attempt left it; a mutation changes it in place, so
+a transient in the middle of one surfaces (the table's revision has moved)
+and the log rebuilds it, as it does after a kill.
+
 ``FAULT_SWEEP=1`` (the CI job) samples the sweep at a stride.
 """
 
@@ -25,8 +31,9 @@ import random
 
 import pytest
 
-from repro import FaultPlan, ObliDB, RetryPolicy
+from repro import FaultPlan, ObliDB, RetryPolicy, SimulatedCrash
 from repro.enclave import Enclave, ORAMError, TransientStorageError
+from repro.engine.database import _insert_statement_sql
 from repro.faults import FaultyUntrustedMemory
 from repro.oram import PathORAM
 from repro.storage import Schema, StorageMethod, int_column, str_column
@@ -37,6 +44,15 @@ LOOKUPS = {
     "point": ("SELECT * FROM t WHERE id = 5", [ROWS[5]]),
     "range": ("SELECT * FROM t WHERE id >= 5 AND id <= 9", ROWS[5:10]),
 }
+
+
+def _resident(db: ObliDB) -> dict:
+    """The resident levels of ``t``'s index, node by node."""
+    tree = db.table("t").indexed.tree
+    return {
+        node_id: (list(node.keys), list(node.children))
+        for node_id, node in tree._resident.items()
+    }
 
 
 def _build(plan: FaultPlan, oram_kind: str, sleeps: list[float]) -> ObliDB:
@@ -65,6 +81,8 @@ def test_transient_at_every_access_of_an_index_lookup(
     start = honest.enclave.untrusted.accesses
     assert honest.sql(sql).rows == expected
     total = honest.enclave.untrusted.accesses - start
+    resident = _resident(honest)
+    assert len(resident) == (oram_kind == "path")  # the root, over six leaves
 
     stride = max(1, total // 25) if os.environ.get("FAULT_SWEEP") == "1" else 1
     absorbed = retried = 0
@@ -75,6 +93,7 @@ def test_transient_at_every_access_of_an_index_lookup(
         plan.transient_at(start + offset)
         assert db.sql(sql).rows == expected, offset
         assert plan.take_transient(start + offset) is False  # it fired
+        assert _resident(db) == resident, offset
         index = db.table("t").indexed
         for row in ROWS:
             assert index.point_lookup(row[0]) == [row], (offset, row)
@@ -167,3 +186,135 @@ def test_access_is_all_or_nothing_in_enclave_state(treetop_levels: int | None) -
             assert oram.read(9) == bytes([9]) * 4
         for block in range(64):
             assert oram.read(block) == bytes([block]) * 4
+
+
+# ----------------------------------------------------------------------
+# Index mutations: a transient surfaces, a kill replays
+# ----------------------------------------------------------------------
+CREATE = "CREATE TABLE t (id INT, name STR(8)) CAPACITY 100 METHOD both KEY id"
+#: After the 40-row load: leaf splits, an interior split under the root (a
+#: new resident node), keyed writes, and deletes that merge leaves.
+MUTATIONS = (
+    [f"INSERT INTO t VALUES ({key}, 'm{key}')" for key in range(100, 124)]
+    + ["UPDATE t SET name = 'upd' WHERE id = 7", "UPDATE t SET name = 'rng' WHERE id >= 20 AND id < 23"]
+    + [f"DELETE FROM t WHERE id = {key}" for key in range(0, 30, 2)]
+)
+
+
+def _mutating_db(plan: FaultPlan, retry: RetryPolicy | None) -> ObliDB:
+    db = ObliDB(cipher="null", seed=7, wal=True, fault_plan=plan, retry=retry)
+    db.sql(CREATE)
+    db.insert_many("t", ROWS)
+    return db
+
+
+#: Every statement in WAL order; the load is logged one INSERT a row, and
+#: replayed that way.
+LOGGED = [CREATE] + [_insert_statement_sql("t", row) for row in ROWS] + MUTATIONS
+
+
+_references: dict[tuple, tuple] = {}
+
+
+def _reference(statements: list[str]) -> tuple:
+    """(rows, resident levels, index rows) of a database that ran exactly
+    ``statements``, one at a time, as replay does."""
+    key = tuple(statements)
+    if key not in _references:
+        db = ObliDB(cipher="null")
+        for sql in statements:
+            db.sql(sql)
+        _references[key] = (
+            sorted(db.sql("SELECT * FROM t").rows),
+            _resident(db),
+            db.table("t").indexed.rows(),
+        )
+    return _references[key]
+
+
+def _recovered(crashed: ObliDB, attempted: list[str], label) -> None:
+    """Recover ``crashed``, which got as far as ``attempted`` of the
+    mutations, and hold it to a database that ran the committed log."""
+    committed = crashed.wal.committed_count
+    assert 1 + len(ROWS) <= committed <= 1 + len(ROWS) + len(attempted), label
+    recovered = ObliDB(cipher="null")
+    assert recovered.recover(crashed.wal).replayed == committed, label
+    check = recovered.verify()
+    assert check.ok, (label, check.issues)
+    rows, resident, index_rows = _reference(
+        (LOGGED[: 1 + len(ROWS)] + attempted)[:committed]
+    )
+    assert sorted(recovered.sql("SELECT * FROM t").rows) == rows, label
+    # The resident levels are rebuilt from the log alone: the same nodes
+    # the reference grew, reachable for every row.
+    assert _resident(recovered) == resident, label
+    assert recovered.table("t").indexed.rows() == index_rows, label
+
+
+def test_mutations_grow_and_shrink_the_resident_levels() -> None:
+    db = _mutating_db(FaultPlan(), None)
+    tree = db.table("t").indexed.tree
+    before = tree.resident_nodes
+    for sql in MUTATIONS[:24]:
+        db.sql(sql)
+    assert tree.resident_nodes > before  # an interior node split
+    for sql in MUTATIONS[24:]:
+        db.sql(sql)
+    assert (tree.height, tree.oram_levels) == (3, 1)
+
+
+@pytest.mark.parametrize("mode", ["at", "after"])
+def test_kill_during_index_mutations_replays_the_resident_levels(mode: str) -> None:
+    honest = _mutating_db(FaultPlan(), None)
+    start = honest.enclave.untrusted.accesses
+    for sql in MUTATIONS:
+        honest.sql(sql)
+    total = honest.enclave.untrusted.accesses - start
+    stride = max(1, total // (25 if os.environ.get("FAULT_SWEEP") == "1" else 40))
+    for offset in range(0, total, stride):
+        plan = FaultPlan()
+        db = _mutating_db(plan, None)
+        assert db.enclave.untrusted.accesses == start
+        plan.crash_at(start + offset) if mode == "at" else plan.crash_after(start + offset)
+        with pytest.raises(SimulatedCrash):
+            for sql in MUTATIONS:
+                db.sql(sql)
+        _recovered(db, MUTATIONS, (mode, offset))
+
+
+def test_transient_inside_an_index_mutation_surfaces_or_is_absorbed() -> None:
+    """At every untrusted access of one INSERT that splits a leaf and of one
+    keyed DELETE: the statement either completes — the transient hit before
+    anything changed and was retried, or hit a path write-back and was
+    absorbed — or surfaces un-retried once storage has moved; either way the
+    log rebuilds the tree, resident levels included."""
+    prefix = MUTATIONS[:5]
+    for sql in ("INSERT INTO t VALUES (105, 'split')", "DELETE FROM t WHERE id = 12"):
+        honest = _mutating_db(FaultPlan(), None)
+        for earlier in prefix:
+            honest.sql(earlier)
+        start = honest.enclave.untrusted.accesses
+        honest.sql(sql)
+        total = honest.enclave.untrusted.accesses - start
+        stride = max(1, total // 25) if os.environ.get("FAULT_SWEEP") == "1" else 5
+        surfaced = completed = 0
+        for offset in range(0, total, stride):
+            plan, sleeps = FaultPlan(), []
+            db = _mutating_db(plan, RetryPolicy(attempts=3, sleep=sleeps.append))
+            for earlier in prefix:
+                db.sql(earlier)
+            assert db.enclave.untrusted.accesses == start
+            plan.transient_at(start + offset)
+            try:
+                db.sql(sql)
+            except TransientStorageError:
+                surfaced += 1
+                assert sleeps == [], offset  # storage had moved: no retry
+            else:
+                completed += 1
+                assert _resident(db) == _resident(honest), offset
+                assert db.verify().ok, offset
+            # Logged before it ran, so the log carries the statement whole
+            # (unless the transient struck the log append itself).
+            _recovered(db, prefix + [sql], (sql, offset))
+        assert surfaced and completed

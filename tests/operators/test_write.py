@@ -8,6 +8,7 @@ import pytest
 
 from repro.enclave import Enclave
 from repro.operators import (
+    And,
     Comparison,
     oblivious_delete,
     oblivious_insert,
@@ -72,6 +73,68 @@ class TestWriteOperators:
         table = make_table(fast_enclave, kv_schema, method)
         oblivious_update(
             table, Comparison("key", "=", 7), lambda row: (70, row[1])
+        )
+        assert table.point_lookup(7) == []
+        assert table.point_lookup(70) == [(70, "v7")]
+
+
+@pytest.mark.parametrize("method", [StorageMethod.INDEXED, StorageMethod.BOTH])
+class TestKeyedWrites:
+    """With the key interval its predicate implies, an UPDATE / DELETE takes
+    the index's candidates from one padded range lookup — the same rows the
+    linear scan finds, without opening every bucket."""
+
+    PREDICATES = [
+        Comparison("key", "=", 7),
+        Comparison("key", "=", 99),  # a miss
+        And(Comparison("key", ">=", 3), Comparison("key", "<", 6)),
+        And(Comparison("key", "<=", 4), Comparison("value", "!=", "v2")),
+    ]
+
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=str)
+    def test_same_rows_as_the_linear_scan(
+        self, kv_schema: Schema, method: StorageMethod, predicate
+    ) -> None:
+        interval = predicate.key_interval("key")
+        assert interval is not None
+        outcomes = []
+        for keyed in (interval, None):
+            tables = []
+            for _ in range(2):
+                enclave = Enclave(oblivious_memory_bytes=1 << 24, cipher="null")
+                tables.append(make_table(enclave, kv_schema, method))
+            updating, deleting = tables
+            reads = updating.enclave.cost.untrusted_reads
+            updated = oblivious_update(
+                updating, predicate, lambda row: (row[0], "updated"), keyed
+            )
+            reads = updating.enclave.cost.untrusted_reads - reads
+            deleted = oblivious_delete(deleting, predicate, keyed)
+            outcomes.append(
+                (
+                    updated,
+                    deleted,
+                    updating.indexed.rows(),
+                    deleting.indexed.rows(),
+                    sorted(updating.rows()),
+                    sorted(deleting.rows()),
+                )
+            )
+            if method is StorageMethod.INDEXED:  # no flat pass beside it
+                scanned = reads >= updating.indexed.oram.num_buckets - 31
+                assert scanned == (keyed is None)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == outcomes[0][1] == sum(
+            1 for key in range(12) if predicate.compile(kv_schema)((key, f"v{key}"))
+        )
+
+    def test_key_change_through_the_interval(
+        self, fast_enclave: Enclave, kv_schema: Schema, method: StorageMethod
+    ) -> None:
+        table = make_table(fast_enclave, kv_schema, method)
+        predicate = Comparison("key", "=", 7)
+        oblivious_update(
+            table, predicate, lambda row: (70, row[1]), predicate.key_interval("key")
         )
         assert table.point_lookup(7) == []
         assert table.point_lookup(70) == [(70, "v7")]

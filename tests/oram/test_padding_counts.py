@@ -92,7 +92,7 @@ class TestBTreePaddingBudgets:
             before = enclave.cost.oram_accesses
             tree.insert((key, f"v{key}"))
             spent = enclave.cost.oram_accesses - before
-            assert spent == tree._worst_case_insert(tree.height)
+            assert spent == tree._worst_case_insert(tree.oram_levels)
 
     def test_every_delete_costs_exactly_the_budget(self) -> None:
         enclave, tree = self._tree()
@@ -102,9 +102,9 @@ class TestBTreePaddingBudgets:
             before = enclave.cost.oram_accesses
             assert tree.delete(key)
             spent = enclave.cost.oram_accesses - before
-            # Budget: worst case at the post-rebalance height plus the fixed
-            # two-leaf walk allowance for separator-equal keys.
-            assert spent == tree._worst_case_delete(max(tree.height, 1)) + 2
+            # Budget: worst case at the post-rebalance ORAM levels plus the
+            # fixed two-leaf walk allowance for separator-equal keys.
+            assert spent == tree._worst_case_delete(max(tree.oram_levels, 1)) + 2
 
     def test_recursive_store_budget_scales_by_factor(self) -> None:
         def factory(enclave, capacity, block_size, rng):
@@ -115,4 +115,4 @@ class TestBTreePaddingBudgets:
             before = enclave.cost.oram_accesses
             tree.insert((key, f"v{key}"))
             spent = enclave.cost.oram_accesses - before
-            assert spent == 2 * tree._worst_case_insert(tree.height)
+            assert spent == 2 * tree._worst_case_insert(tree.oram_levels)

@@ -92,7 +92,7 @@ class TestPlanSnapshots:
                 QUICKSTART_QUERIES[0],
                 [
                     "index_lookup table=employees access_method=index_range segment_rows=1",
-                    "select algorithm=small input_rows=1 output_rows=1 buffer_rows=19464"
+                    "select algorithm=small input_rows=1 output_rows=1 buffer_rows=19432"
                     " padded=False",
                 ],
             ),
@@ -115,7 +115,7 @@ class TestPlanSnapshots:
                 QUICKSTART_QUERIES[4],
                 [
                     "scan table=employees access_method=flat_scan rows=128",
-                    "select algorithm=small input_rows=128 output_rows=4 buffer_rows=19464"
+                    "select algorithm=small input_rows=128 output_rows=4 buffer_rows=19432"
                     " padded=False",
                     "sort order_by=salary descending=True rows=4 in_enclave=True",
                 ],
@@ -129,7 +129,18 @@ class TestPlanSnapshots:
                     "compact bound=1",
                 ],
             ),
-            ("DELETE FROM employees WHERE id = 1", ["delete employees capacity=128"]),
+            (
+                "DELETE FROM employees WHERE id = 1",
+                ["delete employees capacity=128 access_method=index_range"],
+            ),
+            (
+                "DELETE FROM employees WHERE dept = 'nobody'",
+                ["delete employees capacity=128 access_method=index_linear"],
+            ),
+            (
+                "INSERT INTO employees VALUES (99, 'zed', 'ops', 1)",
+                ["insert employees capacity=128"],
+            ),
         ],
     )
     def test_node_labels(self, quickstart_db: ObliDB, sql: str, labels: list) -> None:

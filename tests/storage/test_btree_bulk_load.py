@@ -27,7 +27,11 @@ ORAM_FACTORIES = {"path": None, **_ORAM_FACTORIES}
 
 
 def make_tree(
-    capacity: int = 200, order: int = 8, seed: int = 1, oram: str = "path"
+    capacity: int = 200,
+    order: int = 8,
+    seed: int = 1,
+    oram: str = "path",
+    resident_levels: int | None = None,
 ) -> tuple[Enclave, ObliviousBPlusTree]:
     enclave = Enclave(
         oblivious_memory_bytes=1 << 24, cipher="null", keep_trace_events=True
@@ -40,6 +44,7 @@ def make_tree(
         order=order,
         rng=random.Random(seed),
         oram_factory=ORAM_FACTORIES[oram],
+        resident_levels=resident_levels,
     )
     return enclave, tree
 
@@ -50,11 +55,15 @@ def check_structure(tree: ObliviousBPlusTree, leaf_minimum: bool = True) -> None
     ``leaf_minimum=False`` allows what ``delete`` documents: a separator-
     equal key is removed by the forward leaf walk without rebalancing, so a
     leaf may sit below minimum (even empty) until a delete path reaches it.
+
+    Resident ids are negative: a node has one exactly when it sits at or
+    above the tree's ``_resident_from`` boundary, counted from the leaves.
     """
     try:
-        if tree._root < 0:
-            assert tree.count == 0 and tree.height == 0
+        if not tree.height:
+            assert tree.count == 0 and tree._root == -1
             assert tree._allocator.allocated_count == 0
+            assert not tree._resident
             return
         order = tree._order
         reachable: set[int] = set()
@@ -65,6 +74,7 @@ def check_structure(tree: ObliviousBPlusTree, leaf_minimum: bool = True) -> None
             reachable.add(node_id)
             node = tree._load(node_id)
             is_root = node_id == tree._root
+            assert (node_id < 0) == (tree.height - depth >= tree._resident_from)
             assert node.keys == sorted(node.keys)
             # Right-biased separators: low <= key <= high, where duplicates
             # of a separator may sit on both sides of it.
@@ -99,7 +109,10 @@ def check_structure(tree: ObliviousBPlusTree, leaf_minimum: bool = True) -> None
         records = [record for _, leaf in leaves for record in leaf.records]
         assert len(records) == len(set(records)) == tree.count
         assert reachable.isdisjoint(records)
-        assert reachable | set(records) == tree._allocator._allocated
+        in_oram = {node_id for node_id in reachable if node_id >= 0}
+        assert in_oram | set(records) == tree._allocator._allocated
+        assert reachable - in_oram == set(tree._resident)
+        assert len(tree._resident) <= tree._resident_limit
     finally:
         tree._cache.clear()
 
@@ -138,22 +151,32 @@ class TestStructure:
         assert tree.height == tree._packed_shape(n)[1] if n else tree.height == 0
         assert list(tree.items()) == model_of(rows)
 
+    @pytest.mark.parametrize("resident_levels", [None, 1, 0])
     @pytest.mark.parametrize("order", [4, 5, 6, 9])
-    def test_every_size_at_small_orders(self, order: int) -> None:
+    def test_every_size_at_small_orders(self, order: int, resident_levels) -> None:
         top = order * (order + 2)  # well into a third level
         for n in range(top + 1):
-            _, tree = make_tree(capacity=top, order=order)
+            _, tree = make_tree(
+                capacity=top, order=order, resident_levels=resident_levels
+            )
             rows = rows_for(n, key_space=max(1, n // 2))
             tree.bulk_load(rows)
             check_structure(tree)
             assert list(tree.items()) == model_of(rows)
 
-    def test_node_count_matches_closed_form(self) -> None:
+    @pytest.mark.parametrize("resident_levels", [None, 2, 1, 0])
+    def test_node_count_matches_closed_form(self, resident_levels) -> None:
+        """The ORAM holds the packed tree's levels below the boundary —
+        only the leaves when every interior level is resident."""
         for n in (1, 7, 8, 57, 200):
-            _, tree = make_tree()
+            _, tree = make_tree(resident_levels=resident_levels)
             tree.bulk_load(rows_for(n))
             nodes = tree._allocator.allocated_count - n
             assert (nodes, tree.height) == tree._packed_shape(n)
+            if resident_levels is None:
+                assert nodes == -(-n // 7)
+            elif resident_levels == 0:
+                assert tree.resident_nodes == 0
 
     @pytest.mark.parametrize(
         "entries,full,minimum,expected",
@@ -170,11 +193,12 @@ class TestStructure:
     def test_packed_sizes(self, entries, full, minimum, expected) -> None:
         assert _packed_sizes(entries, full, minimum) == expected
 
-    def test_later_mutations_meet_an_ordinary_tree(self) -> None:
+    @pytest.mark.parametrize("resident_levels", [None, 1, 0])
+    def test_later_mutations_meet_an_ordinary_tree(self, resident_levels) -> None:
         """Splits, borrows and merges after a load find the occupancy they
         expect: delete most of a packed tree, refill it, and it stays well
-        formed throughout."""
-        _, tree = make_tree()
+        formed throughout — every node on its side of the boundary."""
+        _, tree = make_tree(resident_levels=resident_levels)
         rows = rows_for(150)
         tree.bulk_load(rows)
         rng = random.Random(9)
@@ -253,61 +277,76 @@ class TestRefusals:
 KEY = st.integers(min_value=0, max_value=24)
 
 
-def assert_same_answers(bulk: ObliviousBPlusTree, rowwise: ObliviousBPlusTree, model) -> None:
-    assert list(bulk.items()) == list(rowwise.items()) == model
-    for key in range(25):
-        expected = [row for row in model if row[0] == key]
-        assert bulk.search(key) == rowwise.search(key) == expected
-    for low, high in ((None, None), (3, 11), (10, 10), (20, None), (None, 4)):
-        expected = [
-            row
-            for row in model
-            if (low is None or row[0] >= low) and (high is None or row[0] <= high)
-        ]
-        assert bulk.range_scan(low, high) == rowwise.range_scan(low, high) == expected
-    assert sorted(bulk.linear_scan()) == sorted(rowwise.linear_scan()) == sorted(model)
+def assert_same_answers(trees: list[ObliviousBPlusTree], model) -> None:
+    for tree in trees:
+        assert list(tree.items()) == model
+        for key in range(25):
+            assert tree.search(key) == [row for row in model if row[0] == key]
+        for low, high in ((None, None), (3, 11), (10, 10), (20, None), (None, 4)):
+            assert tree.range_scan(low, high) == [
+                row
+                for row in model
+                if (low is None or row[0] >= low) and (high is None or row[0] <= high)
+            ]
+        assert sorted(tree.linear_scan()) == sorted(model)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     keys=st.lists(KEY, max_size=90),
     commands=st.lists(
-        st.tuples(st.sampled_from(["insert", "delete", "update"]), KEY), max_size=60
+        st.tuples(st.sampled_from(["insert", "delete", "update", "lookup"]), KEY),
+        max_size=60,
     ),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_bulk_built_equals_row_by_row(keys, commands, seed) -> None:
-    """Duplicate-heavy keys (25 values, up to 90 rows): both trees answer
-    every read alike — duplicates in insertion order — and keep doing so,
-    and agreeing with a sorted-list model, through later mutations."""
+    """Duplicate-heavy keys (25 values, up to 90 rows): a bulk-built tree
+    with its interior resident, the same load with every node in the ORAM
+    (the paper's tree), and a tree built row by row answer every read alike
+    — duplicates in insertion order — and keep doing so, and agreeing with
+    a sorted-list model, through later mutations."""
     rows = [(key, f"v{i}") for i, key in enumerate(keys)]
     _, bulk = make_tree(capacity=160, seed=seed)
+    _, paper = make_tree(capacity=160, seed=seed, resident_levels=0)
     _, rowwise = make_tree(capacity=160, seed=seed + 1)
+    trees = [bulk, paper, rowwise]
     bulk.bulk_load(rows)
+    paper.bulk_load(rows)
     for row in rows:
         rowwise.insert(row)
     model = model_of(rows)
     check_structure(bulk)
-    assert_same_answers(bulk, rowwise, model)
+    check_structure(paper)
+    assert bulk.height == paper.height
+    assert_same_answers(trees, model)
 
     for step, (command, key) in enumerate(commands):
         first = next((i for i, row in enumerate(model) if row[0] == key), None)
         if command == "insert":
             row = (key, f"n{step}")
-            bulk.insert(row)
-            rowwise.insert(row)
+            for tree in trees:
+                tree.insert(row)
             after = [i for i, other in enumerate(model) if other[0] <= key]
             model.insert(after[-1] + 1 if after else 0, row)
         elif command == "delete":
             expected = 0 if first is None else 1
-            assert bulk.delete(key) == rowwise.delete(key) == expected
+            assert [tree.delete(key) for tree in trees] == [expected] * 3
             if first is not None:
                 del model[first]
-        else:
+        elif command == "update":
             row = (key, f"u{step}")
             expected = 0 if first is None else 1
-            assert bulk.update(key, row) == rowwise.update(key, row) == expected
+            assert [tree.update(key, row) for tree in trees] == [expected] * 3
             if first is not None:
                 model[first] = row
-    assert bulk.count == rowwise.count == len(model)
-    assert_same_answers(bulk, rowwise, model)
+        else:
+            expected = [row for row in model if row[0] == key]
+            assert [tree.search(key) for tree in trees] == [expected] * 3
+    assert [tree.count for tree in trees] == [len(model)] * 3
+    # Same load, same commands: the two bulk-built trees are one shape, each
+    # node on its side of its tree's boundary.
+    assert bulk.height == paper.height
+    check_structure(bulk, leaf_minimum=False)
+    check_structure(paper, leaf_minimum=False)
+    assert_same_answers(trees, model)
