@@ -1,9 +1,11 @@
 """ObliDB reproduction: oblivious query processing for secure databases.
 
-A faithful, pure-Python reproduction of *ObliDB: Oblivious Query Processing
+A faithful Python reproduction of *ObliDB: Oblivious Query Processing
 for Secure Databases* (Eskandarian & Zaharia, VLDB 2019) on top of a
-simulated SGX-like enclave.  See DESIGN.md for the system inventory and
-EXPERIMENTS.md for the reproduced evaluation.
+simulated SGX-like enclave.  Standard library throughout, with one
+dependency: the ``cryptography`` package, whose AES-128-GCM seals every
+block (``repro.enclave.crypto``).  See DESIGN.md for the system inventory
+and EXPERIMENTS.md for the reproduced evaluation.
 
 Quick start::
 

@@ -3,32 +3,40 @@
 ObliDB encrypts and MACs every block it writes to untrusted memory, binding
 each ciphertext to the row identity it carries and to a per-block revision
 number so the OS can neither tamper with, shuffle, replay, nor roll back
-blocks (Section 3 of the paper).  The SGX SDK provides AES-GCM; offline we
-build an equivalent scheme from the standard library:
+blocks (Section 3 of the paper).  The SGX SDK seals with AES-128-GCM
+(``sgx_rijndael128GCM_encrypt``); :class:`AuthenticatedCipher` is the same
+algorithm through the ``cryptography`` package's ``AESGCM``:
 
-* confidentiality — a hash-derived keystream XORed over the plaintext, with
-  a fresh random nonce per encryption (so re-encrypting the same row yields
-  a fresh ciphertext, which is what makes dummy writes indistinguishable
-  from real writes).  Blocks up to 64 B use one keyed-BLAKE2b call; larger
-  blocks (the paper's 512 B regime) squeeze the whole stream from one
-  SHAKE-256 XOF call;
-* integrity — a keyed BLAKE2b MAC over nonce, ciphertext, and associated
-  data (the row-identity/revision header).
+* confidentiality — AES-128 in counter mode under a fresh random 96-bit
+  nonce per seal (so re-encrypting the same row yields a fresh ciphertext,
+  which is what makes dummy writes indistinguishable from real writes);
+* integrity — the 128-bit GCM tag over the ciphertext and the associated
+  data (the row-identity/revision header), verified on every open.
 
-The implementation is vectorized for the simulator's hot path: the keystream
-is produced in one pre-sized pass, the XOR runs integer-wide via
-``int.from_bytes``/``int.to_bytes`` instead of per byte, and the keyed hash
-state for both keystream and MAC is precomputed once per cipher and ``copy``-ed
-per block (skipping BLAKE2b's key-block compression on every call).  The
-``seal_many``/``open_many`` batch API additionally shares nonce generation and
+A :class:`SealedBlock` holds the three GCM outputs as separate fields —
+``nonce`` (12 B), ``ciphertext`` (as long as the plaintext), ``mac`` (the
+16 B tag) — so a stored block is ``12 + n + 16`` bytes and
+``AESGCM(key).decrypt(nonce, ciphertext + mac, aad)`` opens it.
+
+Nonce discipline: nonces are random, so NIST SP 800-38D's bound of 2³² seals
+per key applies.  The key here is a *derived region key* (one per table
+region, ORAM, WAL or shard: ``Enclave.derived_cipher``,
+``shard.pool.derive_shard_key``), which no simulated run approaches; the bound
+is stated as a limit and not enforced.  ``seal_many(..., nonces=)`` lets a
+deterministic caller supply the nonces instead, and uniqueness under the key
+is then that caller's obligation.
+
+There is no standard-library fallback: a second construction selected by what
+happens to be installed would be a silent 5–7× slowdown and a second cipher
+to test.  A missing ``cryptography`` package fails this module's import with a
+message that names it.
+
+The ``seal_many``/``open_many`` batch API shares nonce generation and
 attribute lookups across a run of blocks, taking one *per-block* associated
 data value per plaintext/ciphertext: the blocks of one batch are typically
 bound to different slots (and revisions) of a region — a flat-table chunk, a
 Path ORAM root→leaf path, a Ring ORAM slot set — so a whole path is sealed
-or opened in one keystream pass without weakening the identity binding.
-None of this changes observable behaviour: every length round-trips and
-every tampered component still fails verification, as the round-trip
-property tests assert.
+or opened in one pass without weakening the identity binding.
 
 ``NullCipher`` implements the same interface without byte-level work; it is
 used by large benchmarks where only access counts matter.  It still binds
@@ -42,11 +50,21 @@ import hmac
 import os
 from typing import NamedTuple, Protocol, Sequence
 
+try:
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+except ImportError as exc:  # pragma: no cover - the package is a hard requirement
+    raise ImportError(
+        "repro.enclave.crypto seals blocks with AES-128-GCM from the "
+        "'cryptography' package, which is not installed "
+        "(pip install -r requirements.txt); there is no fallback cipher"
+    ) from exc
+
 from .errors import IntegrityError
 
 _MAC_SIZE = 16
 _NONCE_SIZE = 12
-_KEYSTREAM_CHUNK = 64  # blake2b digest size
+_KEY_SIZE = 16  # AES-128, as sgx_rijndael128GCM_encrypt
 
 
 class SealedBlock(NamedTuple):
@@ -91,90 +109,34 @@ class CipherSuite(Protocol):
         ...
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Deterministic keystream of ``length`` bytes from (key, nonce).
-
-    Two regimes, both one pre-sized pass:
-
-    * ``length`` ≤ 64 — a single keyed-BLAKE2b block (counter 0), the cheapest
-      construction for the small rows unit tests use;
-    * ``length`` > 64 — one SHAKE-256 XOF call squeezing the entire stream at
-      once, which is what makes the paper's 512-byte blocks cheap: one Python
-      call instead of a per-chunk loop.
-
-    Kept as a module function so tests can check the cipher against the
-    definition; the cipher itself uses a precomputed keyed-state fast path
-    with identical output.
-    """
-    if length <= 0:
-        return b""
-    if length <= _KEYSTREAM_CHUNK:
-        return hashlib.blake2b(
-            nonce + b"\x00\x00\x00\x00\x00\x00\x00\x00",
-            key=key,
-            digest_size=_KEYSTREAM_CHUNK,
-        ).digest()[:length]
-    return hashlib.shake_256(key + nonce).digest(length)
-
-
 class AuthenticatedCipher:
-    """Randomised authenticated encryption from BLAKE2b primitives."""
+    """AES-128-GCM with a fresh random 96-bit nonce per seal."""
 
     def __init__(self, key: bytes | None = None) -> None:
         if key is None:
             key = os.urandom(32)
         if len(key) < 16:
             raise ValueError("key must be at least 16 bytes")
-        self._enc_key = hashlib.blake2b(b"enc", key=key, digest_size=32).digest()
-        self._mac_key = hashlib.blake2b(b"mac", key=key, digest_size=32).digest()
-        # Keyed states precomputed once; ``copy()`` per block skips the key
-        # compression while producing exactly the digests of the one-shot
-        # keyed constructions above.
-        self._ks_base = hashlib.blake2b(key=self._enc_key, digest_size=_KEYSTREAM_CHUNK)
-        self._mac_base = hashlib.blake2b(key=self._mac_key, digest_size=_MAC_SIZE)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _stream_xor(self, data: bytes, nonce: bytes) -> bytes:
-        """XOR ``data`` against the (key, nonce) keystream, integer-wide."""
-        length = len(data)
-        if not length:
-            return b""
-        if length <= _KEYSTREAM_CHUNK:
-            ks = self._ks_base.copy()
-            ks.update(nonce + b"\x00\x00\x00\x00\x00\x00\x00\x00")
-            stream = ks.digest()[:length]
-        else:
-            stream = hashlib.shake_256(self._enc_key + nonce).digest(length)
-        return (
-            int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
-        ).to_bytes(length, "little")
-
-    def _mac(self, nonce: bytes, ciphertext: bytes, associated_data: bytes) -> bytes:
-        mac = self._mac_base.copy()
-        mac.update(
-            len(associated_data).to_bytes(4, "little")
-            + associated_data
-            + nonce
-            + ciphertext
+        self._aead = AESGCM(
+            hashlib.blake2b(b"enc", key=key, digest_size=_KEY_SIZE).digest()
         )
-        return mac.digest()
 
     # ------------------------------------------------------------------
     # Scalar API
     # ------------------------------------------------------------------
     def seal(self, plaintext: bytes, associated_data: bytes = b"") -> SealedBlock:
         nonce = os.urandom(_NONCE_SIZE)
-        ciphertext = self._stream_xor(plaintext, nonce)
-        mac = self._mac(nonce, ciphertext, associated_data)
-        return SealedBlock(nonce=nonce, ciphertext=ciphertext, mac=mac)
+        sealed = self._aead.encrypt(nonce, plaintext, associated_data)
+        return SealedBlock(nonce, sealed[:-_MAC_SIZE], sealed[-_MAC_SIZE:])
 
     def open(self, block: SealedBlock, associated_data: bytes = b"") -> bytes:
-        expected = self._mac(block.nonce, block.ciphertext, associated_data)
-        if not hmac.compare_digest(expected, block.mac):
-            raise IntegrityError("block MAC verification failed")
-        return self._stream_xor(block.ciphertext, block.nonce)
+        nonce, ciphertext, mac = block
+        try:
+            return self._aead.decrypt(nonce, ciphertext + mac, associated_data)
+        except (InvalidTag, ValueError):
+            # ValueError: a nonce outside GCM's 8–128 bytes — as much the
+            # host's doing as a bad tag, so the same integrity failure.
+            raise IntegrityError("block MAC verification failed") from None
 
     # ------------------------------------------------------------------
     # Batch API: one nonce draw and pre-bound lookups for a run of blocks
@@ -201,12 +163,11 @@ class AuthenticatedCipher:
             ]
         elif len(nonces) != count:
             raise ValueError("seal_many needs one nonce per plaintext")
-        stream_xor = self._stream_xor
-        compute_mac = self._mac
+        encrypt = self._aead.encrypt
         out: list[SealedBlock] = []
         for plaintext, aad, nonce in zip(plaintexts, associated_data, nonces):
-            ciphertext = stream_xor(plaintext, nonce)
-            out.append(SealedBlock(nonce, ciphertext, compute_mac(nonce, ciphertext, aad)))
+            sealed = encrypt(nonce, plaintext, aad)
+            out.append(SealedBlock(nonce, sealed[:-_MAC_SIZE], sealed[-_MAC_SIZE:]))
         return out
 
     def open_many(
@@ -214,16 +175,15 @@ class AuthenticatedCipher:
     ) -> list[bytes]:
         if len(associated_data) != len(blocks):
             raise ValueError("open_many needs one associated_data per block")
-        stream_xor = self._stream_xor
-        compute_mac = self._mac
-        compare = hmac.compare_digest
+        decrypt = self._aead.decrypt
         out: list[bytes] = []
         # Positional unpacking: accepts any (nonce, ciphertext, mac) triple,
         # including the structural tuples the shard transport hands workers.
         for (nonce, ciphertext, mac), aad in zip(blocks, associated_data):
-            if not compare(compute_mac(nonce, ciphertext, aad), mac):
-                raise IntegrityError("block MAC verification failed")
-            out.append(stream_xor(ciphertext, nonce))
+            try:
+                out.append(decrypt(nonce, ciphertext + mac, aad))
+            except (InvalidTag, ValueError):
+                raise IntegrityError("block MAC verification failed") from None
         return out
 
 

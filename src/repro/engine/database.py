@@ -533,7 +533,10 @@ class ObliDB:
 
     def _explain_result(self, target: Statement) -> QueryResult:
         """``EXPLAIN <stmt>`` through the SQL surface: one row per rendered
-        plan line, nothing executed."""
+        plan line.  The statement is compiled, not run — and compiling does
+        the planner's untrusted reads (the statistics pass, index-segment
+        materialisation; see :meth:`Executor.explain`), so nothing is
+        modified but the trace and cost counters do move."""
         if isinstance(target, CreateTableStatement):
             raise QueryError("CREATE TABLE has no physical plan to explain")
         if isinstance(target, PartitionStatement):

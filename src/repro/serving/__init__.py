@@ -21,17 +21,22 @@ many clients share it safely:
   and the observability counters surface.
 
 * :class:`AsyncSession` — an ``asyncio``-friendly facade that drives a
-  session on the server's thread pool.
+  session on the server's thread pool.  Resolved on first access, so a
+  process that never awaits anything never loads ``asyncio``.
 
 ``docs/serving.md`` covers the design and what coalescing does (and does
 not) leak.
 """
 
-from .aio import AsyncSession
+from typing import TYPE_CHECKING
+
 from .policy import AdmissionError, AdmissionPolicy, ServerCrashed
 from .scheduler import LookupBatcher
 from .server import ObliDBServer, ResultPage, ServerHooks, Session
 from .stats import ServingStats
+
+if TYPE_CHECKING:  # what linters and type checkers see; __getattr__ at run time
+    from .aio import AsyncSession
 
 __all__ = [
     "AdmissionError",
@@ -45,3 +50,12 @@ __all__ = [
     "ServingStats",
     "Session",
 ]
+
+
+def __getattr__(name: str):
+    # ``asyncio`` is ~2 MB resident; only importers of AsyncSession pay it.
+    if name == "AsyncSession":
+        from .aio import AsyncSession
+
+        return AsyncSession
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,48 +1,37 @@
-"""Round-trip and batch-API tests for the vectorized cipher layer.
+"""Round-trip, batch-API and standard-conformance tests for the cipher layer.
 
-The keystream rewrite (one-shot generation, integer-wide XOR, precomputed
-keyed hash states) and the ``seal_many``/``open_many`` batch APIs must be
-behaviourally identical to the scalar per-byte definitions: every length
-round-trips, associated data still binds, and any tampered component still
-raises :class:`IntegrityError`.
+``AuthenticatedCipher`` is AES-128-GCM from the ``cryptography`` package: a
+published known-answer vector and interop both ways with a bare ``AESGCM``
+under the derived key show the class *is* the standard (not a wrapper that
+reorders fields), every length round-trips scalar and batched, associated
+data binds per block, and any tampered or malformed component raises
+:class:`IntegrityError`.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from repro.enclave import AuthenticatedCipher, IntegrityError, NullCipher
-from repro.enclave.crypto import SealedBlock, _keystream
+from repro.enclave.crypto import SealedBlock
 
-#: Lengths crossing every keystream-chunk boundary: empty, single byte, just
-#: below/at/above one 64-byte BLAKE2b chunk, multi-chunk, and a large
-#: non-multiple-of-64 tail.
-LENGTHS = [0, 1, 2, 26, 63, 64, 65, 127, 128, 129, 1000]
+#: Lengths around multiples of the AES block (16 B): empty, single byte,
+#: below/at/above a boundary, and a large ragged tail.
+LENGTHS = [0, 1, 2, 15, 16, 17, 26, 63, 64, 65, 127, 128, 129, 1000]
+
+KEY = b"k" * 32
+
+
+def derived_key(key: bytes) -> bytes:
+    """The AES-128 key ``AuthenticatedCipher(key)`` seals under."""
+    return hashlib.blake2b(b"enc", key=key, digest_size=16).digest()
 
 
 def patterned(length: int) -> bytes:
     return bytes(i * 37 % 256 for i in range(length))
-
-
-class TestKeystream:
-    def test_prefix_property_within_each_regime(self) -> None:
-        """The keystream is prefix-consistent per nonce within a regime
-        (single keyed-BLAKE2b block up to 64 bytes, SHAKE-256 XOF beyond)."""
-        key, nonce = b"k" * 32, b"n" * 12
-        small = _keystream(key, nonce, 64)
-        for length in [n for n in LENGTHS if 0 < n <= 64]:
-            assert _keystream(key, nonce, length) == small[:length]
-        large = _keystream(key, nonce, 1000)
-        for length in [n for n in LENGTHS if n > 64]:
-            assert _keystream(key, nonce, length) == large[:length]
-
-    def test_zero_length(self) -> None:
-        assert _keystream(b"k" * 32, b"n" * 12, 0) == b""
-
-    def test_distinct_nonces_distinct_streams(self) -> None:
-        key = b"k" * 32
-        assert _keystream(key, b"a" * 12, 64) != _keystream(key, b"b" * 12, 64)
-        assert _keystream(key, b"a" * 12, 200) != _keystream(key, b"b" * 12, 200)
 
 
 @pytest.mark.parametrize("cipher_factory", [
@@ -145,13 +134,123 @@ class TestAuthenticatedProperties:
         assert a.nonce != b.nonce
         assert a.ciphertext != b.ciphertext
 
-    def test_multichunk_xor_is_consistent(self) -> None:
-        """Vectorized XOR must equal the definitional per-byte XOR."""
-        cipher = AuthenticatedCipher(b"k" * 32)
-        plaintext = patterned(129)
-        sealed = cipher.seal(plaintext, b"")
-        stream = _keystream(
-            cipher._enc_key, sealed.nonce, len(plaintext)
-        )
-        expected = bytes(p ^ s for p, s in zip(plaintext, stream))
-        assert sealed.ciphertext == expected
+    def test_every_length_roundtrips_scalar_and_batched(self) -> None:
+        cipher = AuthenticatedCipher(KEY)
+        plaintexts = [patterned(length) for length in range(1001)]
+        aads = [b"slot:%d" % length for length in range(1001)]
+        for plaintext, aad in zip(plaintexts, aads):
+            sealed = cipher.seal(plaintext, aad)
+            assert sealed.size() == 12 + len(plaintext) + 16
+            assert cipher.open(sealed, aad) == plaintext
+        batch = cipher.seal_many(plaintexts, aads)
+        assert [block.size() for block in batch] == [12 + n + 16 for n in range(1001)]
+        assert cipher.open_many(batch, aads) == plaintexts
+
+    def test_given_nonces_make_seal_many_deterministic(self) -> None:
+        cipher = AuthenticatedCipher(KEY)
+        plaintexts = [patterned(length) for length in (0, 26, 513)]
+        aads = [b"a", b"b", b"c"]
+        nonces = [bytes([i]) * 12 for i in range(3)]
+        sealed = cipher.seal_many(plaintexts, aads, nonces=nonces)
+        assert sealed == cipher.seal_many(plaintexts, aads, nonces=nonces)
+        assert [block.nonce for block in sealed] == nonces
+        assert [cipher.open(b, aad) for b, aad in zip(sealed, aads)] == plaintexts
+        with pytest.raises(ValueError):
+            cipher.seal_many(plaintexts, aads, nonces=nonces[:2])
+
+
+#: McGrew & Viega, "The Galois/Counter Mode of Operation", test case 4
+#: (AES-128, 60-byte plaintext, 20-byte associated data, 96-bit IV).
+GCM_KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
+GCM_IV = bytes.fromhex("cafebabefacedbaddecaf888")
+GCM_AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+GCM_PLAINTEXT = bytes.fromhex(
+    "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
+)
+GCM_CIPHERTEXT = bytes.fromhex(
+    "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+    "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
+)
+GCM_TAG = bytes.fromhex("5bc94fbc3221a5db94fae95ae7121a47")
+
+
+class TestIsTheStandard:
+    def test_published_aes128_gcm_vector(self) -> None:
+        """The library call the class makes — ``AESGCM(key).encrypt(nonce,
+        data, aad)`` and its ``decrypt`` — is the published algorithm:
+        ciphertext ‖ 16-byte tag.  The interop tests below carry that over
+        to the class and its ``SealedBlock(nonce, ciphertext, mac)`` split."""
+        aead = AESGCM(GCM_KEY)
+        assert aead.encrypt(GCM_IV, GCM_PLAINTEXT, GCM_AAD) == GCM_CIPHERTEXT + GCM_TAG
+        assert aead.decrypt(GCM_IV, GCM_CIPHERTEXT + GCM_TAG, GCM_AAD) == GCM_PLAINTEXT
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_bare_aesgcm_opens_what_the_class_seals(self, length: int) -> None:
+        plaintext = patterned(length)
+        nonce, ciphertext, mac = AuthenticatedCipher(KEY).seal(plaintext, b"aad")
+        bare = AESGCM(derived_key(KEY))
+        assert bare.decrypt(nonce, ciphertext + mac, b"aad") == plaintext
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_class_opens_what_bare_aesgcm_seals(self, length: int) -> None:
+        plaintext = patterned(length)
+        nonce = b"n" * 12
+        sealed = AESGCM(derived_key(KEY)).encrypt(nonce, plaintext, b"aad")
+        block = SealedBlock(nonce, sealed[:-16], sealed[-16:])
+        cipher = AuthenticatedCipher(KEY)
+        assert cipher.open(block, b"aad") == plaintext
+        assert cipher.open_many([block], [b"aad"]) == [plaintext]
+
+
+def flip(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+class TestMalformedBlocksAreIntegrityFailures:
+    """Whatever the host hands back — a flipped bit anywhere, a nonce or tag
+    of the wrong length — is an ``IntegrityError``, never the ``ValueError``
+    or ``InvalidTag`` the library raises."""
+
+    AAD = b"slot:3:rev:9"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda b: b._replace(nonce=flip(b.nonce)),
+            lambda b: b._replace(ciphertext=flip(b.ciphertext)),
+            lambda b: b._replace(mac=flip(b.mac)),
+            lambda b: b._replace(nonce=b.nonce[:4]),
+            lambda b: b._replace(nonce=b""),
+            lambda b: b._replace(mac=b.mac[:8]),
+            lambda b: b._replace(ciphertext=b"", mac=b.mac[:8]),
+        ],
+        ids=[
+            "nonce-bit", "ciphertext-bit", "tag-bit",
+            "nonce-4-bytes", "nonce-empty", "tag-8-bytes", "shorter-than-a-tag",
+        ],
+    )
+    def test_damaged_block_rejected(self, damage) -> None:
+        cipher = AuthenticatedCipher(KEY)
+        good = cipher.seal(patterned(129), self.AAD)
+        bad = damage(good)
+        with pytest.raises(IntegrityError, match="block MAC verification failed"):
+            cipher.open(bad, self.AAD)
+        with pytest.raises(IntegrityError, match="block MAC verification failed"):
+            cipher.open_many([good, bad, good], [self.AAD] * 3)
+
+    def test_flipped_associated_data_rejected(self) -> None:
+        cipher = AuthenticatedCipher(KEY)
+        good = cipher.seal(patterned(129), self.AAD)
+        with pytest.raises(IntegrityError):
+            cipher.open(good, flip(self.AAD))
+        with pytest.raises(IntegrityError):
+            cipher.open_many([good, good], [self.AAD, flip(self.AAD)])
+
+    def test_integrity_error_hides_the_library_exception(self) -> None:
+        cipher = AuthenticatedCipher(KEY)
+        bad = cipher.seal(b"payload")._replace(nonce=b"1234")
+        with pytest.raises(IntegrityError) as caught:
+            cipher.open(bad)
+        assert caught.value.__cause__ is None
+        assert caught.value.__suppress_context__

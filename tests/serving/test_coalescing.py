@@ -406,3 +406,29 @@ class TestAsyncFacade:
         results = asyncio.run(main())
         assert all(result.rows == oracle for result in results)
         server.close()
+
+    def test_asyncio_loads_only_with_the_async_facade(self) -> None:
+        """``import repro`` must not pull in ``asyncio`` (resident memory in
+        every process that never awaits); asking for ``AsyncSession`` does."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        probe = (
+            "import sys, repro\n"
+            "assert 'asyncio' not in sys.modules, 'import repro loaded asyncio'\n"
+            "from repro.serving import AsyncSession\n"
+            "assert 'asyncio' in sys.modules\n"
+            "assert AsyncSession.__module__ == 'repro.serving.aio'\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
