@@ -25,7 +25,7 @@ from .faults import FaultPlan, SimulatedCrash
 from .operators.aggregate import AggregateFunction, AggregateSpec
 from .operators.predicate import And, Comparison, Not, Or, TruePredicate
 from .serving import AdmissionPolicy, ObliDBServer, ServingStats
-from .shard import ShardedTable, ShardPool, ShardSpec
+from .shard import ShardedTable, ShardSpec
 from .storage.schema import (
     Column,
     ColumnType,
@@ -57,7 +57,6 @@ __all__ = [
     "RetryPolicy",
     "Schema",
     "ServingStats",
-    "ShardPool",
     "ShardSpec",
     "ShardedTable",
     "SimulatedCrash",

@@ -21,10 +21,8 @@ A :class:`SealedBlock` holds the three GCM outputs as separate fields —
 Nonce discipline: nonces are random, so NIST SP 800-38D's bound of 2³² seals
 per key applies.  The key here is a *derived region key* (one per table
 region, ORAM, WAL or shard: ``Enclave.derived_cipher``,
-``shard.pool.derive_shard_key``), which no simulated run approaches; the bound
-is stated as a limit and not enforced.  ``seal_many(..., nonces=)`` lets a
-deterministic caller supply the nonces instead, and uniqueness under the key
-is then that caller's obligation.
+``enclave.derive_shard_key``), which no simulated run approaches; the bound
+is stated as a limit and not enforced.
 
 There is no standard-library fallback: a second construction selected by what
 happens to be installed would be a silent 5–7× slowdown and a second cipher
@@ -142,27 +140,16 @@ class AuthenticatedCipher:
     # Batch API: one nonce draw and pre-bound lookups for a run of blocks
     # ------------------------------------------------------------------
     def seal_many(
-        self,
-        plaintexts: Sequence[bytes],
-        associated_data: Sequence[bytes],
-        nonces: Sequence[bytes] | None = None,
+        self, plaintexts: Sequence[bytes], associated_data: Sequence[bytes]
     ) -> list[SealedBlock]:
-        """Batch seal; ``nonces`` (one 12-byte value per plaintext) lets a
-        deterministic caller — a shard worker drawing from its per-shard PRF
-        stream, which must never touch ``os.urandom`` — replace the random
-        draw.  Uniqueness is the caller's obligation, exactly as for any
-        nonce-based AE scheme."""
         count = len(plaintexts)
         if len(associated_data) != count:
             raise ValueError("seal_many needs one associated_data per plaintext")
-        if nonces is None:
-            drawn = os.urandom(_NONCE_SIZE * count)
-            nonces = [
-                drawn[offset : offset + _NONCE_SIZE]
-                for offset in range(0, _NONCE_SIZE * count, _NONCE_SIZE)
-            ]
-        elif len(nonces) != count:
-            raise ValueError("seal_many needs one nonce per plaintext")
+        drawn = os.urandom(_NONCE_SIZE * count)
+        nonces = [
+            drawn[offset : offset + _NONCE_SIZE]
+            for offset in range(0, _NONCE_SIZE * count, _NONCE_SIZE)
+        ]
         encrypt = self._aead.encrypt
         out: list[SealedBlock] = []
         for plaintext, aad, nonce in zip(plaintexts, associated_data, nonces):
@@ -177,8 +164,6 @@ class AuthenticatedCipher:
             raise ValueError("open_many needs one associated_data per block")
         decrypt = self._aead.decrypt
         out: list[bytes] = []
-        # Positional unpacking: accepts any (nonce, ciphertext, mac) triple,
-        # including the structural tuples the shard transport hands workers.
         for (nonce, ciphertext, mac), aad in zip(blocks, associated_data):
             try:
                 out.append(decrypt(nonce, ciphertext + mac, aad))
@@ -212,13 +197,8 @@ class NullCipher:
         return block.ciphertext
 
     def seal_many(
-        self,
-        plaintexts: Sequence[bytes],
-        associated_data: Sequence[bytes],
-        nonces: Sequence[bytes] | None = None,
+        self, plaintexts: Sequence[bytes], associated_data: Sequence[bytes]
     ) -> list[SealedBlock]:
-        # ``nonces`` accepted for interface parity with AuthenticatedCipher;
-        # the null scheme has no nonce so the values are ignored.
         if len(associated_data) != len(plaintexts):
             raise ValueError("seal_many needs one associated_data per plaintext")
         blake2b = hashlib.blake2b

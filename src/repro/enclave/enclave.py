@@ -16,6 +16,7 @@ stated budget (e.g. Figure 8's 6–20 MB sweep) is honoured by construction.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
@@ -27,6 +28,21 @@ from .memory import UntrustedMemory
 from .trace import AccessTrace
 
 DEFAULT_OBLIVIOUS_MEMORY_BYTES = 20 * 1024 * 1024  # the paper's 20 MB ceiling
+
+
+def derive_shard_key(root_key: bytes, label: str) -> bytes:
+    """The cipher key a region label owns: ``label == ""`` is the root itself.
+
+    Region-labelled keys are domain-separated BLAKE2b derivations of the
+    root, so each shard's sealed blocks form an independent cipher stream
+    (compromising one shard's working key reveals nothing about another's)
+    while the enclave, holding the root, re-derives every stream.
+    """
+    if not label:
+        return root_key
+    return hashlib.blake2b(
+        b"shard-key:" + label.encode(), key=root_key[:64], digest_size=32
+    ).digest()
 
 
 class ObliviousMemoryAccount:
@@ -97,10 +113,8 @@ class Enclave:
         | None = None,
     ) -> None:
         if isinstance(cipher, str):
-            # Retain the root key: sharded execution derives per-region
-            # cipher streams and per-worker PRF seeds from it, so workers can
-            # re-derive their keys from (root, label) without the parent ever
-            # shipping a live cipher object across the process boundary.
+            # Retain the root key: per-region cipher streams are derived
+            # from it by label (:meth:`derived_cipher`).
             if key is None:
                 key = os.urandom(32)
             self.root_key: bytes | None = key
@@ -124,41 +138,24 @@ class Enclave:
             self.untrusted = untrusted_factory(self.trace, self.cost)
         self.oblivious = ObliviousMemoryAccount(oblivious_memory_bytes)
         self._region_counter = 0
-        self._shard_pool = None
         self._derived_ciphers: dict[str, CipherSuite] = {}
 
     # ------------------------------------------------------------------
-    # Sharded execution hooks
+    # Per-region derived ciphers
     # ------------------------------------------------------------------
-    def attach_shard_pool(self, pool) -> None:
-        """Attach a :class:`~repro.shard.ShardPool` of enclave workers.
-
-        Once attached, ``seal_many``/``open_many`` transparently fan large
-        batches out across the workers (order-preserving, so no caller or
-        trace behaviour changes), and sharded pipelines can borrow the pool
-        directly.  Pass ``None`` to detach.
-        """
-        self._shard_pool = pool
-
-    @property
-    def shard_pool(self):
-        return self._shard_pool
-
     def derived_cipher(self, label: str) -> CipherSuite:
         """The per-region cipher stream for ``label`` (see ``repro.shard``).
 
-        Derivation is keyed off the retained root key, so a shard worker
-        holding the same root re-derives the identical cipher from the label
-        alone.  Requires a string-kind cipher (custom suites have no root to
-        derive from).  Instances are cached per label.
+        Keyed by :func:`derive_shard_key` off the retained root key, so the
+        stream is a function of the root and the label alone.  Requires a
+        string-kind cipher (custom suites have no root to derive from).
+        Instances are cached per label.
         """
         cipher = self._derived_ciphers.get(label)
         if cipher is None:
             if self.cipher_kind == "null":
                 cipher = NullCipher()
             elif self.cipher_kind == "authenticated":
-                from ..shard.pool import derive_shard_key
-
                 assert self.root_key is not None
                 cipher = AuthenticatedCipher(derive_shard_key(self.root_key, label))
             else:
@@ -185,31 +182,8 @@ class Enclave:
         """Batch :meth:`seal` over a run of blocks (shared setup cost).
 
         Falls back to per-block sealing for cipher suites that do not
-        implement the batch API.  With a shard pool attached, large batches
-        are sliced across the workers; slices are contiguous and results
-        reconcatenated in order, so output is indistinguishable from the
-        in-process path (modulo nonces, which are random either way here and
-        deterministic per worker there).
+        implement the batch API.
         """
-        pool = self._shard_pool
-        if (
-            pool is not None
-            and self.cipher_kind != "custom"
-            and pool.wants_crypto(len(plaintexts))
-        ):
-            if len(associated_data) != len(plaintexts):
-                raise ValueError("seal_many needs one associated_data per plaintext")
-            from ..faults import SimulatedCrash  # lazy: faults imports enclave
-
-            try:
-                return pool.crypto_many("seal_many", "", plaintexts, associated_data)
-            except SimulatedCrash:
-                # Typed degradation: the fan-out is purely an optimization,
-                # and the enclave still holds the key — a dead worker must
-                # not take root-cipher crypto down with it.  Detach the pool
-                # (explicit pipeline dispatch keeps its crash semantics) and
-                # continue in-process.
-                self._shard_pool = None
         seal_many = getattr(self.cipher, "seal_many", None)
         if seal_many is not None:
             return seal_many(plaintexts, associated_data)
@@ -222,21 +196,6 @@ class Enclave:
         self, blocks: Sequence[SealedBlock], associated_data: Sequence[bytes]
     ) -> list[bytes]:
         """Batch :meth:`open` over a run of blocks (shared setup cost)."""
-        pool = self._shard_pool
-        if (
-            pool is not None
-            and self.cipher_kind != "custom"
-            and pool.wants_crypto(len(blocks))
-        ):
-            if len(associated_data) != len(blocks):
-                raise ValueError("open_many needs one associated_data per block")
-            from ..faults import SimulatedCrash  # lazy: faults imports enclave
-
-            try:
-                return pool.crypto_many("open_many", "", blocks, associated_data)
-            except SimulatedCrash:
-                # See seal_many: degrade to in-process crypto on worker death.
-                self._shard_pool = None
         open_many = getattr(self.cipher, "open_many", None)
         if open_many is not None:
             return open_many(blocks, associated_data)

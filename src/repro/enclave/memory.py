@@ -77,7 +77,7 @@ class UntrustedMemory:
         # instead of the global one.  The shard composer later replays those
         # per-shard sequences into the main trace in a canonical order, so
         # the composed observable trace stays a pure function of public
-        # sizes, independent of worker timing.
+        # sizes.
         self._recorders: dict[str, tuple[AccessTrace, CostModel]] = {}
 
     def attach_region_recorder(

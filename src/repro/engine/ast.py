@@ -112,8 +112,8 @@ class PartitionStatement:
     """``PARTITION TABLE t BY HASH (col) SHARDS n`` — shard a flat table.
 
     Splits the table into independent untrusted-memory regions so
-    pipelines (and hash joins over co-partitioned pairs) can run
-    shard-parallel.  ``kind`` is ``hash`` or ``range``; ``bounds`` holds
+    pipelines (and hash joins over co-partitioned pairs) run shard by
+    shard.  ``kind`` is ``hash`` or ``range``; ``bounds`` holds
     the range split points.  ``generation`` tags the sharding epoch so a
     WAL replay reproduces the exact region generation counters.
     """

@@ -38,7 +38,7 @@ from ..enclave.integrity import RevisionLedger
 from ..faults import FaultPlan, FaultyUntrustedMemory
 from ..operators.predicate import Predicate
 from ..planner.compile import QueryPlan
-from ..shard import ShardedTable, ShardPool, ShardSpec, sharded_hash_join
+from ..shard import ShardedTable, ShardSpec, sharded_hash_join
 from ..storage.schema import Column, ColumnType, Row, Schema, Value
 from ..storage.table import StorageMethod, Table
 from .ast import (
@@ -148,8 +148,6 @@ class ObliDB:
         result_cache_entries: int = 0,
         fault_plan: FaultPlan | None = None,
         retry: RetryPolicy | None = _DEFAULT_RETRY,
-        shards: int = 0,
-        shard_backend: str = "auto",
     ) -> None:
         # ``fault_plan`` swaps the honest untrusted host for the adversarial
         # one (tests and the crash sweep); ``retry=None`` disables the
@@ -178,21 +176,6 @@ class ObliDB:
         self.result_cache: PlanCache | None = (
             PlanCache(result_cache_entries) if result_cache_entries > 0 else None
         )
-        # ``shards=N`` opts into the parallel execution subsystem: a
-        # deterministic worker pool (transparently fanning out every large
-        # seal/open batch) and the partition_table / sharded_* surface
-        # below.  SQL statements compile to the same QueryPlan either way:
-        # PlanRunner executes them sequentially, so nothing is priced at a
-        # parallel width.
-        self.shard_pool: ShardPool | None = None
-        if shards > 0:
-            self.shard_pool = ShardPool(
-                shards,
-                self.enclave.cipher_kind,
-                self.enclave.root_key or b"",
-                backend=shard_backend,
-            )
-            self.enclave.attach_shard_pool(self.shard_pool)
         self._sharded: dict[str, ShardedTable] = {}
         # One composite ledger view absorbing every shard's ledger segment,
         # so a single enclave-side walk covers all sharded regions.
@@ -280,9 +263,8 @@ class ObliDB:
         deterministic partitioner over the key column, and its storage
         freed; thereafter the table lives as a :class:`ShardedTable`
         reachable via :meth:`sharded_table` and the ``sharded_*``
-        pipelines.  ``shards`` defaults to the pool's worker count (2
-        without a pool); ``key_column`` to the table's index key (first
-        column otherwise).
+        pipelines.  ``shards`` defaults to 2; ``key_column`` to the table's
+        index key (first column otherwise).
 
         With WAL enabled, the fully-resolved ``PARTITION TABLE`` statement
         is appended *before* the repartition runs — the spec is validated
@@ -312,7 +294,7 @@ class ObliDB:
             raise StorageError(f"table {name!r} is already sharded")
         table = self.table(name)
         if shards is None:
-            shards = self.shard_pool.shards if self.shard_pool is not None else 2
+            shards = 2
         if key_column is None:
             key_column = table.key_column or table.schema.columns[0].name
         spec = ShardSpec(
@@ -389,7 +371,7 @@ class ObliDB:
     def sharded_join(
         self, left: str, right: str, left_column: str, right_column: str
     ) -> list[Row]:
-        """Shard-parallel oblivious hash join over a co-partitioned pair
+        """Sharded oblivious hash join over a co-partitioned pair
         (see :func:`repro.shard.partition.sharded_hash_join`)."""
         return sharded_hash_join(
             self.sharded_table(left),
@@ -397,7 +379,6 @@ class ObliDB:
             left_column,
             right_column,
             self.enclave.oblivious.free_bytes,
-            pool=self.shard_pool,
         )
 
     def sharded_table(self, name: str) -> ShardedTable:
@@ -412,21 +393,22 @@ class ObliDB:
     def sharded_scan(
         self, name: str, where: Callable[[Row], bool] | None = None
     ) -> list[Row]:
-        """Shard-parallel full-table scan/select front."""
-        return self.sharded_table(name).scan_rows(pool=self.shard_pool, where=where)
+        """Sharded full-table scan/select front."""
+        return self.sharded_table(name).scan_rows(where=where)
 
     def sharded_shuffle(self, name: str) -> None:
-        """Shard-parallel oblivious shuffle of every shard region."""
-        self.sharded_table(name).shuffle(pool=self.shard_pool)
+        """Oblivious shuffle of every shard region.  Per-shard permutation
+        seeds come from the database's seeded generator, so
+        ``ObliDB(seed=...)`` replays a shuffle."""
+        self.sharded_table(name).shuffle(rng=self._rng)
 
     def sharded_compact(self, name: str) -> int:
-        """Shard-parallel oblivious compaction; returns total keepers."""
-        return self.sharded_table(name).compact(pool=self.shard_pool)
+        """Oblivious compaction of every shard region; returns total keepers."""
+        return self.sharded_table(name).compact()
 
     def close(self) -> None:
-        """Shut down the shard pool (workers are daemons, but be tidy)."""
-        if self.shard_pool is not None:
-            self.shard_pool.close()
+        """Release the database; it holds nothing that needs releasing, so
+        this does nothing and is safe to call more than once."""
 
     # ------------------------------------------------------------------
     # Statements

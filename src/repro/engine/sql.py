@@ -13,7 +13,7 @@ engine executes —
 * ``CREATE TABLE`` with column types, fixed capacity, storage method, and
   index key;
 * ``PARTITION TABLE .. BY HASH (col) SHARDS n`` (or ``BY RANGE .. BOUNDS``),
-  which shards a flat table for the parallel execution subsystem;
+  which splits a flat table into independent shard regions;
 * ``EXPLAIN <statement>``, which compiles the target to its
   :class:`~repro.planner.compile.QueryPlan` — the query's declared
   leakage — and returns the rendered tree without executing anything.

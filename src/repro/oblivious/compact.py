@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..storage.flat import _CHUNK_BLOCKS, FlatStorage
+from ..storage.flat import FlatStorage
 from ..storage.rows import frame_dummy, is_dummy, unframe_rows
 from ..storage.schema import Row
 
@@ -66,19 +66,12 @@ def compaction_levels(n: int) -> int:
     return levels
 
 
-def _mark_keepers(
-    table: FlatStorage, keep: KeepRow | None, pool=None
-) -> list[bool]:
+def _mark_keepers(table: FlatStorage, keep: KeepRow | None) -> list[bool]:
     """One batched marking scan: ``R 0 .. R n-1``, the per-block scan order.
 
     With ``keep=None`` every non-dummy row is a keeper (pure compaction);
-    with a predicate the pass doubles as a filter front.  A shard pool can
-    take the dummy-flag compute (``keep=None`` only — predicates are
-    closures and stay in the parent); the reads, and hence the trace, do
-    not change.
+    with a predicate the pass doubles as a filter front.
     """
-    if pool is not None and keep is None:
-        return _mark_keepers_pool(table, pool)
     schema = table.schema
     flags: list[bool] = []
     for _, frames in table.scan_framed_chunks():
@@ -92,40 +85,10 @@ def _mark_keepers(
     return flags
 
 
-def _mark_keepers_pool(table: FlatStorage, pool) -> list[bool]:
-    """Marking scan with the open/flag compute on shard workers.
-
-    The parent issues the same ascending chunked reads as the sequential
-    scan — trace ``R 0 .. R n-1`` exactly — but ships each chunk's sealed
-    blocks and AADs to a worker, which opens and flags them off the trace.
-    Chunks pipeline round-robin (one in flight per worker) and collect in
-    submission order, so the flag list matches the sequential pass.
-    """
-    label = table.cipher_label or ""
-    capacity = table.capacity
-    flags: list[bool] = []
-    pending: list = []
-    worker = 0
-    try:
-        for start in range(0, capacity, _CHUNK_BLOCKS):
-            count = min(_CHUNK_BLOCKS, capacity - start)
-            sealed, aads = table.read_range_sealed(start, count)
-            if len(pending) == pool.shards:
-                flags.extend(pool.collect(pending.pop(0)))
-            pending.append(pool.submit(worker, "mark_rows", (label, sealed, aads)))
-            worker = (worker + 1) % pool.shards
-        for handle in pending:
-            flags.extend(pool.collect(handle))
-    finally:
-        pool.drain()  # abandon in-flight chunks if a collect raised
-    return flags
-
-
 def oblivious_compact(
     table: FlatStorage,
     keep: KeepRow | None = None,
     flags: Sequence[bool] | None = None,
-    pool=None,
 ) -> int:
     """Slide keepers to the front of ``table`` in place, preserving order.
 
@@ -136,10 +99,7 @@ def oblivious_compact(
     per-slot keeper flags (e.g. the :func:`filter_copy` front returns
     them) may pass ``flags`` to skip the marking scan — the choice is a
     public property of the call site, not of the data, so the trace stays
-    a fixed function of ``n`` either way.  A shard ``pool`` offloads the
-    marking scan's open/flag compute (and, through the enclave's
-    transparent crypto fan-out, each level's keystream passes) without
-    changing a single observable access.
+    a fixed function of ``n`` either way.
 
     Trace contract — a pure function of ``table.capacity`` (and the public
     presence of ``flags``): one marking scan ``R 0 .. R n-1`` (omitted when
@@ -153,7 +113,7 @@ def oblivious_compact(
     if n == 0:
         return 0
     if flags is None:
-        flags = _mark_keepers(table, keep, pool=pool)
+        flags = _mark_keepers(table, keep)
     elif len(flags) != n:
         raise ValueError(f"{len(flags)} keeper flags for {n} slots")
     kept = sum(flags)

@@ -168,7 +168,6 @@ def oblivious_shuffle(
     table: FlatStorage,
     rng: random.Random | None = None,
     name: str | None = None,
-    pool=None,
     scratch_name: str | None = None,
     cipher_label: str | None = None,
     output_ledger: RevisionLedger | None = None,
@@ -186,13 +185,6 @@ def oblivious_shuffle(
     bucket, ``R`` its contiguous scratch range then ``W`` its contiguous
     output segment.  Enforced against a per-row reference loop by the
     trace-equivalence tests.
-
-    With a :class:`~repro.shard.pool.ShardPool` the clean-up pass runs
-    grouped: buckets are processed ``pool.shards`` at a time — the parent
-    reads each bucket of the group (ascending), workers filter/sort/re-seal
-    off the trace, the parent writes each segment (ascending).  The grouped
-    trace is still a pure function of ``(n, pool.shards)``, and a group size
-    of 1 reproduces the sequential trace exactly.
 
     Sharded callers pass ``scratch_name`` (a deterministic per-shard region
     name), ``cipher_label`` (the output's derived cipher stream), and
@@ -254,14 +246,7 @@ def oblivious_shuffle(
                 ledger=output_ledger,
                 cipher_label=cipher_label,
             )
-            if pool is not None:
-                _cleanup_grouped(
-                    enclave, pool, geometry, scratch_region, ledger, output
-                )
-            else:
-                _cleanup_sequential(
-                    enclave, geometry, scratch_region, ledger, output
-                )
+            _cleanup_sequential(enclave, geometry, scratch_region, ledger, output)
     finally:
         enclave.untrusted.free_region(scratch_region)
         ledger.forget_region(scratch_region)
@@ -275,7 +260,7 @@ def oblivious_shuffle(
 def _cleanup_sequential(
     enclave, geometry: ShuffleGeometry, scratch_region: str, ledger, output
 ) -> None:
-    """Legacy clean-up: per bucket, read its scratch range, write its segment."""
+    """Clean-up: per bucket, read its scratch range, write its segment."""
     header = _ENTRY_HEADER
     for bucket in range(geometry.buckets):
         base = bucket * geometry.bucket_slots
@@ -300,63 +285,3 @@ def _cleanup_sequential(
             )
         output.write_range_framed(seg_start, [frame for _, frame in entries_out])
 
-
-def _cleanup_grouped(
-    enclave, pool, geometry: ShuffleGeometry, scratch_region: str, ledger, output
-) -> None:
-    """Pool clean-up: groups of ``pool.shards`` buckets, workers off-trace.
-
-    Per group the parent reads each bucket's scratch range (ascending bucket
-    order) and ships the sealed entries plus AADs to one worker per bucket;
-    workers open/filter/sort/re-seal; the parent then writes each bucket's
-    output segment (ascending) and commits its staged revisions.  The parent
-    performs every untrusted access, so the trace — ``R`` group's buckets,
-    ``W`` group's segments — is a pure function of ``(n, pool.shards)``;
-    ``pool.shards == 1`` degenerates to the sequential per-bucket trace.
-    """
-    header = _ENTRY_HEADER
-    out_region = output.region_name
-    out_ledger = output._ledger
-    # The scratch is sealed under the enclave root cipher — label "" lets a
-    # worker holding the root key re-derive it; the output seals under the
-    # table's derived stream when it has one.
-    open_label = ""
-    seal_label = output.cipher_label or ""
-    group = pool.shards
-    try:
-        for group_start in range(0, geometry.buckets, group):
-            group_stop = min(group_start + group, geometry.buckets)
-            handles = []
-            staged: list[tuple[int, list[int]]] = []
-            for bucket in range(group_start, group_stop):
-                base = bucket * geometry.bucket_slots
-                sealed = enclave.untrusted.read_range(
-                    scratch_region, base, geometry.bucket_slots
-                )
-                for offset, block in enumerate(sealed):
-                    if block is None:
-                        raise StorageError(
-                            f"missing block {scratch_region}[{base + offset}]"
-                        )
-                open_aads = ledger.open_range(
-                    scratch_region, base, geometry.bucket_slots
-                )
-                seg_start, seg_stop = geometry.segment(bucket)
-                revisions, seal_aads = out_ledger.stage_range(
-                    out_region, seg_start, seg_stop - seg_start
-                )
-                handles.append(
-                    pool.submit(
-                        bucket - group_start,
-                        "shuffle_cleanup",
-                        (open_label, sealed, open_aads, seal_label, seal_aads,
-                         header.size),
-                    )
-                )
-                staged.append((seg_start, revisions))
-            for handle, (seg_start, revisions) in zip(handles, staged):
-                sealed_out = pool.collect(handle)
-                enclave.untrusted.write_range(out_region, seg_start, sealed_out)
-                out_ledger.commit_range(out_region, seg_start, revisions)
-    finally:
-        pool.drain()  # abandon the group's in-flight buckets on error

@@ -1,12 +1,12 @@
-"""Sharded parallel execution: region partitioning, worker pools, traces.
+"""Sharded tables: region partitioning and composable per-shard traces.
 
 The subsystem splits a table into independent untrusted-memory regions
-(:mod:`repro.shard.partition`), runs oblivious pipelines shard-parallel on
-deterministic worker processes (:mod:`repro.shard.pool`) over a
-shared-memory block transport (:mod:`repro.shard.transport`), and composes
-the per-shard access recordings back into one canonical trace
-(:mod:`repro.shard.trace`) so sharded and sequential executions stay
-bit-identical to the adversary.
+(:mod:`repro.shard.partition`), runs each pipeline shard by shard in the
+enclave, and composes the per-shard access recordings back into one
+canonical trace (:mod:`repro.shard.trace`).  The per-shard cost models are
+what a modeled study of the paper's parallelism argument reads: the
+critical path of a W-shard pipeline is the serial remainder plus the
+slowest shard (:func:`critical_path_ms`).
 """
 
 from .partition import (
@@ -17,29 +17,14 @@ from .partition import (
     partition_rows,
     sharded_hash_join,
 )
-from .pool import (
-    CRYPTO_FANOUT_MIN,
-    ShardPool,
-    WorkerContext,
-    derive_shard_key,
-    derive_shard_seed,
-)
 from .trace import ShardTraceRecorder, compose, critical_path_ms
-from .transport import MIN_SEGMENT_BYTES, SHM_AVAILABLE
 
 __all__ = [
-    "CRYPTO_FANOUT_MIN",
-    "MIN_SEGMENT_BYTES",
-    "SHM_AVAILABLE",
-    "ShardPool",
     "ShardSpec",
     "ShardTraceRecorder",
     "ShardedTable",
-    "WorkerContext",
     "compose",
     "critical_path_ms",
-    "derive_shard_key",
-    "derive_shard_seed",
     "encode_key",
     "partition_pair",
     "partition_rows",

@@ -4,21 +4,20 @@ A :class:`ShardedTable` splits one logical table into ``N`` independent
 untrusted-memory regions — one :class:`~repro.storage.flat.FlatStorage` per
 shard, each with its *own* :class:`~repro.enclave.integrity.RevisionLedger`
 segment and its own derived cipher stream (the shard's region name is its
-cipher label, so any enclave thread holding the root key re-derives the
-stream from the label alone).  Placement is decided by a deterministic
+cipher label, so the enclave re-derives the stream from the root key and
+the label alone).  Placement is decided by a deterministic
 :class:`ShardSpec` over the key column — ``hash`` (keyed on a canonical
 byte encoding of the key, stable across processes and runs) or ``range``
 (sorted cut points) — so re-partitioning the same rows always reproduces
 the same layout.
 
-Pipelines run shard-parallel through a :class:`~repro.shard.pool.ShardPool`
-while the *parent* performs every untrusted-memory access itself, recording
-each shard's accesses into a :class:`~repro.shard.trace.ShardTraceRecorder`
-attached to the shard's regions.  After the pipeline,
+Pipelines run shard by shard in the enclave, recording each shard's
+accesses into a :class:`~repro.shard.trace.ShardTraceRecorder` attached to
+the shard's regions.  After the pipeline,
 :func:`~repro.shard.trace.compose` replays the recordings into the
 enclave's trace in fixed round-robin epoch order, so the composed
-observable sequence is a pure function of public sizes — bit-identical
-whether the compute ran on worker processes, inline, or not at all.
+observable sequence is a pure function of public sizes; the per-shard cost
+models give the modeled critical path a W-way parallel run would have.
 
 What the adversary learns from sharding: the shard count, each shard's
 (public, uniform) capacity, and which region each access touches — all
@@ -128,12 +127,11 @@ class ShardedTable:
     ``composite_ledger`` (e.g. the database's) may absorb every shard
     region so one verification walk covers the whole logical table.
 
-    Pipelines — :meth:`scan_rows`, :meth:`shuffle`, :meth:`compact` — take
-    an optional :class:`~repro.shard.pool.ShardPool`; with or without one
-    the composed trace is identical (the pool only moves enclave compute
-    off the parent).  ``last_recorders`` holds the per-shard recorders of
-    the most recent pipeline, whose :class:`CostModel`\\ s give the modeled
-    per-shard critical path the benchmarks measure.
+    Pipelines — :meth:`scan_rows`, :meth:`shuffle`, :meth:`compact` — run
+    in-process, one shard after another.  ``last_recorders`` holds the
+    per-shard recorders of the most recent pipeline, whose
+    :class:`CostModel`\\ s give the modeled per-shard critical path the
+    benchmarks measure.
     """
 
     def __init__(
@@ -273,93 +271,52 @@ class ShardedTable:
     # ------------------------------------------------------------------
     # Pipelines
     # ------------------------------------------------------------------
-    def scan_rows(
-        self, pool=None, where: Callable[[Row], bool] | None = None
-    ) -> list[Row]:
-        """Shard-parallel full scan (the linear_scan / select front).
+    def scan_rows(self, where: Callable[[Row], bool] | None = None) -> list[Row]:
+        """Sharded full scan (the linear_scan / select front).
 
-        Epoch-pipelined: each round dispatches one chunk per shard — the
-        parent reads the chunk's sealed blocks (recorded into the shard's
-        recorder), a worker opens them off the trace, the parent decodes
-        the returned frames — then collects in shard order.  Composed
-        trace: round-robin over shards, ``R`` one chunk each — a pure
-        function of ``(capacity, shards)`` and identical with
-        ``pool=None`` (where the parent opens and decodes).  ``where``
-        runs in the parent (predicates are closures; they never cross the
-        pipe).  Rows come back shard-major, scan order within each shard.
+        Epoch-pipelined: each round reads one chunk per shard (recorded into
+        the shard's recorder) and decodes it.  Composed trace: round-robin
+        over shards, ``R`` one chunk each — a pure function of
+        ``(capacity, shards)``.  Rows come back shard-major, scan order
+        within each shard.
         """
         regions = [[flat.region_name] for flat in self._flats]
         recorders = self._attach(regions)
         per_shard_rows: list[list[Row]] = [[] for _ in self._flats]
-
-        def drain(entry: tuple[int, object]) -> None:
-            index, handle = entry
-            per_shard_rows[index].extend(
-                row
-                for row in unframe_rows(self.schema, pool.collect(handle))
-                if row is not None
-            )
-
         try:
             chunk_counts = [
                 -(-flat.capacity // _CHUNK_BLOCKS) for flat in self._flats
             ]
-            rounds = max(chunk_counts)
-            in_flight: dict[int, tuple[int, object]] = {}
-            for round_index in range(rounds):
+            for round_index in range(max(chunk_counts)):
                 for index, flat in enumerate(self._flats):
                     if round_index >= chunk_counts[index]:
                         continue
                     start = round_index * _CHUNK_BLOCKS
                     count = min(_CHUNK_BLOCKS, flat.capacity - start)
-                    if pool is not None:
-                        # One task per worker: drain the worker's previous
-                        # chunk first (a shard always maps to one worker, so
-                        # within-shard chunk order is preserved).
-                        worker = index % pool.shards
-                        if worker in in_flight:
-                            drain(in_flight.pop(worker))
-                        sealed, aads = flat.read_range_sealed(start, count)
-                        in_flight[worker] = (
-                            index,
-                            pool.submit(
-                                worker,
-                                "open_many",
-                                (flat.cipher_label or "", sealed, aads),
-                            ),
-                        )
-                    else:
-                        frames = flat.read_range_framed(start, count)
-                        per_shard_rows[index].extend(
-                            row
-                            for row in unframe_rows(self.schema, frames)
-                            if row is not None
-                        )
+                    frames = flat.read_range_framed(start, count)
+                    per_shard_rows[index].extend(
+                        row
+                        for row in unframe_rows(self.schema, frames)
+                        if row is not None
+                    )
                     recorders[index].end_epoch()
-            for worker in sorted(in_flight):
-                drain(in_flight[worker])
         finally:
-            if pool is not None:
-                pool.drain()  # abandon in-flight tasks if we are unwinding
             self._detach_and_compose(recorders, regions)
         rows = [row for part in per_shard_rows for row in part]
         if where is not None:
             rows = [row for row in rows if where(row)]
         return rows
 
-    def shuffle(self, pool=None, rng: random.Random | None = None) -> None:
-        """Shard-parallel oblivious shuffle: each shard's region is replaced
-        by a freshly permuted image of itself.
+    def shuffle(self, rng: random.Random | None = None) -> None:
+        """Sharded oblivious shuffle: each shard's region is replaced by a
+        freshly permuted image of itself.
 
         Each shard runs the full two-pass bucket shuffle as one epoch, with
         its recorder attached to the shard's input, scratch, and output
         regions — so the composed trace is the concatenation of the shard
-        pipelines, identical to running them sequentially.  Per-shard
-        permutation seeds come from ``pool.seed_for`` (derived from the
-        enclave root — deterministic, replayable via ``SHARD_SEED``); with
-        no pool, from ``rng`` (default-seeded if omitted).  Worker processes
-        take each shard's bucket clean-up compute via the grouped clean-up
-        pass.
+        pipelines, identical to running them sequentially.  Each shard's
+        permutation seed is drawn from ``rng`` (default-seeded if omitted),
+        so a seeded ``rng`` replays the shuffle.
         """
         if rng is None:
             rng = random.Random()
@@ -371,12 +328,8 @@ class ShardedTable:
                 f"table:{self.name}:shard{index}:g{self._generation[index] + 1}"
             )
             scratch = flat.region_name + ":shufscratch"
-            label = f"{self.name}:shard{index}:shuffle:{self._generation[index]}"
-            shard_rng = random.Random(
-                pool.seed_for(label) if pool is not None else rng.getrandbits(64)
-            )
             regions.append([flat.region_name, scratch, out_region])
-            plans.append((out_region, scratch, shard_rng))
+            plans.append((out_region, scratch, random.Random(rng.getrandbits(64))))
         recorders = self._attach(regions)
         try:
             for index, flat in enumerate(old_flats):
@@ -385,7 +338,6 @@ class ShardedTable:
                     flat,
                     rng=shard_rng,
                     name=out_region,
-                    pool=pool,
                     scratch_name=scratch,
                     cipher_label=out_region,
                     output_ledger=self._ledgers[index],
@@ -401,20 +353,18 @@ class ShardedTable:
         finally:
             self._detach_and_compose(recorders, regions)
 
-    def compact(self, pool=None) -> int:
-        """Shard-parallel oblivious compaction: keepers slide to each
-        shard's prefix; returns the total keeper count.
+    def compact(self) -> int:
+        """Sharded oblivious compaction: keepers slide to each shard's
+        prefix; returns the total keeper count.
 
-        One epoch per shard (concatenation composition).  The pool takes
-        each shard's marking-scan compute; the shift-network levels ride
-        the enclave's transparent crypto fan-out.
+        One epoch per shard (concatenation composition).
         """
         regions = [[flat.region_name] for flat in self._flats]
         recorders = self._attach(regions)
         kept = 0
         try:
             for index, flat in enumerate(self._flats):
-                kept += oblivious_compact(flat, pool=pool)
+                kept += oblivious_compact(flat)
                 recorders[index].end_epoch()
         finally:
             self._detach_and_compose(recorders, regions)
@@ -460,7 +410,7 @@ class ShardedTable:
 
 
 # ----------------------------------------------------------------------
-# Co-partitioned pairs and the shard-parallel hash join
+# Co-partitioned pairs and the sharded hash join
 # ----------------------------------------------------------------------
 def partition_pair(
     left_table,
@@ -503,9 +453,8 @@ def sharded_hash_join(
     column1: str,
     column2: str,
     oblivious_memory_bytes: int,
-    pool=None,
 ) -> list[Row]:
-    """Shard-parallel oblivious hash join over a co-partitioned pair.
+    """Sharded oblivious hash join over a co-partitioned pair.
 
     Both sides are partitioned on their join columns by the same
     partitioner, so every joinable pair of rows lives in the same shard
@@ -514,13 +463,9 @@ def sharded_hash_join(
     joins as one epoch with the shard's recorder attached to its left,
     right, and output regions; composition is therefore the plain
     concatenation of the per-shard join pipelines — bit-identical to
-    running the same ``hash_join`` calls sequentially (the trace-compose
-    tests pin this, with and without a pool).
-
-    ``pool`` (or the enclave's attached pool) takes each shard's crypto
-    batches through the transparent root and labelled-cipher fan-outs;
-    nothing about the observable sequence depends on it.  Returns the
-    matched rows, shard-major, each row left columns then right columns
+    running the same ``hash_join`` calls sequentially (pinned in
+    ``tests/shard/test_sharded_join.py``).  Returns the matched rows,
+    shard-major, each row left columns then right columns
     (:func:`~repro.operators.join.joined_schema`).
     """
     if left.enclave is not right.enclave:
@@ -548,10 +493,6 @@ def sharded_hash_join(
         [left.shard(i).region_name, right.shard(i).region_name, out_regions[i]]
         for i in range(lspec.shards)
     ]
-    attached = None
-    if pool is not None and enclave.shard_pool is None:
-        enclave.attach_shard_pool(pool)
-        attached = pool
     recorders = left._attach(regions)
     rows: list[Row] = []
     try:
@@ -570,6 +511,4 @@ def sharded_hash_join(
     finally:
         left._detach_and_compose(recorders, regions)
         right.last_recorders = recorders
-        if attached is not None and enclave.shard_pool is attached:
-            enclave.attach_shard_pool(None)
     return rows

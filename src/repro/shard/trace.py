@@ -11,16 +11,15 @@ Composition is the subsystem's trace-equivalence rule: after a pipeline
 finishes, :func:`compose` replays the recorded segments into the main trace
 in **fixed round-robin epoch order** — epoch 0 of shard 0, epoch 0 of shard
 1, …, epoch 1 of shard 0, … — so the composed observable sequence is a pure
-function of public sizes (row counts, shard count, chunk geometry) and
-*independent of worker timing*.  Two consequences the tests pin:
+function of public sizes (row counts, shard count, chunk geometry).  Two
+consequences the tests pin:
 
 * a pipeline that runs its shards one-epoch-each (whole-pipeline-per-shard,
   e.g. per-shard shuffle) composes to the plain concatenation of the shard
   sequences — identical to running the shards sequentially;
-* a pipeline that interleaves epochs (e.g. the scan front dispatching one
+* a pipeline that interleaves epochs (e.g. the scan front reading one
   chunk per shard per round) composes to the canonical round-robin
-  interleaving, again identical whether the backend was ``process``,
-  ``inline``, or sequential.
+  interleaving.
 
 Costs compose by absorption: each shard's counters are added into the main
 model (totals equal the sequential run), while the per-shard models remain

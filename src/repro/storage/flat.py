@@ -72,10 +72,8 @@ class FlatStorage:
         self._region = name or enclave.fresh_region_name("flat")
         self._ledger = ledger if ledger is not None else RevisionLedger()
         # ``cipher_label`` scopes this table to a derived cipher stream
-        # (sharded tables label each shard with its region name, so a shard
-        # worker holding the root key re-derives the same cipher from the
-        # label alone).  Unlabelled tables use the enclave's root cipher,
-        # which is also the path that fans crypto out across a shard pool.
+        # (sharded tables label each shard with its region name).
+        # Unlabelled tables use the enclave's root cipher.
         self._cipher_label = cipher_label
         self._cipher = (
             enclave.derived_cipher(cipher_label) if cipher_label is not None else None
@@ -123,14 +121,9 @@ class FlatStorage:
     def enclave(self) -> Enclave:
         return self._enclave
 
-    @property
-    def cipher_label(self) -> str | None:
-        """The derived-cipher label this table seals under (None = root)."""
-        return self._cipher_label
-
     # ------------------------------------------------------------------
     # Cipher dispatch: the table's derived cipher when labelled, else the
-    # enclave (whose batch path also fans out across a shard pool)
+    # enclave's root cipher
     # ------------------------------------------------------------------
     def _seal(self, frame: bytes, aad: bytes):
         if self._cipher is not None:
@@ -144,42 +137,13 @@ class FlatStorage:
 
     def _seal_many(self, frames: Sequence[bytes], aads: Sequence[bytes]) -> list:
         if self._cipher is not None:
-            fanned = self._pool_crypto("seal_many", frames, aads)
-            if fanned is not None:
-                return fanned
             return self._cipher.seal_many(frames, aads)
         return self._enclave.seal_many(frames, aads)
 
     def _open_many(self, blocks: Sequence, aads: Sequence[bytes]) -> list[bytes]:
         if self._cipher is not None:
-            fanned = self._pool_crypto("open_many", blocks, aads)
-            if fanned is not None:
-                return fanned
             return self._cipher.open_many(blocks, aads)
         return self._enclave.open_many(blocks, aads)
-
-    def _pool_crypto(self, task: str, items: Sequence, aads: Sequence[bytes]):
-        """Labelled-cipher shard fan-out; ``None`` means run in-process.
-
-        The same transparent batching the enclave applies to root-cipher
-        crypto, extended to derived labels: workers re-derive the label's
-        key from the root they hold.  Fires only on an *idle* pool — a
-        pipelined sharded pass already owns its worker slots — and, like
-        the enclave's fan-out, degrades permanently to in-process crypto
-        when a worker dies (the optimization is never load-bearing).
-        """
-        pool = self._enclave.shard_pool
-        if pool is None or not pool.wants_crypto(len(items)) or not pool.idle():
-            return None
-        from ..faults import SimulatedCrash
-
-        try:
-            return pool.crypto_many(
-                task, self._cipher_label or "", list(items), list(aads)
-            )
-        except SimulatedCrash:
-            self._enclave.attach_shard_pool(None)
-            return None
 
     # ------------------------------------------------------------------
     # Verified decryption with rollback classification
@@ -304,11 +268,8 @@ class FlatStorage:
         """Read blocks ``[start, start+count)`` still sealed, with their AADs.
 
         Same trace contract as :meth:`read_range_framed` — the read pass is
-        identical; only where the decrypt happens differs.  This is the
-        primitive sharded pipelines use to ship a chunk's ciphertexts to a
-        worker: the parent performs the observable read, the worker (an
-        enclave thread holding the derived key) opens and processes the
-        blocks off the trace.
+        identical; the caller opens the blocks.  Nothing in the package
+        calls it; ``benchmarks/e2e/spans.py`` instruments it by name.
         """
         sealed = self._enclave.untrusted.read_range(self._region, start, count)
         for offset, block in enumerate(sealed):

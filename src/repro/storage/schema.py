@@ -153,11 +153,6 @@ class Schema:
     def __len__(self) -> int:
         return len(self.columns)
 
-    def __reduce__(self):
-        # Precompiled struct.Struct codecs don't pickle; rebuild from the
-        # column list instead (shard workers receive schemas over a pipe).
-        return (Schema, (self.columns,))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Schema) and self.columns == other.columns
 

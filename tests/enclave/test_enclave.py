@@ -1,16 +1,36 @@
-"""Unit tests for enclave lifecycle, oblivious memory, and cost counters."""
+"""Unit tests for enclave lifecycle, oblivious memory, cost counters, batch
+crypto, and per-region derived ciphers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.enclave import (
+    AuthenticatedCipher,
     CostModel,
     CostWeights,
     Enclave,
+    IntegrityError,
+    NullCipher,
     ObliviousMemoryAccount,
     ObliviousMemoryError,
 )
+from repro.enclave.enclave import derive_shard_key
+
+ROOT = b"\x07" * 32
+
+
+class ScalarOnlyCipher:
+    """A custom suite with no batch API: the enclave batches it per block."""
+
+    def __init__(self) -> None:
+        self._inner = NullCipher()
+
+    def seal(self, plaintext: bytes, associated_data: bytes = b""):
+        return self._inner.seal(plaintext, associated_data)
+
+    def open(self, block, associated_data: bytes = b"") -> bytes:
+        return self._inner.open(block, associated_data)
 
 
 class TestObliviousMemory:
@@ -110,3 +130,103 @@ class TestEnclave:
         enclave.untrusted.write("t", 0, enclave.seal(b"x"))
         delta = enclave.cost_delta(snapshot)
         assert delta.untrusted_writes == 1
+
+
+def frames_and_aads(count: int) -> tuple[list[bytes], list[bytes]]:
+    frames = [bytes([i % 256]) * (i % 40) for i in range(count)]
+    return frames, [b"slot:%d" % i for i in range(count)]
+
+
+class TestBatchCrypto:
+    @pytest.mark.parametrize("count", [0, 1, 7, 300])
+    @pytest.mark.parametrize("cipher", ["authenticated", "null"])
+    def test_batch_round_trip_preserves_order(self, cipher: str, count: int) -> None:
+        enclave = Enclave(cipher=cipher, key=ROOT)
+        frames, aads = frames_and_aads(count)
+        sealed = enclave.seal_many(frames, aads)
+        assert len(sealed) == count
+        assert [enclave.open(s, a) for s, a in zip(sealed, aads)] == frames
+        assert enclave.open_many(sealed, aads) == frames
+
+    @pytest.mark.parametrize("position", [0, 4, 7])
+    def test_foreign_block_in_a_batch_is_an_integrity_error(self, position: int) -> None:
+        enclave = Enclave(cipher="authenticated", key=ROOT)
+        frames, aads = frames_and_aads(8)
+        sealed = enclave.seal_many(frames, aads)
+        sealed[position] = AuthenticatedCipher(b"\x99" * 32).seal(
+            frames[position], aads[position]
+        )
+        with pytest.raises(IntegrityError):
+            enclave.open_many(sealed, aads)
+
+    def test_seal_many_never_repeats_a_nonce(self) -> None:
+        """Equal frames across consecutive batches still get fresh nonces."""
+        enclave = Enclave(cipher="authenticated", key=ROOT)
+        nonces = [
+            block.nonce
+            for _ in range(10)
+            for block in enclave.seal_many([b"same"] * 100, [b"aad"] * 100)
+        ]
+        assert len(set(nonces)) == len(nonces)
+
+    def test_scalar_only_suite_is_batched_per_block(self) -> None:
+        enclave = Enclave(cipher=ScalarOnlyCipher())
+        frames, aads = frames_and_aads(5)
+        sealed = enclave.seal_many(frames, aads)
+        assert enclave.open_many(sealed, aads) == frames
+        with pytest.raises(ValueError):
+            enclave.seal_many(frames, aads[:-1])
+        with pytest.raises(ValueError):
+            enclave.open_many(sealed, aads[:-1])
+
+
+class TestDerivedCiphers:
+    def test_empty_label_is_the_root_cipher(self) -> None:
+        enclave = Enclave(cipher="authenticated", key=ROOT)
+        sealed = enclave.seal(b"data", b"aad")
+        assert enclave.derived_cipher("").open(sealed, b"aad") == b"data"
+
+    def test_region_ciphers_do_not_open_each_other(self) -> None:
+        enclave = Enclave(cipher="authenticated", key=ROOT)
+        shard0 = enclave.derived_cipher("table:t:shard0")
+        shard1 = enclave.derived_cipher("table:t:shard1")
+        sealed = shard0.seal(b"data", b"aad")
+        assert shard0.open(sealed, b"aad") == b"data"
+        with pytest.raises(IntegrityError):
+            shard1.open(sealed, b"aad")
+        with pytest.raises(IntegrityError):
+            enclave.open(sealed, b"aad")
+
+    def test_same_root_rederives_the_same_stream(self) -> None:
+        """The stream is a function of (root, label): a second enclave with
+        the same root opens what the first sealed; the instance is cached."""
+        first = Enclave(cipher="authenticated", key=ROOT)
+        second = Enclave(cipher="authenticated", key=ROOT)
+        label = "table:t:shard1:g2"
+        sealed = first.derived_cipher(label).seal(b"data", b"aad")
+        assert second.derived_cipher(label).open(sealed, b"aad") == b"data"
+        assert first.derived_cipher(label) is first.derived_cipher(label)
+
+    def test_custom_suite_has_no_derived_ciphers(self) -> None:
+        enclave = Enclave(cipher=ScalarOnlyCipher())
+        with pytest.raises(ValueError, match="root key"):
+            enclave.derived_cipher("table:t:shard0")
+
+
+def test_empty_label_is_root_key():
+    assert derive_shard_key(ROOT, "") == ROOT
+
+
+def test_labelled_keys_are_distinct_and_deterministic():
+    a = derive_shard_key(ROOT, "table:t:shard0")
+    b = derive_shard_key(ROOT, "table:t:shard1")
+    assert a != b != ROOT
+    assert a == derive_shard_key(ROOT, "table:t:shard0")
+
+
+def test_labelled_key_derivation_is_pinned():
+    """BLAKE2b keyed by the root over ``b"shard-key:" + label``: a change
+    here re-keys every stored shard region."""
+    assert derive_shard_key(ROOT, "table:t:shard0").hex() == (
+        "98c953ff4e19a3aab154a85aae2c3d5063b89ff68a160ea50de13bddc5273a9d"
+    )

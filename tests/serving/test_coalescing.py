@@ -432,3 +432,28 @@ class TestAsyncFacade:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+
+def test_import_repro_loads_no_multiprocessing() -> None:
+    """The engine is single-process: ``import repro`` loads no
+    ``multiprocessing`` module (``shared_memory`` included)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    probe = (
+        "import sys, repro\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

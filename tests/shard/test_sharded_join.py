@@ -3,9 +3,9 @@
 The correctness contract: partitioning both sides on the join key with
 the same partitioner makes the logical join exactly the union of the
 per-shard joins, and the composed trace is bit-identical to running the
-same per-shard ``hash_join`` calls sequentially.  The planner contract:
-an attached shard pool changes no compiled plan — ``PlanRunner`` executes
-SQL statements sequentially, and the planner prices what runs.
+same per-shard ``hash_join`` calls sequentially.  Sharded tables sit
+beside the catalog: partitioning one table changes no compiled plan of SQL
+on the others.
 """
 
 from __future__ import annotations
@@ -57,6 +57,25 @@ def test_rows_match_single_join_reference():
     assert Counter(rows) == Counter(single_join_reference())
     assert len(left.last_recorders) == 3
     assert right.last_recorders is left.last_recorders
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ShardSpec("hash", 1, "k"),
+        ShardSpec("hash", 2, "k"),
+        ShardSpec("hash", 5, "k"),
+        ShardSpec("range", 4, "k", (60, 120, 200)),
+    ],
+    ids=["hash-1", "hash-2", "hash-5", "range-4"],
+)
+def test_join_is_the_union_of_per_shard_joins_for_any_partitioner(spec):
+    enclave = Enclave(key=ROOT, keep_trace_events=False)
+    left = ShardedTable(enclave, "l", LEFT_SCHEMA, spec, LEFT_ROWS)
+    right = ShardedTable(enclave, "r", RIGHT_SCHEMA, spec, RIGHT_ROWS)
+    rows = sharded_hash_join(left, right, "k", "k", enclave.oblivious.free_bytes)
+    assert Counter(rows) == Counter(single_join_reference())
+    assert len(left.last_recorders) == spec.shards
 
 
 def test_trace_bit_identical_to_sequential_per_shard_joins():
@@ -143,7 +162,7 @@ def test_partition_pair_helper_co_partitions():
 # The ObliDB surface
 # ----------------------------------------------------------------------
 def test_database_partition_pair_and_sharded_join():
-    db = ObliDB(shards=2, shard_backend="inline")
+    db = ObliDB()
     db.sql("CREATE TABLE l (k INT, a STR(12)) CAPACITY 256 METHOD flat")
     db.sql("CREATE TABLE r (k INT, b STR(12)) CAPACITY 256 METHOD flat")
     db.insert_many("l", LEFT_ROWS)
@@ -176,6 +195,67 @@ def test_sql_partition_statement_and_wal_replay():
     assert recovered.verify().ok
     db.close()
     recovered.close()
+
+
+@pytest.mark.parametrize("surface", ["sql", "api"])
+def test_partition_without_a_shard_count_resolves_to_two(surface):
+    """Both surfaces resolve a missing ``SHARDS`` to 2 shards, and WAL
+    replay reproduces that layout and its region names."""
+    db = ObliDB(wal=True)
+    db.sql("CREATE TABLE t (k INT, a STR(12)) CAPACITY 256 METHOD flat KEY k")
+    db.insert_many("t", LEFT_ROWS)
+    if surface == "sql":
+        db.sql("PARTITION TABLE t BY HASH (k)")
+    else:
+        db.partition_table("t")
+    table = db.sharded_table("t")
+    assert table.spec == ShardSpec("hash", 2, "k")
+    assert table.region_names() == ["table:t:shard0", "table:t:shard1"]
+
+    recovered = ObliDB(wal=True)
+    recovered.recover(db.wal)
+    assert recovered.sharded_table("t").spec == table.spec
+    assert recovered.sharded_table("t").region_names() == table.region_names()
+    assert Counter(recovered.sharded_scan("t")) == Counter(LEFT_ROWS)
+    assert recovered.verify().ok
+    db.close()
+    recovered.close()
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "SELECT * FROM l WHERE a = 'l3'",  # flat select
+        "SELECT * FROM l WHERE k >= 10 AND k <= 40",  # indexed range select
+        "SELECT a, COUNT(*) FROM l GROUP BY a",
+        "SELECT a, b FROM l JOIN r ON l.k = r.k WHERE b < 'r5'",
+    ],
+    ids=["flat-select", "indexed-range", "group-by", "join"],
+)
+def test_partitioning_another_table_changes_no_compiled_plan(statement):
+    """Sharded tables sit beside the catalog, not in it: partitioning one
+    table leaves the rows and compiled plan of SQL on the others as they
+    were."""
+
+    def run(partition_other: bool):
+        db = ObliDB(seed=11)
+        db.sql("CREATE TABLE l (k INT, a STR(12)) CAPACITY 64 METHOD both KEY k")
+        db.sql("CREATE TABLE r (k INT, b STR(12)) CAPACITY 256 METHOD flat")
+        db.sql("CREATE TABLE x (k INT, c STR(12)) CAPACITY 64 METHOD flat")
+        db.insert_many("l", [(i, f"l{i % 5}") for i in range(60)])
+        db.insert_many("r", [(i % 60, f"r{i}") for i in range(200)])
+        db.insert_many("x", [(i, f"x{i}") for i in range(30)])
+        if partition_other:
+            db.partition_table("x", shards=3)
+        result = db.sql(statement)
+        db.close()
+        return result
+
+    plain, beside = run(False), run(True)
+    assert beside.rows == plain.rows
+    assert beside.plan.cache_key == plain.plan.cache_key
+    if " JOIN " in statement:
+        assert plain.plan.find(JoinNode).algorithm is JoinAlgorithm.HASH
 
 
 def test_plain_sql_on_partitioned_table_names_the_shard_surface():
@@ -212,36 +292,3 @@ def test_partition_validates_before_logging():
         db.partition_table("t", kind="range", shards=3, bounds=(1,))
     assert db.wal.count == logged
     db.close()
-
-
-# ----------------------------------------------------------------------
-# Planner integration
-# ----------------------------------------------------------------------
-def test_shard_pool_changes_no_compiled_plan():
-    """``ObliDB(shards=N)`` attaches a pool; SQL statements still run
-    sequentially, so each compiles to the plan ``ObliDB()`` compiles — the
-    plan, not the trace: a pool may group a pass's accesses by shard."""
-    statements = (
-        "SELECT * FROM l WHERE a = 'l3'",  # flat select
-        "SELECT * FROM l WHERE k >= 10 AND k <= 40",  # indexed range select
-        "SELECT a, COUNT(*) FROM l GROUP BY a",
-        "SELECT a, b FROM l JOIN r ON l.k = r.k WHERE b < 'r5'",
-    )
-
-    def run(**shard_options):
-        db = ObliDB(seed=11, **shard_options)
-        db.sql("CREATE TABLE l (k INT, a STR(12)) CAPACITY 64 METHOD both KEY k")
-        db.sql("CREATE TABLE r (k INT, b STR(12)) CAPACITY 256 METHOD flat")
-        db.insert_many("l", [(i, f"l{i % 5}") for i in range(60)])
-        db.insert_many("r", [(i % 60, f"r{i}") for i in range(200)])
-        results = [db.sql(sql) for sql in statements]
-        db.close()
-        return results
-
-    plain = run()
-    assert plain[3].plan.find(JoinNode).algorithm is JoinAlgorithm.HASH
-    for sql, base, sharded in zip(
-        statements, plain, run(shards=4, shard_backend="inline")
-    ):
-        assert sharded.rows == base.rows, sql
-        assert sharded.plan.cache_key == base.plan.cache_key, sql

@@ -1,12 +1,11 @@
-"""Shard trace composition: canonical order, backend equivalence, ledgers.
+"""Shard trace composition: canonical order, data independence, ledgers.
 
 The security contract of the shard subsystem is that the *composed*
 observable trace of a sharded pipeline is a pure function of public sizes
-— independent of worker timing, backend, and permutation seeds.  These
-tests pin that contract: per-shard recordings compose round-robin by
-epoch, and the sharded scan / shuffle / compact traces are bit-identical
-whether run without a pool, on the inline executor, or on real worker
-processes.
+— independent of row contents and permutation seeds.  These tests pin
+that contract: per-shard recordings compose round-robin by epoch, and the
+sharded scan / shuffle / compact trace is equal across tables of the same
+shape and to the same operators run shard after shard.
 """
 
 from __future__ import annotations
@@ -21,7 +20,9 @@ from repro.enclave.enclave import Enclave
 from repro.enclave.errors import StorageError
 from repro.enclave.integrity import RevisionLedger
 from repro.enclave.trace import AccessTrace
-from repro.shard import ShardedTable, ShardPool, ShardSpec, ShardTraceRecorder, compose
+from repro.oblivious.compact import oblivious_compact
+from repro.oblivious.shuffle import oblivious_shuffle
+from repro.shard import ShardedTable, ShardSpec, ShardTraceRecorder, compose
 from repro.storage.schema import Schema, int_column, str_column
 
 ROOT = b"\x2a" * 32
@@ -118,155 +119,140 @@ def test_region_recorder_attach_detach_errors():
 
 
 # ----------------------------------------------------------------------
-# End-to-end backend equivalence on the sharded pipelines
+# The sharded pipelines' composed trace
 # ----------------------------------------------------------------------
-def _make_pool(backend, pool_shards):
-    """``backend`` is a ShardPool backend name or a ``(backend, transport)``
-    tuple selecting the process pool's payload transport explicitly."""
-    transport = "auto"
-    if isinstance(backend, tuple):
-        backend, transport = backend
-    return ShardPool(
-        pool_shards,
-        "authenticated",
-        ROOT,
-        backend=backend,
-        transport=transport,
-        quiet=True,
-    )
-
-
-def run_pipeline(backend, pool_shards=4, with_shuffle=True):
-    """Build the same sharded table and run scan(+shuffle)+compact on it.
-
-    ``backend`` is None (no pool: the per-shard sequential path), a
-    ShardPool backend name, or a ``(backend, transport)`` tuple.  Returns
-    (digest, length, rows, counters).
-    """
+def run_pipeline(rows, seed):
+    """Scan + shuffle + compact on a 4-shard table; the adversary's view."""
     enclave = Enclave(cipher="authenticated", key=ROOT, keep_trace_events=False)
-    pool = None
-    if backend is not None:
-        pool = _make_pool(backend, pool_shards)
-        enclave.attach_shard_pool(pool)
-    spec = ShardSpec("hash", 4, "key")
-    table = ShardedTable(enclave, "t", SCHEMA, spec, ROWS)
-    try:
-        rows = table.scan_rows(pool=pool)
-        if with_shuffle:
-            table.shuffle(pool=pool, rng=random.Random(0xC0FFEE))
-        table.compact(pool=pool)
-        after = table.scan_rows(pool=pool)
-        assert Counter(after) == Counter(ROWS)
-        return (
-            enclave.trace.digest(),
-            len(enclave.trace),
-            rows,
-            enclave.cost.snapshot(),
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    table = ShardedTable(enclave, "t", SCHEMA, ShardSpec("hash", 4, "key"), rows)
+    scanned = table.scan_rows()
+    table.shuffle(rng=random.Random(seed))
+    table.compact()
+    assert Counter(table.scan_rows()) == Counter(rows) == Counter(scanned)
+    return enclave.trace.digest(), len(enclave.trace), enclave.cost.snapshot()
 
 
-def test_scan_compact_traces_identical_across_backends():
-    """Scan and compact traces are bit-identical: no-pool vs every backend
-    and both process transports."""
-    sequential = run_pipeline(None, with_shuffle=False)
-    inline = run_pipeline("inline", with_shuffle=False)
-    process_pipe = run_pipeline(("process", "pipe"), with_shuffle=False)
-    process_shm = run_pipeline(("process", "shm"), with_shuffle=False)
-    assert inline == sequential
-    assert process_pipe == sequential
-    assert process_shm == sequential
+def test_pipeline_trace_independent_of_contents_and_seeds():
+    """Same keys (hence the same public shard shape), different payloads and
+    permutation seeds: the composed trace and cost counters are equal."""
+    other = [(key, value[::-1]) for key, value in ROWS]
+    assert run_pipeline(ROWS, 0xC0FFEE) == run_pipeline(other, 7)
 
 
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_full_pipeline_trace_identical_inline_vs_process(transport):
-    """The sharded reference composition is backend-independent.
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ShardSpec("hash", 1, "key"),
+        ShardSpec("hash", 2, "key"),
+        ShardSpec("hash", 3, "key"),
+        ShardSpec("range", 3, "key", (80, 160)),
+    ],
+    ids=["hash-1", "hash-2", "hash-3", "range-3"],
+)
+def test_pipeline_trace_is_a_function_of_shard_shape(spec):
+    """For any partitioner: the same keys in another order, with other
+    payloads and another permutation seed, compose the same trace."""
 
-    The inline executor runs every task sequentially in-process, so it *is*
-    the sequential reference composition of the grouped pipeline; the
-    process backend must reproduce its observable trace bit for bit —
-    under either payload transport.
-    """
-    inline = run_pipeline("inline")
-    process = run_pipeline(("process", transport))
-    assert process[:2] == inline[:2]
-    assert process[3] == inline[3]
-    # Same rows in the same (shard-major) order regardless of backend.
-    assert process[2] == inline[2]
+    def run(rows, seed):
+        enclave = Enclave(cipher="authenticated", key=ROOT, keep_trace_events=False)
+        table = ShardedTable(enclave, "t", SCHEMA, spec, rows)
+        table.scan_rows()
+        table.shuffle(rng=random.Random(seed))
+        assert table.compact() == len(rows)
+        assert Counter(table.scan_rows()) == Counter(rows)
+        return enclave.trace.digest(), len(enclave.trace), enclave.cost.snapshot()
+
+    other = [(key, f"o{n}") for n, (key, _) in enumerate(reversed(ROWS))]
+    assert run(ROWS, 1) == run(other, 2)
 
 
-def run_join(backend, shards=3):
-    """Co-partition two tables and run the sharded hash join.
+def _step(table, step):
+    if step == "scan":
+        table.scan_rows()
+    elif step == "shuffle":
+        table.shuffle(rng=random.Random(3))
+    else:
+        table.compact()
 
-    Returns (digest, length, rows, counters) like :func:`run_pipeline`.
-    """
-    from repro.shard import sharded_hash_join
 
-    right_schema = Schema([int_column("key"), str_column("other", 12)])
-    right_rows = [(i * 13 % 257, f"s{i}") for i in range(0, 180, 2)]
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("step", ["scan", "shuffle", "compact"])
+def test_pipeline_step_trace_equals_composition_of_its_recorders(step, shards):
+    """Each pipeline adds exactly compose() over its per-shard recorders to
+    the enclave's trace and cost counters — nothing recorded outside them."""
+    enclave = Enclave(cipher="authenticated", key=ROOT, keep_trace_events=True)
+    table = ShardedTable(enclave, "t", SCHEMA, ShardSpec("hash", shards, "key"), ROWS)
+    before_events = len(enclave.trace.events)
+    before_cost = enclave.cost.snapshot()
+    _step(table, step)
+    assert len(table.last_recorders) == shards
+
+    rebuilt, cost = AccessTrace(), CostModel()
+    compose(rebuilt, table.last_recorders, cost)
+    assert enclave.trace.events[before_events:] == rebuilt.events
+    delta = enclave.cost.delta_since(before_cost)
+    assert delta.untrusted_reads == cost.untrusted_reads
+    assert delta.untrusted_writes == cost.untrusted_writes
+
+
+def _fresh_table(shards=3):
     enclave = Enclave(cipher="authenticated", key=ROOT, keep_trace_events=False)
-    pool = _make_pool(backend, shards) if backend is not None else None
-    spec = ShardSpec("hash", shards, "key")
-    left = ShardedTable(enclave, "l", SCHEMA, spec, ROWS)
-    right = ShardedTable(enclave, "r", right_schema, spec, right_rows)
-    try:
-        rows = sharded_hash_join(
-            left, right, "key", "key", enclave.oblivious.free_bytes, pool=pool
+    table = ShardedTable(enclave, "t", SCHEMA, ShardSpec("hash", shards, "key"), ROWS)
+    return enclave, table
+
+
+def test_shuffle_trace_bit_identical_to_sequential_per_shard_shuffles():
+    """Twin construction: the per-bucket clean-up order of one
+    ``oblivious_shuffle`` per shard, run back to back on an identical
+    table with the same seeds and region names, is the digest the sharded
+    shuffle composes to."""
+    enclave, table = _fresh_table()
+    table.shuffle(rng=random.Random(11))
+    sharded = enclave.trace.digest(), len(enclave.trace)
+
+    enclave, table = _fresh_table()
+    rng = random.Random(11)
+    seeds = [random.Random(rng.getrandbits(64)) for _ in range(table.shards)]
+    for index in range(table.shards):
+        flat = table.shard(index)
+        out_region = f"table:t:shard{index}:g1"
+        oblivious_shuffle(
+            flat,
+            rng=seeds[index],
+            name=out_region,
+            scratch_name=flat.region_name + ":shufscratch",
+            cipher_label=out_region,
         )
-        return (
-            enclave.trace.digest(),
-            len(enclave.trace),
-            rows,
-            enclave.cost.snapshot(),
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+        flat.free()
+    assert sharded == (enclave.trace.digest(), len(enclave.trace))
 
 
-def test_sharded_join_trace_identical_across_backends():
-    """The sharded hash join composes identically with no pool, the inline
-    executor, and worker processes over both transports."""
-    sequential = run_join(None)
-    inline = run_join("inline")
-    process_pipe = run_join(("process", "pipe"))
-    process_shm = run_join(("process", "shm"))
-    assert inline == sequential
-    assert process_pipe == sequential
-    assert process_shm == sequential
+def test_compact_trace_bit_identical_to_sequential_per_shard_compactions():
+    enclave, table = _fresh_table()
+    assert table.compact() == len(ROWS)
+    sharded = enclave.trace.digest(), len(enclave.trace)
 
-
-def test_group_of_one_shuffle_cleanup_equals_sequential():
-    """A pool with one worker degrades to the legacy per-bucket order.
-
-    The grouped shuffle clean-up trace is a pure function of (n, group);
-    with group=1 it must match the unpooled sequential cleanup exactly,
-    which pins the pool path as a strict generalisation, not a new shape.
-    """
-    sequential = run_pipeline(None)
-    grouped_one = run_pipeline("inline", pool_shards=1)
-    assert grouped_one[:2] == sequential[:2]
-    assert grouped_one[3] == sequential[3]
+    enclave, table = _fresh_table()
+    kept = sum(oblivious_compact(table.shard(i)) for i in range(table.shards))
+    assert kept == len(ROWS)
+    assert sharded == (enclave.trace.digest(), len(enclave.trace))
 
 
 def test_scan_trace_matches_manual_composition():
-    """A pooled scan's composed trace equals compose() over its recorders."""
+    """A sharded scan's composed trace equals compose() over its recorders."""
     enclave = Enclave(cipher="authenticated", key=ROOT, keep_trace_events=False)
-    with ShardPool(3, "authenticated", ROOT, backend="inline", quiet=True) as pool:
-        table = ShardedTable(enclave, "t", SCHEMA, ShardSpec("hash", 3, "key"), ROWS)
-        before = len(enclave.trace)
-        table.scan_rows(pool=pool)
-        scan_len = len(enclave.trace) - before
+    table = ShardedTable(enclave, "t", SCHEMA, ShardSpec("hash", 3, "key"), ROWS)
+    before = len(enclave.trace)
+    table.scan_rows()
+    scan_len = len(enclave.trace) - before
 
-        rebuilt = AccessTrace(keep_events=False)
-        compose(rebuilt, table.last_recorders)
-        assert len(rebuilt) == scan_len
-        # And composing twice is stable.
-        again = AccessTrace(keep_events=False)
-        compose(again, table.last_recorders)
-        assert rebuilt.matches(again)
+    rebuilt = AccessTrace(keep_events=False)
+    compose(rebuilt, table.last_recorders)
+    assert len(rebuilt) == scan_len
+    # And composing twice is stable.
+    again = AccessTrace(keep_events=False)
+    compose(again, table.last_recorders)
+    assert rebuilt.matches(again)
 
 
 # ----------------------------------------------------------------------
