@@ -274,7 +274,9 @@ class PlanRunner:
         compiled: CompiledQuery,
     ) -> QueryResult:
         """Plain selection (or filtering join), optionally topped by Sort,
-        then LIMIT and the in-enclave projection."""
+        then LIMIT.  The result is read through the reader of the select
+        list (and the ORDER BY column), so the projection happens at decode;
+        ``SELECT *`` reads every column."""
         sort = root if isinstance(root, SortNode) else None
         output, _ = self._materialize(
             sort.source if sort is not None else root, statement, compiled
@@ -283,33 +285,42 @@ class PlanRunner:
             if self._padding is not None:
                 # An over-full padded result is an expected error.
                 self._padding.check_fits(output.used_rows)
-            schema = output.schema
-            names = list(schema.column_names())
-            rows = self._run_sort(sort, output) if sort is not None else output.rows()
+            names = list(statement.columns or output.schema.column_names())
+            read = {*names, sort.order_by} if sort is not None else set(names)
+            schema = output.schema.reader(read)[0]
+            rows = (
+                self._run_sort(sort, output, read)
+                if sort is not None
+                else output.rows(read)
+            )
         finally:
             output.free()
         if compiled.plan.limit is not None:
             rows = rows[: compiled.plan.limit]
-        if statement.columns:
-            indexes = [schema.column_index(name) for name in statement.columns]
+        if names != schema.column_names():
+            # The select list is out of schema order, repeats a column, or
+            # leaves out the ORDER BY column the rows were read with.
+            indexes = [schema.column_index(name) for name in names]
             rows = [tuple(row[i] for i in indexes) for row in rows]
-            names = list(statement.columns)
         return QueryResult(rows=rows, column_names=names, affected=len(rows))
 
-    def _run_sort(self, node: SortNode, output: FlatStorage) -> list[Row]:
-        """ORDER BY over a selection's output table.
+    def _run_sort(
+        self, node: SortNode, output: FlatStorage, columns: set[str]
+    ) -> list[Row]:
+        """ORDER BY over a selection's output table; the rows returned hold
+        ``columns`` (which include the ORDER BY column), in schema order.
 
         The in-enclave/bitonic decision was made at compile time from
         public sizes, so the trace depends only on sizes and the public
         ORDER BY clause.
         """
         schema = output.schema
-        order_index = schema.column_index(node.order_by)
         if node.in_enclave:
+            order_index = schema.reader(columns)[0].column_index(node.order_by)
             result_bytes = output.capacity * (schema.row_size + 1)
             try:
                 with output.enclave.oblivious_buffer(result_bytes):
-                    rows = output.rows()
+                    rows = output.rows(columns)
                     rows.sort(key=lambda row: row[order_index])
             except ObliviousMemoryError as error:  # pragma: no cover
                 raise PlannerError(
@@ -319,6 +330,7 @@ class PlanRunner:
             scratch = output.copy_to(
                 capacity=padded_scratch(max(1, output.capacity))
             )
+            order_index = schema.column_index(node.order_by)
             column = schema.columns[order_index]
             bitonic_sort(
                 scratch,
@@ -326,7 +338,7 @@ class PlanRunner:
                 if column.type is not ColumnType.FLOAT
                 else (row[order_index],),
             )
-            rows = scratch.rows()
+            rows = scratch.rows(columns)
             scratch.free()
         if node.descending:
             rows.reverse()

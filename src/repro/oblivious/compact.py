@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..storage.flat import FlatStorage
-from ..storage.rows import frame_dummy, is_dummy, unframe_rows
+from ..storage.rows import RowFilter, filter_reader, frame_dummy, is_dummy
 from ..storage.schema import Row
 
 __all__ = [
@@ -51,7 +51,9 @@ __all__ = [
     "oblivious_compact",
 ]
 
-KeepRow = Callable[[Row], bool]
+#: Which rows a filter front keeps: a predicate (decoded through its
+#: column reader) or a plain row callable (sees every column).
+Keep = RowFilter | Callable[[Row], bool]
 
 
 def compaction_levels(n: int) -> int:
@@ -66,28 +68,27 @@ def compaction_levels(n: int) -> int:
     return levels
 
 
-def _mark_keepers(table: FlatStorage, keep: KeepRow | None) -> list[bool]:
+def _mark_keepers(table: FlatStorage, keep: Keep | None) -> list[bool]:
     """One batched marking scan: ``R 0 .. R n-1``, the per-block scan order.
 
     With ``keep=None`` every non-dummy row is a keeper (pure compaction);
-    with a predicate the pass doubles as a filter front.
+    with a predicate the pass doubles as a filter front, decoding only the
+    predicate's columns.
     """
-    schema = table.schema
     flags: list[bool] = []
-    for _, frames in table.scan_framed_chunks():
-        if keep is None:
+    if keep is None:
+        for _, frames in table.scan_framed_chunks():
             flags.extend(not is_dummy(framed) for framed in frames)
-        else:
-            flags.extend(
-                row is not None and keep(row)
-                for row in unframe_rows(schema, frames)
-            )
+        return flags
+    decode, matches = filter_reader(table.schema, keep)
+    for _, frames in table.scan_framed_chunks():
+        flags.extend(row is not None and matches(row) for row in decode(frames))
     return flags
 
 
 def oblivious_compact(
     table: FlatStorage,
-    keep: KeepRow | None = None,
+    keep: Keep | None = None,
     flags: Sequence[bool] | None = None,
 ) -> int:
     """Slide keepers to the front of ``table`` in place, preserving order.
@@ -189,26 +190,27 @@ def oblivious_compact(
 def filter_copy(
     source: FlatStorage,
     target: FlatStorage,
-    keep: KeepRow,
+    keep: Keep,
 ) -> list[bool]:
     """The filter front shared by compaction consumers: copy keepers' frames
     into ``target``'s first ``source.capacity`` slots, dummy the rest.
 
     One interleaved-exchange pass — ``R source[i], W target[i]`` per row,
     the per-block loop's exact two-region trace (the same front the sorted
-    GROUP BY fallback and the compaction-based selects run).  Keepers'
-    framed bytes are copied through without a codec round trip; returns the
+    GROUP BY fallback and the compaction-based selects run).  Rows are
+    tested through the predicate's column reader and keepers' framed bytes
+    are copied through without a codec round trip; returns the
     (enclave-private) per-slot keeper flags, which a following
     :func:`oblivious_compact` can take to skip its marking scan.
     """
-    schema = source.schema
-    dummy = frame_dummy(schema)
+    dummy = frame_dummy(source.schema)
+    decode, matches = filter_reader(source.schema, keep)
     flags: list[bool] = []
 
     def front(offset: int, frames: list[bytes]) -> list[bytes]:
         out = []
-        for framed, row in zip(frames, unframe_rows(schema, frames)):
-            if row is not None and keep(row):
+        for framed, row in zip(frames, decode(frames)):
+            if row is not None and matches(row):
                 flags.append(True)
                 out.append(framed)
             else:

@@ -21,9 +21,17 @@ from enum import Enum
 from ..enclave.errors import ObliviousMemoryError, QueryError
 from ..oblivious.compact import filter_copy
 from ..storage.flat import FlatStorage
-from ..storage.rows import frame_dummy, frame_row_validated, unframe_rows
-from ..storage.schema import Column, ColumnType, Row, Schema, Value, float_column
-from .predicate import Predicate, TruePredicate
+from ..storage.rows import frame_dummy, frame_row_validated
+from ..storage.schema import (
+    Column,
+    ColumnType,
+    FrameDecoder,
+    Row,
+    Schema,
+    Value,
+    float_column,
+)
+from .predicate import Predicate, RowPredicate, TruePredicate
 from .sort import bitonic_sort, external_oblivious_sort, padded_scratch
 
 
@@ -98,6 +106,26 @@ class _Accumulator:
     BYTES = 8
 
 
+def _bind(
+    schema: Schema,
+    specs: list[AggregateSpec],
+    predicate: Predicate | None,
+    *extra: str,
+) -> tuple[Schema, FrameDecoder, RowPredicate, list[int | None]]:
+    """The reader of the columns an aggregation pass uses (the predicate's,
+    the aggregated ones and ``extra``), the predicate bound to its narrow
+    schema and each spec's column position in it (``None`` for COUNT(*))."""
+    predicate = predicate or TruePredicate()
+    used = predicate.columns().union(extra)
+    used.update(spec.column for spec in specs if spec.column is not None)
+    narrow, decode = schema.reader(used)
+    columns = [
+        narrow.column_index(spec.column) if spec.column is not None else None
+        for spec in specs
+    ]
+    return narrow, decode, predicate.compile(narrow), columns
+
+
 def aggregate(
     table: FlatStorage,
     specs: list[AggregateSpec],
@@ -111,18 +139,13 @@ def aggregate(
     """
     if not specs:
         raise QueryError("aggregate needs at least one AggregateSpec")
-    matches = (predicate or TruePredicate()).compile(table.schema)
-    columns = [
-        table.schema.column_index(spec.column) if spec.column is not None else None
-        for spec in specs
-    ]
+    _, decode, matches, columns = _bind(table.schema, specs, predicate)
     accumulators = [_Accumulator(spec) for spec in specs]
-    schema = table.schema
     # One batched uniform read pass (R 0 .. R N-1, the per-block scan order),
     # each chunk decoded in one precompiled codec pass; accumulators never
     # leave the enclave.
     for _, frames in table.scan_framed_chunks():
-        for row in unframe_rows(schema, frames):
+        for row in decode(frames):
             if row is None or not matches(row):
                 continue
             for accumulator, column in zip(accumulators, columns):
@@ -163,12 +186,8 @@ def group_by_aggregate(
         raise QueryError("group_by_aggregate needs at least one AggregateSpec")
     enclave = table.enclave
     schema = table.schema
-    matches = (predicate or TruePredicate()).compile(schema)
-    group_index = schema.column_index(group_column)
-    columns = [
-        schema.column_index(spec.column) if spec.column is not None else None
-        for spec in specs
-    ]
+    narrow, decode, matches, columns = _bind(schema, specs, predicate, group_column)
+    group_index = narrow.column_index(group_column)
 
     groups: dict[Value, list[_Accumulator]] = {}
     per_group_bytes = schema.column(group_column).byte_width + len(specs) * (
@@ -180,7 +199,7 @@ def group_by_aggregate(
         # the per-block loop's order), each chunk decoded in one precompiled
         # codec pass; the group table lives in oblivious memory.
         for _, frames in table.scan_framed_chunks():
-            for row in unframe_rows(schema, frames):
+            for row in decode(frames):
                 if row is None or not matches(row):
                     continue
                 key = row[group_index]
@@ -230,7 +249,6 @@ def _sorted_group_aggregate(
     """
     enclave = table.enclave
     schema = table.schema
-    matches = (predicate or TruePredicate()).compile(schema)
     group_index = schema.column_index(group_column)
     columns = [
         schema.column_index(spec.column) if spec.column is not None else None
@@ -244,7 +262,7 @@ def _sorted_group_aggregate(
     # per-block loop's exact two-region trace.  Keepers' framed bytes are
     # copied through without a codec round trip; non-keepers become dummies
     # (same frame either way, so nothing leaks).
-    filter_copy(table, scratch, matches)
+    filter_copy(table, scratch, predicate or TruePredicate())
     sort_column = schema.column(group_column)
 
     def sort_key(row: Row) -> tuple:
@@ -288,7 +306,7 @@ def _sorted_group_aggregate(
     def merge(offset: int, frames: list[bytes]) -> list[bytes]:
         nonlocal open_key, accumulators, emitted
         out = []
-        for row in unframe_rows(scratch_schema, frames):
+        for row in scratch_schema.decode_framed_rows(frames):
             group_ended = open_key is not None and (
                 row is None or row[group_index] != open_key
             )

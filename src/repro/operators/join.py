@@ -39,8 +39,8 @@ from typing import Callable, Sequence
 from ..enclave.errors import QueryError
 from ..oblivious.compact import materialize_prefix, oblivious_compact
 from ..storage.flat import FlatStorage
-from ..storage.rows import frame_dummy, frame_row_validated, framed_size, unframe_rows
-from ..storage.schema import Column, Row, Schema, Value, int_column
+from ..storage.rows import frame_dummy, frame_row_validated, framed_size
+from ..storage.schema import Column, FrameDecoder, Row, Schema, Value, int_column
 from .predicate import Predicate
 from .sort import bitonic_sort, external_oblivious_sort, padded_scratch
 
@@ -76,21 +76,26 @@ def _emitter(
     out_schema: Schema,
     predicate: Predicate | None,
     columns: Sequence[str] | None,
+    row_schema: Schema | None = None,
 ) -> tuple[Schema, Callable[[Row], bytes | None]]:
     """The emitted schema and the joined-row → output-frame function.
 
     The one place a joined row is filtered, projected and framed: ``emit``
-    returns ``None`` for a row ``predicate`` (compiled against the full
-    joined schema) rejects — the caller writes the dummy frame it writes
-    for a key miss — and otherwise the row projected to ``columns`` and
-    framed.  ``None`` / ``None`` emits every pair in the full joined schema.
+    returns ``None`` for a row ``predicate`` rejects — the caller writes the
+    dummy frame it writes for a key miss — and otherwise the row projected
+    to ``columns`` and framed.  ``None`` / ``None`` emits every pair in the
+    full joined schema ``out_schema``.  ``row_schema`` is the schema of the
+    joined rows ``emit`` receives when they are narrower than ``out_schema``
+    (see :func:`_narrow_join`); the predicate and ``columns`` bind to it by
+    name.
     """
+    row_schema = row_schema or out_schema
     schema = out_schema if columns is None else out_schema.project(columns)
-    keep = None if predicate is None else predicate.compile(out_schema)
+    keep = None if predicate is None else predicate.compile(row_schema)
     indexes = (
         None
         if columns is None
-        else [out_schema.column_index(name) for name in columns]
+        else [row_schema.column_index(name) for name in columns]
     )
 
     def emit(row: Row) -> bytes | None:
@@ -101,6 +106,40 @@ def _emitter(
         return frame_row_validated(schema, row)
 
     return schema, emit
+
+
+def _narrow_join(
+    left: Schema,
+    right: Schema,
+    joined: Schema,
+    column1: str,
+    column2: str,
+    predicate: Predicate | None,
+    columns: Sequence[str] | None,
+) -> tuple[Schema, tuple[Schema, FrameDecoder], tuple[Schema, FrameDecoder]]:
+    """What a hash join decodes: each side's reader and the schema of the
+    joined rows they make.
+
+    Each side reads its join key and the columns the emit uses (the
+    predicate's and ``columns``, all of them for ``None``).  A left narrow
+    row followed by a right one is the returned joined schema: ``joined``'s
+    (:func:`joined_schema`'s) columns at those positions, so a name that
+    collides is prefixed exactly as in the full join.
+    """
+    used = set(joined.column_names() if columns is None else columns)
+    if predicate is not None:
+        used |= predicate.columns()
+    width = len(left)
+    positions = {joined.column_index(name) for name in used}
+    positions |= {left.column_index(column1), width + right.column_index(column2)}
+    left_reader = left.reader(
+        left.columns[i].name for i in positions if i < width
+    )
+    right_reader = right.reader(
+        right.columns[i - width].name for i in positions if i >= width
+    )
+    row_schema = joined.project([joined.columns[i].name for i in sorted(positions)])
+    return row_schema, left_reader, right_reader
 
 
 def _finish_join(
@@ -158,15 +197,21 @@ def hash_join(
     ``output_name`` names the output region explicitly — the sharded join
     pre-allocates per-shard output names so shard trace recorders can be
     attached before the join runs.  ``predicate`` / ``columns`` are fused
-    into the probe's emit (see the module docstring).
+    into the probe's emit (see the module docstring).  Build and probe
+    decode only the columns the emit and the keys use (:func:`_narrow_join`).
     """
     enclave = table1.enclave
-    key1 = table1.schema.column_index(column1)
-    key2 = table2.schema.column_index(column2)
-    out_schema, emit = _emitter(
-        joined_schema(table1.schema, table2.schema), predicate, columns
+    joined = joined_schema(table1.schema, table2.schema)
+    row_schema, (schema1, decode1), (schema2, decode2) = _narrow_join(
+        table1.schema, table2.schema, joined, column1, column2, predicate, columns
     )
+    key1 = schema1.column_index(column1)
+    key2 = schema2.column_index(column2)
+    out_schema, emit = _emitter(joined, predicate, columns, row_schema)
 
+    # Sized by the stored width, not by the narrow rows the build keeps: the
+    # chunk count shapes the trace, which must not depend on the statement's
+    # column list.
     row_bytes = framed_size(table1.schema) + 16  # row + hash-table entry slack
     chunk_rows = max(1, oblivious_memory_bytes // row_bytes)
     num_chunks = (table1.capacity + chunk_rows - 1) // chunk_rows
@@ -175,7 +220,6 @@ def hash_join(
         enclave, out_schema, num_chunks * table2.capacity, name=output_name
     )
     dummy = frame_dummy(out_schema)
-    schema2 = table2.schema
     matched = 0
     # Keys of every chunk so far (not only the resident one), so a repeat is
     # caught wherever the chunk boundary falls.  Enclave-private bookkeeping
@@ -191,9 +235,7 @@ def hash_join(
             # a single precompiled codec pass.
             rows1 = [
                 row
-                for row in unframe_rows(
-                    table1.schema, table1.read_range_framed(start, stop - start)
-                )
+                for row in decode1(table1.read_range_framed(start, stop - start))
                 if row is not None
             ]
             hash_table = {row[key1]: row for row in rows1}
@@ -212,7 +254,7 @@ def hash_join(
             def probe(offset: int, frames: list[bytes]) -> list[bytes]:
                 nonlocal matched
                 out = []
-                for row2 in unframe_rows(schema2, frames):
+                for row2 in decode2(frames):
                     row1 = hash_table.get(row2[key2]) if row2 is not None else None
                     frame = None if row1 is None else emit(row1 + row2)
                     if frame is None:
@@ -273,7 +315,7 @@ def _union_scratch(
                 dummy
                 if row is None
                 else frame_row_validated(scratch_schema, tag_row(row))
-                for row in unframe_rows(schema, frames)
+                for row in schema.decode_framed_rows(frames)
             ]
 
         table.interleave_to(
@@ -317,7 +359,7 @@ def _merge_scan(
     def merge(offset: int, frames: list[bytes]) -> list[bytes]:
         nonlocal current_primary, matched, repeated
         out = []
-        for row in unframe_rows(scratch_schema, frames):
+        for row in scratch_schema.decode_framed_rows(frames):
             frame: bytes | None = None
             if row is not None:
                 if row[0] == 0:

@@ -24,13 +24,15 @@ from ..storage.schema import Row, Schema, Value
 
 RowPredicate = Callable[[Row], bool]
 
-_OPS: dict[str, Callable[[Value, Value], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,  # type: ignore[operator]
-    "<=": lambda a, b: a <= b,  # type: ignore[operator]
-    ">": lambda a, b: a > b,  # type: ignore[operator]
-    ">=": lambda a, b: a >= b,  # type: ignore[operator]
+# One closure factory per operator, so a compiled comparison is a single
+# Python frame: ``row[i] < v``, not a lambda calling an operator lambda.
+_OPS: dict[str, Callable[[int, Value], RowPredicate]] = {
+    "=": lambda i, v: lambda row: row[i] == v,
+    "!=": lambda i, v: lambda row: row[i] != v,
+    "<": lambda i, v: lambda row: row[i] < v,  # type: ignore[operator]
+    "<=": lambda i, v: lambda row: row[i] <= v,  # type: ignore[operator]
+    ">": lambda i, v: lambda row: row[i] > v,  # type: ignore[operator]
+    ">=": lambda i, v: lambda row: row[i] >= v,  # type: ignore[operator]
 }
 
 
@@ -103,10 +105,7 @@ class Comparison(Predicate):
             raise QueryError(f"unknown comparison operator {self.op!r}")
 
     def compile(self, schema: Schema) -> RowPredicate:
-        index = schema.column_index(self.column)
-        op = _OPS[self.op]
-        value = self.value
-        return lambda row: op(row[index], value)
+        return _OPS[self.op](schema.column_index(self.column), self.value)
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -139,8 +138,20 @@ class And(Predicate):
             raise QueryError("And needs at least one operand")
 
     def compile(self, schema: Schema) -> RowPredicate:
-        compiled = [operand.compile(schema) for operand in self.operands]
-        return lambda row: all(check(row) for check in compiled)
+        checks = [operand.compile(schema) for operand in self.operands]
+        if len(checks) == 1:
+            return checks[0]
+        if len(checks) == 2:
+            first, second = checks
+            return lambda row: first(row) and second(row)
+
+        def every(row: Row) -> bool:
+            for check in checks:
+                if not check(row):
+                    return False
+            return True
+
+        return every
 
     def columns(self) -> set[str]:
         return set().union(*(operand.columns() for operand in self.operands))
@@ -177,8 +188,20 @@ class Or(Predicate):
             raise QueryError("Or needs at least one operand")
 
     def compile(self, schema: Schema) -> RowPredicate:
-        compiled = [operand.compile(schema) for operand in self.operands]
-        return lambda row: any(check(row) for check in compiled)
+        checks = [operand.compile(schema) for operand in self.operands]
+        if len(checks) == 1:
+            return checks[0]
+        if len(checks) == 2:
+            first, second = checks
+            return lambda row: first(row) or second(row)
+
+        def some(row: Row) -> bool:
+            for check in checks:
+                if check(row):
+                    return True
+            return False
+
+        return some
 
     def columns(self) -> set[str]:
         return set().union(*(operand.columns() for operand in self.operands))
@@ -191,8 +214,8 @@ class Not(Predicate):
     operand: Predicate
 
     def compile(self, schema: Schema) -> RowPredicate:
-        compiled = self.operand.compile(schema)
-        return lambda row: not compiled(row)
+        check = self.operand.compile(schema)
+        return lambda row: not check(row)
 
     def columns(self) -> set[str]:
         return self.operand.columns()

@@ -35,8 +35,7 @@ from ..oblivious.compact import (
 from ..oram.path_oram import PathORAM
 from ..storage.flat import FlatStorage
 from ..storage.indexed import IndexedStorage
-from ..storage.rows import frame_dummy, frame_row, framed_size, is_dummy, unframe_row
-from ..storage.schema import Row
+from ..storage.rows import filter_reader, frame_dummy, framed_size, is_dummy
 from .predicate import Predicate
 
 #: Chain length per hash function in the Hash algorithm (Azar et al. guidance).
@@ -61,7 +60,7 @@ def naive_select(
     Uses ~4·|R| bytes of oblivious memory for the output ORAM's position map.
     """
     enclave = table.enclave
-    matches = predicate.compile(table.schema)
+    decode, matches = filter_reader(table.schema, predicate)
     slots = max(1, output_size)
     oram = PathORAM(
         enclave,
@@ -72,20 +71,23 @@ def naive_select(
     )
     written = 0
     for index in range(table.capacity):
-        row = table.read_row(index)
+        framed = table.read_framed(index)
+        row = decode([framed])[0]
         if row is not None and matches(row):
             if written >= slots:
                 raise StorageError("planner under-estimated the output size")
-            oram.write(written, frame_row(table.schema, row))
+            oram.write(written, framed)
             written += 1
         else:
             oram.dummy_access()
     output = FlatStorage(enclave, table.schema, output_size)
+    dummy = frame_dummy(table.schema)
     for index in range(output_size):
         framed = oram.read(index)
-        row = unframe_row(table.schema, framed) if framed is not None else None
-        output.write_row(index, row)
-        if row is not None:
+        if framed is None or is_dummy(framed):
+            output.write_framed(index, dummy)
+        else:
+            output.write_framed(index, framed)
             output._used += 1
     oram.free()
     return output
@@ -106,9 +108,8 @@ def compact_select(
     input order, like Small's.
     """
     enclave = table.enclave
-    matches = predicate.compile(table.schema)
     scratch = FlatStorage(enclave, table.schema, table.capacity)
-    flags = filter_copy(table, scratch, matches)
+    flags = filter_copy(table, scratch, predicate)
     # The front just decided every slot: hand the flags over so the
     # compaction skips its marking scan (a public call-site property).
     oblivious_compact(scratch, flags=flags)
@@ -135,7 +136,10 @@ def small_select(
     Each pass reads the entire input (uniform pattern); matched rows beyond
     the resume cursor fill an enclave buffer of ``buffer_rows`` slots, which
     is flushed to the output after the pass.  The number of passes is
-    ceil(|R| / buffer), computable from public sizes alone.
+    ceil(|R| / buffer), computable from public sizes alone.  Rows are
+    tested through the predicate's column reader and buffered as their
+    frames; a flush is one range write, ``W copied .. copied+k-1``, the
+    per-row loop's trace.
 
     When the buffer is so small that the pass count exceeds the cost of the
     compaction front (roughly ``3 + 3·log2 |T|`` passes), the operator
@@ -151,7 +155,7 @@ def small_select(
     ):
         return compact_select(table, predicate, output_size)
     enclave = table.enclave
-    matches = predicate.compile(table.schema)
+    decode, matches = filter_reader(table.schema, predicate)
     output = FlatStorage(enclave, table.schema, output_size)
     row_bytes = framed_size(table.schema)
 
@@ -159,26 +163,27 @@ def small_select(
     cursor = -1  # index of the last row already flushed to the output
     with enclave.oblivious_buffer(buffer_rows * row_bytes):
         while copied < output_size:
-            buffer: list[Row] = []
+            buffer: list[bytes] = []
             last_buffered = cursor
             # Uniform pass: one batched range read (R 0 .. R N-1, the same
             # per-block order), decode inside the enclave.
-            for index, framed in table.scan_framed():
-                row = unframe_row(table.schema, framed)
-                if (
-                    index > cursor
-                    and len(buffer) < buffer_rows
-                    and row is not None
-                    and matches(row)
+            for start, frames in table.scan_framed_chunks():
+                for index, framed, row in zip(
+                    range(start, start + len(frames)), frames, decode(frames)
                 ):
-                    buffer.append(row)
-                    last_buffered = index
+                    if (
+                        index > cursor
+                        and len(buffer) < buffer_rows
+                        and row is not None
+                        and matches(row)
+                    ):
+                        buffer.append(framed)
+                        last_buffered = index
             if not buffer:
                 break  # fewer matches than promised; remaining slots stay dummy
-            for row in buffer:
-                output.write_row(copied, row)
-                output._used += 1
-                copied += 1
+            output.write_range_framed(copied, buffer)
+            output._used += len(buffer)
+            copied += len(buffer)
             cursor = last_buffered
     return output
 
@@ -191,7 +196,7 @@ def large_select(table: FlatStorage, predicate: Predicate) -> FlatStorage:
     Output capacity equals |T|; uses no oblivious memory.
     """
     enclave = table.enclave
-    matches = predicate.compile(table.schema)
+    decode, matches = filter_reader(table.schema, predicate)
     output = FlatStorage(enclave, table.schema, table.capacity)
     # Copy framed bytes directly (same interleaved R-source/W-target pattern,
     # no decode/re-encode); the clearing pass re-seals keepers' frames as-is.
@@ -201,7 +206,7 @@ def large_select(table: FlatStorage, predicate: Predicate) -> FlatStorage:
 
     def clear(index: int, framed: bytes) -> bytes:
         nonlocal kept
-        row = unframe_row(table.schema, framed)
+        row = decode([framed])[0]
         if row is not None and matches(row):
             kept += 1
             return framed  # dummy write (fresh ciphertext)
@@ -225,16 +230,17 @@ def continuous_select(
     be disabled at the planner.
     """
     enclave = table.enclave
-    matches = predicate.compile(table.schema)
+    decode, matches = filter_reader(table.schema, predicate)
     slots = max(1, output_size)
     output = FlatStorage(enclave, table.schema, slots)
     written = 0
     for index in range(table.capacity):
-        row = table.read_row(index)
+        framed = table.read_framed(index)
+        row = decode([framed])[0]
         slot = index % slots
         current = output.read_framed(slot)
         if row is not None and matches(row):
-            output.write_row(slot, row)
+            output.write_framed(slot, framed)
             written += 1
         else:
             output.write_framed(slot, current)  # dummy write, fresh ciphertext
@@ -275,7 +281,7 @@ def hash_select(
     it; direct callers keep the paper's raw chain-table shape by default.
     """
     enclave = table.enclave
-    matches = predicate.compile(table.schema)
+    decode, matches = filter_reader(table.schema, predicate)
     buckets = max(1, output_size)
 
     for attempt in range(_HASH_MAX_ATTEMPTS):
@@ -285,7 +291,8 @@ def hash_select(
         placed = 0
         failed = False
         for index in range(table.capacity):
-            row = table.read_row(index)
+            framed = table.read_framed(index)
+            row = decode([framed])[0]
             selected = row is not None and matches(row)
             done = False
             for function in range(HASH_FUNCTIONS):
@@ -294,7 +301,7 @@ def hash_select(
                     slot = bucket * HASH_CHAIN_SLOTS + chain
                     current = output.read_framed(slot)
                     if selected and not done and is_dummy(current):
-                        output.write_row(slot, row)
+                        output.write_framed(slot, framed)
                         done = True
                         placed += 1
                     else:

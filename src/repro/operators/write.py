@@ -55,18 +55,18 @@ def oblivious_update(
     are found through ``interval`` — the key interval ``predicate``
     implies, when the plan chose the index range — or by linear scan.
     """
+    # Compiled up front: an unknown column fails before any pass starts.
+    matcher = predicate.compile(table.schema)
     updated = 0
     if table.flat is not None:
-        matcher = predicate.compile(table.schema)
         try:
-            updated = table.flat.update(matcher, assign)
+            updated = table.flat.update(predicate, assign)
         except BaseException:
             # The pass may have landed a prefix of its chunks: bump the
             # revision so no cached result survives the partial mutation.
             table.bump_revision()
             raise
     if table.indexed is not None:
-        matcher = predicate.compile(table.schema)
         key_index = table.schema.column_index(table.indexed.key_column)
         affected = _index_matches(table, matcher, interval)
         try:
@@ -91,16 +91,15 @@ def oblivious_delete(
 ) -> int:
     """Delete all rows matching ``predicate``; returns the count
     (``interval`` as in :func:`oblivious_update`)."""
+    matcher = predicate.compile(table.schema)
     deleted = 0
     if table.flat is not None:
-        matcher = predicate.compile(table.schema)
         try:
-            deleted = table.flat.delete(matcher)
+            deleted = table.flat.delete(predicate)
         except BaseException:
             table.bump_revision()
             raise
     if table.indexed is not None:
-        matcher = predicate.compile(table.schema)
         key_index = table.schema.column_index(table.indexed.key_column)
         affected_keys: list[Value] = [
             row[key_index] for row in _index_matches(table, matcher, interval)

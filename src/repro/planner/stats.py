@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..operators.predicate import Predicate
 from ..storage.flat import FlatStorage
-from ..storage.rows import unframe_rows
 
 
 @dataclass(frozen=True)
@@ -39,21 +38,22 @@ def scan_statistics(table: FlatStorage, predicate: Predicate) -> SelectionStats:
     """One uniform read pass computing match count and adjacency.
 
     Reads the table in batched chunks (trace: ``R 0..capacity-1``, the
-    per-block loop's sequence) and decodes each chunk in one codec pass.
+    per-block loop's sequence) and decodes each chunk in one codec pass,
+    through the reader of the predicate's columns only.
 
     "Adjacent" means the matching rows occupy consecutive *blocks*, i.e. no
     in-use non-matching row sits between two matches (dummy blocks between
     matches do not break continuity: the Continuous algorithm's modular
     write pattern skips nothing observable either way).
     """
-    matches = predicate.compile(table.schema)
+    schema, decode = table.schema.reader(predicate.columns())
+    matches = predicate.compile(schema)
     matching = 0
     first = -1
     interrupted = False
     broken = False
-    schema = table.schema
     for start, frames in table.scan_framed_chunks():
-        for index, row in enumerate(unframe_rows(schema, frames), start):
+        for index, row in enumerate(decode(frames), start):
             if row is None:
                 continue
             if matches(row):

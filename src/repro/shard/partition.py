@@ -42,7 +42,6 @@ from ..oblivious.compact import oblivious_compact
 from ..oblivious.shuffle import oblivious_shuffle
 from ..operators.join import hash_join
 from ..storage.flat import _CHUNK_BLOCKS, FlatStorage
-from ..storage.rows import unframe_rows
 from ..storage.schema import Row, Schema, Value
 from .trace import ShardTraceRecorder, compose
 
@@ -296,7 +295,7 @@ class ShardedTable:
                     frames = flat.read_range_framed(start, count)
                     per_shard_rows[index].extend(
                         row
-                        for row in unframe_rows(self.schema, frames)
+                        for row in self.schema.decode_framed_rows(frames)
                         if row is not None
                     )
                     recorders[index].end_epoch()

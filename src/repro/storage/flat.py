@@ -39,12 +39,19 @@ at distance ``half`` inherently needs both ends of every pair in hand.)
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import CapacityError, IntegrityError, RollbackError, StorageError
 from ..enclave.integrity import RevisionLedger
-from .rows import frame_dummy, frame_row_validated, is_dummy, unframe_row, unframe_rows
+from .rows import (
+    RowFilter,
+    filter_reader,
+    frame_dummy,
+    frame_row_validated,
+    is_dummy,
+    unframe_row,
+)
 from .schema import Row, Schema
 
 #: Blocks handled per batched call (~0.5 MB of frames at the paper's 512 B
@@ -306,14 +313,34 @@ class FlatStorage:
         in :data:`_CHUNK_BLOCKS` chunks (each chunk fails atomically, like
         the per-block loop's prefix behaviour).
         """
+        self._exchange_chunks(
+            start,
+            count,
+            lambda first, frames: [
+                transform(index, framed) for index, framed in enumerate(frames, first)
+            ],
+        )
+
+    def _exchange_chunks(
+        self,
+        start: int,
+        count: int,
+        rewrite: Callable[[int, list[bytes]], list[bytes]],
+    ) -> None:
+        """:meth:`exchange_framed` with ``rewrite(first index, frames) ->
+        frames`` called once per chunk, so a pass can decode a chunk at a
+        time.  Same trace."""
         end = start + count
         for chunk_start in range(start, end, _CHUNK_BLOCKS):
             self._exchange_chunk(
-                chunk_start, min(_CHUNK_BLOCKS, end - chunk_start), transform
+                chunk_start, min(_CHUNK_BLOCKS, end - chunk_start), rewrite
             )
 
     def _exchange_chunk(
-        self, start: int, count: int, transform: Callable[[int, bytes], bytes]
+        self,
+        start: int,
+        count: int,
+        rewrite: Callable[[int, list[bytes]], list[bytes]],
     ) -> None:
         if not count:
             return
@@ -329,11 +356,7 @@ class FlatStorage:
                 region, start, count
             )
             frames = self._open_verified(sealed, aads, range(start, start + count))
-            new_frames = [
-                transform(index, framed)
-                for index, framed in enumerate(frames, start)
-            ]
-            resealed = self._seal_many(new_frames, next_aads)
+            resealed = self._seal_many(rewrite(start, frames), next_aads)
             ledger.commit_range(region, start, next_revisions)
             return resealed
 
@@ -658,41 +681,54 @@ class FlatStorage:
         self._used += len(frames)
 
     def update(
-        self, predicate: Callable[[Row], bool], assign: Callable[[Row], Row]
+        self,
+        predicate: RowFilter | Callable[[Row], bool],
+        assign: Callable[[Row], Row],
     ) -> int:
         """Oblivious update: one pass; matching rows rewritten via ``assign``.
 
-        Every block gets a read and a write; returns the number updated.
+        Every block gets a read and a write (trace ``R i, W i`` per slot);
+        returns the number updated.  Each chunk is tested through the
+        predicate's column reader (see :func:`~repro.storage.rows.
+        filter_reader`); only a matching row is decoded whole, for
+        ``assign``.
         """
         updated = 0
         schema = self.schema
+        decode, matches = filter_reader(schema, predicate)
 
-        def transform(index: int, framed: bytes) -> bytes:
+        def rewrite(first: int, frames: list[bytes]) -> list[bytes]:
             nonlocal updated
-            row = unframe_row(schema, framed)
-            if row is not None and predicate(row):
-                updated += 1
-                return frame_row_validated(schema, assign(row))
-            return framed
+            out = []
+            for framed, row in zip(frames, decode(frames)):
+                if row is not None and matches(row):
+                    updated += 1
+                    full = unframe_row(schema, framed)
+                    framed = frame_row_validated(schema, assign(full))
+                out.append(framed)
+            return out
 
-        self.exchange_framed(0, self.capacity, transform)
+        self._exchange_chunks(0, self.capacity, rewrite)
         return updated
 
-    def delete(self, predicate: Callable[[Row], bool]) -> int:
-        """Oblivious delete: one pass; matches overwritten with dummies."""
+    def delete(self, predicate: RowFilter | Callable[[Row], bool]) -> int:
+        """Oblivious delete: one pass; matches overwritten with dummies
+        (trace ``R i, W i`` per slot; tested as in :meth:`update`)."""
         deleted = 0
-        schema = self.schema
-        dummy = frame_dummy(schema)
+        dummy = frame_dummy(self.schema)
+        decode, matches = filter_reader(self.schema, predicate)
 
-        def transform(index: int, framed: bytes) -> bytes:
+        def rewrite(first: int, frames: list[bytes]) -> list[bytes]:
             nonlocal deleted
-            row = unframe_row(schema, framed)
-            if row is not None and predicate(row):
-                deleted += 1
-                return dummy
-            return framed
+            out = []
+            for framed, row in zip(frames, decode(frames)):
+                if row is not None and matches(row):
+                    deleted += 1
+                    framed = dummy
+                out.append(framed)
+            return out
 
-        self.exchange_framed(0, self.capacity, transform)
+        self._exchange_chunks(0, self.capacity, rewrite)
         self._used -= deleted
         return deleted
 
@@ -716,7 +752,7 @@ class FlatStorage:
         R 0 .. R capacity-1, exactly the per-block scan order), holding one
         chunk of decrypted frames at a time.  Chunk granularity lets
         consumers (scans, hash builds, aggregations) decode each chunk with
-        one :func:`~repro.storage.rows.unframe_rows` codec pass.
+        one :meth:`~repro.storage.schema.Schema.reader` codec pass.
         """
         capacity = self.capacity
         for chunk_start in range(0, capacity, _CHUNK_BLOCKS):
@@ -732,17 +768,21 @@ class FlatStorage:
         for chunk_start, frames in self.scan_framed_chunks():
             yield from enumerate(frames, chunk_start)
 
-    def rows(self) -> list[Row]:
+    def rows(self, columns: Iterable[str] | None = None) -> list[Row]:
         """All in-use rows, via one full oblivious scan.
 
-        Each chunk of frames is decoded with one precompiled codec pass.
+        Each chunk of frames is decoded with one precompiled codec pass —
+        through ``schema.reader(columns)`` when ``columns`` is given, so the
+        rows hold those columns only, in schema order.
         """
-        schema = self.schema
+        decode = (
+            self.schema.decode_framed_rows
+            if columns is None
+            else self.schema.reader(columns)[1]
+        )
         result = []
         for _, frames in self.scan_framed_chunks():
-            result.extend(
-                row for row in unframe_rows(schema, frames) if row is not None
-            )
+            result.extend(row for row in decode(frames) if row is not None)
         return result
 
     # ------------------------------------------------------------------

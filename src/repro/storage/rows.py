@@ -10,14 +10,15 @@ The framed form of a row is ``flag byte || encoded row``, always exactly
 ``schema.row_size + 1`` bytes.  Dummy frames are constant per row size, so
 they are interned in a small cache instead of re-built per write;
 :func:`frame_row_validated` fuses validation and encoding for the write path
-(one UTF-8 encode per STR value).
+(one UTF-8 encode per STR value).  Runs of frames decode through
+``Schema.reader``; :func:`filter_reader` binds a pass's filter to it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Protocol
 
-from .schema import Row, Schema
+from .schema import FrameDecoder, Row, Schema
 
 FLAG_SIZE = 1
 _IN_USE = b"\x01"
@@ -62,15 +63,26 @@ def unframe_row(schema: Schema, data: bytes) -> Row | None:
     return schema.decode_row(data, FLAG_SIZE)
 
 
-def unframe_rows(schema: Schema, frames: Sequence[bytes]) -> list[Row | None]:
-    """Decode a run of framed rows in one precompiled codec pass.
+class RowFilter(Protocol):
+    """A condition a pass filters on — a
+    :class:`~repro.operators.predicate.Predicate`."""
 
-    The batch analogue of :func:`unframe_row`: concatenates the frames and
-    hands them to ``Schema.decode_framed_rows`` (one ``iter_unpack`` walk),
-    which is what lets scan and hash-build passes stop decoding one row at
-    a time.  Dummies come back as ``None``.
-    """
-    return schema.decode_framed_rows(b"".join(frames))
+    def columns(self) -> set[str]: ...
+
+    def compile(self, schema: Schema) -> Callable[[Row], bool]: ...
+
+
+def filter_reader(
+    schema: Schema, keep: RowFilter | Callable[[Row], bool]
+) -> tuple[FrameDecoder, Callable[[Row], bool]]:
+    """The decoder and row test for a pass over ``schema`` filtering on
+    ``keep``: a predicate is decoded through the reader of its own columns
+    and compiled against that reader's narrow schema; a plain row callable
+    sees every column."""
+    if callable(keep):
+        return schema.decode_framed_rows, keep
+    narrow, decode = schema.reader(keep.columns())
+    return decode, keep.compile(narrow)
 
 
 def is_dummy(data: bytes) -> bool:

@@ -21,6 +21,12 @@ The whole-row codec is precompiled: each :class:`Schema` builds one
 ``decode_row`` are a single ``pack``/``unpack`` call rather than a per-column
 Python loop.  ``validate_and_encode_row`` fuses validation with encoding so
 STR values are UTF-8 encoded exactly once on the write path.
+
+Batches of framed rows decode through :meth:`Schema.reader`: one
+precompiled ``struct`` per column set that skips the columns a pass does not
+use (``{width}x`` pad bytes), so a scan that filters on two INT columns never
+strips or decodes a wide STR column.  ``decode_framed_rows`` is the
+all-columns reader.
 """
 
 from __future__ import annotations
@@ -28,12 +34,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..enclave.errors import SchemaError
 
 Value = int | float | str
 Row = tuple[Value, ...]
+#: A batch decoder: framed rows → one row (or ``None`` for a dummy) each.
+FrameDecoder = Callable[[Sequence[bytes]], "list[Row | None]"]
 
 _INT = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
@@ -124,31 +132,28 @@ class Schema:
     """An ordered, named collection of columns with row encode/decode."""
 
     def __init__(self, columns: Iterable[Column]) -> None:
-        self.columns: tuple[Column, ...] = tuple(columns)
-        if not self.columns:
+        columns = tuple(columns)
+        if not columns:
             raise SchemaError("schema needs at least one column")
+        self._build(columns)
+
+    def _build(self, columns: tuple[Column, ...]) -> None:
+        self.columns: tuple[Column, ...] = columns
         names = [column.name for column in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in {names}")
         self._index = {column.name: i for i, column in enumerate(self.columns)}
+        self._all_columns = frozenset(self._index)
         self.row_size = sum(column.byte_width for column in self.columns)
         # Precompiled whole-row codec: one struct format covering all columns
         # ("<" disables padding, so the struct size equals row_size exactly).
-        parts = []
-        str_indices = []
-        for i, column in enumerate(self.columns):
-            if column.type is ColumnType.INT:
-                parts.append("q")
-            elif column.type is ColumnType.FLOAT:
-                parts.append("d")
-            else:
-                parts.append(f"{column.size}s")
-                str_indices.append(i)
-        self._struct = struct.Struct("<" + "".join(parts))
-        # Whole-frame codec: in-use flag byte + row payload, so a run of
-        # framed rows decodes with one C-level ``iter_unpack`` pass.
-        self._framed_struct = struct.Struct("<B" + "".join(parts))
-        self._str_indices: tuple[int, ...] = tuple(str_indices)
+        self._struct = struct.Struct(
+            "<" + "".join(_struct_format(column) for column in self.columns)
+        )
+        self._str_indices: tuple[int, ...] = tuple(
+            i for i, column in enumerate(self.columns) if column.type is ColumnType.STR
+        )
+        self._readers: dict[frozenset[str], tuple[Schema, FrameDecoder]] = {}
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -238,41 +243,112 @@ class Schema:
             return tuple(values)
         return unpacked
 
-    def decode_framed_rows(self, buffer: bytes) -> list[Row | None]:
-        """Decode a run of concatenated *framed* rows in one codec pass.
+    def reader(self, columns: Iterable[str]) -> tuple["Schema", FrameDecoder]:
+        """The narrow schema and batch decoder for the columns a pass reads.
 
-        ``buffer`` is N frames back to back, each ``1 + row_size`` bytes
-        (in-use flag byte followed by the encoded row, the layout of
-        :mod:`repro.storage.rows`).  One precompiled ``iter_unpack`` walks
-        the whole buffer instead of a per-row ``unpack`` call; dummies
-        (flag 0) come back as ``None``.  This is the batch analogue of
-        ``unframe_row`` for scan and hash-build passes.
+        The decoder maps N *framed* rows (in-use flag byte followed by the
+        encoded row, the layout of :mod:`repro.storage.rows`) to N narrow
+        rows — the values of ``columns`` only, in this schema's column
+        order, which is the narrow schema's — with one precompiled
+        ``iter_unpack`` walk: the flag byte, then each read column's format
+        and ``{width}x`` for each skipped one.  STR columns are stripped and
+        decoded only when read.  Dummies (flag 0) come back as ``None``, so
+        an empty column set still tells real rows (``()``) from dummies.
+        Compiled once per column set and cached on the schema; an unknown
+        name raises :class:`SchemaError`.
         """
-        if len(buffer) % (1 + self.row_size):
-            raise SchemaError(
-                f"framed buffer of {len(buffer)} bytes is not a multiple of "
-                f"{1 + self.row_size}"
-            )
-        str_indices = self._str_indices
-        rows: list[Row | None] = []
-        append = rows.append
-        if str_indices:
-            for unpacked in self._framed_struct.iter_unpack(buffer):
-                if not unpacked[0]:
-                    append(None)
-                    continue
-                values = list(unpacked[1:])
-                for i in str_indices:
-                    values[i] = values[i].rstrip(b"\x00").decode()
-                append(tuple(values))
+        key = frozenset(columns)
+        cached = self._readers.get(key)
+        if cached is None:
+            cached = self._readers[key] = self._compile_reader(key)
+        return cached
+
+    def _compile_reader(self, names: frozenset[str]) -> tuple["Schema", FrameDecoder]:
+        for name in names:
+            self.column_index(name)  # SchemaError on an unknown name
+        read = tuple(column for column in self.columns if column.name in names)
+        parts = ["<B"]
+        skip = 0
+        for column in self.columns:
+            if column.name in names:
+                if skip:
+                    parts.append(f"{skip}x")
+                    skip = 0
+                parts.append(_struct_format(column))
+            else:
+                skip += column.byte_width
+        if skip:
+            parts.append(f"{skip}x")
+        unpack = struct.Struct("".join(parts)).iter_unpack
+        frame_bytes = 1 + self.row_size
+        # Positions of the read STR columns in the unpacked tuple (flag at 0).
+        strings = tuple(
+            i for i, column in enumerate(read, 1) if column.type is ColumnType.STR
+        )
+
+        def joined(frames: Sequence[bytes]) -> bytes:
+            buffer = b"".join(frames)
+            if len(buffer) % frame_bytes:
+                raise SchemaError(
+                    f"framed buffer of {len(buffer)} bytes is not a multiple of "
+                    f"{frame_bytes}"
+                )
+            return buffer
+
+        if strings:
+
+            def decode(frames: Sequence[bytes]) -> list[Row | None]:
+                rows: list[Row | None] = []
+                append = rows.append
+                for unpacked in unpack(joined(frames)):
+                    if not unpacked[0]:
+                        append(None)
+                        continue
+                    values = list(unpacked)
+                    for i in strings:
+                        values[i] = values[i].rstrip(b"\x00").decode()
+                    append(tuple(values[1:]))
+                return rows
+
         else:
-            for unpacked in self._framed_struct.iter_unpack(buffer):
-                append(unpacked[1:] if unpacked[0] else None)
-        return rows
+
+            def decode(frames: Sequence[bytes]) -> list[Row | None]:
+                return [
+                    unpacked[1:] if unpacked[0] else None
+                    for unpacked in unpack(joined(frames))
+                ]
+
+        narrow = self if len(read) == len(self.columns) else _narrow_schema(read)
+        return narrow, decode
+
+    @property
+    def decode_framed_rows(self) -> FrameDecoder:
+        """The all-columns reader's decoder: framed rows → full rows, with
+        ``None`` for dummies (:meth:`reader` over every column)."""
+        return self.reader(self._all_columns)[1]
 
     def project(self, names: Sequence[str]) -> "Schema":
         """A new schema containing only ``names``, in the given order."""
         return Schema(self.column(name) for name in names)
+
+
+def _struct_format(column: Column) -> str:
+    if column.type is ColumnType.INT:
+        return "q"
+    if column.type is ColumnType.FLOAT:
+        return "d"
+    return f"{column.size}s"
+
+
+def _narrow_schema(columns: tuple[Column, ...]) -> Schema:
+    """The schema of a reader's rows.  Unlike a table's, it may be empty:
+    a pass that reads no column still binds against it (and a bound name
+    raises :class:`SchemaError`)."""
+    if columns:
+        return Schema(columns)
+    narrow = Schema.__new__(Schema)
+    narrow._build(())
+    return narrow
 
 
 def int_column(name: str) -> Column:

@@ -222,14 +222,19 @@ class Table:
             raise
         self.bump_revision()
 
+    def _key_equals(self, key: Value):
+        """``key column = key`` as a predicate, so the flat pass decodes the
+        key column only."""
+        from ..operators.predicate import Comparison  # operators import storage
+
+        return Comparison(self.key_column or self.schema.columns[0].name, "=", key)
+
     def delete_key(self, key: Value) -> int:
         """Delete all rows whose indexed/first column equals ``key``."""
-        column = self.key_column or self.schema.columns[0].name
-        key_index = self.schema.column_index(column)
         deleted = 0
         try:
             if self.flat is not None:
-                deleted = self.flat.delete(lambda row: row[key_index] == key)
+                deleted = self.flat.delete(self._key_equals(key))
             if self.indexed is not None:
                 indexed_deleted = self.indexed.delete_all(key)
                 if self.flat is None:
@@ -242,12 +247,10 @@ class Table:
 
     def update_key(self, key: Value, assign: Callable[[Row], Row]) -> int:
         """Update rows whose key column equals ``key`` via ``assign``."""
-        column = self.key_column or self.schema.columns[0].name
-        key_index = self.schema.column_index(column)
         updated = 0
         try:
             if self.flat is not None:
-                updated = self.flat.update(lambda row: row[key_index] == key, assign)
+                updated = self.flat.update(self._key_equals(key), assign)
             if self.indexed is not None:
                 indexed_updated = self.indexed.update_key(key, assign)
                 if self.flat is None:

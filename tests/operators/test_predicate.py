@@ -69,6 +69,19 @@ class TestCombinators:
         matching = [k for k in range(11) if predicate((k, ""))]
         assert matching == [0, 1, 10]
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_any_operand_count_short_circuits(self, kv_schema: Schema, count: int) -> None:
+        """The operand after the deciding one is never evaluated: comparing
+        a STR value with an int would raise."""
+        raises = Comparison("value", "<", 0)
+        deciding = [Comparison("key", ">=", 0)] * (count - 1)
+        every = And(*deciding, Comparison("key", "<", 0), raises).compile(kv_schema)
+        some = Or(*deciding, Comparison("key", ">", 0), raises).compile(kv_schema)
+        assert not every((1, "x"))
+        assert some((1, "x"))
+        assert And(*deciding, Comparison("key", "=", 1)).compile(kv_schema)((1, "x"))
+        assert not Or(*[Comparison("key", "<", 0)] * count).compile(kv_schema)((1, "x"))
+
     def test_true_predicate(self, kv_schema: Schema) -> None:
         assert TruePredicate().compile(kv_schema)((1, "x"))
         assert TruePredicate().columns() == set()

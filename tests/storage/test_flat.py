@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.enclave import CapacityError, Enclave, StorageError
+from repro.operators import Comparison
 from repro.storage import FlatStorage, Schema
 
 
@@ -133,6 +134,37 @@ class TestUpdateDelete:
         table.update(lambda row: True, lambda row: (row[0], "y"))
         all_cost = fast_enclave.cost.block_ios - before
         assert none_cost == all_cost
+
+    def test_predicate_decodes_only_matching_rows_whole(
+        self, fast_enclave: Enclave, kv_schema: Schema, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """A predicate is tested on its own columns; ``assign`` gets the
+        whole row, which is decoded for the matching row only.  The trace
+        is the row-callable pass's."""
+        tables = [make(fast_enclave, kv_schema, capacity=8) for _ in range(2)]
+        for table in tables:
+            table.fast_insert_many([(i, f"v{i}") for i in range(6)])
+        decode_row = Schema.decode_row
+        whole = []
+
+        def counted(self: Schema, data: bytes, offset: int = 0):
+            whole.append(data)
+            return decode_row(self, data, offset)
+
+        monkeypatch.setattr(Schema, "decode_row", counted)
+        trace = fast_enclave.trace
+        start = len(trace.events)
+        assert tables[0].update(Comparison("key", "=", 3), lambda row: (row[0], row[1] + "!")) == 1
+        by_predicate = trace.events[start:]
+        assert len(whole) == 1
+        assert tables[0].delete(Comparison("key", "<", 2)) == 2
+        assert len(whole) == 1
+        assert sorted(tables[0].rows()) == [(2, "v2"), (3, "v3!"), (4, "v4"), (5, "v5")]
+        start = len(trace.events)
+        tables[1].update(lambda row: row[0] == 3, lambda row: (row[0], row[1] + "!"))
+        assert [(e.op, e.index) for e in trace.events[start:]] == [
+            (e.op, e.index) for e in by_predicate
+        ]
 
 
 class TestBlockPrimitives:

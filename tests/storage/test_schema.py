@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.enclave import SchemaError
 from repro.storage import (
@@ -10,6 +14,8 @@ from repro.storage import (
     ColumnType,
     Schema,
     float_column,
+    frame_dummy,
+    frame_row,
     int_column,
     str_column,
 )
@@ -138,3 +144,91 @@ class TestSchema:
         clone = Schema([int_column("key"), str_column("value", 16)])
         assert kv_schema == clone
         assert hash(kv_schema) == hash(clone)
+
+
+# ----------------------------------------------------------------------
+# Schema.reader: the column-set codec
+# ----------------------------------------------------------------------
+_TEXT = st.characters(exclude_characters="\x00", exclude_categories=("Cs",))
+
+
+def _values(column: Column) -> st.SearchStrategy:
+    """Any value of ``column``; a STR value is empty, fills the width
+    exactly with multi-byte UTF-8, or is any text that fits (a trailing NUL
+    is the codec's padding, so never part of a value)."""
+    if column.type is ColumnType.INT:
+        return st.integers(-(2**63), 2**63 - 1)
+    if column.type is ColumnType.FLOAT:
+        return st.floats(allow_nan=False)
+    size = column.size
+    return st.one_of(
+        st.just(""),
+        st.just("é" * (size // 2) + "x" * (size % 2)),
+        st.text(_TEXT, max_size=size).filter(lambda text: len(text.encode()) <= size),
+    )
+
+
+@st.composite
+def _schemas_and_rows(draw) -> tuple[Schema, list]:
+    columns = []
+    for i, kind in enumerate(
+        draw(st.lists(st.sampled_from(ColumnType), min_size=1, max_size=5))
+    ):
+        if kind is ColumnType.INT:
+            columns.append(int_column(f"c{i}"))
+        elif kind is ColumnType.FLOAT:
+            columns.append(float_column(f"c{i}"))
+        else:
+            columns.append(str_column(f"c{i}", draw(st.integers(1, 12))))
+    row = st.tuples(*(_values(column) for column in columns))
+    rows = draw(st.lists(st.one_of(st.none(), row), max_size=8))
+    return Schema(columns), rows
+
+
+class TestReader:
+    @settings(max_examples=60, deadline=None)
+    @given(_schemas_and_rows())
+    def test_every_column_subset_is_the_projection_of_the_full_decode(
+        self, case: tuple[Schema, list]
+    ) -> None:
+        schema, rows = case
+        frames = [
+            frame_dummy(schema) if row is None else frame_row(schema, row)
+            for row in rows
+        ]
+        assert schema.decode_framed_rows(frames) == rows
+        names = schema.column_names()
+        for size in range(len(names) + 1):
+            for subset in combinations(names, size):
+                narrow, decode = schema.reader(reversed(subset))
+                assert narrow.column_names() == list(subset)  # schema order
+                positions = [names.index(name) for name in subset]
+                assert decode(frames) == [
+                    None if row is None else tuple(row[i] for i in positions)
+                    for row in rows
+                ]
+
+    def test_all_columns_reader_is_decode_framed_rows(self, kv_schema: Schema) -> None:
+        narrow, decode = kv_schema.reader(kv_schema.column_names())
+        assert narrow is kv_schema
+        assert decode is kv_schema.decode_framed_rows
+
+    def test_empty_column_set_reads_only_the_flag(self, kv_schema: Schema) -> None:
+        frames = [frame_row(kv_schema, (1, "a")), frame_dummy(kv_schema)]
+        narrow, decode = kv_schema.reader([])
+        assert narrow.column_names() == []
+        assert decode(frames) == [(), None]
+        with pytest.raises(SchemaError):
+            narrow.column_index("key")
+
+    def test_cached_per_column_set(self, kv_schema: Schema) -> None:
+        assert kv_schema.reader(["value"]) is kv_schema.reader({"value"})
+
+    def test_unknown_column_rejected(self, kv_schema: Schema) -> None:
+        with pytest.raises(SchemaError):
+            kv_schema.reader(["ghost"])
+
+    def test_torn_buffer_rejected(self, kv_schema: Schema) -> None:
+        _, decode = kv_schema.reader(["key"])
+        with pytest.raises(SchemaError):
+            decode([frame_row(kv_schema, (1, "a"))[:-1]])
