@@ -4,8 +4,8 @@ Measures the two costs the unified physical-plan IR introduces or removes:
 
 * **Compile + dispatch overhead.**  Statement → ``QueryPlan`` compilation
   plus the tree-walking runner replace the old inline executor branches.
-  The *planning work itself* (statistics scan, index-segment
-  materialization) is unchanged and dominated by block I/O; the new
+  The *planning work itself* (statistics scan, index lookup) is
+  unchanged and dominated by block I/O; the new
   overhead is pure plan construction, measured here by timing
   ``compile_statement`` on selection/join statements against the full
   composite query time.  Acceptance: the pure compile-and-dispatch
@@ -43,7 +43,7 @@ JOIN_RIGHT = 16 if BENCH_SMOKE else 64
 CACHED_REPEATS = 4 if BENCH_SMOKE else 20
 
 COMPOSITE_QUERIES = [
-    # Point lookup over the index (segment materialization + selection).
+    # Point lookup over the index (the segment is answered in the enclave).
     "SELECT * FROM events WHERE id = 417",
     # Range + residual predicate.
     "SELECT id, score FROM events WHERE id >= 100 AND id <= 140 AND kind = 'a'",
@@ -102,8 +102,8 @@ class TestEnginePipelineMicrobench:
 
         # --- pure compile + dispatch share ----------------------------
         # Compiling a *selection* includes the planner's statistics pass
-        # and index-segment materialization — block I/O the pre-IR
-        # executor performed identically, i.e. not new overhead.  The
+        # or the index lookup — block I/O the pre-IR executor performed
+        # too, i.e. not new overhead.  The
         # cost the IR adds is pure plan-tree construction, which touches
         # no storage and is the same O(nodes) work for every statement
         # shape.  It is isolated here on the statements whose compilation

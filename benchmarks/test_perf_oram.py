@@ -112,22 +112,39 @@ class TestORAMMicrobench:
     def test_point_lookup_access_counts(self) -> None:
         """Counts, not wall clock, so armed in every run: an indexed point
         lookup at 1 024 rows is the leaf, the record and two of padding;
-        the paper's tree reads its three interior levels from the ORAM too."""
+        the paper's tree reads its three interior levels from the ORAM too.
+        Beyond the ORAM's paths, the default index's held segment touches
+        nothing; the paper's spills to a flat scratch — a hit is 3 reads
+        there (statistics pass, Small's pass, result read) and 4 writes (two
+        allocations, the copy-in, the flush), a miss 42 and 33 (Hash into
+        one chain, then compaction)."""
         schema = Schema([int_column("id"), str_column("pad", 24)])
         rows = [(key, f"row-{key}") for key in range(1024)]
         random.Random(3).shuffle(rows)
-        for oram_kind, accesses in (("path", 4), ("paper", 7)):
-            db = ObliDB(cipher="null", seed=7)
+        for oram_kind, accesses, hit, miss in (
+            ("path", 4, (0, 0), (0, 0)),
+            ("paper", 7, (3, 4), (42, 33)),
+        ):
+            db = ObliDB(cipher="null", seed=7, keep_trace_events=True)
             db.create_table(
                 "accounts", schema, 1024, method=StorageMethod.BOTH,
                 key_column="id", oram_kind=oram_kind,
             )
             db.insert_many("accounts", rows)
             assert db.table("accounts").indexed.tree.height == 4
+            oram = db.table("accounts").indexed.oram.region_name
             for key in (0, 511, 1023, 4096):  # hits and a miss cost alike
+                start = len(db.enclave.trace.events)
                 result = db.sql(f"SELECT * FROM accounts WHERE id = {key}")
                 assert len(result.rows) == (key < 1024)
                 assert result.cost["oram_accesses"] == accesses, oram_kind
+                flat = [
+                    event.op
+                    for event in db.enclave.trace.events[start:]
+                    if event.region != oram
+                ]
+                expected = hit if key < 1024 else miss
+                assert (flat.count("R"), flat.count("W")) == expected, (oram_kind, key)
 
     def test_oram_pipeline_rates(self) -> None:
         results: dict[str, float] = {}

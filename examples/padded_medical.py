@@ -19,7 +19,6 @@ import random
 
 from repro import ObliDB, PaddingConfig
 from repro.planner import GroupByNode, SelectNode
-from repro.storage import Schema, int_column, str_column
 
 SCHEMA_SQL = (
     "CREATE TABLE patients (pid INT, diagnosis STR(12), age INT, ward STR(4))"

@@ -210,7 +210,12 @@ class ObliDB:
         ``oram_kind`` selects the index's block store: "path" (default),
         "paper" (Path ORAM without the treetop cache, as the paper builds
         it), "recursive" (smaller position map, Appendix B), or "ring"
-        (Ring ORAM, the Section 8 upgrade).
+        (Ring ORAM, the Section 8 upgrade).  "paper" means the paper's
+        algorithms end to end, not only its ORAM: a selection over its
+        index always copies the segment out to a flat scratch and runs the
+        flat selection there (§4.1 as written), where every other kind
+        answers a segment that fits oblivious memory inside the enclave
+        (:class:`~repro.planner.compile.IndexLookupNode`).
         """
         if name in self._tables:
             raise StorageError(f"table {name!r} already exists")
@@ -423,7 +428,9 @@ class ObliDB:
         since re-execution would double-apply the surviving prefix.  The
         scratch regions a failed attempt allocated are freed either way:
         an operator that dies mid-pass has no handle left to free its
-        output through.
+        output through.  Oblivious memory needs no such sweep: a held index
+        segment's reservation belongs to the compiled statement, which the
+        executor frees on every exit.
         """
         if isinstance(statement, CreateTableStatement):
             return self._create_from_statement(statement)
@@ -516,8 +523,9 @@ class ObliDB:
     def _explain_result(self, target: Statement) -> QueryResult:
         """``EXPLAIN <stmt>`` through the SQL surface: one row per rendered
         plan line.  The statement is compiled, not run — and compiling does
-        the planner's untrusted reads (the statistics pass, index-segment
-        materialisation; see :meth:`Executor.explain`), so nothing is
+        the planner's untrusted accesses (the statistics pass over a flat
+        source, the index lookup's ORAM accesses; a flat region only for a
+        segment that spills — see :meth:`Executor.explain`), so nothing is
         modified but the trace and cost counters do move."""
         if isinstance(target, CreateTableStatement):
             raise QueryError("CREATE TABLE has no physical plan to explain")

@@ -32,7 +32,12 @@ from dataclasses import replace
 from typing import Sequence
 
 from ..enclave.errors import ObliviousMemoryError, PlannerError, QueryError
-from ..operators.aggregate import aggregate, group_by_aggregate
+from ..operators.aggregate import (
+    aggregate,
+    aggregate_rows,
+    group_by_aggregate,
+    group_rows,
+)
 from ..operators.join import hash_join, opaque_join, zero_om_join
 from ..operators.predicate import Predicate, TruePredicate
 from ..operators.select import (
@@ -57,6 +62,7 @@ from ..planner.compile import (
     SelectNode,
     SortNode,
     compile_statement,
+    holds_segment,
 )
 from ..planner.plan import JoinAlgorithm, SelectAlgorithm
 from ..storage.flat import FlatStorage
@@ -155,6 +161,14 @@ def run_join_algorithm(
             columns=columns,
         )
     raise PlannerError(f"unknown join algorithm {algorithm}")
+
+
+def _sort_rows(rows: list[Row], order_index: int, descending: bool) -> None:
+    """ORDER BY over decrypted rows inside the enclave, in place: ascending
+    on the key, then reversed for DESC (ties come out reversed too)."""
+    rows.sort(key=lambda row: row[order_index])
+    if descending:
+        rows.reverse()
 
 
 # ----------------------------------------------------------------------
@@ -276,25 +290,35 @@ class PlanRunner:
         """Plain selection (or filtering join), optionally topped by Sort,
         then LIMIT.  The result is read through the reader of the select
         list (and the ORDER BY column), so the projection happens at decode;
-        ``SELECT *`` reads every column."""
+        ``SELECT *`` reads every column.  A held index segment is filtered
+        and sorted where it is, touching nothing."""
         sort = root if isinstance(root, SortNode) else None
-        output, _ = self._materialize(
-            sort.source if sort is not None else root, statement, compiled
-        )
-        try:
-            if self._padding is not None:
-                # An over-full padded result is an expected error.
-                self._padding.check_fits(output.used_rows)
-            names = list(statement.columns or output.schema.column_names())
-            read = {*names, sort.order_by} if sort is not None else set(names)
-            schema = output.schema.reader(read)[0]
-            rows = (
-                self._run_sort(sort, output, read)
-                if sort is not None
-                else output.rows(read)
-            )
-        finally:
-            output.free()
+        source = sort.source if sort is not None else root
+        if holds_segment(source):
+            held = compiled.segment(source)
+            schema = held.schema
+            matches = (statement.where or TruePredicate()).compile(schema)
+            rows = [row for row in held.rows if matches(row)]
+            if sort is not None:
+                order_index = schema.column_index(sort.order_by)
+                _sort_rows(rows, order_index, sort.descending)
+            names = list(statement.columns or schema.column_names())
+        else:
+            output, _ = self._materialize(source, statement, compiled)
+            try:
+                if self._padding is not None:
+                    # An over-full padded result is an expected error.
+                    self._padding.check_fits(output.used_rows)
+                names = list(statement.columns or output.schema.column_names())
+                read = {*names, sort.order_by} if sort is not None else set(names)
+                schema = output.schema.reader(read)[0]
+                rows = (
+                    self._run_sort(sort, output, read)
+                    if sort is not None
+                    else output.rows(read)
+                )
+            finally:
+                output.free()
         if compiled.plan.limit is not None:
             rows = rows[: compiled.plan.limit]
         if names != schema.column_names():
@@ -321,25 +345,23 @@ class PlanRunner:
             try:
                 with output.enclave.oblivious_buffer(result_bytes):
                     rows = output.rows(columns)
-                    rows.sort(key=lambda row: row[order_index])
+                    _sort_rows(rows, order_index, node.descending)
             except ObliviousMemoryError as error:  # pragma: no cover
                 raise PlannerError(
                     "compiled in-enclave sort no longer fits oblivious memory"
                 ) from error
-        else:
-            scratch = output.copy_to(
-                capacity=padded_scratch(max(1, output.capacity))
-            )
-            order_index = schema.column_index(node.order_by)
-            column = schema.columns[order_index]
-            bitonic_sort(
-                scratch,
-                key=lambda row: (column.sort_key(row[order_index]),)
-                if column.type is not ColumnType.FLOAT
-                else (row[order_index],),
-            )
-            rows = scratch.rows(columns)
-            scratch.free()
+            return rows
+        scratch = output.copy_to(capacity=padded_scratch(max(1, output.capacity)))
+        order_index = schema.column_index(node.order_by)
+        column = schema.columns[order_index]
+        bitonic_sort(
+            scratch,
+            key=lambda row: (column.sort_key(row[order_index]),)
+            if column.type is not ColumnType.FLOAT
+            else (row[order_index],),
+        )
+        rows = scratch.rows(columns)
+        scratch.free()
         if node.descending:
             rows.reverse()
         return rows
@@ -351,16 +373,18 @@ class PlanRunner:
         statement: SelectStatement,
         compiled: CompiledQuery,
     ) -> QueryResult:
-        source, owned = self._materialize(node.source, statement, compiled)
-        try:
-            values = aggregate(
-                source,
-                list(statement.aggregates),
-                predicate=self._shape_where(statement),
-            )
-        finally:
-            if owned:
-                source.free()
+        specs = list(statement.aggregates)
+        where = self._shape_where(statement)
+        if holds_segment(node.source):
+            held = compiled.segment(node.source)
+            values = aggregate_rows(held.schema, held.rows, specs, predicate=where)
+        else:
+            source, owned = self._materialize(node.source, statement, compiled)
+            try:
+                values = aggregate(source, specs, predicate=where)
+            finally:
+                if owned:
+                    source.free()
         names = [spec.label() for spec in statement.aggregates]
         return QueryResult(rows=[tuple(values)], column_names=names, affected=1)
 
@@ -370,28 +394,37 @@ class PlanRunner:
         statement: SelectStatement,
         compiled: CompiledQuery,
     ) -> tuple[QueryResult, PlanNode]:
-        source, owned = self._materialize(node.source, statement, compiled)
-        try:
-            output_groups = self._padding.pad_groups if self._padding else None
-            output = group_by_aggregate(
-                source,
-                node.group_column,
-                list(statement.aggregates),
-                predicate=self._shape_where(statement),
-                output_groups=output_groups,
-            )
-            # The one observed (not planned) size: recorded, leaked either way.
-            final = replace(node, output_rows=output.capacity)
-        finally:
-            if owned:
-                source.free()
-        try:
-            if self._padding is not None:
-                self._padding.check_fits(output.used_rows)
-            names = list(node.labels)
-            rows = output.rows()
-        finally:
-            output.free()
+        specs = list(statement.aggregates)
+        where = self._shape_where(statement)
+        names = list(node.labels)
+        final: PlanNode = node
+        if holds_segment(node.source):
+            # The groups never leave the enclave: nothing to observe.
+            held = compiled.segment(node.source)
+            rows = group_rows(held.schema, held.rows, node.group_column, specs, where)
+        else:
+            source, owned = self._materialize(node.source, statement, compiled)
+            try:
+                output_groups = self._padding.pad_groups if self._padding else None
+                output = group_by_aggregate(
+                    source,
+                    node.group_column,
+                    specs,
+                    predicate=where,
+                    output_groups=output_groups,
+                )
+                # The one observed (not planned) size: recorded, leaked
+                # either way.
+                final = replace(node, output_rows=output.capacity)
+            finally:
+                if owned:
+                    source.free()
+            try:
+                if self._padding is not None:
+                    self._padding.check_fits(output.used_rows)
+                rows = output.rows()
+            finally:
+                output.free()
         if statement.order_by is not None:
             # Group results are small (one row per group) and already
             # decrypted in the enclave: sort them there.  ORDER BY may
@@ -521,9 +554,11 @@ class Executor:
         """The :class:`QueryPlan` a statement *would* leak, without running
         it.
 
-        Compilation performs the same planner work execution would (the
-        statistics pass, index-segment materialization) and frees every
-        intermediate; nothing user-visible is materialised or modified.
+        Compilation performs the same planner work execution would — the
+        statistics pass over a flat source; the index lookup's ORAM
+        accesses, plus a flat scratch only when the segment spills — and
+        frees every intermediate and oblivious-memory reservation; nothing
+        user-visible is materialised or modified.
         """
         compiled = self._compile(statement)
         compiled.free()

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from ..enclave.errors import ObliviousMemoryError, QueryError
 from ..oblivious.compact import filter_copy
@@ -106,6 +109,11 @@ class _Accumulator:
     BYTES = 8
 
 
+#: Rows an aggregation folds, one batch at a time: the decoded chunks of a
+#: scan, or the one list an in-enclave index segment holds.
+Batches = Iterable[Sequence[Row | None]]
+
+
 def _bind(
     schema: Schema,
     specs: list[AggregateSpec],
@@ -113,17 +121,46 @@ def _bind(
     *extra: str,
 ) -> tuple[Schema, FrameDecoder, RowPredicate, list[int | None]]:
     """The reader of the columns an aggregation pass uses (the predicate's,
-    the aggregated ones and ``extra``), the predicate bound to its narrow
-    schema and each spec's column position in it (``None`` for COUNT(*))."""
+    the aggregated ones and ``extra``), with the predicate and the spec
+    columns bound to its narrow schema (:func:`_positions`)."""
     predicate = predicate or TruePredicate()
     used = predicate.columns().union(extra)
     used.update(spec.column for spec in specs if spec.column is not None)
     narrow, decode = schema.reader(used)
+    return narrow, decode, *_positions(narrow, specs, predicate)
+
+
+def _positions(
+    schema: Schema, specs: list[AggregateSpec], predicate: Predicate | None
+) -> tuple[RowPredicate, list[int | None]]:
+    """The predicate compiled against ``schema`` and each spec's column
+    position in it (``None`` for COUNT(*))."""
     columns = [
-        narrow.column_index(spec.column) if spec.column is not None else None
+        schema.column_index(spec.column) if spec.column is not None else None
         for spec in specs
     ]
-    return narrow, decode, predicate.compile(narrow), columns
+    return (predicate or TruePredicate()).compile(schema), columns
+
+
+def _fold(
+    batches: Batches,
+    specs: list[AggregateSpec],
+    matches: RowPredicate,
+    columns: list[int | None],
+) -> list[_Accumulator]:
+    """The accumulators of ``specs`` over every row of ``batches`` that is
+    real and matches: the per-row loop of every ungrouped aggregation, and
+    of each group's run in :func:`group_rows`."""
+    if not specs:
+        raise QueryError("aggregate needs at least one AggregateSpec")
+    accumulators = [_Accumulator(spec) for spec in specs]
+    for batch in batches:
+        for row in batch:
+            if row is None or not matches(row):
+                continue
+            for accumulator, column in zip(accumulators, columns):
+                accumulator.add(row[column] if column is not None else None)
+    return accumulators
 
 
 def aggregate(
@@ -137,19 +174,25 @@ def aggregate(
     enclave, so only |T| leaks — and with a predicate, not even the number
     of matching rows is observable (the paper's fused operator).
     """
-    if not specs:
-        raise QueryError("aggregate needs at least one AggregateSpec")
     _, decode, matches, columns = _bind(table.schema, specs, predicate)
-    accumulators = [_Accumulator(spec) for spec in specs]
     # One batched uniform read pass (R 0 .. R N-1, the per-block scan order),
     # each chunk decoded in one precompiled codec pass; accumulators never
     # leave the enclave.
-    for _, frames in table.scan_framed_chunks():
-        for row in decode(frames):
-            if row is None or not matches(row):
-                continue
-            for accumulator, column in zip(accumulators, columns):
-                accumulator.add(row[column] if column is not None else None)
+    batches = (decode(frames) for _, frames in table.scan_framed_chunks())
+    accumulators = _fold(batches, specs, matches, columns)
+    return tuple(accumulator.result() for accumulator in accumulators)
+
+
+def aggregate_rows(
+    schema: Schema,
+    rows: list[Row],
+    specs: list[AggregateSpec],
+    predicate: Predicate | None = None,
+) -> tuple[Value, ...]:
+    """:func:`aggregate` over rows already held in the enclave (an index
+    segment): the same fold, no untrusted access."""
+    matches, columns = _positions(schema, specs, predicate)
+    accumulators = _fold([rows], specs, matches, columns)
     return tuple(accumulator.result() for accumulator in accumulators)
 
 
@@ -165,6 +208,32 @@ def _group_output_schema(
     for i, spec in enumerate(specs):
         columns.append(float_column(f"agg{i}_{spec.function.value}"))
     return Schema(columns)
+
+
+def group_rows(
+    schema: Schema,
+    rows: list[Row],
+    group_column: str,
+    specs: list[AggregateSpec],
+    predicate: Predicate | None = None,
+) -> list[Row]:
+    """:func:`group_by_aggregate` over rows already held in the enclave (an
+    index segment), its result rows returned rather than written out: the
+    matching rows sorted by group key, each run of one key folded on its
+    own.  No untrusted access."""
+    if not specs:
+        raise QueryError("group_by_aggregate needs at least one AggregateSpec")
+    matches, columns = _positions(schema, specs, predicate)
+    key = itemgetter(schema.column_index(group_column))
+    runs = groupby(sorted(filter(matches, rows), key=key), key)
+    return [
+        (value,)
+        + tuple(
+            float(accumulator.result())
+            for accumulator in _fold([list(run)], specs, matches, columns)
+        )
+        for value, run in runs
+    ]
 
 
 def group_by_aggregate(

@@ -36,6 +36,7 @@ from ..oram.path_oram import PathORAM
 from ..storage.flat import FlatStorage
 from ..storage.indexed import IndexedStorage
 from ..storage.rows import filter_reader, frame_dummy, framed_size, is_dummy
+from ..storage.schema import Row
 from .predicate import Predicate
 
 #: Chain length per hash function in the Hash algorithm (Azar et al. guidance).
@@ -331,13 +332,22 @@ def materialize_index_range(
 ) -> FlatStorage:
     """Copy the index segment [low, high] into a flat scratch table.
 
-    This is the first half of "selection over indexes" (Section 4.1): the
-    linear scan that a flat-table algorithm would make over T instead starts
-    from an index lookup and covers only the returned segment T'.  Leaks the
-    segment size |T'| (an intermediate table size); each row retrieval costs
-    O(log² N) through the ORAM.
+    This is the first half of "selection over indexes" (Section 4.1) as the
+    paper runs it: the linear scan that a flat-table algorithm would make
+    over T instead starts from an index lookup and covers only the returned
+    segment T'.  Leaks the segment size |T'| (an intermediate table size);
+    each row retrieval costs O(log² N) through the ORAM.  The planner
+    takes this path only to spill (:func:`spill_index_segment`): a segment
+    that fits free oblivious memory, on any index but the paper's, is
+    answered where the lookup left it.
     """
     rows = index.range_lookup(low, high)  # type: ignore[arg-type]
+    return spill_index_segment(index, rows)
+
+
+def spill_index_segment(index: IndexedStorage, rows: list[Row]) -> FlatStorage:
+    """The looked-up rows of an index segment in a flat scratch table of
+    ``max(1, |T'|)`` rows: one allocation pass, then ``W 0..|T'|-1``."""
     scratch = FlatStorage(index.enclave, index.schema, max(1, len(rows)))
     # One contiguous range write; the batched path records the same
     # W 0..|T'|-1 sequence as the per-row loop it replaces.

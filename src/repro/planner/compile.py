@@ -24,9 +24,10 @@ hashable IR:
   Statement` into a :class:`CompiledQuery`: the plan, plus *bindings* from
   leaf nodes to materialized source storages.  Compilation performs the
   planner's statistics pass (the same single scan execution always paid)
-  and the index-segment materialization, so the sequence of adversary-
-  visible accesses is unchanged: compile immediately precedes run and
-  their concatenated trace equals the old interleaved executor's.
+  and the index lookup — whose rows it holds in oblivious memory when the
+  segment fits, or spills to a flat scratch otherwise — so compile
+  immediately precedes run and their concatenated trace is the
+  statement's.
 
 Every decision is made here, at compile time.  A join consumes the
 statement's WHERE and the columns the rest of the plan reads at its emit
@@ -43,13 +44,15 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
+from ..enclave.enclave import ObliviousMemoryAccount
 from ..enclave.errors import QueryError
 from ..operators.join import joined_schema
 from ..operators.predicate import Interval, Predicate, TruePredicate
-from ..operators.select import materialize_index_range
+from ..operators.select import spill_index_segment
 from ..operators.sort import padded_scratch
 from ..storage.flat import FlatStorage
-from ..storage.schema import Schema
+from ..storage.rows import framed_size
+from ..storage.schema import Row, Schema
 from ..storage.table import Table
 from .join_planner import JoinDecision, plan_join
 from .plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
@@ -127,14 +130,27 @@ class ScanNode(PlanNode):
 
 @dataclass(frozen=True)
 class IndexLookupNode(PlanNode):
-    """Materialize the index segment the WHERE clause pins (point/range).
+    """Look up the index segment T' the WHERE clause pins (point/range).
 
-    Leaks the segment size |T'| — an intermediate table size the threat
-    model already concedes — never the key values themselves.
+    Leaks the segment size — an intermediate table size the threat model
+    already concedes — never the key values themselves.  ``segment_rows``
+    is ``max(1, |T'|)``, the size the lookup's ORAM padding already
+    reveals, so a miss and a one-row hit share one plan.
+
+    ``in_enclave`` is the compile-time decision between answering the
+    statement over the looked-up rows where they are — held in oblivious
+    memory, filtered, projected, sorted and aggregated there, no access to
+    untrusted memory beyond the lookup's ORAM paths, so no selection node
+    above this one — and spilling them to a flat scratch that a
+    :class:`SelectNode`, aggregate or group-by scans.  The rule reads
+    public values only: the index is not the paper's (``oram_kind=
+    "paper"``, measured as the paper builds it) and ``segment_rows`` framed
+    rows fit free oblivious memory — the form of :attr:`SortNode.in_enclave`.
     """
 
     table: str
     segment_rows: int
+    in_enclave: bool
 
     kind = "index_lookup"
 
@@ -143,6 +159,7 @@ class IndexLookupNode(PlanNode):
             "table": self.table,
             "access_method": AccessMethod.INDEX_RANGE.value,
             "segment_rows": self.segment_rows,
+            "in_enclave": self.in_enclave,
         }
 
 
@@ -284,7 +301,9 @@ class AggregateNode(PlanNode):
 class GroupByNode(PlanNode):
     """Grouped aggregation.  ``output_rows`` is the padded bound under
     padding mode, otherwise the observed group-structure size recorded
-    into the final plan after execution (it is leaked either way)."""
+    into the final plan after execution (it is leaked either way) — and
+    ``None`` over an in-enclave index segment, whose groups never leave
+    the enclave."""
 
     source: PlanNode
     group_column: str
@@ -448,22 +467,36 @@ class _Binding:
 
 
 @dataclass
+class HeldSegment:
+    """An in-enclave lookup's rows and the oblivious memory they hold."""
+
+    schema: Schema
+    rows: list[Row]
+    account: ObliviousMemoryAccount
+    nbytes: int
+
+
+@dataclass
 class CompiledQuery:
     """A plan ready to run: the IR plus materialized leaf sources.
 
     ``bindings`` maps leaf-node identity to the storage compilation
     materialized (the table's own flat storage, an index-linear scratch,
-    or an index-range segment).  The runner *takes* bindings as it
-    consumes them; :meth:`free` releases whatever was never consumed
-    (the EXPLAIN path, or an execution error).  ``key_interval`` is the
-    index-key interval of a write whose :class:`WriteNode` says
-    ``index_range``: its bounds are the statement's constants, so it rides
-    beside the plan, never in it.
+    or a spilled index segment).  The runner *takes* bindings as it
+    consumes them.  ``segments`` maps an in-enclave
+    :class:`IndexLookupNode` to the rows its lookup returned, held against
+    the oblivious-memory reservation compilation made for them.
+    :meth:`free` releases every unconsumed binding and every reservation;
+    the executor calls it after each run, and the EXPLAIN and error paths
+    call it too.  ``key_interval`` is the index-key interval of a write
+    whose :class:`WriteNode` says ``index_range``: its bounds are the
+    statement's constants, so it rides beside the plan, never in it.
     """
 
     plan: QueryPlan
     statement: Statement
     bindings: dict[int, _Binding] = field(default_factory=dict)
+    segments: dict[int, HeldSegment] = field(default_factory=dict)
     key_interval: Interval | None = None
 
     def bind(self, node: PlanNode, storage: FlatStorage, owned: bool) -> None:
@@ -473,21 +506,49 @@ class CompiledQuery:
         binding = self.bindings.pop(id(node))
         return binding.storage, binding.owned
 
+    def hold(
+        self,
+        node: IndexLookupNode,
+        schema: Schema,
+        rows: list[Row],
+        account: ObliviousMemoryAccount,
+        nbytes: int,
+    ) -> None:
+        """Reserve ``nbytes`` of oblivious memory for ``rows`` and bind them
+        to ``node``; :meth:`free` releases the reservation."""
+        account.allocate(nbytes)
+        self.segments[id(node)] = HeldSegment(schema, rows, account, nbytes)
+
+    def segment(self, node: PlanNode) -> HeldSegment:
+        """What an in-enclave lookup holds."""
+        return self.segments[id(node)]
+
     def free(self) -> None:
-        """Release owned, unconsumed sources (explain path / error path)."""
+        """Release owned, unconsumed sources and every held segment's
+        oblivious memory."""
         for binding in self.bindings.values():
             if binding.owned:
                 binding.storage.free()
         self.bindings.clear()
+        for held in self.segments.values():
+            held.account.release(held.nbytes)
+        self.segments.clear()
 
 
 # ----------------------------------------------------------------------
 # Decision helpers
 # ----------------------------------------------------------------------
+def holds_segment(node: PlanNode) -> bool:
+    """True for an index lookup answered over rows held in the enclave."""
+    return isinstance(node, IndexLookupNode) and node.in_enclave
+
+
 def selection_output_capacity(node: PlanNode) -> int:
     """Output-structure capacity of a selection subtree (public sizes)."""
     if isinstance(node, CompactNode):
         return node.bound
+    if isinstance(node, IndexLookupNode):
+        return node.segment_rows
     assert isinstance(node, SelectNode)
     return node.output_capacity()
 
@@ -621,8 +682,9 @@ class _Compiler:
         if statement.order_by is None:
             return selection
         # Decide where ORDER BY runs: inside the enclave when the decrypted
-        # result fits the oblivious-memory budget, else the padded bitonic
-        # network over untrusted scratch.  Both inputs are public.
+        # result fits the oblivious-memory budget (a held segment already
+        # does: it is sorted in place), else the padded bitonic network over
+        # untrusted scratch.  Every input is public.
         capacity = selection_output_capacity(selection)
         result_bytes = capacity * (schema.row_size + 1)
         return SortNode(
@@ -630,7 +692,8 @@ class _Compiler:
             order_by=statement.order_by,
             descending=statement.descending,
             rows=capacity,
-            in_enclave=result_bytes <= table.enclave.oblivious.free_bytes,
+            in_enclave=holds_segment(selection)
+            or result_bytes <= table.enclave.oblivious.free_bytes,
         )
 
     def _compile_selection(
@@ -641,7 +704,8 @@ class _Compiler:
     ) -> PlanNode:
         """The selection subtree over a materialized source.
 
-        A join already applies the WHERE at its emit, so it *is* the
+        A join already applies the WHERE at its emit, and the runner applies
+        it to a held index segment where the rows are, so either *is* the
         selection.  Padding mode (Section 7.1) skips the statistics pass
         and fixes the Hash algorithm at the padded size (raw chain table,
         no compaction).  Otherwise this runs the planner's statistics scan
@@ -650,7 +714,7 @@ class _Compiler:
         select_planner.SelectDecision.compact_output`) is reified as a
         :class:`CompactNode` wrap.
         """
-        if statement.join is not None:
+        if statement.join is not None or holds_segment(source):
             return source
         storage = compiled.bindings[id(source)].storage
         if self._padding is not None:
@@ -725,12 +789,30 @@ class _Compiler:
     ) -> PlanNode:
         interval = self._keyed_interval(table, statement.where)
         if interval is not None:
-            index = table.require_index()
-            segment = materialize_index_range(index, interval.low, interval.high)
-            node = IndexLookupNode(table=table.name, segment_rows=segment.capacity)
-            compiled.bind(node, segment, owned=True)
-            return node
+            return self._index_lookup_node(table, interval, compiled)
         return self._flat_view_node(table, compiled)
+
+    def _index_lookup_node(
+        self, table: Table, interval: Interval, compiled: CompiledQuery
+    ) -> IndexLookupNode:
+        """One padded range lookup, its rows held in the enclave when the
+        segment fits free oblivious memory (not on the paper's index),
+        else spilled to a flat scratch."""
+        index = table.require_index()
+        rows = index.range_lookup(interval.low, interval.high)
+        segment_rows = max(1, len(rows))
+        nbytes = segment_rows * framed_size(table.schema)
+        account = table.enclave.oblivious
+        node = IndexLookupNode(
+            table=table.name,
+            segment_rows=segment_rows,
+            in_enclave=index.oram_kind != "paper" and nbytes <= account.free_bytes,
+        )
+        if node.in_enclave:
+            compiled.hold(node, table.schema, rows, account, nbytes)
+        else:
+            compiled.bind(node, spill_index_segment(index, rows), owned=True)
+        return node
 
     def _flat_view_node(self, table: Table, compiled: CompiledQuery) -> ScanNode:
         """A flat representation to scan, materialized and bound."""

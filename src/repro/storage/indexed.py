@@ -47,7 +47,9 @@ class IndexedStorage:
         """``oram_kind``: "path" (default: Path ORAM with the treetop, and
         the tree's interior, in oblivious memory), "paper" (Path ORAM and
         the tree exactly as the paper builds them, no treetop and every
-        node in the ORAM — what the figure benchmarks measure),
+        node in the ORAM — what the figure benchmarks measure; the planner
+        also runs §4.1's selection over this index as written, through a
+        flat scratch),
         "recursive" (position map in a second ORAM, Appendix B — note the
         flat-style linear-scan fallback is unavailable), or "ring" (Ring
         ORAM, Section 8).  Only "path" spends oblivious memory on the
@@ -55,6 +57,7 @@ class IndexedStorage:
         self._enclave = enclave
         self.schema = schema
         self.key_column = key_column
+        self.oram_kind = oram_kind
         self._key_index = schema.column_index(key_column)
         oram_factory = _ORAM_FACTORIES.get(oram_kind)
         if oram_factory is None and oram_kind != "path":

@@ -13,7 +13,9 @@ make the retry safe, and the sweep below holds them at every access index:
   the sealed path is re-issued once — and a second one surfaces as a typed,
   un-retried ``ORAMError``;
 * the scratch regions a failed attempt allocated are freed before the
-  statement is retried.
+  statement is retried, and the oblivious memory it reserved for a held
+  segment is released with it (``free_bytes`` is back where it was after
+  every swept statement, retried or surfaced).
 
 The B+ tree's resident interior is enclave state like the stash and the
 treetop: a lookup reads it and changes nothing, so a retried ``SELECT`` finds
@@ -90,9 +92,12 @@ def test_transient_at_every_access_of_an_index_lookup(
         plan, sleeps = FaultPlan(), []
         db = _build(plan, oram_kind, sleeps)
         assert db.enclave.untrusted.accesses == start
+        free = db.enclave.oblivious.free_bytes
         plan.transient_at(start + offset)
         assert db.sql(sql).rows == expected, offset
         assert plan.take_transient(start + offset) is False  # it fired
+        # The held segment's reservation went with the attempt that made it.
+        assert db.enclave.oblivious.free_bytes == free, offset
         assert _resident(db) == resident, offset
         index = db.table("t").indexed
         for row in ROWS:
@@ -137,11 +142,13 @@ def test_two_transients_in_one_write_back_surface_typed_and_recover() -> None:
 
     plan, sleeps = FaultPlan(), []
     db = build(plan, sleeps)
+    free = db.enclave.oblivious.free_bytes
     struck = db.enclave.untrusted.accesses + first_write + 1  # one bucket landed
     plan.transient_at(struck).transient_at(struck)
     with pytest.raises(ORAMError, match="failed twice"):
         db.sql(sql)
     assert sleeps == []
+    assert db.enclave.oblivious.free_bytes == free
 
     recovered = ObliDB(cipher="null")
     recovered.recover(db.wal)
@@ -304,6 +311,7 @@ def test_transient_inside_an_index_mutation_surfaces_or_is_absorbed() -> None:
             for earlier in prefix:
                 db.sql(earlier)
             assert db.enclave.untrusted.accesses == start
+            free = db.enclave.oblivious.free_bytes
             plan.transient_at(start + offset)
             try:
                 db.sql(sql)
@@ -314,6 +322,7 @@ def test_transient_inside_an_index_mutation_surfaces_or_is_absorbed() -> None:
                 completed += 1
                 assert _resident(db) == _resident(honest), offset
                 assert db.verify().ok, offset
+            assert db.enclave.oblivious.free_bytes == free, offset
             # Logged before it ran, so the log carries the statement whole
             # (unless the transient struck the log append itself).
             _recovered(db, prefix + [sql], (sql, offset))

@@ -91,9 +91,17 @@ class TestPlanSnapshots:
             (
                 QUICKSTART_QUERIES[0],
                 [
-                    "index_lookup table=employees access_method=index_range segment_rows=1",
-                    "select algorithm=small input_rows=1 output_rows=1 buffer_rows=19432"
-                    " padded=False",
+                    "index_lookup table=employees access_method=index_range"
+                    " segment_rows=1 in_enclave=True",
+                ],
+            ),
+            (
+                "SELECT name FROM employees WHERE id >= 2 AND id <= 5"
+                " ORDER BY salary DESC LIMIT 2",
+                [
+                    "index_lookup table=employees access_method=index_range"
+                    " segment_rows=4 in_enclave=True",
+                    "sort order_by=salary descending=True rows=4 in_enclave=True",
                 ],
             ),
             (
@@ -151,14 +159,15 @@ class TestPlanSnapshots:
         assert [node.label() for node in plan.root.walk()] == labels
 
     def test_point_query_plan_shape(self, quickstart_db: ObliDB) -> None:
+        """The one-row segment fits oblivious memory: the lookup is the
+        whole plan, with no selection over it."""
         plan = quickstart_db.explain(QUICKSTART_QUERIES[0])
         lookup = plan.find(IndexLookupNode)
         assert isinstance(lookup, IndexLookupNode)
         assert lookup.segment_rows == 1
-        select = plan.find(SelectNode)
-        assert isinstance(select, SelectNode)
-        assert select.algorithm is not None
-        assert select.output_rows == 1
+        assert lookup.in_enclave is True
+        assert plan.root is lookup
+        assert plan.find(SelectNode) is None
 
     def test_range_query_uses_index_segment(self, quickstart_db: ObliDB) -> None:
         plan = quickstart_db.explain(QUICKSTART_QUERIES[1])

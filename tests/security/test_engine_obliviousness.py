@@ -25,6 +25,7 @@ from repro.analysis import (
 )
 from repro.planner import JoinAlgorithm, JoinNode, SelectNode, plan_join
 from repro.planner import compile as plan_compiler
+from repro.storage import Schema, StorageMethod, int_column, str_column
 
 SCHEMA_SQL = (
     "CREATE TABLE t (k INT, v INT, s STR(8)) CAPACITY 48 METHOD both KEY k"
@@ -280,6 +281,57 @@ class TestPaddingModeEndToEnd:
             assert len(result.rows) == threshold
             traces.append(trace)
         assert_indistinguishable(traces)
+
+
+class TestHeldIndexSegmentLeakage:
+    """An index segment that fits oblivious memory is answered where the
+    lookup left it, so what the residual WHERE keeps — a point key's
+    presence included — leaves both the plan and the trace.  The segment
+    size, which the ORAM's padding already fixes, is what remains.  On the
+    paper's index the segment still spills, and the selection over the
+    scratch still leaks |R| and its algorithm."""
+
+    @staticmethod
+    def observe(sql: str, oram_kind: str = "path"):
+        db = ObliDB(
+            cipher="null", keep_trace_events=True, allow_continuous=False, seed=1
+        )
+        db.create_table(
+            "t",
+            Schema([int_column("k"), int_column("v"), str_column("s", 8)]),
+            48,
+            method=StorageMethod.BOTH,
+            key_column="k",
+            oram_kind=oram_kind,
+        )
+        rng = random.Random(5)
+        for key in range(30):
+            db.sql(f"INSERT INTO t VALUES ({key}, {rng.randrange(1000)}, 's{key}')")
+        trace, plan = real_query_trace(db, sql)
+        return trace, plan.cache_key
+
+    def test_hit_and_miss_share_plan_and_trace(self) -> None:
+        hit, miss = "SELECT * FROM t WHERE k = 5", "SELECT * FROM t WHERE k = 40"
+        assert self.observe(hit) == self.observe(miss)
+        assert self.observe(hit, "paper") != self.observe(miss, "paper")
+
+    @pytest.mark.parametrize("tail", ["", " ORDER BY v DESC LIMIT 3"])
+    def test_residual_selectivity_is_invisible(self, tail: str) -> None:
+        """Ten-key ranges whose residual conjunct keeps none, some or all
+        of the segment."""
+        seen = {
+            self.observe(f"SELECT * FROM t WHERE k >= 10 AND k <= 19 AND v < {bound}{tail}")
+            for bound in (-1, 500, 10_000)
+        }
+        assert len(seen) == 1
+        aggregates = {
+            self.observe(
+                "SELECT COUNT(*), SUM(v) FROM t WHERE k >= 10 AND k <= 19"
+                f" AND v < {bound}"
+            )
+            for bound in (-1, 500, 10_000)
+        }
+        assert len(aggregates) == 1
 
 
 class TestFusedJoinLeakage:
