@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from ..enclave.enclave import Enclave
 from ..enclave.errors import PlannerError
 from ..engine.executor import run_select_algorithm
-from ..operators.predicate import Comparison
+from ..operators.predicate import Comparison, Predicate
 from ..planner.compile import CompactNode, QueryPlan, SelectNode
 from ..planner.plan import SelectAlgorithm
 from ..planner.select_planner import SelectDecision
+from ..planner.stats import scan_statistics
 from ..storage.flat import FlatStorage
 from ..storage.schema import Schema, int_column
 from .obliviousness import CanonicalTrace, canonicalize, oram_regions_of
@@ -38,6 +39,8 @@ class SelectLeakage:
     through the oblivious-compaction back end (a
     :class:`~repro.planner.compile.CompactNode` wrap in the IR, or
     :attr:`SelectDecision.compact_output` for a hand-planned selection).
+    ``in_enclave`` / ``resumed`` say the statistics pass was Small's first
+    pass, and kept every match or handed Small its full buffer.
     """
 
     input_capacity: int
@@ -46,6 +49,8 @@ class SelectLeakage:
     buffer_rows: int
     row_size: int  # schema row width is public (schema S is given to SIM)
     compact_output: bool = False
+    in_enclave: bool = False
+    resumed: bool = False
 
     @classmethod
     def from_decision(cls, schema_row_size: int, decision: "SelectDecision") -> "SelectLeakage":
@@ -56,6 +61,8 @@ class SelectLeakage:
             buffer_rows=decision.buffer_rows,
             row_size=schema_row_size,
             compact_output=decision.compact_output,
+            in_enclave=decision.in_enclave,
+            resumed=decision.resumed,
         )
 
     @classmethod
@@ -80,7 +87,35 @@ class SelectLeakage:
             buffer_rows=select.buffer_rows,
             row_size=schema_row_size,
             compact_output=compact,
+            in_enclave=select.in_enclave,
+            resumed=select.resumed,
         )
+
+
+def _selection_trace(
+    table: FlatStorage, predicate: Predicate, leakage: SelectLeakage
+) -> CanonicalTrace:
+    """The canonical trace of a plain selection statement over ``table``:
+    the statistics pass, then — unless the pass kept every match — the
+    leaked algorithm (resumed from the pass's buffer when it says so) and
+    the runner's read of its output."""
+    enclave = table.enclave
+    enclave.trace.clear()
+    keeps = leakage.in_enclave or leakage.resumed
+    stats = scan_statistics(table, predicate, keep=leakage.buffer_rows if keeps else 0)
+    if not leakage.in_enclave:
+        output = run_select_algorithm(
+            table,
+            predicate,
+            leakage.algorithm,
+            leakage.output_size,
+            buffer_rows=leakage.buffer_rows,
+            compact_output=leakage.compact_output,
+            first=(stats.kept or [], stats.cursor) if leakage.resumed else None,
+        )
+        output.rows()
+        output.free()
+    return canonicalize(enclave.trace.events, oram_regions_of(enclave))
 
 
 def simulate_select(
@@ -93,6 +128,11 @@ def simulate_select(
     ``output_size`` rows match a dummy predicate (any arrangement works for
     non-Continuous algorithms; Continuous needs contiguity, which is part of
     its leaked choice), forces the leaked algorithm, and records the trace.
+    SIM first reproduces the planner's statistics scan (one read pass) —
+    the paper's SIM "uses this information to simulate the access pattern
+    of one scan over D" — keeping Small's first buffer when the leakage
+    says the scan was Small's first pass: for a held selection that scan is
+    the whole trace.
     """
     enclave = Enclave(
         oblivious_memory_bytes=oblivious_memory_bytes,
@@ -104,25 +144,7 @@ def simulate_select(
     for index in range(leakage.input_capacity):
         marker = 1 if index < leakage.output_size else 0
         table.write_row(index, (marker, 0))
-    predicate = Comparison("x", "=", 1)
-
-    # SIM first reproduces the planner's statistics scan (one read pass) —
-    # the paper's SIM "uses this information to simulate the access pattern
-    # of one scan over D".
-    enclave.trace.clear()
-    for index in range(table.capacity):
-        table.read_row(index)
-    output = run_select_algorithm(
-        table,
-        predicate,
-        leakage.algorithm,
-        leakage.output_size,
-        buffer_rows=leakage.buffer_rows,
-        compact_output=leakage.compact_output,
-    )
-    trace = canonicalize(enclave.trace.events, oram_regions_of(enclave))
-    output.free()
-    return trace
+    return _selection_trace(table, Comparison("x", "=", 1), leakage)
 
 
 def real_select_trace(
@@ -132,24 +154,12 @@ def real_select_trace(
 ) -> CanonicalTrace:
     """Capture the canonical trace of a real planned selection.
 
-    Includes the statistics scan (re-run here so real and simulated traces
-    cover the same operation window), matching :func:`simulate_select`.
+    Re-runs the statistics scan (so real and simulated traces cover the
+    same operation window) and the decision's algorithm the way the engine
+    would, matching :func:`simulate_select`.
     """
-    enclave = table.enclave
-    enclave.trace.clear()
-    for index in range(table.capacity):
-        table.read_row(index)
-    output = run_select_algorithm(
-        table,
-        predicate,
-        decision.algorithm,
-        decision.stats.matching_rows,
-        buffer_rows=decision.buffer_rows,
-        compact_output=decision.compact_output,
-    )
-    trace = canonicalize(enclave.trace.events, oram_regions_of(enclave))
-    output.free()
-    return trace
+    leakage = SelectLeakage.from_decision(table.schema.row_size, decision)
+    return _selection_trace(table, predicate, leakage)
 
 
 def real_query_trace(db, sql: str) -> tuple[CanonicalTrace, QueryPlan]:
@@ -159,7 +169,9 @@ def real_query_trace(db, sql: str) -> tuple[CanonicalTrace, QueryPlan]:
     statement through ``ObliDB.sql`` with a cleared trace and returns the
     canonicalized events alongside the leaked :class:`QueryPlan`, so
     callers can assert the Appendix-A contract — equal plans (equal
-    ``cache_key``) must imply indistinguishable traces.
+    ``cache_key``) must imply indistinguishable traces.  For a plain
+    selection (no ``ORDER BY``) it equals :func:`simulate_select` over the
+    plan's :meth:`SelectLeakage.from_plan`.
     """
     db.enclave.trace.clear()
     result = db.sql(sql)

@@ -210,12 +210,18 @@ class ObliDB:
         ``oram_kind`` selects the index's block store: "path" (default),
         "paper" (Path ORAM without the treetop cache, as the paper builds
         it), "recursive" (smaller position map, Appendix B), or "ring"
-        (Ring ORAM, the Section 8 upgrade).  "paper" means the paper's
-        algorithms end to end, not only its ORAM: a selection over its
-        index always copies the segment out to a flat scratch and runs the
-        flat selection there (§4.1 as written), where every other kind
-        answers a segment that fits oblivious memory inside the enclave
-        (:class:`~repro.planner.compile.IndexLookupNode`).
+        (Ring ORAM, the Section 8 upgrade).  The table records it whatever
+        the storage method, and an unknown name raises ``StorageError``.
+        "paper" means the paper's algorithms end to end, not only its ORAM,
+        on a flat table too: a selection over its index always copies the
+        segment out to a flat scratch and runs the flat selection there
+        (§4.1 as written), and a flat selection runs its statistics pass
+        and then the chosen algorithm in full.  Every other kind answers an
+        index segment that fits oblivious memory inside the enclave
+        (:class:`~repro.planner.compile.IndexLookupNode`), and makes a flat
+        selection's statistics pass Small's first pass
+        (:class:`~repro.planner.compile.SelectNode` ``in_enclave`` /
+        ``resumed``).
         """
         if name in self._tables:
             raise StorageError(f"table {name!r} already exists")

@@ -66,7 +66,7 @@ from ..planner.compile import (
 )
 from ..planner.plan import JoinAlgorithm, SelectAlgorithm
 from ..storage.flat import FlatStorage
-from ..storage.schema import ColumnType, Row, Value
+from ..storage.schema import ColumnType, Row, Schema, Value
 from ..storage.table import Table
 from .ast import (
     DeleteStatement,
@@ -91,10 +91,12 @@ def run_select_algorithm(
     buffer_rows: int = 0,
     rng: random.Random | None = None,
     compact_output: bool = False,
+    first: tuple[list[bytes], int] | None = None,
 ) -> FlatStorage:
-    """Invoke one Section 4.1 selection operator with planned sizes."""
+    """Invoke one Section 4.1 selection operator with planned sizes;
+    ``first`` is the statistics pass's buffer a resumed Small starts from."""
     if algorithm is SelectAlgorithm.SMALL:
-        return small_select(source, predicate, output_size, buffer_rows)
+        return small_select(source, predicate, output_size, buffer_rows, first=first)
     if algorithm is SelectAlgorithm.LARGE:
         return large_select(source, predicate)
     if algorithm is SelectAlgorithm.CONTINUOUS:
@@ -275,6 +277,7 @@ class PlanRunner:
                 buffer_rows=select.buffer_rows,
                 rng=self._rng,
                 compact_output=compact,
+                first=compiled.first_passes.pop(id(select), None),
             )
         finally:
             if owned:
@@ -290,27 +293,37 @@ class PlanRunner:
         """Plain selection (or filtering join), optionally topped by Sort,
         then LIMIT.  The result is read through the reader of the select
         list (and the ORDER BY column), so the projection happens at decode;
-        ``SELECT *`` reads every column.  A held index segment is filtered
-        and sorted where it is, touching nothing."""
+        ``SELECT *`` reads every column.  Held rows are answered where they
+        are, touching nothing: an index segment is filtered and sorted, a
+        held selection's frames — every match, kept by the statistics
+        pass — are decoded and sorted."""
         sort = root if isinstance(root, SortNode) else None
         source = sort.source if sort is not None else root
+
+        def read_columns(schema: Schema) -> tuple[list[str], set[str]]:
+            names = list(statement.columns or schema.column_names())
+            return names, {*names, sort.order_by} if sort is not None else set(names)
+
         if holds_segment(source):
             held = compiled.segment(source)
-            schema = held.schema
-            matches = (statement.where or TruePredicate()).compile(schema)
-            rows = [row for row in held.rows if matches(row)]
+            names, read = read_columns(held.schema)
+            if isinstance(source, SelectNode):
+                schema, decode = held.schema.reader(read)
+                rows = decode(held.rows)
+            else:
+                schema = held.schema
+                matches = (statement.where or TruePredicate()).compile(schema)
+                rows = [row for row in held.rows if matches(row)]
             if sort is not None:
                 order_index = schema.column_index(sort.order_by)
                 _sort_rows(rows, order_index, sort.descending)
-            names = list(statement.columns or schema.column_names())
         else:
             output, _ = self._materialize(source, statement, compiled)
             try:
                 if self._padding is not None:
                     # An over-full padded result is an expected error.
                     self._padding.check_fits(output.used_rows)
-                names = list(statement.columns or output.schema.column_names())
-                read = {*names, sort.order_by} if sort is not None else set(names)
+                names, read = read_columns(output.schema)
                 schema = output.schema.reader(read)[0]
                 rows = (
                     self._run_sort(sort, output, read)

@@ -17,7 +17,11 @@ Hash         O(N·C)               0                       fallback
 
 All functions take the planner-computed ``output_size`` up front so output
 structures can be allocated before the data is scanned — the reason the
-planner's statistics pass is "for free" (Section 5).
+paper calls the planner's statistics pass "for free" (Section 5).  The
+engine goes further on every table but the paper's: that pass is also
+Small's first pass, so an output of at most one buffer never reaches this
+module, and :func:`small_select` resumes from the pass's full buffer
+(``first``) instead of re-reading the table for it.
 """
 
 from __future__ import annotations
@@ -121,8 +125,12 @@ def compact_select(
     return output
 
 
-def _small_pass_count(output_size: int, buffer_rows: int) -> int:
-    return max(1, -(-output_size // buffer_rows))
+def small_compacts(capacity: int, output_size: int, buffer_rows: int) -> bool:
+    """Whether :func:`small_select` hands over to :func:`compact_select`:
+    its ``ceil(|R| / buffer)`` passes would cost more than the compaction
+    front (roughly ``3 + 3·log2 |T|`` passes).  Public sizes only."""
+    passes = max(1, -(-output_size // buffer_rows))
+    return output_size > 0 and passes > 3 + 3 * compaction_levels(capacity)
 
 
 def small_select(
@@ -130,6 +138,7 @@ def small_select(
     predicate: Predicate,
     output_size: int,
     buffer_rows: int,
+    first: tuple[list[bytes], int] | None = None,
 ) -> FlatStorage:
     """Multiple fast passes, buffering matches in oblivious memory
     (Figure 4A).
@@ -142,18 +151,20 @@ def small_select(
     frames; a flush is one range write, ``W copied .. copied+k-1``, the
     per-row loop's trace.
 
+    ``first = (frames, cursor)`` is a first pass already made — the
+    planner's statistics pass kept the first ``buffer_rows`` matching frames
+    and the index of the last one: it is flushed as the first pass's buffer
+    and the passes resume after ``cursor``.  The trace is the one without
+    ``first`` minus that pass's ``R 0 .. N-1``.
+
     When the buffer is so small that the pass count exceeds the cost of the
-    compaction front (roughly ``3 + 3·log2 |T|`` passes), the operator
-    switches to :func:`compact_select` — same output, same order, same
-    public inputs deciding, strictly fewer block accesses.
+    compaction front (:func:`small_compacts`), the operator switches to
+    :func:`compact_select` — same output, same order, same public inputs
+    deciding, strictly fewer block accesses.
     """
     if buffer_rows < 1:
         raise ValueError("buffer_rows must be positive")
-    if (
-        output_size > 0
-        and _small_pass_count(output_size, buffer_rows)
-        > 3 + 3 * compaction_levels(table.capacity)
-    ):
+    if small_compacts(table.capacity, output_size, buffer_rows):
         return compact_select(table, predicate, output_size)
     enclave = table.enclave
     decode, matches = filter_reader(table.schema, predicate)
@@ -163,6 +174,11 @@ def small_select(
     copied = 0
     cursor = -1  # index of the last row already flushed to the output
     with enclave.oblivious_buffer(buffer_rows * row_bytes):
+        if first is not None:
+            kept, cursor = first
+            output.write_range_framed(0, kept)
+            output._used += len(kept)
+            copied = len(kept)
         while copied < output_size:
             buffer: list[bytes] = []
             last_buffered = cursor

@@ -23,11 +23,12 @@ hashable IR:
 * :func:`compile_statement` — turns a logical :class:`~repro.engine.ast.
   Statement` into a :class:`CompiledQuery`: the plan, plus *bindings* from
   leaf nodes to materialized source storages.  Compilation performs the
-  planner's statistics pass (the same single scan execution always paid)
-  and the index lookup — whose rows it holds in oblivious memory when the
-  segment fits, or spills to a flat scratch otherwise — so compile
-  immediately precedes run and their concatenated trace is the
-  statement's.
+  planner's statistics pass — which, on every table but the paper's, is
+  also the Small algorithm's first pass: it holds a result of at most one
+  buffer in oblivious memory, or hands its full buffer to Small — and the
+  index lookup, whose rows it holds in oblivious memory when the segment
+  fits, or spills to a flat scratch otherwise.  So compile immediately
+  precedes run and their concatenated trace is the statement's.
 
 Every decision is made here, at compile time.  A join consumes the
 statement's WHERE and the columns the rest of the plan reads at its emit
@@ -52,7 +53,7 @@ from ..operators.select import spill_index_segment
 from ..operators.sort import padded_scratch
 from ..storage.flat import FlatStorage
 from ..storage.rows import framed_size
-from ..storage.schema import Row, Schema
+from ..storage.schema import Schema
 from ..storage.table import Table
 from .join_planner import JoinDecision, plan_join
 from .plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
@@ -170,6 +171,16 @@ class SelectNode(PlanNode):
 
     ``padded`` records Section 7.1 padding mode: fixed Hash algorithm at
     the padded output size, no statistics pass.
+
+    On a table that is not ``oram_kind="paper"``, the statistics pass is
+    Small's first pass too: it keeps the first ``buffer_rows`` matching
+    frames when that buffer fits free oblivious memory.  ``in_enclave``
+    says it kept every match (|R| ≤ ``buffer_rows``, 0 included): the kept
+    rows are the answer, held in oblivious memory — no output table, no
+    further pass, no read-back — and ``algorithm`` is Small.  ``resumed``
+    says Small runs and starts from the pass's full buffer, so its own
+    first pass is gone.  Both read public values only, the form of
+    :attr:`IndexLookupNode.in_enclave`.
     """
 
     source: PlanNode
@@ -178,6 +189,8 @@ class SelectNode(PlanNode):
     output_rows: int
     buffer_rows: int = 0
     padded: bool = False
+    in_enclave: bool = False
+    resumed: bool = False
 
     kind = "select"
 
@@ -191,6 +204,8 @@ class SelectNode(PlanNode):
             "output_rows": self.output_rows,
             "buffer_rows": self.buffer_rows,
             "padded": self.padded,
+            "in_enclave": self.in_enclave,
+            "resumed": self.resumed,
         }
 
     def output_capacity(self) -> int:
@@ -468,10 +483,12 @@ class _Binding:
 
 @dataclass
 class HeldSegment:
-    """An in-enclave lookup's rows and the oblivious memory they hold."""
+    """Rows held in the enclave and the oblivious memory they hold: an
+    in-enclave lookup's decoded rows, or a held selection's matching
+    frames (``rows`` is then a list of frames of ``schema``)."""
 
     schema: Schema
-    rows: list[Row]
+    rows: list
     account: ObliviousMemoryAccount
     nbytes: int
 
@@ -484,19 +501,24 @@ class CompiledQuery:
     materialized (the table's own flat storage, an index-linear scratch,
     or a spilled index segment).  The runner *takes* bindings as it
     consumes them.  ``segments`` maps an in-enclave
-    :class:`IndexLookupNode` to the rows its lookup returned, held against
-    the oblivious-memory reservation compilation made for them.
-    :meth:`free` releases every unconsumed binding and every reservation;
-    the executor calls it after each run, and the EXPLAIN and error paths
-    call it too.  ``key_interval`` is the index-key interval of a write
-    whose :class:`WriteNode` says ``index_range``: its bounds are the
-    statement's constants, so it rides beside the plan, never in it.
+    :class:`IndexLookupNode` to the rows its lookup returned, and an
+    in-enclave :class:`SelectNode` to the frames its statistics pass kept,
+    each held against the oblivious-memory reservation compilation made
+    for them.  ``first_passes`` maps a ``resumed`` :class:`SelectNode` to
+    the statistics pass's full buffer and cursor, which Small takes into
+    the buffer it reserves.  :meth:`free` releases every unconsumed
+    binding and every reservation; the executor calls it after each run,
+    and the EXPLAIN and error paths call it too.  ``key_interval`` is the
+    index-key interval of a write whose :class:`WriteNode` says
+    ``index_range``: its bounds are the statement's constants, so it rides
+    beside the plan, never in it.
     """
 
     plan: QueryPlan
     statement: Statement
     bindings: dict[int, _Binding] = field(default_factory=dict)
     segments: dict[int, HeldSegment] = field(default_factory=dict)
+    first_passes: dict[int, tuple[list[bytes], int]] = field(default_factory=dict)
     key_interval: Interval | None = None
 
     def bind(self, node: PlanNode, storage: FlatStorage, owned: bool) -> None:
@@ -508,9 +530,9 @@ class CompiledQuery:
 
     def hold(
         self,
-        node: IndexLookupNode,
+        node: IndexLookupNode | SelectNode,
         schema: Schema,
-        rows: list[Row],
+        rows: list,
         account: ObliviousMemoryAccount,
         nbytes: int,
     ) -> None:
@@ -520,7 +542,7 @@ class CompiledQuery:
         self.segments[id(node)] = HeldSegment(schema, rows, account, nbytes)
 
     def segment(self, node: PlanNode) -> HeldSegment:
-        """What an in-enclave lookup holds."""
+        """What an in-enclave lookup or selection holds."""
         return self.segments[id(node)]
 
     def free(self) -> None:
@@ -533,14 +555,16 @@ class CompiledQuery:
         for held in self.segments.values():
             held.account.release(held.nbytes)
         self.segments.clear()
+        self.first_passes.clear()
 
 
 # ----------------------------------------------------------------------
 # Decision helpers
 # ----------------------------------------------------------------------
 def holds_segment(node: PlanNode) -> bool:
-    """True for an index lookup answered over rows held in the enclave."""
-    return isinstance(node, IndexLookupNode) and node.in_enclave
+    """True for an index lookup or a selection answered over rows held in
+    the enclave."""
+    return isinstance(node, (IndexLookupNode, SelectNode)) and node.in_enclave
 
 
 def selection_output_capacity(node: PlanNode) -> int:
@@ -678,12 +702,12 @@ class _Compiler:
                 input_rows=self._source_rows(source),
                 labels=tuple(spec.label() for spec in statement.aggregates),
             )
-        selection = self._compile_selection(statement, source, compiled)
+        selection = self._compile_selection(statement, table, source, compiled)
         if statement.order_by is None:
             return selection
         # Decide where ORDER BY runs: inside the enclave when the decrypted
-        # result fits the oblivious-memory budget (a held segment already
-        # does: it is sorted in place), else the padded bitonic network over
+        # result fits the oblivious-memory budget (held rows already do:
+        # they are sorted in place), else the padded bitonic network over
         # untrusted scratch.  Every input is public.
         capacity = selection_output_capacity(selection)
         result_bytes = capacity * (schema.row_size + 1)
@@ -699,6 +723,7 @@ class _Compiler:
     def _compile_selection(
         self,
         statement: SelectStatement,
+        table: Table,
         source: PlanNode,
         compiled: CompiledQuery,
     ) -> PlanNode:
@@ -709,8 +734,11 @@ class _Compiler:
         selection.  Padding mode (Section 7.1) skips the statistics pass
         and fixes the Hash algorithm at the padded size (raw chain table,
         no compaction).  Otherwise this runs the planner's statistics scan
-        and cost model (:func:`~repro.planner.select_planner.plan_select`);
-        an output the decision says to compact (:attr:`~repro.planner.
+        and cost model (:func:`~repro.planner.select_planner.plan_select`),
+        the scan keeping Small's first buffer unless the table is the
+        paper's.  A scan that kept every match holds them for the runner
+        (``in_enclave``); a full buffer goes to Small (``resumed``); an
+        output the decision says to compact (:attr:`~repro.planner.
         select_planner.SelectDecision.compact_output`) is reified as a
         :class:`CompactNode` wrap.
         """
@@ -730,18 +758,26 @@ class _Compiler:
             storage,
             statement.where or TruePredicate(),
             allow_continuous=self._allow_continuous,
+            keep=table.oram_kind != "paper",
         )
+        stats = decision.stats
+        small = decision.in_enclave or decision.algorithm is SelectAlgorithm.SMALL
         node = SelectNode(
             source=source,
-            algorithm=decision.algorithm,
-            input_rows=decision.stats.input_capacity,
-            output_rows=decision.stats.matching_rows,
-            buffer_rows=(
-                decision.buffer_rows
-                if decision.algorithm is SelectAlgorithm.SMALL
-                else 0
-            ),
+            algorithm=SelectAlgorithm.SMALL if small else decision.algorithm,
+            input_rows=stats.input_capacity,
+            output_rows=stats.matching_rows,
+            buffer_rows=decision.buffer_rows if small else 0,
+            in_enclave=decision.in_enclave,
+            resumed=decision.resumed,
         )
+        kept = stats.kept or []
+        if node.in_enclave:
+            nbytes = len(kept) * framed_size(storage.schema)
+            compiled.hold(node, storage.schema, kept, table.enclave.oblivious, nbytes)
+            return node
+        if node.resumed:
+            compiled.first_passes[id(node)] = (kept, stats.cursor)
         if decision.compact_output:
             return CompactNode(source=node, bound=max(1, decision.stats.matching_rows))
         return node
@@ -806,7 +842,7 @@ class _Compiler:
         node = IndexLookupNode(
             table=table.name,
             segment_rows=segment_rows,
-            in_enclave=index.oram_kind != "paper" and nbytes <= account.free_bytes,
+            in_enclave=table.oram_kind != "paper" and nbytes <= account.free_bytes,
         )
         if node.in_enclave:
             compiled.hold(node, table.schema, rows, account, nbytes)

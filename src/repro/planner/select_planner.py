@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from ..enclave.errors import PlannerError
 from ..operators.predicate import Predicate
+from ..operators.select import small_compacts
 from ..storage.flat import FlatStorage
 from ..storage.rows import framed_size
 from .plan import SelectAlgorithm
@@ -51,12 +52,32 @@ class SelectDecision:
         callers keep the paper's raw chain-table shape)."""
         return self.algorithm is SelectAlgorithm.HASH
 
+    @property
+    def in_enclave(self) -> bool:
+        """The statistics pass kept every match (|R| ≤ ``buffer_rows``, 0
+        included): the kept frames are the answer, and no algorithm runs."""
+        return self.stats.kept is not None and self.stats.matching_rows <= self.buffer_rows
+
+    @property
+    def resumed(self) -> bool:
+        """Small is chosen, runs its passes (rather than handing over to
+        compaction) and resumes from the statistics pass's full buffer."""
+        return (
+            self.stats.kept is not None
+            and not self.in_enclave
+            and self.algorithm is SelectAlgorithm.SMALL
+            and not small_compacts(
+                self.stats.input_capacity, self.stats.matching_rows, self.buffer_rows
+            )
+        )
+
 
 def plan_select(
     table: FlatStorage,
     predicate: Predicate,
     allow_continuous: bool = True,
     force: SelectAlgorithm | None = None,
+    keep: bool = True,
 ) -> SelectDecision:
     """Run the statistics pass and choose a SELECT algorithm.
 
@@ -64,12 +85,19 @@ def plan_select(
     leaks result adjacency; Section 7.1 disables it against Opaque).
     ``force`` overrides the decision, as the paper allows users to do —
     except Continuous on non-adjacent matches, which cannot run.
+
+    Unless ``keep=False`` or an algorithm is forced, the pass is also
+    Small's first pass: it keeps the first ``buffer_rows`` matching frames
+    when Small's buffer fits free oblivious memory (see
+    :attr:`SelectDecision.in_enclave` / :attr:`SelectDecision.resumed`).
+    The choice of algorithm does not depend on it.
     """
-    stats = scan_statistics(table, predicate)
     enclave = table.enclave
     row_bytes = framed_size(table.schema)
-    free_rows = enclave.oblivious.free_bytes // row_bytes
-    buffer_rows = max(1, int(free_rows * MAX_SMALL_BUFFER_FRACTION))
+    free_bytes = enclave.oblivious.free_bytes
+    buffer_rows = max(1, int(free_bytes // row_bytes * MAX_SMALL_BUFFER_FRACTION))
+    keeps = keep and force is None and buffer_rows * row_bytes <= free_bytes
+    stats = scan_statistics(table, predicate, keep=buffer_rows if keeps else 0)
 
     if force is None:
         algorithm = _choose(stats, buffer_rows, allow_continuous)
@@ -96,7 +124,10 @@ def _choose(
     r = stats.matching_rows
     if n == 0 or r == 0:
         # Empty output: every algorithm degenerates to one scan; Hash keeps
-        # the pattern identical to the general case.
+        # the pattern identical to the general case.  The engine answers it
+        # from the statistics pass instead (``SelectDecision.in_enclave``)
+        # wherever that pass keeps matches: not on "paper" tables, and not
+        # for a hand-planned selection that runs the decision's algorithm.
         return SelectAlgorithm.HASH
     passes = (r + buffer_rows - 1) // buffer_rows
     costs: dict[SelectAlgorithm, int] = {

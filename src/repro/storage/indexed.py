@@ -30,6 +30,12 @@ _ORAM_FACTORIES = {
     ),
 }
 
+def check_oram_kind(oram_kind: str) -> None:
+    """Raise :class:`StorageError` unless ``oram_kind`` is "path" or one of
+    the other block stores an index can be built on."""
+    if oram_kind != "path" and oram_kind not in _ORAM_FACTORIES:
+        raise StorageError(f"unknown oram_kind {oram_kind!r}")
+
 
 class IndexedStorage:
     """A table stored as an oblivious B+ tree keyed on one column."""
@@ -48,8 +54,9 @@ class IndexedStorage:
         the tree's interior, in oblivious memory), "paper" (Path ORAM and
         the tree exactly as the paper builds them, no treetop and every
         node in the ORAM — what the figure benchmarks measure; the planner
-        also runs §4.1's selection over this index as written, through a
-        flat scratch),
+        also runs §4.1's selections over this table as written: through a
+        flat scratch over the index, and Small after a separate statistics
+        pass),
         "recursive" (position map in a second ORAM, Appendix B — note the
         flat-style linear-scan fallback is unavailable), or "ring" (Ring
         ORAM, Section 8).  Only "path" spends oblivious memory on the
@@ -59,9 +66,8 @@ class IndexedStorage:
         self.key_column = key_column
         self.oram_kind = oram_kind
         self._key_index = schema.column_index(key_column)
+        check_oram_kind(oram_kind)
         oram_factory = _ORAM_FACTORIES.get(oram_kind)
-        if oram_factory is None and oram_kind != "path":
-            raise StorageError(f"unknown oram_kind {oram_kind!r}")
         self.tree = ObliviousBPlusTree(
             enclave,
             schema,

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from ..enclave.enclave import Enclave
 from ..enclave.errors import CapacityError, StorageError
 from .flat import FlatStorage
-from .indexed import IndexedStorage
+from .indexed import IndexedStorage, check_oram_kind
 from .schema import Row, Schema, Value
 
 
@@ -46,11 +46,15 @@ class Table:
     ) -> None:
         if method is not StorageMethod.FLAT and key_column is None:
             raise StorageError(f"table {name!r}: indexed storage needs a key column")
+        check_oram_kind(oram_kind)
         self._enclave = enclave
         self.name = name
         self.schema = schema
         self.method = method
         self.key_column = key_column
+        # Recorded whatever the method: "paper" also tells the planner to run
+        # the paper's selection algorithms over the flat copy as written.
+        self.oram_kind = oram_kind
         # Revision epoch: (catalog creation id, mutation count).  The
         # result cache keys on it, so any mutation — and any drop/recreate,
         # which gets a fresh creation id — invalidates cached results.

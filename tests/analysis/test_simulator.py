@@ -6,11 +6,16 @@ import random
 
 import pytest
 
-from repro.analysis import SelectLeakage, real_select_trace, simulate_select
+from repro.analysis import (
+    SelectLeakage,
+    real_query_trace,
+    real_select_trace,
+    simulate_select,
+)
 from repro.enclave import Enclave
 from repro.operators import Comparison
 from repro.planner import SelectAlgorithm, plan_select
-from repro.storage import FlatStorage, Schema, int_column
+from repro.storage import FlatStorage, Schema, framed_size, int_column
 
 SCHEMA = Schema([int_column("x"), int_column("payload")])
 OM_BYTES = 1 << 14
@@ -102,6 +107,49 @@ class TestSimulatorTheorem:
         real = real_select_trace(flat, PREDICATE, decision)
         sim = simulate_select(leakage, OM_BYTES)
         assert real.matches(sim)
+
+    @pytest.mark.parametrize("oram_kind", ["path", "paper"])
+    @pytest.mark.parametrize(
+        "free_rows, r, algorithm",
+        [
+            # S = 8: held for r ≤ S (0 included), Small resumed above it;
+            # the paper's table runs Hash for r = 0.
+            (10, 0, None),
+            (10, 1, SelectAlgorithm.SMALL),
+            (10, 8, SelectAlgorithm.SMALL),
+            (10, 9, SelectAlgorithm.SMALL),
+            (10, 17, SelectAlgorithm.SMALL),
+            (10, 40, SelectAlgorithm.LARGE),
+            (2, 25, SelectAlgorithm.HASH),  # S = 1: 25 passes cost more
+        ],
+    )
+    def test_whole_statement_matches_sim_from_its_plan(
+        self, oram_kind: str, free_rows: int, r: int, algorithm
+    ) -> None:
+        """Theorem 1 end to end: a plain ``SELECT`` statement's real trace
+        (statistics pass, algorithm, result read) equals SIM run on the
+        plan's leakage alone — held, resumed, Hash, Large, and the paper's
+        table, which keeps the pass and Small apart."""
+        from repro import ObliDB
+
+        db = ObliDB(
+            cipher="null",
+            oblivious_memory_bytes=free_rows * framed_size(SCHEMA),
+            keep_trace_events=True,
+        )
+        db.create_table("s", SCHEMA, 64, oram_kind=oram_kind)
+        xs = list(range(64))
+        random.Random(9).shuffle(xs)
+        db.insert_many("s", [(x, x) for x in xs], fast=True)
+
+        real, plan = real_query_trace(db, f"SELECT * FROM s WHERE x < {r}")
+        leakage = SelectLeakage.from_plan(SCHEMA.row_size, plan)
+        assert leakage.output_size == r
+        assert leakage.in_enclave is (oram_kind == "path" and r <= 8)
+        assert leakage.resumed is (oram_kind == "path" and r in (9, 17))
+        if algorithm is not None:
+            assert leakage.algorithm is algorithm
+        assert real.matches(simulate_select(leakage))
 
     def test_sim_differs_when_leakage_differs(self) -> None:
         """SIM given different leakage must produce a different trace —

@@ -137,9 +137,10 @@ def test_analytic_block_counts() -> None:
         (u + n + n, n + n),  # build, probe, read the result; init, probe
         (n + 63, 63 + 63),  # one pass, read 63 groups; init, write them
         (n, 0),  # one fused pass
-        (n + small_passes * n + 264, 264 + 264),  # stats, Small passes, read
-        (n + n + 40, 40 + 40),
-        (n + n + 13, 13 + 13),  # the in-enclave sort reads the 13 once
+        # The stats pass is Small's first; the other passes; read the result.
+        (n + (small_passes - 1) * n + 264, 264 + 264),
+        (n, 0),  # the stats pass kept all 40 matches: the answer
+        (n, 0),  # ... and all 13, sorted where they are held
     ]
     observed = _observe(*BUDGETS[0])
     for (sql, _, cost, _, _), (reads, writes) in zip(observed, expected):

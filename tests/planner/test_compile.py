@@ -124,7 +124,7 @@ class TestPlanSnapshots:
                 [
                     "scan table=employees access_method=flat_scan rows=128",
                     "select algorithm=small input_rows=128 output_rows=4 buffer_rows=19432"
-                    " padded=False",
+                    " padded=False in_enclave=True resumed=False",
                     "sort order_by=salary descending=True rows=4 in_enclave=True",
                 ],
             ),
@@ -132,9 +132,8 @@ class TestPlanSnapshots:
                 "SELECT * FROM employees WHERE dept = 'nobody'",
                 [
                     "scan table=employees access_method=flat_scan rows=128",
-                    "select algorithm=hash input_rows=128 output_rows=0 buffer_rows=0"
-                    " padded=False",
-                    "compact bound=1",
+                    "select algorithm=small input_rows=128 output_rows=0 buffer_rows=19432"
+                    " padded=False in_enclave=True resumed=False",
                 ],
             ),
             (

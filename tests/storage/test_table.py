@@ -147,6 +147,25 @@ class TestTableMethods:
                 fast_enclave, "bad", kv_schema, 16, method=StorageMethod.INDEXED
             )
 
+    @pytest.mark.parametrize("method", list(StorageMethod))
+    def test_oram_kind_is_recorded_and_checked_for_every_method(
+        self, fast_enclave: Enclave, kv_schema: Schema, method: StorageMethod
+    ) -> None:
+        """A flat table keeps its kind too: "paper" also selects the paper's
+        selection algorithms over the flat copy.  An unknown kind is refused
+        before any region is allocated."""
+        key = "key" if method is not StorageMethod.FLAT else None
+        table = Table(
+            fast_enclave, "p", kv_schema, 16, method=method, key_column=key, oram_kind="paper"
+        )
+        assert table.oram_kind == "paper"
+        regions = fast_enclave.untrusted.region_names()
+        with pytest.raises(StorageError, match="oram_kind"):
+            Table(
+                fast_enclave, "q", kv_schema, 16, method=method, key_column=key, oram_kind="nope"
+            )
+        assert fast_enclave.untrusted.region_names() == regions
+
     def test_require_accessors(self, fast_enclave: Enclave, kv_schema: Schema) -> None:
         flat_only = make_table(fast_enclave, kv_schema, StorageMethod.FLAT)
         with pytest.raises(StorageError):
