@@ -307,9 +307,9 @@ class PlanRunner:
         if holds_segment(source):
             held = compiled.segment(source)
             names, read = read_columns(held.schema)
-            if isinstance(source, SelectNode):
+            if held.frames is not None:
                 schema, decode = held.schema.reader(read)
-                rows = decode(held.rows)
+                rows = decode(held.frames)
             else:
                 schema = held.schema
                 matches = (statement.where or TruePredicate()).compile(schema)

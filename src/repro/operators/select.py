@@ -174,28 +174,27 @@ def small_select(
     copied = 0
     cursor = -1  # index of the last row already flushed to the output
     with enclave.oblivious_buffer(buffer_rows * row_bytes):
-        if first is not None:
-            kept, cursor = first
-            output.write_range_framed(0, kept)
-            output._used += len(kept)
-            copied = len(kept)
         while copied < output_size:
-            buffer: list[bytes] = []
-            last_buffered = cursor
-            # Uniform pass: one batched range read (R 0 .. R N-1, the same
-            # per-block order), decode inside the enclave.
-            for start, frames in table.scan_framed_chunks():
-                for index, framed, row in zip(
-                    range(start, start + len(frames)), frames, decode(frames)
-                ):
-                    if (
-                        index > cursor
-                        and len(buffer) < buffer_rows
-                        and row is not None
-                        and matches(row)
+            if first is not None:
+                # The statistics pass made this pass already.
+                buffer, last_buffered = first
+                first = None
+            else:
+                buffer, last_buffered = [], cursor
+                # Uniform pass: one batched range read (R 0 .. R N-1, the
+                # same per-block order), decode inside the enclave.
+                for start, frames in table.scan_framed_chunks():
+                    for index, framed, row in zip(
+                        range(start, start + len(frames)), frames, decode(frames)
                     ):
-                        buffer.append(framed)
-                        last_buffered = index
+                        if (
+                            index > cursor
+                            and len(buffer) < buffer_rows
+                            and row is not None
+                            and matches(row)
+                        ):
+                            buffer.append(framed)
+                            last_buffered = index
             if not buffer:
                 break  # fewer matches than promised; remaining slots stay dummy
             output.write_range_framed(copied, buffer)

@@ -53,7 +53,7 @@ from ..operators.select import spill_index_segment
 from ..operators.sort import padded_scratch
 from ..storage.flat import FlatStorage
 from ..storage.rows import framed_size
-from ..storage.schema import Schema
+from ..storage.schema import Row, Schema
 from ..storage.table import Table
 from .join_planner import JoinDecision, plan_join
 from .plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
@@ -483,14 +483,16 @@ class _Binding:
 
 @dataclass
 class HeldSegment:
-    """Rows held in the enclave and the oblivious memory they hold: an
-    in-enclave lookup's decoded rows, or a held selection's matching
-    frames (``rows`` is then a list of frames of ``schema``)."""
+    """Rows held in the enclave and the oblivious memory they hold.  An
+    in-enclave lookup holds the decoded ``rows`` of its segment; a held
+    selection holds the ``frames`` of its matches, as its statistics pass
+    kept them, and ``rows`` stays empty."""
 
     schema: Schema
-    rows: list
     account: ObliviousMemoryAccount
     nbytes: int
+    rows: list[Row] = field(default_factory=list)
+    frames: list[bytes] | None = None
 
 
 @dataclass
@@ -528,18 +530,12 @@ class CompiledQuery:
         binding = self.bindings.pop(id(node))
         return binding.storage, binding.owned
 
-    def hold(
-        self,
-        node: IndexLookupNode | SelectNode,
-        schema: Schema,
-        rows: list,
-        account: ObliviousMemoryAccount,
-        nbytes: int,
-    ) -> None:
-        """Reserve ``nbytes`` of oblivious memory for ``rows`` and bind them
-        to ``node``; :meth:`free` releases the reservation."""
-        account.allocate(nbytes)
-        self.segments[id(node)] = HeldSegment(schema, rows, account, nbytes)
+    def hold(self, node: IndexLookupNode | SelectNode, held: HeldSegment) -> None:
+        """Reserve ``held.nbytes`` of oblivious memory for what ``held``
+        holds and bind it to ``node``; :meth:`free` releases the
+        reservation."""
+        held.account.allocate(held.nbytes)
+        self.segments[id(node)] = held
 
     def segment(self, node: PlanNode) -> HeldSegment:
         """What an in-enclave lookup or selection holds."""
@@ -774,7 +770,10 @@ class _Compiler:
         kept = stats.kept or []
         if node.in_enclave:
             nbytes = len(kept) * framed_size(storage.schema)
-            compiled.hold(node, storage.schema, kept, table.enclave.oblivious, nbytes)
+            compiled.hold(
+                node,
+                HeldSegment(storage.schema, table.enclave.oblivious, nbytes, frames=kept),
+            )
             return node
         if node.resumed:
             compiled.first_passes[id(node)] = (kept, stats.cursor)
@@ -845,7 +844,7 @@ class _Compiler:
             in_enclave=table.oram_kind != "paper" and nbytes <= account.free_bytes,
         )
         if node.in_enclave:
-            compiled.hold(node, table.schema, rows, account, nbytes)
+            compiled.hold(node, HeldSegment(table.schema, account, nbytes, rows=rows))
         else:
             compiled.bind(node, spill_index_segment(index, rows), owned=True)
         return node

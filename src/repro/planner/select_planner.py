@@ -77,7 +77,7 @@ def plan_select(
     predicate: Predicate,
     allow_continuous: bool = True,
     force: SelectAlgorithm | None = None,
-    keep: bool = True,
+    keep: bool = False,
 ) -> SelectDecision:
     """Run the statistics pass and choose a SELECT algorithm.
 
@@ -86,11 +86,13 @@ def plan_select(
     ``force`` overrides the decision, as the paper allows users to do —
     except Continuous on non-adjacent matches, which cannot run.
 
-    Unless ``keep=False`` or an algorithm is forced, the pass is also
-    Small's first pass: it keeps the first ``buffer_rows`` matching frames
-    when Small's buffer fits free oblivious memory (see
+    With ``keep=True`` (and no forced algorithm) the pass is also Small's
+    first pass: it keeps the first ``buffer_rows`` matching frames when
+    Small's buffer fits free oblivious memory (see
     :attr:`SelectDecision.in_enclave` / :attr:`SelectDecision.resumed`).
-    The choice of algorithm does not depend on it.
+    The engine's compiler asks for it on every table but the paper's; a
+    direct caller gets the paper's separate pass by default.  The choice of
+    algorithm does not depend on it.
     """
     enclave = table.enclave
     row_bytes = framed_size(table.schema)
@@ -126,8 +128,8 @@ def _choose(
         # Empty output: every algorithm degenerates to one scan; Hash keeps
         # the pattern identical to the general case.  The engine answers it
         # from the statistics pass instead (``SelectDecision.in_enclave``)
-        # wherever that pass keeps matches: not on "paper" tables, and not
-        # for a hand-planned selection that runs the decision's algorithm.
+        # wherever that pass keeps matches: only with ``keep=True``, which
+        # the compiler passes on every table but the paper's.
         return SelectAlgorithm.HASH
     passes = (r + buffer_rows - 1) // buffer_rows
     costs: dict[SelectAlgorithm, int] = {

@@ -47,6 +47,7 @@ class TestSimulatorTheorem:
         enclave, table = build(seed, capacity=32, matches=5, contiguous=False)
         decision = plan_select(table, PREDICATE)
         assert decision.algorithm is SelectAlgorithm.SMALL
+        assert not decision.in_enclave  # a direct call runs Small's own passes
         real = real_select_trace(table, PREDICATE, decision)
         sim = simulate_select(
             SelectLeakage.from_decision(SCHEMA.row_size, decision), OM_BYTES
@@ -80,15 +81,18 @@ class TestSimulatorTheorem:
         )
         assert real.matches(sim)
 
-    def test_sim_from_compiled_plan(self) -> None:
+    @pytest.mark.parametrize("oram_kind", ["paper", "path"])
+    def test_sim_from_compiled_plan(self, oram_kind: str) -> None:
         """SIM consuming the reified IR: extract the selection leakage from
-        a compiled QueryPlan and reproduce the real operator trace."""
+        a compiled QueryPlan and reproduce the real operator trace — Small's
+        full passes on the paper's table, the held scan on the default one
+        (where the compiler plans with ``keep=True``)."""
         from repro import ObliDB
 
         db = ObliDB(
             cipher="null", oblivious_memory_bytes=OM_BYTES, keep_trace_events=True
         )
-        db.sql("CREATE TABLE s (x INT, payload INT) CAPACITY 32")
+        db.create_table("s", SCHEMA, 32, oram_kind=oram_kind)
         rng = random.Random(8)
         positions = set(rng.sample(range(32), 5))
         rows = [
@@ -100,10 +104,12 @@ class TestSimulatorTheorem:
         plan = db.explain("SELECT * FROM s WHERE x = 1")
         leakage = SelectLeakage.from_plan(db.table("s").schema.row_size, plan)
         assert leakage.output_size == 5
+        assert leakage.in_enclave is (oram_kind == "path")
 
         flat = db.table("s").require_flat()
-        decision = plan_select(flat, PREDICATE)
+        decision = plan_select(flat, PREDICATE, keep=oram_kind != "paper")
         assert decision.algorithm is leakage.algorithm
+        assert decision.in_enclave is leakage.in_enclave
         real = real_select_trace(flat, PREDICATE, decision)
         sim = simulate_select(leakage, OM_BYTES)
         assert real.matches(sim)
