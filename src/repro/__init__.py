@@ -25,7 +25,6 @@ from .faults import FaultPlan, SimulatedCrash
 from .operators.aggregate import AggregateFunction, AggregateSpec
 from .operators.predicate import And, Comparison, Not, Or, TruePredicate
 from .serving import AdmissionPolicy, ObliDBServer, ServingStats
-from .shard import ShardedTable, ShardSpec
 from .storage.schema import (
     Column,
     ColumnType,
@@ -57,8 +56,6 @@ __all__ = [
     "RetryPolicy",
     "Schema",
     "ServingStats",
-    "ShardSpec",
-    "ShardedTable",
     "SimulatedCrash",
     "SelectStatement",
     "StorageMethod",

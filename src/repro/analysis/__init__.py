@@ -11,14 +11,23 @@ from .obliviousness import (
     oram_regions_of,
 )
 from .simulator import (
+    AggregateLeakage,
+    GroupByLeakage,
+    JoinLeakage,
     SelectLeakage,
     real_query_trace,
     real_select_trace,
+    simulate_aggregate,
+    simulate_group_by,
+    simulate_join,
     simulate_select,
 )
 
 __all__ = [
+    "AggregateLeakage",
     "CanonicalTrace",
+    "GroupByLeakage",
+    "JoinLeakage",
     "SelectLeakage",
     "assert_indistinguishable",
     "assert_same_leakage",
@@ -29,5 +38,8 @@ __all__ = [
     "oram_regions_of",
     "real_query_trace",
     "real_select_trace",
+    "simulate_aggregate",
+    "simulate_group_by",
+    "simulate_join",
     "simulate_select",
 ]

@@ -12,22 +12,47 @@ sizes, with the same plan forced.  If the canonical trace of the simulated
 run matches the canonical trace of the real run, then everything the
 adversary saw was computable from the leakage alone — which is precisely
 the theorem's claim, checked per-query.
+
+SIM exists for four node types over flat sources: a selection
+(:func:`simulate_select`), a join (:func:`simulate_join`), an ungrouped
+aggregate over a flat table or a join (:func:`simulate_aggregate`) and a
+GROUP BY over a flat table (:func:`simulate_group_by`).  Each ``*Leakage``
+reads plan fields and the public schemas only (``from_plan``).  A join's
+and an aggregate's inputs are empty dummy tables of the leaked capacities:
+their traces do not depend on a single stored value.  A GROUP BY's dummy
+table holds exactly the leaked number of groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import PlannerError
-from ..engine.executor import run_select_algorithm
+from ..engine.executor import run_join_algorithm, run_select_algorithm
+from ..operators.aggregate import (
+    AggregateFunction,
+    AggregateSpec,
+    aggregate,
+    group_by_aggregate,
+)
 from ..operators.predicate import Comparison, Predicate
-from ..planner.compile import CompactNode, QueryPlan, SelectNode
-from ..planner.plan import SelectAlgorithm
+from ..planner.compile import (
+    AggregateNode,
+    CompactNode,
+    GroupByNode,
+    JoinNode,
+    PlanNode,
+    QueryPlan,
+    ScanNode,
+    SelectNode,
+)
+from ..planner.plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
 from ..planner.select_planner import SelectDecision
 from ..planner.stats import scan_statistics
 from ..storage.flat import FlatStorage
-from ..storage.schema import Schema, int_column
+from ..storage.schema import Column, ColumnType, Row, Schema, Value, int_column
 from .obliviousness import CanonicalTrace, canonicalize, oram_regions_of
 
 
@@ -177,3 +202,228 @@ def real_query_trace(db, sql: str) -> tuple[CanonicalTrace, QueryPlan]:
     result = db.sql(sql)
     trace = canonicalize(db.enclave.trace.events, oram_regions_of(db.enclave))
     return trace, result.plan
+
+
+# ----------------------------------------------------------------------
+# Joins, aggregates and GROUP BY over flat sources
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class FlatSource:
+    """A flat table an operator reads: its public schema and capacity."""
+
+    schema: Schema
+    rows: int
+
+
+def _flat_source(node: PlanNode, schemas: Mapping[str, Schema]) -> FlatSource:
+    if not (isinstance(node, ScanNode) and node.access_method is AccessMethod.FLAT_SCAN):
+        raise PlannerError(f"SIM covers flat sources only, not {node.label()!r}")
+    return FlatSource(schemas[node.table], node.rows)
+
+
+def _specs(labels: Sequence[str]) -> tuple[AggregateSpec, ...]:
+    """The aggregates a plan's labels name (``count(*)``, ``sum(amount)``)."""
+    specs = []
+    for label in labels:
+        function, column = label[:-1].split("(", 1)
+        specs.append(
+            AggregateSpec(AggregateFunction(function), None if column == "*" else column)
+        )
+    return tuple(specs)
+
+
+@dataclass(frozen=True)
+class JoinLeakage:
+    """The leakage SIM receives for one join: the :class:`JoinNode`'s fields
+    and the public schemas of its two flat inputs.
+
+    ``compact_output`` says a :class:`CompactNode` tightens the output to
+    |T2|.  The fused WHERE (``JoinNode.filtered``) is not here: the output
+    keeps one slot per probed or scanned row whatever the WHERE keeps, so
+    SIM runs without one.
+    """
+
+    left: FlatSource
+    right: FlatSource
+    left_column: str
+    right_column: str
+    algorithm: JoinAlgorithm
+    oblivious_bytes: int
+    columns: tuple[str, ...]
+    compact_output: bool = False
+
+    @classmethod
+    def from_node(cls, node: PlanNode, schemas: Mapping[str, Schema]) -> "JoinLeakage":
+        """From a :class:`JoinNode`, or a :class:`CompactNode` wrapping one."""
+        compact = isinstance(node, CompactNode)
+        join = node.source if compact else node
+        if not isinstance(join, JoinNode):
+            raise PlannerError(f"no join to simulate at {node.label()!r}")
+        return cls(
+            left=_flat_source(join.left, schemas),
+            right=_flat_source(join.right, schemas),
+            left_column=join.left_column,
+            right_column=join.right_column,
+            algorithm=join.algorithm,
+            oblivious_bytes=join.oblivious_bytes,
+            columns=join.columns,
+            compact_output=compact,
+        )
+
+    @classmethod
+    def from_plan(cls, plan: QueryPlan, schemas: Mapping[str, Schema]) -> "JoinLeakage":
+        """A join statement's leakage: the plan's root is the join."""
+        return cls.from_node(plan.root, schemas)
+
+
+@dataclass(frozen=True)
+class AggregateLeakage:
+    """The leakage of an ungrouped aggregate: its source (a flat table or a
+    join) and the aggregates its labels name.  The fused WHERE leaks
+    nothing: the pass reads every block once either way."""
+
+    source: FlatSource | JoinLeakage
+    specs: tuple[AggregateSpec, ...]
+
+    @classmethod
+    def from_plan(
+        cls, plan: QueryPlan, schemas: Mapping[str, Schema]
+    ) -> "AggregateLeakage":
+        node = plan.root
+        if not isinstance(node, AggregateNode):
+            raise PlannerError("plan has no aggregate to simulate")
+        source = node.source
+        if isinstance(source, (JoinNode, CompactNode)):
+            return cls(JoinLeakage.from_node(source, schemas), _specs(node.labels))
+        return cls(_flat_source(source, schemas), _specs(node.labels))
+
+
+@dataclass(frozen=True)
+class GroupByLeakage:
+    """The leakage of a GROUP BY over a flat table, read off the *executed*
+    plan, where the runner records the group structure's size.
+
+    ``output_rows`` is max(1, g) when the g groups' accumulators fit free
+    oblivious memory, and the sort-based fallback's padded size — larger
+    than the input — when they do not.
+    """
+
+    source: FlatSource
+    group_column: str
+    specs: tuple[AggregateSpec, ...]
+    output_rows: int
+
+    @classmethod
+    def from_plan(cls, plan: QueryPlan, schemas: Mapping[str, Schema]) -> "GroupByLeakage":
+        node = plan.root
+        if not isinstance(node, GroupByNode) or node.output_rows is None:
+            raise PlannerError("plan has no executed GROUP BY to simulate")
+        return cls(
+            source=_flat_source(node.source, schemas),
+            group_column=node.group_column,
+            specs=_specs(node.labels[1:]),
+            output_rows=node.output_rows,
+        )
+
+    @property
+    def sorted_fallback(self) -> bool:
+        return self.output_rows > self.source.rows
+
+
+def _prepared(
+    source: FlatSource | JoinLeakage,
+    oblivious_memory_bytes: int = 0,
+    rows: Sequence[Row] = (),
+) -> FlatStorage:
+    """What an operator reads, in a fresh SIM enclave whose trace then
+    starts: a dummy flat table holding ``rows`` under
+    ``oblivious_memory_bytes``, or a join's output over empty inputs under
+    the budget its plan declares."""
+    if isinstance(source, JoinLeakage):
+        enclave = Enclave(
+            oblivious_memory_bytes=source.oblivious_bytes,
+            cipher="null",
+            keep_trace_events=True,
+        )
+        left = FlatStorage(enclave, source.left.schema, source.left.rows)
+        right = FlatStorage(enclave, source.right.schema, source.right.rows)
+        enclave.trace.clear()
+        return run_join_algorithm(
+            left,
+            right,
+            source.left_column,
+            source.right_column,
+            source.algorithm,
+            source.oblivious_bytes,
+            compact_output=source.compact_output,
+            columns=source.columns,
+        )
+    enclave = Enclave(
+        oblivious_memory_bytes=oblivious_memory_bytes,
+        cipher="null",
+        keep_trace_events=True,
+    )
+    table = FlatStorage(enclave, source.schema, source.rows)
+    table.fast_insert_many(rows)
+    enclave.trace.clear()
+    return table
+
+
+def _canonical(enclave: Enclave) -> CanonicalTrace:
+    return canonicalize(enclave.trace.events, oram_regions_of(enclave))
+
+
+def simulate_join(leakage: JoinLeakage) -> CanonicalTrace:
+    """SIM for a join statement: the plan's algorithm, budget and column
+    list over empty inputs of the leaked capacities, then the runner's read
+    of the output."""
+    output = _prepared(leakage)
+    output.rows()
+    return _canonical(output.enclave)
+
+
+def simulate_aggregate(leakage: AggregateLeakage) -> CanonicalTrace:
+    """SIM for an ungrouped aggregate: its source, then one fold over it."""
+    table = _prepared(leakage.source)
+    aggregate(table, list(leakage.specs))
+    return _canonical(table.enclave)
+
+
+def simulate_group_by(
+    leakage: GroupByLeakage, oblivious_memory_bytes: int
+) -> CanonicalTrace:
+    """SIM for a GROUP BY over a flat table, then the runner's read of its
+    output.
+
+    ``oblivious_memory_bytes`` is public state, not plan: the free budget
+    the statement ran under, which sets where the group table overflows and
+    the fallback's sort chunk.  The dummy table holds max(1, g) groups, or
+    one group per slot when the plan says the group table overflowed.
+
+    Two gaps in the leakage, both outside this SIM: g = 0 and g = 1 share
+    ``output_rows`` = 1 but differ by one output write, and on a table of
+    more than one scan chunk the overflow stops the hash pass at a chunk
+    that depends on the data.
+    """
+    source = leakage.source
+    groups = source.rows if leakage.sorted_fallback else leakage.output_rows
+    rows = [
+        tuple(
+            _dummy_value(column, group if column.name == leakage.group_column else 0)
+            for column in source.schema.columns
+        )
+        for group in range(groups)
+    ]
+    table = _prepared(source, oblivious_memory_bytes, rows)
+    output = group_by_aggregate(table, leakage.group_column, list(leakage.specs))
+    output.rows()
+    return _canonical(table.enclave)
+
+
+def _dummy_value(column: Column, i: int) -> Value:
+    """``i`` as a value of ``column``'s type."""
+    if column.type is ColumnType.STR:
+        return str(i)
+    if column.type is ColumnType.FLOAT:
+        return float(i)
+    return i

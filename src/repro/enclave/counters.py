@@ -121,10 +121,8 @@ class CostModel:
     def absorb(self, other: "CostModel") -> None:
         """Add another model's counters into this one.
 
-        Sharded pipelines record each shard's work into a per-shard model so
-        the critical-path cost (the slowest shard) can be measured; absorbing
-        the per-shard models afterwards keeps the enclave's end-to-end totals
-        identical to a sequential run.
+        Accumulates separately measured deltas (e.g. one
+        :meth:`delta_since` per benchmark phase) into one running total.
         """
         self.untrusted_reads += other.untrusted_reads
         self.untrusted_writes += other.untrusted_writes

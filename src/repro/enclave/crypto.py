@@ -19,10 +19,9 @@ A :class:`SealedBlock` holds the three GCM outputs as separate fields —
 ``AESGCM(key).decrypt(nonce, ciphertext + mac, aad)`` opens it.
 
 Nonce discipline: nonces are random, so NIST SP 800-38D's bound of 2³² seals
-per key applies.  The key here is a *derived region key* (one per table
-region, ORAM, WAL or shard: ``Enclave.derived_cipher``,
-``enclave.derive_shard_key``), which no simulated run approaches; the bound
-is stated as a limit and not enforced.
+per key applies.  The key here is the enclave's one sealing key, shared by
+every table region, ORAM and WAL of a database, and no simulated run
+approaches the bound; it is stated as a limit and not enforced.
 
 There is no standard-library fallback: a second construction selected by what
 happens to be installed would be a silent 5–7× slowdown and a second cipher

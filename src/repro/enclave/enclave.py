@@ -16,7 +16,6 @@ stated budget (e.g. Figure 8's 6–20 MB sweep) is honoured by construction.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
@@ -28,21 +27,6 @@ from .memory import UntrustedMemory
 from .trace import AccessTrace
 
 DEFAULT_OBLIVIOUS_MEMORY_BYTES = 20 * 1024 * 1024  # the paper's 20 MB ceiling
-
-
-def derive_shard_key(root_key: bytes, label: str) -> bytes:
-    """The cipher key a region label owns: ``label == ""`` is the root itself.
-
-    Region-labelled keys are domain-separated BLAKE2b derivations of the
-    root, so each shard's sealed blocks form an independent cipher stream
-    (compromising one shard's working key reveals nothing about another's)
-    while the enclave, holding the root, re-derives every stream.
-    """
-    if not label:
-        return root_key
-    return hashlib.blake2b(
-        b"shard-key:" + label.encode(), key=root_key[:64], digest_size=32
-    ).digest()
 
 
 class ObliviousMemoryAccount:
@@ -113,23 +97,16 @@ class Enclave:
         | None = None,
     ) -> None:
         if isinstance(cipher, str):
-            # Retain the root key: per-region cipher streams are derived
-            # from it by label (:meth:`derived_cipher`).
             if key is None:
                 key = os.urandom(32)
-            self.root_key: bytes | None = key
             if cipher == "authenticated":
                 self.cipher: CipherSuite = AuthenticatedCipher(key)
-                self.cipher_kind = "authenticated"
             elif cipher == "null":
                 self.cipher = NullCipher()
-                self.cipher_kind = "null"
             else:
                 raise ValueError(f"unknown cipher {cipher!r}")
         else:
             self.cipher = cipher
-            self.cipher_kind = "custom"
-            self.root_key = None
         self.trace = AccessTrace(keep_events=keep_trace_events)
         self.cost = CostModel(weights=cost_weights or CostWeights())
         if untrusted_factory is None:
@@ -138,32 +115,6 @@ class Enclave:
             self.untrusted = untrusted_factory(self.trace, self.cost)
         self.oblivious = ObliviousMemoryAccount(oblivious_memory_bytes)
         self._region_counter = 0
-        self._derived_ciphers: dict[str, CipherSuite] = {}
-
-    # ------------------------------------------------------------------
-    # Per-region derived ciphers
-    # ------------------------------------------------------------------
-    def derived_cipher(self, label: str) -> CipherSuite:
-        """The per-region cipher stream for ``label`` (see ``repro.shard``).
-
-        Keyed by :func:`derive_shard_key` off the retained root key, so the
-        stream is a function of the root and the label alone.  Requires a
-        string-kind cipher (custom suites have no root to derive from).
-        Instances are cached per label.
-        """
-        cipher = self._derived_ciphers.get(label)
-        if cipher is None:
-            if self.cipher_kind == "null":
-                cipher = NullCipher()
-            elif self.cipher_kind == "authenticated":
-                assert self.root_key is not None
-                cipher = AuthenticatedCipher(derive_shard_key(self.root_key, label))
-            else:
-                raise ValueError(
-                    "derived ciphers need a string cipher kind with a root key"
-                )
-            self._derived_ciphers[label] = cipher
-        return cipher
 
     # ------------------------------------------------------------------
     # Sealed block helpers

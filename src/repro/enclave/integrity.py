@@ -82,30 +82,6 @@ class RevisionLedger:
         self._aad_prefix.pop(region, None)
 
     # ------------------------------------------------------------------
-    # Region-scoped segments (sharded execution)
-    # ------------------------------------------------------------------
-    def region_revisions(self, region: str) -> dict[int, int]:
-        """Copy of one region's index → revision map (shard verification)."""
-        return dict(self._regions.get(region, {}))
-
-    def absorb_region(self, other: "RevisionLedger", region: str) -> None:
-        """Adopt ``other``'s entries for ``region`` — by reference.
-
-        This is the region-scoped segment API: a sharded table keeps one
-        ledger per shard region (so shard pipelines stay independent) while
-        the database's composite ledger absorbs each segment and thereafter
-        shares the *same* underlying dict, so commits made through either
-        ledger are visible to both.  The composite view is what
-        ``ObliDB.verify()`` walks.
-        """
-        if region in self._regions:
-            raise StorageError(
-                f"ledger already tracks region {region!r}; cannot absorb a "
-                "second segment for it"
-            )
-        self._regions[region] = other._region(region)
-
-    # ------------------------------------------------------------------
     # Range operations over contiguous slot runs (batch data path)
     # ------------------------------------------------------------------
     def commit_range(self, region: str, start: int, revisions: list[int]) -> None:

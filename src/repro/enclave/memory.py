@@ -72,34 +72,6 @@ class UntrustedMemory:
         self._trace = trace
         self._cost = cost
         self._regions: dict[str, Region] = {}
-        # Region-scoped recorders (sharded execution): a region attached here
-        # has its accesses recorded into the shard's own (trace, cost) pair
-        # instead of the global one.  The shard composer later replays those
-        # per-shard sequences into the main trace in a canonical order, so
-        # the composed observable trace stays a pure function of public
-        # sizes.
-        self._recorders: dict[str, tuple[AccessTrace, CostModel]] = {}
-
-    def attach_region_recorder(
-        self, region_name: str, trace: AccessTrace, cost: CostModel
-    ) -> None:
-        """Route ``region_name``'s accesses into a region-scoped recorder."""
-        if region_name in self._recorders:
-            raise StorageError(f"region {region_name!r} already has a recorder")
-        self._recorders[region_name] = (trace, cost)
-
-    def detach_region_recorder(self, region_name: str) -> None:
-        """Return ``region_name``'s accesses to the global trace."""
-        if region_name not in self._recorders:
-            raise StorageError(f"region {region_name!r} has no recorder")
-        del self._recorders[region_name]
-
-    def _sink(self, region_name: str) -> tuple[AccessTrace, CostModel]:
-        """The (trace, cost) pair accesses to ``region_name`` record into."""
-        sink = self._recorders.get(region_name)
-        if sink is None:
-            return self._trace, self._cost
-        return sink
 
     def allocate_region(self, name: str, capacity: int) -> Region:
         """Create a new region; allocation itself leaks only name and size."""
@@ -135,9 +107,8 @@ class UntrustedMemory:
                 f"read out of bounds: {region_name}[{index}] "
                 f"(capacity {region.capacity})"
             )
-        trace, cost = self._sink(region_name)
-        trace.record("R", region_name, index)
-        cost.record_read()
+        self._trace.record("R", region_name, index)
+        self._cost.record_read()
         return region._slots[index]
 
     def write(self, region_name: str, index: int, block: SealedBlock | None) -> None:
@@ -148,9 +119,8 @@ class UntrustedMemory:
                 f"write out of bounds: {region_name}[{index}] "
                 f"(capacity {region.capacity})"
             )
-        trace, cost = self._sink(region_name)
-        trace.record("W", region_name, index)
-        cost.record_write()
+        self._trace.record("W", region_name, index)
+        self._cost.record_write()
         region._slots[index] = block
 
     # ------------------------------------------------------------------
@@ -176,9 +146,8 @@ class UntrustedMemory:
         """
         region = self.region(region_name)
         self._check_range(region, start, count, "range read")
-        trace, cost = self._sink(region_name)
-        trace.record_range("R", region_name, start, count)
-        cost.record_read(count)
+        self._trace.record_range("R", region_name, start, count)
+        self._cost.record_read(count)
         return region._slots[start : start + count]
 
     def write_range(
@@ -194,9 +163,8 @@ class UntrustedMemory:
         region = self.region(region_name)
         count = len(blocks)
         self._check_range(region, start, count, "range write")
-        trace, cost = self._sink(region_name)
-        trace.record_range("W", region_name, start, count)
-        cost.record_write(count)
+        self._trace.record_range("W", region_name, start, count)
+        self._cost.record_write(count)
         region._slots[start : start + count] = list(blocks)
 
     # ------------------------------------------------------------------
@@ -223,9 +191,8 @@ class UntrustedMemory:
         """
         region = self.region(region_name)
         self._check_indices(region, indices, "gather read")
-        trace, cost = self._sink(region_name)
-        trace.record_at("R", region_name, indices)
-        cost.record_read(len(indices))
+        self._trace.record_at("R", region_name, indices)
+        self._cost.record_read(len(indices))
         slots = region._slots
         return [slots[index] for index in indices]
 
@@ -247,9 +214,8 @@ class UntrustedMemory:
                 f"scatter write of {len(blocks)} blocks to {len(indices)} slots"
             )
         self._check_indices(region, indices, "scatter write")
-        trace, cost = self._sink(region_name)
-        trace.record_at("W", region_name, indices)
-        cost.record_write(len(indices))
+        self._trace.record_at("W", region_name, indices)
+        self._cost.record_write(len(indices))
         slots = region._slots
         for index, block in zip(indices, blocks):
             slots[index] = block
@@ -278,10 +244,9 @@ class UntrustedMemory:
                 f"range exchange computed {len(replacements)} blocks for "
                 f"{count} slots"
             )
-        trace, cost = self._sink(region_name)
-        trace.record_rw_range(region_name, start, count)
-        cost.record_read(count)
-        cost.record_write(count)
+        self._trace.record_rw_range(region_name, start, count)
+        self._cost.record_read(count)
+        self._cost.record_write(count)
         region._slots[start : start + count] = replacements
 
     def exchange_pairs(
@@ -310,10 +275,9 @@ class UntrustedMemory:
         new_lows, new_highs = compute(lows, highs)
         if len(new_lows) != half or len(new_highs) != half:
             raise StorageError("pair exchange computed a wrong number of blocks")
-        trace, cost = self._sink(region_name)
-        trace.record_pair_exchanges(region_name, start, half)
-        cost.record_read(2 * half)
-        cost.record_write(2 * half)
+        self._trace.record_pair_exchanges(region_name, start, half)
+        self._cost.record_read(2 * half)
+        self._cost.record_write(2 * half)
         region._slots[start:mid] = list(new_lows)
         region._slots[mid : mid + half] = list(new_highs)
 
@@ -351,21 +315,8 @@ class UntrustedMemory:
         reads: list[tuple[Region, int]] = []
         writes: list[tuple[Region, int]] = []
         written: set[tuple[str, int]] = set()
-        sink: tuple[AccessTrace, CostModel] | None = None
         for op, region_name, index in schedule:
             region = self.region(region_name)
-            # An interleaved schedule records as one unit, so every region it
-            # touches must resolve to the same recorder — a schedule spanning
-            # a shard-scoped region and an unscoped (or differently scoped)
-            # one has no single trace to land in.
-            step_sink = self._sink(region_name)
-            if sink is None:
-                sink = step_sink
-            elif step_sink[0] is not sink[0]:
-                raise StorageError(
-                    "interleaved exchange spans regions with different "
-                    "trace recorders"
-                )
             if not 0 <= index < region.capacity:
                 raise StorageError(
                     f"interleaved exchange out of bounds: {region_name}[{index}] "
@@ -391,10 +342,9 @@ class UntrustedMemory:
                 f"interleaved exchange computed {len(replacements)} blocks "
                 f"for {len(writes)} write steps"
             )
-        trace, cost = sink if sink is not None else (self._trace, self._cost)
-        trace.record_interleaved(schedule)
-        cost.record_read(len(reads))
-        cost.record_write(len(writes))
+        self._trace.record_interleaved(schedule)
+        self._cost.record_read(len(reads))
+        self._cost.record_write(len(writes))
         for (region, index), block in zip(writes, replacements):
             region._slots[index] = block
 

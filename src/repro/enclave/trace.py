@@ -204,32 +204,6 @@ class AccessTrace:
                 events.append(AccessEvent("W", region, i))
                 events.append(AccessEvent("W", region, i + half))
 
-    def replay_segment(self, segment: tuple) -> None:
-        """Replay one recorded segment descriptor into this trace.
-
-        Segments are the tuples :class:`~repro.shard.trace.ShardTraceRecorder`
-        stores — ``(method, *args)`` where ``method`` names one of the
-        ``record*`` helpers above.  Replaying a shard's segments in the
-        canonical composition order reproduces exactly the digest the same
-        calls would have produced live, which is what lets the shard composer
-        merge per-shard sequences into one comparable trace.
-        """
-        method, *args = segment
-        if method == "record":
-            self.record(*args)
-        elif method == "record_range":
-            self.record_range(*args)
-        elif method == "record_at":
-            self.record_at(*args)
-        elif method == "record_interleaved":
-            self.record_interleaved(*args)
-        elif method == "record_rw_range":
-            self.record_rw_range(*args)
-        elif method == "record_pair_exchanges":
-            self.record_pair_exchanges(*args)
-        else:
-            raise ValueError(f"unknown trace segment kind {method!r}")
-
     def __len__(self) -> int:
         return self._length
 

@@ -108,25 +108,6 @@ class CreateTableStatement:
 
 
 @dataclass(frozen=True)
-class PartitionStatement:
-    """``PARTITION TABLE t BY HASH (col) SHARDS n`` — shard a flat table.
-
-    Splits the table into independent untrusted-memory regions so
-    pipelines (and hash joins over co-partitioned pairs) run shard by
-    shard.  ``kind`` is ``hash`` or ``range``; ``bounds`` holds
-    the range split points.  ``generation`` tags the sharding epoch so a
-    WAL replay reproduces the exact region generation counters.
-    """
-
-    table: str
-    kind: str = "hash"
-    column: str | None = None
-    shards: int | None = None
-    bounds: tuple[Value, ...] | None = None
-    generation: int = 0
-
-
-@dataclass(frozen=True)
 class ExplainStatement:
     """``EXPLAIN <statement>``: compile the target, run nothing.
 
@@ -144,7 +125,6 @@ Statement = (
     | UpdateStatement
     | DeleteStatement
     | CreateTableStatement
-    | PartitionStatement
     | ExplainStatement
 )
 

@@ -34,18 +34,15 @@ from ..enclave.errors import (
     StorageError,
     TransientStorageError,
 )
-from ..enclave.integrity import RevisionLedger
 from ..faults import FaultPlan, FaultyUntrustedMemory
 from ..operators.predicate import Predicate
 from ..planner.compile import QueryPlan
-from ..shard import ShardedTable, ShardSpec, sharded_hash_join
 from ..storage.schema import Column, ColumnType, Row, Schema, Value
 from ..storage.table import StorageMethod, Table
 from .ast import (
     CreateTableStatement,
     ExplainStatement,
     InsertStatement,
-    PartitionStatement,
     QueryResult,
     SelectStatement,
     Statement,
@@ -74,28 +71,6 @@ def _insert_statement_sql(table: str, row: Row) -> str:
     return f"INSERT INTO {table} VALUES ({', '.join(_sql_literal(v) for v in row)})"
 
 
-def _partition_statement_sql(
-    name: str,
-    kind: str,
-    key_column: str,
-    shards: int,
-    bounds: tuple[Value, ...] | None,
-    generation: int,
-) -> str:
-    """The replayable SQL form of one table partitioning (for WAL logging).
-
-    Every parameter is spelled out — including the resolved defaults and
-    the sharding generation — so replay reproduces the exact shard layout
-    and region names without consulting any post-crash state.
-    """
-    text = f"PARTITION TABLE {name} BY {kind.upper()} ({key_column}) SHARDS {shards}"
-    if bounds is not None:
-        text += f" BOUNDS ({', '.join(_sql_literal(v) for v in bounds)})"
-    if generation:
-        text += f" GENERATION {generation}"
-    return text
-
-
 @dataclass
 class RetryPolicy:
     """Bounded retry-with-backoff for :class:`TransientStorageError`.
@@ -117,7 +92,7 @@ _DEFAULT_RETRY = RetryPolicy()
 
 #: Region-name prefixes of per-statement scratch (``fresh_region_name``):
 #: none outlives the statement that allocated it.
-_SCRATCH_PREFIXES = ("flat#", "shuffle#", "join#")
+_SCRATCH_PREFIXES = ("flat#",)
 
 
 @dataclass(frozen=True)
@@ -176,17 +151,12 @@ class ObliDB:
         self.result_cache: PlanCache | None = (
             PlanCache(result_cache_entries) if result_cache_entries > 0 else None
         )
-        self._sharded: dict[str, ShardedTable] = {}
-        # One composite ledger view absorbing every shard's ledger segment,
-        # so a single enclave-side walk covers all sharded regions.
-        self._shard_ledger = RevisionLedger()
         self._executor = Executor(
             self._tables,
             padding=padding,
             allow_continuous=allow_continuous,
             rng=self._rng,
             result_cache=self.result_cache,
-            sharded_tables=self._sharded,
         )
         # Optional write-ahead log (the Section 3 durability extension):
         # every DDL/write statement is sealed and appended before it runs.
@@ -257,166 +227,6 @@ class ObliDB:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    # ------------------------------------------------------------------
-    # Sharded tables (repro.shard)
-    # ------------------------------------------------------------------
-    def partition_table(
-        self,
-        name: str,
-        kind: str = "hash",
-        shards: int | None = None,
-        bounds: tuple[Value, ...] | None = None,
-        key_column: str | None = None,
-    ) -> ShardedTable:
-        """Repartition a catalog table into N independent shard regions.
-
-        The source table is scanned once, its rows split by the
-        deterministic partitioner over the key column, and its storage
-        freed; thereafter the table lives as a :class:`ShardedTable`
-        reachable via :meth:`sharded_table` and the ``sharded_*``
-        pipelines.  ``shards`` defaults to 2; ``key_column`` to the table's
-        index key (first column otherwise).
-
-        With WAL enabled, the fully-resolved ``PARTITION TABLE`` statement
-        is appended *before* the repartition runs — the spec is validated
-        dry first so the log never holds an unreplayable statement — and
-        :meth:`recover` re-shards automatically during replay.
-        """
-        spec, table = self._resolve_partition(name, kind, shards, bounds, key_column)
-        if self.wal is not None:
-            self.wal.append(
-                _partition_statement_sql(
-                    name, spec.kind, spec.key_column, spec.shards, spec.bounds, 0
-                )
-            )
-        return self._partition_table_impl(name, table, spec, generation=0)
-
-    def _resolve_partition(
-        self,
-        name: str,
-        kind: str,
-        shards: int | None,
-        bounds: tuple[Value, ...] | None,
-        key_column: str | None,
-    ) -> tuple[ShardSpec, Table]:
-        """Resolve defaults and validate a partition request without
-        touching storage (so WAL logging can precede execution safely)."""
-        if name in self._sharded:
-            raise StorageError(f"table {name!r} is already sharded")
-        table = self.table(name)
-        if shards is None:
-            shards = 2
-        if key_column is None:
-            key_column = table.key_column or table.schema.columns[0].name
-        spec = ShardSpec(
-            kind,
-            shards,
-            key_column,
-            tuple(bounds) if bounds is not None else None,
-        )
-        table.schema.column_index(key_column)  # raises on unknown column
-        return spec, table
-
-    def _partition_table_impl(
-        self, name: str, table: Table, spec: ShardSpec, generation: int
-    ) -> ShardedTable:
-        sharded = ShardedTable.from_table(
-            table,
-            kind=spec.kind,
-            shards=spec.shards,
-            bounds=spec.bounds,
-            composite_ledger=self._shard_ledger,
-            key_column=spec.key_column,
-            generation=generation,
-        )
-        del self._tables[name]
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(name)
-        table.free()
-        self._sharded[name] = sharded
-        return sharded
-
-    def _partition_from_statement(self, statement: PartitionStatement) -> QueryResult:
-        """Execute a parsed ``PARTITION TABLE`` (the WAL-replay path).
-
-        Does **not** log: :meth:`execute_sql` already appended the
-        statement text before dispatching here, and replay must not
-        re-log what it replays.
-        """
-        spec, table = self._resolve_partition(
-            statement.table,
-            statement.kind,
-            statement.shards,
-            statement.bounds,
-            statement.column,
-        )
-        self._partition_table_impl(
-            statement.table, table, spec, generation=statement.generation
-        )
-        return QueryResult(affected=0)
-
-    def partition_pair(
-        self,
-        left: str,
-        right: str,
-        left_column: str,
-        right_column: str,
-        kind: str = "hash",
-        shards: int | None = None,
-    ) -> tuple[ShardedTable, ShardedTable]:
-        """Co-partition two tables on their join columns (same partitioner
-        both sides), the precondition for :meth:`sharded_join`.  Each side
-        is WAL-logged like :meth:`partition_table`, so the co-partitioned
-        pair — and with it the sharded join — survives recovery."""
-        left_sharded = self.partition_table(
-            left, kind=kind, shards=shards, key_column=left_column
-        )
-        right_sharded = self.partition_table(
-            right,
-            kind=kind,
-            shards=shards if shards is not None else left_sharded.shards,
-            key_column=right_column,
-        )
-        return left_sharded, right_sharded
-
-    def sharded_join(
-        self, left: str, right: str, left_column: str, right_column: str
-    ) -> list[Row]:
-        """Sharded oblivious hash join over a co-partitioned pair
-        (see :func:`repro.shard.partition.sharded_hash_join`)."""
-        return sharded_hash_join(
-            self.sharded_table(left),
-            self.sharded_table(right),
-            left_column,
-            right_column,
-            self.enclave.oblivious.free_bytes,
-        )
-
-    def sharded_table(self, name: str) -> ShardedTable:
-        try:
-            return self._sharded[name]
-        except KeyError:
-            raise StorageError(f"no sharded table named {name!r}") from None
-
-    def sharded_table_names(self) -> list[str]:
-        return sorted(self._sharded)
-
-    def sharded_scan(
-        self, name: str, where: Callable[[Row], bool] | None = None
-    ) -> list[Row]:
-        """Sharded full-table scan/select front."""
-        return self.sharded_table(name).scan_rows(where=where)
-
-    def sharded_shuffle(self, name: str) -> None:
-        """Oblivious shuffle of every shard region.  Per-shard permutation
-        seeds come from the database's seeded generator, so
-        ``ObliDB(seed=...)`` replays a shuffle."""
-        self.sharded_table(name).shuffle(rng=self._rng)
-
-    def sharded_compact(self, name: str) -> int:
-        """Oblivious compaction of every shard region; returns total keepers."""
-        return self.sharded_table(name).compact()
-
     def close(self) -> None:
         """Release the database; it holds nothing that needs releasing, so
         this does nothing and is safe to call more than once."""
@@ -432,16 +242,14 @@ class ObliDB:
         while the failed attempt mutated nothing (catalog and every table
         revision unchanged) — a transient mid-mutation surfaces unchanged,
         since re-execution would double-apply the surviving prefix.  The
-        scratch regions a failed attempt allocated are freed either way:
-        an operator that dies mid-pass has no handle left to free its
-        output through.  Oblivious memory needs no such sweep: a held index
-        segment's reservation belongs to the compiled statement, which the
-        executor frees on every exit.
+        ``flat#`` scratch regions a failed attempt allocated are freed
+        either way: an operator that dies mid-pass has no handle left to
+        free its output through.  Oblivious memory needs no such sweep: a
+        held index segment's reservation belongs to the compiled statement,
+        which the executor frees on every exit.
         """
         if isinstance(statement, CreateTableStatement):
             return self._create_from_statement(statement)
-        if isinstance(statement, PartitionStatement):
-            return self._partition_from_statement(statement)
         if isinstance(statement, ExplainStatement):
             return self._explain_result(statement.target)
         policy = self.retry
@@ -522,8 +330,6 @@ class ObliDB:
             statement = statement.target
         if isinstance(statement, CreateTableStatement):
             raise QueryError("CREATE TABLE has no physical plan to explain")
-        if isinstance(statement, PartitionStatement):
-            raise QueryError("PARTITION TABLE has no physical plan to explain")
         return self._executor.explain(statement)
 
     def _explain_result(self, target: Statement) -> QueryResult:
@@ -535,8 +341,6 @@ class ObliDB:
         modified but the trace and cost counters do move."""
         if isinstance(target, CreateTableStatement):
             raise QueryError("CREATE TABLE has no physical plan to explain")
-        if isinstance(target, PartitionStatement):
-            raise QueryError("PARTITION TABLE has no physical plan to explain")
         plan = self._executor.explain(target)
         return QueryResult(
             rows=[(line,) for line in plan.describe().splitlines()],
@@ -574,8 +378,9 @@ class ObliDB:
         count matches the stored rows; a BOTH table's two representations
         hold the same multiset of rows.  Globally: the WAL's committed
         records verify and its head matches the enclave count, and no
-        anonymous scratch regions (``flat#``/``shuffle#``) linger after
-        statement execution — a leak of a failed operator's cleanup path.
+        anonymous ``flat#`` scratch region — the only scratch a statement
+        allocates — lingers after statement execution, a leak of a failed
+        operator's cleanup path.
 
         Everything reads through the normal verified data path, so the
         sweep is itself oblivious: full scans and sequential log reads.
@@ -639,22 +444,6 @@ class ObliDB:
                             f"table {name!r}: index holds {len(index_rows)} "
                             f"rows, metadata says {table.indexed.used_rows}"
                         )
-        for name in self.sharded_table_names():
-            sharded = self._sharded[name]
-            tables_checked += 1
-            try:
-                counts = sharded.verify_shards()
-                blocks_verified += sharded.capacity
-            except ObliDBError as error:
-                issues.append(
-                    f"sharded table {name!r}: verification failed: {error}"
-                )
-            else:
-                if sum(counts) != sharded.used_rows:
-                    issues.append(
-                        f"sharded table {name!r}: shards hold {sum(counts)} "
-                        f"rows, metadata says {sharded.used_rows}"
-                    )
         if self.wal is not None:
             if self.wal.committed_count != self.wal.count:
                 issues.append(

@@ -118,16 +118,13 @@ def run_join_algorithm(
     algorithm: JoinAlgorithm,
     oblivious_memory_bytes: int,
     compact_output: bool = False,
-    output_name: str | None = None,
     predicate: Predicate | None = None,
     columns: Sequence[str] | None = None,
 ) -> FlatStorage:
     """Invoke one Section 4.3 join operator with planned sizes.
 
-    ``output_name`` pre-names the hash join's output region (the sharded
-    join path); the sort-merge joins build their output through scratch
-    tables and ignore it.  ``predicate`` / ``columns`` are the WHERE and
-    column list every join fuses into its emit.
+    ``predicate`` / ``columns`` are the WHERE and column list every join
+    fuses into its emit.
     """
     if algorithm is JoinAlgorithm.HASH:
         return hash_join(
@@ -137,7 +134,6 @@ def run_join_algorithm(
             right_column,
             oblivious_memory_bytes,
             compact_output=compact_output,
-            output_name=output_name,
             predicate=predicate,
             columns=columns,
         )
@@ -476,10 +472,8 @@ class Executor:
         allow_continuous: bool = True,
         rng: random.Random | None = None,
         result_cache: PlanCache | None = None,
-        sharded_tables: dict | None = None,
     ) -> None:
         self._tables = tables
-        self._sharded = sharded_tables if sharded_tables is not None else {}
         self._padding = padding
         self._allow_continuous = allow_continuous
         self._cache = result_cache
@@ -499,11 +493,6 @@ class Executor:
         try:
             return self._tables[name]
         except KeyError:
-            if name in self._sharded:
-                raise QueryError(
-                    f"table {name!r} is partitioned into shards; use the "
-                    "sharded surface (scan_rows/sharded_join) or reassemble()"
-                ) from None
             raise QueryError(f"no table named {name!r}") from None
 
     def check_insert(self, statement: InsertStatement) -> None:

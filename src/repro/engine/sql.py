@@ -12,8 +12,6 @@ engine executes —
 * ``UPDATE .. SET .. WHERE`` and ``DELETE FROM .. WHERE``;
 * ``CREATE TABLE`` with column types, fixed capacity, storage method, and
   index key;
-* ``PARTITION TABLE .. BY HASH (col) SHARDS n`` (or ``BY RANGE .. BOUNDS``),
-  which splits a flat table into independent shard regions;
 * ``EXPLAIN <statement>``, which compiles the target to its
   :class:`~repro.planner.compile.QueryPlan` — the query's declared
   leakage — and returns the rendered tree without executing anything.
@@ -40,7 +38,6 @@ from .ast import (
     ExplainStatement,
     InsertStatement,
     JoinClause,
-    PartitionStatement,
     SelectStatement,
     Statement,
     UpdateStatement,
@@ -63,8 +60,7 @@ _KEYWORDS = {
     "select", "from", "where", "and", "or", "not", "group", "by", "join",
     "on", "insert", "into", "values", "update", "set", "delete", "create",
     "table", "capacity", "method", "key", "fast", "int", "float", "str",
-    "order", "asc", "desc", "limit", "explain", "partition", "shards",
-    "bounds", "generation",
+    "order", "asc", "desc", "limit", "explain",
 }
 
 _AGGREGATES = {name.value for name in AggregateFunction}
@@ -188,8 +184,6 @@ class _Parser:
             return self._delete()
         if word == "create":
             return self._create()
-        if word == "partition":
-            return self._partition()
         raise SQLSyntaxError(f"unknown statement {token.text!r}")
 
     def _explain(self) -> ExplainStatement:
@@ -376,51 +370,6 @@ class _Parser:
             capacity=capacity,
             method=method,
             key_column=key_column,
-        )
-
-    def _partition(self) -> PartitionStatement:
-        """``PARTITION TABLE t BY HASH (col) SHARDS n`` (plus RANGE
-        ``BOUNDS (...)`` and a WAL-replay ``GENERATION g`` tag)."""
-        self._expect_word("partition")
-        self._expect_word("table")
-        table = self._identifier()
-        self._expect_word("by")
-        kind = self._identifier().lower()
-        column: str | None = None
-        if self._accept_punct("("):
-            column = self._identifier()
-            self._expect_punct(")")
-        shards: int | None = None
-        bounds: tuple[Value, ...] | None = None
-        generation = 0
-        while True:
-            if self._accept_word("shards"):
-                token = self._next()
-                if token.kind != "int":
-                    raise SQLSyntaxError("SHARDS requires an integer")
-                shards = int(token.text)
-            elif self._accept_word("bounds"):
-                self._expect_punct("(")
-                values: list[Value] = [self._literal()]
-                while self._accept_punct(","):
-                    values.append(self._literal())
-                self._expect_punct(")")
-                bounds = tuple(values)
-            elif self._accept_word("generation"):
-                token = self._next()
-                if token.kind != "int":
-                    raise SQLSyntaxError("GENERATION requires an integer")
-                generation = int(token.text)
-            else:
-                break
-        self._end()
-        return PartitionStatement(
-            table=table,
-            kind=kind,
-            column=column,
-            shards=shards,
-            bounds=bounds,
-            generation=generation,
         )
 
     # -- predicates -------------------------------------------------------

@@ -168,9 +168,6 @@ def oblivious_shuffle(
     table: FlatStorage,
     rng: random.Random | None = None,
     name: str | None = None,
-    scratch_name: str | None = None,
-    cipher_label: str | None = None,
-    output_ledger: RevisionLedger | None = None,
 ) -> FlatStorage:
     """Return a new table holding ``table``'s blocks in secret random order.
 
@@ -185,22 +182,10 @@ def oblivious_shuffle(
     bucket, ``R`` its contiguous scratch range then ``W`` its contiguous
     output segment.  Enforced against a per-row reference loop by the
     trace-equivalence tests.
-
-    Sharded callers pass ``scratch_name`` (a deterministic per-shard region
-    name), ``cipher_label`` (the output's derived cipher stream), and
-    ``output_ledger`` (the shard's ledger segment, keeping the replacement
-    region inside the composite ledger the database verifies).
     """
     enclave = table.enclave
     if table.capacity == 0:
-        return FlatStorage(
-            enclave,
-            table.schema,
-            0,
-            name=name,
-            ledger=output_ledger,
-            cipher_label=cipher_label,
-        )
+        return FlatStorage(enclave, table.schema, 0, name=name)
     geometry = shuffle_geometry(table.capacity)
     rng = rng if rng is not None else random.Random()
     perm, cells = plan_shuffle(geometry, rng)
@@ -211,7 +196,7 @@ def oblivious_shuffle(
     resident_rows = max(2 * geometry.chunk_rows, geometry.bucket_slots)
     buffer_bytes = resident_rows * entry_bytes + _POSITION_BYTES * geometry.n
 
-    scratch_region = scratch_name or enclave.fresh_region_name("shuffle")
+    scratch_region = enclave.fresh_region_name("shuffle")
     enclave.untrusted.allocate_region(scratch_region, geometry.scratch_capacity)
     ledger = RevisionLedger()
     try:
@@ -238,14 +223,7 @@ def oblivious_shuffle(
 
             # Pass 2: clean up.  One batched bucket read and one batched
             # segment write per bucket; fillers die inside the enclave.
-            output = FlatStorage(
-                enclave,
-                table.schema,
-                geometry.n,
-                name=name,
-                ledger=output_ledger,
-                cipher_label=cipher_label,
-            )
+            output = FlatStorage(enclave, table.schema, geometry.n, name=name)
             _cleanup_sequential(enclave, geometry, scratch_region, ledger, output)
     finally:
         enclave.untrusted.free_region(scratch_region)

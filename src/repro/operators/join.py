@@ -183,7 +183,6 @@ def hash_join(
     column2: str,
     oblivious_memory_bytes: int,
     compact_output: bool = False,
-    output_name: str | None = None,
     predicate: Predicate | None = None,
     columns: Sequence[str] | None = None,
 ) -> FlatStorage:
@@ -194,11 +193,9 @@ def hash_join(
     ``compact_output=True`` tightens the chunks-by-|T2| probe output to the
     foreign-key bound |T2| through the oblivious compaction network (the
     planner path enables it; direct callers keep the raw shape).
-    ``output_name`` names the output region explicitly — the sharded join
-    pre-allocates per-shard output names so shard trace recorders can be
-    attached before the join runs.  ``predicate`` / ``columns`` are fused
-    into the probe's emit (see the module docstring).  Build and probe
-    decode only the columns the emit and the keys use (:func:`_narrow_join`).
+    ``predicate`` / ``columns`` are fused into the probe's emit (see the
+    module docstring).  Build and probe decode only the columns the emit
+    and the keys use (:func:`_narrow_join`).
     """
     enclave = table1.enclave
     joined = joined_schema(table1.schema, table2.schema)
@@ -216,9 +213,7 @@ def hash_join(
     chunk_rows = max(1, oblivious_memory_bytes // row_bytes)
     num_chunks = (table1.capacity + chunk_rows - 1) // chunk_rows
 
-    output = FlatStorage(
-        enclave, out_schema, num_chunks * table2.capacity, name=output_name
-    )
+    output = FlatStorage(enclave, out_schema, num_chunks * table2.capacity)
     dummy = frame_dummy(out_schema)
     matched = 0
     # Keys of every chunk so far (not only the resident one), so a repeat is

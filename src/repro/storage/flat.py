@@ -70,7 +70,6 @@ class FlatStorage:
         capacity: int,
         name: str | None = None,
         ledger: RevisionLedger | None = None,
-        cipher_label: str | None = None,
     ) -> None:
         if capacity < 0:
             raise StorageError("capacity must be non-negative")
@@ -78,13 +77,6 @@ class FlatStorage:
         self.schema = schema
         self._region = name or enclave.fresh_region_name("flat")
         self._ledger = ledger if ledger is not None else RevisionLedger()
-        # ``cipher_label`` scopes this table to a derived cipher stream
-        # (sharded tables label each shard with its region name).
-        # Unlabelled tables use the enclave's root cipher.
-        self._cipher_label = cipher_label
-        self._cipher = (
-            enclave.derived_cipher(cipher_label) if cipher_label is not None else None
-        )
         enclave.untrusted.allocate_region(self._region, capacity)
         self._freed = False
         # Enclave-side metadata: number of in-use rows and the fast-insert
@@ -129,30 +121,6 @@ class FlatStorage:
         return self._enclave
 
     # ------------------------------------------------------------------
-    # Cipher dispatch: the table's derived cipher when labelled, else the
-    # enclave's root cipher
-    # ------------------------------------------------------------------
-    def _seal(self, frame: bytes, aad: bytes):
-        if self._cipher is not None:
-            return self._cipher.seal(frame, aad)
-        return self._enclave.seal(frame, aad)
-
-    def _open(self, block, aad: bytes) -> bytes:
-        if self._cipher is not None:
-            return self._cipher.open(block, aad)
-        return self._enclave.open(block, aad)
-
-    def _seal_many(self, frames: Sequence[bytes], aads: Sequence[bytes]) -> list:
-        if self._cipher is not None:
-            return self._cipher.seal_many(frames, aads)
-        return self._enclave.seal_many(frames, aads)
-
-    def _open_many(self, blocks: Sequence, aads: Sequence[bytes]) -> list[bytes]:
-        if self._cipher is not None:
-            return self._cipher.open_many(blocks, aads)
-        return self._enclave.open_many(blocks, aads)
-
-    # ------------------------------------------------------------------
     # Verified decryption with rollback classification
     # ------------------------------------------------------------------
     def _classify_open_failure(
@@ -174,7 +142,7 @@ class FlatStorage:
         for revision in range(current):
             aad = self._ledger.associated_data(self._region, index, revision)
             try:
-                self._open(sealed, aad)
+                self._enclave.open(sealed, aad)
             except IntegrityError:
                 continue
             return RollbackError(
@@ -195,11 +163,11 @@ class FlatStorage:
         :class:`IntegrityError`.
         """
         try:
-            return self._open_many(sealed, aads)
+            return self._enclave.open_many(sealed, aads)
         except IntegrityError:
             for block, aad, index in zip(sealed, aads, indices):
                 try:
-                    self._open(block, aad)
+                    self._enclave.open(block, aad)
                 except IntegrityError as cause:
                     raise self._classify_open_failure(
                         block, index, cause
@@ -213,7 +181,7 @@ class FlatStorage:
         """Seal ``framed`` bytes into one block (one observable write)."""
         revision = self._ledger.next_revision(self._region, index)
         aad = self._ledger.associated_data(self._region, index, revision)
-        sealed = self._seal(framed, aad)
+        sealed = self._enclave.seal(framed, aad)
         self._enclave.untrusted.write(self._region, index, sealed)
         self._ledger.commit(self._region, index, revision)
 
@@ -225,7 +193,7 @@ class FlatStorage:
         revision = self._ledger.current(self._region, index)
         aad = self._ledger.associated_data(self._region, index, revision)
         try:
-            return self._open(sealed, aad)
+            return self._enclave.open(sealed, aad)
         except IntegrityError as cause:
             raise self._classify_open_failure(sealed, index, cause) from cause
 
@@ -299,7 +267,7 @@ class FlatStorage:
             revisions, aads = self._ledger.stage_range(
                 self._region, chunk_start, len(chunk)
             )
-            sealed = self._seal_many(chunk, aads)
+            sealed = self._enclave.seal_many(chunk, aads)
             self._enclave.untrusted.write_range(self._region, chunk_start, sealed)
             self._ledger.commit_range(self._region, chunk_start, revisions)
 
@@ -356,7 +324,7 @@ class FlatStorage:
                 region, start, count
             )
             frames = self._open_verified(sealed, aads, range(start, start + count))
-            resealed = self._seal_many(rewrite(start, frames), next_aads)
+            resealed = self._enclave.seal_many(rewrite(start, frames), next_aads)
             ledger.commit_range(region, start, next_revisions)
             return resealed
 
@@ -395,7 +363,7 @@ class FlatStorage:
                 low, high = decide(offset, frames[offset], frames[half + offset])
                 new_lows.append(low)
                 new_highs.append(high)
-            resealed = self._seal_many(new_lows + new_highs, next_aads)
+            resealed = self._enclave.seal_many(new_lows + new_highs, next_aads)
             ledger.commit_range(region, start, next_revisions)
             return resealed[:half], resealed[half:]
 
@@ -443,7 +411,7 @@ class FlatStorage:
             chunk = list(indices[offset : offset + _CHUNK_BLOCKS])
             chunk_frames = list(frames[offset : offset + _CHUNK_BLOCKS])
             revisions, aads = self._ledger.stage_at(self._region, chunk)
-            sealed = self._seal_many(chunk_frames, aads)
+            sealed = self._enclave.seal_many(chunk_frames, aads)
             self._enclave.untrusted.write_at(self._region, chunk, sealed)
             self._ledger.commit_at(self._region, chunk, revisions)
 
@@ -514,7 +482,7 @@ class FlatStorage:
                     )
                 revisions, aads = ledger.stage_at(region, write_indices)
                 staged[:] = revisions
-                return self._seal_many(new_frames, aads)
+                return self._enclave.seal_many(new_frames, aads)
 
             enclave.untrusted.exchange_interleaved(full_schedule, compute)
             # Commit only after the blocks are stored (atomic chunk).
@@ -582,7 +550,7 @@ class FlatStorage:
                         f"frames for {len(chunk)} pairs"
                     )
                 revisions, next_aads = dst_ledger.stage_steps(write_steps)
-                resealed = target._seal_many(new_frames, next_aads)
+                resealed = target._enclave.seal_many(new_frames, next_aads)
                 staged[:] = revisions
                 return resealed
 
@@ -807,7 +775,6 @@ class FlatStorage:
             new_capacity,
             name=name,
             ledger=self._ledger,
-            cipher_label=self._cipher_label,
         )
         self.interleave_to(
             target,

@@ -1,5 +1,5 @@
-"""Unit tests for enclave lifecycle, oblivious memory, cost counters, batch
-crypto, and per-region derived ciphers."""
+"""Unit tests for enclave lifecycle, oblivious memory, cost counters and
+batch crypto."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.enclave import (
     ObliviousMemoryAccount,
     ObliviousMemoryError,
 )
-from repro.enclave.enclave import derive_shard_key
 
 ROOT = b"\x07" * 32
 
@@ -179,54 +178,3 @@ class TestBatchCrypto:
         with pytest.raises(ValueError):
             enclave.open_many(sealed, aads[:-1])
 
-
-class TestDerivedCiphers:
-    def test_empty_label_is_the_root_cipher(self) -> None:
-        enclave = Enclave(cipher="authenticated", key=ROOT)
-        sealed = enclave.seal(b"data", b"aad")
-        assert enclave.derived_cipher("").open(sealed, b"aad") == b"data"
-
-    def test_region_ciphers_do_not_open_each_other(self) -> None:
-        enclave = Enclave(cipher="authenticated", key=ROOT)
-        shard0 = enclave.derived_cipher("table:t:shard0")
-        shard1 = enclave.derived_cipher("table:t:shard1")
-        sealed = shard0.seal(b"data", b"aad")
-        assert shard0.open(sealed, b"aad") == b"data"
-        with pytest.raises(IntegrityError):
-            shard1.open(sealed, b"aad")
-        with pytest.raises(IntegrityError):
-            enclave.open(sealed, b"aad")
-
-    def test_same_root_rederives_the_same_stream(self) -> None:
-        """The stream is a function of (root, label): a second enclave with
-        the same root opens what the first sealed; the instance is cached."""
-        first = Enclave(cipher="authenticated", key=ROOT)
-        second = Enclave(cipher="authenticated", key=ROOT)
-        label = "table:t:shard1:g2"
-        sealed = first.derived_cipher(label).seal(b"data", b"aad")
-        assert second.derived_cipher(label).open(sealed, b"aad") == b"data"
-        assert first.derived_cipher(label) is first.derived_cipher(label)
-
-    def test_custom_suite_has_no_derived_ciphers(self) -> None:
-        enclave = Enclave(cipher=ScalarOnlyCipher())
-        with pytest.raises(ValueError, match="root key"):
-            enclave.derived_cipher("table:t:shard0")
-
-
-def test_empty_label_is_root_key():
-    assert derive_shard_key(ROOT, "") == ROOT
-
-
-def test_labelled_keys_are_distinct_and_deterministic():
-    a = derive_shard_key(ROOT, "table:t:shard0")
-    b = derive_shard_key(ROOT, "table:t:shard1")
-    assert a != b != ROOT
-    assert a == derive_shard_key(ROOT, "table:t:shard0")
-
-
-def test_labelled_key_derivation_is_pinned():
-    """BLAKE2b keyed by the root over ``b"shard-key:" + label``: a change
-    here re-keys every stored shard region."""
-    assert derive_shard_key(ROOT, "table:t:shard0").hex() == (
-        "98c953ff4e19a3aab154a85aae2c3d5063b89ff68a160ea50de13bddc5273a9d"
-    )

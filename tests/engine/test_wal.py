@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro import ObliDB
-from repro.enclave import Enclave, IntegrityError, StorageError, WALReplayError
+from repro.enclave import (
+    Enclave,
+    IntegrityError,
+    SQLSyntaxError,
+    StorageError,
+    WALReplayError,
+)
 from repro.engine import WriteAheadLog
 
 
@@ -267,3 +273,17 @@ class TestDatabaseIntegration:
             (2, "a''b"),
             (3, "plain"),
         ]
+
+    def test_partition_record_no_longer_replays(self) -> None:
+        """``PARTITION TABLE`` left the grammar with table partitioning: a
+        log holding one stops recovery at that record with the parser's
+        typed error, after replaying the records before it."""
+        db = ObliDB(cipher="null", wal=True, seed=9)
+        db.sql("CREATE TABLE t (k INT) CAPACITY 8")
+        db.sql("INSERT INTO t VALUES (1)")
+        assert db.wal is not None
+        db.wal.append("PARTITION TABLE t BY HASH (k) SHARDS 2")
+        recovered = ObliDB(cipher="null", seed=10)
+        with pytest.raises(SQLSyntaxError, match="unknown statement 'PARTITION'"):
+            recovered.recover(db.wal)
+        assert recovered.sql("SELECT * FROM t").rows == [(1,)]
