@@ -116,14 +116,15 @@ class TestORAMMicrobench:
         Beyond the ORAM's paths, the default index's held segment touches
         nothing; the paper's spills to a flat scratch — a hit is 3 reads
         there (statistics pass, Small's pass, result read) and 4 writes (two
-        allocations, the copy-in, the flush), a miss 42 and 33 (Hash into
-        one chain, then compaction)."""
+        allocations, the copy-in, the flush), a miss 42 and 34 (the copy-in
+        writes the one-slot scratch's dummy as a hit writes its row; then
+        Hash into one chain, and compaction)."""
         schema = Schema([int_column("id"), str_column("pad", 24)])
         rows = [(key, f"row-{key}") for key in range(1024)]
         random.Random(3).shuffle(rows)
         for oram_kind, accesses, hit, miss in (
             ("path", 4, (0, 0), (0, 0)),
-            ("paper", 7, (3, 4), (42, 33)),
+            ("paper", 7, (3, 4), (42, 34)),
         ):
             db = ObliDB(cipher="null", seed=7, keep_trace_events=True)
             db.create_table(

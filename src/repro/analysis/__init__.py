@@ -13,12 +13,14 @@ from .obliviousness import (
 from .simulator import (
     AggregateLeakage,
     GroupByLeakage,
+    IndexLookupLeakage,
     JoinLeakage,
     SelectLeakage,
     real_query_trace,
     real_select_trace,
     simulate_aggregate,
     simulate_group_by,
+    simulate_index_lookup,
     simulate_join,
     simulate_select,
 )
@@ -27,6 +29,7 @@ __all__ = [
     "AggregateLeakage",
     "CanonicalTrace",
     "GroupByLeakage",
+    "IndexLookupLeakage",
     "JoinLeakage",
     "SelectLeakage",
     "assert_indistinguishable",
@@ -40,6 +43,7 @@ __all__ = [
     "real_select_trace",
     "simulate_aggregate",
     "simulate_group_by",
+    "simulate_index_lookup",
     "simulate_join",
     "simulate_select",
 ]

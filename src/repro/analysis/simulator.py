@@ -13,14 +13,16 @@ run matches the canonical trace of the real run, then everything the
 adversary saw was computable from the leakage alone — which is precisely
 the theorem's claim, checked per-query.
 
-SIM exists for four node types over flat sources: a selection
-(:func:`simulate_select`), a join (:func:`simulate_join`), an ungrouped
-aggregate over a flat table or a join (:func:`simulate_aggregate`) and a
-GROUP BY over a flat table (:func:`simulate_group_by`).  Each ``*Leakage``
-reads plan fields and the public schemas only (``from_plan``).  A join's
-and an aggregate's inputs are empty dummy tables of the leaked capacities:
-their traces do not depend on a single stored value.  A GROUP BY's dummy
-table holds exactly the leaked number of groups.
+SIM exists for five node types: a selection (:func:`simulate_select`), a
+join (:func:`simulate_join`), an ungrouped aggregate over a flat table or a
+join (:func:`simulate_aggregate`), a GROUP BY over a flat table
+(:func:`simulate_group_by`) and an index lookup with the statement over its
+segment (:func:`simulate_index_lookup`).  Each ``*Leakage`` reads plan
+fields and public catalog facts only (``from_plan``).  A join's and an
+aggregate's inputs are empty dummy tables of the leaked capacities: their
+traces do not depend on a single stored value.  A GROUP BY's dummy table
+holds exactly the leaked number of groups.  An index lookup's dummy index
+has the real one's geometry and height and holds the leaked segment.
 """
 
 from __future__ import annotations
@@ -38,10 +40,13 @@ from ..operators.aggregate import (
     group_by_aggregate,
 )
 from ..operators.predicate import Comparison, Predicate
+from ..operators.select import spill_index_segment
+from ..oram.path_oram import PathORAM
 from ..planner.compile import (
     AggregateNode,
     CompactNode,
     GroupByNode,
+    IndexLookupNode,
     JoinNode,
     PlanNode,
     QueryPlan,
@@ -51,8 +56,10 @@ from ..planner.compile import (
 from ..planner.plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
 from ..planner.select_planner import SelectDecision
 from ..planner.stats import scan_statistics
+from ..storage.btree import ObliviousBPlusTree
 from ..storage.flat import FlatStorage
 from ..storage.schema import Column, ColumnType, Row, Schema, Value, int_column
+from ..storage.table import Table
 from .obliviousness import CanonicalTrace, canonicalize, oram_regions_of
 
 
@@ -117,15 +124,11 @@ class SelectLeakage:
         )
 
 
-def _selection_trace(
-    table: FlatStorage, predicate: Predicate, leakage: SelectLeakage
-) -> CanonicalTrace:
-    """The canonical trace of a plain selection statement over ``table``:
-    the statistics pass, then — unless the pass kept every match — the
-    leaked algorithm (resumed from the pass's buffer when it says so) and
-    the runner's read of its output."""
-    enclave = table.enclave
-    enclave.trace.clear()
+def _select(table: FlatStorage, predicate: Predicate, leakage: SelectLeakage) -> None:
+    """A plain selection statement over ``table``: the statistics pass,
+    then — unless the pass kept every match — the leaked algorithm (resumed
+    from the pass's buffer when it says so) and the runner's read of its
+    output."""
     keeps = leakage.in_enclave or leakage.resumed
     stats = scan_statistics(table, predicate, keep=leakage.buffer_rows if keeps else 0)
     if not leakage.in_enclave:
@@ -140,7 +143,15 @@ def _selection_trace(
         )
         output.rows()
         output.free()
-    return canonicalize(enclave.trace.events, oram_regions_of(enclave))
+
+
+def _selection_trace(
+    table: FlatStorage, predicate: Predicate, leakage: SelectLeakage
+) -> CanonicalTrace:
+    """The canonical trace of :func:`_select` alone."""
+    table.enclave.trace.clear()
+    _select(table, predicate, leakage)
+    return _canonical(table.enclave)
 
 
 def simulate_select(
@@ -216,9 +227,13 @@ class FlatSource:
 
 
 def _flat_source(node: PlanNode, schemas: Mapping[str, Schema]) -> FlatSource:
-    if not (isinstance(node, ScanNode) and node.access_method is AccessMethod.FLAT_SCAN):
-        raise PlannerError(f"SIM covers flat sources only, not {node.label()!r}")
-    return FlatSource(schemas[node.table], node.rows)
+    """A flat table scan, or the flat scratch a spilled index segment fills
+    (:func:`simulate_index_lookup` runs the lookup that fills it)."""
+    if isinstance(node, ScanNode) and node.access_method is AccessMethod.FLAT_SCAN:
+        return FlatSource(schemas[node.table], node.rows)
+    if isinstance(node, IndexLookupNode) and not node.in_enclave:
+        return FlatSource(schemas[node.table], node.segment_rows)
+    raise PlannerError(f"SIM covers flat sources only, not {node.label()!r}")
 
 
 def _specs(labels: Sequence[str]) -> tuple[AggregateSpec, ...]:
@@ -396,34 +411,168 @@ def simulate_group_by(
     output.
 
     ``oblivious_memory_bytes`` is public state, not plan: the free budget
-    the statement ran under, which sets where the group table overflows and
-    the fallback's sort chunk.  The dummy table holds max(1, g) groups, or
-    one group per slot when the plan says the group table overflowed.
-
-    Two gaps in the leakage, both outside this SIM: g = 0 and g = 1 share
-    ``output_rows`` = 1 but differ by one output write, and on a table of
-    more than one scan chunk the overflow stops the hash pass at a chunk
-    that depends on the data.
+    the statement ran under, which sets the fallback's sort chunk (the hash
+    pass reads every block whether or not the group table overflows).  The
+    dummy table holds max(1, g) groups, or one group per slot when the plan
+    says the group table overflowed.
     """
     source = leakage.source
-    groups = source.rows if leakage.sorted_fallback else leakage.output_rows
     rows = [
-        tuple(
-            _dummy_value(column, group if column.name == leakage.group_column else 0)
-            for column in source.schema.columns
-        )
-        for group in range(groups)
+        _dummy_row(source.schema, {leakage.group_column: group})
+        for group in range(_groups(leakage))
     ]
     table = _prepared(source, oblivious_memory_bytes, rows)
-    output = group_by_aggregate(table, leakage.group_column, list(leakage.specs))
-    output.rows()
+    _group_by(table, leakage)
     return _canonical(table.enclave)
 
 
+def _groups(leakage: GroupByLeakage) -> int:
+    """Distinct groups SIM's input holds: enough to overflow when the real
+    group table did, else the leaked max(1, g)."""
+    return leakage.source.rows if leakage.sorted_fallback else leakage.output_rows
+
+
+def _group_by(table: FlatStorage, leakage: GroupByLeakage) -> None:
+    output = group_by_aggregate(table, leakage.group_column, list(leakage.specs))
+    output.rows()
+
+
+# ----------------------------------------------------------------------
+# Index lookups
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class IndexLookupLeakage:
+    """The leakage of a statement over an index lookup: the
+    :class:`IndexLookupNode`'s ``segment_rows`` and ``in_enclave``, the
+    index's public geometry — capacity, order, ``oram_kind``, the ORAM's
+    treetop levels k, the tree's resident levels, and the height any lookup
+    reveals — and, when the segment spilled, the leakage of the selection,
+    aggregate or GROUP BY over its flat scratch (``over``)."""
+
+    schema: Schema
+    key_column: str
+    capacity: int
+    order: int
+    oram_kind: str
+    treetop_levels: int
+    resident_levels: int
+    height: int
+    segment_rows: int
+    in_enclave: bool
+    over: SelectLeakage | AggregateLeakage | GroupByLeakage | None = None
+
+    @classmethod
+    def from_plan(
+        cls, plan: QueryPlan, tables: Mapping[str, Table]
+    ) -> "IndexLookupLeakage":
+        """From the *executed* plan (a spilled GROUP BY records g there) and
+        the catalog's tables, of which it reads only public facts."""
+        node = plan.find(IndexLookupNode)
+        if not isinstance(node, IndexLookupNode):
+            raise PlannerError("plan has no index lookup to simulate")
+        table = tables[node.table]
+        tree = table.require_index().tree
+        over: SelectLeakage | AggregateLeakage | GroupByLeakage | None = None
+        if not node.in_enclave:
+            schemas = {node.table: table.schema}
+            if isinstance(plan.root, GroupByNode):
+                over = GroupByLeakage.from_plan(plan, schemas)
+            elif isinstance(plan.root, AggregateNode):
+                over = AggregateLeakage.from_plan(plan, schemas)
+            else:
+                over = SelectLeakage.from_plan(table.schema.row_size, plan)
+        return cls(
+            schema=table.schema,
+            key_column=tree.key_column,
+            capacity=tree.capacity,
+            order=tree.order,
+            oram_kind=table.oram_kind,
+            treetop_levels=tree.oram.treetop_levels,
+            resident_levels=tree.resident_levels,
+            height=tree.height,
+            segment_rows=node.segment_rows,
+            in_enclave=node.in_enclave,
+            over=over,
+        )
+
+
+def simulate_index_lookup(
+    leakage: IndexLookupLeakage, oblivious_memory_bytes: int
+) -> CanonicalTrace:
+    """SIM for a statement over an index lookup.
+
+    A dummy index of the leaked geometry and height holds ``segment_rows``
+    rows under the smallest keys, and filler rows above them that give it
+    the height; its padded range lookup returns the segment.  A held
+    segment is the whole trace.  A spilled one goes to a flat scratch of
+    ``segment_rows`` slots, and the statement's selection, aggregate or
+    GROUP BY SIM runs over that scratch with ``oblivious_memory_bytes`` —
+    the free budget the statement ran under, public state — left free.
+    """
+    if leakage.oram_kind not in ("path", "paper"):
+        raise PlannerError(f"SIM covers Path ORAM indexes, not {leakage.oram_kind!r}")
+    schema, key, over = leakage.schema, leakage.key_column, leakage.over
+    # Keys 0, 1, ...: the first |R| rows match SIM's selection predicate,
+    # and a GROUP BY's column cycles through the leaked groups.
+    groups = _groups(over) if isinstance(over, GroupByLeakage) else 0
+    segment = []
+    for i in range(leakage.segment_rows):
+        values = {key: i}
+        if groups:
+            values[over.group_column] = i % groups
+        segment.append(_dummy_row(schema, values))
+    # The fewest rows a packed tree of the leaked height holds.
+    order, height = leakage.order, leakage.height
+    least = height if height < 2 else (order - 1) * order ** (height - 2) + 1
+    filler = [
+        _dummy_row(schema, {key: leakage.segment_rows + i})
+        for i in range(max(0, least - len(segment)))
+    ]
+    enclave = Enclave(oblivious_memory_bytes=1 << 40, cipher="null", keep_trace_events=True)
+    tree = ObliviousBPlusTree(
+        enclave,
+        schema,
+        key,
+        leakage.capacity,
+        order=order,
+        oram_factory=lambda enclave, capacity, block_size, rng: PathORAM(
+            enclave, capacity, block_size, rng=rng, treetop_levels=leakage.treetop_levels
+        ),
+        resident_levels=leakage.resident_levels,
+    )
+    if height:
+        tree.bulk_load(segment + filler)
+    if tree.height != height:
+        raise PlannerError(f"SIM built a tree of height {tree.height}, not {height}")
+    enclave.oblivious.allocate(enclave.oblivious.free_bytes - oblivious_memory_bytes)
+    enclave.trace.clear()
+    key_index = schema.column_index(key)
+    rows = tree.range_scan(None, max((row[key_index] for row in segment), default=None))
+    if not leakage.in_enclave:
+        scratch = spill_index_segment(enclave, schema, rows)
+        if isinstance(over, SelectLeakage):
+            threshold = _dummy_value(schema.column(key), over.output_size)
+            _select(scratch, Comparison(key, "<", threshold), over)
+        elif isinstance(over, AggregateLeakage):
+            aggregate(scratch, list(over.specs))
+        else:
+            _group_by(scratch, over)
+    return _canonical(enclave)
+
+
+def _dummy_row(schema: Schema, values: Mapping[str, int]) -> Row:
+    """A row of ``schema``: ``values[name]`` in the named columns, 0 elsewhere,
+    each as a value of its column's type."""
+    return tuple(
+        _dummy_value(column, values.get(column.name, 0)) for column in schema.columns
+    )
+
+
 def _dummy_value(column: Column, i: int) -> Value:
-    """``i`` as a value of ``column``'s type."""
+    """``i`` as a value of ``column``'s type; strings are zero-padded to the
+    column's width, so they sort as the integers do."""
     if column.type is ColumnType.STR:
-        return str(i)
+        return str(i).zfill(column.byte_width)
     if column.type is ColumnType.FLOAT:
         return float(i)
     return i

@@ -21,7 +21,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from ..enclave.errors import ObliviousMemoryError, QueryError
+from ..enclave.errors import ObliviousMemoryError, QueryError, StorageError
 from ..oblivious.compact import filter_copy
 from ..storage.flat import FlatStorage
 from ..storage.rows import frame_dummy, frame_row_validated
@@ -249,7 +249,15 @@ def group_by_aggregate(
     oblivious memory.  ``output_groups`` (from the planner) sizes the output
     table; if omitted it is discovered during the pass (the group count is
     part of the leaked output size either way).  Falls back to the
-    sort-based algorithm when oblivious memory cannot hold the group table.
+    sort-based algorithm when oblivious memory cannot hold the group table,
+    after the read pass has finished, so the pass reads every block
+    whichever chunk the table overflowed in.
+
+    The output is written in one pass over its whole capacity — the groups,
+    then dummies — so the trace is the capacity's, never the group count's
+    (an empty GROUP BY writes its one slot; a padded one, ``output_groups``
+    slots).  More groups than ``output_groups`` raise
+    :class:`~repro.enclave.errors.StorageError` before any output write.
     """
     if not specs:
         raise QueryError("group_by_aggregate needs at least one AggregateSpec")
@@ -263,11 +271,12 @@ def group_by_aggregate(
         _Accumulator.BYTES
     )
     reserved = 0
+    chunks = table.scan_framed_chunks()
     try:
         # Hash build: one batched uniform read pass (R 0 .. R N-1, exactly
         # the per-block loop's order), each chunk decoded in one precompiled
         # codec pass; the group table lives in oblivious memory.
-        for _, frames in table.scan_framed_chunks():
+        for _, frames in chunks:
             for row in decode(frames):
                 if row is None or not matches(row):
                     continue
@@ -282,22 +291,30 @@ def group_by_aggregate(
                     accumulator.add(row[column] if column is not None else None)
     except ObliviousMemoryError:
         enclave.oblivious.release(reserved)
+        for _ in chunks:  # R through N-1: the overflow's chunk must not show
+            pass
         return _sorted_group_aggregate(table, group_column, specs, predicate)
     enclave.oblivious.release(reserved)
 
-    out_schema = _group_output_schema(schema, group_column, specs)
-    capacity = output_groups if output_groups is not None else len(groups)
-    output = FlatStorage(enclave, out_schema, max(1, capacity))
+    capacity = max(1, output_groups if output_groups is not None else len(groups))
+    if len(groups) > capacity:
+        # More real groups than the padded output holds: an expected,
+        # data-dependent error under padding, refused before any write.
+        raise StorageError(
+            f"GROUP BY found {len(groups)} groups, more than its output "
+            f"capacity {capacity}"
+        )
+    output = FlatStorage(
+        enclave, _group_output_schema(schema, group_column, specs), capacity
+    )
     try:
-        for i, (key, accumulators) in enumerate(sorted(groups.items())):
-            values: tuple[Value, ...] = (key,) + tuple(
-                float(accumulator.result()) for accumulator in accumulators
-            )
-            output.write_row(i, values)
-            output._used += 1
+        output.write_all(
+            [
+                (key,) + tuple(float(accumulator.result()) for accumulator in accumulators)
+                for key, accumulators in sorted(groups.items())
+            ]
+        )
     except BaseException:
-        # More real groups than the planned output capacity (an expected,
-        # data-dependent error under padding): release the scratch.
         output.free()
         raise
     return output

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+from ..enclave.enclave import Enclave
 from ..enclave.errors import StorageError
 from ..oblivious.compact import (
     compaction_levels,
@@ -40,7 +41,7 @@ from ..oram.path_oram import PathORAM
 from ..storage.flat import FlatStorage
 from ..storage.indexed import IndexedStorage
 from ..storage.rows import filter_reader, frame_dummy, framed_size, is_dummy
-from ..storage.schema import Row
+from ..storage.schema import Row, Schema
 from .predicate import Predicate
 
 #: Chain length per hash function in the Hash algorithm (Azar et al. guidance).
@@ -357,17 +358,16 @@ def materialize_index_range(
     answered where the lookup left it.
     """
     rows = index.range_lookup(low, high)  # type: ignore[arg-type]
-    return spill_index_segment(index, rows)
+    return spill_index_segment(index.enclave, index.schema, rows)
 
 
-def spill_index_segment(index: IndexedStorage, rows: list[Row]) -> FlatStorage:
+def spill_index_segment(enclave: Enclave, schema: Schema, rows: list[Row]) -> FlatStorage:
     """The looked-up rows of an index segment in a flat scratch table of
-    ``max(1, |T'|)`` rows: one allocation pass, then ``W 0..|T'|-1``."""
-    scratch = FlatStorage(index.enclave, index.schema, max(1, len(rows)))
-    # One contiguous range write; the batched path records the same
-    # W 0..|T'|-1 sequence as the per-row loop it replaces.
+    ``max(1, |T'|)`` rows: one allocation pass, then ``W 0..max(1, |T'|)-1``
+    — a miss writes its one dummy slot as a one-row hit writes its row."""
+    scratch = FlatStorage(enclave, schema, max(1, len(rows)))
     try:
-        scratch.fast_insert_many(rows)
+        scratch.write_all(rows)
     except Exception:
         scratch.free()  # the caller never got a handle to free it through
         raise

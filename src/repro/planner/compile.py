@@ -846,7 +846,9 @@ class _Compiler:
         if node.in_enclave:
             compiled.hold(node, HeldSegment(table.schema, account, nbytes, rows=rows))
         else:
-            compiled.bind(node, spill_index_segment(index, rows), owned=True)
+            compiled.bind(
+                node, spill_index_segment(table.enclave, table.schema, rows), owned=True
+            )
         return node
 
     def _flat_view_node(self, table: Table, compiled: CompiledQuery) -> ScanNode:

@@ -7,29 +7,21 @@ and rejecting touches no untrusted memory, so an admission decision leaks
 nothing beyond what the adversary already observes (whether a query trace
 happens at all).
 
-Three hooks, all per tenant:
+Two limits, both per tenant:
 
 * ``max_in_flight`` — total concurrently admitted statements.
 * ``class_quotas`` — per statement class (``"read"`` / ``"write"`` /
   ``"ddl"``) concurrent admission caps; e.g. a reporting tenant can be
   held to one in-flight write while fanning out reads.
-* ``page_rows`` — the default page size for
-  :meth:`~repro.serving.server.Session.execute_paged`: a bandwidth bound
-  on rows returned per call, *not* an execution bound (the oblivious
-  operators always do their padded full-size work; see docs/serving.md).
-* ``admission_timeout_s`` — how long an over-quota request may *block*
-  waiting for a slot before giving up.  The default (0) keeps the
-  historical fail-fast behaviour; a positive timeout turns rejection into
-  bounded queueing, which is what batch clients usually want.
 
-Violations raise :class:`AdmissionError` and count in
+Admission fails fast: a request over either limit raises
+:class:`AdmissionError` at once, naming the limit, and counts in
 :class:`~repro.serving.stats.ServingStats` as ``rejected``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 from ..enclave.errors import ObliDBError
@@ -60,15 +52,11 @@ class AdmissionPolicy:
 
     max_in_flight: int = 0
     class_quotas: dict[str, int] = field(default_factory=dict)
-    page_rows: int = 0
-    admission_timeout_s: float = 0.0
 
     def __post_init__(self) -> None:
         unknown = set(self.class_quotas) - set(STATEMENT_CLASSES)
         if unknown:
             raise ValueError(f"unknown statement classes in quotas: {sorted(unknown)}")
-        if self.admission_timeout_s < 0:
-            raise ValueError("admission_timeout_s must be non-negative")
 
 
 class TenantState:
@@ -77,7 +65,7 @@ class TenantState:
     def __init__(self, name: str, policy: AdmissionPolicy) -> None:
         self.name = name
         self.policy = policy
-        self._slots = threading.Condition(threading.Lock())
+        self._slots = threading.Lock()
         self._in_flight = 0
         self._by_class = dict.fromkeys(STATEMENT_CLASSES, 0)
 
@@ -92,21 +80,12 @@ class TenantState:
         return None
 
     def admit(self, statement_class: str) -> None:
-        """Reserve one admission slot or raise :class:`AdmissionError`.
-
-        With ``admission_timeout_s > 0`` an over-quota request blocks until
-        a slot frees (``release`` wakes waiters) or the deadline passes —
-        the timeout error names the limit still blocking at expiry.
-        """
+        """Reserve one admission slot or raise :class:`AdmissionError`
+        naming the limit that blocks it."""
         with self._slots:
             reason = self._blocked_by(statement_class)
             if reason is not None:
-                deadline = time.monotonic() + self.policy.admission_timeout_s
-                while reason is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._slots.wait(remaining):
-                        raise AdmissionError(f"tenant {self.name!r}: {reason}")
-                    reason = self._blocked_by(statement_class)
+                raise AdmissionError(f"tenant {self.name!r}: {reason}")
             self._in_flight += 1
             self._by_class[statement_class] += 1
 
@@ -114,8 +93,3 @@ class TenantState:
         with self._slots:
             self._in_flight -= 1
             self._by_class[statement_class] -= 1
-            self._slots.notify_all()
-
-    def depth(self) -> int:
-        with self._slots:
-            return self._in_flight

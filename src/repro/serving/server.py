@@ -16,11 +16,7 @@ avoid engine work entirely:
   accesses (the security suite pins this).  After the leader compiles, the
   group records the plan's :attr:`~repro.planner.compile.QueryPlan.
   cache_key`, making the (admission unit → leaked plan) mapping explicit.
-
-* **Point lookups micro-batch.**  Compatible point lookups arriving
-  within a window run back-to-back in one engine critical section via
-  :class:`~repro.serving.scheduler.LookupBatcher` (duplicates deduplicate
-  like coalesced reads).
+  A read that cannot coalesce runs under the engine lock on its own.
 
 * **Writes serialize per table.**  Each write statement enters a FIFO
   queue keyed on its target table before taking the engine lock, so one
@@ -50,9 +46,9 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from ..enclave.errors import QueryError, StorageError
+from ..enclave.errors import QueryError
 from ..engine.ast import (
     CreateTableStatement,
     DeleteStatement,
@@ -66,12 +62,13 @@ from ..engine.ast import (
 from ..engine.database import ObliDB
 from ..engine.sql import parse
 from ..faults import SimulatedCrash
-from ..operators.predicate import Comparison
 from ..planner.admission import admission_key
 from ..storage.schema import Row
 from .policy import AdmissionError, AdmissionPolicy, ServerCrashed, TenantState
-from .scheduler import LookupBatcher, PendingLookup
 from .stats import ServingStats
+
+#: Threads in the worker pool behind :meth:`Session.submit`.
+_MAX_WORKERS = 8
 
 
 @dataclass
@@ -88,18 +85,6 @@ class ServerHooks:
 
     on_leader_execute: Callable[[str], None] | None = None
     on_statement_executed: Callable[[str, QueryResult], None] | None = None
-
-
-@dataclass
-class ResultPage:
-    """One bounded page of a read result (client-bandwidth bound only:
-    the oblivious execution underneath always did its full padded work)."""
-
-    rows: list
-    column_names: list[str]
-    offset: int
-    total_rows: int
-    has_more: bool
 
 
 class _InFlightGroup:
@@ -156,9 +141,6 @@ class ObliDBServer:
         db: ObliDB,
         policy: AdmissionPolicy | None = None,
         tenant_policies: dict[str, AdmissionPolicy] | None = None,
-        batch_window_s: float = 0.0,
-        max_batch: int = 32,
-        max_workers: int = 8,
         hooks: ServerHooks | None = None,
     ) -> None:
         self.db = db
@@ -173,35 +155,14 @@ class ObliDBServer:
         self._groups_lock = threading.Lock()
         self._write_queues = _WriteQueues(self.stats)
         self._crashed = False
-        self._max_workers = max_workers
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-        self._batcher: LookupBatcher | None = (
-            LookupBatcher(
-                self._run_lookup_batch,
-                window_s=batch_window_s,
-                max_batch=max_batch,
-                on_round=self._record_batch_round,
-            )
-            if batch_window_s > 0
-            else None
-        )
-
-    def _record_batch_round(self, queued: int, unique: int) -> None:
-        self.stats.record_batch(unique)
-        for _ in range(queued - unique):  # duplicates coalesced onto leaders
-            self.stats.record_coalesced()
 
     # ------------------------------------------------------------------
     # Sessions and lifecycle
     # ------------------------------------------------------------------
     def session(self, tenant: str = "default") -> "Session":
         return Session(self, self._tenant(tenant))
-
-    def async_session(self, tenant: str = "default"):
-        from .aio import AsyncSession
-
-        return AsyncSession(self.session(tenant))
 
     def _tenant(self, name: str) -> TenantState:
         with self._tenants_lock:
@@ -223,11 +184,11 @@ class ObliDBServer:
             return len(self._groups)
 
     def pool(self) -> ThreadPoolExecutor:
-        """The shared worker pool (``submit`` / asyncio facade), lazily built."""
+        """The shared worker pool behind ``submit``, lazily built."""
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
+                    max_workers=_MAX_WORKERS,
                     thread_name_prefix="oblidb-serving",
                 )
             return self._pool
@@ -249,8 +210,8 @@ class ObliDBServer:
     # ------------------------------------------------------------------
     @contextmanager
     def _engine(self):
-        """The single-caller boundary: one statement (or batch) at a time,
-        with crash fencing on both sides."""
+        """The single-caller boundary: one statement at a time, with crash
+        fencing on both sides."""
         with self._engine_lock:
             if self._crashed:
                 raise ServerCrashed("serving front end observed a host kill")
@@ -323,7 +284,7 @@ class ObliDBServer:
             self._write_queues.leave(table, ticket)
 
     # ------------------------------------------------------------------
-    # Reads: coalescing and micro-batching
+    # Reads: coalescing
     # ------------------------------------------------------------------
     def _read_key(self, statement: Statement) -> tuple | None:
         """(admission key, epoch snapshot) — the coalescing identity."""
@@ -337,26 +298,6 @@ class ObliDBServer:
             tables.append(statement.join.right_table)
         return (key, self.db.revision_epochs(tables))
 
-    def _is_point_lookup(self, statement: Statement) -> bool:
-        if not isinstance(statement, SelectStatement):
-            return False
-        if (
-            statement.join is not None
-            or statement.aggregates
-            or statement.group_by is not None
-            or statement.order_by is not None
-            or statement.limit is not None
-        ):
-            return False
-        where = statement.where
-        if not isinstance(where, Comparison) or where.op != "=":
-            return False
-        try:
-            table = self.db.table(statement.table)
-        except StorageError:
-            return False
-        return table.has_index() and where.column == table.key_column
-
     def _execute_read(self, statement: Statement, text: str) -> QueryResult:
         key = self._read_key(statement)
         if key is None:
@@ -365,8 +306,6 @@ class ObliDBServer:
             return self._run_engine(
                 "read", text, lambda: self.db.execute(statement)
             )
-        if self._batcher is not None and self._is_point_lookup(statement):
-            return self._batcher.run(statement.table, key[0], statement, text)
         return self._execute_coalesced(key, statement, text)
 
     def _execute_coalesced(
@@ -415,27 +354,6 @@ class ObliDBServer:
                 self._groups.pop(key, None)
             group.done.set()
 
-    def _run_lookup_batch(
-        self, leaders: Sequence[PendingLookup]
-    ) -> list[object]:
-        """One drain round of the lookup batcher: every unique lookup in
-        a single engine critical section — one contiguous padded burst."""
-        outcomes: list[object] = []
-        with self._engine():
-            for pending in leaders:
-                try:
-                    result = self.db.execute(pending.statement)
-                except SimulatedCrash:
-                    raise
-                except Exception as error:
-                    outcomes.append(error)
-                    continue
-                self.stats.record_executed("read")
-                if self.hooks.on_statement_executed is not None:
-                    self.hooks.on_statement_executed(pending.text, result)
-                outcomes.append(result)
-        return outcomes
-
 
 class Session:
     """One client's handle on the server (cheap; create per client)."""
@@ -471,32 +389,6 @@ class Session:
             )
         finally:
             self._tenant.release(statement_class)
-
-    def execute_paged(
-        self, text: str, offset: int = 0, page_rows: int | None = None
-    ) -> ResultPage:
-        """Execute a read and return one bounded page of its rows.
-
-        The bound comes from the argument or the tenant policy's
-        ``page_rows`` (0 = unbounded).  Purely a client-bandwidth bound:
-        the engine's padded execution below is unchanged.
-        """
-        if offset < 0:
-            raise QueryError("page offset must be non-negative")
-        result = self.execute(text)
-        size = page_rows if page_rows is not None else self._tenant.policy.page_rows
-        total = len(result.rows)
-        if size and size > 0:
-            rows = result.rows[offset : offset + size]
-        else:
-            rows = result.rows[offset:]
-        return ResultPage(
-            rows=rows,
-            column_names=list(result.column_names),
-            offset=offset,
-            total_rows=total,
-            has_more=offset + len(rows) < total,
-        )
 
     def _admit(self, statement_class: str) -> None:
         try:

@@ -22,8 +22,6 @@ class ServingStats:
       admitted reads on repeated workloads.
     * ``coalesced`` — read statements answered by joining an in-flight
       leader (zero extra engine work, zero extra untrusted accesses).
-    * ``batched_lookups`` — point lookups executed through the micro-batch
-      scheduler; ``batches`` — drain rounds it took.
     * ``write_queue_peak`` — deepest per-table write queue observed.
     * ``crashes`` — simulated host kills the server absorbed.
     """
@@ -33,8 +31,6 @@ class ServingStats:
         self.admitted = 0
         self.rejected = 0
         self.coalesced = 0
-        self.batched_lookups = 0
-        self.batches = 0
         self.crashes = 0
         self.write_queue_peak = 0
         self.executed = {"read": 0, "write": 0, "ddl": 0}
@@ -58,11 +54,6 @@ class ServingStats:
         with self._lock:
             self.executed[statement_class] += 1
 
-    def record_batch(self, lookups: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_lookups += lookups
-
     def record_crash(self) -> None:
         with self._lock:
             self.crashes += 1
@@ -75,11 +66,6 @@ class ServingStats:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    @property
-    def total_executed(self) -> int:
-        with self._lock:
-            return sum(self.executed.values())
-
     def coalescing_hit_rate(self) -> float:
         """Fraction of admitted statements answered by coalescing."""
         with self._lock:
@@ -94,8 +80,6 @@ class ServingStats:
                 "admitted": self.admitted,
                 "rejected": self.rejected,
                 "coalesced": self.coalesced,
-                "batched_lookups": self.batched_lookups,
-                "batches": self.batches,
                 "crashes": self.crashes,
                 "write_queue_peak": self.write_queue_peak,
                 "executed": dict(self.executed),

@@ -432,6 +432,11 @@ class ObliviousBPlusTree:
         return self._capacity
 
     @property
+    def order(self) -> int:
+        """Maximum children per internal node."""
+        return self._order
+
+    @property
     def oram(self) -> ORAM:
         return self._oram
 

@@ -648,6 +648,18 @@ class FlatStorage:
         self._next_fast_insert += len(frames)
         self._used += len(frames)
 
+    def write_all(self, rows: Sequence[Row]) -> None:
+        """Fill a fresh table in one pass: ``rows`` (at most ``capacity``)
+        from slot 0, a dummy in every slot after them.
+
+        Trace: ``W 0 .. W capacity-1`` whatever ``len(rows)`` is, so how
+        many of the slots are real does not show.
+        """
+        frames = [frame_row_validated(self.schema, row) for row in rows]
+        frames += [frame_dummy(self.schema)] * (self.capacity - len(frames))
+        self.write_range_framed(0, frames)
+        self._used = self._next_fast_insert = len(rows)
+
     def update(
         self,
         predicate: RowFilter | Callable[[Row], bool],

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import ObliDB
+from repro import ObliDB, PaddingConfig
 from repro.analysis import (
     AggregateLeakage,
     GroupByLeakage,
@@ -225,16 +225,67 @@ class TestGroupBy:
         wrong = replace(leakage, output_rows=leakage.output_rows + 1)
         assert not real.matches(simulate_group_by(wrong, free))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="g = 0 and g = 1 share output_rows = 1, but g = 1 writes its "
-        "group row: the plan does not declare whether a GROUP BY is empty",
-    )
     def test_empty_group_by_equals_sim(self) -> None:
+        """g = 0 and g = 1 share ``output_rows`` = 1, and both write their
+        one output slot."""
         db = grouped_db("ten-groups", "path")
         free = db.enclave.oblivious.free_bytes
         real, plan = real_query_trace(
             db, "SELECT grp, COUNT(*) FROM t WHERE amount < 0 GROUP BY grp"
         )
         leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
+        assert leakage.output_rows == 1
+        one, _ = real_query_trace(
+            db, "SELECT grp, COUNT(*) FROM t WHERE grp = 3 GROUP BY grp"
+        )
         assert real.matches(simulate_group_by(leakage, free))
+        assert real.matches(one)
+
+    def test_padded_group_counts_share_one_trace(self) -> None:
+        """Padding mode (§7.1) hides the group count: 1, 3 and 8 groups under
+        ``pad_groups=8`` are one plan and one trace, SIM's."""
+        traces, keys = [], set()
+        for groups in (1, 3, 8):
+            db = ObliDB(
+                cipher="null",
+                keep_trace_events=True,
+                padding=PaddingConfig(pad_rows=32, pad_groups=8),
+                seed=5,
+            )
+            db.create_table("t", GROUPED, 32)
+            db.insert_many("t", [(i, i % groups, i) for i in range(29)], fast=True)
+            free = db.enclave.oblivious.free_bytes
+            real, plan = real_query_trace(
+                db, "SELECT grp, COUNT(*), SUM(amount) FROM t GROUP BY grp"
+            )
+            leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
+            assert leakage.output_rows == 8
+            assert real.matches(simulate_group_by(leakage, free))
+            traces.append(real)
+            keys.add(plan.cache_key)
+        assert len(keys) == 1
+        assert all(trace.matches(traces[0]) for trace in traces)
+
+    def test_overflow_finishes_the_read_pass(self) -> None:
+        """Two 2 048-row tables (two scan chunks) whose group tables overflow
+        in the first chunk and in the second: the hash pass reads all N
+        blocks before the sort fallback either way, so one plan, one trace."""
+        traces, keys = [], set()
+        for late in (False, True):
+            db = ObliDB(
+                cipher="null", oblivious_memory_bytes=4096, keep_trace_events=True, seed=5
+            )
+            db.create_table("t", GROUPED, 2048)
+            # 300 groups, 16 bytes each, against 4 096 bytes: the table
+            # overflows at the 257th distinct key.
+            rows = [(i, 0 if late and i < 1024 else i % 300, i) for i in range(2048)]
+            db.insert_many("t", rows, fast=True)
+            free = db.enclave.oblivious.free_bytes
+            real, plan = real_query_trace(db, "SELECT grp, COUNT(*) FROM t GROUP BY grp")
+            leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
+            assert leakage.sorted_fallback
+            assert real.matches(simulate_group_by(leakage, free))
+            traces.append(real)
+            keys.add(plan.cache_key)
+        assert len(keys) == 1
+        assert traces[0].matches(traces[1])

@@ -15,19 +15,21 @@ t = |T'|, r = |R| the rows the ``WHERE`` keeps, B the Small buffer and
 g' = max(1, g) for g groups, the deleted transfers are
 
 * a selection, with or without ``ORDER BY`` (Small; the sort runs in the
-  enclave): ``s·(1 + ⌈r/B⌉) + r`` reads and ``s + t + 2r`` writes;
+  enclave): ``s·(1 + ⌈r/B⌉) + r`` reads and ``2s + 2r`` writes;
 * the same with r = 0 (Hash into one 5-slot chain, compacted to 1 row):
-  ``12s + 30`` reads and ``11s + t + 22`` writes;
-* an aggregate: ``s`` reads and ``s + t`` writes;
-* a ``GROUP BY``: ``s + g'`` reads and ``s + t + g' + g`` writes.
+  ``12s + 30`` reads and ``12s + 22`` writes;
+* an aggregate: ``s`` reads and ``2s`` writes;
+* a ``GROUP BY``: ``s + g'`` reads and ``2s + 2g'`` writes.
 
-So a hit loses 3 R + 4 W and a miss 42 R + 33 W.  These counts are pinned on
-``"paper"``, whose statements keep them at the default budget.  On the
-spill path of the default kind (a budget squeezed below the segment) the
-flat selection over the scratch is itself held in the enclave when its
-statistics pass keeps every match (r ≤ B, ``SelectNode.in_enclave``): a
-selection then loses what an aggregate does, ``s`` reads and ``s + t``
-writes.
+The scratch and a group-by output are each written twice over their whole
+capacity (initialised, then filled with real rows and dummies), so t and g
+show only through s and g'.  So a hit loses 3 R + 4 W and a miss 42 R +
+34 W.  These counts are pinned on ``"paper"``, whose statements keep them at
+the default budget.  On the spill path of the default kind (a budget
+squeezed below the segment) the flat selection over the scratch is itself
+held in the enclave when its statistics pass keeps every match (r ≤ B,
+``SelectNode.in_enclave``): a selection then loses what an aggregate does,
+``s`` reads and ``2s`` writes.
 """
 
 from __future__ import annotations
@@ -55,21 +57,21 @@ ROWS = [(key, key % 3, f"row-{key}") for key in range(1024)]
 FRAME = framed_size(SCHEMA)
 
 
-def _removed_selection(s: int, t: int, r: int, select: SelectNode) -> tuple[int, int]:
+def _removed_selection(s: int, r: int, select: SelectNode) -> tuple[int, int]:
     if select.in_enclave:
-        return s, s + t
+        return s, 2 * s
     if r == 0:
-        return 12 * s + 30, 11 * s + t + 22
-    return s * (1 + math.ceil(r / select.buffer_rows)) + r, s + t + 2 * r
+        return 12 * s + 30, 12 * s + 22
+    return s * (1 + math.ceil(r / select.buffer_rows)) + r, 2 * s + 2 * r
 
 
-def _removed_aggregate(s: int, t: int, r: int, select: SelectNode | None) -> tuple[int, int]:
-    return s, s + t
+def _removed_aggregate(s: int, r: int, select: SelectNode | None) -> tuple[int, int]:
+    return s, 2 * s
 
 
 def _removed_group_by(g: int):
-    def removed(s: int, t: int, r: int, select: SelectNode | None) -> tuple[int, int]:
-        return s + max(1, g), s + t + max(1, g) + g
+    def removed(s: int, r: int, select: SelectNode | None) -> tuple[int, int]:
+        return s + max(1, g), 2 * s + 2 * max(1, g)
 
     return removed
 
@@ -157,7 +159,7 @@ def test_in_enclave_trace_is_the_spill_trace_without_flat_accesses(shape: str) -
     assert reference.rows == result.rows
     oram = spilled.table("t").indexed.oram.region_name
     assert [event for event in reference_events if event.region == oram] == events
-    assert reference_flat == removed(s, t, r, reference.plan.find(SelectNode))
+    assert reference_flat == removed(s, r, reference.plan.find(SelectNode))
     # The counters move by exactly the deleted transfers.
     assert result.cost["oram_accesses"] == reference.cost["oram_accesses"]
     assert (result.cost["untrusted_reads"], result.cost["untrusted_writes"]) == (
@@ -173,14 +175,14 @@ def test_paper_index_keeps_the_flat_path_and_its_counts(shape: str) -> None:
     free = db.enclave.oblivious.free_bytes
     result, _, flat = _run(db, sql)
     assert result.plan.find(IndexLookupNode).in_enclave is False
-    assert flat == removed(_segment_rows(t), t, r, result.plan.find(SelectNode))
+    assert flat == removed(_segment_rows(t), r, result.plan.find(SelectNode))
     assert db.enclave.oblivious.free_bytes == free
 
 
 def test_hit_and_miss_counts() -> None:
     """The two ends of ``point_lookup``: a hit is 3 R + 4 W on the flat path,
-    a miss 42 R + 33 W; in the enclave both are 0."""
-    for oram_kind, hit, miss in (("path", (0, 0), (0, 0)), ("paper", (3, 4), (42, 33))):
+    a miss 42 R + 34 W; in the enclave both are 0."""
+    for oram_kind, hit, miss in (("path", (0, 0), (0, 0)), ("paper", (3, 4), (42, 34))):
         db = _database(oram_kind)
         assert _run(db, SHAPES["hit"][0])[2] == hit
         assert _run(db, SHAPES["miss"][0])[2] == miss

@@ -3,18 +3,20 @@
 The contract under test: concurrent identical read statements coalesce
 onto one in-flight execution, and every coalesced client receives rows
 **bit-identical** to what sequential execution of its statement would have
-returned.  Plus the admission-policy hooks (quotas, rejection, bounded
-pagination) and the write queues' ordering guarantee.
+returned.  Plus the admission policy (quotas, fail-fast rejection) and the
+write queues' ordering guarantee.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro import AdmissionPolicy, ObliDB, ObliDBServer
 from repro.serving import AdmissionError, ServerHooks
+from repro.serving.policy import TenantState
 
 pytestmark = pytest.mark.serving
 
@@ -246,6 +248,26 @@ class TestAdmissionPolicy:
         with pytest.raises(ValueError):
             AdmissionPolicy(class_quotas={"scan": 1})
 
+    def test_over_limit_fails_fast(self) -> None:
+        """An over-limit request is refused at once, naming the limit."""
+        tenant = TenantState("t", AdmissionPolicy(max_in_flight=1))
+        tenant.admit("read")
+        start = time.monotonic()
+        with pytest.raises(AdmissionError, match="max_in_flight=1 reached"):
+            tenant.admit("read")
+        assert time.monotonic() - start < 0.2
+
+    def test_class_quota_frees_on_release(self) -> None:
+        tenant = TenantState("t", AdmissionPolicy(class_quotas={"write": 1}))
+        tenant.admit("write")
+        # Reads are not quota'd: they admit despite the busy write.
+        tenant.admit("read")
+        with pytest.raises(AdmissionError, match="write quota=1 reached"):
+            tenant.admit("write")
+        # Free the write slot; the next write admits again.
+        tenant.release("write")
+        tenant.admit("write")
+
     def test_tenants_are_isolated(self) -> None:
         db = build_db()
         hold = threading.Event()
@@ -270,28 +292,6 @@ class TestAdmissionPolicy:
         hold.set()
         thread.join(timeout=10)
         follower.join(timeout=10)
-
-    def test_bounded_pagination(self) -> None:
-        db = build_db()
-        server = ObliDBServer(db, policy=AdmissionPolicy(page_rows=5))
-        session = server.session()
-        sql = "SELECT * FROM t WHERE k >= 0 AND k <= 29"
-        reference = db.sql(sql).rows
-        page = session.execute_paged(sql)
-        assert page.rows == reference[:5]
-        assert page.total_rows == len(reference)
-        assert page.has_more
-        # Walk the pages; concatenation reconstructs the full result.
-        rows, offset = [], 0
-        while True:
-            page = session.execute_paged(sql, offset=offset)
-            rows.extend(page.rows)
-            if not page.has_more:
-                break
-            offset += len(page.rows)
-        assert rows == reference
-        # Explicit page size overrides the policy default.
-        assert len(session.execute_paged(sql, page_rows=2).rows) == 2
 
 
 class TestWriteSerialization:
@@ -341,113 +341,14 @@ class TestWriteSerialization:
         assert db.table("u").revision[1] == 32
 
 
-class TestBatchedLookups:
-    def test_batched_point_lookups_return_correct_rows(self) -> None:
-        db = build_db()
-        oracle = {
-            k: db.sql(f"SELECT * FROM t WHERE k = {k}").rows for k in range(8)
-        }
-        server = ObliDBServer(db, batch_window_s=0.005)
-        results: dict[int, list] = {}
-
-        def client(k: int) -> None:
-            session = server.session()
-            results[k] = session.execute(f"SELECT * FROM t WHERE k = {k}").rows
-
-        threads = [
-            threading.Thread(target=client, args=(k,)) for k in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        for k in range(8):
-            assert results[k] == oracle[k], f"k={k}"
-        stats = server.stats.snapshot()
-        assert stats["batched_lookups"] + stats["coalesced"] == 8
-        assert stats["batches"] >= 1
-
-    def test_duplicate_lookups_in_window_deduplicate(self) -> None:
-        db = build_db()
-        server = ObliDBServer(db, batch_window_s=0.01)
-        rows = []
-
-        def client() -> None:
-            rows.append(
-                server.session().execute("SELECT * FROM t WHERE k = 7").rows
-            )
-
-        threads = [threading.Thread(target=client) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert all(r == rows[0] for r in rows)
-        stats = server.stats.snapshot()
-        # At least one window caught concurrent duplicates.
-        assert stats["coalesced"] > 0
-        assert stats["executed"]["read"] + stats["coalesced"] == 6
-
-
-class TestAsyncFacade:
-    def test_async_sessions_share_coalescing(self) -> None:
-        import asyncio
-
-        db = build_db()
-        server = ObliDBServer(db, max_workers=4)
-        oracle = db.sql(QUERY_POOL[0]).rows
-
-        async def main() -> list:
-            session = server.async_session()
-            return await asyncio.gather(
-                *(session.execute(QUERY_POOL[0]) for _ in range(6))
-            )
-
-        results = asyncio.run(main())
-        assert all(result.rows == oracle for result in results)
-        server.close()
-
-    def test_asyncio_loads_only_with_the_async_facade(self) -> None:
-        """``import repro`` must not pull in ``asyncio`` (resident memory in
-        every process that never awaits); asking for ``AsyncSession`` does."""
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        probe = (
-            "import sys, repro\n"
-            "assert 'asyncio' not in sys.modules, 'import repro loaded asyncio'\n"
-            "from repro.serving import AsyncSession\n"
-            "assert 'asyncio' in sys.modules\n"
-            "assert AsyncSession.__module__ == 'repro.serving.aio'\n"
-        )
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-
-
-def test_import_repro_loads_no_multiprocessing() -> None:
-    """The engine is single-process: ``import repro`` loads no
-    ``multiprocessing`` module (``shared_memory`` included)."""
+def _probe_imports(probe: str) -> None:
+    """Run ``probe`` in a fresh interpreter that imports this ``repro``."""
     import os
     import subprocess
     import sys
 
     import repro
 
-    probe = (
-        "import sys, repro\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')\n"
-        "assert not loaded, loaded\n"
-    )
     src = os.path.dirname(os.path.dirname(repro.__file__))
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -457,3 +358,22 @@ def test_import_repro_loads_no_multiprocessing() -> None:
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_import_repro_loads_no_asyncio() -> None:
+    """Nothing in the package awaits: neither ``import repro`` nor ``import
+    repro.serving`` loads ``asyncio`` (resident memory in every process)."""
+    _probe_imports(
+        "import sys, repro, repro.serving\n"
+        "assert 'asyncio' not in sys.modules, 'importing repro loaded asyncio'\n"
+    )
+
+
+def test_import_repro_loads_no_multiprocessing() -> None:
+    """The engine is single-process: ``import repro`` loads no
+    ``multiprocessing`` module (``shared_memory`` included)."""
+    _probe_imports(
+        "import sys, repro\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')\n"
+        "assert not loaded, loaded\n"
+    )

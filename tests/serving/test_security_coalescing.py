@@ -144,40 +144,3 @@ class TestFollowersAddZeroAccesses:
         assert len(results) == 4
         assert len(db.enclave.trace.events) == events_after_leader
 
-
-class TestBatchedLookupTraces:
-    def test_batched_lookups_trace_equals_sequential_loop(self) -> None:
-        """A micro-batched round of point lookups emits exactly the trace
-        of the same lookups as a sequential loop (the ``insert_many``
-        discipline: batching never changes the access sequence)."""
-        keys = [2, 9, 21, 27]
-
-        db_seq = build_db()
-        db_seq.enclave.trace.clear()
-        for k in keys:
-            db_seq.sql(f"SELECT * FROM t WHERE k = {k}")
-        reference = canonicalize(
-            db_seq.enclave.trace.events, oram_regions_of(db_seq.enclave)
-        )
-
-        db = build_db()
-        server = ObliDBServer(db, batch_window_s=0.02)
-        db.enclave.trace.clear()
-        results: dict[int, object] = {}
-
-        def client(k: int) -> None:
-            results[k] = server.session().execute(f"SELECT * FROM t WHERE k = {k}")
-
-        threads = [threading.Thread(target=client, args=(k,)) for k in keys]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert len(results) == len(keys)
-        batched = canonicalize(
-            db.enclave.trace.events, oram_regions_of(db.enclave)
-        )
-        assert batched.length == reference.length
-        # Point lookups are padded to one fixed shape, so even the
-        # (possibly reordered) batch is trace-identical to the loop.
-        assert_indistinguishable([batched, reference])
