@@ -39,6 +39,7 @@ from ..operators.aggregate import (
     aggregate,
     group_by_aggregate,
 )
+from ..operators.join import held_hash_join
 from ..operators.predicate import Comparison, Predicate
 from ..operators.select import spill_index_segment
 from ..oram.path_oram import PathORAM
@@ -253,9 +254,11 @@ class JoinLeakage:
     and the public schemas of its two flat inputs.
 
     ``compact_output`` says a :class:`CompactNode` tightens the output to
-    |T2|.  The fused WHERE (``JoinNode.filtered``) is not here: the output
-    keeps one slot per probed or scanned row whatever the WHERE keeps, so
-    SIM runs without one.
+    |T2|, and ``in_enclave`` that the hash join holds its output in the
+    enclave (no output table).  The fused WHERE (``JoinNode.filtered``) is
+    not here: the output keeps one slot per probed or scanned row whatever
+    the WHERE keeps, and a held probe reads T2 whatever it emits, so SIM
+    runs without one.
     """
 
     left: FlatSource
@@ -266,6 +269,7 @@ class JoinLeakage:
     oblivious_bytes: int
     columns: tuple[str, ...]
     compact_output: bool = False
+    in_enclave: bool = False
 
     @classmethod
     def from_node(cls, node: PlanNode, schemas: Mapping[str, Schema]) -> "JoinLeakage":
@@ -283,6 +287,7 @@ class JoinLeakage:
             oblivious_bytes=join.oblivious_bytes,
             columns=join.columns,
             compact_output=compact,
+            in_enclave=join.in_enclave,
         )
 
     @classmethod
@@ -346,33 +351,13 @@ class GroupByLeakage:
 
 
 def _prepared(
-    source: FlatSource | JoinLeakage,
+    source: FlatSource,
     oblivious_memory_bytes: int = 0,
     rows: Sequence[Row] = (),
 ) -> FlatStorage:
     """What an operator reads, in a fresh SIM enclave whose trace then
     starts: a dummy flat table holding ``rows`` under
-    ``oblivious_memory_bytes``, or a join's output over empty inputs under
-    the budget its plan declares."""
-    if isinstance(source, JoinLeakage):
-        enclave = Enclave(
-            oblivious_memory_bytes=source.oblivious_bytes,
-            cipher="null",
-            keep_trace_events=True,
-        )
-        left = FlatStorage(enclave, source.left.schema, source.left.rows)
-        right = FlatStorage(enclave, source.right.schema, source.right.rows)
-        enclave.trace.clear()
-        return run_join_algorithm(
-            left,
-            right,
-            source.left_column,
-            source.right_column,
-            source.algorithm,
-            source.oblivious_bytes,
-            compact_output=source.compact_output,
-            columns=source.columns,
-        )
+    ``oblivious_memory_bytes``."""
     enclave = Enclave(
         oblivious_memory_bytes=oblivious_memory_bytes,
         cipher="null",
@@ -384,6 +369,41 @@ def _prepared(
     return table
 
 
+def _joined(leakage: JoinLeakage) -> tuple[Enclave, FlatStorage | None]:
+    """A join over empty inputs of the leaked capacities, in a fresh SIM
+    enclave of the budget its plan declares whose trace starts at the join:
+    the enclave and the join's output table — ``None`` for a held join,
+    whose output stays in the enclave."""
+    enclave = Enclave(
+        oblivious_memory_bytes=leakage.oblivious_bytes,
+        cipher="null",
+        keep_trace_events=True,
+    )
+    left = FlatStorage(enclave, leakage.left.schema, leakage.left.rows)
+    right = FlatStorage(enclave, leakage.right.schema, leakage.right.rows)
+    enclave.trace.clear()
+    if leakage.in_enclave:
+        held_hash_join(
+            left,
+            right,
+            leakage.left_column,
+            leakage.right_column,
+            leakage.oblivious_bytes,
+            columns=leakage.columns,
+        )
+        return enclave, None
+    return enclave, run_join_algorithm(
+        left,
+        right,
+        leakage.left_column,
+        leakage.right_column,
+        leakage.algorithm,
+        leakage.oblivious_bytes,
+        compact_output=leakage.compact_output,
+        columns=leakage.columns,
+    )
+
+
 def _canonical(enclave: Enclave) -> CanonicalTrace:
     return canonicalize(enclave.trace.events, oram_regions_of(enclave))
 
@@ -391,17 +411,24 @@ def _canonical(enclave: Enclave) -> CanonicalTrace:
 def simulate_join(leakage: JoinLeakage) -> CanonicalTrace:
     """SIM for a join statement: the plan's algorithm, budget and column
     list over empty inputs of the leaked capacities, then the runner's read
-    of the output."""
-    output = _prepared(leakage)
-    output.rows()
-    return _canonical(output.enclave)
+    of the output unless it is held."""
+    enclave, output = _joined(leakage)
+    if output is not None:
+        output.rows()
+    return _canonical(enclave)
 
 
 def simulate_aggregate(leakage: AggregateLeakage) -> CanonicalTrace:
-    """SIM for an ungrouped aggregate: its source, then one fold over it."""
-    table = _prepared(leakage.source)
-    aggregate(table, list(leakage.specs))
-    return _canonical(table.enclave)
+    """SIM for an ungrouped aggregate: its source, then one fold over it
+    (in the enclave, over a held join's rows)."""
+    if isinstance(leakage.source, JoinLeakage):
+        enclave, table = _joined(leakage.source)
+    else:
+        table = _prepared(leakage.source)
+        enclave = table.enclave
+    if table is not None:
+        aggregate(table, list(leakage.specs))
+    return _canonical(enclave)
 
 
 def simulate_group_by(

@@ -28,8 +28,9 @@ or :class:`~repro.planner.join_planner.JoinDecision`.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..enclave.errors import ObliviousMemoryError, PlannerError, QueryError
 from ..operators.aggregate import (
@@ -38,7 +39,13 @@ from ..operators.aggregate import (
     group_by_aggregate,
     group_rows,
 )
-from ..operators.join import hash_join, opaque_join, zero_om_join
+from ..operators.join import (
+    hash_join,
+    held_hash_join,
+    held_join_bytes,
+    opaque_join,
+    zero_om_join,
+)
 from ..operators.predicate import Predicate, TruePredicate
 from ..operators.select import (
     continuous_select,
@@ -54,6 +61,7 @@ from ..planner.compile import (
     CompactNode,
     CompiledQuery,
     GroupByNode,
+    HeldSegment,
     IndexLookupNode,
     JoinNode,
     PlanNode,
@@ -224,6 +232,22 @@ class PlanRunner:
             return self._run_selection(node, statement, compiled)
         raise QueryError(f"cannot materialize plan node {node.kind!r}")
 
+    @staticmethod
+    @contextmanager
+    def _join_inputs(
+        node: JoinNode, compiled: CompiledQuery
+    ) -> Iterator[tuple[FlatStorage, FlatStorage]]:
+        """A join's two sources, the owned ones freed afterwards."""
+        left, left_owned = compiled.take(node.left)
+        right, right_owned = compiled.take(node.right)
+        try:
+            yield left, right
+        finally:
+            if left_owned:
+                left.free()
+            if right_owned:
+                right.free()
+
     def _run_join(
         self,
         node: JoinNode,
@@ -231,9 +255,7 @@ class PlanRunner:
         compiled: CompiledQuery,
         compact_output: bool,
     ) -> tuple[FlatStorage, bool]:
-        left, left_owned = compiled.take(node.left)
-        right, right_owned = compiled.take(node.right)
-        try:
+        with self._join_inputs(node, compiled) as (left, right):
             joined = run_join_algorithm(
                 left,
                 right,
@@ -245,12 +267,35 @@ class PlanRunner:
                 predicate=statement.where,
                 columns=node.columns,
             )
-        finally:
-            if left_owned:
-                left.free()
-            if right_owned:
-                right.free()
         return joined, True
+
+    def _held(
+        self, node: PlanNode, statement: SelectStatement, compiled: CompiledQuery
+    ) -> HeldSegment:
+        """What a held source holds.  A held join runs here, and its
+        emitted frames are held like a held selection's until the
+        executor frees the compiled query."""
+        if isinstance(node, JoinNode):
+            with self._join_inputs(node, compiled) as (left, right):
+                schema, frames = held_hash_join(
+                    left,
+                    right,
+                    node.left_column,
+                    node.right_column,
+                    node.oblivious_bytes,
+                    predicate=statement.where,
+                    columns=node.columns,
+                )
+            compiled.hold(
+                node,
+                HeldSegment(
+                    schema,
+                    left.enclave.oblivious,
+                    held_join_bytes(node.t2, schema),
+                    frames=frames,
+                ),
+            )
+        return compiled.segment(node)
 
     # -- selection ------------------------------------------------------
     def _run_selection(
@@ -292,7 +337,7 @@ class PlanRunner:
         ``SELECT *`` reads every column.  Held rows are answered where they
         are, touching nothing: an index segment is filtered and sorted, a
         held selection's frames — every match, kept by the statistics
-        pass — are decoded and sorted."""
+        pass — and a held join's emitted frames are decoded and sorted."""
         sort = root if isinstance(root, SortNode) else None
         source = sort.source if sort is not None else root
 
@@ -301,9 +346,12 @@ class PlanRunner:
             return names, {*names, sort.order_by} if sort is not None else set(names)
 
         if holds_segment(source):
-            held = compiled.segment(source)
+            held = self._held(source, statement, compiled)
             names, read = read_columns(held.schema)
             if held.frames is not None:
+                if self._padding is not None:
+                    # Only a join is held under padding mode.
+                    self._padding.check_fits(len(held.frames))
                 schema, decode = held.schema.reader(read)
                 rows = decode(held.frames)
             else:
@@ -385,8 +433,8 @@ class PlanRunner:
         specs = list(statement.aggregates)
         where = self._shape_where(statement)
         if holds_segment(node.source):
-            held = compiled.segment(node.source)
-            values = aggregate_rows(held.schema, held.rows, specs, predicate=where)
+            held = self._held(node.source, statement, compiled)
+            values = aggregate_rows(held.schema, held.decoded(), specs, predicate=where)
         else:
             source, owned = self._materialize(node.source, statement, compiled)
             try:
@@ -409,8 +457,10 @@ class PlanRunner:
         final: PlanNode = node
         if holds_segment(node.source):
             # The groups never leave the enclave: nothing to observe.
-            held = compiled.segment(node.source)
-            rows = group_rows(held.schema, held.rows, node.group_column, specs, where)
+            held = self._held(node.source, statement, compiled)
+            rows = group_rows(
+                held.schema, held.decoded(), node.group_column, specs, where
+            )
         else:
             source, owned = self._materialize(node.source, statement, compiled)
             try:

@@ -7,6 +7,9 @@ Three algorithms over flat tables, as in Figure 3:
   stream T2 against it, and write one output block per (chunk, T2-row) pair
   — a real joined row on a match, a dummy otherwise.  O((N/S)·M); the output
   data structure's size is a pure function of the input sizes.
+  :func:`held_hash_join` runs the same build and probe reads but keeps the
+  emitted rows in the enclave instead: at most |T2| of them, so when that
+  many frames fit beside the hash table the output needs no table at all.
 
 * :func:`opaque_join` — re-implementation of Opaque's sort-merge join for
   foreign-key joins: union both tables into one scratch table, sort it
@@ -34,7 +37,7 @@ that no longer depends on how many pairs the WHERE keeps.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..enclave.errors import QueryError
 from ..oblivious.compact import materialize_prefix, oblivious_compact
@@ -142,6 +145,63 @@ def _narrow_join(
     return row_schema, left_reader, right_reader
 
 
+class JoinReservation(NamedTuple):
+    """What a join operator takes from oblivious memory under a budget:
+    the rows of one in-enclave chunk (T1 rows per hash table, union rows
+    per sort chunk) and the bytes it reserves.  The planner reads ``nbytes``
+    to decide whether an algorithm can run at all; the operator reserves
+    it."""
+
+    chunk_rows: int
+    nbytes: int
+
+
+def held_join_bytes(t2: int, emitted: Schema) -> int:
+    """Oblivious memory a held join's output takes: a foreign-key join
+    emits at most one row per T2 row, so |T2| frames of ``emitted``."""
+    return t2 * framed_size(emitted)
+
+
+def hash_join_reservation(
+    left: Schema,
+    t1: int,
+    t2: int,
+    oblivious_memory_bytes: int,
+    held: Schema | None = None,
+) -> JoinReservation:
+    """The hash join's reservation: a chunk of as many T1 rows as the
+    budget holds (at least one, at most |T1|), plus, when the output is
+    held (``held`` is the emitted schema), :func:`held_join_bytes`."""
+    # A row plus hash-table entry slack, sized by the stored width, not by
+    # the narrow rows the build keeps: the chunk count shapes the trace,
+    # which must not depend on the statement's column list.
+    row_bytes = framed_size(left) + 16
+    chunk_rows = max(1, oblivious_memory_bytes // row_bytes)
+    nbytes = min(chunk_rows, t1) * row_bytes
+    if held is not None:
+        nbytes += held_join_bytes(t2, held)
+    return JoinReservation(chunk_rows, nbytes)
+
+
+def opaque_join_reservation(
+    left: Schema, right: Schema, t1: int, t2: int, oblivious_memory_bytes: int
+) -> JoinReservation:
+    """The Opaque join's reservation: its sort merges pairs of chunks of
+    the padded union, so a pair of chunks of union rows — nothing when one
+    chunk holds the whole union, which the sort orders in one pass."""
+    capacity = padded_scratch(t1 + t2)
+    row_bytes = framed_size(_union_schema(left, right))
+    chunk_rows = _largest_dividing_chunk(
+        capacity, max(1, oblivious_memory_bytes // (2 * row_bytes))
+    )
+    nbytes = 0 if chunk_rows >= capacity else 2 * chunk_rows * row_bytes
+    return JoinReservation(chunk_rows, nbytes)
+
+
+#: The 0-OM join's bitonic network holds no rows in oblivious memory.
+ZERO_OM_RESERVATION = JoinReservation(1, 0)
+
+
 def _finish_join(
     output: FlatStorage,
     table2: FlatStorage,
@@ -169,11 +229,116 @@ def _finish_join(
         output = tight
     if repeated_key_column is not None:
         output.free()
-        raise QueryError(
-            f"join column {repeated_key_column!r} repeats a key on the left "
-            "side: the left table of a join must be the primary-key side"
-        )
+        raise _repeated_key(repeated_key_column)
     return output
+
+
+def _repeated_key(column: str) -> QueryError:
+    return QueryError(
+        f"join column {column!r} repeats a key on the left side: the left "
+        "table of a join must be the primary-key side"
+    )
+
+
+def _hash_join(
+    table1: FlatStorage,
+    table2: FlatStorage,
+    column1: str,
+    column2: str,
+    oblivious_memory_bytes: int,
+    predicate: Predicate | None,
+    columns: Sequence[str] | None,
+    hold: bool,
+) -> tuple[Schema, FlatStorage | list[bytes], bool]:
+    """Build and probe, chunk by chunk: the emitted schema, the output —
+    a table of one slot per (chunk, T2 row) probe, or with ``hold`` the
+    emitted frames — and whether T1 repeated a key."""
+    enclave = table1.enclave
+    joined = joined_schema(table1.schema, table2.schema)
+    row_schema, (schema1, decode1), (schema2, decode2) = _narrow_join(
+        table1.schema, table2.schema, joined, column1, column2, predicate, columns
+    )
+    key1 = schema1.column_index(column1)
+    key2 = schema2.column_index(column2)
+    out_schema, emit = _emitter(joined, predicate, columns, row_schema)
+    reservation = hash_join_reservation(
+        table1.schema,
+        table1.capacity,
+        table2.capacity,
+        oblivious_memory_bytes,
+        held=out_schema if hold else None,
+    )
+    chunk_rows = reservation.chunk_rows
+    num_chunks = (table1.capacity + chunk_rows - 1) // chunk_rows
+    with enclave.oblivious_buffer(reservation.nbytes):
+        table = (
+            None
+            if hold
+            else FlatStorage(enclave, out_schema, num_chunks * table2.capacity)
+        )
+        held: list[bytes] = []
+        dummy = frame_dummy(out_schema)
+        matched = 0
+        # Keys of every chunk so far (not only the resident one), so a
+        # repeat is caught wherever the chunk boundary falls.
+        # Enclave-private bookkeeping for the primary-key contract; it
+        # never influences an access.
+        seen_keys: set[Value] = set()
+        repeated = False
+        for chunk in range(num_chunks):
+            start = chunk * chunk_rows
+            stop = min(start + chunk_rows, table1.capacity)
+            # Chunk build: one batched range read of T1 (same contiguous
+            # R start .. R stop-1 pattern as the per-block loop) decoded in
+            # a single precompiled codec pass.
+            rows1 = [
+                row
+                for row in decode1(table1.read_range_framed(start, stop - start))
+                if row is not None
+            ]
+            hash_table = {row[key1]: row for row in rows1}
+            if len(hash_table) < len(rows1) or not seen_keys.isdisjoint(hash_table):
+                repeated = True
+            seen_keys.update(hash_table)
+
+            def probe(offset: int, frames: list[bytes]) -> list[bytes]:
+                """One output frame per probe whatever matched — the real
+                emitted row or a dummy — so the pattern stays a pure
+                function of the input sizes."""
+                nonlocal matched
+                out = []
+                for row2 in decode2(frames):
+                    row1 = hash_table.get(row2[key2]) if row2 is not None else None
+                    frame = None if row1 is None else emit(row1 + row2)
+                    if frame is None:
+                        out.append(dummy)
+                    else:
+                        out.append(frame)
+                        matched += 1
+                return out
+
+            if table is None:
+                # Held: the probe is a plain read pass R T2 0..|T2|-1 and
+                # the emitted frames stay here.
+                for offset, frames in table2.scan_framed_chunks():
+                    held.extend(
+                        frame for frame in probe(offset, frames) if frame is not dummy
+                    )
+            else:
+                # Chunk probe: stream T2 against the enclave hash table
+                # through the interleaved exchange — R T2[i], W
+                # output[base+i] per probe, the per-row loop's exact
+                # two-region trace, with the crypto and bookkeeping batched.
+                base = chunk * table2.capacity
+                table2.interleave_to(
+                    table,
+                    [(index, base + index) for index in range(table2.capacity)],
+                    probe,
+                )
+    if table is None:
+        return out_schema, held, repeated
+    table._used = matched
+    return out_schema, table, repeated
 
 
 def hash_join(
@@ -197,77 +362,61 @@ def hash_join(
     module docstring).  Build and probe decode only the columns the emit
     and the keys use (:func:`_narrow_join`).
     """
-    enclave = table1.enclave
-    joined = joined_schema(table1.schema, table2.schema)
-    row_schema, (schema1, decode1), (schema2, decode2) = _narrow_join(
-        table1.schema, table2.schema, joined, column1, column2, predicate, columns
+    _, output, repeated = _hash_join(
+        table1,
+        table2,
+        column1,
+        column2,
+        oblivious_memory_bytes,
+        predicate,
+        columns,
+        hold=False,
     )
-    key1 = schema1.column_index(column1)
-    key2 = schema2.column_index(column2)
-    out_schema, emit = _emitter(joined, predicate, columns, row_schema)
-
-    # Sized by the stored width, not by the narrow rows the build keeps: the
-    # chunk count shapes the trace, which must not depend on the statement's
-    # column list.
-    row_bytes = framed_size(table1.schema) + 16  # row + hash-table entry slack
-    chunk_rows = max(1, oblivious_memory_bytes // row_bytes)
-    num_chunks = (table1.capacity + chunk_rows - 1) // chunk_rows
-
-    output = FlatStorage(enclave, out_schema, num_chunks * table2.capacity)
-    dummy = frame_dummy(out_schema)
-    matched = 0
-    # Keys of every chunk so far (not only the resident one), so a repeat is
-    # caught wherever the chunk boundary falls.  Enclave-private bookkeeping
-    # for the primary-key contract; it never influences an access.
-    seen_keys: set[Value] = set()
-    repeated = False
-    with enclave.oblivious_buffer(min(chunk_rows, table1.capacity) * row_bytes):
-        for chunk in range(num_chunks):
-            start = chunk * chunk_rows
-            stop = min(start + chunk_rows, table1.capacity)
-            # Chunk build: one batched range read of T1 (same contiguous
-            # R start .. R stop-1 pattern as the per-block loop) decoded in
-            # a single precompiled codec pass.
-            rows1 = [
-                row
-                for row in decode1(table1.read_range_framed(start, stop - start))
-                if row is not None
-            ]
-            hash_table = {row[key1]: row for row in rows1}
-            if len(hash_table) < len(rows1) or not seen_keys.isdisjoint(hash_table):
-                repeated = True
-            seen_keys.update(hash_table)
-
-            # Chunk probe: stream T2 against the enclave hash table through
-            # the interleaved exchange — R T2[i], W output[base+i] per probe,
-            # the per-row loop's exact two-region trace, with the crypto and
-            # bookkeeping batched.  One output frame per probe regardless of
-            # match (real emitted row or dummy), so the pattern stays a pure
-            # function of the input sizes.
-            base = chunk * table2.capacity
-
-            def probe(offset: int, frames: list[bytes]) -> list[bytes]:
-                nonlocal matched
-                out = []
-                for row2 in decode2(frames):
-                    row1 = hash_table.get(row2[key2]) if row2 is not None else None
-                    frame = None if row1 is None else emit(row1 + row2)
-                    if frame is None:
-                        out.append(dummy)
-                    else:
-                        out.append(frame)
-                        matched += 1
-                return out
-
-            table2.interleave_to(
-                output,
-                [(index, base + index) for index in range(table2.capacity)],
-                probe,
-            )
-    output._used = matched
+    assert isinstance(output, FlatStorage)
     return _finish_join(
         output, table2, compact_output, column1 if repeated else None
     )
+
+
+def held_hash_join(
+    table1: FlatStorage,
+    table2: FlatStorage,
+    column1: str,
+    column2: str,
+    oblivious_memory_bytes: int,
+    predicate: Predicate | None = None,
+    columns: Sequence[str] | None = None,
+) -> tuple[Schema, list[bytes]]:
+    """The hash join with its output held in the enclave: the emitted
+    schema and the frames of the emitted rows, in probe order.
+
+    Same build as :func:`hash_join`; each chunk's probe is a plain read
+    pass over T2, and no output region is allocated.  The reservation
+    covers the hash table and :func:`held_join_bytes` for the whole join,
+    so the planner holds this only when both fit
+    (:func:`hash_join_reservation` with ``held``).  A T1 that repeats a key
+    raises :class:`QueryError` after every pass, as :func:`hash_join` does.
+    """
+    schema, frames, repeated = _hash_join(
+        table1,
+        table2,
+        column1,
+        column2,
+        oblivious_memory_bytes,
+        predicate,
+        columns,
+        hold=True,
+    )
+    if repeated:
+        raise _repeated_key(column1)
+    assert isinstance(frames, list)
+    return schema, frames
+
+
+def _union_schema(left: Schema, right: Schema) -> Schema:
+    """The sort-merge joins' scratch row: a table tag, then the joined
+    schema."""
+    return Schema([int_column("_tag")] + list(joined_schema(left, right).columns))
 
 
 def _union_scratch(
@@ -289,7 +438,7 @@ def _union_scratch(
             f"join columns {column1!r} and {column2!r} have different types"
         )
     out_schema = joined_schema(table1.schema, table2.schema)
-    scratch_schema = Schema([int_column("_tag")] + list(out_schema.columns))
+    scratch_schema = _union_schema(table1.schema, table2.schema)
     capacity = padded_scratch(table1.capacity + table2.capacity)
     scratch = FlatStorage(table1.enclave, scratch_schema, capacity)
 
@@ -415,9 +564,13 @@ def opaque_join(
         key = row[key1_index] if row[0] == 0 else row[key2_index]
         return (key_column1.sort_key(key), row[0])
 
-    row_bytes = framed_size(scratch.schema)
-    chunk_rows = max(1, oblivious_memory_bytes // (2 * row_bytes))
-    chunk_rows = _largest_dividing_chunk(scratch.capacity, chunk_rows)
+    chunk_rows = opaque_join_reservation(
+        table1.schema,
+        table2.schema,
+        table1.capacity,
+        table2.capacity,
+        oblivious_memory_bytes,
+    ).chunk_rows
     external_oblivious_sort(scratch, sort_key, chunk_rows)
     output, repeated = _merge_scan(
         scratch, out_schema, emit, key1_index, key2_index, left_width

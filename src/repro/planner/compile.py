@@ -255,6 +255,15 @@ class JoinNode(PlanNode):
     come off the public query text, and the output keeps one slot per
     probed / scanned row whatever the WHERE keeps, so the join's trace is
     a function of this node's fields alone.
+
+    ``in_enclave`` says a hash join's output is held in the enclave — no
+    output table, no probe writes, no read-back, so no compaction or
+    selection above it: the consumers answer over the held rows.  The rule
+    reads public values only: neither table is the paper's (``oram_kind=
+    "paper"``), and the hash table the join reserves plus ``t2`` frames of
+    the emitted row fit free oblivious memory
+    (:func:`~repro.operators.join.hash_join_reservation`); a foreign-key
+    join emits at most |T2| rows.
     """
 
     left: PlanNode
@@ -268,6 +277,7 @@ class JoinNode(PlanNode):
     oblivious_bytes: int
     filtered: bool
     columns: tuple[str, ...]
+    in_enclave: bool = False
 
     kind = "join"
 
@@ -284,12 +294,16 @@ class JoinNode(PlanNode):
             "oblivious_bytes": self.oblivious_bytes,
             "filtered": self.filtered,
             "columns": self.columns,
+            "in_enclave": self.in_enclave,
         }
 
     @property
     def output_rows(self) -> int:
         """Slots in the (uncompacted) output structure: one per probe of
-        each hash chunk, or one per row of the padded sort-merge union."""
+        each hash chunk, or one per row of the padded sort-merge union.  A
+        held join holds at most |T2| rows."""
+        if self.in_enclave:
+            return self.t2
         if self.algorithm is JoinAlgorithm.HASH:
             return -(-self.t1 // self.oblivious_rows) * self.t2
         return padded_scratch(self.t1 + self.t2)
@@ -486,13 +500,20 @@ class HeldSegment:
     """Rows held in the enclave and the oblivious memory they hold.  An
     in-enclave lookup holds the decoded ``rows`` of its segment; a held
     selection holds the ``frames`` of its matches, as its statistics pass
-    kept them, and ``rows`` stays empty."""
+    kept them, and a held join the frames it emitted; ``rows`` stays empty
+    for both."""
 
     schema: Schema
     account: ObliviousMemoryAccount
     nbytes: int
     rows: list[Row] = field(default_factory=list)
     frames: list[bytes] | None = None
+
+    def decoded(self) -> list[Row]:
+        """Every held row with every column of ``schema``."""
+        if self.frames is None:
+            return self.rows
+        return self.schema.decode_framed_rows(self.frames)
 
 
 @dataclass
@@ -506,9 +527,10 @@ class CompiledQuery:
     :class:`IndexLookupNode` to the rows its lookup returned, and an
     in-enclave :class:`SelectNode` to the frames its statistics pass kept,
     each held against the oblivious-memory reservation compilation made
-    for them.  ``first_passes`` maps a ``resumed`` :class:`SelectNode` to
-    the statistics pass's full buffer and cursor, which Small takes into
-    the buffer it reserves.  :meth:`free` releases every unconsumed
+    for them; the runner adds an in-enclave :class:`JoinNode`'s emitted
+    frames when it runs the join.  ``first_passes`` maps a ``resumed``
+    :class:`SelectNode` to the statistics pass's full buffer and cursor,
+    which Small takes into the buffer it reserves.  :meth:`free` releases every unconsumed
     binding and every reservation; the executor calls it after each run,
     and the EXPLAIN and error paths call it too.  ``key_interval`` is the
     index-key interval of a write whose :class:`WriteNode` says
@@ -530,7 +552,9 @@ class CompiledQuery:
         binding = self.bindings.pop(id(node))
         return binding.storage, binding.owned
 
-    def hold(self, node: IndexLookupNode | SelectNode, held: HeldSegment) -> None:
+    def hold(
+        self, node: IndexLookupNode | SelectNode | JoinNode, held: HeldSegment
+    ) -> None:
         """Reserve ``held.nbytes`` of oblivious memory for what ``held``
         holds and bind it to ``node``; :meth:`free` releases the
         reservation."""
@@ -538,7 +562,7 @@ class CompiledQuery:
         self.segments[id(node)] = held
 
     def segment(self, node: PlanNode) -> HeldSegment:
-        """What an in-enclave lookup or selection holds."""
+        """What an in-enclave lookup, selection or join holds."""
         return self.segments[id(node)]
 
     def free(self) -> None:
@@ -558,9 +582,11 @@ class CompiledQuery:
 # Decision helpers
 # ----------------------------------------------------------------------
 def holds_segment(node: PlanNode) -> bool:
-    """True for an index lookup or a selection answered over rows held in
-    the enclave."""
-    return isinstance(node, (IndexLookupNode, SelectNode)) and node.in_enclave
+    """True for an index lookup, a selection or a join answered over rows
+    held in the enclave."""
+    return (
+        isinstance(node, (IndexLookupNode, SelectNode, JoinNode)) and node.in_enclave
+    )
 
 
 def selection_output_capacity(node: PlanNode) -> int:
@@ -569,6 +595,8 @@ def selection_output_capacity(node: PlanNode) -> int:
         return node.bound
     if isinstance(node, IndexLookupNode):
         return node.segment_rows
+    if isinstance(node, JoinNode):
+        return node.output_rows
     assert isinstance(node, SelectNode)
     return node.output_capacity()
 
@@ -890,7 +918,6 @@ class _Compiler:
         right = self._flat_view_node(right_table, compiled)
         left_storage = compiled.bindings[id(left)].storage
         right_storage = compiled.bindings[id(right)].storage
-        decision: JoinDecision = plan_join(left_storage, right_storage)
         # The columns the rest of the plan reads, off the query text alone:
         # select list, GROUP BY column, aggregate arguments, and the ORDER BY
         # column of a plain selection (a grouped ORDER BY names an output
@@ -911,6 +938,10 @@ class _Compiler:
         else:
             columns = tuple(joined.column_names())
         emitted = joined.project(columns)
+        paper = "paper" in (left_table.oram_kind, right_table.oram_kind)
+        decision: JoinDecision = plan_join(
+            left_storage, right_storage, held=None if paper else emitted
+        )
         node = JoinNode(
             left=left,
             right=right,
@@ -923,6 +954,7 @@ class _Compiler:
             oblivious_bytes=decision.oblivious_memory_bytes,
             filtered=statement.where is not None,
             columns=columns,
+            in_enclave=decision.in_enclave,
         )
         # Tighten to the |T2| foreign-key bound via the oblivious
         # compaction network when a downstream ORDER BY will sort the
@@ -930,7 +962,8 @@ class _Compiler:
         # instead of the probe/scratch-sized structure, which more than
         # repays the O(C log C) compaction.  A plain result scan reads
         # the output exactly once, so compacting first would be a net
-        # loss there.
-        if statement.order_by is not None:
+        # loss there.  A held join has no output table: its rows are
+        # sorted where they are held.
+        if statement.order_by is not None and not node.in_enclave:
             return CompactNode(source=node, bound=right_storage.capacity), emitted
         return node, emitted

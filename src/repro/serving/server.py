@@ -13,10 +13,8 @@ avoid engine work entirely:
   table revision epochs) form an in-flight group: one leader executes, the
   followers wait enclave-side and receive copies of the leader's result —
   zero additional engine work and zero additional untrusted-memory
-  accesses (the security suite pins this).  After the leader compiles, the
-  group records the plan's :attr:`~repro.planner.compile.QueryPlan.
-  cache_key`, making the (admission unit → leaked plan) mapping explicit.
-  A read that cannot coalesce runs under the engine lock on its own.
+  accesses (the security suite pins this).  A read that cannot coalesce
+  runs under the engine lock on its own.
 
 * **Writes serialize per table.**  Each write statement enters a FIFO
   queue keyed on its target table before taking the engine lock, so one
@@ -90,14 +88,13 @@ class ServerHooks:
 class _InFlightGroup:
     """One coalescing group: a leader execution plus waiting followers."""
 
-    __slots__ = ("done", "result", "error", "followers", "plan_key")
+    __slots__ = ("done", "result", "error", "followers")
 
     def __init__(self) -> None:
         self.done = threading.Event()
         self.result: QueryResult | None = None
         self.error: BaseException | None = None
         self.followers = 0
-        self.plan_key: str | None = None
 
 
 class _WriteQueues:
@@ -338,9 +335,6 @@ class ObliDBServer:
         try:
             result = self._run_engine(
                 "read", text, lambda: self.db.execute(statement)
-            )
-            group.plan_key = (
-                result.plan.cache_key if result.plan is not None else None
             )
             # Followers read a private frozen copy: the leader's caller may
             # mutate the result it gets back.

@@ -39,7 +39,11 @@ KINDS = ["path", "paper"]
 #: name -> (users, visits, oblivious-memory budget, algorithm, hash chunks)
 JOINS = {
     "hash-one-chunk": (32, 16, 64 * HASH_ROW, JoinAlgorithm.HASH, 1),
+    # Room for the hash table, not for any output beside it.
+    "hash-one-chunk-table": (32, 16, 32 * HASH_ROW + 100, JoinAlgorithm.HASH, 1),
     "hash-four-chunks": (32, 8, 8 * HASH_ROW, JoinAlgorithm.HASH, 4),
+    # Room beside the table for eight frames of one INT: an aggregate's.
+    "hash-four-chunks-held": (32, 8, 8 * HASH_ROW + 8 * 9, JoinAlgorithm.HASH, 4),
     # Two hash-table rows, and room for the sort's pair of one-row chunks.
     "opaque": (512, 512, 240, JoinAlgorithm.OPAQUE, None),
     "zero-om": (32, 16, HASH_ROW, JoinAlgorithm.ZERO_OM, None),
@@ -53,6 +57,25 @@ JOIN_STATEMENTS = {
         "SELECT name, amount FROM users JOIN visits ON uid = uid WHERE day < 10"
     ),
 }
+
+
+JOIN_AGGREGATES = {
+    "join": "SELECT COUNT(*), SUM(amount) FROM users JOIN visits ON uid = uid",
+    "join-where": (
+        "SELECT COUNT(*), SUM(amount) FROM users JOIN visits ON uid = uid"
+        " WHERE day < 10"
+    ),
+}
+
+#: config -> the statements whose output is held on the default tables.
+HELD = {
+    "hash-one-chunk": {*JOIN_STATEMENTS, *JOIN_AGGREGATES},
+    "hash-four-chunks-held": set(JOIN_AGGREGATES),
+}
+
+
+def held(config: str, statement: str, oram_kind: str) -> bool:
+    return oram_kind == "path" and statement in HELD.get(config, ())
 
 
 def build_join_db(config: str, oram_kind: str) -> ObliDB:
@@ -106,7 +129,10 @@ class TestJoin:
         if chunks is not None:
             assert -(-join.t1 // join.oblivious_rows) == chunks
         assert join.filtered is statement.endswith("where")
-        assert real.matches(simulate_join(JoinLeakage.from_plan(plan, schemas(db, plan))))
+        assert join.in_enclave is held(config, statement, oram_kind)
+        leakage = JoinLeakage.from_plan(plan, schemas(db, plan))
+        assert leakage.in_enclave is join.in_enclave
+        assert real.matches(simulate_join(leakage))
 
     def test_sim_differs_when_leakage_differs(self, join_db) -> None:
         """Half the budget the plan declares doubles the hash chunks."""
@@ -115,6 +141,23 @@ class TestJoin:
         leakage = JoinLeakage.from_plan(plan, schemas(db, plan))
         wrong = replace(leakage, oblivious_bytes=leakage.oblivious_bytes // 2)
         assert not real.matches(simulate_join(wrong))
+
+    @pytest.mark.parametrize("config", ["hash-one-chunk", "hash-one-chunk-table"])
+    def test_a_held_join_is_the_table_join_without_its_output(
+        self, join_db, config: str
+    ) -> None:
+        """One chunk: T1 + T2 reads held; the table join adds the output's
+        allocation, the probe's writes and the read-back.  SIM told to
+        write the held output to a table does not match."""
+        db = join_db(config, "path")
+        real, plan = real_query_trace(db, JOIN_STATEMENTS["columns"])
+        leakage = JoinLeakage.from_plan(plan, schemas(db, plan))
+        users, visits = db.table("users").capacity, db.table("visits").capacity
+        if leakage.in_enclave:
+            assert real.length == users + visits
+            assert not real.matches(simulate_join(replace(leakage, in_enclave=False)))
+        else:
+            assert real.length == users + visits + 3 * visits
 
 
 AGGREGATES = {
@@ -126,15 +169,6 @@ AGGREGATES = {
         " WHERE uid = 3 OR day > 20"
     ),
 }
-
-JOIN_AGGREGATES = {
-    "join": "SELECT COUNT(*), SUM(amount) FROM users JOIN visits ON uid = uid",
-    "join-where": (
-        "SELECT COUNT(*), SUM(amount) FROM users JOIN visits ON uid = uid"
-        " WHERE day < 10"
-    ),
-}
-
 
 class TestAggregate:
     @pytest.mark.parametrize("oram_kind", KINDS)
@@ -150,7 +184,16 @@ class TestAggregate:
 
     @pytest.mark.parametrize("oram_kind", KINDS)
     @pytest.mark.parametrize("statement", JOIN_AGGREGATES)
-    @pytest.mark.parametrize("config", ["hash-one-chunk", "hash-four-chunks", "zero-om"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "hash-one-chunk",
+            "hash-one-chunk-table",
+            "hash-four-chunks",
+            "hash-four-chunks-held",
+            "zero-om",
+        ],
+    )
     def test_real_equals_sim_over_a_join(
         self, join_db, config: str, statement: str, oram_kind: str
     ) -> None:
@@ -158,6 +201,7 @@ class TestAggregate:
         real, plan = real_query_trace(db, JOIN_AGGREGATES[statement])
         leakage = AggregateLeakage.from_plan(plan, schemas(db, plan))
         assert isinstance(leakage.source, JoinLeakage)
+        assert leakage.source.in_enclave is held(config, statement, oram_kind)
         assert real.matches(simulate_aggregate(leakage))
 
     def test_sim_differs_when_leakage_differs(self, join_db) -> None:

@@ -134,7 +134,7 @@ def test_analytic_block_counts() -> None:
     n, u = VISITS, USERS
     small_passes = -(-264 // 112)  # |R| = 264 matches, a 112-row buffer
     expected = [
-        (u + n + n, n + n),  # build, probe, read the result; init, probe
+        (u + n, 0),  # build, probe; the output is held in the enclave
         (n + 63, 63 + 63),  # one pass, read 63 groups; init, write them
         (n, 0),  # one fused pass
         # The stats pass is Small's first; the other passes; read the result.
@@ -145,6 +145,14 @@ def test_analytic_block_counts() -> None:
     observed = _observe(*BUDGETS[0])
     for (sql, _, cost, _, _), (reads, writes) in zip(observed, expected):
         assert (cost["untrusted_reads"], cost["untrusted_writes"]) == (reads, writes), sql
+    # Under the tight budget the join's output does not fit: eight hash
+    # chunks build, probe and read an output table back; init, probe.
+    sql, _, cost, _, _ = _observe(*BUDGETS[1])[0]
+    chunks = 8
+    assert (cost["untrusted_reads"], cost["untrusted_writes"]) == (
+        u + 2 * chunks * n,
+        2 * chunks * n,
+    ), sql
 
 
 @pytest.mark.parametrize("budget, allow_continuous", BUDGETS)

@@ -195,7 +195,7 @@ class TestExplainSQL:
         lines = [row[0] for row in result.rows]
         assert lines[0] == "plan[select] tables=t,sales columns=region,amount"
         assert lines[1].startswith("`-- join algorithm=hash on=k=k t1=64 t2=16 ")
-        assert lines[1].endswith(" filtered=True columns=(region, amount)")
+        assert lines[1].endswith(" filtered=True columns=(region, amount) in_enclave=True")
         assert [line.split()[1] for line in lines[2:]] == ["scan", "scan"]
         assert "70" not in "\n".join(lines)
 

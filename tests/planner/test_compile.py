@@ -268,7 +268,8 @@ class TestFusedJoinPlan:
             [
                 "plan[select] tables=users,visits columns=region,amount",
                 "`-- join algorithm=hash on=uid=uid t1=8 t2=32 oblivious_rows=18396"
-                " oblivious_bytes=1048576 filtered=True columns=(region, amount)",
+                " oblivious_bytes=1048576 filtered=True columns=(region, amount)"
+                " in_enclave=True",
                 "    |-- scan table=users access_method=flat_scan rows=8",
                 "    `-- scan table=visits access_method=flat_scan rows=32",
             ]
@@ -300,17 +301,36 @@ class TestFusedJoinPlan:
 
     def test_sort_over_join_is_decided_at_compile_time(self) -> None:
         """|T2| bound and projected row size are public: no deferred
-        fields, and the executed plan is the compiled plan."""
+        fields, and the executed plan is the compiled plan.  A held join's
+        rows are sorted where they are held; an output table is compacted
+        to |T2| first."""
         db = fused_join_db()
         sql = FUSED_JOIN_SQL + " ORDER BY amount DESC LIMIT 4"
         compiled = db.explain(sql)
         sort = compiled.find(SortNode)
         assert isinstance(sort, SortNode)
         assert (sort.rows, sort.in_enclave) == (32, True)
+        assert isinstance(sort.source, JoinNode) and sort.source.in_enclave
+        assert compiled.find(CompactNode) is None
+        tight = fused_join_db(300).explain(sql)
+        sort = tight.find(SortNode)
+        assert (sort.rows, sort.in_enclave) == (32, False)
         assert isinstance(sort.source, CompactNode) and sort.source.bound == 32
+        assert not sort.source.source.in_enclave
         count = "SELECT COUNT(*) FROM users JOIN visits ON uid = uid"
         for statement in (sql, FUSED_JOIN_SQL, count):
             assert db.sql(statement).plan.cache_key == db.explain(statement).cache_key
+
+    def test_explain_runs_no_join(self) -> None:
+        """A held join runs in the runner, never in compile: EXPLAIN of a
+        join statement touches no untrusted memory and holds nothing."""
+        db = fused_join_db()
+        cost = db.enclave.cost.snapshot()
+        count = "SELECT COUNT(*) FROM users JOIN visits ON uid = uid"
+        for sql in (FUSED_JOIN_SQL, FUSED_JOIN_SQL + " ORDER BY amount DESC", count):
+            assert db.explain(sql).find(JoinNode).in_enclave
+        assert db.enclave.cost.snapshot() == cost
+        assert db.enclave.oblivious.free_bytes == 1 << 20
 
     def test_unknown_column_rejected_at_compile_time(self) -> None:
         from repro.enclave import SchemaError
@@ -346,12 +366,20 @@ class TestFusedJoinPlan:
         result = fused_join_db(oblivious_memory_bytes).sql(FUSED_JOIN_SQL)
         join = result.plan.find(JoinNode)
         chunks = -(-join.t1 // join.oblivious_rows)
-        assert chunks == (1 if oblivious_memory_bytes == 1 << 20 else 2)
-        assert join.output_rows == chunks * join.t2
-        # reads: build (T1 once), probe (T2 per chunk), result read-back;
-        # writes: the output's allocation pass, then one frame per probe.
-        assert result.cost["untrusted_reads"] == join.t1 + 2 * chunks * join.t2
-        assert result.cost["untrusted_writes"] == 2 * chunks * join.t2
+        held = oblivious_memory_bytes == 1 << 20
+        assert (chunks, join.in_enclave) == ((1, True) if held else (2, False))
+        if held:
+            # reads: build (T1 once), probe (T2 per chunk); the output is
+            # held in the enclave, so nothing is written or read back.
+            assert join.output_rows == join.t2
+            assert result.cost["untrusted_reads"] == join.t1 + chunks * join.t2
+            assert result.cost["untrusted_writes"] == 0
+        else:
+            # reads: build, probe, result read-back; writes: the output's
+            # allocation pass, then one frame per probe.
+            assert join.output_rows == chunks * join.t2
+            assert result.cost["untrusted_reads"] == join.t1 + 2 * chunks * join.t2
+            assert result.cost["untrusted_writes"] == 2 * chunks * join.t2
         assert len(result.rows) == 18  # day in {0, 1, 2}
 
 
@@ -525,16 +553,20 @@ class TestJoinCrossover:
         assert (join.t1, join.t2) == (32, 8)
         assert join.oblivious_rows >= 1
 
-    def test_join_compact_only_under_order_by(self) -> None:
+    @pytest.mark.parametrize("oram_kind", ["path", "paper"])
+    def test_join_compact_only_under_order_by(self, oram_kind: str) -> None:
+        """An output table is compacted under ORDER BY; a held join (not on
+        the paper's tables) has no table to compact."""
         db = ObliDB(cipher="null", seed=12)
-        db.sql("CREATE TABLE a (k INT, x INT) CAPACITY 16")
-        db.sql("CREATE TABLE b (k INT, y INT) CAPACITY 4")
-        bare = db.explain("SELECT * FROM a JOIN b ON a.k = b.k")
-        ordered = db.explain("SELECT * FROM a JOIN b ON a.k = b.k ORDER BY x")
+        db.create_table("a", SCHEMA, 16, oram_kind=oram_kind)
+        db.create_table("b", SCHEMA, 4, oram_kind=oram_kind)
+        bare = db.explain("SELECT * FROM a JOIN b ON a.id = b.id")
+        ordered = db.explain("SELECT * FROM a JOIN b ON a.id = b.id ORDER BY payload")
         def compacted_join(plan):
             return any(
                 isinstance(node, CompactNode) and isinstance(node.source, JoinNode)
                 for node in plan.root.walk()
             )
+        assert bare.find(JoinNode).in_enclave is (oram_kind == "path")
         assert not compacted_join(bare)
-        assert compacted_join(ordered)
+        assert compacted_join(ordered) is (oram_kind == "paper")

@@ -28,6 +28,14 @@ class TestCostModel:
         costs = estimate_join_costs(5000, 5000, oblivious_rows=500)
         assert costs[JoinAlgorithm.OPAQUE] < costs[JoinAlgorithm.ZERO_OM]
 
+    def test_a_held_hash_join_reads_each_probe_once(self) -> None:
+        """Held: T1 once and T2 once per chunk, nothing written or read
+        back."""
+        costs = estimate_join_costs(512, 4096, oblivious_rows=512, held=True)
+        assert costs[JoinAlgorithm.HASH] == 512 + 4096
+        costs = estimate_join_costs(512, 4096, oblivious_rows=200, held=True)
+        assert costs[JoinAlgorithm.HASH] == 512 + 3 * 4096
+
     def test_sort_merge_wins_for_large_tables_small_memory(self) -> None:
         costs = estimate_join_costs(20_000, 20_000, oblivious_rows=50)
         assert costs[JoinAlgorithm.OPAQUE] < costs[JoinAlgorithm.HASH]
