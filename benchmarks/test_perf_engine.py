@@ -1,22 +1,15 @@
 """Microbenchmark for the compiled-plan engine pipeline (PR 5).
 
-Measures the two costs the unified physical-plan IR introduces or removes:
+Measures the cost the unified physical-plan IR introduces: statement →
+``QueryPlan`` compilation plus the tree-walking runner replace the old
+inline executor branches.  The *planning work itself* (statistics scan,
+index lookup) is unchanged and dominated by block I/O; the new overhead is
+pure plan construction, measured here by timing ``compile_statement`` on
+selection/join statements against the full composite query time.
+Acceptance: the pure compile-and-dispatch share of the 1k-row select/join
+composite is ≤ 5%.
 
-* **Compile + dispatch overhead.**  Statement → ``QueryPlan`` compilation
-  plus the tree-walking runner replace the old inline executor branches.
-  The *planning work itself* (statistics scan, index lookup) is
-  unchanged and dominated by block I/O; the new
-  overhead is pure plan construction, measured here by timing
-  ``compile_statement`` on selection/join statements against the full
-  composite query time.  Acceptance: the pure compile-and-dispatch
-  share of the 1k-row select/join composite is ≤ 5%.
-
-* **Result-cache speedup.**  With ``result_cache_entries`` enabled, a
-  repeated read-only query is answered from enclave memory.  Acceptance:
-  the cached repeated-query composite is ≥ 10× faster than the same
-  composite uncached.
-
-Both acceptances compare one wall-clock timing with another, so they are
+The acceptance compares one wall-clock timing with another, so it is
 asserted — and ``BENCH_engine.json`` is written — under ``BENCH_RECORD=1``
 only.  ``BENCH_SMOKE=1`` shrinks the workload ~8x (the CI bench-smoke job).
 """
@@ -40,7 +33,6 @@ from conftest import (
 
 N = 128 if BENCH_SMOKE else 1024
 JOIN_RIGHT = 16 if BENCH_SMOKE else 64
-CACHED_REPEATS = 4 if BENCH_SMOKE else 20
 
 COMPOSITE_QUERIES = [
     # Point lookup over the index (the segment is answered in the enclave).
@@ -56,13 +48,8 @@ COMPOSITE_QUERIES = [
 ]
 
 
-def _build_db(result_cache_entries: int = 0) -> ObliDB:
-    db = ObliDB(
-        cipher="authenticated",
-        oblivious_memory_bytes=1 << 22,
-        seed=19,
-        result_cache_entries=result_cache_entries,
-    )
+def _build_db() -> ObliDB:
+    db = ObliDB(cipher="authenticated", oblivious_memory_bytes=1 << 22, seed=19)
     db.sql(
         "CREATE TABLE events (id INT, kind STR(8), score INT)"
         f" CAPACITY {N} METHOD both KEY id"
@@ -80,11 +67,11 @@ def _build_db(result_cache_entries: int = 0) -> ObliDB:
 
 
 class TestEnginePipelineMicrobench:
-    def test_compile_overhead_and_cached_composite(self) -> None:
+    def test_compile_overhead(self) -> None:
         results: dict[str, float] = {}
         table_rows: list[list] = []
 
-        # --- uncached composite ---------------------------------------
+        # --- composite ------------------------------------------------
         db = _build_db()
 
         def run_composite() -> None:
@@ -138,43 +125,6 @@ class TestEnginePipelineMicrobench:
             ]
         )
 
-        # --- cached repeated-query composite --------------------------
-        cached_db = _build_db(result_cache_entries=32)
-        uncached_db = _build_db()
-        for sql in COMPOSITE_QUERIES:  # warm the cache
-            cached_db.sql(sql)
-
-        def run_cached() -> None:
-            for _ in range(CACHED_REPEATS):
-                for sql in COMPOSITE_QUERIES:
-                    cached_db.sql(sql)
-
-        def run_uncached() -> None:
-            for _ in range(CACHED_REPEATS):
-                for sql in COMPOSITE_QUERIES:
-                    uncached_db.sql(sql)
-
-        cached_s = best_of(run_cached)
-        uncached_s = best_of(run_uncached)
-        cached_speedup = uncached_s / cached_s
-        results["cached_composite_seconds"] = cached_s
-        results["uncached_composite_seconds"] = uncached_s
-        results["cached_speedup"] = cached_speedup
-        table_rows.append(
-            [
-                f"repeated composite x{CACHED_REPEATS} cached",
-                f"{cached_s:.4f} s",
-            ]
-        )
-        table_rows.append(
-            [
-                f"repeated composite x{CACHED_REPEATS} uncached",
-                f"{uncached_s:.3f} s ({cached_speedup:,.0f}x slower)",
-            ]
-        )
-        assert cached_db.result_cache is not None
-        assert cached_db.result_cache.hits >= CACHED_REPEATS * len(COMPOSITE_QUERIES)
-
         print_table(
             "Engine pipeline microbenchmark (AuthenticatedCipher)",
             ["stage", "time"],
@@ -189,15 +139,12 @@ class TestEnginePipelineMicrobench:
                 "rows": N,
                 "join_right_rows": JOIN_RIGHT,
                 "queries": len(COMPOSITE_QUERIES),
-                "cached_repeats": CACHED_REPEATS,
                 "repeats_best_of": REPEATS,
                 "results": {k: round(v, 6) for k, v in results.items()},
             },
         )
 
         # Acceptance: plan compilation + dispatch must stay in the noise
-        # (≤ 5% of the composite), and the cache must repay repeated
-        # read-only queries by ≥ 10×.
+        # (≤ 5% of the composite).
         if BENCH_RECORD:
             assert compile_share <= 0.05, f"compile share {compile_share:.3f} > 5%"
-            assert cached_speedup >= 10, f"cached speedup {cached_speedup:.1f}x < 10x"

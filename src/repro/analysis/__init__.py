@@ -16,6 +16,7 @@ from .simulator import (
     IndexLookupLeakage,
     JoinLeakage,
     SelectLeakage,
+    WriteLeakage,
     real_query_trace,
     real_select_trace,
     simulate_aggregate,
@@ -23,6 +24,7 @@ from .simulator import (
     simulate_index_lookup,
     simulate_join,
     simulate_select,
+    simulate_write,
 )
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "IndexLookupLeakage",
     "JoinLeakage",
     "SelectLeakage",
+    "WriteLeakage",
     "assert_indistinguishable",
     "assert_same_leakage",
     "canonicalize",
@@ -46,4 +49,5 @@ __all__ = [
     "simulate_index_lookup",
     "simulate_join",
     "simulate_select",
+    "simulate_write",
 ]

@@ -13,16 +13,17 @@ run matches the canonical trace of the real run, then everything the
 adversary saw was computable from the leakage alone — which is precisely
 the theorem's claim, checked per-query.
 
-SIM exists for five node types: a selection (:func:`simulate_select`), a
+SIM exists for six node types: a selection (:func:`simulate_select`), a
 join (:func:`simulate_join`), an ungrouped aggregate over a flat table or a
 join (:func:`simulate_aggregate`), a GROUP BY over a flat table
-(:func:`simulate_group_by`) and an index lookup with the statement over its
-segment (:func:`simulate_index_lookup`).  Each ``*Leakage`` reads plan
-fields and public catalog facts only (``from_plan``).  A join's and an
-aggregate's inputs are empty dummy tables of the leaked capacities: their
-traces do not depend on a single stored value.  A GROUP BY's dummy table
-holds exactly the leaked number of groups.  An index lookup's dummy index
-has the real one's geometry and height and holds the leaked segment.
+(:func:`simulate_group_by`), an index lookup with the statement over its
+segment (:func:`simulate_index_lookup`) and a write
+(:func:`simulate_write`).  Each ``*Leakage`` reads plan fields and public
+catalog facts only (``from_plan``).  A join's and an aggregate's inputs are
+empty dummy tables of the leaked capacities: their traces do not depend on
+a single stored value.  A GROUP BY's dummy table holds exactly the leaked
+number of groups.  An index lookup's or a write's dummy index has the real
+one's geometry and height and holds the leaked segment.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from ..operators.aggregate import (
     group_by_aggregate,
 )
 from ..operators.join import held_hash_join
-from ..operators.predicate import Comparison, Predicate
+from ..operators.predicate import Comparison, Interval, Predicate
 from ..operators.select import spill_index_segment
+from ..operators.write import oblivious_delete, oblivious_insert, oblivious_update
 from ..oram.path_oram import PathORAM
 from ..planner.compile import (
     AggregateNode,
@@ -53,6 +55,7 @@ from ..planner.compile import (
     QueryPlan,
     ScanNode,
     SelectNode,
+    WriteNode,
 )
 from ..planner.plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
 from ..planner.select_planner import SelectDecision
@@ -60,7 +63,7 @@ from ..planner.stats import scan_statistics
 from ..storage.btree import ObliviousBPlusTree
 from ..storage.flat import FlatStorage
 from ..storage.schema import Column, ColumnType, Row, Schema, Value, int_column
-from ..storage.table import Table
+from ..storage.table import StorageMethod, Table
 from .obliviousness import CanonicalTrace, canonicalize, oram_regions_of
 
 
@@ -548,29 +551,12 @@ def simulate_index_lookup(
         if groups:
             values[over.group_column] = i % groups
         segment.append(_dummy_row(schema, values))
-    # The fewest rows a packed tree of the leaked height holds.
-    order, height = leakage.order, leakage.height
-    least = height if height < 2 else (order - 1) * order ** (height - 2) + 1
     filler = [
         _dummy_row(schema, {key: leakage.segment_rows + i})
-        for i in range(max(0, least - len(segment)))
+        for i in range(max(0, _least_rows(leakage.order, leakage.height) - len(segment)))
     ]
-    enclave = Enclave(oblivious_memory_bytes=1 << 40, cipher="null", keep_trace_events=True)
-    tree = ObliviousBPlusTree(
-        enclave,
-        schema,
-        key,
-        leakage.capacity,
-        order=order,
-        oram_factory=lambda enclave, capacity, block_size, rng: PathORAM(
-            enclave, capacity, block_size, rng=rng, treetop_levels=leakage.treetop_levels
-        ),
-        resident_levels=leakage.resident_levels,
-    )
-    if height:
-        tree.bulk_load(segment + filler)
-    if tree.height != height:
-        raise PlannerError(f"SIM built a tree of height {tree.height}, not {height}")
+    enclave = _sim_enclave()
+    tree = _dummy_tree(enclave, leakage, segment + filler)
     enclave.oblivious.allocate(enclave.oblivious.free_bytes - oblivious_memory_bytes)
     enclave.trace.clear()
     key_index = schema.column_index(key)
@@ -584,6 +570,167 @@ def simulate_index_lookup(
             aggregate(scratch, list(over.specs))
         else:
             _group_by(scratch, over)
+    return _canonical(enclave)
+
+
+def _sim_enclave() -> Enclave:
+    return Enclave(oblivious_memory_bytes=1 << 40, cipher="null", keep_trace_events=True)
+
+
+def _least_rows(order: int, height: int) -> int:
+    """The fewest rows a packed tree of ``height`` levels holds."""
+    return height if height < 2 else (order - 1) * order ** (height - 2) + 1
+
+
+def _dummy_tree(
+    enclave: Enclave, leakage: "IndexLookupLeakage | WriteLeakage", rows: Sequence[Row]
+) -> ObliviousBPlusTree:
+    """An index of the leaked geometry, bulk-loaded with ``rows``, which
+    must give it the leaked height."""
+    tree = ObliviousBPlusTree(
+        enclave,
+        leakage.schema,
+        leakage.key_column,
+        leakage.capacity,
+        order=leakage.order,
+        oram_factory=lambda enclave, capacity, block_size, rng: PathORAM(
+            enclave, capacity, block_size, rng=rng, treetop_levels=leakage.treetop_levels
+        ),
+        resident_levels=leakage.resident_levels,
+    )
+    if leakage.height:
+        tree.bulk_load(rows)
+    if tree.height != leakage.height:
+        raise PlannerError(f"SIM built a tree of height {tree.height}, not {leakage.height}")
+    return tree
+
+
+# ----------------------------------------------------------------------
+# Writes
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class WriteLeakage:
+    """The leakage of an INSERT, UPDATE or DELETE: the :class:`WriteNode`'s
+    operation, capacity and ``access_method``; the table's schema, storage
+    method and ``oram_kind``; its index's geometry as in
+    :class:`IndexLookupLeakage` (the height the statement left); and two
+    trace sizes, which Theorem 1 hands SIM: ``affected``, the rows an
+    UPDATE / DELETE rewrote in the index (one padded burst each), and
+    ``segment_rows``, the rows an ``index_range`` lookup returned.  A flat
+    pass reads and writes every slot, so a flat-only table leaks neither.
+
+    Out of scope: the write-ahead log's append, which a durable database
+    makes before the statement runs; ``INSERT ... FAST``, which writes the
+    table's next slot; an UPDATE that assigns the key column (a delete and
+    an insert per index row); and a statement that changes the index's
+    height part-way.
+    """
+
+    operation: str
+    schema: Schema
+    capacity: int
+    method: StorageMethod
+    access_method: AccessMethod | None
+    oram_kind: str
+    key_column: str | None = None
+    order: int = 0
+    treetop_levels: int = 0
+    resident_levels: int = 0
+    height: int = 0
+    affected: int = 0
+    segment_rows: int = 0
+
+    @classmethod
+    def from_plan(
+        cls,
+        plan: QueryPlan,
+        tables: Mapping[str, Table],
+        affected: int = 0,
+        segment_rows: int = 0,
+    ) -> "WriteLeakage":
+        """From the write's plan and the catalog's tables after it ran, of
+        which it reads only public facts."""
+        node = plan.root
+        if not isinstance(node, WriteNode):
+            raise PlannerError("plan has no write to simulate")
+        table = tables[node.table]
+        geometry = {}
+        if table.indexed is not None:
+            tree = table.indexed.tree
+            geometry = dict(
+                key_column=tree.key_column,
+                order=tree.order,
+                treetop_levels=tree.oram.treetop_levels,
+                resident_levels=tree.resident_levels,
+                height=tree.height,
+            )
+        return cls(
+            operation=node.operation,
+            schema=table.schema,
+            capacity=node.rows,
+            method=table.method,
+            access_method=node.access_method,
+            oram_kind=table.oram_kind,
+            affected=affected,
+            segment_rows=segment_rows,
+            **geometry,
+        )
+
+
+def simulate_write(leakage: WriteLeakage) -> CanonicalTrace:
+    """SIM for a write: the engine's write operator over a dummy table of
+    the leaked schema, capacity and storage method.
+
+    The flat copy stays empty: its pass reads and writes every slot
+    whatever they hold.  The dummy index has the leaked geometry and holds
+    keys 0, 1, ... in a packed tree of the leaked height: before an INSERT
+    the fewest rows of that height, which take the next key without a root
+    split; before an UPDATE / DELETE as many as the height holds, up to the
+    capacity, so removing rows never lowers it.  The ``affected`` smallest
+    keys match SIM's predicate, and an ``index_range`` lookup returns the
+    ``segment_rows`` smallest.
+    """
+    if leakage.method is not StorageMethod.FLAT and leakage.oram_kind not in ("path", "paper"):
+        raise PlannerError(f"SIM covers Path ORAM indexes, not {leakage.oram_kind!r}")
+    schema, key, height = leakage.schema, leakage.key_column, leakage.height
+    insert = leakage.operation == "insert"
+    enclave = _sim_enclave()
+    table = Table(
+        enclave,
+        "sim",
+        schema,
+        leakage.capacity,
+        method=leakage.method,
+        key_column=key,
+        oram_kind="paper",
+    )
+    column = key or schema.columns[0].name
+    rows = 0
+    if table.indexed is not None:
+        order = leakage.order
+        most = min(leakage.capacity, (order - 1) * order ** max(0, height - 1))
+        rows = _least_rows(order, height) if insert else most
+        table.indexed.tree.free()  # the constructor's; SIM's has the leaked geometry
+        table.indexed.tree = _dummy_tree(
+            enclave, leakage, [_dummy_row(schema, {key: i}) for i in range(rows)]
+        )
+    enclave.trace.clear()
+
+    def value(i: int) -> Value:
+        return _dummy_value(schema.column(column), i)
+
+    matches = Comparison(column, "<", value(leakage.affected))
+    interval = None
+    if leakage.access_method is AccessMethod.INDEX_RANGE:
+        segment = leakage.segment_rows
+        low, high = (0, segment - 1) if segment else (rows, rows)  # a miss: past every key
+        interval = Interval(value(low), value(high))
+    if insert:
+        oblivious_insert(table, _dummy_row(schema, {column: rows}))
+    elif leakage.operation == "update":
+        oblivious_update(table, matches, lambda row: row, interval)
+    else:
+        oblivious_delete(table, matches, interval)
     return _canonical(enclave)
 
 

@@ -14,7 +14,6 @@ from .ast import (
 from .database import ObliDB, RetryPolicy, VerifyReport
 from .executor import Executor, PlanRunner, run_join_algorithm, run_select_algorithm
 from .padding import PaddingConfig
-from .plan_cache import PlanCache, statement_fingerprint
 from .sql import parse, tokenize
 from .wal import RecoveryReport, WriteAheadLog
 
@@ -31,7 +30,6 @@ __all__ = [
     "JoinClause",
     "ObliDB",
     "PaddingConfig",
-    "PlanCache",
     "PlanRunner",
     "QueryResult",
     "SelectStatement",
@@ -40,6 +38,5 @@ __all__ = [
     "parse",
     "run_join_algorithm",
     "run_select_algorithm",
-    "statement_fingerprint",
     "tokenize",
 ]

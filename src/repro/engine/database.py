@@ -49,7 +49,6 @@ from .ast import (
 )
 from .executor import Executor
 from .padding import PaddingConfig
-from .plan_cache import PlanCache
 from .sql import parse
 from .wal import RecoveryReport, WriteAheadLog
 
@@ -120,7 +119,6 @@ class ObliDB:
         keep_trace_events: bool = False,
         seed: int | None = None,
         wal: bool = False,
-        result_cache_entries: int = 0,
         fault_plan: FaultPlan | None = None,
         retry: RetryPolicy | None = _DEFAULT_RETRY,
     ) -> None:
@@ -143,20 +141,11 @@ class ObliDB:
         self._rng = random.Random(seed)
         self._tables: dict[str, Table] = {}
         self._creation_ids = itertools.count(1)
-        # Opt-in plan-keyed result cache: a hit answers a repeated
-        # read-only query from enclave memory with zero untrusted
-        # accesses.  That makes query *repetition* observable (the classic
-        # deduplication trade-off), so it is off by default; see
-        # repro.engine.plan_cache for the leakage discussion.
-        self.result_cache: PlanCache | None = (
-            PlanCache(result_cache_entries) if result_cache_entries > 0 else None
-        )
         self._executor = Executor(
             self._tables,
             padding=padding,
             allow_continuous=allow_continuous,
             rng=self._rng,
-            result_cache=self.result_cache,
         )
         # Optional write-ahead log (the Section 3 durability extension):
         # every DDL/write statement is sealed and appended before it runs.
@@ -214,8 +203,6 @@ class ObliDB:
         table = self._tables.pop(name, None)
         if table is None:
             raise StorageError(f"no table named {name!r}")
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(name)
         table.free()
 
     def table(self, name: str) -> Table:

@@ -6,9 +6,8 @@ fusion, and padding decision is made by :mod:`repro.planner.compile`, which
 turns a logical statement into a typed plan tree; this module is two thin
 layers on top of it:
 
-* :class:`Executor` — the statement entry point: consult the optional
-  plan-keyed result cache, compile, run, attach the leaked plan and cost
-  counters to the result, store cacheable results.
+* :class:`Executor` — the statement entry point: compile, run, attach the
+  leaked plan and cost counters to the result.
 
 * :class:`PlanRunner` — a structural walk of the plan tree that invokes
   the existing batched operators.  The only "logic" here is mechanical:
@@ -85,7 +84,6 @@ from .ast import (
     UpdateStatement,
 )
 from .padding import PaddingConfig
-from .plan_cache import PlanCache, statement_fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -509,10 +507,9 @@ class PlanRunner:
 class Executor:
     """Executes statements against a catalog of tables in one enclave.
 
-    Pipeline per statement: result-cache probe (enclave-side only — a hit
-    touches no untrusted memory) → :func:`compile_statement` →
-    :class:`PlanRunner` → cache store.  Writes additionally bump the
-    target table's revision epoch and invalidate its cache entries.
+    Pipeline per statement: :func:`compile_statement` →
+    :class:`PlanRunner`.  Writes additionally bump the target table's
+    revision epoch.
     """
 
     def __init__(
@@ -521,12 +518,10 @@ class Executor:
         padding: PaddingConfig | None = None,
         allow_continuous: bool = True,
         rng: random.Random | None = None,
-        result_cache: PlanCache | None = None,
     ) -> None:
         self._tables = tables
         self._padding = padding
         self._allow_continuous = allow_continuous
-        self._cache = result_cache
         self._runner = PlanRunner(padding=padding, rng=rng)
 
     # ------------------------------------------------------------------
@@ -560,33 +555,10 @@ class Executor:
         )
 
     # ------------------------------------------------------------------
-    # SELECT (with the plan-keyed result cache)
+    # SELECT
     # ------------------------------------------------------------------
-    def _statement_tables(self, statement: SelectStatement) -> list[Table]:
-        tables = [self._table(statement.table)]
-        if statement.join is not None:
-            tables.append(self._table(statement.join.right_table))
-        return tables
-
-    def _epochs(self, tables: list[Table]) -> tuple:
-        return tuple((table.name, table.revision) for table in tables)
-
     def _execute_select(self, statement: SelectStatement) -> QueryResult:
-        tables = self._statement_tables(statement)
-        enclave = tables[0].enclave
-        fingerprint = epochs = None
-        if self._cache is not None:
-            # The probe runs entirely on enclave-side state (statement
-            # fingerprint + catalog epochs): a hit performs zero untrusted-
-            # memory accesses, a miss changes nothing about the trace.
-            fingerprint = statement_fingerprint(
-                statement, self._padding, self._allow_continuous
-            )
-            if fingerprint is not None:  # None: statement not cacheable
-                epochs = self._epochs(tables)
-                cached = self._cache.lookup(fingerprint, epochs)
-                if cached is not None:
-                    return cached.to_result()
+        enclave = self._table(statement.table).enclave
         start = enclave.cost_snapshot()
         compiled = self._compile(statement)
         try:
@@ -594,9 +566,6 @@ class Executor:
         finally:
             compiled.free()  # releases sources left behind by an error
         result.cost = enclave.cost.delta_since(start).snapshot()
-        if self._cache is not None and fingerprint is not None:
-            assert epochs is not None
-            self._cache.store(fingerprint, epochs, result)
         return result
 
     # ------------------------------------------------------------------
@@ -623,33 +592,22 @@ class Executor:
         compiled = self._compile(statement)
         table = self._table(compiled.plan.tables[0])
         start = table.enclave.cost_snapshot()
-        before = table.revision
-        try:
-            if isinstance(statement, InsertStatement):
-                oblivious_insert(table, statement.values, fast=statement.fast)
-                affected = 1
-            elif isinstance(statement, UpdateStatement):
-                affected = oblivious_update(
-                    table,
-                    statement.where or TruePredicate(),
-                    self._assigner(table, statement),
-                    compiled.key_interval,
-                )
-            else:
-                assert isinstance(statement, DeleteStatement)
-                affected = oblivious_delete(
-                    table, statement.where or TruePredicate(), compiled.key_interval
-                )
-        except BaseException:
-            # Failed-write coherence: if the mutation layer bumped the
-            # revision (it started touching storage), drop the table's
-            # cached results too.  Clean failures leave both untouched.
-            if self._cache is not None and table.revision != before:
-                self._cache.invalidate_table(table.name)
-            raise
+        if isinstance(statement, InsertStatement):
+            oblivious_insert(table, statement.values, fast=statement.fast)
+            affected = 1
+        elif isinstance(statement, UpdateStatement):
+            affected = oblivious_update(
+                table,
+                statement.where or TruePredicate(),
+                self._assigner(table, statement),
+                compiled.key_interval,
+            )
+        else:
+            assert isinstance(statement, DeleteStatement)
+            affected = oblivious_delete(
+                table, statement.where or TruePredicate(), compiled.key_interval
+            )
         table.bump_revision()
-        if self._cache is not None:
-            self._cache.invalidate_table(table.name)
         return QueryResult(
             affected=affected,
             cost=table.enclave.cost.delta_since(start).snapshot(),

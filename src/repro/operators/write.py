@@ -63,7 +63,7 @@ def oblivious_update(
             updated = table.flat.update(predicate, assign)
         except BaseException:
             # The pass may have landed a prefix of its chunks: bump the
-            # revision so no cached result survives the partial mutation.
+            # revision so the epoch says the table changed.
             table.bump_revision()
             raise
     if table.indexed is not None:

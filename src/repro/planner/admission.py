@@ -1,34 +1,30 @@
 """Admission-key normalization for the concurrent serving layer.
 
 The serving front end (:mod:`repro.serving`) coalesces concurrent identical
-read statements onto one in-flight execution.  Its admission unit is the
-same identity the result cache and the obliviousness checker already use —
-the compiled plan (:attr:`~repro.planner.compile.QueryPlan.cache_key`) —
-but coalescing must key a request *before* anything is compiled or
-executed, because compilation itself touches untrusted memory (the
-statistics pass) and must run at most once per coalesced group.
+read statements onto one in-flight execution.  It must key a request
+*before* anything is compiled or executed, because compilation itself
+touches untrusted memory (the statistics pass) and must run at most once
+per coalesced group.
 
 So admission keys are computed enclave-side from the **logical statement**:
-the same digest the plan-keyed result cache uses
-(:func:`~repro.engine.plan_cache.statement_fingerprint`), over a statement
-first *normalized* here.  Normalization canonicalizes representation
-choices that cannot change the compiled plan, the trace, or the result —
-today, the operand order of commutative ``AND``/``OR`` predicates — so
+a digest (:func:`statement_fingerprint`) over a statement first
+*normalized* here.  Normalization canonicalizes representation choices
+that cannot change the compiled plan, the trace, or the result — today,
+the operand order of commutative ``AND``/``OR`` predicates — so
 ``WHERE a = 1 AND b = 2`` and ``WHERE b = 2 AND a = 1`` coalesce onto one
 execution.  Anything that could change the plan (tables, columns, operator
 shape, literal parameters) stays in the key verbatim.
 
 Because compilation is deterministic given the catalog, *(admission key,
-table revision epochs)* identifies exactly one compiled plan; the serving
-layer records that plan's ``cache_key`` on each in-flight group after the
-leader compiles, keeping the mapping *(admission unit → leaked plan)*
-explicit and testable, exactly as the result cache does for its entries.
+table revision epochs)* identifies exactly one compiled plan, and so one
+trace and one result.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 from ..engine.ast import SelectStatement
-from ..engine.plan_cache import statement_fingerprint
 from ..operators.predicate import And, Not, Or, Predicate
 
 
@@ -70,6 +66,30 @@ def normalize_statement(statement: SelectStatement) -> SelectStatement:
         descending=statement.descending,
         limit=statement.limit,
     )
+
+
+def statement_fingerprint(
+    statement: SelectStatement,
+    padding: object | None,
+    allow_continuous: bool,
+) -> str | None:
+    """Digest of the full logical statement plus engine configuration.
+
+    Statements are frozen dataclass trees (predicates included) whose
+    ``repr`` is canonical, so equal queries — parameters and all — map to
+    equal fingerprints and *only* equal queries do.  The fingerprint
+    never leaves the enclave; computing it touches no untrusted memory.
+
+    Returns ``None`` — statement not keyable — when any component falls
+    back to the address-based default ``object.__repr__`` (e.g. a
+    user-defined :class:`~repro.operators.predicate.Predicate` subclass
+    without a structural repr): an address is not an identity, and after
+    allocator reuse two different predicates could collide on it.
+    """
+    text = f"{statement!r}|padding={padding!r}|continuous={allow_continuous}"
+    if " object at 0x" in text:
+        return None
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def admission_key(

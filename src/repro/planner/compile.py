@@ -452,8 +452,7 @@ class QueryPlan:
 
         Two runs leak the same value iff their plans' cache keys match;
         the obliviousness checker requires their canonical traces to be
-        identical in that case, and the result cache uses the key as the
-        plan-identity half of its entries.
+        identical in that case.
         """
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()

@@ -84,7 +84,9 @@ def plan_select(
     ``allow_continuous=False`` disables the Continuous algorithm (its choice
     leaks result adjacency; Section 7.1 disables it against Opaque).
     ``force`` overrides the decision, as the paper allows users to do —
-    except Continuous on non-adjacent matches, which cannot run.
+    except Continuous on non-adjacent matches, and Small when free
+    oblivious memory holds no framed row (``buffer_rows`` 0), which cannot
+    run.
 
     With ``keep=True`` (and no forced algorithm) the pass is also Small's
     first pass: it keeps the first ``buffer_rows`` matching frames when
@@ -97,7 +99,12 @@ def plan_select(
     enclave = table.enclave
     row_bytes = framed_size(table.schema)
     free_bytes = enclave.oblivious.free_bytes
-    buffer_rows = max(1, int(free_bytes // row_bytes * MAX_SMALL_BUFFER_FRACTION))
+    buffer_rows = int(free_bytes // row_bytes * MAX_SMALL_BUFFER_FRACTION)
+    if force is SelectAlgorithm.SMALL and buffer_rows < 1:
+        raise PlannerError(
+            f"Small algorithm forced with no buffer: {free_bytes} B free "
+            f"holds no {row_bytes} B framed row"
+        )
     keeps = keep and force is None and buffer_rows * row_bytes <= free_bytes
     stats = scan_statistics(table, predicate, keep=buffer_rows if keeps else 0)
 
@@ -120,7 +127,8 @@ def _choose(
     Thresholds decide *applicability* — Large only when the output is most
     of the table, Continuous only when matches are adjacent (and allowed) —
     and block-access cost expressions pick the cheapest applicable
-    algorithm.  Hash and Small are always applicable.
+    algorithm.  Hash is always applicable, Small whenever oblivious memory
+    holds its buffer (``buffer_rows`` ≥ 1).
     """
     n = stats.input_capacity
     r = stats.matching_rows
@@ -131,11 +139,11 @@ def _choose(
         # wherever that pass keeps matches: only with ``keep=True``, which
         # the compiler passes on every table but the paper's.
         return SelectAlgorithm.HASH
-    passes = (r + buffer_rows - 1) // buffer_rows
-    costs: dict[SelectAlgorithm, int] = {
-        SelectAlgorithm.SMALL: n * passes + r,
-        SelectAlgorithm.HASH: 21 * n,
-    }
+    costs: dict[SelectAlgorithm, int] = {}
+    if buffer_rows >= 1:
+        passes = (r + buffer_rows - 1) // buffer_rows
+        costs[SelectAlgorithm.SMALL] = n * passes + r
+    costs[SelectAlgorithm.HASH] = 21 * n
     if stats.continuous and allow_continuous:
         costs[SelectAlgorithm.CONTINUOUS] = 3 * n
     if stats.selectivity >= LARGE_SELECTIVITY_THRESHOLD:

@@ -55,14 +55,15 @@ class Table:
         # Recorded whatever the method: "paper" also tells the planner to run
         # the paper's selection algorithms over the flat copy as written.
         self.oram_kind = oram_kind
-        # Revision epoch: (catalog creation id, mutation count).  The
-        # result cache keys on it, so any mutation — and any drop/recreate,
-        # which gets a fresh creation id — invalidates cached results.
+        # Revision epoch: (catalog creation id, mutation count).  Serving's
+        # read coalescing and the statement retry key on it, so any
+        # mutation — and any drop/recreate, which gets a fresh creation id —
+        # changes it.
         self._creation_id = creation_id
         self._mutations = 0
         # Serving-layer sessions bump the epoch from concurrent threads;
-        # the increment must not lose updates (a lost bump could let the
-        # result cache serve a stale answer).
+        # the increment must not lose updates (a lost bump could let a read
+        # join a group that started before the write).
         self._revision_lock = threading.Lock()
         self.flat: FlatStorage | None = None
         self.indexed: IndexedStorage | None = None
@@ -107,9 +108,9 @@ class Table:
         return (self._creation_id, self._mutations)
 
     def bump_revision(self) -> None:
-        """Advance the epoch after a mutation (idempotent per statement:
-        an extra bump only ever invalidates, never preserves, stale cache
-        entries).  Locked: concurrent sessions must never lose a bump."""
+        """Advance the epoch after a mutation (an extra bump per statement
+        is harmless: it only ever says the table changed).  Locked:
+        concurrent sessions must never lose a bump."""
         with self._revision_lock:
             self._mutations += 1
 
@@ -138,7 +139,7 @@ class Table:
         returns the validated rows and mutates nothing.
 
         A clean failure (validation, capacity) leaves the revision epoch
-        untouched — nothing changed, cached results stay valid.  Once a
+        untouched — nothing changed, so the statement may be retried.  Once a
         storage pass has started, any failure instead bumps the epoch
         conservatively (see the mutation wrappers below).  The engine runs
         this before it logs an insert, so a refused batch never reaches the
@@ -179,8 +180,8 @@ class Table:
                 self.indexed.insert(row)
         except BaseException:
             # The mutation may have partially landed (one representation
-            # updated, or a pass torn mid-chunk): bump so the result cache
-            # can never serve a pre-failure answer for this table.
+            # updated, or a pass torn mid-chunk): bump so the epoch says the
+            # table changed, and the statement is not retried over it.
             self.bump_revision()
             raise
         self.bump_revision()

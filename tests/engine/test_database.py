@@ -117,6 +117,43 @@ class TestWrites:
         assert db.point_lookup("emp", 200) == [(200, "api", 1)]
 
 
+class TestRevisionEpochs:
+    """Every mutation moves a table's revision epoch, and a dropped and
+    recreated table never repeats one: serving's coalescing keys on it."""
+
+    def test_drop_and_recreate_gets_a_new_epoch(self, db: ObliDB) -> None:
+        before = db.revision_epochs(["emp"])
+        db.drop_table("emp")
+        assert db.revision_epochs(["emp"]) == ()
+        db.sql("CREATE TABLE emp (id INT, dept STR(8), salary INT) CAPACITY 64")
+        after = db.revision_epochs(["emp"])
+        assert after and after != before
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO emp VALUES (30, 'd1', 5)",
+            "UPDATE emp SET salary = 5 WHERE id = 3",
+            "DELETE FROM emp WHERE salary > 1100",
+        ],
+    )
+    def test_sql_write_moves_epoch(self, db: ObliDB, sql: str) -> None:
+        db.sql("CREATE TABLE other (x INT) CAPACITY 4")
+        before = db.revision_epochs()
+        db.sql(sql)
+        after = dict(db.revision_epochs())
+        assert after["emp"] != dict(before)["emp"]
+        assert after["other"] == dict(before)["other"]
+
+    def test_typed_inserts_move_epoch(self, db: ObliDB) -> None:
+        epochs = [db.revision_epochs(["emp"])]
+        db.insert("emp", (30, "d1", 5))
+        epochs.append(db.revision_epochs(["emp"]))
+        db.insert_many("emp", [(31, "d2", 6), (32, "d3", 7)])
+        epochs.append(db.revision_epochs(["emp"]))
+        assert len(set(epochs)) == 3
+
+
 class TestJoins:
     @pytest.fixture
     def join_db(self) -> ObliDB:

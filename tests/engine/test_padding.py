@@ -70,6 +70,23 @@ class TestPaddedExecution:
         with pytest.raises(Exception):
             db.sql("SELECT * FROM t WHERE id < 9")
 
+    def test_padding_overflow_frees_output(self) -> None:
+        """check_fits raising (real rows exceed the padded bound) is an
+        expected error: the padded scratch must be released, not leaked."""
+        from repro import PaddingConfig
+
+        db = ObliDB(cipher="null", seed=7, padding=PaddingConfig(pad_rows=2, pad_groups=2))
+        db.sql("CREATE TABLE p (k INT) CAPACITY 16")
+        for i in range(8):
+            db.sql(f"INSERT INTO p VALUES ({i})")
+        regions_before = set(db.enclave.untrusted.region_names())
+        for _ in range(3):
+            with pytest.raises(Exception):
+                db.sql("SELECT * FROM p WHERE k < 6")  # 6 rows > pad_rows=2
+            with pytest.raises(Exception):
+                db.sql("SELECT k, COUNT(*) FROM p GROUP BY k")  # 8 groups > 2
+        assert set(db.enclave.untrusted.region_names()) == regions_before
+
     def test_padding_ignores_index(self) -> None:
         """Indexes reveal selectivity; padding mode must not use them."""
         db = ObliDB(

@@ -74,8 +74,8 @@ def quickstart_db() -> ObliDB:
 class TestPlanSnapshots:
     def test_quickstart_plans_are_stable(self, quickstart_db: ObliDB) -> None:
         """Compiling twice (and against an identically built database)
-        yields bit-identical plans — the determinism the result cache and
-        the Appendix-A checker rely on."""
+        yields bit-identical plans — the determinism serving's coalescing
+        and the Appendix-A checker rely on."""
         first = [quickstart_db.explain(sql) for sql in QUICKSTART_QUERIES]
         second = [quickstart_db.explain(sql) for sql in QUICKSTART_QUERIES]
         for a, b in zip(first, second):
@@ -417,7 +417,7 @@ def build_table(
 def om_bytes_for_buffer(buffer_rows: int) -> int:
     """An OM budget that yields exactly ``buffer_rows`` Small-buffer rows."""
     row_bytes = framed_size(SCHEMA)
-    # plan_select: buffer = max(1, int((free // row_bytes) * 0.8))
+    # plan_select: buffer = int((free // row_bytes) * 0.8)
     return int(buffer_rows / 0.8 + 1) * row_bytes
 
 
@@ -447,16 +447,18 @@ class TestSelectCrossover:
     def test_small_vs_hash_crossover_bracketed(self) -> None:
         """With a 1-row buffer the Small cost is N·R + R versus Hash's
         21·N: at N=64 the crossover sits between R=20 and R=22."""
-        below = build_table(64, 20, contiguous=False, oblivious_memory_bytes=8)
-        above = build_table(64, 22, contiguous=False, oblivious_memory_bytes=8)
+        one_row = om_bytes_for_buffer(1)
+        below = build_table(64, 20, contiguous=False, oblivious_memory_bytes=one_row)
+        above = build_table(64, 22, contiguous=False, oblivious_memory_bytes=one_row)
         assert plan_select(below, PREDICATE).algorithm is SelectAlgorithm.SMALL
         assert plan_select(above, PREDICATE).algorithm is SelectAlgorithm.HASH
 
     def test_large_threshold_bracketed(self) -> None:
         """Selectivity ≥ 0.5 admits Large (4·N), which then beats a
         1-row-buffer Small; just below the threshold Large is ineligible."""
-        at = build_table(64, 32, contiguous=False, oblivious_memory_bytes=8)
-        under = build_table(64, 31, contiguous=False, oblivious_memory_bytes=8)
+        one_row = om_bytes_for_buffer(1)
+        at = build_table(64, 32, contiguous=False, oblivious_memory_bytes=one_row)
+        under = build_table(64, 31, contiguous=False, oblivious_memory_bytes=one_row)
         assert plan_select(at, PREDICATE).algorithm is SelectAlgorithm.LARGE
         assert plan_select(under, PREDICATE).algorithm is not SelectAlgorithm.LARGE
 

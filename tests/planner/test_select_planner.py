@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ObliDB
 from repro.enclave import Enclave, PlannerError
 from repro.engine import run_select_algorithm
 from repro.operators import Comparison, Or
-from repro.planner import SelectAlgorithm, SelectDecision, plan_select
+from repro.planner import SelectAlgorithm, SelectDecision, SelectNode, plan_select
 from repro.storage import FlatStorage, Schema
 from repro.workloads import shuffled, wide_rows
 
@@ -99,6 +100,46 @@ class TestAlgorithmChoice:
         decision = plan_select(ordered_table, Comparison("id", "<", 10))
         assert decision.stats.input_capacity == 200
         assert decision.stats.matching_rows == 10
+
+
+class TestNoSmallBuffer:
+    """Below one framed row of free oblivious memory Small has no buffer:
+    it is never chosen, and forcing it is refused before any block moves."""
+
+    @pytest.mark.parametrize("budget", [64, 16])
+    def test_engine_select_plans_around_missing_buffer(self, budget: int) -> None:
+        db = ObliDB(
+            oblivious_memory_bytes=budget,
+            allow_continuous=False,
+            cipher="null",
+            seed=1,
+        )
+        db.sql("CREATE TABLE t (k INT, name STR(60)) CAPACITY 64")
+        for key in range(40):
+            db.sql(f"INSERT INTO t VALUES ({key}, 'n{key}')")
+        result = db.sql("SELECT * FROM t WHERE k < 3")
+        assert sorted(result.rows) == [(key, f"n{key}") for key in range(3)]
+        select = result.plan.find(SelectNode)
+        assert select.algorithm is not SelectAlgorithm.SMALL
+        assert select.buffer_rows == 0
+
+    def test_no_buffer_rows_below_one_framed_row(self, wide_schema: Schema) -> None:
+        tiny = Enclave(oblivious_memory_bytes=16, cipher="null")
+        table = load(tiny, wide_schema, shuffled(wide_rows(50)))
+        decision = plan_select(table, Comparison("id", "<", 3), keep=True)
+        assert decision.buffer_rows == 0
+        assert decision.algorithm is not SelectAlgorithm.SMALL
+        assert not decision.in_enclave and not decision.resumed
+
+    def test_forced_small_without_buffer_rejected_before_scan(
+        self, wide_schema: Schema
+    ) -> None:
+        tiny = Enclave(oblivious_memory_bytes=16, cipher="null")
+        table = load(tiny, wide_schema, shuffled(wide_rows(50)))
+        before = tiny.cost.block_ios
+        with pytest.raises(PlannerError, match="Small"):
+            plan_select(table, Comparison("id", "<", 3), force=SelectAlgorithm.SMALL)
+        assert tiny.cost.block_ios == before
 
 
 class TestExecuteSelect:

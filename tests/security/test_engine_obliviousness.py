@@ -200,66 +200,6 @@ class TestPlanLeakageContract:
         assert_indistinguishable(traces)
 
 
-class TestResultCacheTraces:
-    """Trace-level acceptance criteria for the opt-in result cache."""
-
-    def build_cached_db(self, seed: int, entries: int = 8) -> ObliDB:
-        db = ObliDB(
-            cipher="null",
-            keep_trace_events=True,
-            allow_continuous=False,
-            seed=1,
-            result_cache_entries=entries,
-        )
-        db.sql(SCHEMA_SQL)
-        rng = random.Random(seed)
-        for key in range(30):
-            db.sql(f"INSERT INTO t VALUES ({key}, {rng.randrange(1000)}, 's{key}')")
-        return db
-
-    def test_cache_hit_performs_zero_untrusted_accesses(self) -> None:
-        db = self.build_cached_db(seed=16)
-        sql = "SELECT * FROM t WHERE k = 5"
-        first = db.sql(sql)
-        db.enclave.trace.clear()
-        second = db.sql(sql)
-        assert second.rows == first.rows
-        assert len(db.enclave.trace.events) == 0
-        assert second.cost == {"cache_hits": 1}
-
-    def test_cache_miss_trace_identical_to_uncached(self) -> None:
-        """Enabling the cache must not change what a miss looks like: the
-        first execution's trace equals the trace of the same query on an
-        identically built cache-less database."""
-        for sql in (
-            "SELECT * FROM t WHERE k = 9",
-            "SELECT COUNT(*), SUM(v) FROM t WHERE v < 500",
-            "SELECT * FROM t WHERE k >= 4 AND k <= 8",
-        ):
-            cached_db = self.build_cached_db(seed=17)
-            uncached_db = build_db(seed=17)
-            cached_trace, cached_plan = real_query_trace(cached_db, sql)
-            uncached_trace, uncached_plan = real_query_trace(uncached_db, sql)
-            assert_same_leakage([cached_plan, uncached_plan])
-            assert_indistinguishable([cached_trace, uncached_trace])
-
-    def test_invalidated_entry_reruns_with_unchanged_trace(self) -> None:
-        """After a write invalidates an entry, the re-execution's trace is
-        again indistinguishable from a fresh uncached run."""
-        sql = "SELECT * FROM t WHERE k = 5"
-        cached_db = self.build_cached_db(seed=18)
-        cached_db.sql(sql)  # populate
-        cached_db.sql("UPDATE t SET v = 7 WHERE k = 5")  # invalidate
-
-        uncached_db = build_db(seed=18)
-        uncached_db.sql(sql)
-        uncached_db.sql("UPDATE t SET v = 7 WHERE k = 5")
-
-        rerun_cached, _ = real_query_trace(cached_db, sql)
-        rerun_uncached, _ = real_query_trace(uncached_db, sql)
-        assert_indistinguishable([rerun_cached, rerun_uncached])
-
-
 class TestPaddingModeEndToEnd:
     def test_selectivities_indistinguishable_under_padding(self) -> None:
         """Padding mode's whole point: a query matching 1 row and a query

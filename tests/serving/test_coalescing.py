@@ -15,6 +15,9 @@ import time
 import pytest
 
 from repro import AdmissionPolicy, ObliDB, ObliDBServer
+from repro.engine import SelectStatement, parse
+from repro.operators.predicate import Predicate
+from repro.planner.admission import admission_key
 from repro.serving import AdmissionError, ServerHooks
 from repro.serving.policy import TenantState
 
@@ -193,6 +196,72 @@ class TestCoalescedResultsBitIdentical:
         second.join(timeout=10)
         assert server.stats.executed["read"] == 1
         assert results[0].rows == results[1].rows
+
+
+class _EvenKeys(Predicate):
+    """A user predicate without a structural repr: its default repr is a
+    memory address, which allocator reuse could give another predicate."""
+
+    def compile(self, schema):
+        k = schema.column_index("k")
+        return lambda row: row[k] % 2 == 0
+
+    def columns(self):
+        return {"k"}
+
+
+class TestAdmissionKey:
+    def test_admission_key_refuses_address_repr(self) -> None:
+        statement = SelectStatement(table="t", where=_EvenKeys())
+        assert admission_key(statement, None, True) is None
+
+    def test_literal_parameters_are_in_the_key(self) -> None:
+        """Equal plans with different hidden parameters never share a key."""
+        keys = {
+            admission_key(parse(f"SELECT * FROM t WHERE k = {k}"), None, True)
+            for k in (3, 7)
+        }
+        assert len(keys) == 2 and None not in keys
+
+    def test_concurrent_reads_both_execute_uncoalesced(self) -> None:
+        """Two reads with such a predicate form no group: the second waits
+        for the engine and runs again, even while the first is in flight."""
+        db = build_db()
+        parked = threading.Event()
+        release = threading.Event()
+
+        def hold(text: str, result) -> None:
+            if not parked.is_set():
+                parked.set()
+                release.wait(10)
+
+        server = ObliDBServer(db, hooks=ServerHooks(on_statement_executed=hold))
+        session = server.session()
+        statement = SelectStatement(table="t", where=_EvenKeys())
+        results: list = []
+
+        def client() -> None:
+            results.append(session.execute_statement(statement))
+
+        threads = [threading.Thread(target=client) for _ in range(2)]
+        threads[0].start()
+        assert parked.wait(10)
+        threads[1].start()
+        deadline = time.monotonic() + 10
+        while server.stats.admitted < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert server.stats.admitted == 2
+        assert server.read_groups_in_flight() == 0
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert server.stats.executed["read"] == 2
+        assert server.stats.coalesced == 0
+        assert results[0].rows == results[1].rows
+        assert sorted(results[0].rows) == [
+            (k, (k * 37) % 1000, f"s{k}") for k in range(0, 30, 2)
+        ]
 
 
 class TestAdmissionPolicy:

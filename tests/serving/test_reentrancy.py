@@ -1,10 +1,9 @@
 """Regression tests for the re-entrancy hazards the serving layer exposed.
 
 Before the serving front end, the engine had exactly one caller, so the
-plan cache's LRU mutations and the table revision counter were unlocked.
-These tests hammer both from many threads and pin the now-locked
-invariants: no lost revision bumps, no LRU corruption, coherent counters,
-and FIFO write ordering through the server's queues.
+table revision counter was unlocked.  These tests hammer it from many
+threads and pin the now-locked invariants: no lost revision bumps, and
+FIFO write ordering through the server's queues.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import threading
 import pytest
 
 from repro import Enclave, ObliDB, ObliDBServer
-from repro.engine.ast import QueryResult
-from repro.engine.plan_cache import PlanCache
 from repro.storage import Schema, int_column
 from repro.storage.table import StorageMethod, Table
 
@@ -42,87 +39,6 @@ def _hammer(workers: int, fn) -> None:
     for thread in threads:
         thread.join(timeout=60)
     assert not errors, errors
-
-
-class TestPlanCacheThreadSafety:
-    def test_concurrent_store_respects_bound(self) -> None:
-        """16 threads × 50 stores: the LRU never exceeds max_entries and
-        the OrderedDict survives concurrent reordering."""
-        cache = PlanCache(max_entries=8)
-
-        def worker(index: int) -> None:
-            for i in range(50):
-                fingerprint = f"f{index}-{i % 12}"
-                cache.store(
-                    fingerprint, (("t", (1, 0)),), QueryResult(rows=[(i,)])
-                )
-                cache.lookup(fingerprint, (("t", (1, 0)),))
-
-        _hammer(16, worker)
-        assert len(cache) <= 8
-
-    def test_hits_plus_misses_equals_lookups(self) -> None:
-        """Counter coherence under contention: every lookup is counted
-        exactly once as a hit or a miss (the unlocked version lost
-        increments to read-modify-write races)."""
-        cache = PlanCache(max_entries=64)
-        epochs = (("t", (1, 0)),)
-        for i in range(8):
-            cache.store(f"f{i}", epochs, QueryResult(rows=[(i,)]))
-        lookups_per_worker = 200
-
-        def worker(index: int) -> None:
-            for i in range(lookups_per_worker):
-                # Every key alternates hit ("f0".."f7") and miss ("miss-*").
-                if i % 2:
-                    cache.lookup(f"f{i % 8}", epochs)
-                else:
-                    cache.lookup(f"miss-{index}-{i}", epochs)
-
-        _hammer(8, worker)
-        assert cache.hits + cache.misses == 8 * lookups_per_worker
-        assert cache.hits == 8 * lookups_per_worker // 2
-
-    def test_stale_epoch_eviction_races_with_store(self) -> None:
-        """Lookups observing stale epochs delete entries while writers
-        re-store them; no KeyError, no stale hit."""
-        cache = PlanCache(max_entries=32)
-        fresh = (("t", (1, 5)),)
-        stale = (("t", (1, 4)),)
-
-        def worker(index: int) -> None:
-            for i in range(100):
-                if index % 2:
-                    cache.store("hot", fresh, QueryResult(rows=[(i,)]))
-                else:
-                    entry = cache.lookup("hot", stale)
-                    assert entry is None  # stale epochs never hit
-
-        _hammer(8, worker)
-
-    def test_invalidate_races_with_lookup(self) -> None:
-        cache = PlanCache(max_entries=32)
-
-        class _FakePlan:
-            cache_key = "k"
-            tables = ("t",)
-
-        plan = _FakePlan()
-        epochs = (("t", (1, 0)),)
-
-        def worker(index: int) -> None:
-            for i in range(100):
-                if index % 2:
-                    cache.store(
-                        f"f{i % 4}",
-                        epochs,
-                        QueryResult(rows=[(i,)], plan=plan),
-                    )
-                    cache.invalidate_table("t")
-                else:
-                    cache.lookup(f"f{i % 4}", epochs)
-
-        _hammer(8, worker)
 
 
 class TestRevisionBumpThreadSafety:
