@@ -15,6 +15,8 @@ Scaled grid: OM of {32, 480} rows x T1 of {256, 512} x T2 of {64 .. 1024}.
 
 from __future__ import annotations
 
+import functools
+
 from conftest import fresh_enclave, print_table
 from repro.operators import hash_join, opaque_join, zero_om_join
 from repro.planner import JoinAlgorithm, plan_join
@@ -29,7 +31,10 @@ OM_ROWS = [4, 480]
 ROW_BYTES = framed_size(KV_SCHEMA) + 16
 
 
+@functools.cache
 def run_cell(om_rows: int, n1: int, n2: int) -> dict[str, float]:
+    """Modeled ms of each join algorithm on one grid cell.  Deterministic,
+    so the grid and the planner check share one computation per cell."""
     budget = om_rows * ROW_BYTES
     out: dict[str, float] = {}
     for name, run in (

@@ -28,6 +28,7 @@ one's geometry and height and holds the leaked segment.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -37,12 +38,14 @@ from ..engine.executor import run_join_algorithm, run_select_algorithm
 from ..operators.aggregate import (
     AggregateFunction,
     AggregateSpec,
+    _sorted_group_aggregate,
     aggregate,
     group_by_aggregate,
+    hash_group_rows,
 )
 from ..operators.join import held_hash_join
 from ..operators.predicate import Comparison, Interval, Predicate
-from ..operators.select import spill_index_segment
+from ..operators.select import small_passes, spill_index_segment
 from ..operators.write import oblivious_delete, oblivious_insert, oblivious_update
 from ..oram.path_oram import PathORAM
 from ..planner.compile import (
@@ -76,7 +79,10 @@ class SelectLeakage:
     :class:`~repro.planner.compile.CompactNode` wrap in the IR, or
     :attr:`SelectDecision.compact_output` for a hand-planned selection).
     ``in_enclave`` / ``resumed`` say the statistics pass was Small's first
-    pass, and kept every match or handed Small its full buffer.
+    pass, and kept every match or handed Small its full buffer; ``streamed``
+    that a resumed Small handed each pass's buffer to the result, with no
+    output table (a plan field only: a hand-planned selection never
+    streams).
     """
 
     input_capacity: int
@@ -87,6 +93,7 @@ class SelectLeakage:
     compact_output: bool = False
     in_enclave: bool = False
     resumed: bool = False
+    streamed: bool = False
 
     @classmethod
     def from_decision(cls, schema_row_size: int, decision: "SelectDecision") -> "SelectLeakage":
@@ -125,17 +132,27 @@ class SelectLeakage:
             compact_output=compact,
             in_enclave=select.in_enclave,
             resumed=select.resumed,
+            streamed=select.streamed,
         )
 
 
 def _select(table: FlatStorage, predicate: Predicate, leakage: SelectLeakage) -> None:
     """A plain selection statement over ``table``: the statistics pass,
-    then — unless the pass kept every match — the leaked algorithm (resumed
-    from the pass's buffer when it says so) and the runner's read of its
-    output."""
+    then — unless the pass kept every match — Small's remaining passes when
+    they stream, or else the leaked algorithm (resumed from the pass's
+    buffer when it says so) and the runner's read of its output."""
     keeps = leakage.in_enclave or leakage.resumed
     stats = scan_statistics(table, predicate, keep=leakage.buffer_rows if keeps else 0)
-    if not leakage.in_enclave:
+    if leakage.streamed:
+        first = (stats.kept or [], stats.cursor)
+        with closing(
+            small_passes(
+                table, predicate, leakage.output_size, leakage.buffer_rows, first
+            )
+        ) as passes:
+            for _ in passes:
+                pass
+    elif not leakage.in_enclave:
         output = run_select_algorithm(
             table,
             predicate,
@@ -326,31 +343,37 @@ class GroupByLeakage:
     """The leakage of a GROUP BY over a flat table, read off the *executed*
     plan, where the runner records the group structure's size.
 
-    ``output_rows`` is max(1, g) when the g groups' accumulators fit free
-    oblivious memory, and the sort-based fallback's padded size — larger
-    than the input — when they do not.
+    ``output_rows`` is the sort-based fallback's padded size — larger than
+    the input — when the g groups' accumulators overflow free oblivious
+    memory.  When they fit it is max(1, g), the output table's size, or
+    ``None`` when the plan holds the groups in the enclave
+    (``in_enclave``): no output table, and g is not leaked.
     """
 
     source: FlatSource
     group_column: str
     specs: tuple[AggregateSpec, ...]
-    output_rows: int
+    output_rows: int | None
+    in_enclave: bool = False
 
     @classmethod
     def from_plan(cls, plan: QueryPlan, schemas: Mapping[str, Schema]) -> "GroupByLeakage":
         node = plan.root
-        if not isinstance(node, GroupByNode) or node.output_rows is None:
+        if not isinstance(node, GroupByNode) or (
+            node.output_rows is None and not node.in_enclave
+        ):
             raise PlannerError("plan has no executed GROUP BY to simulate")
         return cls(
             source=_flat_source(node.source, schemas),
             group_column=node.group_column,
             specs=_specs(node.labels[1:]),
             output_rows=node.output_rows,
+            in_enclave=node.in_enclave,
         )
 
     @property
     def sorted_fallback(self) -> bool:
-        return self.output_rows > self.source.rows
+        return self.output_rows is not None and self.output_rows > self.source.rows
 
 
 def _prepared(
@@ -438,13 +461,14 @@ def simulate_group_by(
     leakage: GroupByLeakage, oblivious_memory_bytes: int
 ) -> CanonicalTrace:
     """SIM for a GROUP BY over a flat table, then the runner's read of its
-    output.
+    output — none when the groups fit and the plan holds them: the hash
+    build's read pass is then the whole trace.
 
     ``oblivious_memory_bytes`` is public state, not plan: the free budget
     the statement ran under, which sets the fallback's sort chunk (the hash
     pass reads every block whether or not the group table overflows).  The
-    dummy table holds max(1, g) groups, or one group per slot when the plan
-    says the group table overflowed.
+    dummy table holds max(1, g) groups (one when g is not leaked), or one
+    group per slot when the plan says the group table overflowed.
     """
     source = leakage.source
     rows = [
@@ -458,12 +482,23 @@ def simulate_group_by(
 
 def _groups(leakage: GroupByLeakage) -> int:
     """Distinct groups SIM's input holds: enough to overflow when the real
-    group table did, else the leaked max(1, g)."""
-    return leakage.source.rows if leakage.sorted_fallback else leakage.output_rows
+    group table did, else the leaked max(1, g), or one group that fits."""
+    if leakage.sorted_fallback:
+        return leakage.source.rows
+    return leakage.output_rows or 1
 
 
 def _group_by(table: FlatStorage, leakage: GroupByLeakage) -> None:
-    output = group_by_aggregate(table, leakage.group_column, list(leakage.specs))
+    """The runner's GROUP BY: a held hash build (the sorted fallback on
+    overflow), or the operator with its output table; then the read of
+    any output table."""
+    column, specs = leakage.group_column, list(leakage.specs)
+    if not leakage.in_enclave:
+        output = group_by_aggregate(table, column, specs)
+    elif hash_group_rows(table, column, specs) is None:
+        output = _sorted_group_aggregate(table, column, specs, None)
+    else:
+        return
     output.rows()
 
 
@@ -615,15 +650,15 @@ class WriteLeakage:
     method and ``oram_kind``; its index's geometry as in
     :class:`IndexLookupLeakage` (the height the statement left); and two
     trace sizes, which Theorem 1 hands SIM: ``affected``, the rows an
-    UPDATE / DELETE rewrote in the index (one padded burst each), and
+    UPDATE / DELETE rewrote in the index (one padded burst each, or a
+    padded delete and insert when the UPDATE ``assigns_key``), and
     ``segment_rows``, the rows an ``index_range`` lookup returned.  A flat
     pass reads and writes every slot, so a flat-only table leaks neither.
 
     Out of scope: the write-ahead log's append, which a durable database
     makes before the statement runs; ``INSERT ... FAST``, which writes the
-    table's next slot; an UPDATE that assigns the key column (a delete and
-    an insert per index row); and a statement that changes the index's
-    height part-way.
+    table's next slot; and a statement that changes the index's height
+    part-way.
     """
 
     operation: str
@@ -639,6 +674,7 @@ class WriteLeakage:
     height: int = 0
     affected: int = 0
     segment_rows: int = 0
+    assigns_key: bool = False
 
     @classmethod
     def from_plan(
@@ -673,6 +709,7 @@ class WriteLeakage:
             oram_kind=table.oram_kind,
             affected=affected,
             segment_rows=segment_rows,
+            assigns_key=node.assigns_key,
             **geometry,
         )
 
@@ -728,7 +765,9 @@ def simulate_write(leakage: WriteLeakage) -> CanonicalTrace:
     if insert:
         oblivious_insert(table, _dummy_row(schema, {column: rows}))
     elif leakage.operation == "update":
-        oblivious_update(table, matches, lambda row: row, interval)
+        oblivious_update(
+            table, matches, lambda row: row, interval, assigns_key=leakage.assigns_key
+        )
     else:
         oblivious_delete(table, matches, interval)
     return _canonical(enclave)

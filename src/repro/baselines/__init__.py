@@ -2,13 +2,11 @@
 
 from .hirb import HIRBMap
 from .mysql_like import PlainIndex
-from .naive_oram import NaiveORAMTable
 from .opaque import OpaqueSystem
 from .sparksql import PlainSystem
 
 __all__ = [
     "HIRBMap",
-    "NaiveORAMTable",
     "OpaqueSystem",
     "PlainIndex",
     "PlainSystem",

@@ -177,10 +177,13 @@ class ObliDB:
         (§4.1 as written), and a flat selection runs its statistics pass
         and then the chosen algorithm in full.  Every other kind answers an
         index segment that fits oblivious memory inside the enclave
-        (:class:`~repro.planner.compile.IndexLookupNode`), and makes a flat
+        (:class:`~repro.planner.compile.IndexLookupNode`), makes a flat
         selection's statistics pass Small's first pass
         (:class:`~repro.planner.compile.SelectNode` ``in_enclave`` /
-        ``resumed``).
+        ``resumed``) and hands a plain selection's Small passes to the
+        result (``streamed``), and answers a flat GROUP BY from its group
+        table when the groups fit
+        (:class:`~repro.planner.compile.GroupByNode` ``in_enclave``).
         """
         if name in self._tables:
             raise StorageError(f"table {name!r} already exists")

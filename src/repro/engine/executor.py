@@ -27,16 +27,18 @@ or :class:`~repro.planner.join_planner.JoinDecision`.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from typing import Iterator, Sequence
 
 from ..enclave.errors import ObliviousMemoryError, PlannerError, QueryError
 from ..operators.aggregate import (
+    _sorted_group_aggregate,
     aggregate,
     aggregate_rows,
     group_by_aggregate,
     group_rows,
+    hash_group_rows,
 )
 from ..operators.join import (
     hash_join,
@@ -51,6 +53,7 @@ from ..operators.select import (
     hash_select,
     large_select,
     naive_select,
+    small_passes,
     small_select,
 )
 from ..operators.sort import bitonic_sort, padded_scratch
@@ -68,6 +71,7 @@ from ..planner.compile import (
     ScanNode,
     SelectNode,
     SortNode,
+    WriteNode,
     compile_statement,
     holds_segment,
 )
@@ -295,6 +299,29 @@ class PlanRunner:
             )
         return compiled.segment(node)
 
+    def _streamed(
+        self, node: SelectNode, statement: SelectStatement, compiled: CompiledQuery
+    ) -> HeldSegment:
+        """A streamed Small's passes, each buffer handed to the result as
+        its pass ends: no output table.  The frames are the answer, bound
+        for the client, so they take no reservation beyond Small's buffer."""
+        source, owned = compiled.take(node.source)
+        try:
+            with closing(
+                small_passes(
+                    source,
+                    statement.where or TruePredicate(),
+                    node.output_rows,
+                    node.buffer_rows,
+                    first=compiled.first_passes.pop(id(node)),
+                )
+            ) as passes:
+                frames = [framed for buffer in passes for framed in buffer]
+        finally:
+            if owned:
+                source.free()
+        return HeldSegment(source.schema, source.enclave.oblivious, 0, frames=frames)
+
     # -- selection ------------------------------------------------------
     def _run_selection(
         self,
@@ -335,7 +362,9 @@ class PlanRunner:
         ``SELECT *`` reads every column.  Held rows are answered where they
         are, touching nothing: an index segment is filtered and sorted, a
         held selection's frames — every match, kept by the statistics
-        pass — and a held join's emitted frames are decoded and sorted."""
+        pass — and a held join's emitted frames are decoded and sorted.  A
+        streamed selection's frames, which its passes handed over, are
+        decoded the same way."""
         sort = root if isinstance(root, SortNode) else None
         source = sort.source if sort is not None else root
 
@@ -343,8 +372,13 @@ class PlanRunner:
             names = list(statement.columns or schema.column_names())
             return names, {*names, sort.order_by} if sort is not None else set(names)
 
-        if holds_segment(source):
-            held = self._held(source, statement, compiled)
+        streamed = isinstance(source, SelectNode) and source.streamed
+        if streamed or holds_segment(source):
+            held = (
+                self._streamed(source, statement, compiled)
+                if streamed
+                else self._held(source, statement, compiled)
+            )
             names, read = read_columns(held.schema)
             if held.frames is not None:
                 if self._padding is not None:
@@ -462,26 +496,39 @@ class PlanRunner:
         else:
             source, owned = self._materialize(node.source, statement, compiled)
             try:
-                output_groups = self._padding.pad_groups if self._padding else None
-                output = group_by_aggregate(
-                    source,
-                    node.group_column,
-                    specs,
-                    predicate=where,
-                    output_groups=output_groups,
-                )
-                # The one observed (not planned) size: recorded, leaked
-                # either way.
-                final = replace(node, output_rows=output.capacity)
+                if node.in_enclave:
+                    # The groups are the answer when they fit; an overflow
+                    # falls back to the sort over untrusted memory.
+                    rows = hash_group_rows(source, node.group_column, specs, where)
+                    output = (
+                        None
+                        if rows is not None
+                        else _sorted_group_aggregate(
+                            source, node.group_column, specs, where
+                        )
+                    )
+                else:
+                    output_groups = self._padding.pad_groups if self._padding else None
+                    output = group_by_aggregate(
+                        source,
+                        node.group_column,
+                        specs,
+                        predicate=where,
+                        output_groups=output_groups,
+                    )
             finally:
                 if owned:
                     source.free()
-            try:
-                if self._padding is not None:
-                    self._padding.check_fits(output.used_rows)
-                rows = output.rows()
-            finally:
-                output.free()
+            if output is not None:
+                # The one observed (not planned) size: recorded, leaked
+                # either way.
+                final = replace(node, output_rows=output.capacity)
+                try:
+                    if self._padding is not None:
+                        self._padding.check_fits(output.used_rows)
+                    rows = output.rows()
+                finally:
+                    output.free()
         if statement.order_by is not None:
             # Group results are small (one row per group) and already
             # decrypted in the enclave: sort them there.  ORDER BY may
@@ -596,11 +643,14 @@ class Executor:
             oblivious_insert(table, statement.values, fast=statement.fast)
             affected = 1
         elif isinstance(statement, UpdateStatement):
+            node = compiled.plan.root
+            assert isinstance(node, WriteNode)
             affected = oblivious_update(
                 table,
                 statement.where or TruePredicate(),
                 self._assigner(table, statement),
                 compiled.key_interval,
+                assigns_key=node.assigns_key,
             )
         else:
             assert isinstance(statement, DeleteStatement)

@@ -236,28 +236,20 @@ def group_rows(
     ]
 
 
-def group_by_aggregate(
+def hash_group_rows(
     table: FlatStorage,
     group_column: str,
     specs: list[AggregateSpec],
     predicate: Predicate | None = None,
-    output_groups: int | None = None,
-) -> FlatStorage:
-    """Hash-bucketed grouped aggregation (Section 4.2).
+) -> list[Row] | None:
+    """The hash build of grouped aggregation (Section 4.2): the result rows
+    sorted by group key, or ``None`` when the group table outgrew oblivious
+    memory.
 
     One uniform read pass; the per-group accumulator table lives in
-    oblivious memory.  ``output_groups`` (from the planner) sizes the output
-    table; if omitted it is discovered during the pass (the group count is
-    part of the leaked output size either way).  Falls back to the
-    sort-based algorithm when oblivious memory cannot hold the group table,
-    after the read pass has finished, so the pass reads every block
-    whichever chunk the table overflowed in.
-
-    The output is written in one pass over its whole capacity — the groups,
-    then dummies — so the trace is the capacity's, never the group count's
-    (an empty GROUP BY writes its one slot; a padded one, ``output_groups``
-    slots).  More groups than ``output_groups`` raise
-    :class:`~repro.enclave.errors.StorageError` before any output write.
+    oblivious memory and is released before returning.  An overflow is
+    reported after the read pass has finished, so the pass reads every
+    block whichever chunk the table overflowed in.
     """
     if not specs:
         raise QueryError("group_by_aggregate needs at least one AggregateSpec")
@@ -290,30 +282,56 @@ def group_by_aggregate(
                 for accumulator, column in zip(accumulators, columns):
                     accumulator.add(row[column] if column is not None else None)
     except ObliviousMemoryError:
-        enclave.oblivious.release(reserved)
         for _ in chunks:  # R through N-1: the overflow's chunk must not show
             pass
-        return _sorted_group_aggregate(table, group_column, specs, predicate)
-    enclave.oblivious.release(reserved)
+        return None
+    finally:
+        enclave.oblivious.release(reserved)
+    return [
+        (key,) + tuple(float(accumulator.result()) for accumulator in accumulators)
+        for key, accumulators in sorted(groups.items())
+    ]
 
-    capacity = max(1, output_groups if output_groups is not None else len(groups))
-    if len(groups) > capacity:
+
+def group_by_aggregate(
+    table: FlatStorage,
+    group_column: str,
+    specs: list[AggregateSpec],
+    predicate: Predicate | None = None,
+    output_groups: int | None = None,
+) -> FlatStorage:
+    """Hash-bucketed grouped aggregation (Section 4.2), into an output table.
+
+    The hash build (:func:`hash_group_rows`), then its rows written out.
+    ``output_groups`` (from the planner) sizes the output table; if omitted
+    it is discovered during the pass (the group count is part of the leaked
+    output size either way).  Falls back to the sort-based algorithm when
+    oblivious memory cannot hold the group table.
+
+    The output is written in one pass over its whole capacity — the groups,
+    then dummies — so the trace is the capacity's, never the group count's
+    (an empty GROUP BY writes its one slot; a padded one, ``output_groups``
+    slots).  More groups than ``output_groups`` raise
+    :class:`~repro.enclave.errors.StorageError` before any output write.
+    The engine answers a GROUP BY over a flat table from the hash build's
+    rows instead, with no output table (``GroupByNode.in_enclave``).
+    """
+    rows = hash_group_rows(table, group_column, specs, predicate)
+    if rows is None:
+        return _sorted_group_aggregate(table, group_column, specs, predicate)
+    capacity = max(1, output_groups if output_groups is not None else len(rows))
+    if len(rows) > capacity:
         # More real groups than the padded output holds: an expected,
         # data-dependent error under padding, refused before any write.
         raise StorageError(
-            f"GROUP BY found {len(groups)} groups, more than its output "
+            f"GROUP BY found {len(rows)} groups, more than its output "
             f"capacity {capacity}"
         )
     output = FlatStorage(
-        enclave, _group_output_schema(schema, group_column, specs), capacity
+        table.enclave, _group_output_schema(table.schema, group_column, specs), capacity
     )
     try:
-        output.write_all(
-            [
-                (key,) + tuple(float(accumulator.result()) for accumulator in accumulators)
-                for key, accumulators in sorted(groups.items())
-            ]
-        )
+        output.write_all(rows)
     except BaseException:
         output.free()
         raise

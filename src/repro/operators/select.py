@@ -20,14 +20,19 @@ structures can be allocated before the data is scanned — the reason the
 paper calls the planner's statistics pass "for free" (Section 5).  The
 engine goes further on every table but the paper's: that pass is also
 Small's first pass, so an output of at most one buffer never reaches this
-module, and :func:`small_select` resumes from the pass's full buffer
-(``first``) instead of re-reading the table for it.
+module, and Small resumes from the pass's full buffer (``first``) instead
+of re-reading the table for it.  Small's passes are one generator of
+per-pass buffers (:func:`small_passes`): :func:`small_select` flushes each
+to its output table, and the engine hands a plain selection's buffers to
+the result as they fill, with no output table at all.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import closing
+from typing import Iterator
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import StorageError
@@ -134,48 +139,36 @@ def small_compacts(capacity: int, output_size: int, buffer_rows: int) -> bool:
     return output_size > 0 and passes > 3 + 3 * compaction_levels(capacity)
 
 
-def small_select(
+def small_passes(
     table: FlatStorage,
     predicate: Predicate,
     output_size: int,
     buffer_rows: int,
     first: tuple[list[bytes], int] | None = None,
-) -> FlatStorage:
-    """Multiple fast passes, buffering matches in oblivious memory
-    (Figure 4A).
+) -> Iterator[list[bytes]]:
+    """The passes of the Small algorithm (Figure 4A), one buffer each.
 
-    Each pass reads the entire input (uniform pattern); matched rows beyond
-    the resume cursor fill an enclave buffer of ``buffer_rows`` slots, which
-    is flushed to the output after the pass.  The number of passes is
-    ceil(|R| / buffer), computable from public sizes alone.  Rows are
-    tested through the predicate's column reader and buffered as their
-    frames; a flush is one range write, ``W copied .. copied+k-1``, the
-    per-row loop's trace.
+    Each pass reads the entire input (one batched range read,
+    ``R 0 .. N-1``) and fills an enclave buffer of ``buffer_rows`` frames
+    with the matches after the previous pass's last one; the generator
+    yields the buffer after the pass, until ``output_size`` rows have been
+    yielded.  The number of passes is ceil(|R| / buffer), computable from
+    public sizes alone.  Rows are tested through the predicate's column
+    reader and buffered as their frames.  The buffer's reservation is held
+    from the first pass to the last (close the generator to release it
+    early).
 
     ``first = (frames, cursor)`` is a first pass already made — the
     planner's statistics pass kept the first ``buffer_rows`` matching frames
-    and the index of the last one: it is flushed as the first pass's buffer
-    and the passes resume after ``cursor``.  The trace is the one without
-    ``first`` minus that pass's ``R 0 .. N-1``.
-
-    When the buffer is so small that the pass count exceeds the cost of the
-    compaction front (:func:`small_compacts`), the operator switches to
-    :func:`compact_select` — same output, same order, same public inputs
-    deciding, strictly fewer block accesses.
+    and the index of the last one: it is yielded as the first pass's buffer
+    and the passes resume after ``cursor``, one ``R 0 .. N-1`` fewer.
     """
-    if buffer_rows < 1:
-        raise ValueError("buffer_rows must be positive")
-    if small_compacts(table.capacity, output_size, buffer_rows):
-        return compact_select(table, predicate, output_size)
     enclave = table.enclave
     decode, matches = filter_reader(table.schema, predicate)
-    output = FlatStorage(enclave, table.schema, output_size)
-    row_bytes = framed_size(table.schema)
-
-    copied = 0
-    cursor = -1  # index of the last row already flushed to the output
-    with enclave.oblivious_buffer(buffer_rows * row_bytes):
-        while copied < output_size:
+    yielded = 0
+    cursor = -1  # index of the last row already yielded
+    with enclave.oblivious_buffer(buffer_rows * framed_size(table.schema)):
+        while yielded < output_size:
             if first is not None:
                 # The statistics pass made this pass already.
                 buffer, last_buffered = first
@@ -197,11 +190,43 @@ def small_select(
                             buffer.append(framed)
                             last_buffered = index
             if not buffer:
-                break  # fewer matches than promised; remaining slots stay dummy
-            output.write_range_framed(copied, buffer)
-            output._used += len(buffer)
-            copied += len(buffer)
+                return  # fewer matches than promised
+            yield buffer
+            yielded += len(buffer)
             cursor = last_buffered
+
+
+def small_select(
+    table: FlatStorage,
+    predicate: Predicate,
+    output_size: int,
+    buffer_rows: int,
+    first: tuple[list[bytes], int] | None = None,
+) -> FlatStorage:
+    """Multiple fast passes, buffering matches in oblivious memory
+    (Figure 4A), into an output table of ``output_size`` slots.
+
+    Runs :func:`small_passes` and flushes each pass's buffer to the output
+    after the pass: one range write, ``W copied .. copied+k-1``, the per-row
+    loop's trace.  Slots no pass fills stay dummy.  With ``first`` the trace
+    is the one without it minus that pass's ``R 0 .. N-1``.  The engine
+    hands a plain selection's buffers to the result instead and allocates
+    no output (``SelectNode.streamed``).
+
+    When the buffer is so small that the pass count exceeds the cost of the
+    compaction front (:func:`small_compacts`), the operator switches to
+    :func:`compact_select` — same output, same order, same public inputs
+    deciding, strictly fewer block accesses.
+    """
+    if buffer_rows < 1:
+        raise ValueError("buffer_rows must be positive")
+    if small_compacts(table.capacity, output_size, buffer_rows):
+        return compact_select(table, predicate, output_size)
+    output = FlatStorage(table.enclave, table.schema, output_size)
+    with closing(small_passes(table, predicate, output_size, buffer_rows, first)) as passes:
+        for buffer in passes:
+            output.write_range_framed(output.used_rows, buffer)
+            output._used += len(buffer)
     return output
 
 

@@ -11,7 +11,10 @@ pins the key column to an interval (the compiler's call, recorded on the
 ``WriteNode``: the rule ``SELECT`` uses), the candidates come from one
 padded range lookup over that interval, which leaks the segment's size as
 the same ``SELECT`` would; otherwise from the oblivious linear scan of
-every bucket.
+every bucket.  Whether an UPDATE rewrites each index row in place or
+deletes and re-inserts it is public too: the latter exactly when the
+statement assigns the key column (``WriteNode.assigns_key``), never by the
+new key's value.
 """
 
 from __future__ import annotations
@@ -48,12 +51,19 @@ def oblivious_update(
     predicate: Predicate,
     assign: Callable[[Row], Row],
     interval: Interval | None = None,
+    assigns_key: bool = False,
 ) -> int:
     """Update all rows matching ``predicate``; returns the count.
 
     On flat (or BOTH) tables this is one uniform pass.  The index's rows
     are found through ``interval`` — the key interval ``predicate``
     implies, when the plan chose the index range — or by linear scan.
+
+    ``assigns_key`` is public — whether ``assign`` may set the key column
+    (the statement's SET list names it).  Then every affected index row is
+    deleted and re-inserted, both padded, whatever its new key, so whether
+    a row kept its key does not show; otherwise each is rewritten in place,
+    and the tree refuses an ``assign`` that changes the key.
     """
     # Compiled up front: an unknown column fails before any pass starts.
     matcher = predicate.compile(table.schema)
@@ -72,12 +82,11 @@ def oblivious_update(
         try:
             for row in affected:
                 new_row = table.schema.validate_row(assign(row))
-                if new_row[key_index] == row[key_index]:
-                    table.indexed.tree.update(row[key_index], new_row)
-                else:
-                    # Key changes need a delete + insert (both padded).
+                if assigns_key:
                     table.indexed.tree.delete(row[key_index])
                     table.indexed.tree.insert(new_row)
+                else:
+                    table.indexed.tree.update(row[key_index], new_row)
         except BaseException:
             table.bump_revision()
             raise

@@ -179,7 +179,10 @@ class SelectNode(PlanNode):
     rows are the answer, held in oblivious memory — no output table, no
     further pass, no read-back — and ``algorithm`` is Small.  ``resumed``
     says Small runs and starts from the pass's full buffer, so its own
-    first pass is gone.  Both read public values only, the form of
+    first pass is gone.  ``streamed`` says a resumed Small is the root of
+    a plain selection (no ORDER BY): each pass hands its buffer to the
+    result, so no output table is allocated, flushed or read back.  All
+    three read public values only, the form of
     :attr:`IndexLookupNode.in_enclave`.
     """
 
@@ -191,6 +194,7 @@ class SelectNode(PlanNode):
     padded: bool = False
     in_enclave: bool = False
     resumed: bool = False
+    streamed: bool = False
 
     kind = "select"
 
@@ -206,6 +210,7 @@ class SelectNode(PlanNode):
             "padded": self.padded,
             "in_enclave": self.in_enclave,
             "resumed": self.resumed,
+            "streamed": self.streamed,
         }
 
     def output_capacity(self) -> int:
@@ -328,17 +333,31 @@ class AggregateNode(PlanNode):
 
 @dataclass(frozen=True)
 class GroupByNode(PlanNode):
-    """Grouped aggregation.  ``output_rows`` is the padded bound under
-    padding mode, otherwise the observed group-structure size recorded
-    into the final plan after execution (it is leaked either way) — and
-    ``None`` over an in-enclave index segment, whose groups never leave
-    the enclave."""
+    """Grouped aggregation.
+
+    ``in_enclave`` says the hash build's group table is the answer when it
+    fits oblivious memory: no output table is swept, written or read back.
+    The rule reads public values only: the source is a flat table scan
+    (:class:`ScanNode`, ``flat_scan``), not the paper's (``oram_kind=
+    "paper"``), and padding mode is off.  Whether the groups fit shows
+    only after the read pass, as it always has: on overflow the sorted
+    fallback runs over untrusted memory, unchanged.
+
+    ``output_rows`` is the padded bound under padding mode, otherwise the
+    observed group-structure size recorded into the final plan after
+    execution (it is leaked either way): the sorted fallback's padded size
+    on overflow, and max(1, g) when an output table holds the g groups.
+    It is ``None`` when the groups never leave the enclave — a held GROUP
+    BY that fit, or one over rows already held (an in-enclave index
+    segment or join).
+    """
 
     source: PlanNode
     group_column: str
     labels: tuple[str, ...]
     input_rows: int
     output_rows: int | None
+    in_enclave: bool = False
 
     kind = "group_by"
 
@@ -351,6 +370,7 @@ class GroupByNode(PlanNode):
             "labels": list(self.labels),
             "input_rows": self.input_rows,
             "output_rows": self.output_rows,
+            "in_enclave": self.in_enclave,
         }
 
 
@@ -393,12 +413,19 @@ class WriteNode(PlanNode):
     padded range lookup over the key interval the WHERE pins) or
     :attr:`AccessMethod.INDEX_LINEAR` (every bucket of the ORAM); ``None``
     when no index is searched (INSERT, a flat-only table).
+
+    ``assigns_key`` says an UPDATE's SET list names the index's key column,
+    public in the statement's text: every row it affects is then deleted
+    from the index and re-inserted (both padded), whatever its new key, so
+    whether a row keeps its key never shows.  An UPDATE that leaves the key
+    alone rewrites each row in place.
     """
 
     operation: str  # "insert" | "update" | "delete"
     table: str
     rows: int
     access_method: AccessMethod | None = None
+    assigns_key: bool = False
 
     kind = "write"
 
@@ -406,6 +433,8 @@ class WriteNode(PlanNode):
         label = f"{self.operation} {self.table} capacity={self.rows}"
         if self.access_method is not None:
             label += f" access_method={self.access_method.value}"
+        if self.assigns_key:
+            label += " assigns_key=True"
         return label
 
     def public_fields(self) -> dict[str, object]:
@@ -416,6 +445,8 @@ class WriteNode(PlanNode):
         }
         if self.access_method is not None:
             fields["access_method"] = self.access_method.value
+        if self.assigns_key:
+            fields["assigns_key"] = True
         return fields
 
 
@@ -500,7 +531,10 @@ class HeldSegment:
     in-enclave lookup holds the decoded ``rows`` of its segment; a held
     selection holds the ``frames`` of its matches, as its statistics pass
     kept them, and a held join the frames it emitted; ``rows`` stays empty
-    for both."""
+    for both.  The runner also wraps a streamed selection's frames, as its
+    passes handed them to the result, in one that holds no memory
+    (``nbytes`` 0): like rows read back for the client, they are the
+    answer."""
 
     schema: Schema
     account: ObliviousMemoryAccount
@@ -653,16 +687,21 @@ class _Compiler:
     def compile_write(self, statement, operation: str) -> CompiledQuery:
         table = self._table(statement.table)
         access_method = interval = None
+        assigns_key = False
         if operation != "insert" and table.indexed is not None:
             interval = self._keyed_interval(table, statement.where)
             access_method = (
                 AccessMethod.INDEX_LINEAR if interval is None else AccessMethod.INDEX_RANGE
+            )
+            assigns_key = operation == "update" and any(
+                column == table.indexed.key_column for column, _ in statement.assignments
             )
         node = WriteNode(
             operation=operation,
             table=table.name,
             rows=table.capacity,
             access_method=access_method,
+            assigns_key=assigns_key,
         )
         plan = QueryPlan(
             root=node, statement_kind=operation, tables=(table.name,)
@@ -718,6 +757,10 @@ class _Compiler:
                 labels=labels,
                 input_rows=self._source_rows(source),
                 output_rows=self._padding.pad_groups if self._padding else None,
+                in_enclave=isinstance(source, ScanNode)
+                and source.access_method is AccessMethod.FLAT_SCAN
+                and table.oram_kind != "paper"
+                and self._padding is None,
             )
         if statement.aggregates:
             return AggregateNode(
@@ -760,7 +803,9 @@ class _Compiler:
         and cost model (:func:`~repro.planner.select_planner.plan_select`),
         the scan keeping Small's first buffer unless the table is the
         paper's.  A scan that kept every match holds them for the runner
-        (``in_enclave``); a full buffer goes to Small (``resumed``); an
+        (``in_enclave``); a full buffer goes to Small (``resumed``), whose
+        passes stream to the result when no ORDER BY sits above them
+        (``streamed``: this is only ever called for a plain selection); an
         output the decision says to compact (:attr:`~repro.planner.
         select_planner.SelectDecision.compact_output`) is reified as a
         :class:`CompactNode` wrap.
@@ -793,6 +838,7 @@ class _Compiler:
             buffer_rows=decision.buffer_rows if small else 0,
             in_enclave=decision.in_enclave,
             resumed=decision.resumed,
+            streamed=decision.resumed and statement.order_by is None,
         )
         kept = stats.kept or []
         if node.in_enclave:

@@ -134,8 +134,8 @@ class TestSimulatorTheorem:
     ) -> None:
         """Theorem 1 end to end: a plain ``SELECT`` statement's real trace
         (statistics pass, algorithm, result read) equals SIM run on the
-        plan's leakage alone — held, resumed, Hash, Large, and the paper's
-        table, which keeps the pass and Small apart."""
+        plan's leakage alone — held, resumed and streamed, Hash, Large, and
+        the paper's table, which keeps the pass and Small apart."""
         from repro import ObliDB
 
         db = ObliDB(
@@ -153,6 +153,8 @@ class TestSimulatorTheorem:
         assert leakage.output_size == r
         assert leakage.in_enclave is (oram_kind == "path" and r <= 8)
         assert leakage.resumed is (oram_kind == "path" and r in (9, 17))
+        # No ORDER BY sits above a resumed Small: its passes stream.
+        assert leakage.streamed is leakage.resumed
         if algorithm is not None:
             assert leakage.algorithm is algorithm
         assert real.matches(simulate_select(leakage))

@@ -19,7 +19,7 @@ import pytest
 
 from repro import ObliDB
 from repro.analysis import IndexLookupLeakage, real_query_trace, simulate_index_lookup
-from repro.planner import IndexLookupNode
+from repro.planner import IndexLookupNode, SelectNode
 from repro.storage import Schema, StorageMethod, framed_size, int_column
 
 SCHEMA = Schema([int_column("k"), int_column("grp"), int_column("amount")])
@@ -97,6 +97,11 @@ def test_real_equals_sim(database, place: str, lookup: str, statement: str) -> N
     assert node.in_enclave is (place == "held")
     assert (leakage.over is None) is (place == "held")
     assert (leakage.treetop_levels == 0) is (place == "paper")
+    if statement == "select" and place != "held":
+        # A squeezed segment of more rows than Small's buffer streams.
+        streamed = place == "squeezed" and LOOKUPS[lookup][1] > 1
+        assert plan.find(SelectNode).streamed is streamed
+        assert leakage.over.streamed is streamed
     assert real.matches(simulate_index_lookup(leakage, free))
 
 

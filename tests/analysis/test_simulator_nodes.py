@@ -249,39 +249,53 @@ class TestGroupBy:
     @pytest.mark.parametrize("statement", GROUP_STATEMENTS)
     @pytest.mark.parametrize("config", GROUPINGS)
     def test_real_equals_sim(self, config: str, statement: str, oram_kind: str) -> None:
-        """Below the buffer the executed plan records g; above it, the sort
-        fallback's padded size.  SIM reads either off the plan."""
+        """Below the buffer the executed plan records g on the paper's table
+        and nothing on the default one, which holds the groups; above it,
+        the sort fallback's padded size.  SIM reads either off the plan."""
         db = grouped_db(config, oram_kind)
         free = db.enclave.oblivious.free_bytes
         real, plan = real_query_trace(db, GROUP_STATEMENTS[statement])
         leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
         _, _, groups, overflows = GROUPINGS[config]
         assert leakage.sorted_fallback is overflows
-        if not overflows and statement != "where":
+        assert leakage.in_enclave is (oram_kind == "path")
+        if not overflows and oram_kind == "path":
+            assert leakage.output_rows is None
+            # The hash build's read pass is the whole trace.
+            assert real.length == GROUPINGS[config][0]
+        elif not overflows and statement != "where":
             assert leakage.output_rows == groups
         assert real.matches(simulate_group_by(leakage, free))
 
-    def test_sim_differs_when_leakage_differs(self) -> None:
-        db = grouped_db("ten-groups", "path")
+    @pytest.mark.parametrize("oram_kind", KINDS)
+    def test_sim_differs_when_leakage_differs(self, oram_kind: str) -> None:
+        db = grouped_db("ten-groups", oram_kind)
         free = db.enclave.oblivious.free_bytes
         real, plan = real_query_trace(db, GROUP_STATEMENTS["plain"])
         leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
-        wrong = replace(leakage, output_rows=leakage.output_rows + 1)
+        if leakage.in_enclave:
+            # Held, as if it had not been: an output table of the ten groups.
+            wrong = replace(leakage, in_enclave=False, output_rows=10)
+        else:
+            wrong = replace(leakage, output_rows=leakage.output_rows + 1)
         assert not real.matches(simulate_group_by(wrong, free))
 
-    def test_empty_group_by_equals_sim(self) -> None:
-        """g = 0 and g = 1 share ``output_rows`` = 1, and both write their
-        one output slot."""
-        db = grouped_db("ten-groups", "path")
+    @pytest.mark.parametrize("oram_kind", KINDS)
+    def test_empty_group_by_equals_sim(self, oram_kind: str) -> None:
+        """g = 0 and g = 1 share one plan and one trace: ``output_rows`` = 1
+        and its one output slot written on the paper's table, the read pass
+        alone where the groups are held."""
+        db = grouped_db("ten-groups", oram_kind)
         free = db.enclave.oblivious.free_bytes
         real, plan = real_query_trace(
             db, "SELECT grp, COUNT(*) FROM t WHERE amount < 0 GROUP BY grp"
         )
         leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
-        assert leakage.output_rows == 1
-        one, _ = real_query_trace(
+        assert leakage.output_rows == (None if oram_kind == "path" else 1)
+        one, one_plan = real_query_trace(
             db, "SELECT grp, COUNT(*) FROM t WHERE grp = 3 GROUP BY grp"
         )
+        assert one_plan.cache_key == plan.cache_key
         assert real.matches(simulate_group_by(leakage, free))
         assert real.matches(one)
 
@@ -304,6 +318,27 @@ class TestGroupBy:
             )
             leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
             assert leakage.output_rows == 8
+            assert real.matches(simulate_group_by(leakage, free))
+            traces.append(real)
+            keys.add(plan.cache_key)
+        assert len(keys) == 1
+        assert all(trace.matches(traces[0]) for trace in traces)
+
+    def test_held_group_counts_share_one_trace(self) -> None:
+        """Held groups never leave the enclave: 1, 3 and 8 groups that fit
+        are one plan and one trace, the read pass, SIM's."""
+        traces, keys = [], set()
+        for groups in (1, 3, 8):
+            db = ObliDB(cipher="null", keep_trace_events=True, seed=5)
+            db.create_table("t", GROUPED, 32)
+            db.insert_many("t", [(i, i % groups, i) for i in range(29)], fast=True)
+            free = db.enclave.oblivious.free_bytes
+            real, plan = real_query_trace(
+                db, "SELECT grp, COUNT(*), SUM(amount) FROM t GROUP BY grp"
+            )
+            leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
+            assert (leakage.in_enclave, leakage.output_rows) == (True, None)
+            assert real.length == 32
             assert real.matches(simulate_group_by(leakage, free))
             traces.append(real)
             keys.add(plan.cache_key)

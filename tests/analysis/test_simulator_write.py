@@ -118,3 +118,77 @@ def test_sim_reads_every_trace_size(change: dict) -> None:
     assert not simulate_write(replace(leakage, **change)).matches(
         simulate_write(leakage)
     )
+
+
+
+#: Key-assigning UPDATEs, grouped by the trace sizes they share: every
+#: statement of a group has one ``cache_key``, and they differ only in
+#: whether each affected row's new key equals its old one (equal, changed,
+#: or mixed across a range).  name -> (statements as (SQL, new key), the
+#: keys they affect, rows of the ``index_range`` segment).
+KEY_UPDATES = {
+    "point": (
+        (("UPDATE t SET k = 5 WHERE k = 5", 5), ("UPDATE t SET k = 40 WHERE k = 5", 40)),
+        {5},
+        1,
+    ),
+    "range": (
+        (
+            ("UPDATE t SET k = 40 WHERE k >= 3 AND k <= 5", 40),
+            ("UPDATE t SET k = 4 WHERE k >= 3 AND k <= 5", 4),
+            ("UPDATE t SET k = 3 WHERE k >= 3 AND k <= 5", 3),
+        ),
+        {3, 4, 5},
+        3,
+    ),
+    "range-filtered": (
+        (
+            ("UPDATE t SET k = 4 WHERE k >= 3 AND k <= 5 AND v = 28", 4),
+            ("UPDATE t SET k = 44 WHERE k >= 3 AND k <= 5 AND v = 28", 44),
+        ),
+        {4},
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("oram_kind", ["path", "paper"])
+@pytest.mark.parametrize("name", list(KEY_UPDATES))
+def test_key_assigning_update_leaks_no_literal(name: str, oram_kind: str) -> None:
+    """Whether a row keeps its key is hidden: every affected row is deleted
+    and re-inserted, so one plan gives one trace, SIM's, and the rows are
+    the UPDATE's."""
+    statements, affected, segment_rows = KEY_UPDATES[name]
+    traces, keys = [], set()
+    for sql, new_key in statements:
+        db = build_database(StorageMethod.BOTH, oram_kind)
+        trace, result = run_write(db, sql)
+        traces.append(trace)
+        keys.add(result.plan.cache_key)
+        assert result.affected == len(affected), sql
+        node = result.plan.root
+        assert (node.access_method, node.assigns_key) == (AccessMethod.INDEX_RANGE, True)
+        leakage = WriteLeakage.from_plan(
+            result.plan, {"t": db.table("t")}, len(affected), segment_rows
+        )
+        assert leakage.assigns_key
+        assert simulate_write(leakage).matches(trace), sql
+        expected = sorted(
+            (new_key if k in affected else k, (7 * k) % 30, f"s{k}") for k in range(30)
+        )
+        assert sorted(db.table("t").indexed.rows()) == expected, sql
+        assert sorted(db.sql("SELECT * FROM t WHERE v >= 0").rows) == expected, sql
+    assert len(keys) == 1
+    assert all(trace.matches(traces[0]) for trace in traces)
+
+
+def test_only_a_key_assigning_update_changes_the_plan() -> None:
+    """``assigns_key`` is read off the SET list: it is in ``cache_key`` and
+    ``EXPLAIN``, and a non-key UPDATE keeps its in-place plan."""
+    db = build_database(StorageMethod.BOTH, "path")
+    keyed = db.explain("UPDATE t SET k = 5 WHERE k = 5")
+    plain = db.explain("UPDATE t SET v = 5 WHERE k = 5")
+    assert (keyed.root.assigns_key, plain.root.assigns_key) == (True, False)
+    assert keyed.cache_key != plain.cache_key
+    assert "assigns_key=True" in keyed.describe()
+    assert "assigns_key" not in plain.describe()

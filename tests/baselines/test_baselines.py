@@ -1,5 +1,5 @@
 """Unit tests for the comparison systems (Opaque, Spark-like, HIRB, MySQL-like,
-naive ORAM)."""
+naive ORAM select)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.baselines import (
     HIRBMap,
-    NaiveORAMTable,
     OpaqueSystem,
     PlainIndex,
     PlainSystem,
@@ -194,39 +193,22 @@ class TestPlainIndex:
         assert len(index) == 1
 
 
-class TestNaiveORAMTable:
-    def test_insert_and_select(self, fast_enclave: Enclave) -> None:
-        table = NaiveORAMTable(fast_enclave, SCHEMA, 32, rng=random.Random(4))
-        for i in range(20):
-            table.insert((i, i * 2))
-        rows = table.select(Comparison("k", "<", 4))
-        assert sorted(rows) == [(0, 0), (1, 2), (2, 4), (3, 6)]
-
-    def test_oram_cost_per_row(self, fast_enclave: Enclave) -> None:
-        table = NaiveORAMTable(fast_enclave, SCHEMA, 16, rng=random.Random(4))
-        for i in range(16):
-            table.insert((i, i))
-        before = fast_enclave.cost.oram_accesses
-        table.select(Comparison("k", "=", 3))
-        delta = fast_enclave.cost.oram_accesses - before
-        assert delta >= 2 * 16  # input read + output op per row
-
+class TestNaiveSelect:
     def test_slower_than_oblidb_select(self, fast_enclave: Enclave) -> None:
         """The intro's 'order of magnitude over naive ORAM' claim, in
-        block-IO terms."""
-        from repro.operators import small_select
+        block-IO terms: the naive select (one ORAM operation per row, into
+        the paper's ORAM) against Small over the same flat table."""
+        from repro.operators import naive_select, small_select
         from repro.storage import FlatStorage
 
-        naive = NaiveORAMTable(fast_enclave, SCHEMA, 64, rng=random.Random(4))
-        flat = FlatStorage(fast_enclave, SCHEMA, 64)
-        for i in range(64):
-            naive.insert((i, i))
+        flat = FlatStorage(fast_enclave, SCHEMA, 256)
+        for i in range(256):
             flat.fast_insert((i, i))
-        predicate = Comparison("k", "<", 4)
+        predicate = Comparison("k", "<", 32)
         before = fast_enclave.cost.block_ios
-        naive.select(predicate)
+        naive_select(flat, predicate, 32, rng=random.Random(4)).free()
         naive_cost = fast_enclave.cost.block_ios - before
         before = fast_enclave.cost.block_ios
-        small_select(flat, predicate, 4, buffer_rows=8)
+        small_select(flat, predicate, 32, buffer_rows=32).free()
         oblidb_cost = fast_enclave.cost.block_ios - before
         assert naive_cost > 5 * oblidb_cost

@@ -8,9 +8,12 @@ N = capacity and r = |R|:
 * **held** (r ≤ S, r = 0 included; ``SelectNode.in_enclave``): the kept
   rows are the answer.  The statement's trace is ``R 0..N-1`` and nothing
   else — no output table, no Small pass, no read-back;
-* **continued** (r > S and Small chosen; ``SelectNode.resumed``): Small
-  flushes the kept buffer as its first pass's and resumes after it, so the
-  ``R 0..N-1`` between the output's allocation and its first flush is gone;
+* **streamed** (r > S and Small chosen; ``SelectNode.resumed`` and
+  ``streamed``, since no ORDER BY sits above it): Small takes the kept
+  buffer as its first pass's and resumes after it, and every pass hands its
+  buffer to the result — no output table is allocated, flushed or read
+  back.  Held and streamed selections share one form, ``max(1, p)·N`` R,
+  0 W;
 * everything else (Large, Continuous, Hash, padding mode) and every
   ``"paper"`` table runs as the paper does.
 
@@ -22,8 +25,9 @@ same seed, p = ⌈r/S⌉), ``"paper"`` → default:
 * held, r = 0 (``"paper"`` runs Hash into one 5-slot chain, compacted to
   one row): ``12N + 30`` R, ``10N + 22`` W → ``N`` R; deleted ``11N + 30``
   R, ``10N + 22`` W;
-* continued: ``(p + 1)N + r`` R, ``2r`` W → ``pN + r`` R, ``2r`` W;
-  deleted ``N`` R.
+* streamed: ``(p + 1)N + r`` R, ``2r`` W → ``pN`` R, 0 W; deleted the
+  first pass's ``N`` R, the output's init sweep ``W 0..r-1``, every flush
+  and the read-back ``R 0..r-1``.
 """
 
 from __future__ import annotations
@@ -89,9 +93,7 @@ def _paper_counts(r: int) -> tuple[int, int]:
 def _deleted(r: int) -> tuple[int, int]:
     if r == 0:
         return 11 * N + 30, 10 * N + 22
-    if r <= S:
-        return N + r, 2 * r
-    return N, 0
+    return N + r, 2 * r
 
 
 @pytest.mark.parametrize("r", [0, 1, S, S + 1, 2 * S + 1])
@@ -102,7 +104,7 @@ def test_closed_form_counts(r: int) -> None:
     assert sorted(result.rows) == sorted(reference.rows)
     assert len(result.rows) == r
     select = result.plan.find(SelectNode)
-    assert (select.in_enclave, select.resumed) == (r <= S, r > S)
+    assert (select.in_enclave, select.resumed, select.streamed) == (r <= S, r > S, r > S)
     assert (select.algorithm, select.buffer_rows) == (SelectAlgorithm.SMALL, S)
     paper_select = reference.plan.find(SelectNode)
     assert (paper_select.in_enclave, paper_select.resumed) == (False, False)
@@ -113,8 +115,7 @@ def test_closed_form_counts(r: int) -> None:
         _paper_counts(r)[0] - deleted_reads,
         _paper_counts(r)[1] - deleted_writes,
     )
-    if r <= S:
-        assert _counts(events) == (N, 0)
+    assert _counts(events) == (max(1, math.ceil(r / S)) * N, 0)
     # The counters move by exactly the deleted transfers.
     assert (
         reference.cost["untrusted_reads"] - result.cost["untrusted_reads"],
@@ -130,17 +131,21 @@ def test_default_trace_is_the_paper_trace_with_the_named_accesses_deleted(r: int
         # Held: the statistics pass alone.
         assert events == reference[:N]
     else:
-        # Continued: the stats pass, Small's output allocation (W 0..r-1),
-        # then everything after Small's first pass.
+        # Streamed: the stats pass, then Small's other passes; the paper's
+        # first pass and every access to its output table are deleted.
         first_pass = reference[N + r : 2 * N + r]
         assert {(event.op, event.region) for event in first_pass} == {
             ("R", "table:t:flat")
         }
         assert [event.index for event in first_pass] == list(range(N))
-        assert events == reference[: N + r] + reference[2 * N + r :]
+        output = [event for event in reference if event.region != "table:t:flat"]
+        assert [event.op for event in output] == ["W"] * 2 * r + ["R"] * r
+        assert events == reference[:N] + [
+            event for event in reference[2 * N + r :] if event.region == "table:t:flat"
+        ]
 
 
-@pytest.mark.parametrize("sql", [_select(0), _select(3), _select(S)])
+@pytest.mark.parametrize("sql", [_select(0), _select(3), _select(S), _select(2 * S + 1)])
 def test_equal_public_sizes_different_contents_equal_digests(sql: str) -> None:
     traces = []
     for seed in (3, 4):

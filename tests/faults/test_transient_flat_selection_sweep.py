@@ -3,12 +3,13 @@ whose statistics pass is Small's first pass.
 
 A held selection (|R| ≤ S) reads its table once, inside compile, and keeps
 its matches in oblivious memory until the runner answers over them; a
-continued one hands the pass's full buffer to Small.  A transient anywhere
-in either must end like one anywhere else: the statement is retried at its
-boundary (it mutated nothing), the reservation the failed attempt took —
-the pass's buffer, the held rows, Small's buffer — is back, the output
-scratch it allocated is freed, and the retried statement returns the same
-rows.  The default run takes every access; ``FAULT_SWEEP=1`` (the CI job)
+continued one hands the pass's full buffer to Small, whose passes stream
+their buffers to the result.  A transient anywhere in either — every
+access of every streamed pass included — must end like one anywhere else:
+the statement is retried at its boundary (it mutated nothing), the
+reservation the failed attempt took — the pass's buffer, the held rows,
+Small's buffer — is back, no region it allocated is left behind, and the
+retried statement returns the same rows.  The default run takes every access; ``FAULT_SWEEP=1`` (the CI job)
 samples the sweep at a stride.
 """
 
@@ -25,10 +26,10 @@ from repro.storage import Schema, framed_size, int_column, str_column
 SCHEMA = Schema([int_column("id"), int_column("v"), str_column("name", 8)])
 ROWS = [(key, (key * 37) % 64, f"n{key}") for key in range(64)]
 S = 8
-#: name -> (SQL, (in_enclave, resumed))
+#: name -> (SQL, (in_enclave, resumed, streamed))
 SELECTIONS = {
-    "held": ("SELECT * FROM t WHERE v < 6 ORDER BY v LIMIT 4", (True, False)),
-    "continued": ("SELECT id, name FROM t WHERE v < 17", (False, True)),
+    "held": ("SELECT * FROM t WHERE v < 6 ORDER BY v LIMIT 4", (True, False, False)),
+    "continued": ("SELECT id, name FROM t WHERE v < 17", (False, True, True)),
 }
 
 
@@ -53,10 +54,13 @@ def test_transient_at_every_access_of_a_flat_selection(selection: str) -> None:
     expected = honest.sql(sql)
     total = honest.enclave.untrusted.accesses - start
     select = expected.plan.find(SelectNode)
-    assert (select.in_enclave, select.resumed, select.buffer_rows) == (*flags, S)
-    # Held: the pass.  Continued (|R| = 17, three buffers): the pass, Small's
-    # other two passes and the read-back; the output's allocation and flushes.
-    assert total == (64 if selection == "held" else 3 * 64 + 17 + 2 * 17)
+    assert (select.in_enclave, select.resumed, select.streamed, select.buffer_rows) == (
+        *flags,
+        S,
+    )
+    # Held: the pass.  Continued (|R| = 17, three buffers): the pass and
+    # Small's other two passes, streamed to the result.
+    assert total == (64 if selection == "held" else 3 * 64)
 
     stride = max(1, total // 25) if os.environ.get("FAULT_SWEEP") == "1" else 1
     for offset in range(0, total, stride):

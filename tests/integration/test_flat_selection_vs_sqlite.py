@@ -6,7 +6,8 @@ keeps exactly r scattered rows.  The oblivious-memory budget gives Small an
 eight-row buffer (S = 8), and r runs over 0, 1, S, S + 1 and 2S + 1: held
 in the enclave up to S, Small resumed from the statistics pass above it (an
 ``ORDER BY`` over 17 rows no longer fits and sorts with the bitonic
-network).  Each statement runs as ``SELECT *``, as a column list and as
+network; without one its passes stream to the result).  Each statement
+runs as ``SELECT *``, as a column list and as
 ``ORDER BY … LIMIT``, on a default table and on the paper's (which keeps the
 pass and Small apart), through ``ObliDB`` and through an ``ObliDBServer``
 session.  Rows must equal sqlite3's, in order where the statement orders.
@@ -70,6 +71,7 @@ def test_flat_selections_agree_with_sqlite(oram_kind: str, surface: str) -> None
                 default = oram_kind != "paper"
                 assert select.in_enclave is (default and r <= S), sql
                 assert select.resumed is (default and r > S), sql
+                assert select.streamed is (select.resumed and not ordered), sql
                 seen.add((select.in_enclave, select.resumed))
                 if ordered:
                     sorts.add(result.plan.find(SortNode).in_enclave)
@@ -85,4 +87,28 @@ def test_flat_selections_agree_with_sqlite(oram_kind: str, surface: str) -> None
         {(True, False), (False, True)} if oram_kind == "path" else {(False, False)}
     )
     assert sorts == {True, False}
+    assert db.verify().ok
+
+
+@pytest.mark.parametrize("oram_kind", ["path", "paper"])
+def test_streamed_selection_with_a_limit_agrees_with_sqlite(oram_kind: str) -> None:
+    """r = 2S + 1 under a LIMIT and no ORDER BY: on the default table
+    Small's three passes hand their buffers to the result, so the statement
+    allocates no region and writes nothing, and its rows are the first
+    matches in table order, as sqlite3's are."""
+    db, oracle = build(oram_kind)
+    regions = db.enclave.untrusted.region_names()
+    r = 2 * S + 1
+    for sql in (
+        f"SELECT * FROM items WHERE v < {r} LIMIT 3",
+        f"SELECT name, id FROM items WHERE v < {r} LIMIT 12",
+        f"SELECT id FROM items WHERE v < {r} AND price > 300 LIMIT 40",
+    ):
+        result = db.sql(sql)
+        select = result.plan.find(SelectNode)
+        assert select.streamed is (oram_kind == "path"), sql
+        assert result.rows == oracle.execute(sql).fetchall(), sql
+        if select.streamed:
+            assert result.cost["untrusted_writes"] == 0, sql
+        assert db.enclave.untrusted.region_names() == regions, sql
     assert db.verify().ok

@@ -72,7 +72,7 @@ class TestWriteOperators:
     ) -> None:
         table = make_table(fast_enclave, kv_schema, method)
         oblivious_update(
-            table, Comparison("key", "=", 7), lambda row: (70, row[1])
+            table, Comparison("key", "=", 7), lambda row: (70, row[1]), assigns_key=True
         )
         assert table.point_lookup(7) == []
         assert table.point_lookup(70) == [(70, "v7")]
@@ -134,7 +134,11 @@ class TestKeyedWrites:
         table = make_table(fast_enclave, kv_schema, method)
         predicate = Comparison("key", "=", 7)
         oblivious_update(
-            table, predicate, lambda row: (70, row[1]), predicate.key_interval("key")
+            table,
+            predicate,
+            lambda row: (70, row[1]),
+            predicate.key_interval("key"),
+            assigns_key=True,
         )
         assert table.point_lookup(7) == []
         assert table.point_lookup(70) == [(70, "v7")]

@@ -116,7 +116,7 @@ class TestPlanSnapshots:
                 [
                     "scan table=employees access_method=flat_scan rows=128",
                     "group_by group_column=dept labels=['dept', 'sum(salary)']"
-                    " input_rows=128 output_rows=?",
+                    " input_rows=128 output_rows=? in_enclave=True",
                 ],
             ),
             (
@@ -124,7 +124,7 @@ class TestPlanSnapshots:
                 [
                     "scan table=employees access_method=flat_scan rows=128",
                     "select algorithm=small input_rows=128 output_rows=4 buffer_rows=19432"
-                    " padded=False in_enclave=True resumed=False",
+                    " padded=False in_enclave=True resumed=False streamed=False",
                     "sort order_by=salary descending=True rows=4 in_enclave=True",
                 ],
             ),
@@ -133,7 +133,7 @@ class TestPlanSnapshots:
                 [
                     "scan table=employees access_method=flat_scan rows=128",
                     "select algorithm=small input_rows=128 output_rows=0 buffer_rows=19432"
-                    " padded=False in_enclave=True resumed=False",
+                    " padded=False in_enclave=True resumed=False streamed=False",
                 ],
             ),
             (
@@ -197,9 +197,10 @@ class TestPlanSnapshots:
             executed = quickstart_db.sql(sql)
             assert executed.plan is not None
             if executed.plan.root.kind == "group_by":
-                # The observed group count is recorded into the final plan.
-                assert executed.plan.root.output_rows is not None
-                continue
+                # The groups fit and are held: nothing is observed, so the
+                # executed plan is the compiled one.
+                assert executed.plan.root.in_enclave
+                assert executed.plan.root.output_rows is None
             assert executed.plan.cache_key == compiled.cache_key
 
     def test_describe_renders_one_line_per_node(self, quickstart_db: ObliDB) -> None:
