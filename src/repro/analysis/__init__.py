@@ -10,31 +10,11 @@ from .obliviousness import (
     capture,
     oram_regions_of,
 )
-from .simulator import (
-    AggregateLeakage,
-    GroupByLeakage,
-    IndexLookupLeakage,
-    JoinLeakage,
-    SelectLeakage,
-    WriteLeakage,
-    real_query_trace,
-    real_select_trace,
-    simulate_aggregate,
-    simulate_group_by,
-    simulate_index_lookup,
-    simulate_join,
-    simulate_select,
-    simulate_write,
-)
+from .simulator import PublicState, real_query_trace, real_select_trace, simulate
 
 __all__ = [
-    "AggregateLeakage",
     "CanonicalTrace",
-    "GroupByLeakage",
-    "IndexLookupLeakage",
-    "JoinLeakage",
-    "SelectLeakage",
-    "WriteLeakage",
+    "PublicState",
     "assert_indistinguishable",
     "assert_same_leakage",
     "canonicalize",
@@ -44,10 +24,5 @@ __all__ = [
     "oram_regions_of",
     "real_query_trace",
     "real_select_trace",
-    "simulate_aggregate",
-    "simulate_group_by",
-    "simulate_index_lookup",
-    "simulate_join",
-    "simulate_select",
-    "simulate_write",
+    "simulate",
 ]

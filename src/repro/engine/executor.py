@@ -19,9 +19,12 @@ layers on top of it:
 
 The module-level :func:`run_select_algorithm` / :func:`run_join_algorithm`
 are the enum → operator dispatch tables (no decisions).  Code that plans
-one operator by hand — the simulator, the figure benchmarks — calls them
+one operator by hand — the workloads, the figure benchmarks — calls them
 with the fields of a :class:`~repro.planner.select_planner.SelectDecision`
-or :class:`~repro.planner.join_planner.JoinDecision`.
+or :class:`~repro.planner.join_planner.JoinDecision`.  :func:`run_write` is
+the write statement's operator call, which the executor and Theorem 1's
+simulator (:mod:`repro.analysis.simulator`) share, as they share
+:class:`PlanRunner`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import random
 from contextlib import closing, contextmanager
 from dataclasses import replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..enclave.errors import ObliviousMemoryError, PlannerError, QueryError
 from ..operators.aggregate import (
@@ -169,6 +172,25 @@ def run_join_algorithm(
             columns=columns,
         )
     raise PlannerError(f"unknown join algorithm {algorithm}")
+
+
+def run_write(
+    table: Table, compiled: CompiledQuery, assign: Callable[[Row], Row] | None
+) -> int:
+    """Run a compiled INSERT, UPDATE or DELETE over ``table``, the rows it
+    affected; ``assign`` rewrites each row an UPDATE affects."""
+    statement = compiled.statement
+    if isinstance(statement, InsertStatement):
+        oblivious_insert(table, statement.values, fast=statement.fast)
+        return 1
+    where = statement.where or TruePredicate()
+    if isinstance(statement, UpdateStatement):
+        node = compiled.plan.root
+        assert isinstance(node, WriteNode) and assign is not None
+        return oblivious_update(
+            table, where, assign, compiled.key_interval, assigns_key=node.assigns_key
+        )
+    return oblivious_delete(table, where, compiled.key_interval)
 
 
 def _sort_rows(rows: list[Row], order_index: int, descending: bool) -> None:
@@ -531,13 +553,8 @@ class PlanRunner:
                     output.free()
         if statement.order_by is not None:
             # Group results are small (one row per group) and already
-            # decrypted in the enclave: sort them there.  ORDER BY may
-            # name the group column or an aggregate label.
-            if statement.order_by not in names:
-                raise QueryError(
-                    f"ORDER BY column {statement.order_by!r} is not in the "
-                    f"GROUP BY output {names}"
-                )
+            # decrypted in the enclave: sort them there.  ORDER BY names
+            # the group column or an aggregate label (checked at compile).
             order_index = names.index(statement.order_by)
             rows.sort(key=lambda row: row[order_index], reverse=statement.descending)
         if statement.limit is not None:
@@ -639,24 +656,12 @@ class Executor:
         compiled = self._compile(statement)
         table = self._table(compiled.plan.tables[0])
         start = table.enclave.cost_snapshot()
-        if isinstance(statement, InsertStatement):
-            oblivious_insert(table, statement.values, fast=statement.fast)
-            affected = 1
-        elif isinstance(statement, UpdateStatement):
-            node = compiled.plan.root
-            assert isinstance(node, WriteNode)
-            affected = oblivious_update(
-                table,
-                statement.where or TruePredicate(),
-                self._assigner(table, statement),
-                compiled.key_interval,
-                assigns_key=node.assigns_key,
-            )
-        else:
-            assert isinstance(statement, DeleteStatement)
-            affected = oblivious_delete(
-                table, statement.where or TruePredicate(), compiled.key_interval
-            )
+        assign = (
+            self._assigner(table, statement)
+            if isinstance(statement, UpdateStatement)
+            else None
+        )
+        affected = run_write(table, compiled, assign)
         table.bump_revision()
         return QueryResult(
             affected=affected,

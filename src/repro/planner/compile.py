@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from ..enclave.enclave import ObliviousMemoryAccount
+from ..enclave.enclave import Enclave, ObliviousMemoryAccount
 from ..enclave.errors import QueryError
 from ..operators.join import joined_schema
 from ..operators.predicate import Interval, Predicate, TruePredicate
@@ -58,6 +58,7 @@ from ..storage.table import Table
 from .join_planner import JoinDecision, plan_join
 from .plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
 from .select_planner import SelectDecision, plan_select
+from .stats import SelectionStats
 
 if TYPE_CHECKING:  # statement types only; engine imports planner at runtime
     from ..engine.ast import SelectStatement, Statement
@@ -612,6 +613,46 @@ class CompiledQuery:
 
 
 # ----------------------------------------------------------------------
+# Compile-time I/O bound to its node
+# ----------------------------------------------------------------------
+def bind_statistics(
+    compiled: CompiledQuery,
+    node: SelectNode,
+    storage: FlatStorage,
+    stats: SelectionStats,
+) -> None:
+    """Bind what the statistics pass over ``storage`` kept to ``node``: every
+    match, held in the enclave when the node is ``in_enclave``; Small's
+    first pass, buffer and cursor, when it is ``resumed``."""
+    kept = stats.kept or []
+    if node.in_enclave:
+        nbytes = len(kept) * framed_size(storage.schema)
+        compiled.hold(
+            node,
+            HeldSegment(storage.schema, storage.enclave.oblivious, nbytes, frames=kept),
+        )
+    elif node.resumed:
+        compiled.first_passes[id(node)] = (kept, stats.cursor)
+
+
+def bind_segment(
+    compiled: CompiledQuery,
+    node: IndexLookupNode,
+    enclave: Enclave,
+    schema: Schema,
+    rows: list[Row],
+) -> None:
+    """Bind an index lookup's ``rows`` to ``node``: held in the enclave
+    when the node is ``in_enclave``, else spilled to a flat scratch of
+    ``segment_rows`` slots."""
+    if node.in_enclave:
+        nbytes = node.segment_rows * framed_size(schema)
+        compiled.hold(node, HeldSegment(schema, enclave.oblivious, nbytes, rows=rows))
+    else:
+        compiled.bind(node, spill_index_segment(enclave, schema, rows), owned=True)
+
+
+# ----------------------------------------------------------------------
 # Decision helpers
 # ----------------------------------------------------------------------
 def holds_segment(node: PlanNode) -> bool:
@@ -620,6 +661,29 @@ def holds_segment(node: PlanNode) -> bool:
     return (
         isinstance(node, (IndexLookupNode, SelectNode, JoinNode)) and node.in_enclave
     )
+
+
+def selection(source: PlanNode, decision: SelectDecision, streams: bool) -> PlanNode:
+    """The selection subtree a planner decision makes over ``source``: a
+    :class:`SelectNode` — Small whenever the statistics pass kept every
+    match — wrapped in a :class:`CompactNode` when the decision compacts a
+    table output.  ``streams`` says no ORDER BY sits above it, so a
+    resumed Small hands its passes to the result."""
+    stats = decision.stats
+    small = decision.in_enclave or decision.algorithm is SelectAlgorithm.SMALL
+    node = SelectNode(
+        source=source,
+        algorithm=SelectAlgorithm.SMALL if small else decision.algorithm,
+        input_rows=stats.input_capacity,
+        output_rows=stats.matching_rows,
+        buffer_rows=decision.buffer_rows if small else 0,
+        in_enclave=decision.in_enclave,
+        resumed=decision.resumed,
+        streamed=decision.resumed and streams,
+    )
+    if decision.compact_output and not node.in_enclave:
+        return CompactNode(source=node, bound=max(1, stats.matching_rows))
+    return node
 
 
 def selection_output_capacity(node: PlanNode) -> int:
@@ -632,6 +696,30 @@ def selection_output_capacity(node: PlanNode) -> int:
         return node.output_rows
     assert isinstance(node, SelectNode)
     return node.output_capacity()
+
+
+def _check_columns(statement: SelectStatement, schema: Schema) -> None:
+    """Refuse a statement that names a column its source rows lack, before
+    anything is read: the select list, the WHERE's columns, the aggregate
+    arguments, the GROUP BY column and a plain ORDER BY column against
+    ``schema`` (:class:`~repro.enclave.errors.SchemaError`), and a grouped
+    ORDER BY against the output labels (:class:`QueryError`)."""
+    names = [*statement.columns, statement.group_by]
+    names += [spec.column for spec in statement.aggregates]
+    if statement.where is not None:
+        names += sorted(statement.where.columns())
+    if statement.group_by is None:
+        names.append(statement.order_by)
+    for name in names:
+        if name is not None:
+            schema.column_index(name)
+    if statement.group_by is not None and statement.order_by is not None:
+        labels = [statement.group_by, *(spec.label() for spec in statement.aggregates)]
+        if statement.order_by not in labels:
+            raise QueryError(
+                f"ORDER BY column {statement.order_by!r} is not in the "
+                f"GROUP BY output {labels}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -711,13 +799,18 @@ class _Compiler:
     # -- selects --------------------------------------------------------
     def compile_select(self, statement: SelectStatement) -> CompiledQuery:
         table = self._table(statement.table)
+        joined = None
+        if statement.join is not None:
+            right = self._table(statement.join.right_table)
+            joined = joined_schema(table.schema, right.schema)
+        _check_columns(statement, joined or table.schema)
         compiled = CompiledQuery(
             plan=None,  # type: ignore[arg-type]  # assigned below
             statement=statement,
         )
         try:
-            if statement.join is not None:
-                source, schema = self._compile_join(statement, table, compiled)
+            if joined is not None:
+                source, schema = self._compile_join(statement, table, joined, compiled)
             else:
                 source = self._compile_scan_source(table, statement, compiled)
                 schema = table.schema
@@ -828,30 +921,10 @@ class _Compiler:
             allow_continuous=self._allow_continuous,
             keep=table.oram_kind != "paper",
         )
-        stats = decision.stats
-        small = decision.in_enclave or decision.algorithm is SelectAlgorithm.SMALL
-        node = SelectNode(
-            source=source,
-            algorithm=SelectAlgorithm.SMALL if small else decision.algorithm,
-            input_rows=stats.input_capacity,
-            output_rows=stats.matching_rows,
-            buffer_rows=decision.buffer_rows if small else 0,
-            in_enclave=decision.in_enclave,
-            resumed=decision.resumed,
-            streamed=decision.resumed and statement.order_by is None,
-        )
-        kept = stats.kept or []
-        if node.in_enclave:
-            nbytes = len(kept) * framed_size(storage.schema)
-            compiled.hold(
-                node,
-                HeldSegment(storage.schema, table.enclave.oblivious, nbytes, frames=kept),
-            )
-            return node
-        if node.resumed:
-            compiled.first_passes[id(node)] = (kept, stats.cursor)
-        if decision.compact_output:
-            return CompactNode(source=node, bound=max(1, decision.stats.matching_rows))
+        node = selection(source, decision, streams=statement.order_by is None)
+        select = node.source if isinstance(node, CompactNode) else node
+        assert isinstance(select, SelectNode)
+        bind_statistics(compiled, select, storage, decision.stats)
         return node
 
     @staticmethod
@@ -916,12 +989,7 @@ class _Compiler:
             segment_rows=segment_rows,
             in_enclave=table.oram_kind != "paper" and nbytes <= account.free_bytes,
         )
-        if node.in_enclave:
-            compiled.hold(node, HeldSegment(table.schema, account, nbytes, rows=rows))
-        else:
-            compiled.bind(
-                node, spill_index_segment(table.enclave, table.schema, rows), owned=True
-            )
+        bind_segment(compiled, node, table.enclave, table.schema, rows)
         return node
 
     def _flat_view_node(self, table: Table, compiled: CompiledQuery) -> ScanNode:
@@ -954,9 +1022,11 @@ class _Compiler:
         self,
         statement: SelectStatement,
         left_table: Table,
+        joined: Schema,
         compiled: CompiledQuery,
     ) -> tuple[PlanNode, Schema]:
-        """The join subtree and the schema of the rows it emits."""
+        """The join subtree and the schema of the rows it emits, out of the
+        ``joined`` schema of the two tables' rows."""
         assert statement.join is not None
         right_table = self._table(statement.join.right_table)
         left = self._flat_view_node(left_table, compiled)
@@ -968,15 +1038,11 @@ class _Compiler:
         # column of a plain selection (a grouped ORDER BY names an output
         # label).  ``SELECT *`` reads everything; a bare ``COUNT(*)`` reads
         # nothing, so it carries the left join key.
-        joined = joined_schema(left_storage.schema, right_storage.schema)
         if statement.columns or statement.aggregates:
             needed = {*statement.columns, statement.group_by}
             needed.update(spec.column for spec in statement.aggregates)
             if not statement.aggregates:
                 needed.add(statement.order_by)
-            needed.discard(None)
-            for name in sorted(needed):
-                joined.column_index(name)  # SchemaError on an unknown column
             columns = tuple(
                 name for name in joined.column_names() if name in needed
             ) or (statement.join.left_column,)

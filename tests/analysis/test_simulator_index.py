@@ -1,13 +1,13 @@
 """Theorem 1's SIM for a statement over an index lookup.
 
 Each case runs a whole SQL statement whose ``WHERE`` pins a key interval
-and checks its real trace against :func:`simulate_index_lookup`, run on the
-executed plan's leakage, the index's public geometry and the free
-oblivious-memory budget alone.  The matrix crosses the lookup (a point hit,
-a point miss, ranges of 1, 10 and 50 rows) with where the segment goes
+and checks its real trace against :func:`simulate`, run on the executed
+plan and the public state — the index's geometry and the free
+oblivious-memory budget — alone.  The matrix crosses the lookup (a point
+hit, a point miss, ranges of 1, 10 and 50 rows) with where the segment goes
 (held in the enclave, spilled by a budget one byte short of it, spilled by
-the paper's index) and with the statement over it (a selection, an
-aggregate, a GROUP BY).
+the paper's index) and with the statement over it (a selection, one under
+an ORDER BY, an aggregate, a GROUP BY).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import replace
 import pytest
 
 from repro import ObliDB
-from repro.analysis import IndexLookupLeakage, real_query_trace, simulate_index_lookup
-from repro.planner import IndexLookupNode, SelectNode
+from repro.analysis import PublicState, real_query_trace, simulate
+from repro.planner import IndexLookupNode, SelectNode, SortNode
 from repro.storage import Schema, StorageMethod, framed_size, int_column
 
 SCHEMA = Schema([int_column("k"), int_column("grp"), int_column("amount")])
@@ -39,6 +39,7 @@ PLACES = {"held": ("path", False), "squeezed": ("path", True), "paper": ("paper"
 
 STATEMENTS = {
     "select": "SELECT * FROM t WHERE {}",
+    "order": "SELECT * FROM t WHERE {} ORDER BY amount DESC",
     "aggregate": "SELECT COUNT(*), SUM(amount) FROM t WHERE {}",
     "group-by": "SELECT grp, COUNT(*), MAX(amount) FROM t WHERE {} GROUP BY grp",
 }
@@ -60,7 +61,7 @@ def database():
 
 
 def run(database, place: str, lookup: str, statement: str):
-    """(real trace, executed plan, leakage, free budget) of one case."""
+    """(real trace, executed plan, public state) of one case."""
     oram_kind, squeezed = PLACES[place]
     db = database(oram_kind)
     condition, rows = LOOKUPS[lookup]
@@ -68,12 +69,11 @@ def run(database, place: str, lookup: str, statement: str):
     squeeze = account.free_bytes - (max(1, rows) * FRAME - 1) if squeezed else 0
     account.allocate(squeeze)
     try:
-        free = account.free_bytes
+        public = PublicState.of(db)
         real, plan = real_query_trace(db, STATEMENTS[statement].format(condition))
     finally:
         account.release(squeeze)
-    leakage = IndexLookupLeakage.from_plan(plan, {"t": db.table("t")})
-    return real, plan, leakage, free
+    return real, plan, public
 
 
 #: A one-row segment has no spilling twin for a selection on the default
@@ -91,18 +91,18 @@ CASES = [
 
 @pytest.mark.parametrize("place, lookup, statement", CASES)
 def test_real_equals_sim(database, place: str, lookup: str, statement: str) -> None:
-    real, plan, leakage, free = run(database, place, lookup, statement)
+    real, plan, public = run(database, place, lookup, statement)
     node = plan.find(IndexLookupNode)
     assert node.segment_rows == max(1, LOOKUPS[lookup][1])
     assert node.in_enclave is (place == "held")
-    assert (leakage.over is None) is (place == "held")
-    assert (leakage.treetop_levels == 0) is (place == "paper")
-    if statement == "select" and place != "held":
-        # A squeezed segment of more rows than Small's buffer streams.
-        streamed = place == "squeezed" and LOOKUPS[lookup][1] > 1
+    assert (public.tables["t"].treetop_levels == 0) is (place == "paper")
+    if statement in ("select", "order") and place != "held":
+        # A squeezed segment of more rows than Small's buffer streams,
+        # unless an ORDER BY sits above it.
+        streamed = statement == "select" and place == "squeezed" and LOOKUPS[lookup][1] > 1
         assert plan.find(SelectNode).streamed is streamed
-        assert leakage.over.streamed is streamed
-    assert real.matches(simulate_index_lookup(leakage, free))
+    assert isinstance(plan.root, SortNode) is (statement == "order")
+    assert real.matches(simulate(plan, public))
 
 
 @pytest.mark.parametrize("place", PLACES)
@@ -110,8 +110,8 @@ def test_a_miss_is_a_one_row_hit(database, place: str) -> None:
     """``segment_rows`` = max(1, |T'|): a miss and a one-row hit are one
     plan and one trace, held or spilled."""
     for statement in ("aggregate", "group-by"):
-        hit, hit_plan, _, _ = run(database, place, "hit", statement)
-        miss, miss_plan, _, _ = run(database, place, "miss", statement)
+        hit, hit_plan, _ = run(database, place, "hit", statement)
+        miss, miss_plan, _ = run(database, place, "miss", statement)
         assert hit_plan.cache_key == miss_plan.cache_key
         assert hit.matches(miss)
 
@@ -120,10 +120,12 @@ def test_sim_differs_when_leakage_differs(database) -> None:
     """A tree one level shorter makes fewer ORAM accesses (on the paper's
     index, where every level is in the ORAM); a treetop one level shallower
     shows two more bucket accesses per ORAM access."""
-    real, _, leakage, free = run(database, "paper", "range-10", "select")
-    assert not real.matches(
-        simulate_index_lookup(replace(leakage, height=leakage.height - 1), free)
-    )
-    real, _, leakage, free = run(database, "held", "range-10", "select")
-    shallower = replace(leakage, treetop_levels=leakage.treetop_levels - 1)
-    assert not real.matches(simulate_index_lookup(shallower, free))
+    def changed(public: PublicState, **facts) -> PublicState:
+        return replace(public, tables={"t": replace(public.tables["t"], **facts)})
+
+    real, plan, public = run(database, "paper", "range-10", "select")
+    height = public.tables["t"].height
+    assert not real.matches(simulate(plan, changed(public, height=height - 1)))
+    real, plan, public = run(database, "held", "range-10", "select")
+    treetop = public.tables["t"].treetop_levels
+    assert not real.matches(simulate(plan, changed(public, treetop_levels=treetop - 1)))

@@ -1,9 +1,9 @@
 """Theorem 1's SIM for joins, aggregates and GROUP BY over flat sources.
 
 Each case runs a whole SQL statement (compile, operator, result read) and
-checks its real trace against SIM run on the plan's leakage and the public
-schemas alone — under the default tables and ``oram_kind="paper"``.  One
-control per node shows SIM given different leakage gives a different trace.
+checks its real trace against SIM run on its plan and the public state
+alone — under the default tables and ``oram_kind="paper"``.  One control
+per node shows SIM given a different plan gives a different trace.
 """
 
 from __future__ import annotations
@@ -15,17 +15,9 @@ from dataclasses import replace
 import pytest
 
 from repro import ObliDB, PaddingConfig
-from repro.analysis import (
-    AggregateLeakage,
-    GroupByLeakage,
-    JoinLeakage,
-    real_query_trace,
-    simulate_aggregate,
-    simulate_group_by,
-    simulate_join,
-)
+from repro.analysis import PublicState, real_query_trace, simulate
 from repro.planner import JoinAlgorithm
-from repro.planner.compile import JoinNode
+from repro.planner.compile import CompactNode, GroupByNode, JoinNode, SortNode
 from repro.storage import Schema, framed_size, int_column, str_column
 
 USERS = Schema([int_column("uid"), str_column("name", 64)])
@@ -59,6 +51,17 @@ JOIN_STATEMENTS = {
 }
 
 
+#: ORDER BY over a join: sorted where a held join holds its rows, else
+#: over its output compacted to |T2|.  Off the Opaque configuration.
+JOIN_ORDERS = {
+    "columns-order": "SELECT name, amount FROM users JOIN visits ON uid = uid ORDER BY amount",
+    "columns-where-order-desc-limit": (
+        "SELECT name, amount FROM users JOIN visits ON uid = uid WHERE day < 10"
+        " ORDER BY amount DESC LIMIT 3"
+    ),
+}
+
+
 JOIN_AGGREGATES = {
     "join": "SELECT COUNT(*), SUM(amount) FROM users JOIN visits ON uid = uid",
     "join-where": (
@@ -67,11 +70,27 @@ JOIN_AGGREGATES = {
     ),
 }
 
+#: GROUP BY over a join: held where the join is, else over its output
+#: table.  Off the Opaque configuration.
+JOIN_GROUPS = {
+    "join-group-by": (
+        "SELECT day, COUNT(*), SUM(amount) FROM users JOIN visits ON uid = uid"
+        " GROUP BY day"
+    ),
+    "join-group-by-where-order": (
+        "SELECT day, MAX(amount) FROM users JOIN visits ON uid = uid"
+        " WHERE day < 10 GROUP BY day ORDER BY day DESC LIMIT 3"
+    ),
+}
+
 #: config -> the statements whose output is held on the default tables.
 HELD = {
-    "hash-one-chunk": {*JOIN_STATEMENTS, *JOIN_AGGREGATES},
+    "hash-one-chunk": {*JOIN_STATEMENTS, *JOIN_ORDERS, *JOIN_AGGREGATES, *JOIN_GROUPS},
     "hash-four-chunks-held": set(JOIN_AGGREGATES),
 }
+
+#: Every join configuration but Opaque's (each Opaque case costs seconds).
+CHEAP_JOINS = [config for config in JOINS if config != "opaque"]
 
 
 def held(config: str, statement: str, oram_kind: str) -> bool:
@@ -108,39 +127,44 @@ def join_db():
     return functools.cache(build_join_db)
 
 
-def schemas(db: ObliDB, plan) -> dict[str, Schema]:
-    """The public schemas of the tables a plan names."""
-    return {name: db.table(name).schema for name in plan.tables}
+def replace_root(plan, **fields):
+    """``plan`` with its root node's ``fields`` changed."""
+    return replace(plan, root=replace(plan.root, **fields))
 
 
 class TestJoin:
     @pytest.mark.parametrize("oram_kind", KINDS)
-    @pytest.mark.parametrize("statement", JOIN_STATEMENTS)
-    @pytest.mark.parametrize("config", JOINS)
+    @pytest.mark.parametrize(
+        "config, statement",
+        [(config, statement) for statement in JOIN_STATEMENTS for config in JOINS]
+        + [(config, statement) for statement in JOIN_ORDERS for config in CHEAP_JOINS],
+    )
     def test_real_equals_sim(
         self, join_db, config: str, statement: str, oram_kind: str
     ) -> None:
         db = join_db(config, oram_kind)
-        real, plan = real_query_trace(db, JOIN_STATEMENTS[statement])
-        join = plan.root
-        assert isinstance(join, JoinNode)
+        public = PublicState.of(db)
+        real, plan = real_query_trace(db, {**JOIN_STATEMENTS, **JOIN_ORDERS}[statement])
+        join = plan.find(JoinNode)
         _, _, _, algorithm, chunks = JOINS[config]
         assert join.algorithm is algorithm
         if chunks is not None:
             assert -(-join.t1 // join.oblivious_rows) == chunks
-        assert join.filtered is statement.endswith("where")
+        assert join.filtered is ("where" in statement)
         assert join.in_enclave is held(config, statement, oram_kind)
-        leakage = JoinLeakage.from_plan(plan, schemas(db, plan))
-        assert leakage.in_enclave is join.in_enclave
-        assert real.matches(simulate_join(leakage))
+        if statement in JOIN_ORDERS:
+            # A join output table is compacted before the sort.
+            assert isinstance(plan.root, SortNode)
+            assert isinstance(plan.root.source, CompactNode) is not join.in_enclave
+        assert real.matches(simulate(plan, public))
 
     def test_sim_differs_when_leakage_differs(self, join_db) -> None:
         """Half the budget the plan declares doubles the hash chunks."""
         db = join_db("hash-four-chunks", "path")
+        public = PublicState.of(db)
         real, plan = real_query_trace(db, JOIN_STATEMENTS["star"])
-        leakage = JoinLeakage.from_plan(plan, schemas(db, plan))
-        wrong = replace(leakage, oblivious_bytes=leakage.oblivious_bytes // 2)
-        assert not real.matches(simulate_join(wrong))
+        wrong = replace_root(plan, oblivious_bytes=plan.root.oblivious_bytes // 2)
+        assert not real.matches(simulate(wrong, public))
 
     @pytest.mark.parametrize("config", ["hash-one-chunk", "hash-one-chunk-table"])
     def test_a_held_join_is_the_table_join_without_its_output(
@@ -150,12 +174,12 @@ class TestJoin:
         allocation, the probe's writes and the read-back.  SIM told to
         write the held output to a table does not match."""
         db = join_db(config, "path")
+        public = PublicState.of(db)
         real, plan = real_query_trace(db, JOIN_STATEMENTS["columns"])
-        leakage = JoinLeakage.from_plan(plan, schemas(db, plan))
         users, visits = db.table("users").capacity, db.table("visits").capacity
-        if leakage.in_enclave:
+        if plan.root.in_enclave:
             assert real.length == users + visits
-            assert not real.matches(simulate_join(replace(leakage, in_enclave=False)))
+            assert not real.matches(simulate(replace_root(plan, in_enclave=False), public))
         else:
             assert real.length == users + visits + 3 * visits
 
@@ -177,39 +201,35 @@ class TestAggregate:
         self, join_db, statement: str, oram_kind: str
     ) -> None:
         db = join_db("hash-one-chunk", oram_kind)
+        public = PublicState.of(db)
         real, plan = real_query_trace(db, AGGREGATES[statement])
-        leakage = AggregateLeakage.from_plan(plan, schemas(db, plan))
         assert real.length == db.table("visits").capacity  # one read pass
-        assert real.matches(simulate_aggregate(leakage))
+        assert real.matches(simulate(plan, public))
 
     @pytest.mark.parametrize("oram_kind", KINDS)
-    @pytest.mark.parametrize("statement", JOIN_AGGREGATES)
-    @pytest.mark.parametrize(
-        "config",
-        [
-            "hash-one-chunk",
-            "hash-one-chunk-table",
-            "hash-four-chunks",
-            "hash-four-chunks-held",
-            "zero-om",
-        ],
-    )
+    @pytest.mark.parametrize("statement", [*JOIN_AGGREGATES, *JOIN_GROUPS])
+    @pytest.mark.parametrize("config", CHEAP_JOINS)
     def test_real_equals_sim_over_a_join(
         self, join_db, config: str, statement: str, oram_kind: str
     ) -> None:
+        """Ungrouped, and grouped: over a held join the groups never leave
+        the enclave, over a join's output table the plan records g."""
         db = join_db(config, oram_kind)
-        real, plan = real_query_trace(db, JOIN_AGGREGATES[statement])
-        leakage = AggregateLeakage.from_plan(plan, schemas(db, plan))
-        assert isinstance(leakage.source, JoinLeakage)
-        assert leakage.source.in_enclave is held(config, statement, oram_kind)
-        assert real.matches(simulate_aggregate(leakage))
+        public = PublicState.of(db)
+        real, plan = real_query_trace(db, {**JOIN_AGGREGATES, **JOIN_GROUPS}[statement])
+        join = plan.find(JoinNode)
+        assert join.in_enclave is held(config, statement, oram_kind)
+        if statement in JOIN_GROUPS:
+            assert isinstance(plan.root, GroupByNode)
+            assert (plan.root.output_rows is None) is join.in_enclave
+        assert real.matches(simulate(plan, public))
 
     def test_sim_differs_when_leakage_differs(self, join_db) -> None:
         db = join_db("hash-one-chunk", "path")
+        public = PublicState.of(db)
         real, plan = real_query_trace(db, AGGREGATES["count-sum"])
-        leakage = AggregateLeakage.from_plan(plan, schemas(db, plan))
-        wrong = replace(leakage, source=replace(leakage.source, rows=15))
-        assert not real.matches(simulate_aggregate(wrong))
+        wrong = replace_root(plan, source=replace(plan.root.source, rows=15))
+        assert not real.matches(simulate(wrong, public))
 
 
 GROUPED = Schema([int_column("k"), int_column("grp"), int_column("amount")])
@@ -244,6 +264,12 @@ def grouped_db(config: str, oram_kind: str) -> ObliDB:
     return db
 
 
+def sorted_fallback(node: GroupByNode) -> bool:
+    """The group table overflowed: the sort fallback's padded output is
+    larger than the input."""
+    return node.output_rows is not None and node.output_rows > node.input_rows
+
+
 class TestGroupBy:
     @pytest.mark.parametrize("oram_kind", KINDS)
     @pytest.mark.parametrize("statement", GROUP_STATEMENTS)
@@ -253,32 +279,31 @@ class TestGroupBy:
         and nothing on the default one, which holds the groups; above it,
         the sort fallback's padded size.  SIM reads either off the plan."""
         db = grouped_db(config, oram_kind)
-        free = db.enclave.oblivious.free_bytes
+        public = PublicState.of(db)
         real, plan = real_query_trace(db, GROUP_STATEMENTS[statement])
-        leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
+        node = plan.root
         _, _, groups, overflows = GROUPINGS[config]
-        assert leakage.sorted_fallback is overflows
-        assert leakage.in_enclave is (oram_kind == "path")
+        assert sorted_fallback(node) is overflows
+        assert node.in_enclave is (oram_kind == "path")
         if not overflows and oram_kind == "path":
-            assert leakage.output_rows is None
+            assert node.output_rows is None
             # The hash build's read pass is the whole trace.
             assert real.length == GROUPINGS[config][0]
         elif not overflows and statement != "where":
-            assert leakage.output_rows == groups
-        assert real.matches(simulate_group_by(leakage, free))
+            assert node.output_rows == groups
+        assert real.matches(simulate(plan, public))
 
     @pytest.mark.parametrize("oram_kind", KINDS)
     def test_sim_differs_when_leakage_differs(self, oram_kind: str) -> None:
         db = grouped_db("ten-groups", oram_kind)
-        free = db.enclave.oblivious.free_bytes
+        public = PublicState.of(db)
         real, plan = real_query_trace(db, GROUP_STATEMENTS["plain"])
-        leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
-        if leakage.in_enclave:
+        if plan.root.in_enclave:
             # Held, as if it had not been: an output table of the ten groups.
-            wrong = replace(leakage, in_enclave=False, output_rows=10)
+            wrong = replace_root(plan, in_enclave=False, output_rows=10)
         else:
-            wrong = replace(leakage, output_rows=leakage.output_rows + 1)
-        assert not real.matches(simulate_group_by(wrong, free))
+            wrong = replace_root(plan, output_rows=plan.root.output_rows + 1)
+        assert not real.matches(simulate(wrong, public))
 
     @pytest.mark.parametrize("oram_kind", KINDS)
     def test_empty_group_by_equals_sim(self, oram_kind: str) -> None:
@@ -286,17 +311,16 @@ class TestGroupBy:
         and its one output slot written on the paper's table, the read pass
         alone where the groups are held."""
         db = grouped_db("ten-groups", oram_kind)
-        free = db.enclave.oblivious.free_bytes
+        public = PublicState.of(db)
         real, plan = real_query_trace(
             db, "SELECT grp, COUNT(*) FROM t WHERE amount < 0 GROUP BY grp"
         )
-        leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
-        assert leakage.output_rows == (None if oram_kind == "path" else 1)
+        assert plan.root.output_rows == (None if oram_kind == "path" else 1)
         one, one_plan = real_query_trace(
             db, "SELECT grp, COUNT(*) FROM t WHERE grp = 3 GROUP BY grp"
         )
         assert one_plan.cache_key == plan.cache_key
-        assert real.matches(simulate_group_by(leakage, free))
+        assert real.matches(simulate(plan, public))
         assert real.matches(one)
 
     def test_padded_group_counts_share_one_trace(self) -> None:
@@ -312,13 +336,12 @@ class TestGroupBy:
             )
             db.create_table("t", GROUPED, 32)
             db.insert_many("t", [(i, i % groups, i) for i in range(29)], fast=True)
-            free = db.enclave.oblivious.free_bytes
+            public = PublicState.of(db)
             real, plan = real_query_trace(
                 db, "SELECT grp, COUNT(*), SUM(amount) FROM t GROUP BY grp"
             )
-            leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
-            assert leakage.output_rows == 8
-            assert real.matches(simulate_group_by(leakage, free))
+            assert plan.root.output_rows == 8
+            assert real.matches(simulate(plan, public))
             traces.append(real)
             keys.add(plan.cache_key)
         assert len(keys) == 1
@@ -332,14 +355,13 @@ class TestGroupBy:
             db = ObliDB(cipher="null", keep_trace_events=True, seed=5)
             db.create_table("t", GROUPED, 32)
             db.insert_many("t", [(i, i % groups, i) for i in range(29)], fast=True)
-            free = db.enclave.oblivious.free_bytes
+            public = PublicState.of(db)
             real, plan = real_query_trace(
                 db, "SELECT grp, COUNT(*), SUM(amount) FROM t GROUP BY grp"
             )
-            leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
-            assert (leakage.in_enclave, leakage.output_rows) == (True, None)
+            assert (plan.root.in_enclave, plan.root.output_rows) == (True, None)
             assert real.length == 32
-            assert real.matches(simulate_group_by(leakage, free))
+            assert real.matches(simulate(plan, public))
             traces.append(real)
             keys.add(plan.cache_key)
         assert len(keys) == 1
@@ -359,11 +381,10 @@ class TestGroupBy:
             # overflows at the 257th distinct key.
             rows = [(i, 0 if late and i < 1024 else i % 300, i) for i in range(2048)]
             db.insert_many("t", rows, fast=True)
-            free = db.enclave.oblivious.free_bytes
+            public = PublicState.of(db)
             real, plan = real_query_trace(db, "SELECT grp, COUNT(*) FROM t GROUP BY grp")
-            leakage = GroupByLeakage.from_plan(plan, schemas(db, plan))
-            assert leakage.sorted_fallback
-            assert real.matches(simulate_group_by(leakage, free))
+            assert sorted_fallback(plan.root)
+            assert real.matches(simulate(plan, public))
             traces.append(real)
             keys.add(plan.cache_key)
         assert len(keys) == 1

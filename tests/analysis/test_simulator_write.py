@@ -1,8 +1,8 @@
 """Theorem 1's SIM for INSERT, UPDATE and DELETE.
 
 Each case runs one write statement and checks its real trace against
-:func:`simulate_write`, run on the plan's leakage, the table's public
-geometry after the statement, and the two trace sizes an index reveals:
+:func:`simulate`, run on the plan, the public state after the statement
+(the table's geometry), and the two trace sizes an index reveals:
 the rows it rewrote and, for ``index_range``, the segment its lookup
 returned.  The matrix covers a flat table's uniform passes and a
 ``METHOD both`` table's keyed (``index_range``) and non-key
@@ -17,12 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro import ObliDB
-from repro.analysis import (
-    WriteLeakage,
-    canonicalize,
-    oram_regions_of,
-    simulate_write,
-)
+from repro.analysis import PublicState, canonicalize, oram_regions_of, simulate
 from repro.planner import AccessMethod
 from repro.storage import Schema, StorageMethod, int_column, str_column
 
@@ -75,15 +70,16 @@ def test_indexed_write_trace_equals_sim(name: str, oram_kind: str) -> None:
     db = build_database(StorageMethod.BOTH, oram_kind)
     trace, result = run_write(db, sql)
     assert result.plan.root.access_method is access_method
-    leakage = WriteLeakage.from_plan(
+    public = PublicState.of(db)
+    assert public.tables["t"].height == db.table("t").indexed.tree.height
+    assert (public.tables["t"].treetop_levels == 0) is (oram_kind == "paper")
+    sim = simulate(
         result.plan,
-        {"t": db.table("t")},
+        public,
         affected=0 if access_method is None else result.affected,
         segment_rows=segment_rows,
     )
-    assert leakage.height == db.table("t").indexed.tree.height
-    assert (leakage.treetop_levels == 0) is (oram_kind == "paper")
-    assert simulate_write(leakage).matches(trace)
+    assert sim.matches(trace)
 
 
 @pytest.mark.parametrize("oram_kind", ["path", "paper"])
@@ -91,20 +87,21 @@ def test_indexed_write_trace_equals_sim(name: str, oram_kind: str) -> None:
 def test_flat_write_trace_equals_sim(name: str, oram_kind: str) -> None:
     db = build_database(StorageMethod.FLAT, oram_kind)
     trace, result = run_write(db, FLAT_WRITES[name])
-    leakage = WriteLeakage.from_plan(result.plan, {"t": db.table("t")})
-    assert leakage.access_method is None and leakage.key_column is None
-    assert simulate_write(leakage).matches(trace)
+    public = PublicState.of(db)
+    assert result.plan.root.access_method is None
+    assert public.tables["t"].key_column is None
+    assert simulate(result.plan, public).matches(trace)
 
 
 @functools.cache
-def _range_update_leakage() -> WriteLeakage:
+def _range_update():
+    """(plan, public state, trace sizes) of a range UPDATE."""
     # The paper's index: every level is in the ORAM, so the height shows.
     db = build_database(StorageMethod.BOTH, "paper")
     sql, _, segment_rows = WRITES["update-range"]
     _, result = run_write(db, sql)
-    return WriteLeakage.from_plan(
-        result.plan, {"t": db.table("t")}, result.affected, segment_rows
-    )
+    sizes = {"affected": result.affected, "segment_rows": segment_rows}
+    return result.plan, PublicState.of(db), sizes
 
 
 @pytest.mark.parametrize(
@@ -113,12 +110,15 @@ def _range_update_leakage() -> WriteLeakage:
 def test_sim_reads_every_trace_size(change: dict) -> None:
     """A trace size off by one, or another height, gives another trace: the
     index's bursts are in the leakage, not absorbed by padding."""
-    leakage = _range_update_leakage()
-    assert leakage.affected > 1 and leakage.height == 2
-    assert not simulate_write(replace(leakage, **change)).matches(
-        simulate_write(leakage)
+    plan, public, sizes = _range_update()
+    facts = public.tables["t"]
+    assert sizes["affected"] > 1 and facts.height == 2
+    height = change.get("height", facts.height)
+    changed = replace(public, tables={"t": replace(facts, height=height)})
+    resized = {name: change.get(name, size) for name, size in sizes.items()}
+    assert not simulate(plan, changed, **resized).matches(
+        simulate(plan, public, **sizes)
     )
-
 
 
 #: Key-assigning UPDATEs, grouped by the trace sizes they share: every
@@ -168,11 +168,13 @@ def test_key_assigning_update_leaks_no_literal(name: str, oram_kind: str) -> Non
         assert result.affected == len(affected), sql
         node = result.plan.root
         assert (node.access_method, node.assigns_key) == (AccessMethod.INDEX_RANGE, True)
-        leakage = WriteLeakage.from_plan(
-            result.plan, {"t": db.table("t")}, len(affected), segment_rows
+        sim = simulate(
+            result.plan,
+            PublicState.of(db),
+            affected=len(affected),
+            segment_rows=segment_rows,
         )
-        assert leakage.assigns_key
-        assert simulate_write(leakage).matches(trace), sql
+        assert sim.matches(trace), sql
         expected = sorted(
             (new_key if k in affected else k, (7 * k) % 30, f"s{k}") for k in range(30)
         )

@@ -240,6 +240,53 @@ class TestScanSourceDecisions:
         assert result.rows == [(2, 4)]
 
 
+#: Statements naming a column their source lacks, and the error each raises.
+UNKNOWN_COLUMNS = [
+    ("SELECT * FROM t WHERE nosuch < 3", "SchemaError"),
+    ("SELECT nosuch FROM t WHERE amount < 3", "SchemaError"),
+    ("SELECT k FROM t WHERE k >= 1 AND k <= 4 ORDER BY nosuch", "SchemaError"),
+    ("SELECT nosuch FROM t JOIN u ON k = k", "SchemaError"),
+    ("SELECT COUNT(*), SUM(nosuch) FROM t WHERE amount < 3", "SchemaError"),
+    ("SELECT nosuch, COUNT(*) FROM t GROUP BY nosuch", "SchemaError"),
+    ("SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY amount", "QueryError"),
+]
+
+
+class TestUnknownColumns:
+    @pytest.mark.parametrize("oram_kind", ["path", "paper"])
+    @pytest.mark.parametrize("method", ["flat", "indexed", "both"])
+    @pytest.mark.parametrize("sql, error", UNKNOWN_COLUMNS)
+    def test_rejected_before_any_untrusted_access(
+        self, sql: str, error: str, method: str, oram_kind: str
+    ) -> None:
+        """One check against the source schema (the joined one for a join)
+        refuses the statement before a leaf is materialised: no index
+        lookup, statistics pass, scratch copy or operator runs first."""
+        from repro import enclave
+        from repro.storage import StorageMethod
+
+        db = ObliDB(cipher="null", keep_trace_events=True, seed=1)
+        schemas = {
+            "t": Schema([int_column("k"), int_column("grp"), int_column("amount")]),
+            "u": Schema([int_column("k"), int_column("x")]),
+        }
+        for name, schema in schemas.items():
+            db.create_table(
+                name,
+                schema,
+                64 if name == "t" else 16,
+                method=StorageMethod(method),
+                key_column="k",
+                oram_kind=oram_kind,
+            )
+        db.insert_many("t", [(i, i % 4, i) for i in range(40)])
+        db.insert_many("u", [(i, i) for i in range(10)])
+        db.enclave.trace.clear()
+        with pytest.raises(getattr(enclave, error)):
+            db.sql(sql)
+        assert len(db.enclave.trace) == 0
+
+
 # ----------------------------------------------------------------------
 # The fused join: plan snapshot and plan fidelity
 # ----------------------------------------------------------------------
