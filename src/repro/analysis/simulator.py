@@ -17,27 +17,31 @@ theorem's claim, checked per-query.
 QueryPlan` — ``OPT(D, Q)`` in its reified form — and a
 :class:`PublicState`, the catalog's public facts.  For a SELECT it builds
 dummy storage of the sizes the plan leaks in a fresh enclave, runs
-compile's two I/O steps — the index lookup and the statistics pass —
-forced to the plan's nodes through the binding code the compiler runs
-(:func:`~repro.planner.compile.bind_segment`, :func:`~repro.planner.
-compile.bind_statistics`), and then the unmodified :meth:`~repro.engine.
-executor.PlanRunner.run`.  For a write it runs :func:`~repro.engine.
-executor.run_write`, the executor's own call, over a dummy table.  SIM
-reaches no operator except through the engine, so it cannot drift from
-it, and any node the runner handles gets a SIM with no SIM code.
+compile's I/O steps — the index lookup, the copy of an index scanned as a
+flat table and the statistics pass — forced to the plan's nodes through
+the binding code the compiler runs (:func:`~repro.planner.compile.
+bind_segment`, :func:`~repro.planner.compile.bind_index_copy`,
+:func:`~repro.planner.compile.bind_statistics`), and then the unmodified
+:meth:`~repro.engine.executor.PlanRunner.run`.  For a write it runs
+:func:`~repro.engine.executor.run_write`, the executor's own call, over a
+dummy table.  SIM reaches no operator except through the engine, so it
+cannot drift from it, and any node the runner handles gets a SIM with no
+SIM code.
 
-The dummy data: every column of row i holds i (a GROUP BY's column i modulo
-the groups), so a flat table's first |R| rows match SIM's WHERE, a GROUP
-BY's table holds the g groups its plan recorded, a join's inputs hold g
-joinable rows under a GROUP BY (and none otherwise: a join's trace depends
-on no stored value), and a dummy index of the leaked geometry holds the
-leaked segment under its smallest keys.
+The dummy data, one per table (a self-join reads one table twice): every
+column of row i holds i (a GROUP BY's column i modulo the groups), so a
+flat table's first |R| rows match SIM's WHERE, a GROUP BY's table holds
+the g groups its plan recorded (none where the plan admits g = 0), a
+join's inputs hold g joinable rows under a GROUP BY (and none otherwise: a
+join's trace depends on no stored value), a dummy index of the leaked
+geometry holds the leaked segment under its smallest keys, and the copy of
+an index scanned as a flat table holds what the flat table would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import PlannerError
@@ -64,6 +68,7 @@ from ..planner.compile import (
     SelectNode,
     SortNode,
     WriteNode,
+    bind_index_copy,
     bind_segment,
     bind_statistics,
     holds_segment,
@@ -150,10 +155,9 @@ def simulate(
     ``index_range`` lookup returned.  A SELECT needs the *executed* plan
     when it groups into an output table: the runner records g there.
 
-    Out of scope: a scan of the index as a flat table (``index_linear``),
-    whose scratch copy writes one slot per live row; an index that is not
-    a Path ORAM; of writes, the write-ahead log's append, ``INSERT ...
-    FAST`` and a statement that changes the index's height part-way.
+    Out of scope: an index that is not a Path ORAM; of writes, the
+    write-ahead log's append, ``INSERT ... FAST`` and a statement that
+    changes the index's height part-way.
     """
     enclave = Enclave(oblivious_memory_bytes=1 << 40, cipher="null", keep_trace_events=True)
     if isinstance(plan.root, WriteNode):
@@ -231,9 +235,10 @@ def _run(compiled: CompiledQuery, padding: PaddingConfig | None) -> None:
 
 
 def _simulate_select(enclave: Enclave, plan: QueryPlan, public: PublicState) -> None:
-    """Dummy storage per leaf, the index lookup forced to the leaked
-    segment, then :func:`_run` with SIM's WHERE: the plan's source column
-    below |R| when there is a selection, none otherwise."""
+    """Dummy storage per table, compile's I/O forced to the leaked sizes —
+    the index lookup to its segment, the index copy to its capacity — then
+    :func:`_run` with SIM's WHERE: the plan's source column below |R| when
+    there is a selection, none otherwise."""
     stored = _stored_rows(plan)
     root = plan.root
     group = root.group_column if isinstance(root, GroupByNode) else None
@@ -247,43 +252,64 @@ def _simulate_select(enclave: Enclave, plan: QueryPlan, public: PublicState) -> 
         first = public.tables[plan.tables[0]].schema.columns[0]
         where = Comparison(first.name, "<", _dummy_value(first, stored))
     compiled = CompiledQuery(plan, _statement(plan, where))
-    lookups = []
+    # One dummy per table name: a self-join reads one table twice.
+    flats: dict[str, FlatStorage] = {}
+    trees: dict[str, ObliviousBPlusTree] = {}
+    indexed: list[tuple[ScanNode | IndexLookupNode, ObliviousBPlusTree]] = []
     for node in root.walk():
-        if isinstance(node, ScanNode):
-            if node.access_method is not AccessMethod.FLAT_SCAN:
-                raise PlannerError(f"SIM cannot rebuild {node.label()!r}")
-            schema = public.tables[node.table].schema
-            storage = FlatStorage(enclave, schema, node.rows)
-            storage.fast_insert_many(rows(schema, min(stored, node.rows)))
-            compiled.bind(node, storage, owned=False)
-        elif isinstance(node, IndexLookupNode):
+        if isinstance(node, ScanNode) and node.access_method is AccessMethod.FLAT_SCAN:
+            if node.table not in flats:
+                schema = public.tables[node.table].schema
+                flats[node.table] = FlatStorage(enclave, schema, node.rows)
+                flats[node.table].fast_insert_many(rows(schema, min(stored, node.rows)))
+            compiled.bind(node, flats[node.table], owned=False)
+        elif isinstance(node, (ScanNode, IndexLookupNode)):
             facts = public.tables[node.table]
-            # Filler rows above the segment's keys give the tree its height.
-            least = _least_rows(facts.order, facts.height)
-            tree = _dummy_tree(enclave, facts, rows(facts.schema, max(least, node.segment_rows)))
-            high = _dummy_value(facts.schema.column(tree.key_column), node.segment_rows - 1)
-            lookups.append((node, tree, high))
+            if node.table not in trees:
+                # Filler rows above a segment's keys give the tree its height.
+                least = _least_rows(facts.order, facts.height)
+                segment = node.segment_rows if isinstance(node, IndexLookupNode) else 0
+                trees[node.table] = _dummy_tree(
+                    enclave, facts, rows(facts.schema, max(least, segment))
+                )
+            indexed.append((node, trees[node.table]))
     enclave.oblivious.allocate(enclave.oblivious.free_bytes - public.free_bytes)
     enclave.trace.clear()
-    for node, tree, high in lookups:
-        bind_segment(compiled, node, enclave, tree.schema, tree.range_scan(None, high))
+    for node, tree in indexed:
+        schema = tree.schema
+        if isinstance(node, IndexLookupNode):
+            high = _dummy_value(schema.column(tree.key_column), node.segment_rows - 1)
+            bind_segment(compiled, node, enclave, schema, tree.range_scan(None, high))
+        else:
+            scan = _scanned(tree, rows(schema, min(stored, node.rows)))
+            bind_index_copy(compiled, node, enclave, schema, scan)
     _run(compiled, public.padding)
 
 
+def _scanned(tree: ObliviousBPlusTree, rows: list[Row]) -> Iterator[Row]:
+    """The dummy index's linear scan, whose reads are every bucket's
+    whatever the tree holds, yielding SIM's flat dummy ``rows``: the copy
+    writes every slot, so it holds them as a flat table would."""
+    for _ in tree.linear_scan():
+        pass
+    yield from rows
+
+
 def _stored_rows(plan: QueryPlan) -> int:
-    """Rows SIM's flat sources hold: a GROUP BY's recorded max(1, g) groups
-    — one group per slot when its group table overflowed into the sorted
-    fallback, one group when g never left the enclave — or a selection's
-    |R| (none when padding hides it), else none."""
+    """Rows SIM's flat sources hold: a GROUP BY's g — one group per slot
+    when its group table overflowed into the sorted fallback, none when
+    max(1, g) = 1 or g never left the enclave (zero groups fit any budget,
+    and g = 0 and g = 1 leave one trace) — or a selection's |R| (none when
+    padding hides it), else none."""
     root = plan.root
     if isinstance(root, GroupByNode):
         if root.output_rows is None:
             if not (root.in_enclave or holds_segment(root.source)):
                 raise PlannerError("plan has no executed GROUP BY to simulate")
-            return 1
+            return 0
         if root.output_rows > root.input_rows:
             return root.input_rows
-        return root.output_rows
+        return 0 if root.output_rows == 1 else root.output_rows
     select = plan.find(SelectNode)
     if not isinstance(select, SelectNode) or select.padded:
         return 0
@@ -411,9 +437,9 @@ def _dummy_tree(enclave: Enclave, facts: PublicTable, rows: list[Row]) -> Oblivi
 
 def _dummy_row(schema: Schema, i: int, group: str | None, groups: int) -> Row:
     """Row i of a dummy table: ``i`` in every column but ``group``, which
-    holds i modulo ``groups``."""
+    holds i modulo ``groups`` (at least one)."""
     return tuple(
-        _dummy_value(column, i % groups if column.name == group else i)
+        _dummy_value(column, i % max(1, groups) if column.name == group else i)
         for column in schema.columns
     )
 

@@ -297,20 +297,6 @@ class ObliDB:
             self.wal.append(text)
         return self.execute(statement)
 
-    def revision_epochs(self, tables: list[str] | None = None) -> tuple:
-        """Snapshot of ``(name, revision)`` per table, sorted by name.
-
-        Enclave-side only — reading epochs touches no untrusted memory, so
-        the serving layer can key admission decisions on this snapshot
-        without adding anything adversary-visible.
-        """
-        names = sorted(self._tables) if tables is None else sorted(tables)
-        return tuple(
-            (name, self._tables[name].revision)
-            for name in names
-            if name in self._tables
-        )
-
     def explain(self, text: str) -> QueryPlan:
         """The compiled :class:`QueryPlan` a statement would leak, without
         executing it.  ``plan.describe()`` renders the tree;

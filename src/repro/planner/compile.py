@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..enclave.enclave import Enclave, ObliviousMemoryAccount
 from ..enclave.errors import QueryError
@@ -113,7 +113,8 @@ class ScanNode(PlanNode):
 
     ``access_method`` is :attr:`AccessMethod.FLAT_SCAN` for a real flat
     table or :attr:`AccessMethod.INDEX_LINEAR` for the "scan the index like
-    a flat table" fallback (which first materializes an owned scratch).
+    a flat table" fallback, which first copies the index into an owned
+    scratch of ``rows`` = its capacity (:func:`bind_index_copy`).
     """
 
     table: str
@@ -652,6 +653,26 @@ def bind_segment(
         compiled.bind(node, spill_index_segment(enclave, schema, rows), owned=True)
 
 
+def bind_index_copy(
+    compiled: CompiledQuery,
+    node: ScanNode,
+    enclave: Enclave,
+    schema: Schema,
+    scan: Iterable[Row],
+) -> None:
+    """Bind a flat copy of an index to an ``index_linear`` ``node``: a
+    scratch of ``node.rows`` slots (its allocation pass), then ``scan`` —
+    the index's linear scan, drawn only now — copied in with
+    ``W 0..node.rows-1``, so how many rows are live does not show."""
+    scratch = FlatStorage(enclave, schema, node.rows)
+    try:
+        scratch.write_all(list(scan))
+    except Exception:
+        scratch.free()  # not bound yet: ``compiled.free()`` would miss it
+        raise
+    compiled.bind(node, scratch, owned=True)
+
+
 # ----------------------------------------------------------------------
 # Decision helpers
 # ----------------------------------------------------------------------
@@ -1003,18 +1024,12 @@ class _Compiler:
             compiled.bind(node, table.flat, owned=False)
             return node
         index = table.require_index()
-        scratch = FlatStorage(table.enclave, table.schema, max(1, index.capacity))
-        try:
-            scratch.fast_insert_many(list(index.linear_scan()))
-        except Exception:
-            scratch.free()  # not bound yet: ``compiled.free()`` would miss it
-            raise
         node = ScanNode(
             table=table.name,
             access_method=AccessMethod.INDEX_LINEAR,
-            rows=scratch.capacity,
+            rows=max(1, index.capacity),
         )
-        compiled.bind(node, scratch, owned=True)
+        bind_index_copy(compiled, node, table.enclave, table.schema, index.linear_scan())
         return node
 
     # -- joins ----------------------------------------------------------

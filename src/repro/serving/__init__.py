@@ -5,19 +5,17 @@ trace, one catalog); this package is the production-shaped layer that lets
 many clients share it safely:
 
 * :class:`ObliDBServer` / :class:`Session` — thread-safe sessions over one
-  database.  The compiled plan's identity is the **admission unit**:
-  concurrent identical read statements coalesce onto one in-flight
-  execution (:mod:`repro.planner.admission` normalizes the key), writes
-  serialize per :attr:`~repro.storage.table.Table.revision` epoch through
-  per-table FIFO queues, and every statement ultimately executes under one
-  engine lock — the engine itself never sees concurrency.
+  database.  Every statement executes on its own under one engine lock —
+  the engine itself never sees concurrency, and the server adds no
+  leakage to the engine's — and writes serialize per
+  :attr:`~repro.storage.table.Table.revision` epoch through per-table FIFO
+  queues before taking it.
 
 * :class:`AdmissionPolicy` / :class:`ServingStats` — per-tenant fail-fast
   admission limits (max in-flight, statement-class quotas) and the
   observability counters surface.
 
-``docs/serving.md`` covers the design and what coalescing does (and does
-not) leak.
+``docs/serving.md`` covers the design and its leakage argument.
 """
 
 from .policy import AdmissionError, AdmissionPolicy, ServerCrashed

@@ -1,7 +1,7 @@
 """Per-tenant admission policy for the serving front end.
 
 Admission control is the first thing a request meets: before a statement
-is classified, coalesced, queued, or executed, its tenant must have
+is classified, queued, or executed, its tenant must have
 capacity for it.  The policy is deliberately enclave-side-only — checking
 and rejecting touches no untrusted memory, so an admission decision leaks
 nothing beyond what the adversary already observes (whether a query trace

@@ -4,31 +4,25 @@ Concurrency model
 -----------------
 The engine below this layer is single-caller: one enclave, one canonical
 trace, one catalog.  The server therefore funnels every engine execution
-through **one engine lock** and gets its concurrency wins *around* that
-lock, where the admission unit — the compiled plan's identity — lets it
-avoid engine work entirely:
+through **one engine lock**, and every statement — read, write or DDL —
+runs there on its own.  The server never answers a statement from another
+statement's execution, so the untrusted-memory trace is exactly the trace
+of the same statements run one after another in the order the lock
+admitted them: the server adds no leakage to the engine's.
 
-* **Reads coalesce.**  Concurrent identical read statements (same
-  admission key from :func:`repro.planner.admission.admission_key`, same
-  table revision epochs) form an in-flight group: one leader executes, the
-  followers wait enclave-side and receive copies of the leader's result —
-  zero additional engine work and zero additional untrusted-memory
-  accesses (the security suite pins this).  A read that cannot coalesce
-  runs under the engine lock on its own.
+* **Reads** take the engine lock directly.
 
 * **Writes serialize per table.**  Each write statement enters a FIFO
   queue keyed on its target table before taking the engine lock, so one
   session's writes to a table execute (and WAL-commit) in submission
   order, and the :attr:`~repro.storage.table.Table.revision` epoch
   advances in exactly that order.  The WAL append still precedes
-  execution inside the engine lock, so PR-6 acked-durable semantics are
+  execution inside the engine lock, so acked-durable semantics are
   preserved unchanged: a statement is acknowledged only after its log
   record committed.  DDL queues on its target table like a write.
 
 Linearizability: every engine execution happens atomically under the
-engine lock, and a coalesced follower only joins a group whose epoch
-snapshot matched its own — so each request is answered by an execution
-inside its own in-flight window.
+engine lock, inside its request's in-flight window.
 
 Crash discipline: a :class:`~repro.faults.SimulatedCrash` (the fault
 layer's host kill) tears through the executing session, marks the server
@@ -60,7 +54,6 @@ from ..engine.ast import (
 from ..engine.database import ObliDB
 from ..engine.sql import parse
 from ..faults import SimulatedCrash
-from ..planner.admission import admission_key
 from ..storage.schema import Row
 from .policy import AdmissionError, AdmissionPolicy, ServerCrashed, TenantState
 from .stats import ServingStats
@@ -71,30 +64,14 @@ _MAX_WORKERS = 8
 
 @dataclass
 class ServerHooks:
-    """Test/instrumentation seams (all optional, called enclave-side).
+    """Test/instrumentation seam (optional, called enclave-side).
 
-    ``on_leader_execute(key)`` fires on a coalescing-group leader after
-    the group is registered and *before* it takes the engine lock — tests
-    park the leader here to deterministically overlap followers.
     ``on_statement_executed(text, result)`` fires under the engine lock
     after each execution, in serialization order — the property suite's
-    oracle replays this log.
+    oracle replays this log, and a test can park a statement in it.
     """
 
-    on_leader_execute: Callable[[str], None] | None = None
     on_statement_executed: Callable[[str, QueryResult], None] | None = None
-
-
-class _InFlightGroup:
-    """One coalescing group: a leader execution plus waiting followers."""
-
-    __slots__ = ("done", "result", "error", "followers")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: QueryResult | None = None
-        self.error: BaseException | None = None
-        self.followers = 0
 
 
 class _WriteQueues:
@@ -148,8 +125,6 @@ class ObliDBServer:
         self._tenants: dict[str, TenantState] = {}
         self._tenants_lock = threading.Lock()
         self._engine_lock = threading.RLock()
-        self._groups: dict[tuple, _InFlightGroup] = {}
-        self._groups_lock = threading.Lock()
         self._write_queues = _WriteQueues(self.stats)
         self._crashed = False
         self._pool: ThreadPoolExecutor | None = None
@@ -175,10 +150,6 @@ class ObliDBServer:
 
     def write_queue_depths(self) -> dict[str, int]:
         return self._write_queues.depths()
-
-    def read_groups_in_flight(self) -> int:
-        with self._groups_lock:
-            return len(self._groups)
 
     def pool(self) -> ThreadPoolExecutor:
         """The shared worker pool behind ``submit``, lazily built."""
@@ -249,7 +220,7 @@ class ObliDBServer:
         self, statement: Statement, text: str, statement_class: str
     ) -> QueryResult:
         if statement_class == "read":
-            return self._execute_read(statement, text)
+            return self._run_engine("read", text, lambda: self.db.execute(statement))
         # Writes and DDL: FIFO per target table, then the engine lock.
         # The queue — not lock-acquisition luck — fixes the serialization
         # order of same-table writes, so revision epochs and WAL order
@@ -279,74 +250,6 @@ class ObliDBServer:
                     )
         finally:
             self._write_queues.leave(table, ticket)
-
-    # ------------------------------------------------------------------
-    # Reads: coalescing
-    # ------------------------------------------------------------------
-    def _read_key(self, statement: Statement) -> tuple | None:
-        """(admission key, epoch snapshot) — the coalescing identity."""
-        if not isinstance(statement, SelectStatement):
-            return None
-        key = admission_key(statement, self.db.padding, self.db.allow_continuous)
-        if key is None:
-            return None
-        tables = [statement.table]
-        if statement.join is not None:
-            tables.append(statement.join.right_table)
-        return (key, self.db.revision_epochs(tables))
-
-    def _execute_read(self, statement: Statement, text: str) -> QueryResult:
-        key = self._read_key(statement)
-        if key is None:
-            # Not coalescible (EXPLAIN, or a predicate without structural
-            # identity): plain execution under the engine lock.
-            return self._run_engine(
-                "read", text, lambda: self.db.execute(statement)
-            )
-        return self._execute_coalesced(key, statement, text)
-
-    def _execute_coalesced(
-        self, key: tuple, statement: Statement, text: str
-    ) -> QueryResult:
-        with self._groups_lock:
-            group = self._groups.get(key)
-            if group is None:
-                group = self._groups[key] = _InFlightGroup()
-                is_leader = True
-            else:
-                group.followers += 1
-                is_leader = False
-        if is_leader:
-            return self._lead_group(key, group, statement, text)
-        # Follower: the leader's execution answers this request with zero
-        # additional engine work and zero additional untrusted accesses.
-        self.stats.record_coalesced()
-        group.done.wait()
-        if group.error is not None:
-            raise group.error
-        assert group.result is not None
-        return _copy_result(group.result)
-
-    def _lead_group(
-        self, key: tuple, group: _InFlightGroup, statement: Statement, text: str
-    ) -> QueryResult:
-        if self.hooks.on_leader_execute is not None:
-            self.hooks.on_leader_execute(key[0])
-        try:
-            result = self._run_engine(
-                "read", text, lambda: self.db.execute(statement)
-            )
-            # Followers read a private frozen copy: the leader's caller may
-            # mutate the result it gets back.
-            group.result = _copy_result(result)
-            return result
-        except BaseException as error:
-            group.error = error
-            raise
-        finally:
-            with self._groups_lock:
-                self._groups.pop(key, None)
-            group.done.set()
 
 
 class Session:
@@ -406,18 +309,3 @@ class Session:
     def submit(self, text: str) -> Future:
         """Run :meth:`execute` on the server's worker pool."""
         return self._server.pool().submit(self.execute, text)
-
-
-def _copy_result(result: QueryResult) -> QueryResult:
-    """A fresh QueryResult the receiver may mutate freely.
-
-    The plan object is shared (it is immutable and is the leaked value);
-    rows/columns/cost are per-receiver copies.
-    """
-    return QueryResult(
-        rows=list(result.rows),
-        column_names=list(result.column_names),
-        affected=result.affected,
-        cost=dict(result.cost),
-        plan=result.plan,
-    )

@@ -12,25 +12,25 @@ import threading
 
 
 class ServingStats:
-    """Thread-safe admission/coalescing/queue counters.
+    """Thread-safe admission/execution/queue counters.
 
     * ``admitted`` — statements that passed admission control.
     * ``rejected`` — statements refused by an :class:`~repro.serving.
       policy.AdmissionPolicy` (never executed).
     * ``executed`` — engine executions, by class (``read``/``write``/
-      ``ddl``).  Coalescing makes ``executed["read"]`` strictly less than
-      admitted reads on repeated workloads.
-    * ``coalesced`` — read statements answered by joining an in-flight
-      leader (zero extra engine work, zero extra untrusted accesses).
+      ``ddl``): every admitted statement that completed runs once.
     * ``write_queue_peak`` — deepest per-table write queue observed.
     * ``crashes`` — simulated host kills the server absorbed.
+
+    :meth:`snapshot` also reports ``coalesced``, always 0: the server
+    answers every read with its own execution, and the key stays for
+    readers of earlier snapshots.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.admitted = 0
         self.rejected = 0
-        self.coalesced = 0
         self.crashes = 0
         self.write_queue_peak = 0
         self.executed = {"read": 0, "write": 0, "ddl": 0}
@@ -45,10 +45,6 @@ class ServingStats:
     def record_rejected(self) -> None:
         with self._lock:
             self.rejected += 1
-
-    def record_coalesced(self) -> None:
-        with self._lock:
-            self.coalesced += 1
 
     def record_executed(self, statement_class: str) -> None:
         with self._lock:
@@ -66,20 +62,13 @@ class ServingStats:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def coalescing_hit_rate(self) -> float:
-        """Fraction of admitted statements answered by coalescing."""
-        with self._lock:
-            if not self.admitted:
-                return 0.0
-            return self.coalesced / self.admitted
-
     def snapshot(self) -> dict[str, object]:
         """A consistent copy of every counter (for logs and benchmarks)."""
         with self._lock:
             return {
                 "admitted": self.admitted,
                 "rejected": self.rejected,
-                "coalesced": self.coalesced,
+                "coalesced": 0,
                 "crashes": self.crashes,
                 "write_queue_peak": self.write_queue_peak,
                 "executed": dict(self.executed),

@@ -55,15 +55,13 @@ class Table:
         # Recorded whatever the method: "paper" also tells the planner to run
         # the paper's selection algorithms over the flat copy as written.
         self.oram_kind = oram_kind
-        # Revision epoch: (catalog creation id, mutation count).  Serving's
-        # read coalescing and the statement retry key on it, so any
-        # mutation — and any drop/recreate, which gets a fresh creation id —
-        # changes it.
+        # Revision epoch: (catalog creation id, mutation count).  The
+        # statement retry keys on it, so any mutation — and any
+        # drop/recreate, which gets a fresh creation id — changes it.
         self._creation_id = creation_id
         self._mutations = 0
-        # Serving-layer sessions bump the epoch from concurrent threads;
-        # the increment must not lose updates (a lost bump could let a read
-        # join a group that started before the write).
+        # Concurrent threads may bump the epoch; the increment must not
+        # lose updates (a lost bump could let a retry miss a write).
         self._revision_lock = threading.Lock()
         self.flat: FlatStorage | None = None
         self.indexed: IndexedStorage | None = None

@@ -19,7 +19,7 @@ import pytest
 
 from repro import ObliDB
 from repro.analysis import PublicState, real_query_trace, simulate
-from repro.planner import IndexLookupNode, SelectNode, SortNode
+from repro.planner import AccessMethod, IndexLookupNode, ScanNode, SelectNode, SortNode
 from repro.storage import Schema, StorageMethod, framed_size, int_column
 
 SCHEMA = Schema([int_column("k"), int_column("grp"), int_column("amount")])
@@ -129,3 +129,74 @@ def test_sim_differs_when_leakage_differs(database) -> None:
     real, plan, public = run(database, "held", "range-10", "select")
     treetop = public.tables["t"].treetop_levels
     assert not real.matches(simulate(plan, changed(public, treetop_levels=treetop - 1)))
+
+
+#: Statements over an index-only table that no key interval bounds: each
+#: scans a copy of the index (``index_linear``).  ``f`` is a flat table whose
+#: keys join ``t``'s, on either side.
+LINEAR = {
+    "select": "SELECT * FROM t WHERE amount < 3",
+    "order": "SELECT * FROM t WHERE amount < 3 ORDER BY amount DESC",
+    "aggregate": "SELECT COUNT(*), SUM(amount) FROM t WHERE amount < 3",
+    "group-by": "SELECT grp, COUNT(*), MAX(amount) FROM t GROUP BY grp",
+    "join-left": "SELECT COUNT(*) FROM t JOIN f ON k = fk",
+    "join-right": "SELECT grp, fk FROM f JOIN t ON fk = k",
+    "self-join": "SELECT COUNT(*) FROM t JOIN t ON k = k",
+}
+
+FLAT = Schema([int_column("fk"), int_column("x")])
+
+
+def index_only_database(oram_kind: str, live: int) -> ObliDB:
+    """An index-only ``t`` of capacity 64 holding ``live`` rows, and a flat
+    ``f`` of 32 slots holding 20."""
+    db = ObliDB(cipher="null", keep_trace_events=True, seed=11)
+    db.create_table(
+        "t", SCHEMA, 64, method=StorageMethod.INDEXED, key_column="k", oram_kind=oram_kind
+    )
+    db.insert_many("t", [(i, i % 5, i % 7) for i in range(live)])
+    db.create_table("f", FLAT, 32, oram_kind=oram_kind)
+    db.insert_many("f", [(2 * i, i) for i in range(20)], fast=True)
+    return db
+
+
+class TestIndexLinear:
+    """A statement over an index-only table copies the index to a flat
+    scratch of its capacity: the scratch's allocation pass, the linear scan
+    of every bucket the ORAM keeps outside the enclave, then the copy's
+    ``W 0..capacity-1``, whatever the live row count."""
+
+    @pytest.mark.parametrize("oram_kind", ["path", "paper"])
+    def test_the_live_row_count_does_not_show(self, oram_kind: str) -> None:
+        traces, keys = [], set()
+        for live in (10, 40):
+            db = index_only_database(oram_kind, live)
+            oram = db.table("t").indexed.oram
+            real, plan = real_query_trace(db, LINEAR["aggregate"])
+            scan = plan.root.source
+            assert (scan.access_method, scan.rows) == (AccessMethod.INDEX_LINEAR, 64)
+            buckets = oram.num_buckets - ((1 << oram.treetop_levels) - 1)
+            # Allocation, scan, copy, then the aggregate's read pass.
+            assert real.length == 64 + buckets + 64 + 64
+            traces.append(real)
+            keys.add(plan.cache_key)
+        assert len(keys) == 1
+        assert traces[0].digest == traces[1].digest
+
+    @pytest.mark.parametrize("oram_kind", ["path", "paper"])
+    @pytest.mark.parametrize("statement", LINEAR)
+    def test_real_equals_sim(self, oram_kind: str, statement: str) -> None:
+        db = index_only_database(oram_kind, 40)
+        public = PublicState.of(db)
+        real, plan = real_query_trace(db, LINEAR[statement])
+        methods = {node.access_method for node in plan.root.walk() if isinstance(node, ScanNode)}
+        assert AccessMethod.INDEX_LINEAR in methods
+        assert real.matches(simulate(plan, public))
+
+    def test_sim_differs_when_leakage_differs(self) -> None:
+        """A copy of one slot fewer writes one block fewer."""
+        db = index_only_database("path", 40)
+        public = PublicState.of(db)
+        real, plan = real_query_trace(db, LINEAR["aggregate"])
+        wrong = replace(plan, root=replace(plan.root, source=replace(plan.root.source, rows=63)))
+        assert not real.matches(simulate(wrong, public))

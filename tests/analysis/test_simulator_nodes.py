@@ -389,3 +389,37 @@ class TestGroupBy:
             keys.add(plan.cache_key)
         assert len(keys) == 1
         assert traces[0].matches(traces[1])
+
+
+class TestSelfJoin:
+    @pytest.mark.parametrize("oram_kind", KINDS)
+    def test_real_equals_sim(self, oram_kind: str) -> None:
+        """Both sides of a self-join read the one table; SIM's dummy is
+        one table too."""
+        db = ObliDB(cipher="null", keep_trace_events=True, seed=31)
+        db.create_table("t", GROUPED, 32, oram_kind=oram_kind)
+        db.insert_many("t", [(i, i % 3, 10 * i) for i in range(10)], fast=True)
+        public = PublicState.of(db)
+        real, plan = real_query_trace(db, "SELECT COUNT(*) FROM t JOIN t ON k = k")
+        assert plan.tables == ("t", "t")
+        assert real.matches(simulate(plan, public))
+
+
+class TestZeroGroups:
+    @pytest.mark.parametrize("oram_kind", KINDS)
+    @pytest.mark.parametrize("budget", [0, 8, 64, 4096])
+    def test_real_equals_sim(self, budget: int, oram_kind: str) -> None:
+        """No group matches: zero groups fit in any budget, so the default
+        kind holds them even with no free byte, and the paper's writes its
+        one output slot; g = 0 and g = 1 leave one trace, so SIM builds g = 0."""
+        db = ObliDB(
+            cipher="null", oblivious_memory_bytes=budget, keep_trace_events=True, seed=5
+        )
+        db.create_table("t", GROUPED, 16, oram_kind=oram_kind)
+        db.insert_many("t", [(i, i % 3, i) for i in range(12)], fast=True)
+        public = PublicState.of(db)
+        real, plan = real_query_trace(
+            db, "SELECT grp, COUNT(*) FROM t WHERE k > 99 GROUP BY grp"
+        )
+        assert plan.root.in_enclave is (oram_kind == "path")
+        assert real.matches(simulate(plan, public))

@@ -119,15 +119,14 @@ class TestWrites:
 
 class TestRevisionEpochs:
     """Every mutation moves a table's revision epoch, and a dropped and
-    recreated table never repeats one: serving's coalescing keys on it."""
+    recreated table never repeats one: the statement retry keys on it."""
 
     def test_drop_and_recreate_gets_a_new_epoch(self, db: ObliDB) -> None:
-        before = db.revision_epochs(["emp"])
+        before = db.table("emp").revision
         db.drop_table("emp")
-        assert db.revision_epochs(["emp"]) == ()
+        assert "emp" not in db.table_names()
         db.sql("CREATE TABLE emp (id INT, dept STR(8), salary INT) CAPACITY 64")
-        after = db.revision_epochs(["emp"])
-        assert after and after != before
+        assert db.table("emp").revision != before
 
     @pytest.mark.parametrize(
         "sql",
@@ -139,18 +138,17 @@ class TestRevisionEpochs:
     )
     def test_sql_write_moves_epoch(self, db: ObliDB, sql: str) -> None:
         db.sql("CREATE TABLE other (x INT) CAPACITY 4")
-        before = db.revision_epochs()
+        before = {name: db.table(name).revision for name in ("emp", "other")}
         db.sql(sql)
-        after = dict(db.revision_epochs())
-        assert after["emp"] != dict(before)["emp"]
-        assert after["other"] == dict(before)["other"]
+        assert db.table("emp").revision != before["emp"]
+        assert db.table("other").revision == before["other"]
 
     def test_typed_inserts_move_epoch(self, db: ObliDB) -> None:
-        epochs = [db.revision_epochs(["emp"])]
+        epochs = [db.table("emp").revision]
         db.insert("emp", (30, "d1", 5))
-        epochs.append(db.revision_epochs(["emp"]))
+        epochs.append(db.table("emp").revision)
         db.insert_many("emp", [(31, "d2", 6), (32, "d3", 7)])
-        epochs.append(db.revision_epochs(["emp"]))
+        epochs.append(db.table("emp").revision)
         assert len(set(epochs)) == 3
 
 

@@ -74,8 +74,8 @@ def quickstart_db() -> ObliDB:
 class TestPlanSnapshots:
     def test_quickstart_plans_are_stable(self, quickstart_db: ObliDB) -> None:
         """Compiling twice (and against an identically built database)
-        yields bit-identical plans — the determinism serving's coalescing
-        and the Appendix-A checker rely on."""
+        yields bit-identical plans — the determinism the Appendix-A
+        checker relies on."""
         first = [quickstart_db.explain(sql) for sql in QUICKSTART_QUERIES]
         second = [quickstart_db.explain(sql) for sql in QUICKSTART_QUERIES]
         for a, b in zip(first, second):
