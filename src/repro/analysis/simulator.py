@@ -21,8 +21,10 @@ compile's I/O steps — the index lookup, the copy of an index scanned as a
 flat table and the statistics pass — forced to the plan's nodes through
 the binding code the compiler runs (:func:`~repro.planner.compile.
 bind_segment`, :func:`~repro.planner.compile.bind_index_copy`,
-:func:`~repro.planner.compile.bind_statistics`), and then the unmodified
-:meth:`~repro.engine.executor.PlanRunner.run`.  For a write it runs
+:func:`~repro.planner.compile.bind_statistics`) into the compiled query's
+one binding map, and then the unmodified
+:meth:`~repro.engine.executor.PlanRunner.run`, whose one source resolver
+takes every node's output from that map.  For a write it runs
 :func:`~repro.engine.executor.run_write`, the executor's own call, over a
 dummy table.  SIM reaches no operator except through the engine, so it
 cannot drift from it, and any node the runner handles gets a SIM with no
@@ -225,7 +227,7 @@ def _run(compiled: CompiledQuery, padding: PaddingConfig | None) -> None:
         for node in compiled.plan.root.walk():
             if isinstance(node, SelectNode) and not node.padded:
                 assert where is not None
-                storage = compiled.bindings[id(node.source)].storage
+                storage = compiled.bound(node.source)
                 keep = node.buffer_rows if node.in_enclave or node.resumed else 0
                 stats = scan_statistics(storage, where, keep=keep)
                 bind_statistics(compiled, node, storage, stats)

@@ -10,12 +10,16 @@ layers on top of it:
   leaked plan and cost counters to the result.
 
 * :class:`PlanRunner` — a structural walk of the plan tree that invokes
-  the existing batched operators.  The only "logic" here is mechanical:
-  resolve a node's materialized source, call the operator the node names
-  with the sizes the node carries, free intermediates.  The compiled plan
-  is the executed plan; the one thing the runner adds is a grouped
-  aggregate's *observed* output size, recorded into the final plan attached
-  to the result as ``QueryResult.plan``.
+  the existing batched operators.  The only "logic" here is mechanical,
+  and it sits in one place: :meth:`PlanRunner._source` resolves any node
+  to its output — a table or a :class:`~repro.planner.compile.HeldSegment`
+  — running the join, selection or compaction the node names with the
+  sizes it carries, binding the output to the node in the compiled
+  query's one binding map and freeing it when the consumer is done.  Each
+  consumer (selection shape, aggregate, GROUP BY) branches on that value
+  once.  The compiled plan is the executed plan; the one thing the runner
+  adds is a grouped aggregate's *observed* output size, recorded into the
+  final plan attached to the result as ``QueryResult.plan``.
 
 The module-level :func:`run_select_algorithm` / :func:`run_join_algorithm`
 are the enum → operator dispatch tables (no decisions).  Code that plans
@@ -39,17 +43,12 @@ from ..operators.aggregate import (
     _sorted_group_aggregate,
     aggregate,
     aggregate_rows,
+    check_group_count,
     group_by_aggregate,
     group_rows,
     hash_group_rows,
 )
-from ..operators.join import (
-    hash_join,
-    held_hash_join,
-    held_join_bytes,
-    opaque_join,
-    zero_om_join,
-)
+from ..operators.join import hash_join, held_hash_join, opaque_join, zero_om_join
 from ..operators.predicate import Predicate, TruePredicate
 from ..operators.select import (
     continuous_select,
@@ -67,19 +66,17 @@ from ..planner.compile import (
     CompiledQuery,
     GroupByNode,
     HeldSegment,
-    IndexLookupNode,
     JoinNode,
     PlanNode,
     QueryPlan,
-    ScanNode,
     SelectNode,
     SortNode,
     WriteNode,
     compile_statement,
-    holds_segment,
 )
 from ..planner.plan import JoinAlgorithm, SelectAlgorithm
 from ..storage.flat import FlatStorage
+from ..storage.rows import framed_bytes
 from ..storage.schema import ColumnType, Row, Schema, Value
 from ..storage.table import Table
 from .ast import (
@@ -240,138 +237,90 @@ class PlanRunner:
             return TruePredicate()
         return statement.where
 
-    def _materialize(
-        self, node: PlanNode, statement: SelectStatement, compiled: CompiledQuery
-    ) -> tuple[FlatStorage, bool]:
-        """(storage, caller_owns_it) for any source subtree."""
-        if isinstance(node, (ScanNode, IndexLookupNode)):
-            return compiled.take(node)
-        if isinstance(node, JoinNode):
-            return self._run_join(node, statement, compiled, compact_output=False)
-        if isinstance(node, CompactNode) and isinstance(node.source, JoinNode):
-            return self._run_join(
-                node.source, statement, compiled, compact_output=True
-            )
-        if isinstance(node, (SelectNode, CompactNode)):
-            return self._run_selection(node, statement, compiled)
-        raise QueryError(f"cannot materialize plan node {node.kind!r}")
-
-    @staticmethod
     @contextmanager
-    def _join_inputs(
-        node: JoinNode, compiled: CompiledQuery
-    ) -> Iterator[tuple[FlatStorage, FlatStorage]]:
-        """A join's two sources, the owned ones freed afterwards."""
-        left, left_owned = compiled.take(node.left)
-        right, right_owned = compiled.take(node.right)
-        try:
-            yield left, right
-        finally:
-            if left_owned:
-                left.free()
-            if right_owned:
-                right.free()
-
-    def _run_join(
-        self,
-        node: JoinNode,
-        statement: SelectStatement,
-        compiled: CompiledQuery,
-        compact_output: bool,
-    ) -> tuple[FlatStorage, bool]:
-        with self._join_inputs(node, compiled) as (left, right):
-            joined = run_join_algorithm(
-                left,
-                right,
-                node.left_column,
-                node.right_column,
-                node.algorithm,
-                node.oblivious_bytes,
-                compact_output=compact_output,
-                predicate=statement.where,
-                columns=node.columns,
-            )
-        return joined, True
-
-    def _held(
+    def _source(
         self, node: PlanNode, statement: SelectStatement, compiled: CompiledQuery
-    ) -> HeldSegment:
-        """What a held source holds.  A held join runs here, and its
-        emitted frames are held like a held selection's until the
-        executor frees the compiled query."""
-        if isinstance(node, JoinNode):
-            with self._join_inputs(node, compiled) as (left, right):
-                schema, frames = held_hash_join(
-                    left,
-                    right,
-                    node.left_column,
-                    node.right_column,
-                    node.oblivious_bytes,
-                    predicate=statement.where,
-                    columns=node.columns,
-                )
-            compiled.hold(
-                node,
-                HeldSegment(
-                    schema,
-                    left.enclave.oblivious,
-                    held_join_bytes(node.t2, schema),
-                    frames=frames,
-                ),
-            )
-        return compiled.segment(node)
+    ) -> Iterator[FlatStorage | HeldSegment]:
+        """``node``'s output, taken from its binding: a table, or rows held
+        in the enclave.
 
-    def _streamed(
-        self, node: SelectNode, statement: SelectStatement, compiled: CompiledQuery
-    ) -> HeldSegment:
-        """A streamed Small's passes, each buffer handed to the result as
-        its pass ends: no output table.  The frames are the answer, bound
-        for the client, so they take no reservation beyond Small's buffer."""
-        source, owned = compiled.take(node.source)
+        Compilation bound a scan, an index lookup and a held selection.  A
+        join, a selection or a compaction runs here first, over its own
+        sources, and its output is bound to it.  What the binding owns is
+        freed on exit: a flat output or scratch freed, a held segment's
+        reservation released.
+        """
+        inner = node.source if isinstance(node, CompactNode) else node
+        if isinstance(inner, JoinNode):
+            with self._source(inner.left, statement, compiled) as left, self._source(
+                inner.right, statement, compiled
+            ) as right:
+                if inner.in_enclave:
+                    schema, frames = held_hash_join(
+                        left,
+                        right,
+                        inner.left_column,
+                        inner.right_column,
+                        inner.oblivious_bytes,
+                        predicate=statement.where,
+                        columns=inner.columns,
+                    )
+                    nbytes = framed_bytes(inner.capacity, schema)
+                    held = HeldSegment(schema, left.enclave.oblivious, nbytes, frames=frames)
+                    compiled.hold(node, held)
+                else:
+                    compiled.bind(
+                        node,
+                        run_join_algorithm(
+                            left,
+                            right,
+                            inner.left_column,
+                            inner.right_column,
+                            inner.algorithm,
+                            inner.oblivious_bytes,
+                            compact_output=inner is not node,
+                            predicate=statement.where,
+                            columns=inner.columns,
+                        ),
+                    )
+        elif isinstance(inner, SelectNode) and not inner.in_enclave:
+            where = statement.where or TruePredicate()
+            # A resumed Small starts from its statistics pass's buffer,
+            # which Small's own buffer reservation covers.
+            first = compiled.take(inner)[0] if inner.resumed else None
+            resume = None if first is None else (first.frames, first.cursor)
+            with self._source(inner.source, statement, compiled) as table:
+                if inner.streamed:
+                    # Each pass's buffer is handed to the result as the pass
+                    # ends: no output table.  The frames are the answer,
+                    # bound for the client, so they take no reservation
+                    # beyond Small's buffer.
+                    passes = small_passes(
+                        table, where, inner.output_rows, inner.buffer_rows, first=resume
+                    )
+                    with closing(passes):
+                        frames = [framed for buffer in passes for framed in buffer]
+                    output = HeldSegment(table.schema, table.enclave.oblivious, 0, frames=frames)
+                else:
+                    output = run_select_algorithm(
+                        table,
+                        where,
+                        inner.algorithm,
+                        inner.output_rows,
+                        buffer_rows=inner.buffer_rows,
+                        rng=self._rng,
+                        compact_output=inner is not node,
+                        first=resume,
+                    )
+            compiled.bind(node, output)
+        bound, owned = compiled.take(node)
         try:
-            with closing(
-                small_passes(
-                    source,
-                    statement.where or TruePredicate(),
-                    node.output_rows,
-                    node.buffer_rows,
-                    first=compiled.first_passes.pop(id(node)),
-                )
-            ) as passes:
-                frames = [framed for buffer in passes for framed in buffer]
+            yield bound
         finally:
             if owned:
-                source.free()
-        return HeldSegment(source.schema, source.enclave.oblivious, 0, frames=frames)
+                bound.free()
 
     # -- selection ------------------------------------------------------
-    def _run_selection(
-        self,
-        node: PlanNode,
-        statement: SelectStatement,
-        compiled: CompiledQuery,
-    ) -> tuple[FlatStorage, bool]:
-        """Execute a Select / Compact(Select) subtree."""
-        compact = isinstance(node, CompactNode)
-        select = node.source if compact else node
-        assert isinstance(select, SelectNode)
-        source, owned = compiled.take(select.source)
-        try:
-            output = run_select_algorithm(
-                source,
-                statement.where or TruePredicate(),
-                select.algorithm,
-                select.output_rows,
-                buffer_rows=select.buffer_rows,
-                rng=self._rng,
-                compact_output=compact,
-                first=compiled.first_passes.pop(id(select), None),
-            )
-        finally:
-            if owned:
-                source.free()
-        return output, True
-
     def _run_selection_shape(
         self,
         root: PlanNode,
@@ -388,48 +337,39 @@ class PlanRunner:
         streamed selection's frames, which its passes handed over, are
         decoded the same way."""
         sort = root if isinstance(root, SortNode) else None
-        source = sort.source if sort is not None else root
 
         def read_columns(schema: Schema) -> tuple[list[str], set[str]]:
             names = list(statement.columns or schema.column_names())
             return names, {*names, sort.order_by} if sort is not None else set(names)
 
-        streamed = isinstance(source, SelectNode) and source.streamed
-        if streamed or holds_segment(source):
-            held = (
-                self._streamed(source, statement, compiled)
-                if streamed
-                else self._held(source, statement, compiled)
-            )
-            names, read = read_columns(held.schema)
-            if held.frames is not None:
-                if self._padding is not None:
-                    # Only a join is held under padding mode.
-                    self._padding.check_fits(len(held.frames))
-                schema, decode = held.schema.reader(read)
-                rows = decode(held.frames)
+        with self._source(
+            sort.source if sort is not None else root, statement, compiled
+        ) as source:
+            names, read = read_columns(source.schema)
+            if isinstance(source, HeldSegment):
+                if source.frames is not None:
+                    if self._padding is not None:
+                        # Only a join is held under padding mode.
+                        self._padding.check_fits(len(source.frames))
+                    schema, decode = source.schema.reader(read)
+                    rows = decode(source.frames)
+                else:
+                    schema = source.schema
+                    matches = (statement.where or TruePredicate()).compile(schema)
+                    rows = [row for row in source.rows if matches(row)]
+                if sort is not None:
+                    order_index = schema.column_index(sort.order_by)
+                    _sort_rows(rows, order_index, sort.descending)
             else:
-                schema = held.schema
-                matches = (statement.where or TruePredicate()).compile(schema)
-                rows = [row for row in held.rows if matches(row)]
-            if sort is not None:
-                order_index = schema.column_index(sort.order_by)
-                _sort_rows(rows, order_index, sort.descending)
-        else:
-            output, _ = self._materialize(source, statement, compiled)
-            try:
                 if self._padding is not None:
                     # An over-full padded result is an expected error.
-                    self._padding.check_fits(output.used_rows)
-                names, read = read_columns(output.schema)
-                schema = output.schema.reader(read)[0]
+                    self._padding.check_fits(source.used_rows)
+                schema = source.schema.reader(read)[0]
                 rows = (
-                    self._run_sort(sort, output, read)
+                    self._run_sort(sort, source, read)
                     if sort is not None
-                    else output.rows(read)
+                    else source.rows(read)
                 )
-            finally:
-                output.free()
         if compiled.plan.limit is not None:
             rows = rows[: compiled.plan.limit]
         if names != schema.column_names():
@@ -452,9 +392,8 @@ class PlanRunner:
         schema = output.schema
         if node.in_enclave:
             order_index = schema.reader(columns)[0].column_index(node.order_by)
-            result_bytes = output.capacity * (schema.row_size + 1)
             try:
-                with output.enclave.oblivious_buffer(result_bytes):
+                with output.enclave.oblivious_buffer(framed_bytes(node.capacity, schema)):
                     rows = output.rows(columns)
                     _sort_rows(rows, order_index, node.descending)
             except ObliviousMemoryError as error:  # pragma: no cover
@@ -486,16 +425,13 @@ class PlanRunner:
     ) -> QueryResult:
         specs = list(statement.aggregates)
         where = self._shape_where(statement)
-        if holds_segment(node.source):
-            held = self._held(node.source, statement, compiled)
-            values = aggregate_rows(held.schema, held.decoded(), specs, predicate=where)
-        else:
-            source, owned = self._materialize(node.source, statement, compiled)
-            try:
+        with self._source(node.source, statement, compiled) as source:
+            if isinstance(source, HeldSegment):
+                values = aggregate_rows(
+                    source.schema, source.decoded(), specs, predicate=where
+                )
+            else:
                 values = aggregate(source, specs, predicate=where)
-            finally:
-                if owned:
-                    source.free()
         names = [spec.label() for spec in statement.aggregates]
         return QueryResult(rows=[tuple(values)], column_names=names, affected=1)
 
@@ -509,48 +445,45 @@ class PlanRunner:
         where = self._shape_where(statement)
         names = list(node.labels)
         final: PlanNode = node
-        if holds_segment(node.source):
-            # The groups never leave the enclave: nothing to observe.
-            held = self._held(node.source, statement, compiled)
-            rows = group_rows(
-                held.schema, held.decoded(), node.group_column, specs, where
-            )
-        else:
-            source, owned = self._materialize(node.source, statement, compiled)
+        with self._source(node.source, statement, compiled) as source:
+            if isinstance(source, HeldSegment):
+                # The groups never leave the enclave: nothing to observe.
+                output = None
+                rows = group_rows(
+                    source.schema, source.decoded(), node.group_column, specs, where
+                )
+            elif node.in_enclave:
+                # The groups are the answer when they fit; an overflow
+                # falls back to the sort over untrusted memory.
+                rows = hash_group_rows(source, node.group_column, specs, where)
+                output = (
+                    None
+                    if rows is not None
+                    else _sorted_group_aggregate(source, node.group_column, specs, where)
+                )
+            else:
+                # A padded plan's output_rows is pad_groups: the table's size.
+                output = group_by_aggregate(
+                    source,
+                    node.group_column,
+                    specs,
+                    predicate=where,
+                    output_groups=node.output_rows,
+                )
+        if output is not None:
+            # The one observed (not planned) size: recorded, leaked either
+            # way.
+            final = replace(node, output_rows=output.capacity)
             try:
-                if node.in_enclave:
-                    # The groups are the answer when they fit; an overflow
-                    # falls back to the sort over untrusted memory.
-                    rows = hash_group_rows(source, node.group_column, specs, where)
-                    output = (
-                        None
-                        if rows is not None
-                        else _sorted_group_aggregate(
-                            source, node.group_column, specs, where
-                        )
-                    )
-                else:
-                    output_groups = self._padding.pad_groups if self._padding else None
-                    output = group_by_aggregate(
-                        source,
-                        node.group_column,
-                        specs,
-                        predicate=where,
-                        output_groups=output_groups,
-                    )
+                if self._padding is not None:
+                    self._padding.check_fits(output.used_rows)
+                rows = output.rows()
             finally:
-                if owned:
-                    source.free()
-            if output is not None:
-                # The one observed (not planned) size: recorded, leaked
-                # either way.
-                final = replace(node, output_rows=output.capacity)
-                try:
-                    if self._padding is not None:
-                        self._padding.check_fits(output.used_rows)
-                    rows = output.rows()
-                finally:
-                    output.free()
+                output.free()
+        if node.output_rows is not None:
+            # A padded GROUP BY holds at most pad_groups groups on every
+            # path: held, into its output table, or the sorted fallback.
+            check_group_count(len(rows), node.output_rows)
         if statement.order_by is not None:
             # Group results are small (one row per group) and already
             # decrypted in the enclave: sort them there.  ORDER BY names

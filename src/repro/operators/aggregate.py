@@ -293,6 +293,15 @@ def hash_group_rows(
     ]
 
 
+def check_group_count(groups: int, capacity: int) -> None:
+    """Refuse more real groups than a (padded) output holds: an expected,
+    data-dependent error under padding."""
+    if groups > capacity:
+        raise StorageError(
+            f"GROUP BY found {groups} groups, more than its output capacity {capacity}"
+        )
+
+
 def group_by_aggregate(
     table: FlatStorage,
     group_column: str,
@@ -306,7 +315,10 @@ def group_by_aggregate(
     ``output_groups`` (from the planner) sizes the output table; if omitted
     it is discovered during the pass (the group count is part of the leaked
     output size either way).  Falls back to the sort-based algorithm when
-    oblivious memory cannot hold the group table.
+    oblivious memory cannot hold the group table; its output is sized by
+    the input, whatever ``output_groups`` says, so a caller that pads
+    checks the groups it reads back (:func:`check_group_count`, as the
+    engine does on every path).
 
     The output is written in one pass over its whole capacity — the groups,
     then dummies — so the trace is the capacity's, never the group count's
@@ -320,13 +332,7 @@ def group_by_aggregate(
     if rows is None:
         return _sorted_group_aggregate(table, group_column, specs, predicate)
     capacity = max(1, output_groups if output_groups is not None else len(rows))
-    if len(rows) > capacity:
-        # More real groups than the padded output holds: an expected,
-        # data-dependent error under padding, refused before any write.
-        raise StorageError(
-            f"GROUP BY found {len(rows)} groups, more than its output "
-            f"capacity {capacity}"
-        )
+    check_group_count(len(rows), capacity)  # before any write
     output = FlatStorage(
         table.enclave, _group_output_schema(table.schema, group_column, specs), capacity
     )

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 from ..enclave.errors import QueryError
 from ..oblivious.compact import materialize_prefix, oblivious_compact
 from ..storage.flat import FlatStorage
-from ..storage.rows import frame_dummy, frame_row_validated, framed_size
+from ..storage.rows import frame_dummy, frame_row_validated, framed_bytes, framed_size
 from ..storage.schema import Column, FrameDecoder, Row, Schema, Value, int_column
 from .predicate import Predicate
 from .sort import bitonic_sort, external_oblivious_sort, padded_scratch
@@ -156,12 +156,6 @@ class JoinReservation(NamedTuple):
     nbytes: int
 
 
-def held_join_bytes(t2: int, emitted: Schema) -> int:
-    """Oblivious memory a held join's output takes: a foreign-key join
-    emits at most one row per T2 row, so |T2| frames of ``emitted``."""
-    return t2 * framed_size(emitted)
-
-
 def hash_join_reservation(
     left: Schema,
     t1: int,
@@ -171,7 +165,8 @@ def hash_join_reservation(
 ) -> JoinReservation:
     """The hash join's reservation: a chunk of as many T1 rows as the
     budget holds (at least one, at most |T1|), plus, when the output is
-    held (``held`` is the emitted schema), :func:`held_join_bytes`."""
+    held (``held`` is the emitted schema), |T2| frames of it: a foreign-key
+    join emits at most one row per T2 row."""
     # A row plus hash-table entry slack, sized by the stored width, not by
     # the narrow rows the build keeps: the chunk count shapes the trace,
     # which must not depend on the statement's column list.
@@ -179,7 +174,7 @@ def hash_join_reservation(
     chunk_rows = max(1, oblivious_memory_bytes // row_bytes)
     nbytes = min(chunk_rows, t1) * row_bytes
     if held is not None:
-        nbytes += held_join_bytes(t2, held)
+        nbytes += framed_bytes(t2, held)
     return JoinReservation(chunk_rows, nbytes)
 
 
@@ -392,7 +387,7 @@ def held_hash_join(
 
     Same build as :func:`hash_join`; each chunk's probe is a plain read
     pass over T2, and no output region is allocated.  The reservation
-    covers the hash table and :func:`held_join_bytes` for the whole join,
+    covers the hash table and |T2| emitted frames for the whole join,
     so the planner holds this only when both fit
     (:func:`hash_join_reservation` with ``held``).  A T1 that repeats a key
     raises :class:`QueryError` after every pass, as :func:`hash_join` does.

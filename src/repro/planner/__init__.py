@@ -14,7 +14,6 @@ from .compile import (
     SortNode,
     WriteNode,
     compile_statement,
-    selection_output_capacity,
 )
 from .join_planner import JoinDecision, estimate_join_costs, plan_join
 from .plan import AccessMethod, JoinAlgorithm, SelectAlgorithm
@@ -50,5 +49,4 @@ __all__ = [
     "plan_join",
     "plan_select",
     "scan_statistics",
-    "selection_output_capacity",
 ]

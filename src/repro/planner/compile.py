@@ -21,14 +21,23 @@ hashable IR:
   read it with :meth:`QueryPlan.find` / ``root.walk()``.
 
 * :func:`compile_statement` — turns a logical :class:`~repro.engine.ast.
-  Statement` into a :class:`CompiledQuery`: the plan, plus *bindings* from
-  leaf nodes to materialized source storages.  Compilation performs the
-  planner's statistics pass — which, on every table but the paper's, is
-  also the Small algorithm's first pass: it holds a result of at most one
-  buffer in oblivious memory, or hands its full buffer to Small — and the
-  index lookup, whose rows it holds in oblivious memory when the segment
-  fits, or spills to a flat scratch otherwise.  So compile immediately
-  precedes run and their concatenated trace is the statement's.
+  Statement` into a :class:`CompiledQuery`: the plan, plus one binding map
+  from a node to what its output is bound to — a flat table, or a
+  :class:`HeldSegment` of rows held in the enclave.  Compilation performs
+  the planner's statistics pass — which, on every table but the paper's,
+  is also the Small algorithm's first pass: it holds a result of at most
+  one buffer in oblivious memory, or hands its full buffer to Small — and
+  the index lookup, whose rows it holds in oblivious memory when the
+  segment fits, or spills to a flat scratch otherwise.  So compile
+  immediately precedes run and their concatenated trace is the
+  statement's.
+
+Every source node answers one size, :attr:`PlanNode.capacity` — the slots
+of its output — and an in-enclave node holds ``framed_bytes(capacity,
+schema)`` of oblivious memory (:func:`~repro.storage.rows.framed_bytes`):
+a held lookup its segment, a held selection its |R| matches, a held join
+|T2| emitted rows and an in-enclave sort its rows.  The fit rules here and
+the runner's reservations both read it.
 
 Every decision is made here, at compile time.  A join consumes the
 statement's WHERE and the columns the rest of the plan reads at its emit
@@ -49,10 +58,10 @@ from ..enclave.enclave import Enclave, ObliviousMemoryAccount
 from ..enclave.errors import QueryError
 from ..operators.join import joined_schema
 from ..operators.predicate import Interval, Predicate, TruePredicate
-from ..operators.select import spill_index_segment
+from ..operators.select import HASH_CHAIN_SLOTS, spill_index_segment
 from ..operators.sort import padded_scratch
 from ..storage.flat import FlatStorage
-from ..storage.rows import framed_size
+from ..storage.rows import framed_bytes
 from ..storage.schema import Row, Schema
 from ..storage.table import Table
 from .join_planner import JoinDecision, plan_join
@@ -80,6 +89,13 @@ class PlanNode:
     def public_fields(self) -> dict[str, object]:
         """The node's leaked scalars (no children, no secrets)."""
         return {}
+
+    @property
+    def capacity(self) -> int:
+        """Slots in the node's output structure, a function of its public
+        fields: what a consumer scans, and what an in-enclave node holds
+        ``framed_bytes(capacity, schema)`` of oblivious memory for."""
+        raise TypeError(f"a {self.kind} node is not a source")
 
     def label(self) -> str:
         """One-line rendering used by :meth:`QueryPlan.describe`."""
@@ -130,6 +146,10 @@ class ScanNode(PlanNode):
             "rows": self.rows,
         }
 
+    @property
+    def capacity(self) -> int:
+        return self.rows
+
 
 @dataclass(frozen=True)
 class IndexLookupNode(PlanNode):
@@ -164,6 +184,10 @@ class IndexLookupNode(PlanNode):
             "segment_rows": self.segment_rows,
             "in_enclave": self.in_enclave,
         }
+
+    @property
+    def capacity(self) -> int:
+        return self.segment_rows
 
 
 @dataclass(frozen=True)
@@ -215,15 +239,13 @@ class SelectNode(PlanNode):
             "streamed": self.streamed,
         }
 
-    def output_capacity(self) -> int:
-        """Capacity of the output structure, a function of public sizes."""
+    @property
+    def capacity(self) -> int:
         if self.algorithm is SelectAlgorithm.LARGE:
             return self.input_rows
         if self.algorithm is SelectAlgorithm.HASH:
             # Raw chain table (the compacted case is wrapped in CompactNode,
             # whose bound supersedes this).
-            from ..operators.select import HASH_CHAIN_SLOTS
-
             return max(1, self.output_rows) * HASH_CHAIN_SLOTS
         if self.algorithm is SelectAlgorithm.CONTINUOUS:
             return max(1, self.output_rows)
@@ -249,6 +271,10 @@ class CompactNode(PlanNode):
 
     def public_fields(self) -> dict[str, object]:
         return {"bound": self.bound}
+
+    @property
+    def capacity(self) -> int:
+        return self.bound
 
 
 @dataclass(frozen=True)
@@ -305,10 +331,9 @@ class JoinNode(PlanNode):
         }
 
     @property
-    def output_rows(self) -> int:
-        """Slots in the (uncompacted) output structure: one per probe of
-        each hash chunk, or one per row of the padded sort-merge union.  A
-        held join holds at most |T2| rows."""
+    def capacity(self) -> int:
+        """One slot per probe of each hash chunk, or one per row of the
+        padded sort-merge union; a held join holds at most |T2| rows."""
         if self.in_enclave:
             return self.t2
         if self.algorithm is JoinAlgorithm.HASH:
@@ -404,6 +429,10 @@ class SortNode(PlanNode):
             "rows": self.rows,
             "in_enclave": self.in_enclave,
         }
+
+    @property
+    def capacity(self) -> int:
+        return self.rows
 
 
 @dataclass(frozen=True)
@@ -519,30 +548,27 @@ class QueryPlan:
 
 
 # ----------------------------------------------------------------------
-# Compiled query: plan + bindings to materialized sources
+# Compiled query: plan + what each node's output is bound to
 # ----------------------------------------------------------------------
-@dataclass
-class _Binding:
-    storage: FlatStorage
-    owned: bool
-
-
 @dataclass
 class HeldSegment:
     """Rows held in the enclave and the oblivious memory they hold.  An
     in-enclave lookup holds the decoded ``rows`` of its segment; a held
     selection holds the ``frames`` of its matches, as its statistics pass
     kept them, and a held join the frames it emitted; ``rows`` stays empty
-    for both.  The runner also wraps a streamed selection's frames, as its
-    passes handed them to the result, in one that holds no memory
-    (``nbytes`` 0): like rows read back for the client, they are the
-    answer."""
+    for both.  A resumed Small's first pass is held the same way, with the
+    ``cursor`` after its last match and no memory of its own (``nbytes``
+    0): Small's buffer reservation covers it.  The runner also wraps a
+    streamed selection's frames, as its passes handed them to the result,
+    in one that holds no memory: like rows read back for the client, they
+    are the answer."""
 
     schema: Schema
     account: ObliviousMemoryAccount
     nbytes: int
     rows: list[Row] = field(default_factory=list)
     frames: list[bytes] | None = None
+    cursor: int = -1
 
     def decoded(self) -> list[Row]:
         """Every held row with every column of ``schema``."""
@@ -550,67 +576,62 @@ class HeldSegment:
             return self.rows
         return self.schema.decode_framed_rows(self.frames)
 
+    def free(self) -> None:
+        """Release the reservation."""
+        self.account.release(self.nbytes)
+
 
 @dataclass
 class CompiledQuery:
-    """A plan ready to run: the IR plus materialized leaf sources.
+    """A plan ready to run: the IR plus what compilation bound to its nodes.
 
-    ``bindings`` maps leaf-node identity to the storage compilation
-    materialized (the table's own flat storage, an index-linear scratch,
-    or a spilled index segment).  The runner *takes* bindings as it
-    consumes them.  ``segments`` maps an in-enclave
-    :class:`IndexLookupNode` to the rows its lookup returned, and an
-    in-enclave :class:`SelectNode` to the frames its statistics pass kept,
-    each held against the oblivious-memory reservation compilation made
-    for them; the runner adds an in-enclave :class:`JoinNode`'s emitted
-    frames when it runs the join.  ``first_passes`` maps a ``resumed``
-    :class:`SelectNode` to the statistics pass's full buffer and cursor,
-    which Small takes into the buffer it reserves.  :meth:`free` releases every unconsumed
-    binding and every reservation; the executor calls it after each run,
-    and the EXPLAIN and error paths call it too.  ``key_interval`` is the
-    index-key interval of a write whose :class:`WriteNode` says
-    ``index_range``: its bounds are the statement's constants, so it rides
-    beside the plan, never in it.
+    ``bindings`` is the one map from a node to what its output is bound to,
+    and whether the query owns it: a scan to the table's own flat storage
+    (borrowed) or an index copy; an index lookup to its spilled scratch or,
+    ``in_enclave``, to its held rows; a held selection to the matches its
+    statistics pass kept, and a resumed one to that pass's buffer and
+    cursor.  The runner *takes* a binding as it consumes it and binds what
+    the operators it runs return the same way.  :meth:`free` releases
+    every owned entry left — flat storage freed, oblivious memory released
+    — in one loop; the executor calls it after each run, and the EXPLAIN
+    and error paths call it too.  ``key_interval`` is the index-key interval
+    of a write whose :class:`WriteNode` says ``index_range``: its bounds
+    are the statement's constants, so it rides beside the plan, never in
+    it.
     """
 
     plan: QueryPlan
     statement: Statement
-    bindings: dict[int, _Binding] = field(default_factory=dict)
-    segments: dict[int, HeldSegment] = field(default_factory=dict)
-    first_passes: dict[int, tuple[list[bytes], int]] = field(default_factory=dict)
+    bindings: dict[int, tuple[FlatStorage | HeldSegment, bool]] = field(
+        default_factory=dict
+    )
     key_interval: Interval | None = None
 
-    def bind(self, node: PlanNode, storage: FlatStorage, owned: bool) -> None:
-        self.bindings[id(node)] = _Binding(storage, owned)
-
-    def take(self, node: PlanNode) -> tuple[FlatStorage, bool]:
-        binding = self.bindings.pop(id(node))
-        return binding.storage, binding.owned
-
-    def hold(
-        self, node: IndexLookupNode | SelectNode | JoinNode, held: HeldSegment
+    def bind(
+        self, node: PlanNode, bound: FlatStorage | HeldSegment, owned: bool = True
     ) -> None:
-        """Reserve ``held.nbytes`` of oblivious memory for what ``held``
-        holds and bind it to ``node``; :meth:`free` releases the
-        reservation."""
-        held.account.allocate(held.nbytes)
-        self.segments[id(node)] = held
+        self.bindings[id(node)] = (bound, owned)
 
-    def segment(self, node: PlanNode) -> HeldSegment:
-        """What an in-enclave lookup, selection or join holds."""
-        return self.segments[id(node)]
+    def bound(self, node: PlanNode) -> FlatStorage | HeldSegment:
+        """What ``node`` is bound to, left bound."""
+        return self.bindings[id(node)][0]
+
+    def take(self, node: PlanNode) -> tuple[FlatStorage | HeldSegment, bool]:
+        """What ``node`` is bound to and whether the taker owns it now."""
+        return self.bindings.pop(id(node))
+
+    def hold(self, node: PlanNode, held: HeldSegment) -> None:
+        """Reserve ``held.nbytes`` of oblivious memory for what ``held``
+        holds and bind it to ``node``."""
+        held.account.allocate(held.nbytes)
+        self.bind(node, held)
 
     def free(self) -> None:
-        """Release owned, unconsumed sources and every held segment's
-        oblivious memory."""
-        for binding in self.bindings.values():
-            if binding.owned:
-                binding.storage.free()
+        """Free every owned binding left."""
+        for bound, owned in self.bindings.values():
+            if owned:
+                bound.free()
         self.bindings.clear()
-        for held in self.segments.values():
-            held.account.release(held.nbytes)
-        self.segments.clear()
-        self.first_passes.clear()
 
 
 # ----------------------------------------------------------------------
@@ -625,15 +646,18 @@ def bind_statistics(
     """Bind what the statistics pass over ``storage`` kept to ``node``: every
     match, held in the enclave when the node is ``in_enclave``; Small's
     first pass, buffer and cursor, when it is ``resumed``."""
-    kept = stats.kept or []
-    if node.in_enclave:
-        nbytes = len(kept) * framed_size(storage.schema)
+    if node.in_enclave or node.resumed:
+        nbytes = framed_bytes(node.capacity, storage.schema) if node.in_enclave else 0
         compiled.hold(
             node,
-            HeldSegment(storage.schema, storage.enclave.oblivious, nbytes, frames=kept),
+            HeldSegment(
+                storage.schema,
+                storage.enclave.oblivious,
+                nbytes,
+                frames=stats.kept or [],
+                cursor=stats.cursor,
+            ),
         )
-    elif node.resumed:
-        compiled.first_passes[id(node)] = (kept, stats.cursor)
 
 
 def bind_segment(
@@ -647,10 +671,10 @@ def bind_segment(
     when the node is ``in_enclave``, else spilled to a flat scratch of
     ``segment_rows`` slots."""
     if node.in_enclave:
-        nbytes = node.segment_rows * framed_size(schema)
+        nbytes = framed_bytes(node.capacity, schema)
         compiled.hold(node, HeldSegment(schema, enclave.oblivious, nbytes, rows=rows))
     else:
-        compiled.bind(node, spill_index_segment(enclave, schema, rows), owned=True)
+        compiled.bind(node, spill_index_segment(enclave, schema, rows))
 
 
 def bind_index_copy(
@@ -670,7 +694,7 @@ def bind_index_copy(
     except Exception:
         scratch.free()  # not bound yet: ``compiled.free()`` would miss it
         raise
-    compiled.bind(node, scratch, owned=True)
+    compiled.bind(node, scratch)
 
 
 # ----------------------------------------------------------------------
@@ -705,18 +729,6 @@ def selection(source: PlanNode, decision: SelectDecision, streams: bool) -> Plan
     if decision.compact_output and not node.in_enclave:
         return CompactNode(source=node, bound=max(1, stats.matching_rows))
     return node
-
-
-def selection_output_capacity(node: PlanNode) -> int:
-    """Output-structure capacity of a selection subtree (public sizes)."""
-    if isinstance(node, CompactNode):
-        return node.bound
-    if isinstance(node, IndexLookupNode):
-        return node.segment_rows
-    if isinstance(node, JoinNode):
-        return node.output_rows
-    assert isinstance(node, SelectNode)
-    return node.output_capacity()
 
 
 def _check_columns(statement: SelectStatement, schema: Schema) -> None:
@@ -869,7 +881,7 @@ class _Compiler:
                 source=source,
                 group_column=statement.group_by,
                 labels=labels,
-                input_rows=self._source_rows(source),
+                input_rows=source.capacity,
                 output_rows=self._padding.pad_groups if self._padding else None,
                 in_enclave=isinstance(source, ScanNode)
                 and source.access_method is AccessMethod.FLAT_SCAN
@@ -879,7 +891,7 @@ class _Compiler:
         if statement.aggregates:
             return AggregateNode(
                 source=source,
-                input_rows=self._source_rows(source),
+                input_rows=source.capacity,
                 labels=tuple(spec.label() for spec in statement.aggregates),
             )
         selection = self._compile_selection(statement, table, source, compiled)
@@ -889,15 +901,14 @@ class _Compiler:
         # result fits the oblivious-memory budget (held rows already do:
         # they are sorted in place), else the padded bitonic network over
         # untrusted scratch.  Every input is public.
-        capacity = selection_output_capacity(selection)
-        result_bytes = capacity * (schema.row_size + 1)
         return SortNode(
             source=selection,
             order_by=statement.order_by,
             descending=statement.descending,
-            rows=capacity,
+            rows=selection.capacity,
             in_enclave=holds_segment(selection)
-            or result_bytes <= table.enclave.oblivious.free_bytes,
+            or framed_bytes(selection.capacity, schema)
+            <= table.enclave.oblivious.free_bytes,
         )
 
     def _compile_selection(
@@ -926,7 +937,7 @@ class _Compiler:
         """
         if statement.join is not None or holds_segment(source):
             return source
-        storage = compiled.bindings[id(source)].storage
+        storage = compiled.bound(source)
         if self._padding is not None:
             return SelectNode(
                 source=source,
@@ -947,17 +958,6 @@ class _Compiler:
         assert isinstance(select, SelectNode)
         bind_statistics(compiled, select, storage, decision.stats)
         return node
-
-    @staticmethod
-    def _source_rows(source: PlanNode) -> int:
-        if isinstance(source, ScanNode):
-            return source.rows
-        if isinstance(source, IndexLookupNode):
-            return source.segment_rows
-        if isinstance(source, CompactNode):
-            return source.bound
-        assert isinstance(source, JoinNode)
-        return source.output_rows
 
     # -- sources --------------------------------------------------------
     def _index_interval(
@@ -1003,12 +1003,12 @@ class _Compiler:
         index = table.require_index()
         rows = index.range_lookup(interval.low, interval.high)
         segment_rows = max(1, len(rows))
-        nbytes = segment_rows * framed_size(table.schema)
-        account = table.enclave.oblivious
         node = IndexLookupNode(
             table=table.name,
             segment_rows=segment_rows,
-            in_enclave=table.oram_kind != "paper" and nbytes <= account.free_bytes,
+            in_enclave=table.oram_kind != "paper"
+            and framed_bytes(segment_rows, table.schema)
+            <= table.enclave.oblivious.free_bytes,
         )
         bind_segment(compiled, node, table.enclave, table.schema, rows)
         return node
@@ -1046,8 +1046,8 @@ class _Compiler:
         right_table = self._table(statement.join.right_table)
         left = self._flat_view_node(left_table, compiled)
         right = self._flat_view_node(right_table, compiled)
-        left_storage = compiled.bindings[id(left)].storage
-        right_storage = compiled.bindings[id(right)].storage
+        left_storage = compiled.bound(left)
+        right_storage = compiled.bound(right)
         # The columns the rest of the plan reads, off the query text alone:
         # select list, GROUP BY column, aggregate arguments, and the ORDER BY
         # column of a plain selection (a grouped ORDER BY names an output

@@ -32,6 +32,13 @@ def framed_size(schema: Schema) -> int:
     return FLAG_SIZE + schema.row_size
 
 
+def framed_bytes(rows: int, schema: Schema) -> int:
+    """Bytes of ``rows`` framed rows of ``schema``: the oblivious memory an
+    in-enclave plan node holds for an output of ``rows`` slots (its
+    ``capacity``), which the planner's fit rules and the runner both read."""
+    return rows * framed_size(schema)
+
+
 def frame_row(schema: Schema, row: Row) -> bytes:
     """Frame a real row: in-use flag followed by the encoded values."""
     return _IN_USE + schema.encode_row(row)

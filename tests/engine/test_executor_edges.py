@@ -86,9 +86,10 @@ class TestQueryEdges:
         result = db.sql("SELECT * FROM t JOIN empty ON t.k = empty.k")
         assert result.rows == []
 
-    def test_self_join_rejected_gracefully(self, db: ObliDB) -> None:
-        """Self-joins aren't supported; both sides resolve to the same
-        table and the join still produces set-correct output."""
+    def test_self_join_runs_and_counts_every_row(self, db: ObliDB) -> None:
+        """A self-join runs: both sides read the one table, and on its
+        unique key every row matches itself.  Its trace is checked against
+        SIM in ``tests/analysis/test_simulator_nodes.py::TestSelfJoin``."""
         result = db.sql("SELECT COUNT(*) FROM t JOIN t ON k = k")
         assert result.scalar() == 10
 

@@ -5,8 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro import ObliDB, PaddingConfig
-from repro.enclave import QueryError
-from repro.planner import GroupByNode, IndexLookupNode, SelectAlgorithm, SelectNode
+from repro.enclave import QueryError, StorageError
+from repro.planner import (
+    GroupByNode,
+    IndexLookupNode,
+    JoinNode,
+    SelectAlgorithm,
+    SelectNode,
+)
 
 
 @pytest.fixture
@@ -111,3 +117,58 @@ class TestPaddedExecution:
         padded_cost = padded_db.sql("SELECT * FROM t WHERE id < 5").cost
         plain_cost = plain_db.sql("SELECT * FROM t WHERE id < 5").cost
         assert padded_cost["untrusted_reads"] >= plain_cost["untrusted_reads"]
+
+
+class TestPadGroupsOnEveryPath:
+    """A padded GROUP BY holds at most ``pad_groups`` groups whichever path
+    runs it: into its output table, over a join held in the enclave, or
+    through the sorted fallback when the group table does not fit."""
+
+    GROUP_BY = "SELECT g, COUNT(*) FROM a GROUP BY g"
+    JOINED = "SELECT g, COUNT(*) FROM a JOIN b ON k = bk GROUP BY g"
+
+    @staticmethod
+    def build(pad_groups: int = 2, free_bytes: int | None = None) -> ObliDB:
+        db = ObliDB(
+            cipher="null", padding=PaddingConfig(pad_rows=50, pad_groups=pad_groups), seed=3
+        )
+        db.sql("CREATE TABLE a (k INT, g INT) CAPACITY 16")
+        db.sql("CREATE TABLE b (bk INT, x INT) CAPACITY 16")
+        for i in range(8):
+            db.sql(f"INSERT INTO a VALUES ({i}, {i})")
+            db.sql(f"INSERT INTO b VALUES ({i}, {i})")
+        if free_bytes is not None:
+            account = db.enclave.oblivious
+            account.allocate(account.free_bytes - free_bytes)
+        return db
+
+    @pytest.mark.parametrize(
+        "sql, free_bytes",
+        [(GROUP_BY, None), (JOINED, None), (GROUP_BY, 64)],
+        ids=["output-table", "held-join", "overflow"],
+    )
+    def test_more_groups_than_padded_are_refused(self, sql, free_bytes) -> None:
+        db = self.build(free_bytes=free_bytes)
+        in_use = db.enclave.oblivious.in_use_bytes
+        regions = set(db.enclave.untrusted.region_names())
+        with pytest.raises(StorageError, match="GROUP BY found 8 groups"):
+            db.sql(sql)
+        assert db.enclave.oblivious.in_use_bytes == in_use
+        assert set(db.enclave.untrusted.region_names()) == regions
+
+    def test_the_paths_are_the_ones_named(self) -> None:
+        """The held-join case holds its join; the overflow case runs the
+        sorted fallback (its output is sized by the input, not pad_groups)."""
+        joined = self.build(pad_groups=8).sql(self.JOINED)
+        assert joined.plan.find(JoinNode).in_enclave
+        assert joined.plan.root.output_rows == 8
+        overflow = self.build(pad_groups=8, free_bytes=64).sql(self.GROUP_BY)
+        assert overflow.plan.root.output_rows > overflow.plan.root.input_rows
+        assert len(joined.rows) == len(overflow.rows) == 8
+
+    @pytest.mark.parametrize("sql", [GROUP_BY, JOINED], ids=["flat", "held-join"])
+    def test_groups_within_the_pad_answer(self, sql) -> None:
+        where = " WHERE k < 2 GROUP BY"
+        result = self.build().sql(sql.replace(" GROUP BY", where))
+        assert sorted(result.rows) == [(0, 1.0), (1, 1.0)]
+        assert result.plan.root.output_rows == 2

@@ -419,13 +419,13 @@ class TestFusedJoinPlan:
         if held:
             # reads: build (T1 once), probe (T2 per chunk); the output is
             # held in the enclave, so nothing is written or read back.
-            assert join.output_rows == join.t2
+            assert join.capacity == join.t2
             assert result.cost["untrusted_reads"] == join.t1 + chunks * join.t2
             assert result.cost["untrusted_writes"] == 0
         else:
             # reads: build, probe, result read-back; writes: the output's
             # allocation pass, then one frame per probe.
-            assert join.output_rows == chunks * join.t2
+            assert join.capacity == chunks * join.t2
             assert result.cost["untrusted_reads"] == join.t1 + 2 * chunks * join.t2
             assert result.cost["untrusted_writes"] == 2 * chunks * join.t2
         assert len(result.rows) == 18  # day in {0, 1, 2}
