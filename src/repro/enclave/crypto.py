@@ -82,6 +82,12 @@ class SealedBlock(NamedTuple):
         return len(self.nonce) + len(self.ciphertext) + len(self.mac)
 
 
+#: ``_new_tuple(SealedBlock, (nonce, ciphertext, mac))`` is the block
+#: ``SealedBlock(nonce, ciphertext, mac)`` builds, without the Python-level
+#: ``__new__`` a NamedTuple call runs; the batch paths build one per block.
+_new_tuple = tuple.__new__
+
+
 class CipherSuite(Protocol):
     """Interface every block cipher used by the enclave must provide."""
 
@@ -149,12 +155,12 @@ class AuthenticatedCipher:
             drawn[offset : offset + _NONCE_SIZE]
             for offset in range(0, _NONCE_SIZE * count, _NONCE_SIZE)
         ]
-        encrypt = self._aead.encrypt
-        out: list[SealedBlock] = []
-        for plaintext, aad, nonce in zip(plaintexts, associated_data, nonces):
-            sealed = encrypt(nonce, plaintext, aad)
-            out.append(SealedBlock(nonce, sealed[:-_MAC_SIZE], sealed[-_MAC_SIZE:]))
-        return out
+        return [
+            _new_tuple(SealedBlock, (nonce, sealed[:-_MAC_SIZE], sealed[-_MAC_SIZE:]))
+            for nonce, sealed in zip(
+                nonces, map(self._aead.encrypt, nonces, plaintexts, associated_data)
+            )
+        ]
 
     def open_many(
         self, blocks: Sequence[SealedBlock], associated_data: Sequence[bytes]
@@ -162,13 +168,13 @@ class AuthenticatedCipher:
         if len(associated_data) != len(blocks):
             raise ValueError("open_many needs one associated_data per block")
         decrypt = self._aead.decrypt
-        out: list[bytes] = []
-        for (nonce, ciphertext, mac), aad in zip(blocks, associated_data):
-            try:
-                out.append(decrypt(nonce, ciphertext + mac, aad))
-            except (InvalidTag, ValueError):
-                raise IntegrityError("block MAC verification failed") from None
-        return out
+        try:
+            return [
+                decrypt(nonce, ciphertext + mac, aad)
+                for (nonce, ciphertext, mac), aad in zip(blocks, associated_data)
+            ]
+        except (InvalidTag, ValueError):
+            raise IntegrityError("block MAC verification failed") from None
 
 
 class NullCipher:
@@ -202,10 +208,13 @@ class NullCipher:
             raise ValueError("seal_many needs one associated_data per plaintext")
         blake2b = hashlib.blake2b
         return [
-            SealedBlock(
-                b"",
-                plaintext,
-                blake2b(aad + b"\x00" + plaintext, digest_size=_MAC_SIZE).digest(),
+            _new_tuple(
+                SealedBlock,
+                (
+                    b"",
+                    plaintext,
+                    blake2b(aad + b"\x00" + plaintext, digest_size=_MAC_SIZE).digest(),
+                ),
             )
             for plaintext, aad in zip(plaintexts, associated_data)
         ]

@@ -192,9 +192,7 @@ class RevisionLedger:
         self, region: str, indices: Sequence[int], revisions: Sequence[int]
     ) -> None:
         """Commit staged revisions for the slots named by ``indices``."""
-        store = self._region(region)
-        for index, revision in zip(indices, revisions):
-            store[index] = revision
+        self._region(region).update(zip(indices, revisions))
 
     # ------------------------------------------------------------------
     # Step operations over (region, index) pairs spanning several regions

@@ -172,7 +172,9 @@ class UntrustedMemory:
     # ------------------------------------------------------------------
     def _check_indices(self, region: Region, indices: Sequence[int], what: str) -> None:
         capacity = region.capacity
-        for index in indices:
+        if not indices or (0 <= min(indices) and max(indices) < capacity):
+            return
+        for index in indices:  # name the first slot out of bounds
             if not 0 <= index < capacity:
                 raise StorageError(
                     f"{what} out of bounds: {region.name}[{index}] "

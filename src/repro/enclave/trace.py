@@ -118,8 +118,9 @@ class AccessTrace:
         """
         if not indices:
             return
-        prefix = f"{op}|{region}|"
-        self._hash.update("".join(f"{prefix}{i};" for i in indices).encode())
+        # One %-format over the whole path: "%d" renders an int as str() does.
+        event = f"{op}|{region}|".replace("%", "%%") + "%d;"
+        self._hash.update(((event * len(indices)) % tuple(indices)).encode())
         self._length += len(indices)
         if self._keep_events:
             self._events.extend(AccessEvent(op, region, i) for i in indices)

@@ -24,8 +24,6 @@ INIT_CHUNK_BLOCKS = 1024
 def greedy_eviction_placements(
     stash: dict[int, tuple[int, bytes]],
     leaf: int,
-    leaves: int,
-    num_buckets: int,
     levels: int,
     per_level: int,
 ) -> tuple[list[list[tuple[int, tuple[int, bytes]]]], dict[int, tuple[int, bytes]]]:
@@ -33,34 +31,39 @@ def greedy_eviction_placements(
 
     A stash block assigned to leaf ``l`` may live in bucket ``path[d]`` iff
     ``d`` is at most the deepest depth the root→``l`` path shares with the
-    access path — computed per block via 1-based heap arithmetic (the XOR of
-    two leaf nodes' heap indices has bit length equal to the levels below
-    their deepest common ancestor).  Each level then takes the first
-    ``per_level`` eligible blocks in stash order, deepest level first with
-    overflow cascading toward the root: exactly the placements of the
-    per-level O(stash×levels) rescan, which both Path ORAM and Ring ORAM
-    evictions used before batching (and which the reference implementations
-    in the trace-equivalence tests still use).
+    access path (to ``leaf``, in a complete tree of ``levels`` levels) —
+    computed per block from the XOR of the two leaf numbers, whose bit
+    length is the number of levels below their deepest common ancestor.
+    Each level then takes the first ``per_level`` eligible blocks in stash
+    order, deepest level first with overflow cascading toward the root:
+    exactly the placements of the per-level O(stash×levels) rescan, which
+    both Path ORAM and Ring ORAM evictions used before batching (and which
+    the reference implementations in the trace-equivalence tests still
+    use).
+
+    One bucketing pass places every block at its deepest eligible depth,
+    in stash order.  When no depth holds more than ``per_level`` blocks that
+    is the answer and nothing is carried; otherwise the overflow carries
+    toward the root, merged into each shallower level in stash order.
 
     Returns (placements indexed by depth, each a list of stash items in
     stash order; the remaining stash as a dict preserving stash order).
     """
-    leaf_base = num_buckets - leaves + 1  # 1-based heap index of leaf 0
-    access_node = leaf_base + leaf
     top = levels - 1
-    by_depth: list[list] = [[] for _ in range(levels)]
-    for order, item in enumerate(stash.items()):
-        depth = top - ((leaf_base + item[1][0]) ^ access_node).bit_length()
-        by_depth[depth].append((order, item))
     placements: list[list[tuple[int, tuple[int, bytes]]]] = [[] for _ in range(levels)]
-    carry: list = []
+    for item in stash.items():
+        placements[top - (item[1][0] ^ leaf).bit_length()].append(item)
+    if max(map(len, placements)) <= per_level:
+        return placements, {}
+    rank = {block_id: order for order, block_id in enumerate(stash)}
+    carry: list[tuple[int, tuple[int, bytes]]] = []
     for depth in range(top, -1, -1):
-        pool = by_depth[depth]
+        pool = placements[depth]
         if carry:
-            pool = sorted(carry + pool)
-        placements[depth] = [item for _, item in pool[:per_level]]
+            pool = sorted(carry + pool, key=lambda item: rank[item[0]])
+        placements[depth] = pool[:per_level]
         carry = pool[per_level:]
-    return placements, dict(item for _, item in carry)
+    return placements, dict(carry)
 
 
 class ORAM(ABC):

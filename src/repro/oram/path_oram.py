@@ -33,6 +33,18 @@ adversary-visible access sequence is bit-identical to the per-bucket loop
 amortized — enforced by the ORAM cases in
 ``tests/storage/test_datapath_equivalence.py``.
 
+What is left per access is the path's own work:
+- the path's bucket indices — cached prefix, suffix, and the leaf→level-``k``
+  write order — are split once per leaf and memoized, so no list is built
+  and reversed per access;
+- a bucket is packed and unpacked by one precompiled ``struct.Struct`` of
+  ``Z`` slots of ``<qqI{block_size}s`` (the bytes of :func:`_pack_bucket`,
+  which stays as the reference codec); a suffix is unpacked by one
+  ``iter_unpack`` over its joined non-empty plaintexts, and an empty bucket
+  is one precomputed plaintext;
+- the eviction sorts only when a level overflows
+  (:func:`~repro.oram.base.greedy_eviction_placements`).
+
 Treetop caching
 ---------------
 The top ``k`` levels of the bucket tree (``2^k - 1`` buckets, every access
@@ -70,6 +82,7 @@ from __future__ import annotations
 
 import random
 import struct
+from itertools import chain
 from typing import Iterable, Iterator
 
 from ..enclave.enclave import Enclave
@@ -194,7 +207,13 @@ class PathORAM(ORAM):
         self._leaves = leaves
         self._levels = leaves.bit_length()  # root level 0 .. leaf level L
         self._num_buckets = 2 * leaves - 1
-        self._empty_slot = _EMPTY_HEADER + b"\x00" * block_size
+        # The bucket codec: Z slots of (block id, leaf, length, payload),
+        # the bytes of _pack_bucket; ``_empty_tails[n]`` pads n entries.
+        self._bucket = struct.Struct("<" + f"qqI{block_size}s" * bucket_size)
+        self._empty_tails = tuple(
+            (-1, -1, 0, b"") * (bucket_size - n) for n in range(bucket_size + 1)
+        )
+        self._empty_bucket = self._bucket.pack(*self._empty_tails[0])
         if treetop_levels is not None and not 0 <= treetop_levels < self._levels:
             raise ValueError(
                 f"treetop_levels must be in 0..{self._levels - 1}, "
@@ -213,13 +232,15 @@ class PathORAM(ORAM):
             POSITION_MAP_BYTES_PER_BLOCK * capacity if charge_position_map else 0
         )
         stash_bytes = stash_limit * block_size
-        bucket_bytes = bucket_size * (_HEADER.size + block_size)
+        bucket_bytes = self._bucket.size
         if treetop_levels is None:
             spare = enclave.oblivious.free_bytes - posmap_bytes - stash_bytes
             treetop_levels = treetop_levels_for(
                 self._levels, bucket_bytes, min(stash_bytes, spare)
             )
         self._treetop_levels = treetop_levels
+        # leaf -> (cached prefix, suffix, suffix leaf first); see _split_path.
+        self._paths: dict[int, tuple[tuple[int, ...], ...]] = {}
         cached_buckets = (1 << treetop_levels) - 1
         self._oblivious_bytes = posmap_bytes + stash_bytes + cached_buckets * bucket_bytes
         enclave.oblivious.allocate(self._oblivious_bytes)
@@ -245,17 +266,18 @@ class PathORAM(ORAM):
         the per-bucket loop's sequence, whatever ``contents`` holds), at
         most ``INIT_CHUNK_BLOCKS`` plaintext buckets resident."""
         enclave = self._enclave
-        empty = self._pack([])
+        placed = {
+            index: [(block_id, (leaf, payload)) for block_id, leaf, payload in entries]
+            for index, entries in contents.items()
+        }
+        empty = self._empty_bucket
         treetop = self._treetop
         for index in range(len(treetop)):
-            treetop[index] = [
-                (block_id, (leaf, payload))
-                for block_id, leaf, payload in contents.get(index, ())
-            ]
+            treetop[index] = placed.get(index, [])
         for start in range(len(treetop), self._num_buckets, INIT_CHUNK_BLOCKS):
             count = min(INIT_CHUNK_BLOCKS, self._num_buckets - start)
             plaintexts = [
-                self._pack(contents[index]) if index in contents else empty
+                self._pack(placed[index]) if index in placed else empty
                 for index in range(start, start + count)
             ]
             revisions, aads = self._ledger.stage_range(self._region, start, count)
@@ -275,6 +297,17 @@ class PathORAM(ORAM):
             path.append(index)
         path.reverse()
         return path
+
+    def _split_path(self, leaf: int) -> tuple[tuple[int, ...], ...]:
+        """The path to ``leaf`` as an access uses it: the cached prefix and
+        the suffix root first, and the suffix leaf first (the write-back
+        order).  A function of public geometry, memoized per leaf — at most
+        one entry per leaf, a few hundred bytes each."""
+        indices = self._path_indices(leaf)
+        k = self._treetop_levels
+        suffix = tuple(indices[k:])
+        split = self._paths[leaf] = (tuple(indices[:k]), suffix, suffix[::-1])
+        return split
 
     def _ancestor_at_depth(self, leaf: int, depth: int) -> int:
         """Bucket index at ``depth`` on the root→``leaf`` path.
@@ -360,28 +393,21 @@ class PathORAM(ORAM):
             leaf = self._rng.randrange(self._leaves)
 
         region = self._region
-        path = self._path_indices(leaf)
-        cached = path[: self._treetop_levels]
-        suffix = path[self._treetop_levels :]
+        cached, suffix, write_indices = self._paths.get(leaf) or self._split_path(leaf)
 
         # Read the path into a working stash, root first: the cached levels
         # from the treetop, the rest in one gather and one keystream pass.
         sealed = enclave.untrusted.read_at(region, suffix)
-        for index, block in zip(suffix, sealed):
-            if block is None:
-                raise ORAMError(f"missing bucket {index} in {region}")
+        if None in sealed:
+            raise ORAMError(f"missing bucket {suffix[sealed.index(None)]} in {region}")
         plaintexts = enclave.open_many(sealed, self._ledger.open_at(region, suffix))
         stash = dict(self._stash)
         treetop = self._treetop
-        for index in cached:
-            stash.update(treetop[index])
-        bucket_size = self._bucket_size
-        block_size = self._block_size
-        for plaintext in plaintexts:
-            for bid, bleaf, payload in _unpack_bucket(
-                plaintext, bucket_size, block_size
-            ):
-                stash[bid] = (bleaf, payload)
+        stash.update(chain.from_iterable(map(treetop.__getitem__, cached)))
+        empty = self._empty_bucket  # holds no entry: skip its slots
+        for bid, bleaf, length, payload in self._slots(filter(empty.__ne__, plaintexts)):
+            if bid >= 0:
+                stash[bid] = (bleaf, payload[:length])
 
         result: bytes | None = None
         new_leaf = self._rng.randrange(self._leaves)
@@ -402,15 +428,15 @@ class PathORAM(ORAM):
         # Greedy eviction, vectorized: one pass over the stash instead of
         # the per-level rescan (see greedy_eviction_placements).
         placements, stash = greedy_eviction_placements(
-            stash, leaf, self._leaves, self._num_buckets, self._levels, bucket_size
+            stash, leaf, self._levels, self._bucket_size
         )
+        pack = self._pack
         write_plaintexts = [
-            self._pack([(bid, entry[0], entry[1]) for bid, entry in placed])
-            for placed in reversed(placements[len(cached) :])
+            pack(placed) if placed else empty
+            for placed in placements[len(cached) :][::-1]
         ]
 
         # Write the suffix back leaf→level k: one keystream pass, one scatter.
-        write_indices = suffix[::-1]
         revisions, aads = self._ledger.stage_at(region, write_indices)
         blocks = enclave.seal_many(write_plaintexts, aads)
         try:
@@ -446,15 +472,31 @@ class PathORAM(ORAM):
                 f"payload of {len(data)} B exceeds block size {self._block_size} B"
             )
 
-    def _pack(self, entries: list[tuple[int, int, bytes]]) -> bytes:
-        """:func:`_pack_bucket` with the empty-slot tail precomputed."""
-        parts: list[bytes] = []
-        block_size = self._block_size
-        for block_id, leaf, payload in entries:
-            parts.append(_HEADER.pack(block_id, leaf, len(payload)))
-            parts.append(payload.ljust(block_size, b"\x00"))
-        parts.extend([self._empty_slot] * (self._bucket_size - len(entries)))
-        return b"".join(parts)
+    def _pack(self, placed: list[tuple[int, tuple[int, bytes]]]) -> bytes:
+        """One bucket of stash items ``(block id, (leaf, payload))``, in
+        order, as :func:`_pack_bucket` lays it out."""
+        fields: list = []
+        for block_id, (leaf, payload) in placed:
+            fields += (block_id, leaf, len(payload), payload)
+        return self._bucket.pack(*fields, *self._empty_tails[len(placed)])
+
+    def _slots(self, plaintexts: Iterable[bytes]) -> Iterator[tuple[int, int, int, bytes]]:
+        """Every slot of the bucket plaintexts, in order, as ``(block id,
+        leaf, payload length, payload padded to block_size)``; an empty
+        slot has block id ``-1``."""
+        fields = chain.from_iterable(self._bucket.iter_unpack(b"".join(plaintexts)))
+        return zip(fields, fields, fields, fields)
+
+    def _entries(self, plaintext: bytes) -> list[tuple[int, int, bytes]]:
+        """One bucket's ``(block id, leaf, payload)`` entries, as
+        :func:`_unpack_bucket` returns them."""
+        if plaintext == self._empty_bucket:
+            return []
+        return [
+            (block_id, leaf, payload[:length])
+            for block_id, leaf, length, payload in self._slots([plaintext])
+            if block_id >= 0
+        ]
 
     def read(self, block_id: int) -> bytes | None:
         """Oblivious read of a logical block."""
@@ -558,12 +600,7 @@ class PathORAM(ORAM):
         plaintexts = enclave.open_many(
             sealed, self._ledger.open_range(self._region, start, count)
         )
-        bucket_size = self._bucket_size
-        block_size = self._block_size
-        return [
-            _unpack_bucket(plaintext, bucket_size, block_size)
-            for plaintext in plaintexts
-        ]
+        return [self._entries(plaintext) for plaintext in plaintexts]
 
     @property
     def num_buckets(self) -> int:

@@ -448,7 +448,7 @@ class RingORAM(ORAM):
         # Path ORAM's eviction, see greedy_eviction_placements), then each
         # level's blocks land at the head of a fresh secret permutation.
         placements, self._stash = greedy_eviction_placements(
-            self._stash, leaf, self._leaves, self._num_buckets, self._levels, self._z
+            self._stash, leaf, self._levels, self._z
         )
         write_indices: list[int] = []
         write_plaintexts: list[bytes] = []

@@ -92,3 +92,28 @@ class TestAccessRecording:
         assert enclave.untrusted.total_stored_bytes() == 0
         enclave.untrusted.write("t", 0, enclave.seal(b"x" * 100))
         assert enclave.untrusted.total_stored_bytes() > 100
+
+
+class TestGatherScatterBounds:
+    """``read_at`` / ``write_at`` refuse an index outside ``[0, capacity)``
+    with the per-slot message, before any access is recorded or counted."""
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_gather_read_out_of_bounds(self, enclave: Enclave, bad: int) -> None:
+        enclave.untrusted.allocate_region("t", 4)
+        with pytest.raises(StorageError) as raised:
+            enclave.untrusted.read_at("t", [0, bad, 2])
+        assert str(raised.value) == f"gather read out of bounds: t[{bad}] (capacity 4)"
+        assert len(enclave.trace) == 0
+        assert enclave.cost.untrusted_reads == 0
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_scatter_write_out_of_bounds(self, enclave: Enclave, bad: int) -> None:
+        enclave.untrusted.allocate_region("t", 4)
+        blocks = [enclave.seal(b"x")] * 3
+        with pytest.raises(StorageError) as raised:
+            enclave.untrusted.write_at("t", [3, bad, 0], blocks)
+        assert str(raised.value) == f"scatter write out of bounds: t[{bad}] (capacity 4)"
+        assert len(enclave.trace) == 0
+        assert enclave.cost.untrusted_writes == 0
+        assert enclave.untrusted.peek("t", 3) is None

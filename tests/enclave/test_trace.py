@@ -92,6 +92,18 @@ class TestGatherRecording:
         b.record_at("W", "t", [0, 1, 4])
         assert not a.matches(b)
 
+    @pytest.mark.parametrize("region", ["oram#1", "t%d", "50%_off|%%"])
+    def test_record_at_renders_any_region_name_like_record(self, region: str) -> None:
+        """The batched digest string is one %-format; a ``%`` in a region
+        name must come out literally, and a tuple of indices works as a
+        list does."""
+        indices = (7, 0, 10**12)
+        batched, reference = AccessTrace(), AccessTrace()
+        batched.record_at("W", region, indices)
+        for i in indices:
+            reference.record("W", region, i)
+        assert batched.matches(reference)
+
     def test_record_at_empty_is_noop(self) -> None:
         trace = AccessTrace()
         trace.record_at("R", "t", [])

@@ -26,7 +26,7 @@ from repro.enclave.errors import CapacityError, SchemaError
 
 
 def _recovered_like(db: ObliDB) -> ObliDB:
-    fresh = ObliDB(cipher="null")
+    fresh = ObliDB(cipher="null", seed=7)
     fresh.recover(db.wal)
     check = fresh.verify()
     assert check.ok, check.issues
@@ -38,7 +38,7 @@ def _recovered_like(db: ObliDB) -> ObliDB:
 
 @pytest.mark.parametrize("method", ["flat", "both KEY id", "indexed KEY id"])
 def test_refused_single_insert_is_not_logged(method: str) -> None:
-    db = ObliDB(cipher="null", wal=True)
+    db = ObliDB(cipher="null", seed=7, wal=True)
     db.sql(f"CREATE TABLE t (id INT, name STR(8)) CAPACITY 2 METHOD {method}")
     db.sql("INSERT INTO t VALUES (1, 'a')")
     db.insert("t", (2, "b"))
@@ -57,7 +57,7 @@ def test_refused_single_insert_is_not_logged(method: str) -> None:
 
 @pytest.mark.parametrize("fast", [False, True])
 def test_refused_batch_is_not_logged(fast: bool) -> None:
-    db = ObliDB(cipher="null", wal=True)
+    db = ObliDB(cipher="null", seed=7, wal=True)
     db.sql("CREATE TABLE t (id INT, name STR(8)) CAPACITY 4 METHOD both KEY id")
     db.insert_many("t", [(1, "a"), (2, "b")], fast=fast)
     logged = db.wal.committed_count
@@ -74,7 +74,7 @@ def test_refused_batch_is_not_logged(fast: bool) -> None:
 def test_refused_bulk_load_writes_nothing() -> None:
     """The initial-load path runs the same ``n <= capacity`` check before
     its first write: nothing logged, nothing traced, epoch unchanged."""
-    db = ObliDB(cipher="null", wal=True, keep_trace_events=True)
+    db = ObliDB(cipher="null", seed=7, wal=True, keep_trace_events=True)
     db.sql("CREATE TABLE t (id INT, name STR(8)) CAPACITY 4 METHOD indexed KEY id")
     table = db.table("t")
     events, revision, logged = len(db.enclave.trace), table.revision, db.wal.count
@@ -95,7 +95,7 @@ LATER = (20, "late")
 
 
 def _build(plan: FaultPlan) -> ObliDB:
-    return ObliDB(cipher="null", wal=True, fault_plan=plan, retry=None)
+    return ObliDB(cipher="null", seed=7, wal=True, fault_plan=plan, retry=None)
 
 
 def _run_workload(db: ObliDB, acked: list[tuple]) -> None:
@@ -133,7 +133,7 @@ def test_bulk_load_crash_point_sweep(mode: str) -> None:
         assert len(acked) <= max(0, committed - 1), f"k={k}"
         outcomes.add(committed)
 
-        recovered = ObliDB(cipher="null")
+        recovered = ObliDB(cipher="null", seed=7)
         report = recovered.recover(db.wal)
         assert report.replayed == committed, f"k={k}"
         check = recovered.verify()

@@ -150,7 +150,7 @@ def test_two_transients_in_one_write_back_surface_typed_and_recover() -> None:
     assert sleeps == []
     assert db.enclave.oblivious.free_bytes == free
 
-    recovered = ObliDB(cipher="null")
+    recovered = ObliDB(cipher="null", seed=7)
     recovered.recover(db.wal)
     check = recovered.verify()
     assert check.ok, check.issues
@@ -228,7 +228,7 @@ def _reference(statements: list[str]) -> tuple:
     ``statements``, one at a time, as replay does."""
     key = tuple(statements)
     if key not in _references:
-        db = ObliDB(cipher="null")
+        db = ObliDB(cipher="null", seed=7)
         for sql in statements:
             db.sql(sql)
         _references[key] = (
@@ -244,7 +244,7 @@ def _recovered(crashed: ObliDB, attempted: list[str], label) -> None:
     mutations, and hold it to a database that ran the committed log."""
     committed = crashed.wal.committed_count
     assert 1 + len(ROWS) <= committed <= 1 + len(ROWS) + len(attempted), label
-    recovered = ObliDB(cipher="null")
+    recovered = ObliDB(cipher="null", seed=7)
     assert recovered.recover(crashed.wal).replayed == committed, label
     check = recovered.verify()
     assert check.ok, (label, check.issues)
