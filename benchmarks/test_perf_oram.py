@@ -110,23 +110,34 @@ def _ring_factory(enclave, capacity, block_size, rng):
 
 class TestORAMMicrobench:
     def test_point_lookup_access_counts(self) -> None:
-        """Counts, not wall clock, so armed in every run: an indexed point
-        lookup at 1 024 rows is the leaf, the record and two of padding;
-        the paper's tree reads its three interior levels from the ORAM too.
+        """Counts, not wall clock, so armed in every run: at the end-to-end
+        benchmark's geometry (1 024 rows of 488 bytes, 1 MiB of oblivious
+        memory) an indexed point lookup is the leaf and the record: the leaves'
+        resident parents summarise each leaf's keys, so no leaf is loaded or
+        padded for beyond the one the key is in.  The paper's tree reads its
+        three interior levels from the ORAM too, and pads for two more
+        leaves.  A half-open range of w keys reads only the keys inside:
+        ``L(w) + w`` with ``L(w) = 1 + ⌈(w − 1) / 3⌉`` on the default index,
+        ``4 + w + w // 3 + 2`` on the paper's.
         Beyond the ORAM's paths, the default index's held segment touches
         nothing; the paper's spills to a flat scratch — a hit is 3 reads
         there (statistics pass, Small's pass, result read) and 4 writes (two
         allocations, the copy-in, the flush), a miss 42 and 34 (the copy-in
         writes the one-slot scratch's dummy as a hit writes its row; then
         Hash into one chain, and compaction)."""
-        schema = Schema([int_column("id"), str_column("pad", 24)])
-        rows = [(key, f"row-{key}") for key in range(1024)]
+        schema = Schema(  # the end-to-end benchmark's 488-byte accounts
+            [int_column("id"), int_column("owner"), int_column("balance"), str_column("pad", 464)]
+        )
+        rows = [(key, key % 100, key * 3, f"account-{key:07d}") for key in range(1024)]
         random.Random(3).shuffle(rows)
-        for oram_kind, accesses, hit, miss in (
-            ("path", 4, (0, 0), (0, 0)),
-            ("paper", 7, (3, 4), (42, 34)),
+        for oram_kind, accesses, hit, miss, ranges in (
+            ("path", 2, (0, 0), (0, 0), {6: 9, 7: 10, 8: 12, 9: 13, 10: 14}),
+            ("paper", 7, (3, 4), (42, 34), {6: 14, 7: 15, 8: 16, 9: 18, 10: 19}),
         ):
-            db = ObliDB(cipher="null", seed=7, keep_trace_events=True)
+            db = ObliDB(
+                cipher="null", seed=7, keep_trace_events=True,
+                oblivious_memory_bytes=1 << 20,
+            )
             db.create_table(
                 "accounts", schema, 1024, method=StorageMethod.BOTH,
                 key_column="id", oram_kind=oram_kind,
@@ -146,6 +157,12 @@ class TestORAMMicrobench:
                 ]
                 expected = hit if key < 1024 else miss
                 assert (flat.count("R"), flat.count("W")) == expected, (oram_kind, key)
+            for width, count in ranges.items():
+                result = db.sql(
+                    f"SELECT * FROM accounts WHERE id >= 100 AND id < {100 + width}"
+                )
+                assert [row[0] for row in result.rows] == list(range(100, 100 + width))
+                assert result.cost["oram_accesses"] == count, (oram_kind, width)
 
     def test_oram_pipeline_rates(self) -> None:
         results: dict[str, float] = {}

@@ -42,6 +42,7 @@ an index scanned as a flat table holds what the flat table would.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -413,6 +414,11 @@ def _least_rows(order: int, height: int) -> int:
     return height if height < 2 else (order - 1) * order ** (height - 2) + 1
 
 
+#: Seeds every dummy tree's ORAM paths: SIM's own draw, never the real
+#: database's generator, so one simulation's raw trace repeats run to run.
+_SIM_SEED = 0x5113
+
+
 def _dummy_tree(enclave: Enclave, facts: PublicTable, rows: list[Row]) -> ObliviousBPlusTree:
     """An index of ``facts``' geometry, bulk-loaded with ``rows``, which
     must give it the leaked height."""
@@ -425,6 +431,7 @@ def _dummy_tree(enclave: Enclave, facts: PublicTable, rows: list[Row]) -> Oblivi
         facts.key_column,
         facts.capacity,
         order=facts.order,
+        rng=random.Random(_SIM_SEED),
         oram_factory=lambda enclave, capacity, block_size, rng: PathORAM(
             enclave, capacity, block_size, rng=rng, treetop_levels=facts.treetop_levels
         ),

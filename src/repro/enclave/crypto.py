@@ -43,8 +43,9 @@ associated data so integrity tests behave identically.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
+import struct
+import zlib
 from typing import NamedTuple, Protocol, Sequence
 
 try:
@@ -181,23 +182,21 @@ class NullCipher:
     """Cost-only stand-in: no byte-level crypto, same tamper-detection API.
 
     Stores the plaintext directly (the adversary model is enforced by the
-    trace layer, not by inspecting Python objects) and a cheap checksum over
-    plaintext plus associated data so integrity-violation tests still fire.
-    Used by benchmarks where encrypting megabytes in pure Python would swamp
-    the access-pattern costs the experiment is about.
+    trace layer, not by inspecting Python objects) and a cheap 16-byte
+    checksum — CRC-32s of plaintext and associated data plus both lengths,
+    as wide as AES-GCM's tag, so every stored size is the real cipher's — so
+    integrity-violation tests still fire.  Used by benchmarks where
+    encrypting megabytes in pure Python would swamp the access-pattern costs
+    the experiment is about.
     """
 
     def seal(self, plaintext: bytes, associated_data: bytes = b"") -> SealedBlock:
-        mac = hashlib.blake2b(
-            associated_data + b"\x00" + plaintext, digest_size=_MAC_SIZE
-        ).digest()
-        return SealedBlock(nonce=b"", ciphertext=plaintext, mac=mac)
+        return SealedBlock(
+            nonce=b"", ciphertext=plaintext, mac=_checksum(plaintext, associated_data)
+        )
 
     def open(self, block: SealedBlock, associated_data: bytes = b"") -> bytes:
-        expected = hashlib.blake2b(
-            associated_data + b"\x00" + block.ciphertext, digest_size=_MAC_SIZE
-        ).digest()
-        if not hmac.compare_digest(expected, block.mac):
+        if _checksum(block.ciphertext, associated_data) != block.mac:
             raise IntegrityError("block checksum verification failed")
         return block.ciphertext
 
@@ -206,16 +205,8 @@ class NullCipher:
     ) -> list[SealedBlock]:
         if len(associated_data) != len(plaintexts):
             raise ValueError("seal_many needs one associated_data per plaintext")
-        blake2b = hashlib.blake2b
         return [
-            _new_tuple(
-                SealedBlock,
-                (
-                    b"",
-                    plaintext,
-                    blake2b(aad + b"\x00" + plaintext, digest_size=_MAC_SIZE).digest(),
-                ),
-            )
+            _new_tuple(SealedBlock, (b"", plaintext, _checksum(plaintext, aad)))
             for plaintext, aad in zip(plaintexts, associated_data)
         ]
 
@@ -224,12 +215,22 @@ class NullCipher:
     ) -> list[bytes]:
         if len(associated_data) != len(blocks):
             raise ValueError("open_many needs one associated_data per block")
-        blake2b = hashlib.blake2b
-        compare = hmac.compare_digest
         out: list[bytes] = []
         for (_nonce, ciphertext, mac), aad in zip(blocks, associated_data):
-            expected = blake2b(aad + b"\x00" + ciphertext, digest_size=_MAC_SIZE).digest()
-            if not compare(expected, mac):
+            if _checksum(ciphertext, aad) != mac:
                 raise IntegrityError("block checksum verification failed")
             out.append(ciphertext)
         return out
+
+
+_CHECKSUM = struct.Struct("<IIII")
+
+
+def _checksum(plaintext: bytes, associated_data: bytes) -> bytes:
+    """:class:`NullCipher`'s tag: not a MAC, only a tamper check."""
+    return _CHECKSUM.pack(
+        zlib.crc32(plaintext),
+        zlib.crc32(associated_data),
+        len(plaintext),
+        len(associated_data),
+    )

@@ -40,8 +40,8 @@ _OPS: dict[str, Callable[[int, Value], RowPredicate]] = {
 class Interval:
     """A contiguous key interval; ``None`` bounds are unbounded.
 
-    Bounds are inclusive — open bounds are normalised by the caller where
-    the key domain allows it, otherwise kept via ``low_open``/``high_open``.
+    Bounds are inclusive unless ``low_open`` / ``high_open`` says so; an
+    index lookup of the interval honours both.
     """
 
     low: Value | None = None

@@ -36,13 +36,15 @@ def _index_matches(
     table: Table, matcher: RowPredicate, interval: Interval | None
 ) -> list[Row]:
     """The index's rows that satisfy ``matcher``: out of the key segment
-    ``interval`` bounds (inclusive, so a superset of the matches) when one
-    is given, else out of a linear scan."""
+    ``interval`` bounds (a superset of the matches) when one is given, else
+    out of a linear scan."""
     assert table.indexed is not None
     if interval is None:
         candidates = table.indexed.linear_scan()
     else:
-        candidates = table.indexed.range_lookup(interval.low, interval.high)
+        candidates = table.indexed.range_lookup(
+            interval.low, interval.high, interval.low_open, interval.high_open
+        )
     return [row for row in candidates if matcher(row)]
 
 

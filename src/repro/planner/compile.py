@@ -1001,7 +1001,9 @@ class _Compiler:
         segment fits free oblivious memory (not on the paper's index),
         else spilled to a flat scratch."""
         index = table.require_index()
-        rows = index.range_lookup(interval.low, interval.high)
+        rows = index.range_lookup(
+            interval.low, interval.high, interval.low_open, interval.high_open
+        )
         segment_rows = max(1, len(rows))
         node = IndexLookupNode(
             table=table.name,

@@ -9,8 +9,9 @@ it from a textbook tree:
   happen at threshold occupancy).  Every insert and delete here is padded
   with dummy ORAM accesses up to a worst-case count that depends only on
   the tree height — which is public, since any point lookup already reveals
-  it.  Lookups need no padding: all data hangs off the leaf level, so every
-  lookup touches exactly ``height + 1`` blocks.
+  it.  A lookup is padded too, to a worst case over where its result can
+  sit among the leaves, a function of the height and the result count
+  (:meth:`ObliviousBPlusTree._scan_padding_target`).
 
 * **No parent pointers.**  Parent pointers would force ORAM writes to every
   child on each split/merge; instead the descent path is remembered in
@@ -42,6 +43,17 @@ it from a textbook tree:
   ORAM, so the adversary sees the paper's sequence of uniformly random paths
   with a public number of them removed.  ``resident_levels=0`` is the
   paper's tree: every node in the ORAM.
+
+* **Leaf summaries.**  When the leaves' parents are resident — one level
+  left in the ORAM, the leaves — each parent also keeps every child's
+  (min key, max key), rewritten whenever that leaf is written, which it is
+  only after being loaded.  A lookup then loads just the leaves whose span
+  meets its interval, found without an ORAM access, and pads to
+  ``L(r) + max(1, r)`` for r results: ``r ≥ 1`` consecutive keys in leaves
+  of at least ``m`` keys meet at most ``L(r) = 1 + ⌈(r − 1) / m⌉`` leaves,
+  and a miss at most one.  A tree with more levels in the ORAM keeps the
+  walk and its two leaves of slack.  Which rule applies is fixed by public
+  geometry, and the summaries' bytes are reserved with the parents'.
 
 Data layout: one record per ORAM block (as in the paper's implementation);
 leaf nodes store keys plus record block ids and a next-leaf pointer so range
@@ -113,17 +125,32 @@ def _packed_sizes(entries: int, full: int, minimum: int) -> list[int]:
     return sizes
 
 
-def resident_levels_for(widths: list[int], node_bytes: int, budget_bytes: int) -> int:
+def resident_bytes_for(
+    widths: list[int], levels: int, node_bytes: int, parent_bytes: int
+) -> int:
+    """Oblivious memory the top ``levels`` levels of the tallest tree
+    reserve for their worst-case node counts (``widths``, leaf level first):
+    ``node_bytes`` a node, and ``parent_bytes`` for each parent of the leaves
+    (level 1), which also holds its children's key summaries."""
+    return sum(
+        width * (parent_bytes if level == 1 else node_bytes)
+        for level, width in enumerate(widths)
+        if level >= len(widths) - levels
+    )
+
+
+def resident_levels_for(
+    widths: list[int], node_bytes: int, budget_bytes: int, parent_bytes: int
+) -> int:
     """The resident-interior rule: the most top levels of the tallest tree
-    whose worst-case node counts (``widths``, leaf level first) fit in
-    ``budget_bytes`` — at most ``len(widths) - 1``, so the leaves stay in
-    the ORAM."""
-    levels = nodes = 0
+    whose reservation (:func:`resident_bytes_for`) fits in ``budget_bytes``
+    — at most ``len(widths) - 1``, so the leaves stay in the ORAM."""
+    levels = 0
     while (
         levels + 1 < len(widths)
-        and (nodes + widths[-1 - levels]) * node_bytes <= budget_bytes
+        and resident_bytes_for(widths, levels + 1, node_bytes, parent_bytes)
+        <= budget_bytes
     ):
-        nodes += widths[-1 - levels]
         levels += 1
     return levels
 
@@ -205,12 +232,18 @@ class ObliviousBPlusTree:
             )
         self._allocator = BlockAllocator(self._oram.capacity)
 
-        # Resident interior, charged once for its worst-case node count.
+        # Resident interior, charged once for its worst-case node count: a
+        # block a node, or a parent of the leaves and its children's
+        # summaries where those outgrow a block.
+        parent_bytes = max(
+            block_size, self._internal_bytes() + self._order * 2 * self._key_size
+        )
         if resident_levels is None:
             resident_levels = resident_levels_for(
                 widths,
                 block_size,
                 min(DEFAULT_STASH_LIMIT * block_size, enclave.oblivious.free_bytes),
+                parent_bytes,
             )
         self._resident_levels = resident_levels
         # The boundary: levels this far above the leaves (0), and higher,
@@ -218,8 +251,12 @@ class ObliviousBPlusTree:
         self._resident_from = (
             len(widths) - resident_levels if resident_levels else sys.maxsize
         )
+        # Leaf summaries: kept exactly when the leaves' parents are resident.
+        self._summarised = self._resident_from == 1
         self._resident_limit = sum(widths[len(widths) - resident_levels :])
-        self._resident_bytes = self._resident_limit * block_size
+        self._resident_bytes = resident_bytes_for(
+            widths, resident_levels, block_size, parent_bytes
+        )
         try:
             enclave.oblivious.allocate(self._resident_bytes)
         except BaseException:
@@ -228,6 +265,10 @@ class ObliviousBPlusTree:
             raise
         self._resident: dict[int, _Node] = {}  # ids below -1, never serialised
         self._next_resident = -2
+        # The resident parents' per-child (min key, max key), keyed by child:
+        # a leaf's entry is rewritten whenever the leaf is, so no split,
+        # merge or borrow among the parents has to carry it.
+        self._spans: dict[int, tuple[bytes, bytes]] = {}
 
         self._root = -1
         self._height = 0  # number of node levels (leaf-only tree -> 1)
@@ -261,11 +302,12 @@ class ObliviousBPlusTree:
             widths.append(max(1, widths[-1] // self._min_children))
         return widths
 
+    def _internal_bytes(self) -> int:
+        return 1 + _COUNT.size + self._order * _ID.size + (self._order - 1) * self._key_size
+
     def _compute_block_size(self) -> int:
         record = 1 + framed_size(self.schema)
-        internal = (
-            1 + _COUNT.size + self._order * _ID.size + (self._order - 1) * self._key_size
-        )
+        internal = self._internal_bytes()
         leaf = (
             1
             + _COUNT.size
@@ -362,10 +404,22 @@ class ObliviousBPlusTree:
         self._allocator.release(node_id)
         self._cache.pop(node_id, None)
         self._dirty.discard(node_id)
+        self._spans.pop(node_id, None)
+
+    def _summarise(self, leaf_id: int, leaf: _LeafNode) -> None:
+        """Record ``leaf``'s key span with its parent; an empty leaf meets
+        no interval."""
+        if leaf.keys:
+            self._spans[leaf_id] = (leaf.keys[0], leaf.keys[-1])
+        else:
+            self._spans.pop(leaf_id, None)
 
     def _flush(self) -> None:
         for node_id in sorted(self._dirty):
-            self._oram.write(node_id, self._serialize(self._cache[node_id]))
+            node = self._cache[node_id]
+            if self._summarised and isinstance(node, _LeafNode):
+                self._summarise(node_id, node)
+            self._oram.write(node_id, self._serialize(node))
         self._dirty.clear()
         self._cache.clear()
 
@@ -513,82 +567,152 @@ class ObliviousBPlusTree:
         path.append((node_id, -1))
         return path
 
+    def _leaf_paths(self, key: bytes) -> Iterator[list[tuple[int, int]]]:
+        """Paths, as :meth:`_descend` gives them, of the leftmost leaf that
+        may hold ``key`` and of every leaf right of it in key order, walked
+        through the resident interior: no ORAM access (summarised trees)."""
+        path = self._descend(key, leftmost=True)
+        while True:
+            yield path
+            level = len(path) - 2
+            while level >= 0:
+                node_id, index = path[level]
+                node = self._resident[node_id]
+                assert isinstance(node, _InternalNode)
+                if index + 1 < len(node.children):
+                    break
+                level -= 1
+            else:
+                return
+            path = path[:level] + [(node_id, index + 1)]
+            child = node.children[index + 1]
+            while len(path) < self._height - 1:
+                path.append((child, 0))
+                child = self._resident[child].children[0]  # type: ignore[union-attr]
+            path.append((child, -1))
+
+    def _meeting(
+        self, low: bytes, high: bytes | None, low_open: bool, high_open: bool
+    ) -> Iterator[list[tuple[int, int]]]:
+        """Paths of the leaves whose summarised span meets the interval from
+        ``low`` to ``high`` (``None``: unbounded), in key order: a contiguous
+        run, found without an ORAM access."""
+        for path in self._leaf_paths(low):
+            span = self._spans.get(path[-1][0])
+            if span is None:
+                continue
+            first, last = span
+            if high is not None and (first > high or (high_open and first == high)):
+                return
+            if last > low or (last == low and not low_open):
+                yield path
+
+    def _scan_leaves(
+        self, low: bytes, high: bytes | None, low_open: bool, high_open: bool
+    ) -> Iterator[_LeafNode]:
+        """The leaves a lookup of the interval loads, in key order: on a
+        summarised tree those whose span meets it; otherwise the descent's
+        leaf and each next one until a key passes ``high``.  An open ``low``
+        descends right-biased: every key left of that leaf is at most
+        ``low``, so a run of the excluded key's copies is not walked."""
+        if self._summarised:
+            for path in self._meeting(low, high, low_open, high_open):
+                leaf = self._load(path[-1][0])
+                assert isinstance(leaf, _LeafNode)
+                yield leaf
+            return
+        leaf = self._load(self._descend(low, leftmost=not low_open)[-1][0])
+        while True:
+            assert isinstance(leaf, _LeafNode)
+            yield leaf
+            if leaf.next_leaf < 0:
+                return
+            if high is not None and leaf.keys:
+                last = leaf.keys[-1]
+                if last > high or (high_open and last == high):
+                    return
+            leaf = self._load(leaf.next_leaf)
+
     # ------------------------------------------------------------------
     # Point lookup and range scan
     # ------------------------------------------------------------------
     def _scan_padding_target(self, results: int) -> int:
-        """Padded access count for a leaf-level scan returning ``results``
-        rows: the descent, one record read per result, and the worst-case
-        number of extra leaf loads (a match can sit at a leaf boundary, so
-        the raw count would otherwise leak the key's position within its
-        leaf — a subtle ±1-access channel this padding closes)."""
-        extra_leaves = results // max(1, self._min_leaf_keys) + 2
-        return self._oram_height(self._height) + max(1, results) + extra_leaves
+        """Padded access count for a lookup returning ``results`` rows: the
+        levels still in the ORAM above the leaves, the leaves the result can
+        meet, and one record read per result (at least one, so a miss costs
+        what a one-row hit costs).
+
+        With summaries only leaves whose span meets the interval load: r ≥ 1
+        consecutive keys in leaves of at least m (``min_leaf_keys``) keys
+        each meet at most L(r) = 1 + ⌈(r − 1) / m⌉ of them, and a leaf whose
+        span meets the interval but holds none of its keys exists only when
+        r = 0 — one leaf at most.  Without them the walk can load
+        ``r // m + 2`` leaves past the descent's: a match can sit at a leaf
+        boundary, and the raw count would otherwise leak the key's position
+        within its leaf.  Both forms are public: the geometry and the
+        result count."""
+        levels = self._oram_height(self._height)
+        rows = max(1, results)
+        minimum = self._min_leaf_keys
+        if self._summarised:
+            leaves = 1 + (rows + minimum - 2) // minimum  # L(r)
+            return (levels - 1) + leaves + rows
+        return levels + rows + results // minimum + 2
+
+    def _lookup(
+        self, low: bytes, high: bytes | None, low_open: bool = False, high_open: bool = False
+    ) -> list[Row]:
+        """Rows whose key lies between ``low`` and ``high`` (``None``:
+        unbounded; each bound inclusive unless open), padded to
+        :meth:`_scan_padding_target` of their count."""
+        start = self._enclave.cost.oram_accesses
+        results: list[Row] = []
+        for leaf in self._scan_leaves(low, high, low_open, high_open):
+            first = (bisect_right if low_open else bisect_left)(leaf.keys, low)
+            stop = (
+                len(leaf.keys)
+                if high is None
+                else (bisect_left if high_open else bisect_right)(leaf.keys, high)
+            )
+            for record_id in leaf.records[first:stop]:
+                results.append(self._read_record(record_id))
+        self._cache.clear()
+        self._pad_accesses(start, self._scan_padding_target(len(results)))
+        return results
 
     def search(self, key_value: object) -> list[Row]:
         """All rows whose key equals ``key_value``.
 
-        Observable cost: a fixed function of the tree height and the result
-        count (part of the leaked output size) — padded so hits, misses,
-        and boundary-straddling matches are indistinguishable.
+        Observable cost: a fixed function of the tree geometry and the
+        result count (part of the leaked output size) — padded so hits,
+        misses, and boundary-straddling matches are indistinguishable.
         """
         if not self._height:
             return []
-        start = self._enclave.cost.oram_accesses
         key = self._key_bytes(key_value)
-        path = self._descend(key, leftmost=True)
-        leaf = self._load(path[-1][0])
-        assert isinstance(leaf, _LeafNode)
-        results: list[Row] = []
-        index = bisect_left(leaf.keys, key)
-        while True:
-            while index < len(leaf.keys) and leaf.keys[index] == key:
-                results.append(self._read_record(leaf.records[index]))
-                index += 1
-            if index < len(leaf.keys) or leaf.next_leaf < 0:
-                break
-            leaf = self._load(leaf.next_leaf)
-            assert isinstance(leaf, _LeafNode)
-            index = 0
-        self._cache.clear()
-        self._pad_accesses(start, self._scan_padding_target(len(results)))
-        return results
+        return self._lookup(key, key)
 
-    def range_scan(self, low: object | None, high: object | None) -> list[Row]:
-        """Rows with key in [low, high] (either bound may be ``None``).
+    def range_scan(
+        self,
+        low: object | None,
+        high: object | None,
+        low_open: bool = False,
+        high_open: bool = False,
+    ) -> list[Row]:
+        """Rows with key between ``low`` and ``high`` (either may be
+        ``None``: unbounded), each bound inclusive unless its ``*_open``.
 
-        Walks the leaf level; leaks the size of the scanned segment, which
-        the paper counts as an intermediate table size (Section 4.1).
+        Leaks the size of the returned segment, which the paper counts as an
+        intermediate table size (Section 4.1).
         """
         if not self._height:
             return []
-        start = self._enclave.cost.oram_accesses
-        low_key = self._key_bytes(low) if low is not None else b"\x00" * self._key_size
-        path = self._descend(low_key, leftmost=True)
-        leaf = self._load(path[-1][0])
-        assert isinstance(leaf, _LeafNode)
+        if low is None:
+            low_key, low_open = b"\x00" * self._key_size, False
+        else:
+            low_key = self._key_bytes(low)
         high_key = self._key_bytes(high) if high is not None else None
-        results: list[Row] = []
-        index = bisect_left(leaf.keys, low_key)
-        done = False
-        while not done:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if high_key is not None and key > high_key:
-                    done = True
-                    break
-                results.append(self._read_record(leaf.records[index]))
-                index += 1
-            if done or leaf.next_leaf < 0:
-                break
-            leaf = self._load(leaf.next_leaf)
-            assert isinstance(leaf, _LeafNode)
-            index = 0
-        self._cache.clear()
-        # Pad to the worst case for this (public) result size so the raw
-        # access count cannot leak the segment's alignment within leaves.
-        self._pad_accesses(start, self._scan_padding_target(len(results)))
-        return results
+        return self._lookup(low_key, high_key, low_open, high_open)
 
     # ------------------------------------------------------------------
     # Insert
@@ -750,6 +874,7 @@ class ObliviousBPlusTree:
             for block_id, _ in blocks:
                 self._allocator.release(block_id)
             self._resident.clear()
+            self._spans.clear()
             raise
         self._root = root
         self._height = height
@@ -781,6 +906,8 @@ class ObliviousBPlusTree:
                 next_leaf=leaf_ids[position + 1] if position + 1 < len(sizes) else -1,
             )
             blocks.append((leaf_ids[position], self._serialize(leaf)))
+            if self._summarised:
+                self._summarise(leaf_ids[position], leaf)
             level.append((leaf_ids[position], entries[0][0]))
         height = 1
         while len(level) > 1:
@@ -812,51 +939,50 @@ class ObliviousBPlusTree:
         Returns the number deleted (0 or 1); padded to worst case either way
         so hits and misses are indistinguishable beyond the leaked result.
 
-        Duplicates may straddle split separators, in which case the target
-        can live a few leaves right of the leftmost descent (separators go
-        stale as runs are consumed).  Those off-path occurrences are removed
-        by a forward leaf walk without rebalancing — a leaf briefly below
-        minimum occupancy is harmless for correctness and is repaired the
-        next time a delete path reaches it.  The walk's extra accesses are
-        bounded by the key's duplicate run, whose length already leaks as
-        the result size of queries on that key.
+        A summarised tree finds the first leaf holding the key from the
+        summaries and rebalances along that leaf's own path, so every
+        non-root leaf keeps its minimum occupancy — which the lookup target
+        counts on.  Otherwise duplicates may straddle split separators, in
+        which case the target can live a few leaves right of the leftmost
+        descent (separators go stale as runs are consumed).  Those off-path
+        occurrences are removed by a forward leaf walk without rebalancing —
+        a leaf briefly below minimum occupancy is harmless for correctness
+        and is repaired the next time a delete path reaches it.  The walk's
+        extra accesses are bounded by the key's duplicate run, whose length
+        already leaks as the result size of queries on that key.
         """
         start = self._enclave.cost.oram_accesses
         deleted = 0
         walked = 0
         if self._height:
             key = self._key_bytes(key_value)
-            path = self._descend(key, leftmost=True)
-            leaf_id = path[-1][0]
-            leaf = self._load(leaf_id)
-            assert isinstance(leaf, _LeafNode)
-            index = bisect_left(leaf.keys, key)
-            if index < len(leaf.keys) and leaf.keys[index] == key:
-                self._free_node(leaf.records[index])
-                del leaf.keys[index]
-                del leaf.records[index]
-                self._mark_dirty(leaf_id)
-                self._count -= 1
-                deleted = 1
-                self._rebalance(path, len(path) - 1)
+            if self._summarised:
+                path = next(self._meeting(key, key, False, False), None)
             else:
-                # Walk right past stale separators: the first occurrence,
-                # if any, is in a subsequent leaf whose keys are <= key.
-                while leaf.next_leaf >= 0 and not deleted:
-                    if leaf.keys and leaf.keys[0] > key:
-                        break
-                    next_id = leaf.next_leaf
-                    leaf = self._load(next_id)
-                    assert isinstance(leaf, _LeafNode)
-                    walked += 1
-                    index = bisect_left(leaf.keys, key)
-                    if index < len(leaf.keys) and leaf.keys[index] == key:
-                        self._free_node(leaf.records[index])
-                        del leaf.keys[index]
-                        del leaf.records[index]
-                        self._mark_dirty(next_id)
-                        self._count -= 1
-                        deleted = 1
+                path = self._descend(key, leftmost=True)
+            if path is not None:
+                leaf_id = path[-1][0]
+                leaf = self._load(leaf_id)
+                assert isinstance(leaf, _LeafNode)
+                index = bisect_left(leaf.keys, key)
+                if index < len(leaf.keys) and leaf.keys[index] == key:
+                    self._remove_entry(leaf_id, leaf, index)
+                    deleted = 1
+                    self._rebalance(path, len(path) - 1)
+                elif not self._summarised:
+                    # Walk right past stale separators: the first occurrence,
+                    # if any, is in a subsequent leaf whose keys are <= key.
+                    while leaf.next_leaf >= 0 and not deleted:
+                        if leaf.keys and leaf.keys[0] > key:
+                            break
+                        next_id = leaf.next_leaf
+                        leaf = self._load(next_id)
+                        assert isinstance(leaf, _LeafNode)
+                        walked += 1
+                        index = bisect_left(leaf.keys, key)
+                        if index < len(leaf.keys) and leaf.keys[index] == key:
+                            self._remove_entry(next_id, leaf, index)
+                            deleted = 1
         height = max(self._oram_height(self._height), 1)
         self._flush()
         # A fixed two-leaf walk allowance covers every unique-key case
@@ -868,11 +994,20 @@ class ObliviousBPlusTree:
         )
         return deleted
 
+    def _remove_entry(self, leaf_id: int, leaf: _LeafNode, index: int) -> None:
+        self._free_node(leaf.records[index])
+        del leaf.keys[index]
+        del leaf.records[index]
+        self._mark_dirty(leaf_id)
+        self._count -= 1
+
     def update(self, key_value: object, new_row: Row) -> int:
         """Overwrite the record of the first row with key ``key_value``.
 
-        The new row must keep the same key.  Fixed access pattern:
-        ``oram_levels`` reads + 1 record write (padded on miss).
+        The new row must keep the same key.  Fixed access pattern: padded
+        to a one-row lookup's target (:meth:`_scan_padding_target`), the
+        leaves it loads plus the record write, so hits, misses and
+        separator-straddling keys cost alike.
         """
         new_row = self.schema.validate_row(new_row)
         key = self._key_bytes(key_value)
@@ -881,31 +1016,15 @@ class ObliviousBPlusTree:
         updated = 0
         if self._height:
             start = self._enclave.cost.oram_accesses
-            path = self._descend(key, leftmost=True)
-            leaf = self._load(path[-1][0])
-            assert isinstance(leaf, _LeafNode)
-            record_id = self._find_forward(leaf, key)
-            if record_id >= 0:
-                self._oram.write(record_id, self._record_payload(new_row))
-                updated = 1
+            for leaf in self._scan_leaves(key, key, False, False):
+                index = bisect_left(leaf.keys, key)
+                if index < len(leaf.keys) and leaf.keys[index] == key:
+                    self._oram.write(leaf.records[index], self._record_payload(new_row))
+                    updated = 1
+                    break
             self._cache.clear()
-            # Pad to a fixed target (descent + walk allowance + record op)
-            # so hits, misses, and separator-straddling keys cost alike.
             self._pad_accesses(start, self._scan_padding_target(1))
         return updated
-
-    def _find_forward(self, leaf: _LeafNode, key: bytes) -> int:
-        """Record id of the first occurrence of ``key`` at or right of
-        ``leaf``, walking past stale/equal separators; -1 when absent."""
-        while True:
-            index = bisect_left(leaf.keys, key)
-            if index < len(leaf.keys) and leaf.keys[index] == key:
-                return leaf.records[index]
-            if index < len(leaf.keys) or leaf.next_leaf < 0:
-                return -1
-            next_node = self._load(leaf.next_leaf)
-            assert isinstance(next_node, _LeafNode)
-            leaf = next_node
 
     def _rebalance(self, path: list[tuple[int, int]], level: int) -> None:
         node_id = path[level][0]
@@ -1108,3 +1227,4 @@ class ObliviousBPlusTree:
         self._enclave.oblivious.release(self._resident_bytes)
         self._resident_bytes = 0
         self._resident.clear()
+        self._spans.clear()

@@ -102,9 +102,16 @@ class IndexedStorage:
         """Rows with exactly this key; O(log² N) with a fixed access shape."""
         return self.tree.search(key)
 
-    def range_lookup(self, low: Value | None, high: Value | None) -> list[Row]:
-        """Rows with key in [low, high]; leaks the scanned segment's size."""
-        return self.tree.range_scan(low, high)
+    def range_lookup(
+        self,
+        low: Value | None,
+        high: Value | None,
+        low_open: bool = False,
+        high_open: bool = False,
+    ) -> list[Row]:
+        """Rows with key between ``low`` and ``high``, each bound inclusive
+        unless open; leaks the returned segment's size."""
+        return self.tree.range_scan(low, high, low_open, high_open)
 
     # ------------------------------------------------------------------
     # Mutations (padded to worst case inside the tree)

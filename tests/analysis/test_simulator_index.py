@@ -31,6 +31,8 @@ LOOKUPS = {
     "miss": ("k = 11", 0),
     "range-1": ("k >= 9 AND k <= 11", 1),
     "range-10": ("k >= 100 AND k <= 118", 10),
+    # Half-open: the excluded bound 120 is a key, and the lookup skips it.
+    "range-half-open": ("k >= 100 AND k < 120", 10),
     "range-50": ("k >= 100 AND k <= 198", 50),
 }
 
@@ -103,6 +105,16 @@ def test_real_equals_sim(database, place: str, lookup: str, statement: str) -> N
         assert plan.find(SelectNode).streamed is streamed
     assert isinstance(plan.root, SortNode) is (statement == "order")
     assert real.matches(simulate(plan, public))
+
+
+@pytest.mark.parametrize("place", ["held", "paper"])
+def test_sim_repeats_its_raw_trace(database, raw_digests, place: str) -> None:
+    """SIM's dummy trees draw their ORAM paths from SIM's own seed: one
+    plan simulated twice gives one raw trace, not only one canonical one."""
+    _, plan, public = run(database, place, "range-10", "select")
+    simulate(plan, public)
+    simulate(plan, public)
+    assert len(raw_digests) == 2 and raw_digests[0] == raw_digests[1]
 
 
 @pytest.mark.parametrize("place", PLACES)

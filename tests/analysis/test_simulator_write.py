@@ -35,6 +35,10 @@ WRITES = {
         7,
     ),
     "delete-range": ("DELETE FROM t WHERE k >= 3 AND k <= 6", AccessMethod.INDEX_RANGE, 4),
+    # Half-open: the excluded bound 7 is a key, and the lookup skips it.
+    "delete-half-open": (
+        "DELETE FROM t WHERE k > 2 AND k < 7", AccessMethod.INDEX_RANGE, 4
+    ),
     "update-linear": ("UPDATE t SET s = 'y' WHERE v < 10", AccessMethod.INDEX_LINEAR, 0),
     "delete-linear": ("DELETE FROM t WHERE v >= 25", AccessMethod.INDEX_LINEAR, 0),
 }
@@ -194,3 +198,17 @@ def test_only_a_key_assigning_update_changes_the_plan() -> None:
     assert keyed.cache_key != plain.cache_key
     assert "assigns_key=True" in keyed.describe()
     assert "assigns_key" not in plain.describe()
+
+
+@pytest.mark.parametrize("oram_kind", ["path", "paper"])
+def test_sim_repeats_its_raw_trace(raw_digests, oram_kind: str) -> None:
+    """SIM's dummy trees draw their ORAM paths from SIM's own seed: one
+    write simulated twice gives one raw trace — ORAM leaves as drawn, not
+    canonicalised."""
+    db = build_database(StorageMethod.BOTH, oram_kind)
+    sql, _, segment_rows = WRITES["update-range"]
+    _, result = run_write(db, sql)
+    public = PublicState.of(db)
+    for _ in range(2):
+        simulate(result.plan, public, affected=result.affected, segment_rows=segment_rows)
+    assert len(raw_digests) == 2 and raw_digests[0] == raw_digests[1]

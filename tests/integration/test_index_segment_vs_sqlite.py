@@ -97,3 +97,26 @@ def test_index_statements_agree_with_sqlite(mode: str) -> None:
             assert sorted(result.rows) == sorted(expected), sql
         assert db.enclave.oblivious.free_bytes == free, sql
     assert held == {"in_enclave": {True}, "spill": {True, False}, "paper": {False}}[mode]
+
+
+#: Half-open key intervals whose excluded bound is a stored key -> keys
+#: inside the interval.
+HALF_OPEN = {
+    "SELECT * FROM items WHERE id >= 5 AND id < 12": 7,
+    "SELECT id, price FROM items WHERE id > 5 AND id <= 12": 7,
+    "SELECT price, id FROM items WHERE id > 30 AND id < 36": 5,
+    "SELECT COUNT(*), SUM(price) FROM items WHERE id > 37 AND id < 39": 1,
+    "SELECT * FROM items WHERE id > 7 AND id < 8": 0,
+    "SELECT cat, COUNT(*) FROM items WHERE id >= 10 AND id < 20 GROUP BY cat": 10,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_half_open_intervals_read_only_their_keys(mode: str) -> None:
+    """An excluded bound reaches the tree: the lookup's segment is the keys
+    inside the interval, never the bound's record filtered out later."""
+    db, oracle = build(mode)
+    for sql, inside in HALF_OPEN.items():
+        result = db.sql(sql)
+        assert result.plan.find(IndexLookupNode).segment_rows == max(1, inside), sql
+        assert sorted(result.rows) == sorted(oracle.execute(sql).fetchall()), sql

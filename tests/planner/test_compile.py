@@ -123,7 +123,7 @@ class TestPlanSnapshots:
                 QUICKSTART_QUERIES[4],
                 [
                     "scan table=employees access_method=flat_scan rows=128",
-                    "select algorithm=small input_rows=128 output_rows=4 buffer_rows=19432"
+                    "select algorithm=small input_rows=128 output_rows=4 buffer_rows=19408"
                     " padded=False in_enclave=True resumed=False streamed=False",
                     "sort order_by=salary descending=True rows=4 in_enclave=True",
                 ],
@@ -132,7 +132,7 @@ class TestPlanSnapshots:
                 "SELECT * FROM employees WHERE dept = 'nobody'",
                 [
                     "scan table=employees access_method=flat_scan rows=128",
-                    "select algorithm=small input_rows=128 output_rows=0 buffer_rows=19432"
+                    "select algorithm=small input_rows=128 output_rows=0 buffer_rows=19408"
                     " padded=False in_enclave=True resumed=False streamed=False",
                 ],
             ),

@@ -69,16 +69,28 @@ OPERATIONS = {
     "update_miss": lambda tree, keys, pick: tree.update(keys[pick] + 1, (keys[pick] + 1, "u")),
 }
 
+
+def lookup(g: int, rows: int) -> int:
+    """A lookup of ``rows`` results at ``g`` ORAM levels (order 8: three
+    keys a leaf at least).  At ``g == 1`` the leaves' parents are resident
+    and their key summaries leave only the leaves the result meets,
+    1 + ⌈(r − 1) / 3⌉; above it the walk's allowance of r // 3 + 2."""
+    r = max(1, rows)
+    if g == 1:
+        return 1 + (r + 1) // 3 + r
+    return g + r + rows // 3 + 2
+
+
 #: What each operation must cost at ``g`` ORAM levels (order 8).
 CLOSED_FORM = {
-    "search_hit": lambda g: g + 1 + 2,
-    "search_miss": lambda g: g + 1 + 2,
-    "range": lambda g: g + 5 + 5 // 3 + 2,
+    "search_hit": lambda g: lookup(g, 1),
+    "search_miss": lambda g: lookup(g, 0),
+    "range": lambda g: lookup(g, 5),
     "insert": lambda g: 3 * g + 4,
     "delete_hit": lambda g: 6 * g + 6 + 2,
     "delete_miss": lambda g: 6 * g + 6 + 2,
-    "update_hit": lambda g: g + 1 + 2,
-    "update_miss": lambda g: g + 1 + 2,
+    "update_hit": lambda g: lookup(g, 1),
+    "update_miss": lambda g: lookup(g, 1),
 }
 
 
@@ -126,7 +138,7 @@ def test_hit_miss_and_leaf_boundary_lookups_are_indistinguishable(resident_level
     for label, (key, found) in probes.items():
         accesses, trace = trace_of(enclave, tree, lambda: tree.search(key))
         assert len(tree.search(key)) == found, label
-        assert accesses == tree.oram_levels + 1 + 2, label
+        assert accesses == lookup(tree.oram_levels, found), label
         traces.append(trace)
     assert_indistinguishable(traces)
 
@@ -139,7 +151,7 @@ def test_resident_levels_only_remove_accesses() -> None:
         enclave, tree, keys = build(1, resident_levels)
         assert tree.oram_levels == levels_in_oram
         accesses, trace = trace_of(enclave, tree, lambda: tree.search(keys[9]))
-        assert accesses == levels_in_oram + 3
+        assert accesses == lookup(levels_in_oram, 1)
         assert per_access in (None, trace.length // accesses)
         per_access = trace.length // accesses
 
@@ -198,8 +210,9 @@ class TestStatements:
         node = keyed.plan.root
         assert isinstance(node, WriteNode)
         assert node.access_method is AccessMethod.INDEX_RANGE
-        # One padded range lookup of one row, one padded delete.
-        assert keyed.cost["oram_accesses"] == (1 + 1 + 2) + (6 + 6 + 2)
+        # One padded range lookup of one row (its leaf and its record),
+        # one padded delete.
+        assert keyed.cost["oram_accesses"] == (1 + 1) + (6 + 6 + 2)
 
         db.enclave.trace.clear()
         scanned = db.sql("DELETE FROM t WHERE v = -1")

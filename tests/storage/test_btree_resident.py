@@ -19,7 +19,7 @@ from repro.enclave import Enclave, StorageError
 from repro.enclave.errors import ObliviousMemoryError
 from repro.oram.path_oram import DEFAULT_STASH_LIMIT
 from repro.storage import ObliviousBPlusTree, Schema, StorageMethod, int_column, str_column
-from repro.storage.btree import _InternalNode, resident_levels_for
+from repro.storage.btree import _InternalNode, resident_bytes_for, resident_levels_for
 
 SCHEMA = Schema([int_column("key"), str_column("value", 12)])
 
@@ -59,6 +59,17 @@ def oram_levels(height: int, resident_levels: int, tallest: int = TALLEST) -> in
     ones below the boundary, which sits ``tallest - resident_levels`` levels
     above the leaves — or nowhere, for the paper's tree."""
     return min(height, tallest - resident_levels) if resident_levels else height
+
+
+def lookup(g: int, rows: int, summarised: bool) -> int:
+    """A padded lookup of ``rows`` results at ``g`` ORAM levels (order 5:
+    two keys a leaf at least).  With the leaves' parents resident their key
+    summaries leave only the leaves the result meets, 1 + ⌈(r − 1) / 2⌉;
+    otherwise the walk's allowance of r // 2 + 2 extra leaves."""
+    r = max(1, rows)
+    if summarised:
+        return (g - 1) + 1 + r // 2 + r
+    return g + r + rows // 2 + 2
 
 
 def spent(enclave: Enclave, operation) -> tuple[int, object]:
@@ -109,20 +120,20 @@ class TestClosedFormCounts:
         )
 
         g = oram_levels(4, resident_levels)
+        summarised = resident_levels == TALLEST - 1  # the leaves' parents
         for key in (keys[0], keys[-1], 1, -5, 999):  # hits, a miss, both ends
             count, rows = spent(enclave, lambda: tree.search(key))
             assert rows == ([(key, f"v{key}")] if key in keys else [])
-            assert count == g + 1 + 2
+            assert count == lookup(g, 1, summarised)
         for low, high in ((10, 20), (11, 11), (0, 110), (57, None)):
             count, rows = spent(enclave, lambda: tree.range_scan(low, high))
             wanted = [k for k in sorted(keys) if k >= low and (high is None or k <= high)]
             assert [row[0] for row in rows] == wanted
-            # min_leaf_keys is 2 at order 5: R // 2 + 2 extra leaves.
-            assert count == g + max(1, len(rows)) + len(rows) // 2 + 2
+            assert count == lookup(g, len(rows), summarised)
         for key in (keys[3], 7):  # hit and miss cost alike
             count, updated = spent(enclave, lambda: tree.update(key, (key, "new")))
             assert updated == (key in keys)
-            assert count == g + 1 + 2
+            assert count == lookup(g, 1, summarised)
 
         random.Random(5).shuffle(keys)
         heights = []
@@ -136,8 +147,9 @@ class TestClosedFormCounts:
         assert tree.resident_nodes == 0 and tree._allocator.allocated_count == 0
 
     def test_default_is_every_interior_level(self) -> None:
-        """1 024 rows at order 8: a point lookup is the leaf, the record and
-        two of padding; the paper's tree also pays for three interior levels."""
+        """1 024 rows at order 8: a point lookup is the leaf and the record;
+        the paper's tree also pays for three interior levels and two leaves
+        of padding."""
         rows = [(key, f"v{key}") for key in range(1024)]
         counts = {}
         for resident_levels in (None, 0):
@@ -149,7 +161,7 @@ class TestClosedFormCounts:
             if resident_levels is None:
                 assert (tree.resident_levels, tree.oram_levels) == (4, 1)
                 assert tree.resident_nodes == 23
-        assert counts == {None: 4, 0: 7}
+        assert counts == {None: 2, 0: 7}
 
     def test_setting_out_of_range(self) -> None:
         for resident_levels in (-1, TALLEST):
@@ -166,14 +178,19 @@ class TestClosedFormCounts:
 class TestLevelRule:
     def test_closed_form(self) -> None:
         widths = [341, 85, 21, 5, 1]  # 1 024 rows at order 8, leaf level first
-        assert resident_levels_for(widths, 100, 10**9) == 4  # never the leaves
-        assert resident_levels_for(widths, 100, 112 * 100) == 4
-        assert resident_levels_for(widths, 100, 112 * 100 - 1) == 3
-        assert resident_levels_for(widths, 100, 27 * 100) == 3
-        assert resident_levels_for(widths, 100, 600) == 2
-        assert resident_levels_for(widths, 100, 100) == 1
-        assert resident_levels_for(widths, 100, 99) == 0
-        assert resident_levels_for([1], 100, 10**9) == 0  # a leaf-only tree
+        assert resident_levels_for(widths, 100, 10**9, 100) == 4  # never the leaves
+        assert resident_levels_for(widths, 100, 112 * 100, 100) == 4
+        assert resident_levels_for(widths, 100, 112 * 100 - 1, 100) == 3
+        assert resident_levels_for(widths, 100, 27 * 100, 100) == 3
+        assert resident_levels_for(widths, 100, 600, 100) == 2
+        assert resident_levels_for(widths, 100, 100, 100) == 1
+        assert resident_levels_for(widths, 100, 99, 100) == 0
+        assert resident_levels_for([1], 100, 10**9, 100) == 0  # a leaf-only tree
+        # A parent of the leaves is charged for its children's summaries.
+        assert resident_levels_for(widths, 100, 27 * 100 + 85 * 250, 250) == 4
+        assert resident_levels_for(widths, 100, 27 * 100 + 85 * 250 - 1, 250) == 3
+        assert resident_bytes_for(widths, 4, 100, 250) == 27 * 100 + 85 * 250
+        assert resident_bytes_for(widths, 3, 100, 250) == 27 * 100
 
     def test_levels_are_public_and_step_down_with_the_budget(self) -> None:
         """Capacity, order, block size and the free oblivious bytes fix the
@@ -182,6 +199,9 @@ class TestLevelRule:
         _, paper = make_tree(0, capacity=1024, order=8)
         floor = client_state_floor(paper)
         block_size = paper.oram.block_size
+        # A parent of the leaves and its summaries outgrow this block.
+        parent_bytes = (1 + 2 + 8 * 8 + 7 * 8) + 8 * 2 * 8
+        assert parent_bytes > block_size
         previous = None
         seen = set()
         for budget in (1 << 20, floor + 20_000, floor + 5_000, floor + 700, floor + 200, floor):
@@ -196,9 +216,14 @@ class TestLevelRule:
             (k,) = levels
             spare = budget - tree.oram.oblivious_memory_bytes()
             assert k == resident_levels_for(
-                [341, 85, 21, 5, 1], block_size, min(DEFAULT_STASH_LIMIT * block_size, spare)
+                [341, 85, 21, 5, 1],
+                block_size,
+                min(DEFAULT_STASH_LIMIT * block_size, spare),
+                parent_bytes,
             )
-            assert charged == sum([341, 85, 21, 5, 1][5 - k :]) * block_size
+            assert charged == resident_bytes_for(
+                [341, 85, 21, 5, 1], k, block_size, parent_bytes
+            )
             assert previous is None or k <= previous
             previous = k
             seen.add(k)
@@ -220,7 +245,12 @@ class TestAccount:
     def test_charged_once_and_released(self) -> None:
         enclave, tree = make_tree(None, capacity=200, order=8)
         charged = tree.oblivious_memory_bytes()
-        assert charged == tree._resident_limit * tree.oram.block_size > 0
+        assert charged == resident_bytes_for(
+            tree._worst_case_widths(),
+            tree.resident_levels,
+            tree.oram.block_size,
+            max(tree.oram.block_size, (1 + 2 + 8 * 8 + 7 * 8) + 8 * 2 * 8),
+        ) > tree._resident_limit * tree.oram.block_size
         assert enclave.oblivious.in_use_bytes == charged + tree.oram.oblivious_memory_bytes()
         for key in range(150):
             tree.insert((key, "x"))
