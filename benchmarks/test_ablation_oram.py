@@ -21,7 +21,7 @@ import random
 
 from conftest import fresh_enclave, load_flat, print_table
 from repro.oram import POSITION_MAP_BYTES_PER_BLOCK, PathORAM, RecursivePathORAM
-from repro.storage import IndexedStorage
+from repro.storage import index_tree
 from repro.workloads import KV_SCHEMA, kv_rows
 
 ORAM_CAPACITY = 256
@@ -86,15 +86,15 @@ def test_ablation_lazy_write_back(benchmark) -> None:
 
     def measure() -> tuple[float, float]:
         enclave = fresh_enclave()
-        index = IndexedStorage(
+        index = index_tree(
             enclave, KV_SCHEMA, "key", 300, rng=random.Random(2), oram_kind="paper"
         )
-        index.load(kv_rows(200))
+        index.bulk_load(kv_rows(200))
         # Measure actual padded accesses per insert at fixed height.
-        height = index.tree.height
+        height = index.height
         before = enclave.cost.oram_accesses
         index.insert((1000, "x"))
-        assert index.tree.height == height
+        assert index.height == height
         lazy = float(enclave.cost.oram_accesses - before)
         # A write-through tree without parent pointers would write every
         # node it touches at the moment it touches it; on splits it also
@@ -130,10 +130,10 @@ def test_ablation_index_linear_scan(benchmark) -> None:
         flat.rows()
         flat_ms = enclave.cost.delta_since(snapshot).modeled_time_ms()
 
-        index = IndexedStorage(
+        index = index_tree(
             enclave, KV_SCHEMA, "key", n, rng=random.Random(4), oram_kind="paper"
         )
-        index.load(kv_rows(n))
+        index.bulk_load(kv_rows(n))
         snapshot = enclave.cost.snapshot()
         list(index.linear_scan())
         index_ms = enclave.cost.delta_since(snapshot).modeled_time_ms()

@@ -23,7 +23,7 @@ from conftest import fresh_enclave, print_table
 from repro.engine import ObliDB
 from repro.oram import PathORAM, RingORAM
 from repro.operators import bitonic_sort, randomized_shellsort
-from repro.storage import FlatStorage, IndexedStorage, Schema, int_column
+from repro.storage import FlatStorage, Schema, index_tree, int_column
 from repro.workloads import KV_SCHEMA, kv_rows
 
 PROBES = 150
@@ -53,7 +53,7 @@ def ring_vs_path_in_tree() -> dict[str, float]:
     out: dict[str, float] = {}
     for name, kind, slot_blocks in (("path", "paper", 4), ("ring", "ring", 1)):
         enclave = fresh_enclave()
-        index = IndexedStorage(
+        index = index_tree(
             enclave, KV_SCHEMA, "key", 300,
             rng=random.Random(3), oram_kind=kind,
         )
@@ -62,7 +62,7 @@ def ring_vs_path_in_tree() -> dict[str, float]:
         rng = random.Random(4)
         before = enclave.cost.block_ios
         for _ in range(50):
-            index.point_lookup(rng.randrange(200))
+            index.search(rng.randrange(200))
         out[name] = (enclave.cost.block_ios - before) * slot_blocks / 50
         index.free()
     return out

@@ -24,7 +24,7 @@ from repro.operators import (
     materialize_index_range,
 )
 from repro.planner import plan_select
-from repro.storage import IndexedStorage
+from repro.storage import index_tree
 from repro.workloads import WIDE_SCHEMA, wide_rows
 
 ROWS = 2000
@@ -35,10 +35,10 @@ def build() -> tuple:
     enclave = fresh_enclave()
     rows = wide_rows(ROWS)
     flat = load_flat(enclave, WIDE_SCHEMA, rows, capacity=ROWS + 16)
-    index = IndexedStorage(
+    index = index_tree(
         enclave, WIDE_SCHEMA, "id", ROWS + 128, rng=random.Random(3), oram_kind="paper"
     )
-    index.load(rows)
+    index.bulk_load(rows)
     return enclave, flat, index
 
 
@@ -112,7 +112,7 @@ def run_point_ops() -> dict[str, float]:
 
     snapshot = enclave.cost.snapshot()
     for i in range(ops):
-        index.delete_key(ROWS + 100 + i)
+        index.delete(ROWS + 100 + i)
     out["index_delete"] = enclave.cost.delta_since(snapshot).modeled_time_ms() / ops
 
     snapshot = enclave.cost.snapshot()
@@ -122,7 +122,9 @@ def run_point_ops() -> dict[str, float]:
 
     snapshot = enclave.cost.snapshot()
     for i in range(ops):
-        index.update_key(i, lambda row: (*row[:3], "upd"))
+        # A padded lookup for the row, then its padded rewrite.
+        (row,) = index.search(i)
+        index.update(i, (*row[:3], "upd"))
     out["index_update"] = enclave.cost.delta_since(snapshot).modeled_time_ms() / ops
     return out
 

@@ -15,7 +15,7 @@ import random
 
 from conftest import fresh_enclave, print_table
 from repro.analysis import fit_power_law
-from repro.storage import IndexedStorage
+from repro.storage import index_tree
 from repro.workloads import KV_SCHEMA, kv_rows
 
 SIZES = [64, 256, 1024, 4096]
@@ -26,17 +26,17 @@ def run_ladder() -> dict[str, list[float]]:
     results: dict[str, list[float]] = {"select": [], "insert": [], "delete": [], "height": []}
     for n in SIZES:
         enclave = fresh_enclave()
-        index = IndexedStorage(
+        index = index_tree(
             enclave, KV_SCHEMA, "key", n + PROBES + 8, rng=random.Random(7),
             oram_kind="paper",
         )
-        index.load(kv_rows(n))
+        index.bulk_load(kv_rows(n))
         rng = random.Random(n)
         probe_keys = [rng.randrange(n) for _ in range(PROBES)]
 
         snapshot = enclave.cost.snapshot()
         for key in probe_keys:
-            index.point_lookup(key)
+            index.search(key)
         results["select"].append(
             enclave.cost.delta_since(snapshot).modeled_time_ms() / PROBES
         )
@@ -50,11 +50,11 @@ def run_ladder() -> dict[str, list[float]]:
 
         snapshot = enclave.cost.snapshot()
         for i in range(PROBES):
-            index.delete_key(n + i)
+            index.delete(n + i)
         results["delete"].append(
             enclave.cost.delta_since(snapshot).modeled_time_ms() / PROBES
         )
-        results["height"].append(float(index.tree.height))
+        results["height"].append(float(index.height))
     return results
 
 

@@ -24,7 +24,7 @@ import pytest
 from conftest import fresh_enclave, load_flat, print_table
 from repro.analysis import fit_power_law
 from repro.oram.path_oram import PathORAM
-from repro.storage import IndexedStorage
+from repro.storage import index_tree
 from repro.workloads import KV_SCHEMA, kv_rows
 
 SIZES = [128, 256, 512, 1024]
@@ -59,13 +59,13 @@ def _indexed_costs() -> dict[str, list[float]]:
     costs: dict[str, list[float]] = {"point_read": [], "insert": [], "delete": []}
     for n in SIZES:
         enclave = fresh_enclave()
-        index = IndexedStorage(
+        index = index_tree(
             enclave, KV_SCHEMA, "key", n + 8, rng=random.Random(1), oram_kind="paper"
         )
-        index.load(kv_rows(n))
+        index.bulk_load(kv_rows(n))
 
         before = enclave.cost.block_ios
-        index.point_lookup(n // 2)
+        index.search(n // 2)
         costs["point_read"].append(float(enclave.cost.block_ios - before))
 
         before = enclave.cost.block_ios
@@ -73,7 +73,7 @@ def _indexed_costs() -> dict[str, list[float]]:
         costs["insert"].append(float(enclave.cost.block_ios - before))
 
         before = enclave.cost.block_ios
-        index.delete_key(n + 1)
+        index.delete(n + 1)
         costs["delete"].append(float(enclave.cost.block_ios - before))
     return costs
 
@@ -123,10 +123,10 @@ def test_fig2_space_overhead(benchmark) -> None:
         enclave = fresh_enclave()
         flat = load_flat(enclave, KV_SCHEMA, kv_rows(n), capacity=n)
         flat_bytes = enclave.untrusted.region(flat.region_name).stored_bytes()
-        index = IndexedStorage(
+        index = index_tree(
             enclave, KV_SCHEMA, "key", n, rng=random.Random(1), oram_kind="paper"
         )
-        index.load(kv_rows(n))
+        index.bulk_load(kv_rows(n))
         oram = index.oram
         assert isinstance(oram, PathORAM)
         index_bytes = enclave.untrusted.region(oram.region_name).stored_bytes()

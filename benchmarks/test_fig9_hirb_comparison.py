@@ -14,7 +14,7 @@ import random
 
 from conftest import fresh_enclave, print_table
 from repro.baselines import HIRBMap, PlainIndex
-from repro.storage import IndexedStorage
+from repro.storage import index_tree
 from repro.workloads import KV_SCHEMA, kv_rows
 
 SIZES = [100, 400, 1600]
@@ -35,11 +35,11 @@ def run_ladder() -> dict[str, dict[str, list[float]]]:
 
         # ObliDB oblivious index.
         enclave = fresh_enclave()
-        oblidb = IndexedStorage(
+        oblidb = index_tree(
             enclave, KV_SCHEMA, "key", n + PROBES + 8, rng=random.Random(1),
             oram_kind="paper",
         )
-        oblidb.load(rows)
+        oblidb.bulk_load(rows)
 
         def modeled(fn) -> float:
             snapshot = enclave.cost.snapshot()
@@ -47,13 +47,13 @@ def run_ladder() -> dict[str, dict[str, list[float]]]:
             return enclave.cost.delta_since(snapshot).modeled_time_ms() / PROBES
 
         results["retrieve"]["oblidb"].append(
-            modeled(lambda: [oblidb.point_lookup(k) for k in probe_keys])
+            modeled(lambda: [oblidb.search(k) for k in probe_keys])
         )
         results["insert"]["oblidb"].append(
             modeled(lambda: [oblidb.insert((n + i, "x")) for i in range(PROBES)])
         )
         results["delete"]["oblidb"].append(
-            modeled(lambda: [oblidb.delete_key(n + i) for i in range(PROBES)])
+            modeled(lambda: [oblidb.delete(n + i) for i in range(PROBES)])
         )
 
         # HIRB + vORAM.

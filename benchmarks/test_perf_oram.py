@@ -143,7 +143,7 @@ class TestORAMMicrobench:
                 key_column="id", oram_kind=oram_kind,
             )
             db.insert_many("accounts", rows)
-            assert db.table("accounts").indexed.tree.height == 4
+            assert db.table("accounts").indexed.height == 4
             oram = db.table("accounts").indexed.oram.region_name
             for key in (0, 511, 1023, 4096):  # hits and a miss cost alike
                 start = len(db.enclave.trace.events)

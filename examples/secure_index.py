@@ -20,7 +20,7 @@ from repro.enclave import (
     IntegrityError,
     attest,
 )
-from repro.storage import IndexedStorage, Schema, int_column, str_column
+from repro.storage import Schema, index_tree, int_column, str_column
 
 ROWS = 500
 
@@ -35,24 +35,24 @@ def main() -> None:
     # --- 2. Build the oblivious index --------------------------------------
     enclave = Enclave(oblivious_memory_bytes=1 << 22)
     schema = Schema([int_column("key"), str_column("value", 32)])
-    index = IndexedStorage(enclave, schema, "key", ROWS + 64, rng=random.Random(3))
+    index = index_tree(enclave, schema, "key", ROWS + 64, rng=random.Random(3))
 
     keys = list(range(ROWS))
     random.Random(1).shuffle(keys)
     for key in keys:
         index.insert((key, f"secret-{key:05d}"))
-    print(f"loaded {ROWS} records; tree height {index.tree.height}")
+    print(f"loaded {ROWS} records; tree height {index.height}")
 
     # Point lookups cost O(log^2 N) with a fixed access shape.
     snapshot = enclave.cost.snapshot()
-    assert index.point_lookup(137) == [(137, "secret-00137")]
+    assert index.search(137) == [(137, "secret-00137")]
     delta = enclave.cost.delta_since(snapshot)
     print(f"point lookup: {delta.oram_accesses} ORAM accesses, "
           f"{delta.block_ios} block transfers, "
           f"~{delta.modeled_time_ms():.2f} ms modeled\n")
 
     # Range scan walks the leaf level (leaks only the segment size).
-    rows = index.range_lookup(100, 109)
+    rows = index.range_scan(100, 109)
     print("range [100,109]:", [row[0] for row in rows])
 
     # --- 3. Compare against the Figure 9 baselines -------------------------
@@ -67,7 +67,7 @@ def main() -> None:
         fn()
         return cost_model.delta_since(snapshot).modeled_time_ms() / ops
 
-    oblidb_ms = per_op(enclave.cost, lambda: [index.point_lookup(k) for k in range(20)])
+    oblidb_ms = per_op(enclave.cost, lambda: [index.search(k) for k in range(20)])
     hirb_ms = per_op(hirb.client.cost, lambda: [hirb.get(k) for k in range(20)])
     mysql_ms = per_op(mysql.cost, lambda: [mysql.get(k) for k in range(20)])
     print("\nmodeled ms per point lookup (miniature Figure 9):")
@@ -86,7 +86,7 @@ def main() -> None:
         enclave.untrusted.tamper(oram_region, sibling, honest_block)
     try:
         for probe in range(20):  # touch enough paths to hit the forged bucket
-            index.point_lookup(probe)
+            index.search(probe)
     except IntegrityError as error:
         print(f"\ntamper detected as expected: {error}")
     else:

@@ -108,7 +108,7 @@ class PublicTable:
     def of(cls, table: Table) -> "PublicTable":
         if table.indexed is None:
             return cls(table.schema, table.capacity, table.method, table.oram_kind)
-        tree = table.indexed.tree
+        tree = table.indexed
         return cls(
             table.schema,
             table.capacity,
@@ -270,7 +270,7 @@ def _simulate_select(enclave: Enclave, plan: QueryPlan, public: PublicState) -> 
             facts = public.tables[node.table]
             if node.table not in trees:
                 # Filler rows above a segment's keys give the tree its height.
-                least = _least_rows(facts.order, facts.height)
+                least, _ = _row_bounds(facts)
                 segment = node.segment_rows if isinstance(node, IndexLookupNode) else 0
                 trees[node.table] = _dummy_tree(
                     enclave, facts, rows(facts.schema, max(least, segment))
@@ -358,10 +358,10 @@ def _simulate_write(
 
     The flat copy stays empty: its pass reads and writes every slot
     whatever they hold.  The dummy index has the leaked geometry and holds
-    keys 0, 1, ... in a packed tree of the leaked height: before an INSERT
-    the fewest rows of that height, which take the next key without a root
-    split; before an UPDATE / DELETE as many as the height holds, up to the
-    capacity, so removing rows never lowers it.  The ``affected`` smallest
+    keys 0, 1, ... in a tree of the leaked height (:func:`_row_bounds`):
+    before an INSERT the fewest rows of that height, which take the next
+    key without a root split; before an UPDATE / DELETE as many as the
+    height holds, up to the capacity, so removing rows never lowers it.  The ``affected`` smallest
     keys match SIM's WHERE, an ``index_range`` lookup returns the
     ``segment_rows`` smallest, and SIM's UPDATE rewrites each row as it
     was: whether a row keeps its key never shows.
@@ -382,11 +382,10 @@ def _simulate_write(
     )
     stored = 0
     if table.indexed is not None:
-        order, height = facts.order, facts.height
-        most = min(node.rows, (order - 1) * order ** max(0, height - 1))
-        stored = _least_rows(order, height) if insert else most
-        table.indexed.tree.free()  # the constructor's; SIM's has the leaked geometry
-        table.indexed.tree = _dummy_tree(
+        least, most = _row_bounds(facts)
+        stored = least if insert else most
+        table.indexed.free()  # the constructor's; SIM's has the leaked geometry
+        table.indexed = _dummy_tree(
             enclave, facts, [_dummy_row(schema, i, None, 1) for i in range(stored)]
         )
     enclave.oblivious.allocate(enclave.oblivious.free_bytes - public.free_bytes)
@@ -409,9 +408,38 @@ def _simulate_write(
     run_write(table, compiled, lambda row: row)
 
 
-def _least_rows(order: int, height: int) -> int:
+def _packed_least(order: int, height: int) -> int:
     """The fewest rows a packed tree of ``height`` levels holds."""
     return height if height < 2 else (order - 1) * order ** (height - 2) + 1
+
+
+def _ascending_least(order: int, height: int) -> int:
+    """The fewest ascending inserts that grow a tree of ``height`` levels.
+
+    Each split leaves its left part behind at no less than the minimum
+    occupancy: a leaf's ``a = order // 2`` keys, an internal node's
+    ``c = (order + 1) // 2`` children.  Past the first leaf split (``order``
+    rows) every ``a`` rows add a leaf and every ``c`` nodes of a level one
+    node above, and the root splits after ``order − 1`` more children."""
+    if height < 2:
+        return height
+    a, c = order // 2, (order + 1) // 2
+    return order + (order - 1) * a * (c ** (height - 2) - 1) // (c - 1)
+
+
+def _row_bounds(facts: PublicTable) -> tuple[int, int]:
+    """(fewest, most) rows SIM's dummy index of ``facts``' height holds,
+    the most capped at the capacity: a packed tree's, or, where no packed
+    tree of that height fits the capacity, an ascending-insert tree's
+    (:func:`_dummy_tree`)."""
+    order, height, capacity = facts.order, facts.height, facts.capacity
+    least = _packed_least(order, height)
+    if least <= capacity:
+        return least, min(capacity, (order - 1) * order ** max(0, height - 1))
+    return (
+        _ascending_least(order, height),
+        min(capacity, _ascending_least(order, height + 1) - 1),
+    )
 
 
 #: Seeds every dummy tree's ORAM paths: SIM's own draw, never the real
@@ -420,8 +448,11 @@ _SIM_SEED = 0x5113
 
 
 def _dummy_tree(enclave: Enclave, facts: PublicTable, rows: list[Row]) -> ObliviousBPlusTree:
-    """An index of ``facts``' geometry, bulk-loaded with ``rows``, which
-    must give it the leaked height."""
+    """An index of ``facts``' geometry holding ``rows`` (ascending keys),
+    which must give it the leaked height: bulk-loaded where a packed tree of
+    that height fits the capacity, else inserted one by one — half-full
+    nodes grow heights packing cannot reach, as ascending inserts into the
+    real table do."""
     if facts.oram_kind not in ("path", "paper"):
         raise PlannerError(f"SIM covers Path ORAM indexes, not {facts.oram_kind!r}")
     assert facts.key_column is not None
@@ -437,8 +468,11 @@ def _dummy_tree(enclave: Enclave, facts: PublicTable, rows: list[Row]) -> Oblivi
         ),
         resident_levels=facts.resident_levels,
     )
-    if facts.height:
+    if facts.height and _packed_least(facts.order, facts.height) <= facts.capacity:
         tree.bulk_load(rows)
+    elif facts.height:
+        for row in rows:
+            tree.insert(row)
     if tree.height != facts.height:
         raise PlannerError(f"SIM built a tree of height {tree.height}, not {facts.height}")
     return tree

@@ -351,7 +351,9 @@ class ObliDB:
         Checks, per table: the flat region exists at its declared capacity
         and every block opens against the revision ledger (tampered or
         rolled-back slots are reported, not raised); the enclave-side row
-        count matches the stored rows; a BOTH table's two representations
+        count matches the stored rows; an index on a Path ORAM passes its
+        tree's :meth:`~repro.storage.btree.ObliviousBPlusTree.check`, read
+        in the same one bucket pass; a BOTH table's two representations
         hold the same multiset of rows.  Globally: the WAL's committed
         records verify and its head matches the enclave count, and no
         anonymous ``flat#`` scratch region — the only scratch a statement
@@ -397,7 +399,7 @@ class ObliDB:
                             )
             if table.indexed is not None:
                 try:
-                    index_rows = list(table.indexed.linear_scan())
+                    index_rows = table.indexed.check()
                 except StorageError:
                     index_rows = None  # no flat-style audit pass (non-Path ORAM)
                 except ObliDBError as error:
@@ -405,21 +407,15 @@ class ObliDB:
                     issues.append(
                         f"table {name!r}: index verification failed: {error}"
                     )
-                if index_rows is not None:
-                    if flat_rows is not None:
-                        # Dual-copy coherence: same multiset of rows.
-                        if sorted(map(repr, flat_rows)) != sorted(
-                            map(repr, index_rows)
-                        ):
-                            issues.append(
-                                f"table {name!r}: flat and indexed copies "
-                                "diverge"
-                            )
-                    elif len(index_rows) != table.indexed.used_rows:
-                        issues.append(
-                            f"table {name!r}: index holds {len(index_rows)} "
-                            f"rows, metadata says {table.indexed.used_rows}"
-                        )
+                # Dual-copy coherence: same multiset of rows.
+                if (
+                    index_rows is not None
+                    and flat_rows is not None
+                    and sorted(map(repr, flat_rows)) != sorted(map(repr, index_rows))
+                ):
+                    issues.append(
+                        f"table {name!r}: flat and indexed copies diverge"
+                    )
         if self.wal is not None:
             if self.wal.committed_count != self.wal.count:
                 issues.append(

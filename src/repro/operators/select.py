@@ -43,8 +43,8 @@ from ..oblivious.compact import (
     oblivious_compact,
 )
 from ..oram.path_oram import PathORAM
+from ..storage.btree import ObliviousBPlusTree
 from ..storage.flat import FlatStorage
-from ..storage.indexed import IndexedStorage
 from ..storage.rows import filter_reader, frame_dummy, framed_size, is_dummy
 from ..storage.schema import Row, Schema
 from .predicate import Predicate
@@ -367,7 +367,7 @@ def hash_select(
 
 
 def materialize_index_range(
-    index: IndexedStorage,
+    index: ObliviousBPlusTree,
     low: object | None,
     high: object | None,
 ) -> FlatStorage:
@@ -382,7 +382,7 @@ def materialize_index_range(
     that fits free oblivious memory, on any index but the paper's, is
     answered where the lookup left it.
     """
-    rows = index.range_lookup(low, high)  # type: ignore[arg-type]
+    rows = index.range_scan(low, high)
     return spill_index_segment(index.enclave, index.schema, rows)
 
 

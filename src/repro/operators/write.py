@@ -42,7 +42,7 @@ def _index_matches(
     if interval is None:
         candidates = table.indexed.linear_scan()
     else:
-        candidates = table.indexed.range_lookup(
+        candidates = table.indexed.range_scan(
             interval.low, interval.high, interval.low_open, interval.high_open
         )
     return [row for row in candidates if matcher(row)]
@@ -85,10 +85,10 @@ def oblivious_update(
             for row in affected:
                 new_row = table.schema.validate_row(assign(row))
                 if assigns_key:
-                    table.indexed.tree.delete(row[key_index])
-                    table.indexed.tree.insert(new_row)
+                    table.indexed.delete(row[key_index])
+                    table.indexed.insert(new_row)
                 else:
-                    table.indexed.tree.update(row[key_index], new_row)
+                    table.indexed.update(row[key_index], new_row)
         except BaseException:
             table.bump_revision()
             raise
@@ -117,7 +117,7 @@ def oblivious_delete(
         ]
         try:
             for key in affected_keys:
-                if not table.indexed.tree.delete(key):
+                if not table.indexed.delete(key):
                     raise StorageError(
                         "index out of sync: key found by scan but not by delete"
                     )

@@ -1001,7 +1001,7 @@ class _Compiler:
         segment fits free oblivious memory (not on the paper's index),
         else spilled to a flat scratch."""
         index = table.require_index()
-        rows = index.range_lookup(
+        rows = index.range_scan(
             interval.low, interval.high, interval.low_open, interval.high_open
         )
         segment_rows = max(1, len(rows))

@@ -1,8 +1,7 @@
 """Storage methods: schemas, flat tables, oblivious B+ tree indexes."""
 
-from .btree import DEFAULT_ORDER, ObliviousBPlusTree
+from .btree import DEFAULT_ORDER, ObliviousBPlusTree, index_tree
 from .flat import FlatStorage
-from .indexed import IndexedStorage
 from ..enclave.integrity import RevisionLedger
 from .rows import frame_dummy, frame_row, framed_size, is_dummy, unframe_row
 from .schema import (
@@ -22,7 +21,6 @@ __all__ = [
     "ColumnType",
     "DEFAULT_ORDER",
     "FlatStorage",
-    "IndexedStorage",
     "ObliviousBPlusTree",
     "RevisionLedger",
     "Row",
@@ -34,6 +32,7 @@ __all__ = [
     "frame_dummy",
     "frame_row",
     "framed_size",
+    "index_tree",
     "int_column",
     "is_dummy",
     "str_column",

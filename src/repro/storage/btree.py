@@ -1,8 +1,9 @@
 """Oblivious B+ tree stored inside a Path ORAM (Section 3.2).
 
 The indexed storage method keeps a B+ tree whose nodes and record blocks are
-logical blocks of one ORAM.  Three paper-specific modifications distinguish
-it from a textbook tree:
+logical blocks of one ORAM; a table's ``indexed`` is the tree itself, built
+for its ``oram_kind`` by :func:`index_tree`.  Three paper-specific
+modifications distinguish it from a textbook tree:
 
 * **Padded writes.**  Standard insert/delete leak the tree's internal
   structure through the *number* of ORAM accesses (splits and merges only
@@ -55,9 +56,16 @@ it from a textbook tree:
   walk and its two leaves of slack.  Which rule applies is fixed by public
   geometry, and the summaries' bytes are reserved with the parents'.
 
+* **A checker.**  :meth:`ObliviousBPlusTree.check` reads every block in
+  the linear scan's one bucket pass and walks the structure in the
+  enclave — key order, separators, the leaf chain, reachability, row count
+  and height, summaries — so ``ObliDB.verify()`` catches a tree whose
+  blocks all authenticate but no longer form it.
+
 Data layout: one record per ORAM block (as in the paper's implementation);
 leaf nodes store keys plus record block ids and a next-leaf pointer so range
-scans can walk the leaf level.
+scans can walk the leaf level.  A tree holding no row is the empty tree,
+height 0, however its rows left.
 """
 
 from __future__ import annotations
@@ -71,10 +79,12 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from ..enclave.enclave import Enclave
-from ..enclave.errors import ORAMError, StorageError
+from ..enclave.errors import IntegrityError, ORAMError, StorageError
 from ..oram.allocator import BlockAllocator
 from ..oram.base import ORAM
-from ..oram.path_oram import DEFAULT_STASH_LIMIT, PathORAM
+from ..oram.path_oram import DEFAULT_STASH_LIMIT, PathORAM, paper_path_oram
+from ..oram.recursive import RecursivePathORAM
+from ..oram.ring_oram import RingORAM
 from .rows import frame_row, framed_size, unframe_row
 from .schema import Row, Schema
 
@@ -187,21 +197,20 @@ class ObliviousBPlusTree:
         capacity: int,
         order: int = DEFAULT_ORDER,
         rng: random.Random | None = None,
-        oram: ORAM | None = None,
         oram_factory=None,
         resident_levels: int | None = None,
     ) -> None:
-        """``oram_factory(enclave, capacity, block_size, rng) -> ORAM`` lets
+        """``oram_factory(enclave, capacity, block_size, rng=rng) -> ORAM`` lets
         callers swap the block store (recursive Path ORAM to shrink the
         position map per Appendix B, Ring ORAM for the ~1.5x of Section 8)
-        without the tree knowing; ``oram`` passes a pre-built store."""
+        without the tree knowing."""
         if order < 4:
             # Genuine argument validation: ``order`` is a developer-supplied
             # tuning knob, never derived from user statements.
             raise ValueError("order must be at least 4")
         if capacity < 1:
             raise StorageError("capacity must be positive")
-        self._enclave = enclave
+        self.enclave = enclave
         self.schema = schema
         self.key_column = key_column
         self._key_col = schema.column(key_column)
@@ -220,11 +229,9 @@ class ObliviousBPlusTree:
         # Records plus node overhead: leaves hold >= (order-1)//2 records
         # outside transient underflow, so nodes add well under 60 % blocks.
         oram_capacity = capacity + max(8, (3 * capacity) // 4)
-        if oram is not None:
-            self._oram = oram
-        elif oram_factory is not None:
+        if oram_factory is not None:
             self._oram = oram_factory(
-                enclave, oram_capacity, block_size, rng or random.Random()
+                enclave, oram_capacity, block_size, rng=rng or random.Random()
             )
         else:
             self._oram = PathORAM(
@@ -260,8 +267,7 @@ class ObliviousBPlusTree:
         try:
             enclave.oblivious.allocate(self._resident_bytes)
         except BaseException:
-            if oram is None:
-                self._oram.free()
+            self._oram.free()
             raise
         self._resident: dict[int, _Node] = {}  # ids below -1, never serialised
         self._next_resident = -2
@@ -454,7 +460,7 @@ class ObliviousBPlusTree:
         """
         factor = self._oram.accesses_per_operation
         scaled_target = target * factor
-        actual = self._enclave.cost.oram_accesses - start_accesses
+        actual = self.enclave.cost.oram_accesses - start_accesses
         if actual > scaled_target:
             raise ORAMError(
                 f"operation exceeded its padding target ({actual} > "
@@ -665,7 +671,7 @@ class ObliviousBPlusTree:
         """Rows whose key lies between ``low`` and ``high`` (``None``:
         unbounded; each bound inclusive unless open), padded to
         :meth:`_scan_padding_target` of their count."""
-        start = self._enclave.cost.oram_accesses
+        start = self.enclave.cost.oram_accesses
         results: list[Row] = []
         for leaf in self._scan_leaves(low, high, low_open, high_open):
             first = (bisect_right if low_open else bisect_left)(leaf.keys, low)
@@ -722,7 +728,7 @@ class ObliviousBPlusTree:
         row = self.schema.validate_row(row)
         if self._count >= self._capacity:
             raise StorageError("index is at capacity")
-        start = self._enclave.cost.oram_accesses
+        start = self.enclave.cost.oram_accesses
         key = self._row_key(row)
 
         if not self._height:
@@ -831,7 +837,7 @@ class ObliviousBPlusTree:
         """
         if self._count or rows < 1:
             return False
-        if self._directory_bytes(rows) > self._enclave.oblivious.free_bytes:
+        if self._directory_bytes(rows) > self.enclave.oblivious.free_bytes:
             return False
         nodes, height = self._packed_shape(rows)
         return self._oram.load_accesses(rows + nodes) < rows * self._worst_case_insert(
@@ -863,11 +869,11 @@ class ObliviousBPlusTree:
         if not rows:
             return
         directory_bytes = self._directory_bytes(len(rows))
-        self._enclave.oblivious.allocate(directory_bytes)
+        self.enclave.oblivious.allocate(directory_bytes)
         try:
             blocks, root, height = self._pack_tree(rows)
         finally:
-            self._enclave.oblivious.release(directory_bytes)
+            self.enclave.oblivious.release(directory_bytes)
         try:
             self._oram.load_blocks(blocks)
         except BaseException:
@@ -949,9 +955,11 @@ class ObliviousBPlusTree:
         a leaf briefly below minimum occupancy is harmless for correctness
         and is repaired the next time a delete path reaches it.  The walk's
         extra accesses are bounded by the key's duplicate run, whose length
-        already leaks as the result size of queries on that key.
+        already leaks as the result size of queries on that key.  The delete
+        that removes the last row pads to its starting height's target and
+        leaves the empty tree (height 0) behind.
         """
-        start = self._enclave.cost.oram_accesses
+        start = self.enclave.cost.oram_accesses
         deleted = 0
         walked = 0
         if self._height:
@@ -992,6 +1000,17 @@ class ObliviousBPlusTree:
         self._pad_accesses(
             start, self._worst_case_delete(height) + max(2, walked)
         )
+        if not self._count and self._height:
+            # Off-path removals leave emptied leaves unmerged, so a tree with
+            # no row left can still have levels: forget its nodes.  The row
+            # count is public and no access is made, so the delete's own
+            # target stays its starting height's, and the next operation
+            # pads as on a new tree (an insert to one level's target).
+            self._allocator = BlockAllocator(self._oram.capacity)
+            self._resident.clear()
+            self._spans.clear()
+            self._root = -1
+            self._height = 0
         return deleted
 
     def _remove_entry(self, leaf_id: int, leaf: _LeafNode, index: int) -> None:
@@ -1015,7 +1034,7 @@ class ObliviousBPlusTree:
             raise StorageError("update must preserve the index key")
         updated = 0
         if self._height:
-            start = self._enclave.cost.oram_accesses
+            start = self.enclave.cost.oram_accesses
             for leaf in self._scan_leaves(key, key, False, False):
                 index = bisect_left(leaf.keys, key)
                 if index < len(leaf.keys) and leaf.keys[index] == key:
@@ -1165,39 +1184,118 @@ class ObliviousBPlusTree:
     #: Buckets opened per batched linear-scan call (bounds enclave residency).
     _SCAN_CHUNK_BUCKETS = 256
 
-    def linear_scan(self) -> Iterator[Row]:
-        """Scan the raw ORAM region as if it were a flat table.
-
-        Reads every bucket of the ORAM tree in order — a fixed pattern,
-        hence oblivious — treating node blocks, free blocks, and ORAM
-        dummies alike as dummy rows.  The paper reports < 2.5× overhead
-        versus true flat storage; the overhead here is the ORAM's ~4× space
-        times bucket occupancy.  Buckets are gathered and opened in batched
-        chunks (trace: ``R 0..num_buckets-1``, the per-bucket loop's order,
-        less the buckets the ORAM caches inside the enclave).
-        """
+    def _stored_blocks(self) -> Iterator[tuple[int, bytes]]:
+        """(block id, payload) of every allocated block, in one fixed pass:
+        the blocks the ORAM keeps in the enclave (stash and treetop, no
+        untrusted access), then every other bucket in order, gathered and
+        opened in batched chunks (trace: ``R 0..num_buckets-1``, the
+        per-bucket loop's order, less the cached buckets)."""
         if not isinstance(self._oram, PathORAM):
             raise StorageError("linear scan requires a PathORAM-backed index")
         oram = self._oram
-        record_tag = bytes([_TAG_RECORD])
-        # Stash and treetop blocks live in enclave memory: no untrusted
-        # access needed, and no bucket read below would find them.
+        is_allocated = self._allocator.is_allocated
         for block_id, payload in oram.resident_blocks():
-            if self._allocator.is_allocated(block_id) and payload[:1] == record_tag:
-                row = unframe_row(self.schema, payload[1:])
-                if row is not None:
-                    yield row
+            if is_allocated(block_id):
+                yield block_id, payload
         for start in range(0, oram.num_buckets, self._SCAN_CHUNK_BUCKETS):
             count = min(self._SCAN_CHUNK_BUCKETS, oram.num_buckets - start)
             for entries in oram.scan_buckets(start, count):
                 for block_id, _, payload in entries:
-                    if not self._allocator.is_allocated(block_id):
-                        continue
-                    if payload[:1] != record_tag:
-                        continue
-                    row = unframe_row(self.schema, payload[1:])
-                    if row is not None:
-                        yield row
+                    if is_allocated(block_id):
+                        yield block_id, payload
+
+    def linear_scan(self) -> Iterator[Row]:
+        """Scan the raw ORAM region as if it were a flat table.
+
+        Reads every bucket of the ORAM tree in order (:meth:`_stored_blocks`)
+        — a fixed pattern, hence oblivious — treating node blocks, free
+        blocks, and ORAM dummies alike as dummy rows.  The paper reports
+        < 2.5× overhead versus true flat storage; the overhead here is the
+        ORAM's ~4× space times bucket occupancy.
+        """
+        record_tag = bytes([_TAG_RECORD])
+        for _, payload in self._stored_blocks():
+            if payload[:1] == record_tag:
+                row = unframe_row(self.schema, payload[1:])
+                if row is not None:
+                    yield row
+
+    def check(self) -> list[Row]:
+        """Audit the tree against its stored blocks; return its rows in key
+        order.
+
+        Every block is read in :meth:`linear_scan`'s one bucket pass and the
+        tree is walked in the enclave: an ORAM access per node would reveal
+        the node count, which is not public.  Raises :class:`IntegrityError`
+        naming the first broken invariant: keys ordered in each node and
+        bounded by the separators above them (so ordered along the chain),
+        the chain linking the leaves in order, every leaf at the height's
+        depth, each entry's record holding its key, every allocated block
+        and resident node reached once, the row count, a tree of no rows of
+        height 0, and each leaf's summary.
+        """
+        blocks = dict(self._stored_blocks())
+        node_tags = (bytes([_TAG_INTERNAL]), bytes([_TAG_LEAF]))
+        record_tag = bytes([_TAG_RECORD])
+        reached: set[int] = set()
+        leaves: list[tuple[int, _LeafNode]] = []
+        rows: list[Row] = []
+
+        def fail(message: str) -> None:
+            raise IntegrityError(f"B+ tree check failed: {message}")
+
+        if not self._count and self._height:
+            fail(f"a tree of no rows has height {self._height}")
+        # Depth first, left to right: (node id, depth, lowest key, highest).
+        stack = [(self._root, 1, None, None)] if self._height else []
+        while stack:
+            node_id, depth, low, high = stack.pop()
+            if node_id in reached or (
+                node_id not in self._resident
+                if node_id < 0
+                else blocks.get(node_id, b"")[:1] not in node_tags
+            ):
+                fail(f"node {node_id} is missing or reached twice")
+            reached.add(node_id)
+            node = self._resident[node_id] if node_id < 0 else self._deserialize(blocks[node_id])
+            keys = node.keys
+            if keys != sorted(keys) or (
+                keys
+                and ((low is not None and keys[0] < low) or (high is not None and keys[-1] > high))
+            ):
+                fail(f"node {node_id} holds keys out of order or past its separators")
+            if isinstance(node, _LeafNode):
+                if depth != self._height:
+                    fail(f"leaf {node_id} is at depth {depth}, not {self._height}")
+                leaves.append((node_id, node))
+                continue
+            if depth >= self._height or len(node.children) != len(keys) + 1:
+                fail(f"internal node {node_id} is malformed")
+            bounds = [low, *keys, high]
+            for index in reversed(range(len(node.children))):
+                stack.append((node.children[index], depth + 1, bounds[index], bounds[index + 1]))
+        following = [leaf_id for leaf_id, _ in leaves[1:]] + [-1]
+        for (leaf_id, leaf), next_id in zip(leaves, following):
+            if leaf.next_leaf != next_id:
+                fail(f"leaf {leaf_id} links to {leaf.next_leaf}, not {next_id}")
+            for key, record_id in zip(leaf.keys, leaf.records):
+                data = blocks.get(record_id, b"")
+                row = unframe_row(self.schema, data[1:]) if data[:1] == record_tag else None
+                if record_id in reached or row is None or self._row_key(row) != key:
+                    fail(f"leaf {leaf_id} names record {record_id}, not a row of its key")
+                reached.add(record_id)
+                rows.append(row)
+        if len(rows) != self._count:
+            fail(f"the leaves hold {len(rows)} rows, not {self._count}")
+        resident = {node_id for node_id in reached if node_id < 0}
+        if len(reached) - len(resident) != self._allocator.allocated_count or (
+            resident != set(self._resident)
+        ):
+            fail("an allocated block or a resident node is unreachable")
+        spans = {leaf_id: (leaf.keys[0], leaf.keys[-1]) for leaf_id, leaf in leaves if leaf.keys}
+        if self._spans != (spans if self._summarised else {}):
+            fail("a leaf summary differs from its leaf")
+        return rows
 
     def items(self) -> Iterator[Row]:
         """All rows in key order, by walking the leaf level.
@@ -1224,7 +1322,50 @@ class ObliviousBPlusTree:
         """Release the underlying ORAM and the resident levels' reservation
         (idempotent, like the ORAM's own)."""
         self._oram.free()
-        self._enclave.oblivious.release(self._resident_bytes)
+        self.enclave.oblivious.release(self._resident_bytes)
         self._resident_bytes = 0
         self._resident.clear()
         self._spans.clear()
+
+
+#: The block store an index of each ``oram_kind`` is built on (``None``:
+#: the tree's default Path ORAM).
+ORAM_KINDS = {
+    "path": None,
+    "paper": paper_path_oram,
+    "recursive": RecursivePathORAM,
+    "ring": RingORAM,
+}
+
+
+def index_tree(
+    enclave: Enclave,
+    schema: Schema,
+    key_column: str,
+    capacity: int,
+    rng: random.Random | None = None,
+    oram_kind: str = "path",
+) -> ObliviousBPlusTree:
+    """A table's index on ``key_column``, built on the block store
+    ``oram_kind`` names: "path" (default: Path ORAM with the treetop, and the
+    tree's interior, in oblivious memory), "paper" (Path ORAM and the tree
+    exactly as the paper builds them, no treetop and every node in the ORAM
+    — what the figure benchmarks measure; the planner also runs §4.1's
+    selections over such a table as written: through a flat scratch over
+    the index, and Small after a separate statistics pass), "recursive"
+    (position map in a second ORAM, Appendix B — note the flat-style linear
+    scan is unavailable), or "ring" (Ring ORAM, Section 8).  Only "path"
+    spends oblivious memory on the tree: the other kinds are measured
+    against the paper's counts.  An unknown kind raises
+    :class:`StorageError` before anything is allocated."""
+    if oram_kind not in ORAM_KINDS:
+        raise StorageError(f"unknown oram_kind {oram_kind!r}")
+    return ObliviousBPlusTree(
+        enclave,
+        schema,
+        key_column,
+        capacity,
+        rng=rng,
+        oram_factory=ORAM_KINDS[oram_kind],
+        resident_levels=None if oram_kind == "path" else 0,
+    )

@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 import threading
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..enclave.enclave import Enclave
 from ..enclave.errors import CapacityError, StorageError
 from .flat import FlatStorage
-from .indexed import IndexedStorage, check_oram_kind
+from .btree import ORAM_KINDS, ObliviousBPlusTree, index_tree
 from .schema import Row, Schema, Value
 
 
@@ -46,7 +46,8 @@ class Table:
     ) -> None:
         if method is not StorageMethod.FLAT and key_column is None:
             raise StorageError(f"table {name!r}: indexed storage needs a key column")
-        check_oram_kind(oram_kind)
+        if oram_kind not in ORAM_KINDS:
+            raise StorageError(f"unknown oram_kind {oram_kind!r}")
         self._enclave = enclave
         self.name = name
         self.schema = schema
@@ -64,7 +65,7 @@ class Table:
         # lose updates (a lost bump could let a retry miss a write).
         self._revision_lock = threading.Lock()
         self.flat: FlatStorage | None = None
-        self.indexed: IndexedStorage | None = None
+        self.indexed: ObliviousBPlusTree | None = None
         if method in (StorageMethod.FLAT, StorageMethod.BOTH):
             self.flat = FlatStorage(
                 enclave, schema, capacity, name=f"table:{name}:flat"
@@ -72,7 +73,7 @@ class Table:
         if method in (StorageMethod.INDEXED, StorageMethod.BOTH):
             assert key_column is not None
             try:
-                self.indexed = IndexedStorage(
+                self.indexed = index_tree(
                     enclave, schema, key_column, capacity, rng=rng, oram_kind=oram_kind
                 )
             except BaseException:
@@ -94,7 +95,7 @@ class Table:
         if self.flat is not None:
             return self.flat.used_rows
         assert self.indexed is not None
-        return self.indexed.used_rows
+        return self.indexed.count
 
     @property
     def enclave(self) -> Enclave:
@@ -112,18 +113,12 @@ class Table:
         with self._revision_lock:
             self._mutations += 1
 
-    def has_flat(self) -> bool:
-        return self.flat is not None
-
-    def has_index(self) -> bool:
-        return self.indexed is not None
-
     def require_flat(self) -> FlatStorage:
         if self.flat is None:
             raise StorageError(f"table {self.name!r} has no flat representation")
         return self.flat
 
-    def require_index(self) -> IndexedStorage:
+    def require_index(self) -> ObliviousBPlusTree:
         if self.indexed is None:
             raise StorageError(f"table {self.name!r} has no index")
         return self.indexed
@@ -156,7 +151,7 @@ class Table:
                 raise CapacityError(f"table {self.flat.region_name} is full")
         if (
             self.indexed is not None
-            and self.indexed.used_rows + count > self.indexed.capacity
+            and self.indexed.count + count > self.indexed.capacity
         ):
             raise CapacityError(f"index of table {self.name!r} is full")
         return validated
@@ -194,8 +189,10 @@ class Table:
         instead of one full pass per row.
 
         The index builds itself bottom-up
-        (:meth:`~repro.storage.indexed.IndexedStorage.load`) when the batch
-        is an initial load: the index is empty, the ``(key, record id)``
+        (:meth:`~repro.storage.btree.ObliviousBPlusTree.bulk_load`) when its
+        public rule prefers it (:meth:`~repro.storage.btree.
+        ObliviousBPlusTree.prefers_bulk_load`), an initial load: the index
+        is empty, the ``(key, record id)``
         directory fits in free oblivious memory, and the ORAM's load moves
         fewer blocks than ``len(rows)`` padded inserts would.  Why that
         leaks nothing new: (1) the rule reads only public values — the
@@ -218,8 +215,12 @@ class Table:
                     self.flat.fast_insert_many(validated)
                 else:
                     self.flat.insert_many(validated)
-            if self.indexed is not None:
-                self.indexed.insert_many(validated)
+            index = self.indexed
+            if index is not None and index.prefers_bulk_load(len(validated)):
+                index.bulk_load(validated)
+            elif index is not None:
+                for row in validated:
+                    index.insert(row)
         except BaseException:
             self.bump_revision()
             raise
@@ -239,7 +240,11 @@ class Table:
             if self.flat is not None:
                 deleted = self.flat.delete(self._key_equals(key))
             if self.indexed is not None:
-                indexed_deleted = self.indexed.delete_all(key)
+                # One padded delete per copy of the key: the count is the
+                # statement's result size, already declared leakage.
+                indexed_deleted = 0
+                while self.indexed.delete(key):
+                    indexed_deleted += 1
                 if self.flat is None:
                     deleted = indexed_deleted
         except BaseException:
@@ -248,29 +253,13 @@ class Table:
         self.bump_revision()
         return deleted
 
-    def update_key(self, key: Value, assign: Callable[[Row], Row]) -> int:
-        """Update rows whose key column equals ``key`` via ``assign``."""
-        updated = 0
-        try:
-            if self.flat is not None:
-                updated = self.flat.update(self._key_equals(key), assign)
-            if self.indexed is not None:
-                indexed_updated = self.indexed.update_key(key, assign)
-                if self.flat is None:
-                    updated = indexed_updated
-        except BaseException:
-            self.bump_revision()
-            raise
-        self.bump_revision()
-        return updated
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def point_lookup(self, key: Value) -> list[Row]:
         """Index point lookup; falls back to a full flat scan if no index."""
         if self.indexed is not None:
-            return self.indexed.point_lookup(key)
+            return self.indexed.search(key)
         column = self.key_column or self.schema.columns[0].name
         key_index = self.schema.column_index(column)
         flat = self.require_flat()

@@ -179,5 +179,5 @@ class TestSimulatorTheorem:
         before = len(db.enclave.trace)
         public = PublicState.of(db)
         assert len(db.enclave.trace) == before
-        assert public.tables["i"].height == db.table("i").indexed.tree.height
+        assert public.tables["i"].height == db.table("i").indexed.height
         assert public.free_bytes == db.enclave.oblivious.free_bytes

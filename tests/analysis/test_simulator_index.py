@@ -21,6 +21,7 @@ from repro import ObliDB
 from repro.analysis import PublicState, real_query_trace, simulate
 from repro.planner import AccessMethod, IndexLookupNode, ScanNode, SelectNode, SortNode
 from repro.storage import Schema, StorageMethod, framed_size, int_column
+from repro.workloads import Q1_SQL, RANKINGS_SCHEMA, generate
 
 SCHEMA = Schema([int_column("k"), int_column("grp"), int_column("amount")])
 FRAME = framed_size(SCHEMA)
@@ -212,3 +213,22 @@ class TestIndexLinear:
         real, plan = real_query_trace(db, LINEAR["aggregate"])
         wrong = replace(plan, root=replace(plan.root, source=replace(plan.root.source, rows=63)))
         assert not real.matches(simulate(wrong, public))
+
+
+def test_real_equals_sim_on_a_tree_packing_cannot_reach() -> None:
+    """300 ascending fast inserts into 300 slots grow an order-8 index of
+    height 4, which no packed tree of 300 rows reaches: SIM grows its dummy
+    by ascending inserts, as the real table was."""
+    data = generate(rankings_rows=300, uservisits_rows=300, seed=44)
+    db = ObliDB(cipher="null", keep_trace_events=True, seed=44)
+    db.create_table(
+        "rankings", RANKINGS_SCHEMA, 300, method=StorageMethod.BOTH, key_column="pageRank"
+    )
+    for row in data.rankings:
+        db.table("rankings").insert(row, fast=True)
+    public = PublicState.of(db)
+    assert public.tables["rankings"].height == 4
+    real, plan = real_query_trace(db, Q1_SQL)
+    node = plan.find(IndexLookupNode)
+    assert (node.segment_rows, node.in_enclave) == (9, True)
+    assert real.matches(simulate(plan, public))

@@ -75,7 +75,7 @@ def test_indexed_write_trace_equals_sim(name: str, oram_kind: str) -> None:
     trace, result = run_write(db, sql)
     assert result.plan.root.access_method is access_method
     public = PublicState.of(db)
-    assert public.tables["t"].height == db.table("t").indexed.tree.height
+    assert public.tables["t"].height == db.table("t").indexed.height
     assert (public.tables["t"].treetop_levels == 0) is (oram_kind == "paper")
     sim = simulate(
         result.plan,
@@ -182,7 +182,7 @@ def test_key_assigning_update_leaks_no_literal(name: str, oram_kind: str) -> Non
         expected = sorted(
             (new_key if k in affected else k, (7 * k) % 30, f"s{k}") for k in range(30)
         )
-        assert sorted(db.table("t").indexed.rows()) == expected, sql
+        assert sorted(db.table("t").indexed.items()) == expected, sql
         assert sorted(db.sql("SELECT * FROM t WHERE v >= 0").rows) == expected, sql
     assert len(keys) == 1
     assert all(trace.matches(traces[0]) for trace in traces)
@@ -212,3 +212,37 @@ def test_sim_repeats_its_raw_trace(raw_digests, oram_kind: str) -> None:
     for _ in range(2):
         simulate(result.plan, public, affected=result.affected, segment_rows=segment_rows)
     assert len(raw_digests) == 2 and raw_digests[0] == raw_digests[1]
+
+
+#: name -> (statement, rows of the ``index_range`` segment) over
+#: :func:`tall_database`'s keys 0..299.
+TALL_WRITES = {
+    "update-range": ("UPDATE t SET s = 'x' WHERE k >= 3 AND k <= 9", 7),
+    "delete-range": ("DELETE FROM t WHERE k >= 3 AND k <= 6", 4),
+}
+
+
+def tall_database(oram_kind: str) -> ObliDB:
+    """300 ascending fast inserts into 300 slots: an order-8 index of
+    height 4, one level taller than any packed tree of 300 rows."""
+    db = ObliDB(cipher="null", keep_trace_events=True, seed=3)
+    db.create_table(
+        "t", SCHEMA, 300, method=StorageMethod.BOTH, key_column="k", oram_kind=oram_kind
+    )
+    for k in range(300):
+        db.table("t").insert((k, (7 * k) % 30, f"s{k}"), fast=True)
+    return db
+
+
+@pytest.mark.parametrize("oram_kind", ["path", "paper"])
+@pytest.mark.parametrize("name", list(TALL_WRITES))
+def test_write_on_a_tree_packing_cannot_reach_equals_sim(name: str, oram_kind: str) -> None:
+    sql, segment_rows = TALL_WRITES[name]
+    db = tall_database(oram_kind)
+    trace, result = run_write(db, sql)
+    public = PublicState.of(db)
+    assert public.tables["t"].height == 4
+    sim = simulate(
+        result.plan, public, affected=result.affected, segment_rows=segment_rows
+    )
+    assert sim.matches(trace)

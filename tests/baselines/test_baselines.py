@@ -150,11 +150,11 @@ class TestHIRBMap:
     def test_slower_than_oblidb_index(self, kv_schema: Schema) -> None:
         """The Figure 9 shape: ObliDB's enclave index beats HIRB by a
         multiple on point lookups."""
-        from repro.storage import IndexedStorage
+        from repro.storage import index_tree
 
         hirb = HIRBMap(capacity=256, rng=random.Random(3), cipher="null")
         enclave = Enclave(oblivious_memory_bytes=1 << 22, cipher="null")
-        oblidb = IndexedStorage(enclave, kv_schema, "key", 256, rng=random.Random(3))
+        oblidb = index_tree(enclave, kv_schema, "key", 256, rng=random.Random(3))
         for key in range(128):
             hirb.insert(key, f"v{key}")
             oblidb.insert((key, f"v{key}"))
@@ -162,7 +162,7 @@ class TestHIRBMap:
         hirb.get(64)
         hirb_cost = hirb.client.cost.oram_accesses - before
         before = enclave.cost.oram_accesses
-        oblidb.point_lookup(64)
+        oblidb.search(64)
         oblidb_cost = enclave.cost.oram_accesses - before
         assert hirb_cost >= 3 * oblidb_cost
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro import ObliDB
+from repro import ObliDB, StorageMethod
+from repro.storage import Schema, int_column
 
 
 def _workload_db(**kwargs) -> ObliDB:
@@ -73,3 +74,28 @@ class TestVerifyFindsDamage:
         db.enclave.untrusted.tamper(wal.region_name, 0, None)
         report = db.verify()
         assert any("WAL verification failed" in issue for issue in report.issues)
+
+    def test_broken_leaf_chain_is_an_issue(self):
+        """A leaf chain cut through the tree's own ORAM write keeps every
+        MAC valid, and a range scan then stops early; the tree's check
+        walks the structure and flags it."""
+        db = ObliDB(cipher="null", seed=1)
+        db.create_table(
+            "t", Schema([int_column("id")]), 256, method=StorageMethod.INDEXED,
+            key_column="id", oram_kind="paper",
+        )
+        db.insert_many("t", [(i,) for i in range(200)])
+        assert db.verify().ok
+        tree = db.table("t").indexed
+        node_id = tree._root
+        for _ in range(tree.height - 1):
+            node_id = tree._load(node_id).children[0]
+        leaf = tree._load(node_id)
+        tree._cache.clear()
+        leaf.next_leaf = -1
+        tree.oram.write(node_id, tree._serialize(leaf))
+        rows = db.sql("SELECT * FROM t WHERE id >= 0 AND id <= 50").rows
+        assert len(rows) < 51
+        report = db.verify()
+        assert not report.ok
+        assert any("index verification failed" in issue for issue in report.issues)

@@ -100,7 +100,7 @@ def _build(plan: FaultPlan) -> ObliDB:
 
 def _run_workload(db: ObliDB, acked: list[tuple]) -> None:
     db.sql(CREATE)
-    assert db.table("t").indexed.tree.prefers_bulk_load(len(LOAD))
+    assert db.table("t").indexed.prefers_bulk_load(len(LOAD))
     db.insert_many("t", list(LOAD), fast=True)
     acked.extend(LOAD)
     db.sql(f"INSERT INTO t VALUES ({LATER[0]}, '{LATER[1]}')")  # an ordinary tree
@@ -111,7 +111,7 @@ def _total_accesses() -> int:
     db = _build(FaultPlan())
     acked: list[tuple] = []
     _run_workload(db, acked)
-    assert db.table("t").indexed.tree.height == 2  # packed: 2 leaves + root
+    assert db.table("t").indexed.height == 2  # packed: 2 leaves + root
     return db.enclave.untrusted.accesses
 
 
@@ -143,7 +143,7 @@ def test_bulk_load_crash_point_sweep(mode: str) -> None:
             assert sorted(recovered.sql("SELECT * FROM t").rows) == sorted(durable)
             index = recovered.table("t").indexed
             for key in {row[0] for row in acked}:
-                assert index.point_lookup(key) == [
+                assert index.search(key) == [
                     row for row in durable if row[0] == key
                 ], f"k={k} key={key}"
     if stride == 1:

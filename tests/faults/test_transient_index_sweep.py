@@ -50,7 +50,7 @@ LOOKUPS = {
 
 def _resident(db: ObliDB) -> dict:
     """The resident levels of ``t``'s index, node by node."""
-    tree = db.table("t").indexed.tree
+    tree = db.table("t").indexed
     return {
         node_id: (list(node.keys), list(node.children))
         for node_id, node in tree._resident.items()
@@ -101,7 +101,7 @@ def test_transient_at_every_access_of_an_index_lookup(
         assert _resident(db) == resident, offset
         index = db.table("t").indexed
         for row in ROWS:
-            assert index.point_lookup(row[0]) == [row], (offset, row)
+            assert index.search(row[0]) == [row], (offset, row)
         check = db.verify()
         assert check.ok, (offset, check.issues)
         # One transient costs at most one statement retry — and none when it
@@ -234,7 +234,7 @@ def _reference(statements: list[str]) -> tuple:
         _references[key] = (
             sorted(db.sql("SELECT * FROM t").rows),
             _resident(db),
-            db.table("t").indexed.rows(),
+            list(db.table("t").indexed.items()),
         )
     return _references[key]
 
@@ -255,12 +255,12 @@ def _recovered(crashed: ObliDB, attempted: list[str], label) -> None:
     # The resident levels are rebuilt from the log alone: the same nodes
     # the reference grew, reachable for every row.
     assert _resident(recovered) == resident, label
-    assert recovered.table("t").indexed.rows() == index_rows, label
+    assert list(recovered.table("t").indexed.items()) == index_rows, label
 
 
 def test_mutations_grow_and_shrink_the_resident_levels() -> None:
     db = _mutating_db(FaultPlan(), None)
-    tree = db.table("t").indexed.tree
+    tree = db.table("t").indexed
     before = tree.resident_nodes
     for sql in MUTATIONS[:24]:
         db.sql(sql)

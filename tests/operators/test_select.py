@@ -17,7 +17,7 @@ from repro.operators import (
     naive_select,
     small_select,
 )
-from repro.storage import FlatStorage, IndexedStorage, Schema
+from repro.storage import FlatStorage, Schema, index_tree
 
 
 @pytest.fixture
@@ -239,7 +239,7 @@ class TestHashSelectCompactOutput:
 
 class TestSelectionOverIndex:
     def test_materialize_range(self, fast_enclave: Enclave, kv_schema: Schema) -> None:
-        index = IndexedStorage(
+        index = index_tree(
             fast_enclave, kv_schema, "key", 128, rng=random.Random(2)
         )
         for key in range(50):
@@ -249,7 +249,7 @@ class TestSelectionOverIndex:
         assert sorted(segment.rows()) == [(k, f"v{k}") for k in range(10, 20)]
 
     def test_empty_range(self, fast_enclave: Enclave, kv_schema: Schema) -> None:
-        index = IndexedStorage(
+        index = index_tree(
             fast_enclave, kv_schema, "key", 64, rng=random.Random(2)
         )
         index.insert((1, "x"))

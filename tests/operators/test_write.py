@@ -114,8 +114,8 @@ class TestKeyedWrites:
                 (
                     updated,
                     deleted,
-                    updating.indexed.rows(),
-                    deleting.indexed.rows(),
+                    list(updating.indexed.items()),
+                    list(deleting.indexed.items()),
                     sorted(updating.rows()),
                     sorted(deleting.rows()),
                 )

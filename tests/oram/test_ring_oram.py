@@ -136,9 +136,9 @@ class TestRingCostProfile:
 
 class TestRingInTree:
     def test_btree_over_ring_oram(self, fast_enclave: Enclave, kv_schema) -> None:
-        from repro.storage import IndexedStorage
+        from repro.storage import index_tree
 
-        index = IndexedStorage(
+        index = index_tree(
             fast_enclave, kv_schema, "key", 96,
             rng=random.Random(3), oram_kind="ring",
         )
@@ -146,7 +146,7 @@ class TestRingInTree:
         random.Random(5).shuffle(keys)
         for key in keys:
             index.insert((key, f"v{key}"))
-        assert index.point_lookup(17) == [(17, "v17")]
-        assert index.delete_key(17) == 1
-        assert index.point_lookup(17) == []
-        assert [row[0] for row in index.range_lookup(40, 45)] == list(range(40, 46))
+        assert index.search(17) == [(17, "v17")]
+        assert index.delete(17) == 1
+        assert index.search(17) == []
+        assert [row[0] for row in index.range_scan(40, 45)] == list(range(40, 46))

@@ -10,7 +10,9 @@ level (the paper's tree) a lookup walks the leaves and pads to
 ``g + max(1, r) + r // min_leaf_keys + 2``.  Trees are generated from a
 bulk load and random inserts and deletes over a small key space, so
 duplicate runs straddle leaves — excluded open bounds included — and
-deletes merge and borrow.
+deletes merge and borrow.  After every mutation the tree's own
+:meth:`~repro.storage.btree.ObliviousBPlusTree.check` passes and returns
+what the oracle holds.
 """
 
 from __future__ import annotations
@@ -49,20 +51,14 @@ def leaves(tree: ObliviousBPlusTree):
     tree._cache.clear()
 
 
-def check_summaries(tree: ObliviousBPlusTree) -> None:
-    """Each summary is its leaf's true (min, max); every non-root leaf holds
-    at least ``min_leaf_keys`` keys, which L(r) counts on.  A tree without
-    summaries keeps none."""
-    if not tree._summarised:
-        assert tree._spans == {}
-        return
-    spans = {}
-    for leaf_id, leaf in leaves(tree):
-        if tree.height > 1:
+def check_tree(tree: ObliviousBPlusTree, model: list) -> None:
+    """The tree's check passes (its summaries included) and finds the
+    oracle's rows; with summaries every non-root leaf holds at least
+    ``min_leaf_keys`` keys, which L(r) counts on."""
+    assert tree.check() == model
+    if tree._summarised and tree.height > 1:
+        for _, leaf in leaves(tree):
             assert len(leaf.keys) >= (tree.order - 1) // 2
-        if leaf.keys:
-            spans[leaf_id] = (leaf.keys[0], leaf.keys[-1])
-    assert tree._spans == spans
 
 
 def spent(enclave: Enclave, operation) -> tuple[int, object]:
@@ -79,6 +75,17 @@ def spent(enclave: Enclave, operation) -> tuple[int, object]:
     loaded=[5] * 30 + [6],
     commands=[("update", 6)],
     probes=[(5, 1, True, False)],
+    seed=0,
+)
+# Deleting every row off the descent path empties leaves that never merge:
+# the emptied tree must still be the empty tree.
+@example(
+    order=4,
+    resident_levels=0,
+    loaded=[0, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4],
+    commands=[("delete", key) for key in [4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 1, 0]]
+    + [("insert", 2)],
+    probes=[(2, 0, False, False)],
     seed=0,
 )
 @given(
@@ -109,7 +116,7 @@ def test_lookups_cost_their_closed_form(
     # The oracle: (key, value) sorted by key, duplicates in insertion order.
     model = [(key, f"b{i}") for i, key in sorted(enumerate(loaded), key=lambda p: p[1])]
     tree.bulk_load([(key, value) for key, value in model])
-    check_summaries(tree)
+    check_tree(tree, model)
 
     def probe() -> None:
         if not tree.height:
@@ -144,6 +151,6 @@ def test_lookups_cost_their_closed_form(
             assert count == target(tree, 1)
             if key in keys:
                 model[bisect_left(keys, key)] = (key, f"u{step}")
-        check_summaries(tree)
+        check_tree(tree, model)
         probe()
     assert [row for row in tree.items()] == model

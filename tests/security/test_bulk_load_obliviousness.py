@@ -14,8 +14,15 @@ import pytest
 
 from repro import ObliDB
 from repro.enclave import Enclave
-from repro.storage import Schema, int_column, str_column
-from repro.storage.indexed import IndexedStorage
+from repro.storage import (
+    ObliviousBPlusTree,
+    Schema,
+    StorageMethod,
+    Table,
+    index_tree,
+    int_column,
+    str_column,
+)
 
 SCHEMA = Schema([int_column("k"), int_column("v"), str_column("s", 8)])
 CREATE = "CREATE TABLE t (k INT, v INT, s STR(8)) CAPACITY 64 METHOD both KEY k"
@@ -40,12 +47,22 @@ def loaded_db(rows: list[tuple], cipher: str = "null") -> ObliDB:
     return db
 
 
-def index_over(oram_kind: str, capacity: int = 64) -> tuple[Enclave, IndexedStorage]:
+def index_over(oram_kind: str, capacity: int = 64) -> tuple[Enclave, ObliviousBPlusTree]:
     enclave = Enclave(cipher="null", keep_trace_events=True)
-    index = IndexedStorage(
+    index = index_tree(
         enclave, SCHEMA, "k", capacity, rng=random.Random(5), oram_kind=oram_kind
     )
     return enclave, index
+
+
+def table_over(capacity: int = 64) -> tuple[Enclave, Table]:
+    """An index-only table, whose ``insert_many`` applies the bulk rule."""
+    enclave = Enclave(cipher="null", keep_trace_events=True)
+    table = Table(
+        enclave, "t", SCHEMA, capacity, method=StorageMethod.INDEXED,
+        key_column="k", rng=random.Random(5),
+    )
+    return enclave, table
 
 
 def cached_buckets(oram) -> int:
@@ -61,7 +78,7 @@ class TestLoadIsDataIndependent:
         runs = []
         for seed in (1, 2, 3):
             db = loaded_db(dataset(seed), cipher)
-            assert db.table("t").indexed.tree.count == N
+            assert db.table("t").indexed.count == N
             runs.append((db.enclave.trace.digest(), db.enclave.cost.snapshot()))
         assert runs[0] == runs[1] == runs[2]
 
@@ -86,7 +103,7 @@ class TestLoadIsDataIndependent:
         for seed in (1, 2):
             enclave, index = index_over(oram_kind)
             enclave.trace.clear()
-            index.load(dataset(seed))
+            index.bulk_load(dataset(seed))
             digests.append((enclave.trace.digest(), enclave.cost.snapshot()))
         assert digests[0] == digests[1]
 
@@ -96,7 +113,7 @@ class TestLoadIsDataIndependent:
         for rows in (dataset(1), dataset(2)[:9]):
             enclave, index = index_over("path")
             enclave.trace.clear()
-            index.load(rows)
+            index.bulk_load(rows)
             digests.append(enclave.trace.digest())
         assert digests[0] == digests[1]
 
@@ -111,7 +128,7 @@ class TestLoadCostPins:
         enclave, index = index_over(oram_kind)
         assert index.oram.treetop_levels == k
         before = enclave.cost.snapshot()
-        index.load(dataset(6))
+        index.bulk_load(dataset(6))
         delta = enclave.cost.delta_since(before).snapshot()
         assert delta["oram_accesses"] == 0
         assert delta["untrusted_writes"] == index.oram.num_buckets - (2**k - 1)
@@ -121,8 +138,8 @@ class TestLoadCostPins:
     def test_default_load_is_one_access_per_block(self, oram_kind, factor) -> None:
         enclave, index = index_over(oram_kind)
         before = enclave.cost.oram_accesses
-        index.load(dataset(6))
-        nodes, _ = index.tree._packed_shape(N)
+        index.bulk_load(dataset(6))
+        nodes, _ = index._packed_shape(N)
         assert enclave.cost.oram_accesses - before == factor * (N + nodes)
 
 
@@ -135,7 +152,7 @@ class TestPathChoiceIsPublic:
         choices = set()
         for capacity, n in [(64, 40), (64, 1), (4096, 1), (4096, 3), (4096, 64)]:
             _, index = index_over(oram_kind, capacity)
-            tree, oram = index.tree, index.oram
+            tree, oram = index, index.oram
             _, height = tree._packed_shape(n)
             access_blocks = 2 * (oram.levels - oram.treetop_levels)
             expected = (
@@ -150,11 +167,11 @@ class TestPathChoiceIsPublic:
         assert choices == {True, False}
 
     def test_one_row_into_a_huge_empty_index_is_a_padded_burst(self) -> None:
-        enclave = Enclave(cipher="null", keep_trace_events=True)
-        index = IndexedStorage(enclave, SCHEMA, "k", 4096, rng=random.Random(5))
-        assert not index.tree.prefers_bulk_load(1)
+        enclave, table = table_over(4096)
+        index = table.indexed
+        assert not index.prefers_bulk_load(1)
         before = enclave.cost.snapshot()
-        index.insert_many([(7, 7, "seven")])
+        table.insert_many([(7, 7, "seven")])
         delta = enclave.cost.delta_since(before).snapshot()
         assert delta["oram_accesses"] == 3 * 1 + 4  # the insert's padding target
         path_blocks = 7 * (index.oram.levels - index.oram.treetop_levels)
@@ -165,26 +182,26 @@ class TestPathChoiceIsPublic:
         padded inserts it always was."""
         traces = []
         for batched in (True, False):
-            enclave, index = index_over("path")
-            index.insert((0, 0, "first"))
+            enclave, table = table_over()
+            table.indexed.insert((0, 0, "first"))
             enclave.trace.clear()
             before = enclave.cost.snapshot()
             rows = dataset(8)[:10]
             if batched:
-                assert not index.tree.prefers_bulk_load(len(rows))
-                index.insert_many(rows)
+                assert not table.indexed.prefers_bulk_load(len(rows))
+                table.insert_many(rows)
             else:
                 for row in rows:
-                    index.insert(row)
+                    table.indexed.insert(row)
             traces.append(
                 (enclave.trace.digest(), enclave.cost.delta_since(before).snapshot())
             )
         assert traces[0] == traces[1]
 
     def test_no_room_for_the_directory_falls_back(self) -> None:
-        enclave, index = index_over("path")
+        enclave, table = table_over()
         enclave.oblivious.allocate(enclave.oblivious.free_bytes - 64)
-        assert not index.tree.prefers_bulk_load(N)
-        index.insert_many(dataset(9))  # row by row; needs no directory
-        assert index.used_rows == N
+        assert not table.indexed.prefers_bulk_load(N)
+        table.insert_many(dataset(9))  # row by row; needs no directory
+        assert table.indexed.count == N
         assert enclave.cost.oram_accesses > 0

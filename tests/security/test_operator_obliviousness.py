@@ -219,7 +219,7 @@ class TestWriteObliviousness:
 
     def test_btree_insert_trace_shape_independent_of_key(self) -> None:
         """Index inserts at fixed height: same canonical (level) shape."""
-        from repro.storage import IndexedStorage
+        from repro.storage import index_tree
 
         traces = []
         for key, seed in ((0, 1), (500, 1), (123456, 1)):
@@ -227,20 +227,20 @@ class TestWriteObliviousness:
                 oblivious_memory_bytes=1 << 22, cipher="null", keep_trace_events=True
             )
             schema = Schema([int_column("key"), int_column("v")])
-            index = IndexedStorage(enclave, schema, "key", 300, rng=random.Random(seed))
+            index = index_tree(enclave, schema, "key", 300, rng=random.Random(seed))
             for base_key in range(64):
                 index.insert((base_key * 2 + 1, 0))
-            height = index.tree.height
+            height = index.height
             enclave.trace.clear()
             index.insert((key * 2, 0))  # even keys: never duplicates
-            assert index.tree.height == height
+            assert index.height == height
             traces.append(
                 canonicalize(enclave.trace.events, oram_regions_of(enclave))
             )
         assert_indistinguishable(traces)
 
     def test_btree_point_lookup_hit_vs_miss(self) -> None:
-        from repro.storage import IndexedStorage
+        from repro.storage import index_tree
 
         traces = []
         for key in (10, 11):  # 10 exists, 11 does not
@@ -248,11 +248,11 @@ class TestWriteObliviousness:
                 oblivious_memory_bytes=1 << 22, cipher="null", keep_trace_events=True
             )
             schema = Schema([int_column("key"), int_column("v")])
-            index = IndexedStorage(enclave, schema, "key", 200, rng=random.Random(5))
+            index = index_tree(enclave, schema, "key", 200, rng=random.Random(5))
             for base_key in range(0, 100, 2):
                 index.insert((base_key, 0))
             enclave.trace.clear()
-            index.point_lookup(key)
+            index.search(key)
             traces.append(
                 canonicalize(enclave.trace.events, oram_regions_of(enclave))
             )

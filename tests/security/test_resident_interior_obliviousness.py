@@ -192,7 +192,7 @@ class TestStatements:
         traces, plans = [], []
         for seed, sql in zip((11, 12), statements):
             db = self._db(seed)
-            tree = db.table("t").indexed.tree
+            tree = db.table("t").indexed
             assert (tree.height, tree.oram_levels) == (3, 1)
             db.enclave.trace.clear()
             plans.append(db.sql(sql).plan.cache_key)

@@ -157,6 +157,36 @@ class TestDelete:
                 mirror[key] = f"v{step}"
         assert sorted(row[0] for row in tree.items()) == sorted(mirror)
 
+    def test_an_emptied_walk_tree_is_the_empty_tree(
+        self, fast_enclave: Enclave, kv_schema: Schema
+    ) -> None:
+        """Without summaries a delete may remove a duplicate off its descent
+        path and rebalance nothing, so emptied leaves never merge.  Once no
+        row is left the tree is the empty tree whatever it went through:
+        height 0, so the next insert pads as a first insert does."""
+        tree = ObliviousBPlusTree(
+            fast_enclave, kv_schema, "key", 64, order=4, rng=random.Random(1),
+            resident_levels=0,
+        )
+        keys = [0, 2, 0, 3, 3, 3]
+        for key in keys:
+            tree.insert((key, "x"))
+        for key in sorted(keys, reverse=True):
+            assert tree.delete(key) == 1
+        assert (tree.count, tree.height, tree.resident_nodes) == (0, 0, 0)
+        assert tree.search(0) == []
+        fresh = ObliviousBPlusTree(
+            fast_enclave, kv_schema, "key", 64, order=4, rng=random.Random(1),
+            resident_levels=0,
+        )
+        costs = []
+        for index in (tree, fresh):
+            before = fast_enclave.cost.oram_accesses
+            index.insert((9, "y"))
+            costs.append(fast_enclave.cost.oram_accesses - before)
+        assert costs[0] == costs[1] == 3 * 1 + 4
+        assert list(tree.items()) == [(9, "y")]
+
     def test_tree_shrinks_after_mass_delete(
         self, fast_enclave: Enclave, kv_schema: Schema
     ) -> None:

@@ -19,11 +19,9 @@ from repro.enclave import Enclave, StorageError
 from repro.enclave.errors import ObliviousMemoryError
 from repro.storage import ObliviousBPlusTree, Schema, int_column, str_column
 from repro.storage.btree import _InternalNode, _LeafNode, _packed_sizes
-from repro.storage.indexed import _ORAM_FACTORIES
+from repro.storage.btree import ORAM_KINDS
 
 SCHEMA = Schema([int_column("key"), str_column("value", 12)])
-
-ORAM_FACTORIES = {"path": None, **_ORAM_FACTORIES}
 
 
 def make_tree(
@@ -43,7 +41,7 @@ def make_tree(
         capacity,
         order=order,
         rng=random.Random(seed),
-        oram_factory=ORAM_FACTORIES[oram],
+        oram_factory=ORAM_KINDS[oram],
         resident_levels=resident_levels,
     )
     return enclave, tree

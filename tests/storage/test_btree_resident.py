@@ -288,7 +288,7 @@ class TestAccount:
             table = db.create_table(
                 "t", SCHEMA, 256, method=StorageMethod.BOTH, key_column="key", oram_kind=kind
             )
-            tree = table.indexed.tree
+            tree = table.indexed
             assert (tree.resident_levels > 0) == (kind == "path")
             assert (tree.oblivious_memory_bytes() > 0) == (kind == "path")
             db.drop_table("t")
@@ -311,7 +311,7 @@ class TestAccount:
                 except ObliviousMemoryError:
                     outcomes[kind] = None
                 else:
-                    outcomes[kind] = table.indexed.tree.resident_levels
+                    outcomes[kind] = table.indexed.resident_levels
                     assert db.enclave.oblivious.in_use_bytes <= budget
             assert (outcomes["path"] is None) == (outcomes["paper"] is None)
             if outcomes["path"] is not None:

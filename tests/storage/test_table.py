@@ -1,4 +1,4 @@
-"""Unit tests for Table (flat / indexed / both) and IndexedStorage."""
+"""Unit tests for Table (flat / indexed / both) and its index."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.enclave import Enclave, StorageError
-from repro.storage import IndexedStorage, Schema, StorageMethod, Table
+from repro.storage import Schema, StorageMethod, Table, index_tree
 
 
 def make_table(
@@ -25,33 +25,18 @@ def make_table(
     )
 
 
-class TestIndexedStorage:
+class TestIndexTree:
     def test_point_and_range(self, fast_enclave: Enclave, kv_schema: Schema) -> None:
-        storage = IndexedStorage(
-            fast_enclave, kv_schema, "key", 128, rng=random.Random(1)
-        )
+        tree = index_tree(fast_enclave, kv_schema, "key", 128, rng=random.Random(1))
         for key in range(50):
-            storage.insert((key, f"v{key}"))
-        assert storage.point_lookup(7) == [(7, "v7")]
-        assert [r[0] for r in storage.range_lookup(10, 14)] == [10, 11, 12, 13, 14]
+            tree.insert((key, f"v{key}"))
+        assert tree.search(7) == [(7, "v7")]
+        assert [r[0] for r in tree.range_scan(10, 14)] == [10, 11, 12, 13, 14]
 
-    def test_delete_all_duplicates(self, fast_enclave: Enclave, kv_schema: Schema) -> None:
-        storage = IndexedStorage(
-            fast_enclave, kv_schema, "key", 64, rng=random.Random(1)
-        )
-        for value in ("a", "b", "c"):
-            storage.insert((5, value))
-        assert storage.delete_all(5) == 3
-        assert storage.point_lookup(5) == []
-
-    def test_update_key(self, fast_enclave: Enclave, kv_schema: Schema) -> None:
-        storage = IndexedStorage(
-            fast_enclave, kv_schema, "key", 64, rng=random.Random(1)
-        )
-        storage.insert((3, "old"))
-        assert storage.update_key(3, lambda row: (row[0], "new")) == 1
-        assert storage.point_lookup(3) == [(3, "new")]
-        assert storage.update_key(99, lambda row: row) == 0
+    def test_unknown_kind_is_refused(self, fast_enclave: Enclave, kv_schema: Schema) -> None:
+        with pytest.raises(StorageError, match="oram_kind"):
+            index_tree(fast_enclave, kv_schema, "key", 16, oram_kind="nope")
+        assert fast_enclave.untrusted.region_names() == []
 
 
 class TestTableMethods:
@@ -113,14 +98,16 @@ class TestTableMethods:
     @pytest.mark.parametrize(
         "method", [StorageMethod.FLAT, StorageMethod.INDEXED, StorageMethod.BOTH]
     )
-    def test_update_key_everywhere(
+    def test_delete_key_deletes_every_duplicate(
         self, fast_enclave: Enclave, kv_schema: Schema, method: StorageMethod
     ) -> None:
         table = make_table(fast_enclave, kv_schema, method)
-        for key in range(6):
-            table.insert((key, "old"))
-        assert table.update_key(2, lambda row: (row[0], "new")) == 1
-        assert table.point_lookup(2) == [(2, "new")]
+        for value in ("a", "b", "c"):
+            table.insert((5, value))
+        table.insert((6, "d"))
+        assert table.delete_key(5) == 3
+        assert table.point_lookup(5) == []
+        assert table.rows() == [(6, "d")]
 
     def test_both_representations_stay_consistent(
         self, fast_enclave: Enclave, kv_schema: Schema
@@ -138,7 +125,7 @@ class TestTableMethods:
                 mirror[key] = f"v{step}"
         assert table.flat is not None and table.indexed is not None
         flat_rows = sorted(table.flat.rows())
-        index_rows = sorted(table.indexed.rows())
+        index_rows = sorted(table.indexed.items())
         assert flat_rows == index_rows == sorted(mirror.items())
 
     def test_indexed_requires_key_column(self, fast_enclave: Enclave, kv_schema: Schema) -> None:
